@@ -3,12 +3,17 @@
 Usage contract:
   exit 0  run completed, nothing flagged
   exit 1  a checked inequality was flagged; a witness file sits in --out
-  exit 2  usage error (bad flags, bad config file, missing mandatory seed)
+  exit 2  usage error (bad flags, bad config file, missing mandatory seed,
+          out-of-range values, nothing to fit)
 
 Determinism: identical argv (same seed) produce byte-identical report files.
 Wall-clock metadata is isolated in run_meta.json, which the determinism
 guarantee excludes.  Config files are JSON, keyed by subcommand; explicit CLI
 flags override config values, which override built-in defaults.
+
+Each subcommand is a handler in HANDLERS that only computes: it returns an
+Outcome, and main alone writes the report envelope, the extra files, the
+witness and run_meta.json, prints the summary and picks the exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +34,6 @@ from .decomp import DecompSearchConfig, estimate_constant, rademacher_constants
 from .fourier import (
     ExtremalSearchConfig,
     MultiplierSeq,
-    TrigPolynomial,
     marcinkiewicz_check,
     riesz_norm_lower_bound,
     save_trig_polynomial,
@@ -69,10 +75,12 @@ from .verify import SWEEP_CSV_HEADER, sweep_appendix, sweep_csv_rows
 
 RANDOMIZED = {"decomp-scan", "riesz-norm", "marcinkiewicz", "type-cotype", "positivity"}
 
-_OP_KEYS = ("gallery", "op", "dim", "scale", "eigenvalue", "coupling", "weights", "angles",
-            "matrix_file")
-_SEARCH_KEYS = ("p", "r_max", "radial", "angular", "refine_rounds", "seed")
+# subcommands that act on one operator: they take the kreiss operator and
+# search flags, and their handlers get the operator and its SearchConfig
+OPERATOR_SUBS = ("kreiss", "strong-kreiss", "exp-criterion", "cesaro", "growth", "bounds",
+                 "positivity")
 
+# built-in defaults; a subcommand has exactly the flags named by its keys
 DEFAULTS: dict[str, dict] = {
     "kreiss": {"gallery": None, "op": None, "dim": 2, "scale": "1", "eigenvalue": "1",
                "coupling": 1.0, "weights": None, "angles": None, "matrix_file": None,
@@ -100,11 +108,52 @@ DEFAULTS: dict[str, dict] = {
     "plot": {"csv": None, "x_col": "n", "y_cols": None, "log_x": True, "log_y": True,
              "title": "", "threads": 1},
 }
-# subcommands that reuse the kreiss operator/search keys inherit its defaults
-for _sub in ("strong-kreiss", "exp-criterion", "cesaro", "growth", "bounds", "positivity"):
-    merged = dict(DEFAULTS["kreiss"])
-    merged.update(DEFAULTS[_sub])
-    DEFAULTS[_sub] = merged
+for _sub in OPERATOR_SUBS[1:]:
+    DEFAULTS[_sub] = {**DEFAULTS["kreiss"], **DEFAULTS[_sub]}
+
+# argparse options of every flag, keyed by dest; a dest not listed here is a
+# plain string flag.  The option is --<dest with - for _> unless "flag" names it,
+# and every flag defaults to None so that _merge sees what was given.
+FLAGS: dict[str, dict] = {
+    "out": {"help": "output directory for reports"},
+    "config": {"help": "JSON config file"},
+    "threads": {"type": int},
+    "gallery": {"help": "gallery operator name"},
+    "op": {"help": "operator kind"},
+    "dim": {"type": int},
+    "coupling": {"type": float},
+    "weights": {"help": "comma-separated superdiagonal"},
+    "angles": {"help": "angle in turns, or comma list"},
+    "p": {"help": "norm index (number or 'inf')"},
+    "r_max": {"type": float},
+    "radial": {"type": int},
+    "angular": {"type": int},
+    "refine_rounds": {"type": int},
+    "seed": {"type": int},
+    "n_max": {"type": int},
+    "n_min": {"type": int},
+    "xi_max": {"type": float},
+    "k_ref": {"type": float},
+    "ks_ref": {"type": float},
+    "fit": {"choices": ("poly", "poly_log", "both")},
+    "gz": {"action": "store_true"},
+    "side": {"choices": ("upper", "lower")},
+    "gamma": {"type": float},
+    "trials": {"type": int},
+    "ascent_steps": {"type": int},
+    "max_support": {"type": int},
+    "max_dim": {"type": int},
+    "span": {"type": int, "help": "multiplier window half-width"},
+    "kind": {"choices": ("type", "cotype")},
+    "exponent": {"type": float},
+    "count": {"type": int},
+    "family": {"choices": ("basis", "random")},
+    "samples": {"type": int},
+    "corpus": {"type": int},
+    "y_cols": {"help": "comma-separated columns"},
+    "log_x": {"flag": "--linear-x", "action": "store_false"},
+    "log_y": {"flag": "--linear-y", "action": "store_false"},
+}
 
 
 def _parse_p(text) -> float:
@@ -144,125 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"kreisslab {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp, need_out=True):
-        sp.add_argument("--out", default=None, help="output directory for reports")
-        sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--threads", type=int, default=None)
-
-    def add_operator(sp):
-        sp.add_argument("--gallery", default=None, help="gallery operator name")
-        sp.add_argument("--op", default=None, help="operator kind")
-        sp.add_argument("--dim", type=int, default=None)
-        sp.add_argument("--scale", default=None)
-        sp.add_argument("--eigenvalue", default=None)
-        sp.add_argument("--coupling", type=float, default=None)
-        sp.add_argument("--weights", default=None, help="comma-separated superdiagonal")
-        sp.add_argument("--angles", default=None, help="angle in turns, or comma list")
-        sp.add_argument("--matrix-file", dest="matrix_file", default=None)
-
-    def add_search(sp):
-        sp.add_argument("--p", default=None, help="norm index (number or 'inf')")
-        sp.add_argument("--r-max", dest="r_max", type=float, default=None)
-        sp.add_argument("--radial", type=int, default=None)
-        sp.add_argument("--angular", type=int, default=None)
-        sp.add_argument("--refine-rounds", dest="refine_rounds", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-
-    for name, extra in (
-        ("kreiss", ()),
-        ("strong-kreiss", ("n_max",)),
-        ("exp-criterion", ("xi_max",)),
-        ("cesaro", ("n_max", "ks_ref", "gz")),
-        ("growth", ("n_max", "fit")),
-        ("bounds", ("n_max", "k_ref", "ks_ref")),
-    ):
-        sp = subs.add_parser(name)
-        add_common(sp)
-        add_operator(sp)
-        add_search(sp)
-        if "n_max" in extra:
-            sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-        if "xi_max" in extra:
-            sp.add_argument("--xi-max", dest="xi_max", type=float, default=None)
-        if "ks_ref" in extra:
-            sp.add_argument("--ks-ref", dest="ks_ref", type=float, default=None)
-        if "k_ref" in extra:
-            sp.add_argument("--k-ref", dest="k_ref", type=float, default=None)
-        if "fit" in extra:
-            sp.add_argument("--fit", choices=("poly", "poly_log", "both"), default=None)
-        if "gz" in extra:
-            sp.add_argument("--gz", action="store_true", default=None)
-
-    sp = subs.add_parser("decomp-scan")
-    add_common(sp)
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--q", default=None)
-    sp.add_argument("--inner-p", dest="inner_p", default=None)
-    sp.add_argument("--side", choices=("upper", "lower"), default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--ascent-steps", dest="ascent_steps", type=int, default=None)
-    sp.add_argument("--max-support", dest="max_support", type=int, default=None)
-    sp.add_argument("--max-dim", dest="max_dim", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = subs.add_parser("riesz-norm")
-    add_common(sp)
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--inner-p", dest="inner_p", default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--max-support", dest="max_support", type=int, default=None)
-    sp.add_argument("--ascent-steps", dest="ascent_steps", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = subs.add_parser("marcinkiewicz")
-    add_common(sp)
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--inner-p", dest="inner_p", default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--span", type=int, default=None, help="multiplier window half-width")
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = subs.add_parser("type-cotype")
-    add_common(sp)
-    sp.add_argument("--kind", choices=("type", "cotype"), default=None)
-    sp.add_argument("--exponent", type=float, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--count", type=int, default=None)
-    sp.add_argument("--family", choices=("basis", "random"), default=None)
-    sp.add_argument("--inner-p", dest="inner_p", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = subs.add_parser("positivity")
-    add_common(sp)
-    add_operator(sp)
-    add_search(sp)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--n-list", dest="n_list", default=None)
-    sp.add_argument("--corpus", type=int, default=None)
-    sp.add_argument("--ks-ref", dest="ks_ref", type=float, default=None)
-
-    sp = subs.add_parser("verify-appendix")
-    add_common(sp)
-    sp.add_argument("--n-min", dest="n_min", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-
-    sp = subs.add_parser("gallery-list")
-    add_common(sp)
-
-    sp = subs.add_parser("plot")
-    add_common(sp)
-    sp.add_argument("--csv", default=None)
-    sp.add_argument("--x-col", dest="x_col", default=None)
-    sp.add_argument("--y-cols", dest="y_cols", default=None, help="comma-separated columns")
-    sp.add_argument("--title", default=None)
-    sp.add_argument("--linear-x", dest="log_x", action="store_false", default=None)
-    sp.add_argument("--linear-y", dest="log_y", action="store_false", default=None)
-
+    for sub, defaults in DEFAULTS.items():
+        sp = subs.add_parser(sub)
+        for dest in dict.fromkeys(("out", "config", "threads", *defaults)):
+            spec = dict(FLAGS.get(dest, {}))
+            if (sub, dest) == ("positivity", "q"):
+                spec["type"] = float  # an exponent here, a norm index ('inf' too) in decomp-scan
+            flag = spec.pop("flag", "--" + dest.replace("_", "-"))
+            sp.add_argument(flag, dest=dest, default=None, **spec)
     return parser
 
 
@@ -304,17 +242,17 @@ def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser) 
     return merged
 
 
-def _operator(params: dict, parser):
+def _operator(params: dict):
     if params.get("gallery"):
         try:
             entry = gallery_entry(params["gallery"])
         except KeyError as exc:
-            parser.error(str(exc))
+            raise ValueError(str(exc)) from None
         return entry.name, make_gallery_operator(entry.spec)
     kind = params.get("op")
     if not kind:
-        parser.error("select an operator with --gallery or --op")
-    dim = int(params.get("dim") or 2)
+        raise ValueError("select an operator with --gallery or --op")
+    dim = int(params["dim"])
     weights = _parse_float_list(params.get("weights"))
     if kind == "weighted_shift" and not weights:
         weights = tuple(1.0 for _ in range(dim - 1))
@@ -334,10 +272,7 @@ def _operator(params: dict, parser):
         angles=angles_val,
         path=params.get("matrix_file") or "",
     )
-    try:
-        return f"{kind}{dim}", make_gallery_operator(spec)
-    except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+    return f"{kind}{dim}", make_gallery_operator(spec)
 
 
 def _search_config(params: dict) -> SearchConfig:
@@ -351,31 +286,347 @@ def _search_config(params: dict) -> SearchConfig:
     )
 
 
-def _envelope(sub: str, params: dict) -> dict:
-    echo = {k: (str(v) if isinstance(v, float) and math.isinf(v) else v)
-            for k, v in sorted(params.items()) if k not in ("out", "config")}
-    return {
-        "schema": SCHEMA,
-        "tool_version": __version__,
-        "subcommand": sub,
-        "seed": params.get("seed"),
-        "config": echo,
+def _ks_ref(params: dict, T, cfg: SearchConfig) -> float:
+    """--ks-ref, or the strong-Kreiss lower bound at n_max = 16 when it is not given."""
+    if params["ks_ref"] is None:
+        return strong_kreiss_constant(T, cfg, 16).value
+    return params["ks_ref"]
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What a handler computed; main writes it to --out and prints the summary."""
+
+    report: str  # <report>.json, and witness_<report>.json when flagged
+    payload: dict | None  # report fields after the envelope; None writes no report
+    summary: str  # printed to stdout
+    files: dict[str, Callable[[str], None]] = field(default_factory=dict)  # name -> writer(path)
+    witness: dict | None = None  # a flagged finding; its file makes the exit code 1
+
+
+# ---------------------------------------------------------------------------
+# Handlers: compute and return an Outcome; they never write or print
+# ---------------------------------------------------------------------------
+
+
+def _gallery_list(params):
+    lines, entries = [], []
+    for e in gallery():
+        flags = ["power-bounded" if e.power_bounded else "power-unbounded"]
+        flags += [f for f, on in (("positive", e.positive), ("nilpotent", e.nilpotent)) if on]
+        lines.append(f"{e.name:16s} {e.spec.kind:14s} d={e.spec.dim}  "
+                     f"[{', '.join(flags)}]  {e.description}")
+        entries.append({
+            "name": e.name, "kind": e.spec.kind, "dim": e.spec.dim,
+            "description": e.description, "power_bounded": e.power_bounded,
+            "positive": e.positive, "nilpotent": e.nilpotent,
+        })
+    return Outcome("gallery", {"entries": entries}, "\n".join(lines))
+
+
+def _plot(params):
+    if not params.get("csv"):
+        raise ValueError("--csv is required for plot")
+    header, rows = read_csv(params["csv"])
+    x_col = params["x_col"]
+    cols = (params["y_cols"].split(",") if params.get("y_cols")
+            else [h for h in header if h != x_col])
+    for axis, c in [("x", x_col)] + [("y", c) for c in cols]:
+        if c not in header:
+            raise ValueError(f"{axis} column {c!r} not in CSV header {header}")
+    xs = [r[header.index(x_col)] for r in rows]
+    series = {c: [r[header.index(c)] for r in rows] for c in cols}
+
+    def write(path):
+        svg_line_chart(
+            path, xs, series,
+            title=params.get("title") or os.path.basename(params["csv"]),
+            log_x=params.get("log_x", True) is not False,
+            log_y=params.get("log_y", True) is not False,
+            x_label=x_col,
+        )
+
+    return Outcome("plot", None, f"plot: wrote {os.path.join(params['out'], 'plot.svg')}",
+                   files={"plot.svg": write})
+
+
+def _verify_appendix(params):
+    rows = sweep_appendix(int(params["n_min"]), int(params["n_max"]),
+                          threads=int(params["threads"]))
+    failures = [r.n for r in rows if not (r.a1_pass and r.a2_pass)]
+    sup_a_max = max(r.sup_a for r in rows)
+    v1_a_max = max(r.v1_a for r in rows)
+    payload = {
+        "n_min": int(params["n_min"]),
+        "n_max": int(params["n_max"]),
+        "rows": len(rows),
+        "sup_a_max": sup_a_max,
+        "v1_a_max": v1_a_max,
+        "a1_min_slack": min(r.a1_min_slack for r in rows),
+        "failures": failures,
+        "review": [r.n for r in rows if r.review],
     }
+    files = {"appendix.csv": lambda path: write_csv(path, SWEEP_CSV_HEADER, sweep_csv_rows(rows))}
+    if failures:
+        return Outcome("appendix", payload,
+                       f"verify-appendix: FAIL at {len(failures)} values of n; witness written",
+                       files, witness={"failing_n": failures})
+    return Outcome("appendix", payload,
+                   f"verify-appendix: n in [{params['n_min']}, {params['n_max']}] all pass "
+                   f"(sup_a_max={sup_a_max:.6f}, v1_max={v1_a_max:.6f})", files)
 
 
-def _write_meta(out: str, argv: list[str]) -> None:
-    # the only report field that may differ between identical runs
-    write_json(os.path.join(out, "run_meta.json"), {
-        "schema": SCHEMA,
-        "argv": argv,
-        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    })
+def _decomp_scan(params):
+    cfg = DecompSearchConfig(
+        trials=int(params["trials"]),
+        ascent_steps=int(params["ascent_steps"]),
+        max_support=int(params["max_support"]),
+        max_dim=int(params["max_dim"]),
+        seed=int(params["seed"]),
+    )
+    est = estimate_constant(
+        p=_parse_p(params["p"]), q=_parse_p(params["q"]),
+        inner_p=_parse_p(params["inner_p"]),
+        side=params["side"], gamma=float(params["gamma"]), cfg=cfg,
+    )
+    payload = {
+        "side": est.side, "p": est.p, "q": est.q, "inner_p": est.inner_p,
+        "gamma": est.gamma, "constant_lower": est.constant_lower,
+        "label": est.label, "trials": est.trials,
+        "witness_file": "witness_f.txt",
+        "witness_partition": [[iv.lo, iv.hi] for iv in est.witness_partition.intervals],
+    }
+    return Outcome("decomp", payload,
+                   f"decomp-scan: {est.side} p={est.p} q={est.q} gamma={est.gamma} "
+                   f"empirical floor {est.constant_lower:.6f}",
+                   files={"witness_f.txt": lambda path: save_trig_polynomial(est.witness, path)})
 
 
-def _cplx(z) -> dict | None:
-    if z is None:
-        return None
-    return {"re": float(z.real), "im": float(z.imag)}
+def _riesz_norm(params):
+    cfg = ExtremalSearchConfig(
+        trials=int(params["trials"]), max_support=int(params["max_support"]),
+        ascent_steps=int(params["ascent_steps"]), seed=int(params["seed"]),
+    )
+    val = riesz_norm_lower_bound(
+        _parse_p(params["p"]), int(params["dim"]), _parse_p(params["inner_p"]), cfg
+    )
+    return Outcome("riesz", {"riesz_norm_lower": val, "label": "empirical floor"},
+                   f"riesz-norm: p={params['p']} d={params['dim']} lower bound {val:.6f}")
+
+
+def _marcinkiewicz(params):
+    rng = np.random.default_rng(int(params["seed"]))
+    p = _parse_p(params["p"])
+    inner_p = _parse_p(params["inner_p"])
+    span = int(params["span"])
+    d = int(params["dim"])
+    samples = []
+    for _ in range(int(params["trials"])):
+        vals = {n: complex(rng.choice([-1.0, 1.0])) for n in range(-span, span + 1)}
+        m = MultiplierSeq.from_values(vals)
+        f = _random_polynomial(rng, d, span)
+        lhs, factor = marcinkiewicz_check(f, m, p, inner_p)
+        samples.append(lhs / factor)
+    best = max([0.0, *samples])
+    payload = {
+        "p": p, "span": span, "trials": int(params["trials"]),
+        "max_sample": best,
+        "mean_sample": float(np.mean(samples)) if samples else 0.0,
+        "label": "empirical lower bound for the multiplier constant",
+    }
+    return Outcome("marcinkiewicz", payload,
+                   f"marcinkiewicz: p={p} max sample ratio {best:.6f} over {len(samples)} trials")
+
+
+def _type_cotype(params):
+    d = int(params["dim"])
+    if params["family"] == "basis":
+        xs = [np.eye(d)[i] for i in range(d)]
+    else:
+        rng = np.random.default_rng(int(params["seed"]))
+        count = int(params["count"] or d)
+        xs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(count)]
+    est = rademacher_constants(
+        xs, float(params["exponent"]), kind=params["kind"],
+        samples=int(params["samples"]), seed=int(params["seed"]),
+        inner_p=_parse_p(params["inner_p"]),
+    )
+    payload = {
+        "kind": est.kind, "exponent": est.exponent, "value": est.value,
+        "std_error": est.std_error, "samples": est.samples,
+        "family": params["family"], "dim": d,
+    }
+    return Outcome("type_cotype", payload,
+                   f"type-cotype: {est.kind}-{est.exponent} sample constant "
+                   f"{est.value:.6f} +/- {est.std_error:.2e}")
+
+
+def _kreiss(params, name, T, cfg):
+    est = kreiss_constant(T, cfg)
+    payload = {
+        "k_lower": est.value, "k_argmax": est.argmax,
+        "k_upper_hint": None if est.diverged else est.value,
+        "k_upper_note": "advisory grid supremum; not a certified upper bound",
+        "diverged": est.diverged, "spectral_radius": T.spectral_radius(),
+    }
+    return Outcome("kreiss", payload, f"kreiss {name}: k_lower={est.value:.9g}"
+                   + (" (diverged: spectral radius > 1)" if est.diverged else ""))
+
+
+def _strong_kreiss(params, name, T, cfg):
+    est = strong_kreiss_constant(T, cfg, int(params["n_max"]))
+    payload = {
+        "ks_lower": est.value, "ks_argmax": est.argmax, "n_at_max": est.n_at_max,
+        "diverged": est.diverged, "spectral_radius": T.spectral_radius(),
+    }
+    return Outcome("strong_kreiss", payload, f"strong-kreiss {name}: ks_lower={est.value:.9g}")
+
+
+def _exp_criterion(params, name, T, cfg):
+    est = exponential_criterion(T, cfg, float(params["xi_max"]))
+    return Outcome("exp_criterion", {"exp_lower": est.value, "exp_argmax": est.argmax},
+                   f"exp-criterion {name}: exp_lower={est.value:.9g}")
+
+
+def _cesaro(params, name, T, cfg):
+    ks_ref = _ks_ref(params, T, cfg)
+    if not math.isfinite(ks_ref) or ks_ref <= 0:
+        raise ValueError("cesaro needs a finite positive ks_ref")
+    n_max = int(params["n_max"])
+    res = cesaro_partial_sum_bound(T, cfg, n_max, float(ks_ref))
+    gz_val = None
+    if params.get("gz"):
+        gz_val = gz_partial_resolvent_ratio(T, cfg, min(n_max, 64), float(ks_ref)).value
+    payload = {
+        "ks_ref": float(ks_ref),
+        "cesaro_ratio_max": res.ratio_max,
+        "cesaro_lower": res.cesaro_lower,
+        "cesaro_argmax": res.argmax, "cesaro_n_at_max": res.n_at_max,
+        "gz_ratio_max": gz_val,
+        "gz_note": "informational diagnostic; its reference constant is uncertified",
+    }
+    if res.ratio_max > 1.0 + 1e-6:
+        return Outcome("cesaro", payload,
+                       f"cesaro {name}: FLAGGED ratio {res.ratio_max:.6f} at n={res.n_at_max}",
+                       witness={
+                           "ratio": res.ratio_max, "lambda": res.argmax, "n": res.n_at_max,
+                           "note": "partial-sum ratio exceeded 20*Ks_ref*(n+1); Ks_ref is a "
+                                   "lower bound, so this flags the substitution, not the bound",
+                       })
+    return Outcome("cesaro", payload, f"cesaro {name}: ratio_max={res.ratio_max:.6f} (consistent)")
+
+
+def _growth(params, name, T, cfg):
+    seq = power_norm_sequence(T, cfg.p, int(params["n_max"]), AscentConfig(seed=cfg.seed))
+    data = [(n, b.lower) for n, b in enumerate(seq, start=1) if b.lower > 0]
+    fits = {}
+    which = params["fit"]
+    for model in ("poly", "poly_log") if which == "both" else (which,):
+        fit = growth_fit(data, model=model)
+        fits[model] = {
+            "alpha": fit.alpha, "beta": fit.beta, "logC": fit.logC,
+            "residual": fit.residual, "n_range": list(fit.n_range),
+        }
+    shown = fits.get("poly") or next(iter(fits.values()))
+    return Outcome("growth", {"fits": fits},
+                   f"growth {name}: alpha={shown['alpha']:.4f} "
+                   f"(residual {shown['residual']:.2e}, csv written)",
+                   files={"growth.csv": lambda path: write_csv(path, GROWTH_CSV_HEADER,
+                                                               growth_csv_rows(seq))})
+
+
+def _bounds(params, name, T, cfg):
+    k_ref = params["k_ref"]
+    if k_ref is None:
+        k_ref = kreiss_constant(T, cfg).value
+    ks_ref = _ks_ref(params, T, cfg)
+    if not (math.isfinite(k_ref) and math.isfinite(ks_ref)):
+        raise ValueError("bounds needs finite reference constants (operator not Kreiss "
+                         "bounded on this grid); pass --k-ref/--ks-ref explicitly")
+    report = check_universal_bounds(T, cfg.p, float(k_ref), float(ks_ref),
+                                    int(params["n_max"]), AscentConfig(seed=cfg.seed))
+    margins = {
+        "min_margin_kreiss": report.min_margin_kreiss,
+        "min_margin_strong": report.min_margin_strong,
+        "min_margin_matrixthm": report.min_margin_matrixthm,
+        "note": report.note,
+    }
+    payload = {
+        **margins,
+        "k_ref": report.k_ref, "ks_ref": report.ks_ref,
+        "n_at_min_kreiss": report.n_at_min_kreiss,
+        "n_at_min_strong": report.n_at_min_strong,
+        "n_at_min_matrixthm": report.n_at_min_matrixthm,
+        "implied_k_floor": report.implied_k_floor,
+        "implied_k_floor_matrixthm": report.implied_k_floor_matrixthm,
+        "implied_ks_floor": report.implied_ks_floor,
+        "combined_k_floor": report.combined_k_floor(float(k_ref)),
+    }
+    files = {"bounds.csv": lambda path: write_csv(path, BOUNDS_CSV_HEADER,
+                                                  bounds_csv_rows(report))}
+    if report.flagged():
+        return Outcome("bounds", payload,
+                       f"bounds {name}: FLAGGED margin below 1 (see witness_bounds.json)",
+                       files, witness=margins)
+    return Outcome("bounds", payload,
+                   f"bounds {name}: min margins "
+                   f"kreiss={report.min_margin_kreiss:.3f} "
+                   f"strong={report.min_margin_strong:.3f} "
+                   f"matrixthm={report.min_margin_matrixthm:.3f}", files)
+
+
+def _positivity(params, name, T, cfg):
+    P = PositiveOperator(T)
+    ks_ref = _ks_ref(params, T, cfg)
+    n_list = _parse_int_list(params["n_list"])
+    q = float(params["q"])
+    corpus = int(params["corpus"])
+    seed = int(params["seed"])
+    rng = np.random.default_rng(seed)
+    xs = np.abs(rng.standard_normal((corpus, T.dim)))
+    xs /= np.sum(xs ** max(q, 1.0), axis=1, keepdims=True) ** (1.0 / max(q, 1.0))
+    results = []
+    worst = math.inf
+    try:
+        for n in n_list:
+            margins = [krivine_check(P, x, n, q).margin for x in xs]
+            block = block_bound_check(P, q, float(ks_ref), n, corpus=corpus, seed=seed)
+            m = min(margins)
+            worst = min(worst, m)
+            results.append({
+                "n": n, "krivine_margin_min": m,
+                "block_margin_min": block.margin, "block_label": block.label,
+            })
+    except TruncationError as exc:
+        return Outcome("positivity", None, f"positivity {name}: ABORT, {exc}",
+                       witness={"error": str(exc)})
+    payload = {
+        "q": q, "ks_ref": float(ks_ref), "corpus": corpus, "results": results,
+        "krivine_margin_overall": worst,
+    }
+    if worst < 1.0 - 1e-8:
+        return Outcome("positivity", payload, f"positivity {name}: FLAGGED margin {worst:.9f} < 1",
+                       witness={"margin": worst})
+    return Outcome("positivity", payload,
+                   f"positivity {name}: krivine margin >= {worst:.6g} across n in {list(n_list)}")
+
+
+HANDLERS: dict[str, Callable[..., Outcome]] = {
+    "kreiss": _kreiss,
+    "strong-kreiss": _strong_kreiss,
+    "exp-criterion": _exp_criterion,
+    "cesaro": _cesaro,
+    "growth": _growth,
+    "bounds": _bounds,
+    "decomp-scan": _decomp_scan,
+    "riesz-norm": _riesz_norm,
+    "marcinkiewicz": _marcinkiewicz,
+    "type-cotype": _type_cotype,
+    "positivity": _positivity,
+    "verify-appendix": _verify_appendix,
+    "gallery-list": _gallery_list,
+    "plot": _plot,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -384,406 +635,45 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sub = args.subcommand
     params = _merge(args, sub, parser)
-
-    if sub == "gallery-list":
-        for entry in gallery():
-            flags = []
-            flags.append("power-bounded" if entry.power_bounded else "power-unbounded")
-            if entry.positive:
-                flags.append("positive")
-            if entry.nilpotent:
-                flags.append("nilpotent")
-            print(f"{entry.name:16s} {entry.spec.kind:14s} d={entry.spec.dim}  "
-                  f"[{', '.join(flags)}]  {entry.description}")
-        if params.get("out"):
-            out = ensure_out_dir(params["out"])
-            payload = _envelope(sub, params)
-            payload["entries"] = [
-                {
-                    "name": e.name, "kind": e.spec.kind, "dim": e.spec.dim,
-                    "description": e.description, "power_bounded": e.power_bounded,
-                    "positive": e.positive, "nilpotent": e.nilpotent,
-                }
-                for e in gallery()
-            ]
-            write_json(os.path.join(out, "gallery.json"), payload)
-            _write_meta(out, argv)
-        return 0
-
-    if sub == "plot":
-        if not params.get("csv"):
-            parser.error("--csv is required for plot")
-        if not params.get("out"):
-            parser.error("--out is required")
-        out = ensure_out_dir(params["out"])
-        header, rows = read_csv(params["csv"])
-        x_col = params["x_col"]
-        if x_col not in header:
-            parser.error(f"x column {x_col!r} not in CSV header {header}")
-        cols = (params["y_cols"].split(",") if params.get("y_cols")
-                else [h for h in header if h != x_col])
-        for c in cols:
-            if c not in header:
-                parser.error(f"y column {c!r} not in CSV header {header}")
-        xi = header.index(x_col)
-        xs = [r[xi] for r in rows]
-        series = {c: [r[header.index(c)] for r in rows] for c in cols}
-        path = os.path.join(out, "plot.svg")
-        svg_line_chart(
-            path, xs, series,
-            title=params.get("title") or os.path.basename(params["csv"]),
-            log_x=params.get("log_x", True) is not False,
-            log_y=params.get("log_y", True) is not False,
-            x_label=x_col,
-        )
-        _write_meta(out, argv)
-        print(f"plot: wrote {path}")
-        return 0
-
-    if sub == "verify-appendix":
-        if not params.get("out"):
-            parser.error("--out is required")
-        out = ensure_out_dir(params["out"])
-        rows = sweep_appendix(int(params["n_min"]), int(params["n_max"]),
-                              threads=int(params["threads"]))
-        write_csv(os.path.join(out, "appendix.csv"), SWEEP_CSV_HEADER, sweep_csv_rows(rows))
-        failures = [r for r in rows if not (r.a1_pass and r.a2_pass)]
-        review = [r.n for r in rows if r.review]
-        payload = _envelope(sub, params)
-        payload.update({
-            "n_min": int(params["n_min"]),
-            "n_max": int(params["n_max"]),
-            "rows": len(rows),
-            "sup_a_max": max(r.sup_a for r in rows),
-            "v1_a_max": max(r.v1_a for r in rows),
-            "a1_min_slack": min(r.a1_min_slack for r in rows),
-            "failures": [r.n for r in failures],
-            "review": review,
-        })
-        write_json(os.path.join(out, "appendix.json"), payload)
-        _write_meta(out, argv)
-        if failures:
-            write_json(os.path.join(out, "witness_appendix.json"), {
-                "schema": SCHEMA,
-                "failing_n": [r.n for r in failures],
-            })
-            print(f"verify-appendix: FAIL at {len(failures)} values of n; witness written")
-            return 1
-        print(f"verify-appendix: n in [{params['n_min']}, {params['n_max']}] all pass "
-              f"(sup_a_max={payload['sup_a_max']:.6f}, v1_max={payload['v1_a_max']:.6f})")
-        return 0
-
-    if sub == "decomp-scan":
-        if not params.get("out"):
-            parser.error("--out is required")
-        out = ensure_out_dir(params["out"])
-        cfg = DecompSearchConfig(
-            trials=int(params["trials"]),
-            ascent_steps=int(params["ascent_steps"]),
-            max_support=int(params["max_support"]),
-            max_dim=int(params["max_dim"]),
-            seed=int(params["seed"]),
-        )
-        est = estimate_constant(
-            p=_parse_p(params["p"]), q=_parse_p(params["q"]),
-            inner_p=_parse_p(params["inner_p"]),
-            side=params["side"], gamma=float(params["gamma"]), cfg=cfg,
-        )
-        wpath = os.path.join(out, "witness_f.txt")
-        save_trig_polynomial(est.witness, wpath)
-        payload = _envelope(sub, params)
-        payload.update({
-            "side": est.side, "p": est.p, "q": est.q, "inner_p": est.inner_p,
-            "gamma": est.gamma, "constant_lower": est.constant_lower,
-            "label": est.label, "trials": est.trials,
-            "witness_file": "witness_f.txt",
-            "witness_partition": [[iv.lo, iv.hi] for iv in est.witness_partition.intervals],
-        })
-        write_json(os.path.join(out, "decomp.json"), payload)
-        _write_meta(out, argv)
-        print(f"decomp-scan: {est.side} p={est.p} q={est.q} gamma={est.gamma} "
-              f"empirical floor {est.constant_lower:.6f}")
-        return 0
-
-    if sub == "riesz-norm":
-        if not params.get("out"):
-            parser.error("--out is required")
-        out = ensure_out_dir(params["out"])
-        cfg = ExtremalSearchConfig(
-            trials=int(params["trials"]), max_support=int(params["max_support"]),
-            ascent_steps=int(params["ascent_steps"]), seed=int(params["seed"]),
-        )
-        val = riesz_norm_lower_bound(
-            _parse_p(params["p"]), int(params["dim"]), _parse_p(params["inner_p"]), cfg
-        )
-        payload = _envelope(sub, params)
-        payload.update({"riesz_norm_lower": val, "label": "empirical floor"})
-        write_json(os.path.join(out, "riesz.json"), payload)
-        _write_meta(out, argv)
-        print(f"riesz-norm: p={params['p']} d={params['dim']} lower bound {val:.6f}")
-        return 0
-
-    if sub == "marcinkiewicz":
-        if not params.get("out"):
-            parser.error("--out is required")
-        out = ensure_out_dir(params["out"])
-        rng = np.random.default_rng(int(params["seed"]))
-        p = _parse_p(params["p"])
-        inner_p = _parse_p(params["inner_p"])
-        span = int(params["span"])
-        d = int(params["dim"])
-        best = 0.0
-        samples = []
-        for _ in range(int(params["trials"])):
-            vals = {n: complex(rng.choice([-1.0, 1.0])) for n in range(-span, span + 1)}
-            m = MultiplierSeq.from_values(vals)
-            f = _random_polynomial(rng, d, span)
-            lhs, factor = marcinkiewicz_check(f, m, p, inner_p)
-            samples.append(lhs / factor)
-            best = max(best, lhs / factor)
-        payload = _envelope(sub, params)
-        payload.update({
-            "p": p, "span": span, "trials": int(params["trials"]),
-            "max_sample": best,
-            "mean_sample": float(np.mean(samples)) if samples else 0.0,
-            "label": "empirical lower bound for the multiplier constant",
-        })
-        write_json(os.path.join(out, "marcinkiewicz.json"), payload)
-        _write_meta(out, argv)
-        print(f"marcinkiewicz: p={p} max sample ratio {best:.6f} over {len(samples)} trials")
-        return 0
-
-    if sub == "type-cotype":
-        if not params.get("out"):
-            parser.error("--out is required")
-        out = ensure_out_dir(params["out"])
-        d = int(params["dim"])
-        inner_p = _parse_p(params["inner_p"])
-        if params["family"] == "basis":
-            xs = [np.eye(d)[i] for i in range(d)]
-        else:
-            rng = np.random.default_rng(int(params["seed"]))
-            count = int(params["count"] or d)
-            xs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(count)]
-        est = rademacher_constants(
-            xs, float(params["exponent"]), kind=params["kind"],
-            samples=int(params["samples"]), seed=int(params["seed"]), inner_p=inner_p,
-        )
-        payload = _envelope(sub, params)
-        payload.update({
-            "kind": est.kind, "exponent": est.exponent, "value": est.value,
-            "std_error": est.std_error, "samples": est.samples,
-            "family": params["family"], "dim": d,
-        })
-        write_json(os.path.join(out, "type_cotype.json"), payload)
-        _write_meta(out, argv)
-        print(f"type-cotype: {est.kind}-{est.exponent} sample constant "
-              f"{est.value:.6f} +/- {est.std_error:.2e}")
-        return 0
-
-    # remaining subcommands need an operator
-    name, T = _operator(params, parser)
-    if not params.get("out"):
-        parser.error("--out is required")
-    out = ensure_out_dir(params["out"])
-    cfg = _search_config(params)
-
-    if sub == "kreiss":
-        est = kreiss_constant(T, cfg)
-        payload = _envelope(sub, params)
-        payload.update({
-            "operator": name, "k_lower": est.value, "k_argmax": _cplx(est.argmax),
-            "k_upper_hint": None if est.diverged else est.value,
-            "k_upper_note": "advisory grid supremum; not a certified upper bound",
-            "diverged": est.diverged, "spectral_radius": T.spectral_radius(),
-        })
-        write_json(os.path.join(out, "kreiss.json"), payload)
-        _write_meta(out, argv)
-        print(f"kreiss {name}: k_lower={est.value:.9g}"
-              + (" (diverged: spectral radius > 1)" if est.diverged else ""))
-        return 0
-
-    if sub == "strong-kreiss":
-        est = strong_kreiss_constant(T, cfg, int(params["n_max"]))
-        payload = _envelope(sub, params)
-        payload.update({
-            "operator": name, "ks_lower": est.value, "ks_argmax": _cplx(est.argmax),
-            "n_at_max": est.n_at_max, "diverged": est.diverged,
-            "spectral_radius": T.spectral_radius(),
-        })
-        write_json(os.path.join(out, "strong_kreiss.json"), payload)
-        _write_meta(out, argv)
-        print(f"strong-kreiss {name}: ks_lower={est.value:.9g}")
-        return 0
-
-    if sub == "exp-criterion":
-        est = exponential_criterion(T, cfg, float(params["xi_max"]))
-        payload = _envelope(sub, params)
-        payload.update({
-            "operator": name, "exp_lower": est.value, "exp_argmax": _cplx(est.argmax),
-        })
-        write_json(os.path.join(out, "exp_criterion.json"), payload)
-        _write_meta(out, argv)
-        print(f"exp-criterion {name}: exp_lower={est.value:.9g}")
-        return 0
-
-    if sub == "cesaro":
-        ks_ref = params.get("ks_ref")
-        if ks_ref is None:
-            ks_ref = strong_kreiss_constant(T, cfg, 16).value
-        if not math.isfinite(ks_ref) or ks_ref <= 0:
-            parser.error("cesaro needs a finite positive ks_ref")
-        res = cesaro_partial_sum_bound(T, cfg, int(params["n_max"]), float(ks_ref))
-        gz_val = None
-        if params.get("gz"):
-            gz_val = gz_partial_resolvent_ratio(T, cfg, min(int(params["n_max"]), 64),
-                                                float(ks_ref)).value
-        payload = _envelope(sub, params)
-        payload.update({
-            "operator": name, "ks_ref": float(ks_ref),
-            "cesaro_ratio_max": res.ratio_max,
-            "cesaro_lower": res.cesaro_lower,
-            "cesaro_argmax": _cplx(res.argmax), "cesaro_n_at_max": res.n_at_max,
-            "gz_ratio_max": gz_val,
-            "gz_note": "informational diagnostic; its reference constant is uncertified",
-        })
-        write_json(os.path.join(out, "cesaro.json"), payload)
-        _write_meta(out, argv)
-        flagged = res.ratio_max > 1.0 + 1e-6
-        if flagged:
-            write_json(os.path.join(out, "witness_cesaro.json"), {
-                "schema": SCHEMA, "operator": name,
-                "ratio": res.ratio_max, "lambda": _cplx(res.argmax), "n": res.n_at_max,
-                "note": "partial-sum ratio exceeded 20*Ks_ref*(n+1); Ks_ref is a lower "
-                        "bound, so this flags the substitution, not the bound",
-            })
-            print(f"cesaro {name}: FLAGGED ratio {res.ratio_max:.6f} at n={res.n_at_max}")
-            return 1
-        print(f"cesaro {name}: ratio_max={res.ratio_max:.6f} (consistent)")
-        return 0
-
-    if sub == "growth":
-        n_max = int(params["n_max"])
-        seq = power_norm_sequence(T, cfg.p, n_max, AscentConfig(seed=cfg.seed))
-        write_csv(os.path.join(out, "growth.csv"), GROWTH_CSV_HEADER, growth_csv_rows(seq))
-        data = [(n, b.lower) for n, b in enumerate(seq, start=1) if b.lower > 0]
-        payload = _envelope(sub, params)
-        payload["operator"] = name
-        fits = {}
-        which = params["fit"]
-        for model in ("poly", "poly_log") if which == "both" else (which,):
-            fit = growth_fit(data, model=model)
-            fits[model] = {
-                "alpha": fit.alpha, "beta": fit.beta, "logC": fit.logC,
-                "residual": fit.residual, "n_range": list(fit.n_range),
-            }
-        payload["fits"] = fits
-        write_json(os.path.join(out, "growth.json"), payload)
-        _write_meta(out, argv)
-        shown = fits.get("poly") or next(iter(fits.values()))
-        print(f"growth {name}: alpha={shown['alpha']:.4f} "
-              f"(residual {shown['residual']:.2e}, csv written)")
-        return 0
-
-    if sub == "bounds":
-        k_ref = params.get("k_ref")
-        ks_ref = params.get("ks_ref")
-        if k_ref is None:
-            k_ref = kreiss_constant(T, cfg).value
-        if ks_ref is None:
-            ks_ref = strong_kreiss_constant(T, cfg, 16).value
-        if not (math.isfinite(k_ref) and math.isfinite(ks_ref)):
-            parser.error("bounds needs finite reference constants (operator not Kreiss "
-                         "bounded on this grid); pass --k-ref/--ks-ref explicitly")
-        report = check_universal_bounds(T, cfg.p, float(k_ref), float(ks_ref),
-                                        int(params["n_max"]), AscentConfig(seed=cfg.seed))
-        write_csv(os.path.join(out, "bounds.csv"), BOUNDS_CSV_HEADER, bounds_csv_rows(report))
-        payload = _envelope(sub, params)
-        payload.update({
-            "operator": name, "k_ref": report.k_ref, "ks_ref": report.ks_ref,
-            "min_margin_kreiss": report.min_margin_kreiss,
-            "n_at_min_kreiss": report.n_at_min_kreiss,
-            "min_margin_strong": report.min_margin_strong,
-            "n_at_min_strong": report.n_at_min_strong,
-            "min_margin_matrixthm": report.min_margin_matrixthm,
-            "n_at_min_matrixthm": report.n_at_min_matrixthm,
-            "implied_k_floor": report.implied_k_floor,
-            "implied_k_floor_matrixthm": report.implied_k_floor_matrixthm,
-            "implied_ks_floor": report.implied_ks_floor,
-            "combined_k_floor": report.combined_k_floor(float(k_ref)),
-            "note": report.note,
-        })
-        write_json(os.path.join(out, "bounds.json"), payload)
-        _write_meta(out, argv)
-        if report.flagged():
-            write_json(os.path.join(out, "witness_bounds.json"), {
-                "schema": SCHEMA, "operator": name,
-                "min_margin_kreiss": report.min_margin_kreiss,
-                "min_margin_strong": report.min_margin_strong,
-                "min_margin_matrixthm": report.min_margin_matrixthm,
-                "note": report.note,
-            })
-            print(f"bounds {name}: FLAGGED margin below 1 (see witness_bounds.json)")
-            return 1
-        print(f"bounds {name}: min margins "
-              f"kreiss={report.min_margin_kreiss:.3f} "
-              f"strong={report.min_margin_strong:.3f} "
-              f"matrixthm={report.min_margin_matrixthm:.3f}")
-        return 0
-
-    if sub == "positivity":
-        try:
-            P = PositiveOperator(T)
-        except ValueError as exc:
-            parser.error(str(exc))
-        ks_ref = params.get("ks_ref")
-        if ks_ref is None:
-            ks_ref = strong_kreiss_constant(T, cfg, 16).value
-        n_list = _parse_int_list(params["n_list"])
-        q = float(params["q"])
-        corpus = int(params["corpus"])
-        seed = int(params["seed"])
-        rng = np.random.default_rng(seed)
-        xs = np.abs(rng.standard_normal((corpus, T.dim)))
-        xs /= np.sum(xs ** max(q, 1.0), axis=1, keepdims=True) ** (1.0 / max(q, 1.0))
-        results = []
-        worst = math.inf
-        try:
-            for n in n_list:
-                margins = [krivine_check(P, x, n, q).margin for x in xs]
-                block = block_bound_check(P, q, float(ks_ref), n, corpus=corpus, seed=seed)
-                m = min(margins)
-                worst = min(worst, m)
-                results.append({
-                    "n": n, "krivine_margin_min": m,
-                    "block_margin_min": block.margin, "block_label": block.label,
+    head = {"schema": SCHEMA}  # opens the report and the witness
+    try:
+        operand = ()
+        if sub in OPERATOR_SUBS:
+            name, T = _operator(params)
+            head["operator"] = name
+            operand = (name, T, _search_config(params))
+        out = params.get("out")
+        if not out and sub != "gallery-list":
+            raise ValueError("--out is required")
+        done = HANDLERS[sub](params, *operand)
+        if out:
+            out = ensure_out_dir(out)
+            for fname, write in done.files.items():
+                write(os.path.join(out, fname))
+            if done.payload is not None:
+                write_json(os.path.join(out, f"{done.report}.json"), {
+                    **head,
+                    "tool_version": __version__,
+                    "subcommand": sub,
+                    "seed": params.get("seed"),
+                    "config": {k: v for k, v in params.items() if k not in ("out", "config")},
+                    **done.payload,
                 })
-        except TruncationError as exc:
-            write_json(os.path.join(out, "witness_positivity.json"), {
-                "schema": SCHEMA, "operator": name, "error": str(exc),
+            if done.witness is not None:
+                write_json(os.path.join(out, f"witness_{done.report}.json"),
+                           {**head, **done.witness})
+            # the only report field that may differ between identical runs
+            write_json(os.path.join(out, "run_meta.json"), {
+                "schema": SCHEMA,
+                "argv": argv,
+                "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             })
-            _write_meta(out, argv)
-            print(f"positivity {name}: ABORT, {exc}")
-            return 1
-        payload = _envelope(sub, params)
-        payload.update({
-            "operator": name, "q": q, "ks_ref": float(ks_ref),
-            "corpus": corpus, "results": results,
-            "krivine_margin_overall": worst,
-        })
-        write_json(os.path.join(out, "positivity.json"), payload)
-        _write_meta(out, argv)
-        if worst < 1.0 - 1e-8:
-            write_json(os.path.join(out, "witness_positivity.json"), {
-                "schema": SCHEMA, "operator": name, "margin": worst,
-            })
-            print(f"positivity {name}: FLAGGED margin {worst:.9f} < 1")
-            return 1
-        print(f"positivity {name}: krivine margin >= {worst:.6g} across n in {list(n_list)}")
-        return 0
-
-    parser.error(f"unhandled subcommand {sub!r}")
-    return 2
+    except (ValueError, OSError) as exc:
+        # bad input: an unparsable or out-of-range value, nothing to fit, an
+        # unreadable input file or an unusable --out; exit 2, not a traceback
+        parser.error(str(exc))
+    print(done.summary)
+    return 1 if done.witness is not None else 0
 
 
 if __name__ == "__main__":

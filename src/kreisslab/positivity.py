@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .operators import ComplexMatrix
+from .verify import bound_m_range, poisson_log_weights
 
 _TAIL_REL_LIMIT = 1e-8
 
@@ -49,17 +49,6 @@ class PositiveOperator:
     @property
     def dim(self) -> int:
         return self.matrix.dim
-
-
-def window_indices(n: int) -> np.ndarray:
-    """Integers k with n - sqrt(n) <= k <= n, real sqrt, closed interval."""
-    lo = max(0, math.ceil(n - math.sqrt(n)))
-    return np.arange(lo, n + 1)
-
-
-def poisson_log_weights(n: int, ks: np.ndarray) -> np.ndarray:
-    """log of n^k e^{-n} / k!."""
-    return ks * math.log(n) - gammaln(ks + 1.0) - n
 
 
 @dataclass(frozen=True)
@@ -101,18 +90,17 @@ def krivine_check(
 
     ks = np.arange(0, kmax + 1)
     w = np.exp(poisson_log_weights(n, ks))
-    win = window_indices(n)
+    win = bound_m_range(n)
 
     rhs = np.zeros(T.dim)
     lhs_q = np.zeros(T.dim)
     xk = xv.copy()
-    win_set = set(int(k) for k in win)
     x_kmax_inf = 0.0
     for k in range(0, kmax + 1):
         if k > 0:
             xk = A @ xk
         rhs += w[k] * xk
-        if k in win_set:
+        if k in win:
             lhs_q += xk ** q
         if k == kmax:
             x_kmax_inf = float(np.max(xk)) if xk.size else 0.0
@@ -188,7 +176,7 @@ def block_bound_check(
     X = np.abs(rng.standard_normal((T.dim, corpus)))
     scale = np.sum(X ** q, axis=0) ** (1.0 / q)
     X /= np.where(scale == 0, 1.0, scale)
-    win = set(int(k) for k in window_indices(n))
+    win = bound_m_range(n)
     acc = np.zeros(corpus)
     Xk = X.copy()
     for k in range(0, n + 1):
@@ -203,43 +191,3 @@ def block_bound_check(
     j = int(np.argmin(margins))
     witness = X[:, j].copy() if math.isfinite(margins[j]) else None
     return BlockBoundResult(float(margins[j]), witness, n, q, ks_ref)
-
-
-def power_recursion_report(
-    T: PositiveOperator, q: float, ks_ref: float, n: int, norms: dict[int, float]
-) -> dict:
-    """Informational view of the recursion ||T^n|| <= 28 Ks n^{1/(2q')} sup_{k<=2 sqrt n} ||T^k||.
-
-    Needs the true strong-Kreiss constant to be an invariant, so this is a
-    report only.  `norms` maps k to a precomputed ||T^k||.
-    """
-    q_dual = math.inf if q == 1 else q / (q - 1.0)
-    exponent = 0.0 if math.isinf(q_dual) else 1.0 / (2.0 * q_dual)
-    kcap = math.floor(2.0 * math.sqrt(n))
-    sup_small = max((norms[k] for k in norms if 1 <= k <= kcap), default=0.0)
-    rhs = 28.0 * ks_ref * n ** exponent * sup_small
-    lhs = norms.get(n, float("nan"))
-    return {
-        "n": n,
-        "q": q,
-        "ks_ref": ks_ref,
-        "lhs_norm": lhs,
-        "rhs_recursion": rhs,
-        "consistent": bool(lhs <= rhs) if not math.isnan(lhs) else None,
-        "label": "informational; requires the true strong-Kreiss constant",
-    }
-
-
-def entrywise_monotone(T: PositiveOperator, x, y, powers: int = 8) -> bool:
-    """x <= y entrywise implies T^k x <= T^k y entrywise for all k."""
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if np.any(xv > yv):
-        raise ValueError("requires x <= y entrywise")
-    A = T.array
-    xk, yk = xv.copy(), yv.copy()
-    for _ in range(powers):
-        xk, yk = A @ xk, A @ yk
-        if np.any(xk > yk + 1e-12 * np.maximum(np.abs(yk), 1.0)):
-            return False
-    return True

@@ -447,9 +447,6 @@ class KreissReport:
     gz_ratio_max: float | None = None
 
     def to_json_dict(self) -> dict:
-        def cplx(z):
-            return None if z is None else {"re": float(z.real), "im": float(z.imag)}
-
         return {
             "schema": "kreisslab/1",
             "p": self.p,
@@ -459,15 +456,15 @@ class KreissReport:
             "k_lower": self.k_lower,
             "k_upper_hint": self.k_upper_hint,
             "k_upper_note": "advisory grid supremum; no Lipschitz certificate is claimed",
-            "k_argmax": cplx(self.k_argmax),
+            "k_argmax": self.k_argmax,
             "ks_lower": self.ks_lower,
-            "ks_argmax": cplx(self.ks_argmax),
+            "ks_argmax": self.ks_argmax,
             "n_at_max": self.ks_n_at_max,
             "exp_lower": self.exp_lower,
-            "exp_argmax": cplx(self.exp_argmax),
+            "exp_argmax": self.exp_argmax,
             "cesaro_lower": self.cesaro_lower,
             "cesaro_ratio_max": self.cesaro_ratio_max,
-            "cesaro_argmax": cplx(self.cesaro_argmax),
+            "cesaro_argmax": self.cesaro_argmax,
             "cesaro_n_at_max": self.cesaro_n_at_max,
             "ks_ref": self.ks_ref,
             "gz_ratio_max": self.gz_ratio_max,

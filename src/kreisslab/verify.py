@@ -15,8 +15,9 @@ constants 32 and 978 feed directly into the multiplier-norm budget elsewhere.
 
 Index convention: "m - sqrt(n) <= k" uses the real square root with integer k
 in the closed interval, i.e. k runs from ceil(m - sqrt(n)) clamped at 0 up to
-m - 1.  An off-by-one here silently changes the constants, so
-poisson_window_sum is the single owner of that window.
+m - 1.  An off-by-one here silently changes the constants, so this module
+is the single owner of that window (poisson_window, bound_m_range) and of
+the Poisson weights (poisson_log_weights); the positivity checks use both.
 
 All arithmetic stays in the natural-log domain (factorials via lgamma), with
 compensated summation for the window sums, so the sweep reaches n = 10^4 in
@@ -85,8 +86,17 @@ class WindowSumRow:
 
 
 def bound_m_range(n: int) -> range:
-    """Integer m with n - sqrt(n) <= m <= n, where a_{n,m} is nonzero."""
-    return range(math.ceil(n - math.sqrt(n)), n + 1)
+    """Integers in [n - sqrt(n), n]: the m where a_{n,m} is nonzero.
+
+    The same closed window n - sqrt(n) <= k <= n carries the l^q block of the
+    positivity module's Krivine check.
+    """
+    return range(poisson_window(n, n)[0], n + 1)
+
+
+def poisson_log_weights(n: int, ks: np.ndarray) -> np.ndarray:
+    """log of the Poisson(n) probabilities n^k e^{-n} / k!, elementwise in ks."""
+    return ks * math.log(n) - gammaln(ks + 1.0) - n
 
 
 def poisson_window_sum(n: int, m: int) -> WindowSumRow:
@@ -150,7 +160,7 @@ def _a_values(n: int) -> np.ndarray:
     m_lo = ms.start
     k_lo, _ = poisson_window(n, m_lo)
     ks = np.arange(k_lo, n)  # union of windows: k up to n - 1
-    w = np.exp(ks * math.log(n) - gammaln(ks + 1.0) - n)
+    w = np.exp(poisson_log_weights(n, ks))
     prefix = np.concatenate(([0.0], np.cumsum(w)))
     sqrt_n = math.sqrt(n)
     m_arr = np.arange(m_lo, n + 1)

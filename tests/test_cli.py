@@ -239,3 +239,24 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert _tree_bytes(a) == _tree_bytes(b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kreiss", "--gallery", "identity3", "--p", "abc"],
+    ["kreiss", "--gallery", "identity3", "--p", "0.5"],
+    ["kreiss", "--gallery", "identity3", "--radial", "2"],
+    ["kreiss", "--op", "jordan", "--dim", "0"],
+    ["positivity", "--gallery", "shift4", "--q", "2.5", "--n-list", "4", "--corpus", "2",
+     "--ks-ref", "1.0", "--seed", "1"],
+    ["decomp-scan", "--p", "1", "--seed", "1"],
+    # every power norm of the zero matrix is 0: nothing to fit
+    ["growth", "--gallery", "zero2", "--n-max", "16"],
+], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
+        "decomp-p-1", "growth-nothing-to-fit"])
+def test_bad_input_exits_2_with_message(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,11 +10,9 @@ from kreisslab.positivity import (
     PositiveOperator,
     TruncationError,
     block_bound_check,
-    entrywise_monotone,
     krivine_check,
-    power_recursion_report,
-    window_indices,
 )
+from kreisslab.verify import bound_m_range
 
 
 def pos(kind_spec):
@@ -33,9 +31,9 @@ def test_positivity_guard_rejects_negative_entries():
 
 
 def test_window_matches_paper_convention():
-    assert list(window_indices(4)) == [2, 3, 4]
-    assert list(window_indices(9)) == [6, 7, 8, 9]
-    assert list(window_indices(2)) == [1, 2]
+    assert list(bound_m_range(4)) == [2, 3, 4]
+    assert list(bound_m_range(9)) == [6, 7, 8, 9]
+    assert list(bound_m_range(2)) == [1, 2]
 
 
 def test_krivine_identity_hand_value():
@@ -61,7 +59,7 @@ def test_krivine_scalar_half_against_series_oracle():
     ks = np.arange(0, 4 * n + 1)
     w = np.exp(ks * math.log(n) - gammaln(ks + 1.0) - n)
     rhs = float(np.sum(w * c**ks))
-    win = window_indices(n)
+    win = np.array(bound_m_range(n))
     lhs = float(np.sum((c ** win.astype(float)) ** q) ** (1 / q) / (28.0 * math.sqrt(n)))
     oracle = rhs / lhs
     res = krivine_check(pos(OperatorSpec("scalar", 1, scale=0.5)), np.ones(1), n, q,
@@ -118,21 +116,3 @@ def test_block_bound_nilpotent_infinite():
     res = block_bound_check(T, 1.0, 1.0, 100, corpus=4, seed=0)
     assert math.isinf(res.margin)
     assert res.witness is None
-
-
-def test_entrywise_monotonicity():
-    rng = np.random.default_rng(2)
-    T = PositiveOperator(ComplexMatrix(np.abs(rng.standard_normal((3, 3)))))
-    x = np.abs(rng.standard_normal(3))
-    y = x + np.abs(rng.standard_normal(3))
-    assert entrywise_monotone(T, x, y, powers=12)
-    with pytest.raises(ValueError):
-        entrywise_monotone(T, y, x)
-
-
-def test_power_recursion_report_identity():
-    T = pos(OperatorSpec("identity", 2))
-    norms = {k: 1.0 for k in range(1, 70)}
-    rep = power_recursion_report(T, 1.5, 1.0, 64, norms)
-    assert rep["consistent"] is True
-    assert "informational" in rep["label"]
