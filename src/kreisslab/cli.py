@@ -104,7 +104,7 @@ DEFAULTS: dict[str, dict] = {
     "positivity": {"q": 1.0, "n_list": "4,16,64,256", "corpus": 100, "ks_ref": None,
                    "seed": None, "threads": 1},
     "verify-appendix": {"n_min": 2, "n_max": 10000, "threads": 1},
-    "gallery-list": {},
+    "gallery-list": {"threads": 1},
     "plot": {"csv": None, "x_col": "n", "y_cols": None, "log_x": True, "log_y": True,
              "title": "", "threads": 1},
 }
@@ -185,6 +185,13 @@ def _parse_int_list(text) -> tuple[int, ...]:
     return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
 
 
+def _flag_spec(sub: str, dest: str) -> dict:
+    spec = dict(FLAGS.get(dest, {}))
+    if (sub, dest) == ("positivity", "q"):
+        spec["type"] = float  # an exponent here, a norm index ('inf' too) in decomp-scan
+    return spec
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kreisslab",
@@ -196,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub, defaults in DEFAULTS.items():
         sp = subs.add_parser(sub)
         for dest in dict.fromkeys(("out", "config", "threads", *defaults)):
-            spec = dict(FLAGS.get(dest, {}))
-            if (sub, dest) == ("positivity", "q"):
-                spec["type"] = float  # an exponent here, a norm index ('inf' too) in decomp-scan
+            spec = _flag_spec(sub, dest)
             flag = spec.pop("flag", "--" + dest.replace("_", "-"))
             sp.add_argument(flag, dest=dest, default=None, **spec)
     return parser
@@ -221,6 +226,16 @@ def _load_config(path, sub: str, parser: argparse.ArgumentParser) -> dict:
     unknown = sorted(set(section) - known)
     if unknown:
         parser.error(f"unknown config keys for {sub!r}: {', '.join(unknown)}")
+    # check only: the config echo keeps the values as written
+    for key, value in section.items():
+        convert = _flag_spec(sub, key).get("type")
+        if convert is None:
+            continue
+        try:
+            convert(value)
+        except (TypeError, ValueError, OverflowError):
+            parser.error(f"config key {key!r} for {sub!r} must convert to "
+                         f"{convert.__name__}, got {value!r}")
     return section
 
 

@@ -6,6 +6,11 @@ value, row sums).  For other p the norm is NP-hard to certify, so we return a
 projected steepest ascent on the unit p-sphere, the upper bound is the
 Riesz-Thorin interpolation bound ||T||_1^{1/p} ||T||_inf^{1-1/p} intersected
 with the d^|1/2-1/p| equivalence bound through the 2-norm.
+
+The ascent runs on a stack of matrices at once (ascent_lower_bounds): one
+numpy loop serves a whole resolvent grid or power sequence.  Each matrix keeps
+its own step sizes and stopping test and leaves the stack when it stops, so
+its result is the same, bit for bit, as an ascent on that matrix alone.
 """
 
 from __future__ import annotations
@@ -70,75 +75,116 @@ def vector_p_norm(v, p: float) -> float:
 
 
 def _pnorm_cols(X: np.ndarray, p: float) -> np.ndarray:
+    """p-norms of the columns of X, reduced over axis -2 with the axis kept.
+
+    X may be a stack.  The reductions call the ufuncs directly: np.sum and
+    np.max reduce the same way but cost more per call, and the ascent loop
+    makes many calls on small blocks.
+    """
     a = np.abs(X)
+    m = np.maximum.reduce(a, axis=-2, keepdims=True)
     if math.isinf(p):
-        return a.max(axis=0)
-    m = a.max(axis=0)
+        return m
     safe = np.where(m == 0.0, 1.0, m)
-    return m * np.sum((a / safe) ** p, axis=0) ** (1.0 / p)
+    return m * np.add.reduce((a / safe) ** p, axis=-2, keepdims=True) ** (1.0 / p)
 
 
-def _phase(Y: np.ndarray) -> np.ndarray:
+def _phase(Y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Y / |Y| with 0 where Y == 0; `a` is np.abs(Y)."""
+    pos = a > 0
+    return np.where(pos, Y / np.where(pos, a, 1.0), 0.0)
+
+
+def _ascent_direction(Y: np.ndarray, p: float) -> np.ndarray:
+    """Steepest-ascent direction of ||y||_p at each column y of Y (up to scale)."""
     a = np.abs(Y)
-    return np.where(a > 0, Y / np.where(a == 0, 1.0, a), 0.0)
+    if not math.isinf(p):
+        return a ** (p - 1) * _phase(Y, a)
+    # subgradient of the max-modulus functional: mass on the argmax row
+    W = np.zeros_like(Y)
+    idx = np.expand_dims(np.argmax(a, axis=-2), -2)
+    np.put_along_axis(
+        W, idx, _phase(np.take_along_axis(Y, idx, -2), np.take_along_axis(a, idx, -2)), -2
+    )
+    return W
 
 
-def ascent_lower_bound(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()):
-    """Best ||Tx||_p over unit-p-sphere found by projected steepest ascent.
+def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
+    """Best ||M x||_p over the unit p-sphere for each M of a (B, d, d) stack.
 
-    Normalized-gradient steps with per-restart backtracking (step halves on a
-    rejected proposal, grows after an accepted one).  Returns (value, witness).
+    Multi-restart projected steepest ascent: normalized-gradient steps with
+    per-restart backtracking (step halves on a rejected proposal, grows after
+    an accepted one).  Every matrix starts from the same seeded restart block
+    and keeps its own steps, stall count and stop test; a matrix that has
+    stopped leaves the working set, so each result is bit-for-bit the run of
+    the ascent on that matrix alone.  Returns (values (B,), witnesses (B, d)).
     """
     if p < 1:
         raise ValueError(f"p-norms need p >= 1, got {p}")
-    A = T.entries
-    d = T.dim
+    A = np.asarray(mats, dtype=np.complex128)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    B, d = A.shape[0], A.shape[-1]
     rng = np.random.default_rng(cfg.seed)
-    X = rng.standard_normal((d, cfg.restarts)) + 1j * rng.standard_normal((d, cfg.restarts))
-    X /= _pnorm_cols(X, p)
+    X0 = rng.standard_normal((d, cfg.restarts)) + 1j * rng.standard_normal((d, cfg.restarts))
+    X0 /= _pnorm_cols(X0, p)
+    X = np.broadcast_to(X0, (B, d, cfg.restarts)).copy()
+    # per-restart values and steps have shape (B, 1, restarts)
     f = _pnorm_cols(A @ X, p)
-    step = np.full(cfg.restarts, 0.5)
-    stall = 0
+    step = np.full(f.shape, 0.5)
+    stall = np.zeros(B, dtype=int)
+    # the conjugate is gathered, not its transpose, so that every product
+    # sees the memory layout of a single-matrix run
+    Ac = A.conj()
+    Ah = Ac.swapaxes(-1, -2)
+    rows = np.arange(B)  # stack index of each matrix still in the working set
+    X_out, f_out = np.empty_like(X), np.empty_like(f)
     for _ in range(cfg.max_steps):
-        Y = A @ X
-        # steepest-ascent direction of ||Ax||_p at x (up to positive scale)
-        W = np.abs(Y) ** (p - 1) * _phase(Y) if not math.isinf(p) else _inf_subgrad(Y)
-        G = A.conj().T @ W
-        gn = np.sqrt(np.sum(np.abs(G) ** 2, axis=0))
-        G = np.where(gn > 0, G / np.where(gn == 0, 1.0, gn), 0.0)
+        G = Ah @ _ascent_direction(A @ X, p)
+        gn = np.sqrt(np.add.reduce(np.abs(G) ** 2, axis=-2, keepdims=True))
+        pos = gn > 0
+        G = np.where(pos, G / np.where(pos, gn, 1.0), 0.0)
         Xp = X + step * G
         nrm = _pnorm_cols(Xp, p)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        Xp = Xp / nrm
+        Xp = Xp / np.where(nrm == 0.0, 1.0, nrm)
         fp = _pnorm_cols(A @ Xp, p)
         accept = fp > f
         gain = np.where(accept, (fp - f) / np.maximum(f, 1e-300), 0.0)
         X = np.where(accept, Xp, X)
         f = np.where(accept, fp, f)
         step = np.where(accept, np.minimum(step * 1.5, 1.0), step * 0.5)
-        if float(gain.max()) < cfg.rel_tol:
-            stall += 1
-            if stall >= 6 or float(step.max()) < 1e-14:
+        flat = np.maximum.reduce(gain, axis=(-2, -1)) < cfg.rel_tol
+        if not flat.any():
+            stall.fill(0)
+            continue
+        stall = (stall + 1) * flat
+        stop = (stall >= 6) | (flat & (np.maximum.reduce(step, axis=(-2, -1)) < 1e-14))
+        if stop.any():
+            X_out[rows[stop]], f_out[rows[stop]] = X[stop], f[stop]
+            keep = ~stop
+            if not keep.any():
                 break
-        else:
-            stall = 0
-    i = int(np.argmax(f))
-    return float(f[i]), X[:, i].copy()
+            rows, A, Ac, X, f, step, stall = (
+                rows[keep], A[keep], Ac[keep], X[keep], f[keep], step[keep], stall[keep]
+            )
+            Ah = Ac.swapaxes(-1, -2)
+    else:
+        X_out[rows], f_out[rows] = X, f
+    best = np.argmax(f_out[:, 0], axis=-1)
+    return f_out[np.arange(B), 0, best], X_out[np.arange(B), :, best]
 
 
-def _inf_subgrad(Y: np.ndarray) -> np.ndarray:
-    # subgradient of the max-modulus functional: mass on the argmax row
-    W = np.zeros_like(Y)
-    idx = np.argmax(np.abs(Y), axis=0)
-    cols = np.arange(Y.shape[1])
-    W[idx, cols] = _phase(Y[idx, cols])
-    return W
+def ascent_lower_bound(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()):
+    """ascent_lower_bounds for one matrix.  Returns (value, witness)."""
+    values, witnesses = ascent_lower_bounds(T.entries[None], p, cfg)
+    return float(values[0]), witnesses[0]
 
 
 def _exact_inf_norm(A: np.ndarray):
     sums = np.sum(np.abs(A), axis=1)
     i = int(np.argmax(sums))
-    w = np.where(np.abs(A[i]) > 0, np.conj(_phase(A[i])), 1.0)
+    a = np.abs(A[i])
+    w = np.where(a > 0, np.conj(_phase(A[i], a)), 1.0)
     return float(sums[i]), w
 
 
@@ -150,28 +196,56 @@ def _exact_one_norm(A: np.ndarray):
     return float(sums[j]), w
 
 
-def operator_p_norm(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()) -> NormBounds:
-    """Two-sided bounds on ||T||_{p->p}; exact for p in {1, 2, inf}."""
-    if p < 1:
-        raise ValueError(f"p-norms need p >= 1, got {p}")
-    A = T.entries
+def _is_exact(p: float) -> bool:
+    return math.isinf(p) or p == 1 or p == 2
+
+
+def _exact_norm(A: np.ndarray, p: float) -> NormBounds:
+    """||A||_p for p in {1, 2, inf}: column sums, largest singular value, row sums."""
     if math.isinf(p):
         val, w = _exact_inf_norm(A)
-        return NormBounds(val, val, w, "exact")
-    if p == 1:
+    elif p == 1:
         val, w = _exact_one_norm(A)
-        return NormBounds(val, val, w, "exact")
-    if p == 2:
-        U, s, Vh = np.linalg.svd(A)
-        return NormBounds(float(s[0]), float(s[0]), Vh[0].conj(), "exact")
-    lower, witness = ascent_lower_bound(T, p, cfg)
+    else:
+        _, s, Vh = np.linalg.svd(A)
+        val, w = float(s[0]), Vh[0].conj()
+    return NormBounds(val, val, w, "exact")
+
+
+def _interpolation_bounds(A: np.ndarray, p: float, lower: float, witness) -> NormBounds:
+    """An ascent lower bound paired with the interpolation upper bound of ||A||_p."""
     n1, _ = _exact_one_norm(A)
     ninf, _ = _exact_inf_norm(A)
     sigma = float(np.linalg.svd(A, compute_uv=False)[0])
     riesz_thorin = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
-    equivalence = T.dim ** abs(0.5 - 1.0 / p) * sigma
+    equivalence = A.shape[0] ** abs(0.5 - 1.0 / p) * sigma
     upper = min(riesz_thorin, equivalence)
     return NormBounds(min(lower, upper), upper, witness, "ascent_plus_interpolation")
+
+
+def operator_p_norm(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()) -> NormBounds:
+    """Two-sided bounds on ||T||_{p->p}; exact for p in {1, 2, inf}."""
+    if p < 1:
+        raise ValueError(f"p-norms need p >= 1, got {p}")
+    if _is_exact(p):
+        return _exact_norm(T.entries, p)
+    lower, witness = ascent_lower_bound(T, p, cfg)
+    return _interpolation_bounds(T.entries, p, lower, witness)
+
+
+def _scaled_powers(A: np.ndarray, n_max: int):
+    """Yield (M, log_scale) with A^n = e^log_scale M for n = 1..n_max."""
+    M = np.eye(A.shape[0], dtype=complex)
+    log_scale = 0.0
+    for _ in range(n_max):
+        M = A @ M
+        peak = float(np.max(np.abs(M)))
+        if peak > 0.0 and not (_SCALE_LO < peak < _SCALE_HI):
+            M = M / peak
+            log_scale += math.log(peak)
+            if not math.isfinite(log_scale):
+                raise OverflowError("power scale ledger left the representable range")
+        yield M, log_scale
 
 
 def power_norm_sequence(
@@ -182,28 +256,27 @@ def power_norm_sequence(
     Powers accumulate by repeated multiplication with a log-scale ledger: the
     stored matrix is renormalized whenever its largest entry leaves
     [1e-100, 1e100], so Jordan-type growth cannot overflow the recurrence.
+    At p outside {1, 2, inf} all n_max scaled powers go through one stack
+    ascent, with the same bounds operator_p_norm gives each power.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    A = T.entries
-    M = np.eye(T.dim, dtype=complex)
-    log_scale = 0.0
-    out: list[NormBounds] = []
-    for _ in range(n_max):
-        M = A @ M
-        peak = float(np.max(np.abs(M)))
-        if peak > 0.0 and not (_SCALE_LO < peak < _SCALE_HI):
-            M = M / peak
-            log_scale += math.log(peak)
-            if not math.isfinite(log_scale):
-                raise OverflowError("power scale ledger left the representable range")
-        b = operator_p_norm(ComplexMatrix(M), p, cfg)
-        out.append(
-            NormBounds(
-                _rescale(b.lower, log_scale), _rescale(b.upper, log_scale), b.witness, b.method
-            )
-        )
-    return out
+    if p < 1:
+        raise ValueError(f"p-norms need p >= 1, got {p}")
+    powers = _scaled_powers(T.entries, n_max)
+    if _is_exact(p):
+        scaled = [(_exact_norm(M, p), log_scale) for M, log_scale in powers]
+    else:
+        mats, scales = zip(*powers)
+        lowers, witnesses = ascent_lower_bounds(np.array(mats), p, cfg)
+        scaled = [
+            (_interpolation_bounds(M, p, lower, w), log_scale)
+            for M, lower, w, log_scale in zip(mats, lowers.tolist(), witnesses, scales)
+        ]
+    return [
+        NormBounds(_rescale(b.lower, s), _rescale(b.upper, s), b.witness, b.method)
+        for b, s in scaled
+    ]
 
 
 def _rescale(value: float, log_scale: float) -> float:

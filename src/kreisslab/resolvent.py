@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-from .norms import AscentConfig, ascent_lower_bound
+from .norms import AscentConfig, ascent_lower_bounds
 from .operators import ComplexMatrix
 
 _RHO_TOL = 1e-9
@@ -117,9 +116,7 @@ def _batched_norm_lower(mats: np.ndarray, p: float, acfg: AscentConfig) -> np.nd
         return np.abs(mats).sum(axis=-1).max(axis=-1)
     if p == 1:
         return np.abs(mats).sum(axis=-2).max(axis=-1)
-    return np.array(
-        [ascent_lower_bound(ComplexMatrix(m), p, acfg)[0] for m in mats]
-    )
+    return ascent_lower_bounds(mats, p, acfg)[0]
 
 
 def _grid(cfg: SearchConfig):
@@ -304,6 +301,8 @@ def exponential_criterion(
     The modulus grid includes xi = 0, where the functional equals 1 exactly.
     Matrix exponentials use scipy's scaling-and-squaring Pade implementation.
     """
+    import scipy.linalg  # scipy is imported on first use only
+
     if xi_max <= 0:
         raise ValueError("xi_max must be positive")
     acfg = cfg.ascent()

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._parallel import parallel_map
 
@@ -96,6 +95,8 @@ def bound_m_range(n: int) -> range:
 
 def poisson_log_weights(n: int, ks: np.ndarray) -> np.ndarray:
     """log of the Poisson(n) probabilities n^k e^{-n} / k!, elementwise in ks."""
+    from scipy.special import gammaln  # scipy is imported on first use only
+
     return ks * math.log(n) - gammaln(ks + 1.0) - n
 
 
@@ -125,6 +126,8 @@ def verify_factorial_sandwich(n: int) -> SandwichResult:
     """Both sandwich inequalities for every integer k in [0, 2 sqrt(n)]."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    from scipy.special import gammaln
+
     kmax = math.floor(2.0 * math.sqrt(n))
     ks = np.arange(0, kmax + 1)
     mid = (n - ks) * math.log(n) - gammaln(n - ks + 1.0)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kreisslab
 from kreisslab.cli import main
 from kreisslab.operators import ComplexMatrix, save_matrix
 
@@ -20,6 +23,17 @@ def as_float(v):
 
 def run(argv):
     return main(argv)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where expm and gammaln are used, not with the CLI
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreisslab.__file__)))
+    code = ("import sys, kreisslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_gallery_list_prints(capsys):
@@ -251,9 +265,16 @@ def test_reports_byte_identical_across_runs(tmp_path):
     ["decomp-scan", "--p", "1", "--seed", "1"],
     # every power norm of the zero matrix is 0: nothing to fit
     ["growth", "--gallery", "zero2", "--n-max", "16"],
+    # a dict stands for a config file holding it
+    ["kreiss", "--gallery", "identity3", "--config", {"kreiss": {"radial": None}}],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
-        "decomp-p-1", "growth-nothing-to-fit"])
+        "decomp-p-1", "growth-nothing-to-fit", "config-value-type"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(cfg), *argv[i + 1:]]
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as err:
         run(argv + ["--out", str(out)])

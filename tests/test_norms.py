@@ -8,11 +8,18 @@ from hypothesis import strategies as st
 from kreisslab.norms import (
     AscentConfig,
     ascent_lower_bound,
+    ascent_lower_bounds,
     operator_p_norm,
     power_norm_sequence,
     vector_p_norm,
 )
-from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
+from kreisslab.operators import (
+    ComplexMatrix,
+    OperatorSpec,
+    gallery,
+    gallery_entry,
+    make_gallery_operator,
+)
 
 
 def test_vector_norm_pythagorean():
@@ -160,3 +167,106 @@ def test_submultiplicativity_of_upper_bounds(p):
         for m in range(1, 33):
             for n in range(1, 65 - m):
                 assert ub[m + n] <= ub[m] * ub[n] * (1 + 1e-9) + 1e-300
+
+
+# --- the stack ascent against the serial loop it replaced -----------------
+
+
+def _serial_pnorm_cols(X, p):
+    a = np.abs(X)
+    if math.isinf(p):
+        return a.max(axis=0)
+    m = a.max(axis=0)
+    safe = np.where(m == 0.0, 1.0, m)
+    return m * np.sum((a / safe) ** p, axis=0) ** (1.0 / p)
+
+
+def _serial_phase(Y):
+    a = np.abs(Y)
+    return np.where(a > 0, Y / np.where(a == 0, 1.0, a), 0.0)
+
+
+def _serial_inf_subgrad(Y):
+    W = np.zeros_like(Y)
+    idx = np.argmax(np.abs(Y), axis=0)
+    cols = np.arange(Y.shape[1])
+    W[idx, cols] = _serial_phase(Y[idx, cols])
+    return W
+
+
+def _serial_ascent(A, p, cfg):
+    """Reference: the one-matrix ascent loop, kept verbatim as an oracle."""
+    d = A.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    X = rng.standard_normal((d, cfg.restarts)) + 1j * rng.standard_normal((d, cfg.restarts))
+    X /= _serial_pnorm_cols(X, p)
+    f = _serial_pnorm_cols(A @ X, p)
+    step = np.full(cfg.restarts, 0.5)
+    stall = 0
+    for _ in range(cfg.max_steps):
+        Y = A @ X
+        W = np.abs(Y) ** (p - 1) * _serial_phase(Y) if not math.isinf(p) else _serial_inf_subgrad(Y)
+        G = A.conj().T @ W
+        gn = np.sqrt(np.sum(np.abs(G) ** 2, axis=0))
+        G = np.where(gn > 0, G / np.where(gn == 0, 1.0, gn), 0.0)
+        Xp = X + step * G
+        nrm = _serial_pnorm_cols(Xp, p)
+        nrm = np.where(nrm == 0.0, 1.0, nrm)
+        Xp = Xp / nrm
+        fp = _serial_pnorm_cols(A @ Xp, p)
+        accept = fp > f
+        gain = np.where(accept, (fp - f) / np.maximum(f, 1e-300), 0.0)
+        X = np.where(accept, Xp, X)
+        f = np.where(accept, fp, f)
+        step = np.where(accept, np.minimum(step * 1.5, 1.0), step * 0.5)
+        if float(gain.max()) < cfg.rel_tol:
+            stall += 1
+            if stall >= 6 or float(step.max()) < 1e-14:
+                break
+        else:
+            stall = 0
+    i = int(np.argmax(f))
+    return float(f[i]), X[:, i].copy()
+
+
+def _mixed_stack(d=4):
+    # matrices that stop at different steps: at once (zero), after the stall
+    # window (scalar identity), slowly (Jordan block) and in between (random)
+    rng = np.random.default_rng(11)
+    jordan = np.eye(d, k=1) + 0.9 * np.eye(d)
+    mats = [np.zeros((d, d)), 2.5 * np.eye(d), jordan]
+    mats += [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(5)]
+    return np.array(mats, dtype=complex)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("p", [1.5, 3.0, math.inf])
+def test_stack_ascent_bit_equal_to_serial_loop(p, seed):
+    mats = _mixed_stack()
+    for cfg in (AscentConfig(seed=seed), AscentConfig(restarts=8, max_steps=150, rel_tol=1e-9, seed=seed)):
+        values, witnesses = ascent_lower_bounds(mats, p, cfg)
+        for M, v, w in zip(mats, values, witnesses):
+            ref_v, ref_w = _serial_ascent(M, p, cfg)
+            assert np.array_equal(v, ref_v)
+            assert np.array_equal(w, ref_w)
+        # B = 1 is the same kernel
+        v1, w1 = ascent_lower_bound(ComplexMatrix(mats[2]), p, cfg)
+        assert np.array_equal(v1, values[2]) and np.array_equal(w1, witnesses[2])
+
+
+def test_stack_ascent_rejects_non_finite():
+    mats = _mixed_stack()
+    mats[3, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        ascent_lower_bounds(mats, 3.0)
+
+
+def test_power_sequence_matches_per_power_norms():
+    T = make_gallery_operator(gallery_entry("jordan2").spec)
+    seq = power_norm_sequence(T, 3.0, 64)
+    M = np.eye(2, dtype=complex)
+    for b in seq:
+        M = T.entries @ M
+        ref = operator_p_norm(ComplexMatrix(M), 3.0)
+        assert (b.lower, b.upper, b.method) == (ref.lower, ref.upper, ref.method)
+        assert np.array_equal(b.witness, ref.witness)
