@@ -39,6 +39,11 @@ CASES = {
                        "--k-ref", "1.0", "--ks-ref", "1.0", "--radial", "8", "--angular", "8"],
     "decomp-scan": ["decomp-scan", "--p", "2", "--q", "2", "--side", "lower", "--trials", "40",
                     "--max-support", "6", "--seed", "3"],
+    # upper side: oversampled quadrature, l^1 inner norm, gamma > 0
+    "decomp-scan-upper": ["decomp-scan", "--p", "3", "--q", "4", "--side", "upper",
+                          "--inner-p", "1", "--gamma", "0.25", "--trials", "60",
+                          "--max-support", "10", "--max-dim", "3", "--ascent-steps", "40",
+                          "--seed", "5"],
     "riesz-norm": ["riesz-norm", "--p", "2", "--dim", "1", "--trials", "20",
                    "--ascent-steps", "10", "--seed", "1"],
     "marcinkiewicz": ["marcinkiewicz", "--p", "4", "--trials", "25", "--span", "4",
@@ -88,6 +93,13 @@ EXPECTED = {
         {
             'decomp.json': 'ee7e0d74aa32c01226c69f3d967ccce83eba63417b42030039d50650dc8f40f0',
             'witness_f.txt': '3315fe0d344b52d711061cd8ed7993bd3ef3f30219f7d245ce9e36a342eb197d',
+        },
+    ),
+    'decomp-scan-upper': (
+        0, 'decomp-scan: upper p=3.0 q=4.0 gamma=0.25 empirical floor 1.210992\n',
+        {
+            'decomp.json': 'e0a36bb0e81120ad3c8fa4893d5065d5cd53cb46ad981752fadd5434b7f15009',
+            'witness_f.txt': '16f8d7c6d245f57f82cfe1c2c35042f204d665643144e6e99c80a495b0362820',
         },
     ),
     'exp-criterion': (
