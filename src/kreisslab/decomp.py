@@ -24,28 +24,22 @@ from .fourier import (
     Interval,
     IntervalPartition,
     TrigPolynomial,
+    _inner_norms,
     lp_torus_norm,
     pairing,
     project_interval,
+    quadrature_points,
 )
 from .norms import vector_p_norm
+
+# complex grid values per numpy pass of _run_block_norms; larger passes leave
+# the cache and run slower
+_CHUNK = 1 << 12
+_TINY = np.finfo(float).tiny
 
 
 class ZeroPolynomialError(ValueError):
     """Decomposition ratios are undefined for the zero polynomial."""
-
-
-def lq_aggregate(values, q: float) -> float:
-    """(sum a_k^q)^{1/q} for nonnegative a_k, max for q = inf; overflow-safe."""
-    a = np.asarray(values, dtype=float)
-    if a.size == 0:
-        return 0.0
-    if math.isinf(q):
-        return float(a.max())
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum((a / m) ** q) ** (1.0 / q))
 
 
 def block_norms(
@@ -72,7 +66,7 @@ def decomposition_ratio(
     if not part.covers(f.support):
         raise ValueError("partition does not cover the support of f")
     total = lp_torus_norm(f, p, inner_p).value
-    agg = lq_aggregate(block_norms(f, part, p, inner_p), q)
+    agg = vector_p_norm(block_norms(f, part, p, inner_p), q)
     if side == "upper":
         return total / agg
     return agg / total
@@ -134,88 +128,129 @@ def contiguous_partitions(freqs: tuple[int, ...]) -> list[IntervalPartition]:
 def _run_block_norms(f: TrigPolynomial, p: float, inner_p: float) -> np.ndarray:
     """w[i, j] = ||D_I f||_p for I spanning support slots i..j, on a shared grid.
 
-    Prefix sums of the per-frequency waveforms give every contiguous block's
-    values in one vectorized pass; the grid uses the full-support quadrature
-    rule, which is at least as fine as any block needs.
+    Prefix sums of the per-frequency waveforms give each contiguous block's
+    values as one difference.  The blocks of the upper triangle are taken in
+    row-major order, about _CHUNK grid values per numpy pass.  The grid uses
+    the full-support quadrature rule, which is at least as fine as any block
+    needs.
     """
-    from .fourier import quadrature_points
-
     s = len(f.freqs)
     N, _ = quadrature_points(f, p, inner_p)
     t = np.arange(N) / N
     phases = np.exp(2j * np.pi * np.outer(np.asarray(f.freqs, dtype=float), t))
     waves = f.vecs[:, None, :] * phases[:, :, None]
     prefix = np.concatenate([np.zeros((1, N, f.dim), dtype=complex), np.cumsum(waves, axis=0)])
+    lo, hi = np.triu_indices(s)
+    mean_p = np.empty(lo.size)
+    step = max(1, _CHUNK // (N * f.dim))
+    for k in range(0, lo.size, step):
+        vals = prefix[hi[k : k + step] + 1] - prefix[lo[k : k + step]]
+        mean_p[k : k + step] = np.add.reduce(_inner_norms(vals, inner_p) ** p, axis=1) / N
     w = np.zeros((s, s))
-    for i in range(s):
-        vals = prefix[i + 1 :] - prefix[i]  # blocks i..j for j = i..s-1
-        a = np.abs(vals)
-        if math.isinf(inner_p):
-            row = a.max(axis=2)
-        elif inner_p == 2.0:
-            row = np.sqrt(np.sum(a * a, axis=2))
-        else:
-            row = np.sum(a ** inner_p, axis=2) ** (1.0 / inner_p)
-        w[i, i:] = np.mean(row ** p, axis=1) ** (1.0 / p)
+    w[lo, hi] = mean_p ** (1.0 / p)
     return w
 
 
-def _best_contiguous_partition(
-    w: np.ndarray, q: float, gamma: float, side: str
-) -> tuple[float, list[tuple[int, int]]]:
-    """Exact optimum of ratio / (#I)^gamma over contiguous partitions.
+def _min_max_block(w: np.ndarray) -> np.ndarray:
+    """Least, over contiguous partitions, of the largest block norm; per sample."""
+    B, s, _ = w.shape
+    g = np.zeros((B, s + 1))  # g[:, j]: the same over partitions of slots 0..j-1
+    for j in range(s):
+        g[:, j + 1] = np.maximum(g[:, : j + 1], w[:, : j + 1, j]).min(axis=1)
+    return g[:, s]
 
-    Dynamic program over (block count, last slot): the lower side maximizes
-    sum_I w^q, the upper side minimizes it, then each block count c is scored
-    and the best (value, slot cuts) pair is reconstructed.
+
+def _block_powers(w: np.ndarray, q: float, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """(w / scale)^q and the scale of each sample of a (B, s, s) stack.
+
+    The scale is 1 while w^q stays finite and normal.  Otherwise it is the
+    largest block norm on the lower side and the least largest block norm of
+    a partition on the upper side, which puts the optimal partition's sum in
+    [1, s].
     """
-    s = w.shape[0]
-    wq = w ** q
+    with np.errstate(over="ignore"):
+        wq = w ** q
+        ok = np.isfinite(wq.sum(axis=(1, 2))) & ((wq >= _TINY) | (w == 0.0)).all(axis=(1, 2))
+        scale = np.ones(len(w))
+        if not ok.all():
+            bad = ~ok
+            scale[bad] = w[bad].max(axis=(1, 2)) if side == "lower" else _min_max_block(w[bad])
+            wq[bad] = (w[bad] / scale[bad, None, None]) ** q
+    return wq, scale
+
+
+def _best_contiguous_partitions(
+    w: np.ndarray, q: float, gamma: float, side: str
+) -> list[tuple[float, list[tuple[int, int]]]]:
+    """Exact optimum of ratio / (#I)^gamma over contiguous partitions, per sample.
+
+    w is a (B, s, s) stack of block-norm triangles.  Dynamic program over
+    (block count, last slot): the lower side maximizes sum_I w^q, the upper
+    side minimizes it.  Each block count c takes one max/argmax over the
+    stack, then each count is scored and every sample's best
+    (value, slot cuts) pair is reconstructed.
+    """
+    B, s, _ = w.shape
     sign = 1.0 if side == "lower" else -1.0
-    neg = -math.inf
-    best = np.full((s + 1, s), neg)
-    parent = np.zeros((s + 1, s), dtype=int)
-    best[1, :] = sign * wq[0, :]
+    swq, scale = _block_powers(w, q, side)  # scale 1 keeps w^q as it is
+    swq *= sign
+    swq[:, np.tri(s, k=-1, dtype=bool)] = -math.inf  # no block has i > j
+    parent = np.zeros((B, s + 1, s), dtype=np.intp)
+    best = swq[:, 0]  # best[b, j]: optimum over c-block partitions of slots 0..j
+    totals = np.empty((B, s))  # the same at j = s-1, for c = 1..s
+    totals[:, 0] = best[:, s - 1]
+    buf = np.empty((B, s - 1, s))
     for c in range(2, s + 1):
-        # best[c, j] = opt_i best[c-1, i-1] + sign*wq[i, j] over i in [c-1, j]
-        prev = best[c - 1]
-        cand = np.full((s, s), neg)
-        for i in range(c - 1, s):
-            cand[i, i:] = prev[i - 1] + sign * wq[i, i:]
-        best[c] = cand.max(axis=0)
-        parent[c] = cand.argmax(axis=0)
-    fnorm = w[0, s - 1]
-    best_val, best_c = -math.inf, 1
-    for c in range(1, s + 1):
-        tot = sign * best[c, s - 1]
-        if not (tot > 0) or not math.isfinite(tot):
-            continue
-        agg = tot ** (1.0 / q)
-        ratio = (agg / fnorm) if side == "lower" else (fnorm / agg)
-        val = ratio / c ** gamma
-        if val > best_val:
-            best_val, best_c = val, c
-    cuts = []
-    j, c = s - 1, best_c
-    while c >= 1:
-        i = int(parent[c, j]) if c > 1 else 0
-        cuts.append((i, j))
-        j, c = i - 1, c - 1
-    cuts.reverse()
-    return best_val, cuts
+        # opt_i best_{c-1}[i-1] + sign*wq[i, j] over i in [c-1, j]
+        cand = np.add(best[:, c - 2 : s - 1, None], swq[:, c - 1 :], out=buf[:, : s - c + 1])
+        best = cand.max(axis=1)
+        parent[:, c] = cand.argmax(axis=1) + (c - 1)
+        totals[:, c - 1] = best[:, s - 1]
+    totals = (sign * totals).tolist()
+    penalty = [c ** gamma for c in range(1, s + 1)]
+    out = []
+    for fnorm, k, tots, par in zip(w[:, 0, s - 1].tolist(), scale.tolist(), totals, parent):
+        best_val, best_c = -math.inf, 1
+        for c, tot in enumerate(tots, 1):
+            if not (tot > 0) or not math.isfinite(tot):
+                continue
+            agg = k * tot ** (1.0 / q)
+            ratio = (agg / fnorm) if side == "lower" else (fnorm / agg)
+            val = ratio / penalty[c - 1]
+            if val > best_val:
+                best_val, best_c = val, c
+        cuts = []
+        j, c = s - 1, best_c
+        while c >= 1:
+            i = int(par[c, j]) if c > 1 else 0
+            cuts.append((i, j))
+            j, c = i - 1, c - 1
+        cuts.reverse()
+        out.append((best_val, cuts))
+    return out
+
+
+def _score(
+    polys: list[TrigPolynomial], p: float, q: float, inner_p: float, gamma: float, side: str
+) -> list[tuple[float, list[tuple[int, int]]]]:
+    """(value, slot cuts) of each polynomial; all share one support size."""
+    w = np.empty((len(polys), len(polys[0].freqs), len(polys[0].freqs)))
+    for b, f in enumerate(polys):
+        w[b] = _run_block_norms(f, p, inner_p)
+    if not w[:, 0, -1].all():
+        raise ZeroPolynomialError("f must be nonzero")
+    return _best_contiguous_partitions(w, q, gamma, side)
+
+
+def _partition(f: TrigPolynomial, cuts: list[tuple[int, int]]) -> IntervalPartition:
+    return IntervalPartition(tuple(Interval(f.freqs[i], f.freqs[j]) for i, j in cuts))
 
 
 def _objective_dp(
     f: TrigPolynomial, p: float, q: float, inner_p: float, gamma: float, side: str
 ) -> tuple[float, IntervalPartition]:
-    w = _run_block_norms(f, p, inner_p)
-    if w[0, len(f.freqs) - 1] == 0.0:
-        raise ZeroPolynomialError("f must be nonzero")
-    val, cuts = _best_contiguous_partition(w, q, gamma, side)
-    part = IntervalPartition(
-        tuple(Interval(f.freqs[i], f.freqs[j]) for i, j in cuts)
-    )
-    return val, part
+    [(val, cuts)] = _score([f], p, q, inner_p, gamma, side)
+    return val, _partition(f, cuts)
 
 
 def _draw_polynomial(rng: np.random.Generator, cfg: DecompSearchConfig) -> TrigPolynomial:
@@ -262,7 +297,11 @@ def estimate_constant(
 
     Each sample is scored at its exact best contiguous partition (dynamic
     program), so the search over partitions is not itself randomized, and
-    more trials can only raise the floor.
+    more trials can only raise the floor.  The whole corpus is drawn first,
+    then scored one support size at a time with one dynamic program per
+    size; the top_k samples start their ascents from those scores, and each
+    ascent step scores one candidate.  Only the returned witness gets an
+    IntervalPartition.
     """
     if not (1 < p < math.inf):
         raise ValueError("p must lie in (1, inf)")
@@ -273,41 +312,45 @@ def estimate_constant(
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     rng = np.random.default_rng(cfg.seed)
-    pool: list[tuple[float, TrigPolynomial, IntervalPartition]] = []
-    for f in _sign_pattern_candidates(cfg):
-        val, part = _objective_dp(f, p, q, inner_p, gamma, side)
-        pool.append((val, f, part))
+    corpus = _sign_pattern_candidates(cfg)
     for _ in range(cfg.trials):
         f = _draw_polynomial(rng, cfg)
-        if f.is_zero:
-            continue
-        val, part = _objective_dp(f, p, q, inner_p, gamma, side)
-        pool.append((val, f, part))
-    if not pool:
+        if not f.is_zero:
+            corpus.append(f)
+    if not corpus:
         raise ValueError("corpus produced no nonzero polynomial")
-    pool.sort(key=lambda t: t[0], reverse=True)
-    best_val, bf, bpart = pool[0]
-    best = (bf, bpart)
+    by_size: dict[int, list[int]] = {}
+    for k, f in enumerate(corpus):
+        by_size.setdefault(len(f.freqs), []).append(k)
+    scored: list = [None] * len(corpus)
+    for idx in by_size.values():
+        group = _score([corpus[k] for k in idx], p, q, inner_p, gamma, side)
+        for k, result in zip(idx, group):
+            scored[k] = result
+    # stable: equal values keep corpus order
+    order = sorted(range(len(corpus)), key=lambda k: scored[k][0], reverse=True)
+    best_val, best_cuts = scored[order[0]]
+    best_f = corpus[order[0]]
 
-    for _, f, _part in pool[: cfg.top_k]:
-        vecs = f.vecs.copy()
-        cur, cur_part = _objective_dp(f, p, q, inner_p, gamma, side)
+    for k in order[: cfg.top_k]:
+        f = corpus[k]
+        cur, cur_cuts = scored[k]
         step = 0.25
         for _ in range(cfg.ascent_steps):
-            trial = vecs + step * (
-                rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
+            trial = f.vecs + step * (
+                rng.standard_normal(f.vecs.shape) + 1j * rng.standard_normal(f.vecs.shape)
             )
             cand = TrigPolynomial(f.freqs, trial, f.dim)
             if cand.is_zero:
                 continue
-            v, vpart = _objective_dp(cand, p, q, inner_p, gamma, side)
+            [(v, v_cuts)] = _score([cand], p, q, inner_p, gamma, side)
             if v > cur:
-                cur, vecs, cur_part = v, trial, vpart
+                cur, f, cur_cuts = v, cand, v_cuts
                 step = min(step * 1.3, 1.0)
             else:
                 step = max(step * 0.7, 1e-6)
         if cur > best_val:
-            best_val, best = cur, (TrigPolynomial(f.freqs, vecs, f.dim), cur_part)
+            best_val, best_f, best_cuts = cur, f, cur_cuts
 
     return DecompositionEstimate(
         side=side,
@@ -316,8 +359,8 @@ def estimate_constant(
         inner_p=inner_p,
         gamma=gamma,
         constant_lower=best_val,
-        witness=best[0],
-        witness_partition=best[1],
+        witness=best_f,
+        witness_partition=_partition(best_f, best_cuts),
         trials=cfg.trials,
         seed=cfg.seed,
     )
@@ -342,12 +385,12 @@ def hoelder_growth_check(
     if not part.covers(f.support):
         raise ValueError("partition does not cover the support of f")
     a = block_norms(f, part, p, inner_p)
-    denom = lq_aggregate(a, q)
+    denom = vector_p_norm(a, q)
     if denom == 0.0:
         return math.inf
     inv_r = 0.0 if math.isinf(r) else 1.0 / r
     count_pow = len(part) ** (1.0 / q - inv_r)
-    return count_pow * lq_aggregate(a, r) / denom
+    return count_pow * vector_p_norm(a, r) / denom
 
 
 def pairing_duality_check(
@@ -373,7 +416,7 @@ def pairing_duality_check(
     inner_dual = math.inf if inner_p == 1 else inner_p / (inner_p - 1.0)
     af = block_norms(f, part, p, inner_p)
     ag = block_norms(g, part, p_dual, inner_dual)
-    return lq_aggregate(af, q) * lq_aggregate(ag, q_dual) / abs(pr)
+    return vector_p_norm(af, q) * vector_p_norm(ag, q_dual) / abs(pr)
 
 
 def fourier_type_check(
@@ -390,7 +433,7 @@ def fourier_type_check(
     d = vecs[0].shape[0]
     f = TrigPolynomial.from_coeffs({n: v for n, v in enumerate(vecs)}, d)
     lhs = lp_torus_norm(f, p, inner_p).value
-    rhs = u_ref * lq_aggregate([vector_p_norm(v, inner_p) for v in vecs], q)
+    rhs = u_ref * vector_p_norm([vector_p_norm(v, inner_p) for v in vecs], q)
     return rhs / lhs
 
 
@@ -424,20 +467,15 @@ def rademacher_constants(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     vecs = np.stack([np.atleast_1d(np.asarray(x, dtype=complex)) for x in xs])
-    k, d = vecs.shape
+    k = len(vecs)
     rng = np.random.default_rng(seed)
     eps = np.exp(2j * np.pi * rng.random((samples, k)))
-    sums = eps @ vecs  # (samples, d)
-    if math.isinf(inner_p):
-        row = np.abs(sums).max(axis=1)
-    else:
-        row = np.sum(np.abs(sums) ** inner_p, axis=1) ** (1.0 / inner_p)
-    sq = row ** 2
+    sq = _inner_norms(eps @ vecs, inner_p) ** 2
     mean_sq = float(np.mean(sq))
     se_sq = float(np.std(sq, ddof=1) / math.sqrt(samples))
     l2 = math.sqrt(mean_sq)
     se_l2 = se_sq / (2.0 * l2) if l2 > 0 else 0.0
-    agg = lq_aggregate([vector_p_norm(v, inner_p) for v in vecs], exponent)
+    agg = vector_p_norm([vector_p_norm(v, inner_p) for v in vecs], exponent)
     if kind == "type":
         value = l2 / agg
         se = se_l2 / agg

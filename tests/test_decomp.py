@@ -8,16 +8,19 @@ from hypothesis import strategies as st
 from kreisslab.decomp import (
     DecompSearchConfig,
     ZeroPolynomialError,
+    _best_contiguous_partitions,
+    _draw_polynomial,
+    _run_block_norms,
     contiguous_partitions,
     decomposition_ratio,
     estimate_constant,
     fourier_type_check,
     hoelder_growth_check,
-    lq_aggregate,
     pairing_duality_check,
     rademacher_constants,
 )
-from kreisslab.fourier import Interval, IntervalPartition, TrigPolynomial
+from kreisslab.fourier import Interval, IntervalPartition, TrigPolynomial, quadrature_points
+from kreisslab.norms import vector_p_norm
 
 # pinned from the pre-build exhaustive oracle: max over +-1 sign patterns on
 # support {0..7} and all contiguous partitions of the lower l^4(L^4) ratio
@@ -107,7 +110,133 @@ def test_lower_ratio_nonincreasing_in_q(seed, q1):
     rng = np.random.default_rng(seed)
     a = np.abs(rng.standard_normal(6))
     q2 = q1 + 1.0
-    assert lq_aggregate(a, q2) <= lq_aggregate(a, q1) + 1e-12
+    assert vector_p_norm(a, q2) <= vector_p_norm(a, q1) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# block norms and the partition DP against the one-sample loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _rowwise_block_norms(f, p, inner_p):
+    # reference: one start row per numpy pass
+    s = len(f.freqs)
+    N, _ = quadrature_points(f, p, inner_p)
+    t = np.arange(N) / N
+    phases = np.exp(2j * np.pi * np.outer(np.asarray(f.freqs, dtype=float), t))
+    waves = f.vecs[:, None, :] * phases[:, :, None]
+    prefix = np.concatenate([np.zeros((1, N, f.dim), dtype=complex), np.cumsum(waves, axis=0)])
+    w = np.zeros((s, s))
+    for i in range(s):
+        vals = prefix[i + 1 :] - prefix[i]
+        a = np.abs(vals)
+        if math.isinf(inner_p):
+            row = a.max(axis=2)
+        elif inner_p == 2.0:
+            row = np.sqrt(np.sum(a * a, axis=2))
+        else:
+            row = np.sum(a ** inner_p, axis=2) ** (1.0 / inner_p)
+        w[i, i:] = np.mean(row ** p, axis=1) ** (1.0 / p)
+    return w
+
+
+def _quadratic_dp(w, q, gamma, side):
+    # reference: one sample, O(s^2) slice writes per block count
+    s = w.shape[0]
+    wq = w ** q
+    sign = 1.0 if side == "lower" else -1.0
+    best = np.full((s + 1, s), -math.inf)
+    parent = np.zeros((s + 1, s), dtype=int)
+    best[1, :] = sign * wq[0, :]
+    for c in range(2, s + 1):
+        prev = best[c - 1]
+        cand = np.full((s, s), -math.inf)
+        for i in range(c - 1, s):
+            cand[i, i:] = prev[i - 1] + sign * wq[i, i:]
+        best[c] = cand.max(axis=0)
+        parent[c] = cand.argmax(axis=0)
+    fnorm = w[0, s - 1]
+    best_val, best_c = -math.inf, 1
+    for c in range(1, s + 1):
+        tot = sign * best[c, s - 1]
+        if not (tot > 0) or not math.isfinite(tot):
+            continue
+        agg = tot ** (1.0 / q)
+        ratio = (agg / fnorm) if side == "lower" else (fnorm / agg)
+        val = ratio / c ** gamma
+        if val > best_val:
+            best_val, best_c = val, c
+    cuts = []
+    j, c = s - 1, best_c
+    while c >= 1:
+        i = int(parent[c, j]) if c > 1 else 0
+        cuts.append((i, j))
+        j, c = i - 1, c - 1
+    cuts.reverse()
+    return best_val, cuts
+
+
+@pytest.mark.parametrize("max_support", [8, 16, 32])
+@pytest.mark.parametrize("p,inner_p,q", [(4.0, 2.0, 4.0), (3.0, 2.0, 2.0), (3.0, 1.0, 1.5),
+                                         (2.5, math.inf, 3.0), (1.5, 3.0, 1.0)])
+def test_batched_objective_matches_one_sample_loops(p, inner_p, q, max_support):
+    cfg = DecompSearchConfig(max_support=max_support, max_dim=3, seed=max_support)
+    rng = np.random.default_rng(cfg.seed)
+    by_size = {}
+    for _ in range(12):
+        f = _draw_polynomial(rng, cfg)
+        w = _run_block_norms(f, p, inner_p)
+        assert np.array_equal(w, _rowwise_block_norms(f, p, inner_p))
+        by_size.setdefault(len(f.freqs), []).append(w)
+    for ws in by_size.values():
+        for side in ("lower", "upper"):
+            for gamma in (0.0, 0.3):
+                got = _best_contiguous_partitions(np.stack(ws), q, gamma, side)
+                assert got == [_quadratic_dp(w, q, gamma, side) for w in ws]
+
+
+def test_dp_stack_of_equal_sizes_matches_one_sample_loop():
+    # many samples per stack, as the estimate loop groups them
+    rng = np.random.default_rng(11)
+    ws = np.triu(rng.random((40, 9, 9)) * 3.0)
+    for side in ("lower", "upper"):
+        for q, gamma in ((1.0, 0.0), (2.5, 0.3), (4.0, 0.0)):
+            got = _best_contiguous_partitions(ws, q, gamma, side)
+            assert got == [_quadratic_dp(w, q, gamma, side) for w in ws]
+
+
+def _brute_force_objective(w, q, gamma, side):
+    # every contiguous partition, aggregated with the overflow-safe l^q norm
+    s = w.shape[0]
+    best = -math.inf
+    for mask in range(2 ** (s - 1)):
+        starts = [0] + [k + 1 for k in range(s - 1) if mask >> k & 1]
+        ends = [k - 1 for k in starts[1:]] + [s - 1]
+        agg = vector_p_norm([w[i, j] for i, j in zip(starts, ends)], q)
+        ratio = agg / w[0, s - 1] if side == "lower" else w[0, s - 1] / agg
+        best = max(best, ratio / len(starts) ** gamma)
+    return best
+
+
+@pytest.mark.parametrize("q", [500.0, 5000.0])
+def test_dp_rescales_out_of_range_powers(q):
+    # w**q overflows and underflows here; the optimum must survive both
+    rng = np.random.default_rng(3)
+    ws = np.triu(0.2 + 5.0 * rng.random((6, 7, 7)))
+    for side in ("lower", "upper"):
+        for gamma in (0.0, 0.3):
+            got = _best_contiguous_partitions(ws, q, gamma, side)
+            for w, (val, _cuts) in zip(ws, got):
+                assert val == pytest.approx(_brute_force_objective(w, q, gamma, side), rel=1e-9)
+                if gamma == 0.0:
+                    assert val >= 1.0 - 1e-12  # the one-block partition scores 1
+
+
+@pytest.mark.parametrize("q", [2000.0, 5000.0])
+def test_large_q_lower_floor_is_at_least_one(q):
+    cfg = DecompSearchConfig(trials=50, ascent_steps=5, max_support=16, max_dim=2, seed=1)
+    est = estimate_constant(3.0, q, 2.0, "lower", 0.0, cfg)
+    assert est.constant_lower >= 1.0
 
 
 # ---------------------------------------------------------------------------
