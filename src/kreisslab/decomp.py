@@ -467,6 +467,8 @@ def rademacher_constants(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     vecs = np.stack([np.atleast_1d(np.asarray(x, dtype=complex)) for x in xs])
+    if vecs.shape[1] == 0:
+        raise ValueError("xs must be vectors of dimension >= 1")
     k = len(vecs)
     rng = np.random.default_rng(seed)
     eps = np.exp(2j * np.pi * rng.random((samples, k)))

@@ -264,12 +264,14 @@ def test_reports_byte_identical_across_runs(tmp_path):
      "--ks-ref", "1.0", "--seed", "1"],
     ["decomp-scan", "--p", "1", "--seed", "1"],
     ["type-cotype", "--exponent", "0.5", "--samples", "50", "--seed", "1"],
+    ["type-cotype", "--dim", "0", "--family", "random", "--count", "3", "--seed", "1"],
     # every power norm of the zero matrix is 0: nothing to fit
     ["growth", "--gallery", "zero2", "--n-max", "16"],
     # a dict stands for a config file holding it
     ["kreiss", "--gallery", "identity3", "--config", {"kreiss": {"radial": None}}],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
-        "decomp-p-1", "type-exponent-below-1", "growth-nothing-to-fit", "config-value-type"])
+        "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
+        "config-value-type"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
