@@ -130,7 +130,8 @@ def _run_block_norms(f: TrigPolynomial, p: float, inner_p: float) -> np.ndarray:
 
     Prefix sums of the per-frequency waveforms give each contiguous block's
     values as one difference.  The blocks of the upper triangle are taken in
-    row-major order, about _CHUNK grid values per numpy pass.  The grid uses
+    row-major order, about _CHUNK grid values per numpy pass but at least s
+    blocks, so never more passes than one per start row.  The grid uses
     the full-support quadrature rule, which is at least as fine as any block
     needs.
     """
@@ -142,7 +143,7 @@ def _run_block_norms(f: TrigPolynomial, p: float, inner_p: float) -> np.ndarray:
     prefix = np.concatenate([np.zeros((1, N, f.dim), dtype=complex), np.cumsum(waves, axis=0)])
     lo, hi = np.triu_indices(s)
     mean_p = np.empty(lo.size)
-    step = max(1, _CHUNK // (N * f.dim))
+    step = max(s, _CHUNK // (N * f.dim))
     for k in range(0, lo.size, step):
         vals = prefix[hi[k : k + step] + 1] - prefix[lo[k : k + step]]
         mean_p[k : k + step] = np.add.reduce(_inner_norms(vals, inner_p) ** p, axis=1) / N

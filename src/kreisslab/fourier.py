@@ -385,23 +385,8 @@ def _inner_norms(vals: np.ndarray, inner_p: float) -> np.ndarray:
     if math.isinf(inner_p):
         return np.maximum.reduce(a, axis=-1)
     if inner_p == 2.0:
-        return np.sqrt(_sum_last_axis(a * a))
-    return _sum_last_axis(a ** inner_p) ** (1.0 / inner_p)
-
-
-def _sum_last_axis(x: np.ndarray) -> np.ndarray:
-    """np.add.reduce(x, axis=-1), bit for bit, in elementwise adds on short axes.
-
-    numpy adds an axis of fewer than 8 values from left to right, so the
-    same adds done one column at a time give the same sums, several times
-    faster than its reduction over a short inner axis.
-    """
-    if x.shape[-1] >= 8:
-        return np.add.reduce(x, axis=-1)
-    total = x[..., 0].copy()
-    for k in range(1, x.shape[-1]):
-        total += x[..., k]
-    return total
+        return np.sqrt(np.add.reduce(a * a, axis=-1))
+    return np.add.reduce(a ** inner_p, axis=-1) ** (1.0 / inner_p)
 
 
 def pairing(f: TrigPolynomial, g: TrigPolynomial) -> complex:

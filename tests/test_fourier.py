@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kreisslab.fourier import (
     RIESZ_SYMBOL,
     _inner_norms,
-    _sum_last_axis,
     ExtremalSearchConfig,
     Interval,
     IntervalPartition,
@@ -206,16 +205,6 @@ def test_rejects_bad_exponents():
         lp_torus_norm(f, 0.5)
     with pytest.raises(ValueError):
         lp_torus_norm(f, math.inf)
-
-
-@pytest.mark.parametrize("d", range(1, 11))
-def test_sum_last_axis_matches_numpy_reduction(d):
-    # bit for bit, also where rounding depends on the order of the adds
-    rng = np.random.default_rng(d)
-    for shape in ((d,), (3, d), (5, 129, d)):
-        x = np.exp(20.0 * rng.standard_normal(shape))
-        for y in (x, np.asfortranarray(x)):
-            assert np.array_equal(_sum_last_axis(y), np.add.reduce(y, axis=-1))
 
 
 def test_inner_norms_match_vector_norms(rng):
