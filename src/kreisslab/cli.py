@@ -56,6 +56,7 @@ from .power import (
     growth_fit,
 )
 from .resolvent import (
+    FunctionalEstimate,
     SearchConfig,
     cesaro_partial_sum_bound,
     exponential_criterion,
@@ -301,10 +302,15 @@ def _search_config(params: dict) -> SearchConfig:
     )
 
 
-def _ks_ref(params: dict, T, cfg: SearchConfig) -> float:
-    """--ks-ref, or the strong-Kreiss lower bound at n_max = 16 when it is not given."""
+def _ks_ref(
+    params: dict, T, cfg: SearchConfig, k_est: FunctionalEstimate | None = None
+) -> float:
+    """--ks-ref, or the strong-Kreiss lower bound at n_max = 16 when it is not given.
+
+    k_est is the caller's kreiss_constant(T, cfg), if it has one.
+    """
     if params["ks_ref"] is None:
-        return strong_kreiss_constant(T, cfg, 16).value
+        return strong_kreiss_constant(T, cfg, 16, k_est=k_est).value
     return params["ks_ref"]
 
 
@@ -551,10 +557,11 @@ def _growth(params, name, T, cfg):
 
 
 def _bounds(params, name, T, cfg):
-    k_ref = params["k_ref"]
+    k_ref, k_est = params["k_ref"], None
     if k_ref is None:
-        k_ref = kreiss_constant(T, cfg).value
-    ks_ref = _ks_ref(params, T, cfg)
+        k_est = kreiss_constant(T, cfg)
+        k_ref = k_est.value
+    ks_ref = _ks_ref(params, T, cfg, k_est)
     if not (math.isfinite(k_ref) and math.isfinite(ks_ref)):
         raise ValueError("bounds needs finite reference constants (operator not Kreiss "
                          "bounded on this grid); pass --k-ref/--ks-ref explicitly")

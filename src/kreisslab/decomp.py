@@ -83,6 +83,12 @@ class DecompSearchConfig:
     max_dim: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("trials", 1), ("ascent_steps", 0), ("top_k", 0),
+                            ("max_support", 2), ("max_dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+
 
 @dataclass
 class DecompositionEstimate:

@@ -480,22 +480,23 @@ def riesz_norm_lower_bound(
         f = _random_polynomial(rng, d, cfg.max_support)
         pool.append((_multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), f))
     pool.sort(key=lambda t: t[0], reverse=True)
-    best = max(_multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p) for f in templates)
-    for f in templates + [f for _, f in pool[: cfg.top_k]]:
-        best = max(best, _coefficient_ascent(f, RIESZ_SYMBOL, p, inner_p, cfg, rng))
-    return best
+    # each ascent returns at least the ratio it starts from
+    starts = [(_multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), f) for f in templates]
+    return max(_coefficient_ascent(f, ratio, RIESZ_SYMBOL, p, inner_p, cfg, rng)
+               for ratio, f in starts + pool[: cfg.top_k])
 
 
 def _coefficient_ascent(
     f: TrigPolynomial,
+    ratio: float,
     m: MultiplierSeq,
     p: float,
     inner_p: float,
     cfg: ExtremalSearchConfig,
     rng: np.random.Generator,
 ) -> float:
+    """Random-step ascent of the multiplier ratio from f, whose ratio is given."""
     vecs = f.vecs.copy()
-    ratio = _multiplier_ratio(f, m, p, inner_p)
     step = 0.25
     for _ in range(cfg.ascent_steps):
         trial = vecs + step * (

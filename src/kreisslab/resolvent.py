@@ -11,6 +11,14 @@ All reported values are lower bounds of the suprema: the grid is truncated at
 r_max, but the analytic |lambda| -> inf limit of the first two functionals
 equals 1 exactly and is always included in the max.  Upper "hints" are
 advisory only; no Lipschitz certificate is claimed.
+
+At p = 2 the strong-Kreiss and Cesaro scans take an exact SVD only where it
+can change the result.  Cheap certified bounds on sigma_max (the largest
+column norm below, the Frobenius norm above, both with an explicit rounding
+margin; for resolvent powers also the submultiplicative n * score_1) rule
+out the other (point, n) pairs, which score strictly below the maximum they
+are compared with.  Every reported value, witness and n is the one an SVD at
+every pair gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +34,10 @@ from .operators import ComplexMatrix
 
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
+# Rounding margin of the certified log-domain sigma_max bounds.  Column norms,
+# the Frobenius norm, np.log and LAPACK's largest singular value each carry a
+# relative error of a few d ulps (about 1e-13 at d = 64), far inside it.
+_LOG_MARGIN = 1e-9
 
 
 class SingularResolventError(ArithmeticError):
@@ -84,8 +96,6 @@ class CesaroResult:
     argmax: complex
     n_at_max: int
     cesaro_lower: float
-    cesaro_argmax: complex
-    cesaro_n_at_max: int
     ks_ref: float
 
 
@@ -209,8 +219,144 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
     return FunctionalEstimate(1.0, None, log_value=0.0)
 
 
+def _scaled_powers(R: np.ndarray, n_max: int):
+    """Yield (n, M, log_scale) with R^n = e^{log_scale} M for each matrix of the stack R.
+
+    M is divided by its peak entry whenever that peak leaves [1e-100, 1e100],
+    and the log of the divisor moves to the ledger, so large n can neither
+    overflow nor underflow the powers.  ``log_scale`` is updated in place:
+    read it before the next step.
+    """
+    eye = np.eye(R.shape[-1], dtype=complex)
+    M = np.broadcast_to(eye, R.shape).copy()
+    log_scale = np.zeros(len(R))
+    for n in range(1, n_max + 1):
+        M = M @ R
+        peak = np.abs(M).max(axis=(1, 2))
+        mask = (peak > 0) & ((peak > 1e100) | (peak < 1e-100))
+        if mask.any():
+            M[mask] /= peak[mask, None, None]
+            log_scale[mask] += np.log(peak[mask])
+        yield n, M, log_scale
+
+
+def _log_sigma_max_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds lo <= log sigma_max(M) <= hi for each matrix of a stack.
+
+    lo is the log of the largest column 2-norm and hi the log of the
+    Frobenius norm, widened by _LOG_MARGIN.  The margin also covers the
+    rounding of a computed SVD, so lo <= log(svd(M)[0]) <= hi holds for the
+    floating-point value a caller would compute.  Squares of entries below
+    1e-154 underflow; they cannot move either bound once the peak entry is
+    of normal size, as it is for rescaled powers and for partial sums that
+    can beat a ratio of 1.
+    """
+    sq = mats.real**2 + mats.imag**2
+    col = sq.sum(axis=-2)
+    with np.errstate(divide="ignore"):
+        lo = 0.5 * np.log(col.max(axis=-1)) - _LOG_MARGIN
+        hi = 0.5 * np.log(col.sum(axis=-1)) + _LOG_MARGIN
+    return lo, hi
+
+
+def _product_log_slack(d: int) -> float:
+    """Per-power rounding slack of n * log ||R|| as a bound on the computed log ||R^n||.
+
+    Per step, the computed product M @ R of complex d x d matrices may exceed
+    ||M|| ||R|| by a relative 2 d (d + 2) u (the entrywise bound
+    gamma_{d+2} |M||R| taken to the 2-norm), the computed SVD of R may fall
+    short of ||R|| by a relative d (d + 2) u, and a rescale rounds each entry
+    once; 4 d (d + 2) + 8 ulps cover the sum.  u = 2^-53.
+    """
+    return (4.0 * d * (d + 2) + 8.0) * 2.0**-53
+
+
+def _strong_kreiss_sweep(
+    T: ComplexMatrix,
+    xflat: np.ndarray,
+    tflat: np.ndarray,
+    n_max: int,
+    p: float,
+    acfg: AscentConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point max over 1 <= n <= n_max of the log score, and the first n attaining it.
+
+    Points are l = (1 + 10^x) e^{it}, and the score is
+    n log(|l|-1) + log ||(l-T)^{-n}||_p.  At p = 2 only the (point, n) pairs
+    whose certified upper bound reaches the point's best certified lower
+    bound get an SVD (see _p2_sweep); the result is the one an SVD at every
+    pair gives, bit for bit.
+    """
+    r = 1.0 + 10.0 ** xflat
+    lam = r * np.exp(1j * tflat)
+    R = np.linalg.inv(lam[:, None, None] * np.eye(T.dim, dtype=complex) - T.entries)
+    log_gap = np.log(r - 1.0)
+    if p == 2:
+        return _p2_sweep(R, log_gap, n_max)
+    best_log = np.full(len(r), -np.inf)
+    best_n = np.zeros(len(r), dtype=int)
+    for n, M, log_scale in _scaled_powers(R, n_max):
+        nl = _batched_norm_lower(M, p, acfg)
+        with np.errstate(divide="ignore"):
+            score = n * log_gap + log_scale + np.log(nl)
+        better = score > best_log
+        best_log = np.where(better, score, best_log)
+        best_n = np.where(better, n, best_n)
+    return best_log, best_n
+
+
+def _p2_sweep(R: np.ndarray, log_gap: np.ndarray, n_max: int):
+    """The p = 2 strong-Kreiss sweep with SVDs only where they can win.
+
+    Pass 1 runs the power recurrence once: an exact SVD at n = 1 for every
+    point, and for n >= 2 the bounds of _log_sigma_max_bounds, the upper one
+    capped by the submultiplicative n * score_1.  A pair whose upper bound
+    lies below its point's best lower bound scores strictly below the point's
+    maximum, so dropping it moves neither the maximum nor the first n
+    attaining it.  Pass 2 runs the recurrence again on the points that keep
+    a pair and takes SVDs of those pairs only: recomputing the powers is
+    cheaper than storing every one of them.
+    """
+    powers = _scaled_powers(R, n_max)
+    _, M, log_scale = next(powers)
+    with np.errstate(divide="ignore"):
+        score_1 = log_gap + log_scale + np.log(np.linalg.svd(M, compute_uv=False)[..., 0])
+    best_log = np.where(score_1 > -np.inf, score_1, -np.inf)
+    best_n = np.where(score_1 > -np.inf, 1, 0)
+    # per-power slack of the cap n * score_1: the scores' sums and the products
+    slack = _LOG_MARGIN * (np.abs(log_gap) + np.abs(score_1)) + _product_log_slack(R.shape[-1])
+    floor = best_log
+    upper = np.full((n_max + 1, len(R)), np.inf)
+    for n, M, log_scale in powers:
+        base = n * log_gap + log_scale
+        lo, hi = _log_sigma_max_bounds(M)
+        floor = np.maximum(floor, base + lo)
+        upper[n] = np.minimum(base + hi, n * score_1 + (_LOG_MARGIN + n * slack))
+    need = ~(upper < floor)  # NaN bounds keep their pair
+    need[:2] = False  # row 0 is unused and n = 1 is exact already
+    pts = np.flatnonzero(need.any(axis=0))
+    if pts.size == 0:
+        return best_log, best_n
+    last = int(np.flatnonzero(need.any(axis=1))[-1])
+    for n, M, log_scale in _scaled_powers(R[pts], last):
+        rows = np.flatnonzero(need[n, pts])
+        if rows.size == 0:
+            continue
+        idx = pts[rows]
+        nl = np.linalg.svd(M[rows], compute_uv=False)[..., 0]
+        with np.errstate(divide="ignore"):
+            score = n * log_gap[idx] + log_scale[rows] + np.log(nl)
+        better = score > best_log[idx]
+        best_log[idx] = np.where(better, score, best_log[idx])
+        best_n[idx] = np.where(better, n, best_n[idx])
+    return best_log, best_n
+
+
 def strong_kreiss_constant(
-    T: ComplexMatrix, cfg: SearchConfig = SearchConfig(), n_max: int = 16
+    T: ComplexMatrix,
+    cfg: SearchConfig = SearchConfig(),
+    n_max: int = 16,
+    k_est: FunctionalEstimate | None = None,
 ) -> FunctionalEstimate:
     """Lower bound of sup over |l|>1 and 1<=n<=n_max of (|l|-1)^n ||(l-T)^{-n}||.
 
@@ -218,7 +364,8 @@ def strong_kreiss_constant(
     ledger, and the score is assembled in the log domain, so large n cannot
     underflow (|l|-1)^n or overflow the powers.  The n=1 term is merged with
     kreiss_constant's refined estimate, which makes Ks_lower >= K_lower hold
-    by construction.
+    by construction; a caller that already has that estimate for the same
+    T and cfg passes it as k_est instead of having it computed again.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -227,33 +374,9 @@ def strong_kreiss_constant(
         return FunctionalEstimate(math.inf, None, diverged=True)
 
     acfg = cfg.ascent()
-    eye = np.eye(T.dim, dtype=complex)
 
     def sweep(xflat: np.ndarray, tflat: np.ndarray):
-        """Per-point max over n of the log score; returns (log_vals, n_at)."""
-        r = 1.0 + 10.0 ** xflat
-        lam = r * np.exp(1j * tflat)
-        A = lam[:, None, None] * eye - T.entries
-        R = np.linalg.inv(A)
-        M = np.broadcast_to(eye, R.shape).copy()
-        log_scale = np.zeros(len(r))
-        log_gap = np.log(r - 1.0)
-        best_log = np.full(len(r), -np.inf)
-        best_n = np.zeros(len(r), dtype=int)
-        for n in range(1, n_max + 1):
-            M = M @ R
-            peak = np.abs(M).max(axis=(1, 2))
-            mask = (peak > 0) & ((peak > 1e100) | (peak < 1e-100))
-            if mask.any():
-                M[mask] /= peak[mask, None, None]
-                log_scale[mask] += np.log(peak[mask])
-            nl = _batched_norm_lower(M, cfg.p, acfg)
-            with np.errstate(divide="ignore"):
-                score = n * log_gap + log_scale + np.log(nl)
-            better = score > best_log
-            best_log = np.where(better, score, best_log)
-            best_n = np.where(better, n, best_n)
-        return best_log, best_n
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg)
 
     xs, _, angles = _grid(cfg)
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
@@ -277,7 +400,8 @@ def strong_kreiss_constant(
             rl, rn = sweep(np.array([rxt[0]]), np.array([rxt[1]]))
             best_n = int(rn[0])
 
-    k_est = kreiss_constant(T, cfg)
+    if k_est is None:
+        k_est = kreiss_constant(T, cfg)
     candidates = [
         (best_log, _xt_to_lambda(best_xt), best_n),
         (k_est.log_value if k_est.log_value is not None else -math.inf, k_est.argmax, 1),
@@ -367,21 +491,25 @@ def cesaro_partial_sum_bound(
         P = T.entries @ P
         phase = phase * lam
         S += phase[:, None, None] * P
-        norms = _batched_norm_lower(S, cfg.p, acfg)
-        ratios = norms / (n + 1.0)
+        idx = np.arange(G)
+        if cfg.p == 2:
+            # an SVD only where the Frobenius bound can beat the running best:
+            # the others score strictly below it, so they can hold neither the
+            # first argmax nor a new best
+            hi = _log_sigma_max_bounds(S)[1]
+            idx = idx[~(hi - math.log(n + 1.0) < math.log(best_norm_ratio))]
+            if idx.size == 0:
+                continue
+        ratios = _batched_norm_lower(S[idx], cfg.p, acfg) / (n + 1.0)
         j = int(np.argmax(ratios))
         if float(ratios[j]) > best_norm_ratio:
-            best_norm_ratio, best_i, best_n = float(ratios[j]), j, n
-    cesaro_lower = best_norm_ratio
+            best_norm_ratio, best_i, best_n = float(ratios[j]), int(idx[j]), n
     ratio_max = best_norm_ratio / (20.0 * ks_ref)
-    witness = complex(lam[best_i])
     return CesaroResult(
         ratio_max=ratio_max,
-        argmax=witness,
+        argmax=complex(lam[best_i]),
         n_at_max=best_n,
-        cesaro_lower=cesaro_lower,
-        cesaro_argmax=witness,
-        cesaro_n_at_max=best_n,
+        cesaro_lower=best_norm_ratio,
         ks_ref=ks_ref,
     )
 
@@ -482,7 +610,7 @@ def kreiss_report(
     """Run every functional and assemble the unified report."""
     rho = T.spectral_radius()
     k = kreiss_constant(T, cfg)
-    ks = strong_kreiss_constant(T, cfg, n_max)
+    ks = strong_kreiss_constant(T, cfg, n_max, k_est=k)
     ex = exponential_criterion(T, cfg, xi_max)
     ks_ref = ks.value if math.isfinite(ks.value) and ks.value > 0 else 1.0
     ces = cesaro_partial_sum_bound(T, cfg, cesaro_n_max, ks_ref)

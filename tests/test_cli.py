@@ -269,9 +269,14 @@ def test_reports_byte_identical_across_runs(tmp_path):
     ["growth", "--gallery", "zero2", "--n-max", "16"],
     # a dict stands for a config file holding it
     ["kreiss", "--gallery", "identity3", "--config", {"kreiss": {"radial": None}}],
+    ["decomp-scan", "--max-support", "1", "--seed", "1"],
+    ["decomp-scan", "--max-dim", "0", "--seed", "1"],
+    ["decomp-scan", "--trials", "0", "--seed", "1"],
+    ["decomp-scan", "--ascent-steps", "-1", "--seed", "1"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
-        "config-value-type"])
+        "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
+        "decomp-ascent-steps-negative"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

@@ -424,3 +424,11 @@ def test_rademacher_cotype_l1_two_point():
 def test_rademacher_validates():
     with pytest.raises(ValueError):
         rademacher_constants([np.ones(2)], 2.0, "middle")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 0), ("ascent_steps", -1), ("top_k", -1), ("max_support", 1), ("max_dim", 0),
+])
+def test_search_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        DecompSearchConfig(**{field: value})

@@ -8,6 +8,8 @@ from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_galle
 from kreisslab.resolvent import (
     SearchConfig,
     SingularResolventError,
+    _grid,
+    _strong_kreiss_sweep,
     cesaro_partial_sum_bound,
     exponential_criterion,
     gz_partial_resolvent_ratio,
@@ -123,6 +125,103 @@ def test_strong_dominates_kreiss_everywhere(gallery_matrices):
         k = kreiss_constant(T, FAST)
         ks = strong_kreiss_constant(T, FAST, 8)
         assert k.value <= ks.value + 1e-9, name
+
+
+# ---------------------------------------------------------------------------
+# bound-pruned p = 2 sweeps against the loops that take an SVD everywhere
+# ---------------------------------------------------------------------------
+
+
+def _serial_strong_kreiss_sweep(T, xflat, tflat, n_max):
+    """Per-point (best_log, best_n) from an SVD at every (point, n); and whether a peak
+    above 1e100 was rescaled."""
+    r = 1.0 + 10.0 ** xflat
+    lam = r * np.exp(1j * tflat)
+    eye = np.eye(T.dim, dtype=complex)
+    R = np.linalg.inv(lam[:, None, None] * eye - T.entries)
+    M = np.broadcast_to(eye, R.shape).copy()
+    log_scale = np.zeros(len(r))
+    log_gap = np.log(r - 1.0)
+    best_log = np.full(len(r), -np.inf)
+    best_n = np.zeros(len(r), dtype=int)
+    rescaled = False
+    for n in range(1, n_max + 1):
+        M = M @ R
+        peak = np.abs(M).max(axis=(1, 2))
+        mask = (peak > 0) & ((peak > 1e100) | (peak < 1e-100))
+        rescaled |= bool((peak > 1e100).any())
+        if mask.any():
+            M[mask] /= peak[mask, None, None]
+            log_scale[mask] += np.log(peak[mask])
+        nl = np.linalg.svd(M, compute_uv=False)[..., 0]
+        with np.errstate(divide="ignore"):
+            score = n * log_gap + log_scale + np.log(nl)
+        better = score > best_log
+        best_log = np.where(better, score, best_log)
+        best_n = np.where(better, n, best_n)
+    return best_log, best_n, rescaled
+
+
+def _serial_cesaro(T, cfg, n_max):
+    """(cesaro_lower, argmax, n_at_max) with an SVD at every (angle, n)."""
+    angles = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
+    lam = np.exp(1j * angles)
+    eye = np.eye(T.dim, dtype=complex)
+    S = np.broadcast_to(eye, (len(lam), T.dim, T.dim)).copy()
+    P = eye.copy()
+    phase = np.ones(len(lam), dtype=complex)
+    best, best_i, best_n = 1.0, 0, 0
+    for n in range(1, n_max + 1):
+        P = T.entries @ P
+        phase = phase * lam
+        S += phase[:, None, None] * P
+        ratios = np.linalg.svd(S, compute_uv=False)[..., 0] / (n + 1.0)
+        j = int(np.argmax(ratios))
+        if float(ratios[j]) > best:
+            best, best_i, best_n = float(ratios[j]), j, n
+    return best, complex(lam[best_i]), best_n
+
+
+def _pruning_operators():
+    ops = {e.name: make_gallery_operator(e.spec) for e in gallery()}
+    ops = {name: T for name, T in ops.items() if T.spectral_radius() <= 1 + 1e-9}
+    for d in (16, 64):
+        ops[f"jordan{d}_09"] = make_gallery_operator(OperatorSpec("jordan", d, eigenvalue=0.9))
+    return ops
+
+
+PRUNING_OPERATORS = _pruning_operators()
+PRUNING_CFG = SearchConfig(radial_count=8, angular_count=8)
+
+
+# 64 x 64 SVDs at 64 powers would take the serial loop alone several seconds
+@pytest.mark.parametrize("name, n_max", [
+    (name, n_max) for name in sorted(PRUNING_OPERATORS) for n_max in (1, 8, 16, 64)
+    if (name, n_max) != ("jordan64_09", 64)
+])
+def test_pruned_strong_kreiss_sweep_matches_serial(name, n_max):
+    T = PRUNING_OPERATORS[name]
+    xs, _, angles = _grid(PRUNING_CFG)
+    X, Tt = np.meshgrid(xs, angles, indexing="ij")
+    rng = np.random.default_rng(n_max)
+    xf = np.concatenate([X.ravel(), rng.uniform(xs[0], xs[-1], 24)])
+    tf = np.concatenate([Tt.ravel(), rng.uniform(0.0, 2 * np.pi, 24)])
+    best_log, best_n, rescaled = _serial_strong_kreiss_sweep(T, xf, tf, n_max)
+    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent())
+    assert np.array_equal(got_log, best_log)
+    assert np.array_equal(got_n, best_n)
+    if name == "jordan2" and n_max >= 16:
+        assert rescaled  # near lambda = 1, ||R^n|| ~ n 1e8^(n+1) passes 1e100 at n = 12
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 16, 64])
+@pytest.mark.parametrize("name", sorted(PRUNING_OPERATORS))
+def test_pruned_cesaro_matches_serial(name, n_max):
+    T = PRUNING_OPERATORS[name]
+    cfg = SearchConfig(angular_count=16)
+    res = cesaro_partial_sum_bound(T, cfg, n_max, 1.0)
+    assert (res.cesaro_lower, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, n_max)
+    assert res.ratio_max == res.cesaro_lower / 20.0
 
 
 # ---------------------------------------------------------------------------
