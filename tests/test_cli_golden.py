@@ -27,6 +27,15 @@ CASES = {
                       "--n-max", "8", "--radial", "8", "--angular", "8"],
     "exp-criterion": ["exp-criterion", "--gallery", "jordan2_damped", "--xi-max", "5",
                       "--radial", "8", "--angular", "8"],
+    # general p with refinement: the ascent and inf-norm paths of the search
+    "kreiss-general-p": ["kreiss", "--gallery", "jordan2_damped", "--p", "3", "--radial", "8",
+                         "--angular", "8", "--refine-rounds", "1"],
+    "strong-kreiss-general-p": ["strong-kreiss", "--gallery", "jordan2_damped", "--p", "3",
+                                "--n-max", "4", "--radial", "8", "--angular", "8",
+                                "--refine-rounds", "1"],
+    "exp-criterion-general-p": ["exp-criterion", "--gallery", "jordan2_damped", "--p", "inf",
+                                "--xi-max", "5", "--radial", "8", "--angular", "8",
+                                "--refine-rounds", "1"],
     "cesaro": ["cesaro", "--gallery", "jordan2_damped", "--n-max", "32", "--radial", "8",
                "--angular", "8", "--gz"],
     "cesaro-flagged": ["cesaro", "--gallery", "identity3", "--n-max", "32", "--angular", "8",
@@ -108,6 +117,12 @@ EXPECTED = {
             'exp_criterion.json': '0bb6755d0f7e0cddc71f6a411fe322469a76fb7d005d637a1c3d9f38a2f30950',
         },
     ),
+    'exp-criterion-general-p': (
+        0, 'exp-criterion jordan2_damped: exp_lower=3.63918396\n',
+        {
+            'exp_criterion.json': '068ada2be423e2c78c32eabc95d208cf012b30eacfb887f9aa220abaa90fcb3b',
+        },
+    ),
     'gallery-list': (
         0, 'sha256:854387e65c94bd499ae5da15d9bebc026ad174e0021dbac8089f8c2e00e9a90e',
         {
@@ -125,6 +140,12 @@ EXPECTED = {
         0, 'kreiss jordan2_damped: k_lower=2.59983172\n',
         {
             'kreiss.json': '5826f385e23b2f6ef86f2b42144212bbf20a433df8753db5e6f8d21bfa602f9f',
+        },
+    ),
+    'kreiss-general-p': (
+        0, 'kreiss jordan2_damped: k_lower=2.64005222\n',
+        {
+            'kreiss.json': 'c79006ceff11f476e7af7399e0bdd57c1208fea4429b4c8c5f2a34acc45b9124',
         },
     ),
     'marcinkiewicz': (
@@ -155,6 +176,12 @@ EXPECTED = {
         0, 'strong-kreiss nilpotent2: ks_lower=1\n',
         {
             'strong_kreiss.json': '2b075d10faa7310b3a448754955e6db8bb11e8290f63d1523a7ecf2b497abbeb',
+        },
+    ),
+    'strong-kreiss-general-p': (
+        0, 'strong-kreiss jordan2_damped: ks_lower=3.2337827\n',
+        {
+            'strong_kreiss.json': '2bcd63409ce948a43a5112ef382ac301af96c7408731ccf2552c1073cbe58e6f',
         },
     ),
     'type-cotype': (
