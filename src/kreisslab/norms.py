@@ -125,6 +125,18 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     B, d = A.shape[0], A.shape[-1]
+    # A gradient entry is at most (d P)^q for the peak entry P of its matrix
+    # (q = p; q = 1 at p = inf, where the direction has unit entries), so its
+    # squared 2-norm stays below 2^1022 while (2q + 1) log2 d + 2q log2 P does.
+    # A matrix past that runs divided by a power of two near P, which every
+    # step commutes with while nothing underflows, and its value is scaled back.
+    q = 1.0 if math.isinf(p) else p
+    peak = np.abs(A).max(axis=(-2, -1))
+    shift = np.where(
+        peak > 2.0 ** ((1022.0 - (2 * q + 1) * math.log2(d)) / (2 * q)), np.frexp(peak)[1], 0
+    )
+    if shift.any():
+        A = A * np.ldexp(1.0, -shift)[:, None, None]
     rng = np.random.default_rng(cfg.seed)
     X0 = rng.standard_normal((d, cfg.restarts)) + 1j * rng.standard_normal((d, cfg.restarts))
     X0 /= _pnorm_cols(X0, p)
@@ -171,7 +183,7 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     else:
         X_out[rows], f_out[rows] = X, f
     best = np.argmax(f_out[:, 0], axis=-1)
-    return f_out[np.arange(B), 0, best], X_out[np.arange(B), :, best]
+    return np.ldexp(f_out[np.arange(B), 0, best], shift), X_out[np.arange(B), :, best]
 
 
 def ascent_lower_bound(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()):

@@ -19,13 +19,22 @@ margin; for resolvent powers also the submultiplicative n * score_1) rule
 out the other (point, n) pairs, which score strictly below the maximum they
 are compared with.  Every reported value, witness and n is the one an SVD at
 every pair gives, bit for bit.
+
+kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
+suprema through one grid-and-refine search, _search.  It evaluates the whole
+grid, seeds refinement with the five best grid points in np.argsort order (so
+exact ties always resolve the same way) and runs refine_rounds shrinking 9x9
+grids around each seed.  A refined point replaces the best so far only when
+it is strictly larger: the first strict maximum, in grid-then-seed order,
+wins.  The strong-Kreiss evaluation returns with each value the n attaining
+it, and that n travels with the point through refinement, so a refined
+argmax needs no second sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -38,10 +47,6 @@ _R_MIN_OFFSET = 1e-8
 # the Frobenius norm, np.log and LAPACK's largest singular value each carry a
 # relative error of a few d ulps (about 1e-13 at d = 64), far inside it.
 _LOG_MARGIN = 1e-9
-
-
-class SingularResolventError(ArithmeticError):
-    """lambda is (numerically) an eigenvalue of T."""
 
 
 @dataclass(frozen=True)
@@ -99,25 +104,6 @@ class CesaroResult:
     ks_ref: float
 
 
-def resolvent_at(T: ComplexMatrix, lam: complex) -> ComplexMatrix:
-    """(lam - T)^{-1} by direct solve, with an enforced residual check."""
-    A = lam * np.eye(T.dim, dtype=complex) - T.entries
-    try:
-        R = np.linalg.solve(A, np.eye(T.dim, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolventError(f"lambda={lam} is an eigenvalue of T") from exc
-    resid = _inf_norm(A @ R - np.eye(T.dim))
-    if not resid <= 1e-10 * max(_inf_norm(R), 1e-300):
-        raise SingularResolventError(
-            f"residual {resid:.3e} too large at lambda={lam}; numerically singular"
-        )
-    return ComplexMatrix(R)
-
-
-def _inf_norm(A: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(A), axis=1)))
-
-
 def _batched_norm_lower(mats: np.ndarray, p: float, acfg: AscentConfig) -> np.ndarray:
     """Lower bounds (exact for p in {1,2,inf}) of ||M||_p over a stack."""
     if p == 2:
@@ -129,46 +115,51 @@ def _batched_norm_lower(mats: np.ndarray, p: float, acfg: AscentConfig) -> np.nd
     return ascent_lower_bounds(mats, p, acfg)[0]
 
 
+def _angles(count: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(count) / count
+
+
 def _grid(cfg: SearchConfig):
     lo = math.log10(_R_MIN_OFFSET)
     hi = math.log10(cfg.r_max - 1.0)
     xs = lo + (hi - lo) * np.arange(cfg.radial_count + 1) / cfg.radial_count
-    radii = 1.0 + 10.0 ** xs
-    angles = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
-    return xs, radii, angles
+    return xs, _angles(cfg.angular_count)
 
 
-def _refine_2d(
-    eval_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    seeds: list[tuple[float, float]],
-    half_width: tuple[float, float],
-    rounds: int,
-    shrink: float,
-    bounds_x: tuple[float, float],
-):
-    """Shrinking 9x9 local grids around each seed; returns (value, (x, t))."""
-    best = -math.inf
-    best_xt = seeds[0] if seeds else (0.0, 0.0)
+def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
+    """Grid-and-refine maximum of evaluate over xs x angles; returns (value, (x, t), n).
+
+    evaluate(x, t) returns the values at the points and the n attaining each
+    one, or None for n.  Seeds are the five best grid points in argsort
+    order; each gets cfg.refine_rounds shrinking 9x9 grids of half-widths
+    (step, one angle step), with x clipped to bounds.
+    """
+
+    def scan(x, t):
+        X, Tt = np.meshgrid(x, t, indexing="ij")
+        xf, tf = X.ravel(), Tt.ravel()
+        vals, ns = evaluate(xf, tf)
+        i = int(np.argmax(vals))
+        top = (float(vals[i]), (float(xf[i]), float(tf[i])), None if ns is None else int(ns[i]))
+        return top, vals, xf, tf
+
+    best, vals, xf, tf = scan(xs, _angles(cfg.angular_count))
     offs = np.linspace(-1.0, 1.0, 9)
-    for x0, t0 in seeds:
-        cx, ct, wx, wt = x0, t0, half_width[0], half_width[1]
-        for _ in range(rounds):
-            xs = np.clip(cx + wx * offs, bounds_x[0], bounds_x[1])
-            ts = ct + wt * offs
-            X, Tt = np.meshgrid(xs, ts, indexing="ij")
-            vals = eval_fn(X.ravel(), Tt.ravel())
-            i = int(np.argmax(vals))
-            if float(vals[i]) > best:
-                best = float(vals[i])
-                best_xt = (float(X.ravel()[i]), float(Tt.ravel()[i]))
-            cx, ct = float(X.ravel()[i]), float(Tt.ravel()[i])
-            wx, wt = wx * shrink, wt * shrink
-    return best, best_xt
+    for j in np.argsort(vals)[::-1][:5]:
+        cx, ct = float(xf[j]), float(tf[j])
+        wx, wt = step, 2 * np.pi / cfg.angular_count
+        for _ in range(cfg.refine_rounds):
+            top = scan(np.clip(cx + wx * offs, bounds[0], bounds[1]), ct + wt * offs)[0]
+            if top[0] > best[0]:
+                best = top
+            cx, ct = top[1]
+            wx, wt = wx * cfg.refine_shrink, wt * cfg.refine_shrink
+    return best
 
 
-def _top_seeds(vals: np.ndarray, X: np.ndarray, Tt: np.ndarray, k: int = 5):
-    order = np.argsort(vals)[::-1][:k]
-    return [(float(X[i]), float(Tt[i])) for i in order]
+def _xt_to_lambda(xt: tuple[float, float]) -> complex:
+    r = 1.0 + 10.0 ** xt[0]
+    return r * complex(math.cos(xt[1]), math.sin(xt[1]))
 
 
 def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> FunctionalEstimate:
@@ -184,37 +175,20 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
 
     acfg = cfg.ascent()
 
-    def evaluate(xflat: np.ndarray, tflat: np.ndarray) -> np.ndarray:
+    def evaluate(xflat: np.ndarray, tflat: np.ndarray):
         r = 1.0 + 10.0 ** xflat
-        lam = r * np.exp(1j * tflat)
+        A = (r * np.exp(1j * tflat))[:, None, None] * np.eye(T.dim) - T.entries
         if cfg.p == 2:
-            A = lam[:, None, None] * np.eye(T.dim) - T.entries
             smin = np.linalg.svd(A, compute_uv=False)[:, -1]
             with np.errstate(divide="ignore"):
-                return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf)
-        A = lam[:, None, None] * np.eye(T.dim) - T.entries
-        R = np.linalg.inv(A)
-        return (r - 1.0) * _batched_norm_lower(R, cfg.p, acfg)
+                return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf), None
+        return (r - 1.0) * _batched_norm_lower(np.linalg.inv(A), cfg.p, acfg), None
 
-    xs, _, angles = _grid(cfg)
-    X, Tt = np.meshgrid(xs, angles, indexing="ij")
-    xf, tf = X.ravel(), Tt.ravel()
-    vals = evaluate(xf, tf)
-    i = int(np.argmax(vals))
-    best, best_xt = float(vals[i]), (float(xf[i]), float(tf[i]))
-
-    if cfg.refine_rounds > 0:
-        hw = ((xs[-1] - xs[0]) / cfg.radial_count, 2 * np.pi / cfg.angular_count)
-        rbest, rxt = _refine_2d(
-            evaluate, _top_seeds(vals, xf, tf), hw, cfg.refine_rounds, cfg.refine_shrink,
-            (xs[0], xs[-1]),
-        )
-        if rbest > best:
-            best, best_xt = rbest, rxt
-
+    xs, _ = _grid(cfg)
+    best, best_xt, _ = _search(evaluate, xs, (xs[-1] - xs[0]) / cfg.radial_count,
+                               (xs[0], xs[-1]), cfg)
     if best >= 1.0:
-        lam = (1.0 + 10.0 ** best_xt[0]) * complex(math.cos(best_xt[1]), math.sin(best_xt[1]))
-        return FunctionalEstimate(best, lam, log_value=math.log(best))
+        return FunctionalEstimate(best, _xt_to_lambda(best_xt), log_value=math.log(best))
     # sup attained only in the |lambda| -> inf limit
     return FunctionalEstimate(1.0, None, log_value=0.0)
 
@@ -378,28 +352,9 @@ def strong_kreiss_constant(
     def sweep(xflat: np.ndarray, tflat: np.ndarray):
         return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg)
 
-    xs, _, angles = _grid(cfg)
-    X, Tt = np.meshgrid(xs, angles, indexing="ij")
-    xf, tf = X.ravel(), Tt.ravel()
-    logs, ns = sweep(xf, tf)
-    i = int(np.argmax(logs))
-    best_log, best_xt, best_n = float(logs[i]), (float(xf[i]), float(tf[i])), int(ns[i])
-
-    if cfg.refine_rounds > 0:
-        hw = ((xs[-1] - xs[0]) / cfg.radial_count, 2 * np.pi / cfg.angular_count)
-        rbest, rxt = _refine_2d(
-            lambda a, b: sweep(a, b)[0],
-            _top_seeds(logs, xf, tf),
-            hw,
-            cfg.refine_rounds,
-            cfg.refine_shrink,
-            (xs[0], xs[-1]),
-        )
-        if rbest > best_log:
-            best_log, best_xt = rbest, rxt
-            rl, rn = sweep(np.array([rxt[0]]), np.array([rxt[1]]))
-            best_n = int(rn[0])
-
+    xs, _ = _grid(cfg)
+    best_log, best_xt, best_n = _search(sweep, xs, (xs[-1] - xs[0]) / cfg.radial_count,
+                                        (xs[0], xs[-1]), cfg)
     if k_est is None:
         k_est = kreiss_constant(T, cfg)
     candidates = [
@@ -410,11 +365,6 @@ def strong_kreiss_constant(
     log_val, argmax, n_at = max(candidates, key=lambda c: c[0])
     value = math.exp(log_val) if log_val < 709.0 else math.inf
     return FunctionalEstimate(value, argmax, n_at_max=n_at, log_value=log_val)
-
-
-def _xt_to_lambda(xt: tuple[float, float]) -> complex:
-    r = 1.0 + 10.0 ** xt[0]
-    return r * complex(math.cos(xt[1]), math.sin(xt[1]))
 
 
 def exponential_criterion(
@@ -431,30 +381,14 @@ def exponential_criterion(
         raise ValueError("xi_max must be positive")
     acfg = cfg.ascent()
 
-    def evaluate(mflat: np.ndarray, tflat: np.ndarray) -> np.ndarray:
-        m = np.clip(mflat, 0.0, None)
-        xi = m * np.exp(1j * tflat)
-        E = scipy.linalg.expm(xi[:, None, None] * T.entries)
+    def evaluate(mflat: np.ndarray, tflat: np.ndarray):
+        E = scipy.linalg.expm((mflat * np.exp(1j * tflat))[:, None, None] * T.entries)
         nl = _batched_norm_lower(E, cfg.p, acfg)
         with np.errstate(divide="ignore"):
-            return np.exp(np.log(np.maximum(nl, 1e-300)) - m)
+            return np.exp(np.log(np.maximum(nl, 1e-300)) - mflat), None
 
     moduli = xi_max * np.arange(cfg.radial_count + 1) / cfg.radial_count
-    angles = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
-    M, Tt = np.meshgrid(moduli, angles, indexing="ij")
-    mf, tf = M.ravel(), Tt.ravel()
-    vals = evaluate(mf, tf)
-    i = int(np.argmax(vals))
-    best, best_mt = float(vals[i]), (float(mf[i]), float(tf[i]))
-
-    if cfg.refine_rounds > 0:
-        hw = (xi_max / cfg.radial_count, 2 * np.pi / cfg.angular_count)
-        rbest, rmt = _refine_2d(
-            evaluate, _top_seeds(vals, mf, tf), hw, cfg.refine_rounds, cfg.refine_shrink,
-            (0.0, xi_max),
-        )
-        if rbest > best:
-            best, best_mt = rbest, rmt
+    best, best_mt, _ = _search(evaluate, moduli, xi_max / cfg.radial_count, (0.0, xi_max), cfg)
     xi = best_mt[0] * complex(math.cos(best_mt[1]), math.sin(best_mt[1]))
     return FunctionalEstimate(best, xi)
 
@@ -478,8 +412,7 @@ def cesaro_partial_sum_bound(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     acfg = cfg.ascent()
-    angles = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
-    lam = np.exp(1j * angles)
+    lam = np.exp(1j * _angles(cfg.angular_count))
     G = len(lam)
     eye = np.eye(T.dim, dtype=complex)
     S = np.broadcast_to(eye, (G, T.dim, T.dim)).copy()
@@ -525,8 +458,8 @@ def gz_partial_resolvent_ratio(
     if ks_ref <= 0:
         raise ValueError("ks_ref must be positive")
     acfg = cfg.ascent()
-    xs, radii, angles = _grid(cfg)
-    R, A = np.meshgrid(radii, angles, indexing="ij")
+    xs, angles = _grid(cfg)
+    R, A = np.meshgrid(1.0 + 10.0 ** xs, angles, indexing="ij")
     lam = (R * np.exp(1j * A)).ravel()
     G = len(lam)
     eye = np.eye(T.dim, dtype=complex)

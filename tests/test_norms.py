@@ -270,3 +270,19 @@ def test_power_sequence_matches_per_power_norms():
         ref = operator_p_norm(ComplexMatrix(M), 3.0)
         assert (b.lower, b.upper, b.method) == (ref.lower, ref.upper, ref.method)
         assert np.array_equal(b.witness, ref.witness)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, math.inf])
+def test_stack_ascent_scales_exactly_past_gradient_overflow(p):
+    # At these p every ascent step commutes with scaling the matrix by 2^k, so
+    # the value scales by 2^k and the witness stays put.  The larger k take the
+    # peak entry past the point where the gradient's squared norm overflowed
+    # and the ascent stalled at its seeded start (k = 400 at p = 3, 160 at
+    # p = 4, 600 at p = inf); the smaller ones run unscaled, as before.
+    mats = _mixed_stack()
+    cfg = AscentConfig(restarts=8, max_steps=150, rel_tol=1e-9)
+    values, witnesses = ascent_lower_bounds(mats, p, cfg)
+    for k in (100, 160, 400, 600):
+        got_v, got_w = ascent_lower_bounds(mats * 2.0**k, p, cfg)
+        assert np.array_equal(got_v, values * 2.0**k)
+        assert np.array_equal(got_w, witnesses)

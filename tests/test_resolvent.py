@@ -5,9 +5,10 @@ import pytest
 
 from kreisslab.norms import power_norm_sequence
 from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
+from kreisslab import resolvent
 from kreisslab.resolvent import (
+    FunctionalEstimate,
     SearchConfig,
-    SingularResolventError,
     _grid,
     _strong_kreiss_sweep,
     cesaro_partial_sum_bound,
@@ -15,7 +16,6 @@ from kreisslab.resolvent import (
     gz_partial_resolvent_ratio,
     kreiss_constant,
     kreiss_report,
-    resolvent_at,
     strong_kreiss_constant,
 )
 
@@ -24,46 +24,6 @@ FAST = SearchConfig(radial_count=16, angular_count=16, refine_rounds=2)
 
 def nilpotent2():
     return make_gallery_operator(OperatorSpec("nilpotent", 2, coupling=2.0))
-
-
-# ---------------------------------------------------------------------------
-# resolvent_at
-# ---------------------------------------------------------------------------
-
-
-def test_resolvent_of_zero():
-    T = make_gallery_operator(OperatorSpec("zero", 2))
-    R = resolvent_at(T, 2.0)
-    assert np.allclose(R.entries, 0.5 * np.eye(2), atol=1e-14)
-
-
-def test_resolvent_of_nilpotent_closed_form():
-    # Neumann series terminates: (r - T)^{-1} = [[1/r, 2/r^2], [0, 1/r]]
-    T = nilpotent2()
-    for r in (1.5, 3.0, 10.0):
-        R = resolvent_at(T, r)
-        expect = np.array([[1 / r, 2 / r**2], [0, 1 / r]])
-        assert np.allclose(R.entries, expect, rtol=1e-12)
-
-
-def test_resolvent_at_eigenvalue_raises():
-    T = make_gallery_operator(OperatorSpec("identity", 2))
-    with pytest.raises(SingularResolventError):
-        resolvent_at(T, 1.0)
-
-
-def test_resolvent_residual_contract_on_random_samples():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        d = int(rng.integers(1, 6))
-        T = ComplexMatrix(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        lam = (1.1 + 3 * rng.random()) * np.exp(2j * np.pi * rng.random()) * max(
-            1.0, T.spectral_radius()
-        )
-        R = resolvent_at(T, complex(lam))
-        A = complex(lam) * np.eye(d) - T.entries
-        resid = np.max(np.sum(np.abs(A @ R.entries - np.eye(d)), axis=1))
-        assert resid <= 1e-10 * max(np.max(np.sum(np.abs(R.entries), axis=1)), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +161,7 @@ PRUNING_CFG = SearchConfig(radial_count=8, angular_count=8)
 ])
 def test_pruned_strong_kreiss_sweep_matches_serial(name, n_max):
     T = PRUNING_OPERATORS[name]
-    xs, _, angles = _grid(PRUNING_CFG)
+    xs, angles = _grid(PRUNING_CFG)
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
     rng = np.random.default_rng(n_max)
     xf = np.concatenate([X.ravel(), rng.uniform(xs[0], xs[-1], 24)])
@@ -344,3 +304,148 @@ def test_report_json_shape(gallery_matrices):
                 "seed", "grid", "gz_ratio_max"):
         assert key in d
     assert d["schema"] == "kreisslab/1"
+
+
+# ---------------------------------------------------------------------------
+# the shared grid-and-refine search against the per-functional flow it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_refine_2d(eval_fn, seeds, half_width, rounds, shrink, bounds_x):
+    best = -math.inf
+    best_xt = seeds[0] if seeds else (0.0, 0.0)
+    offs = np.linspace(-1.0, 1.0, 9)
+    for x0, t0 in seeds:
+        cx, ct, wx, wt = x0, t0, half_width[0], half_width[1]
+        for _ in range(rounds):
+            xs = np.clip(cx + wx * offs, bounds_x[0], bounds_x[1])
+            ts = ct + wt * offs
+            X, Tt = np.meshgrid(xs, ts, indexing="ij")
+            vals = eval_fn(X.ravel(), Tt.ravel())
+            i = int(np.argmax(vals))
+            if float(vals[i]) > best:
+                best = float(vals[i])
+                best_xt = (float(X.ravel()[i]), float(Tt.ravel()[i]))
+            cx, ct = float(X.ravel()[i]), float(Tt.ravel()[i])
+            wx, wt = wx * shrink, wt * shrink
+    return best, best_xt
+
+
+def _ref_search(evaluate, xf, tf, vals, hw_x, bounds, cfg):
+    """Grid argmax, then refinement from the top five seeds when it is strictly larger."""
+    i = int(np.argmax(vals))
+    best, best_xt, refined = float(vals[i]), (float(xf[i]), float(tf[i])), False
+    if cfg.refine_rounds > 0:
+        seeds = [(float(xf[j]), float(tf[j])) for j in np.argsort(vals)[::-1][:5]]
+        hw = (hw_x, 2 * np.pi / cfg.angular_count)
+        rbest, rxt = _ref_refine_2d(evaluate, seeds, hw, cfg.refine_rounds,
+                                    cfg.refine_shrink, bounds)
+        if rbest > best:
+            best, best_xt, refined = rbest, rxt, True
+    return best, best_xt, i, refined
+
+
+def _ref_mesh(xs, cfg):
+    angles = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
+    X, Tt = np.meshgrid(xs, angles, indexing="ij")
+    return X.ravel(), Tt.ravel()
+
+
+def _ref_xs(cfg):
+    lo, hi = math.log10(1e-8), math.log10(cfg.r_max - 1.0)
+    return lo + (hi - lo) * np.arange(cfg.radial_count + 1) / cfg.radial_count
+
+
+def _ref_lambda(xt):
+    return (1.0 + 10.0 ** xt[0]) * complex(math.cos(xt[1]), math.sin(xt[1]))
+
+
+def _ref_kreiss(T, cfg):
+    acfg = cfg.ascent()
+
+    def evaluate(xflat, tflat):
+        r = 1.0 + 10.0 ** xflat
+        A = (r * np.exp(1j * tflat))[:, None, None] * np.eye(T.dim) - T.entries
+        if cfg.p == 2:
+            smin = np.linalg.svd(A, compute_uv=False)[:, -1]
+            with np.errstate(divide="ignore"):
+                return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf)
+        return (r - 1.0) * resolvent._batched_norm_lower(np.linalg.inv(A), cfg.p, acfg)
+
+    xs = _ref_xs(cfg)
+    xf, tf = _ref_mesh(xs, cfg)
+    best, xt, _, _ = _ref_search(evaluate, xf, tf, evaluate(xf, tf),
+                                 (xs[-1] - xs[0]) / cfg.radial_count, (xs[0], xs[-1]), cfg)
+    if best >= 1.0:
+        return FunctionalEstimate(best, _ref_lambda(xt), log_value=math.log(best))
+    return FunctionalEstimate(1.0, None, log_value=0.0)
+
+
+def _ref_strong_kreiss(T, cfg, n_max, k):
+    """The n of a refined argmax comes from a second one-point sweep there."""
+    acfg = cfg.ascent()
+
+    def sweep(xflat, tflat):
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg)
+
+    xs = _ref_xs(cfg)
+    xf, tf = _ref_mesh(xs, cfg)
+    logs, ns = sweep(xf, tf)
+    best, xt, i, refined = _ref_search(lambda a, b: sweep(a, b)[0], xf, tf, logs,
+                                       (xs[-1] - xs[0]) / cfg.radial_count, (xs[0], xs[-1]), cfg)
+    n = int(sweep(np.array([xt[0]]), np.array([xt[1]]))[1][0]) if refined else int(ns[i])
+    candidates = [(best, _ref_lambda(xt), n), (k.log_value, k.argmax, 1), (0.0, None, None)]
+    log_val, argmax, n_at = max(candidates, key=lambda c: c[0])
+    value = math.exp(log_val) if log_val < 709.0 else math.inf
+    return FunctionalEstimate(value, argmax, n_at_max=n_at, log_value=log_val)
+
+
+def _ref_exponential(T, cfg, xi_max):
+    import scipy.linalg
+
+    acfg = cfg.ascent()
+
+    def evaluate(mflat, tflat):
+        m = np.clip(mflat, 0.0, None)
+        E = scipy.linalg.expm((m * np.exp(1j * tflat))[:, None, None] * T.entries)
+        nl = resolvent._batched_norm_lower(E, cfg.p, acfg)
+        return np.exp(np.log(np.maximum(nl, 1e-300)) - m)
+
+    xf, tf = _ref_mesh(xi_max * np.arange(cfg.radial_count + 1) / cfg.radial_count, cfg)
+    best, mt, _, _ = _ref_search(evaluate, xf, tf, evaluate(xf, tf), xi_max / cfg.radial_count,
+                                 (0.0, xi_max), cfg)
+    return FunctionalEstimate(best, mt[0] * complex(math.cos(mt[1]), math.sin(mt[1])))
+
+
+def _fields(est):
+    return (est.value, est.argmax, est.n_at_max, est.log_value)
+
+
+@pytest.fixture
+def shared_norms(monkeypatch):
+    """Norm each distinct stack once: the search and its oracle meet the same stacks
+    wherever they agree, and a stack that differs is normed afresh."""
+    real, seen = resolvent._batched_norm_lower, {}
+
+    def lower(mats, p, acfg):
+        key = (mats.shape, mats.tobytes(), p, acfg)
+        if key not in seen:
+            seen[key] = real(mats, p, acfg)
+        return seen[key].copy()
+
+    monkeypatch.setattr(resolvent, "_batched_norm_lower", lower)
+
+
+@pytest.mark.parametrize("rounds", [0, 2])
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_search_matches_per_functional_flow(p, rounds, shared_norms, gallery_matrices):
+    cfg = SearchConfig(radial_count=8, angular_count=8, refine_rounds=rounds, p=p)
+    for name, T in gallery_matrices.items():
+        if T.spectral_radius() > 1 + 1e-9:
+            continue
+        k, k_ref = kreiss_constant(T, cfg), _ref_kreiss(T, cfg)
+        assert _fields(k) == _fields(k_ref), name
+        assert (_fields(strong_kreiss_constant(T, cfg, 3, k_est=k))
+                == _fields(_ref_strong_kreiss(T, cfg, 3, k_ref))), name
+        assert (_fields(exponential_criterion(T, cfg, 5.0))
+                == _fields(_ref_exponential(T, cfg, 5.0))), name
