@@ -42,6 +42,11 @@ CASES = {
                        "--ks-ref", "0.001"],
     "growth": ["growth", "--op", "jordan", "--dim", "2", "--p", "inf", "--n-max", "64",
                "--fit", "both"],
+    # exact p = 1 and p = 2 power norms over a few hundred powers
+    "growth-exact-p1": ["growth", "--op", "jordan", "--dim", "16", "--eigenvalue", "0.9",
+                        "--p", "1", "--n-max", "300", "--fit", "both"],
+    "growth-p2-witness": ["growth", "--gallery", "rotation3", "--p", "2", "--n-max", "300",
+                          "--fit", "poly"],
     "bounds": ["bounds", "--gallery", "identity3", "--n-max", "32", "--radial", "8",
                "--angular", "8"],
     "bounds-flagged": ["bounds", "--op", "jordan", "--dim", "2", "--p", "inf", "--n-max", "64",
@@ -61,7 +66,12 @@ CASES = {
                     "--family", "random", "--count", "3", "--samples", "200", "--seed", "3"],
     "positivity": ["positivity", "--gallery", "shift4", "--q", "1.5", "--n-list", "4,16",
                    "--corpus", "8", "--seed", "4", "--radial", "8", "--angular", "8"],
+    # n = 2 and 3 have one- and two-term windows; q = 1
+    "positivity-small-n": ["positivity", "--gallery", "jordan2_damped", "--q", "1",
+                           "--n-list", "2,3,256", "--corpus", "20", "--seed", "4"],
     "verify-appendix": ["verify-appendix", "--n-max", "200"],
+    # n_min > 2, across the 5000 mark and several window lengths
+    "verify-appendix-tail": ["verify-appendix", "--n-min", "4990", "--n-max", "5130"],
     # --threads pins the config echo, which otherwise records the core count
     "gallery-list": ["gallery-list", "--threads", "1"],
     "plot": ["plot", "--csv", "{tmp}/series.csv", "--title", "golden"],
@@ -136,6 +146,20 @@ EXPECTED = {
             'growth.json': '8cd211ca165fb6428dac003abeb0a99b4997d849927735827c8fe7380e260c34',
         },
     ),
+    'growth-exact-p1': (
+        0, 'growth jordan16: alpha=4.3328 (residual 3.00e+00, csv written)\n',
+        {
+            'growth.csv': 'c860c2658a1c1df20071670d0f0c850a00efae019f41680219895d64b3093d0d',
+            'growth.json': '9ba57c912f5c545a6b3b9fc19bd91e26228cc252411363afec56b82788b654f9',
+        },
+    ),
+    'growth-p2-witness': (
+        0, 'growth rotation3: alpha=0.0000 (residual 3.58e-16, csv written)\n',
+        {
+            'growth.csv': 'e27a2917d2502c0389327195469c7936f87d1ac211e59316b17ebbc3d13e503b',
+            'growth.json': '575d63fa5c5e2fa7341adadbaa9df95c3c86406182a630acf0900f803d9987fa',
+        },
+    ),
     'kreiss': (
         0, 'kreiss jordan2_damped: k_lower=2.59983172\n',
         {
@@ -164,6 +188,12 @@ EXPECTED = {
         0, 'positivity shift4: krivine margin >= 10.7325 across n in [4, 16]\n',
         {
             'positivity.json': '892dc1b8e69346f2e356bbf353bd044277bb357a44921840a4a23fa8edb6c416',
+        },
+    ),
+    'positivity-small-n': (
+        0, 'positivity jordan2_damped: krivine margin >= 18.9591 across n in [2, 3, 256]\n',
+        {
+            'positivity.json': '5251c72b0ecf906088b75ce17011ad7a30f31530a594daa44696478dce912ab1',
         },
     ),
     'riesz-norm': (
@@ -195,6 +225,13 @@ EXPECTED = {
         {
             'appendix.csv': '8aa6b8da445993287b2775bca10617f9814317fd16891dcac10116d276c76842',
             'appendix.json': 'd14c228cd1baa5aaa4998358a63508a54dfa765c6bfacd007893c6d439de39bd',
+        },
+    ),
+    'verify-appendix-tail': (
+        0, 'verify-appendix: n in [4990, 5130] all pass (sup_a_max=7.409839, v1_max=14.819677)\n',
+        {
+            'appendix.csv': '4032cfefa886610829c5610054e46d643b46542a35b9604c5a57be724e685cb6',
+            'appendix.json': '35ca13c5d1965626ae4470342d2d5193b6739a862bdff76f1d4ffcdeea471ae2',
         },
     ),
 }
