@@ -24,7 +24,8 @@ def main() -> int:
               f"{rep.ks_lower:12.5g} {rep.exp_lower:10.5g} {rep.cesaro_ratio_max:10.5g}")
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-            write_json(os.path.join(out_dir, f"{entry.name}.json"), rep.to_json_dict())
+            write_json(os.path.join(out_dir, f"{entry.name}.json"),
+                       {"operator": entry.name, **rep.to_json_dict()})
     return 0
 
 

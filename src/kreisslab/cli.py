@@ -46,7 +46,7 @@ from .operators import (
     gallery_entry,
     make_gallery_operator,
 )
-from .positivity import PositiveOperator, TruncationError, block_bound_check, krivine_check
+from .positivity import PositiveOperator, TruncationError, block_bound_check, krivine_checks
 from .power import (
     BOUNDS_CSV_HEADER,
     GROWTH_CSV_HEADER,
@@ -372,8 +372,7 @@ def _plot(params):
 
 
 def _verify_appendix(params):
-    rows = sweep_appendix(int(params["n_min"]), int(params["n_max"]),
-                          threads=int(params["threads"]))
+    rows = sweep_appendix(int(params["n_min"]), int(params["n_max"]))
     failures = [r.n for r in rows if not (r.a1_pass and r.a2_pass)]
     sup_a_max = max(r.sup_a for r in rows)
     v1_a_max = max(r.v1_a for r in rows)
@@ -611,7 +610,7 @@ def _positivity(params, name, T, cfg):
     worst = math.inf
     try:
         for n in n_list:
-            margins = [krivine_check(P, x, n, q).margin for x in xs]
+            margins = [r.margin for r in krivine_checks(P, xs, n, q)]
             block = block_bound_check(P, q, float(ks_ref), n, corpus=corpus, seed=seed)
             m = min(margins)
             worst = min(worst, m)

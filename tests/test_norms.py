@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kreisslab import norms
 from kreisslab.norms import (
     AscentConfig,
+    NormBounds,
     ascent_lower_bound,
     ascent_lower_bounds,
     operator_p_norm,
@@ -270,6 +272,64 @@ def test_power_sequence_matches_per_power_norms():
         ref = operator_p_norm(ComplexMatrix(M), 3.0)
         assert (b.lower, b.upper, b.method) == (ref.lower, ref.upper, ref.method)
         assert np.array_equal(b.witness, ref.witness)
+
+
+def _serial_exact_norm(A, p):
+    """||A||_p for p in {1, 2, inf} on one matrix: the per-power oracle."""
+    if p == 2:
+        _, s, Vh = np.linalg.svd(A)
+        return NormBounds(float(s[0]), float(s[0]), Vh[0].conj(), "exact")
+    sums = np.sum(np.abs(A), axis=1 if math.isinf(p) else 0)
+    i = int(np.argmax(sums))
+    if math.isinf(p):
+        a = np.abs(A[i])
+        w = np.where(a > 0, np.conj(_serial_phase(A[i])), 1.0)
+    else:
+        w = np.zeros(A.shape[0], dtype=complex)
+        w[i] = 1.0
+    return NormBounds(float(sums[i]), float(sums[i]), w, "exact")
+
+
+def _serial_interpolation_bounds(A, p, lower, witness):
+    n1 = float(np.max(np.sum(np.abs(A), axis=0)))
+    ninf = float(np.max(np.sum(np.abs(A), axis=1)))
+    sigma = float(np.linalg.svd(A, compute_uv=False)[0])
+    upper = min(n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p),
+                A.shape[0] ** abs(0.5 - 1.0 / p) * sigma)
+    return NormBounds(min(lower, upper), upper, witness, "ascent_plus_interpolation")
+
+
+def _serial_power_norms(T, p, n_max, cfg):
+    """One norm call per scaled power, rescaled by its ledger entry."""
+    powers = list(norms._scaled_powers(T.entries, n_max))
+    if p in (1.0, 2.0, math.inf):
+        scaled = [(_serial_exact_norm(M, p), s) for M, s in powers]
+    else:
+        out = [ascent_lower_bound(ComplexMatrix(M), p, cfg) for M, _ in powers]
+        scaled = [(_serial_interpolation_bounds(M, p, lo, w), s)
+                  for (M, s), (lo, w) in zip(powers, out)]
+    return [NormBounds(norms._rescale(b.lower, s), norms._rescale(b.upper, s), b.witness,
+                       b.method) for b, s in scaled]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_power_stack_matches_per_power_norms(p, monkeypatch):
+    # 16 x 16 entries per block: n_max crosses block boundaries at d = 2 and 4
+    monkeypatch.setattr(norms, "_POWER_CHUNK", 64)
+    cfg = AscentConfig(restarts=4, max_steps=60, seed=2)
+    ops = [make_gallery_operator(e.spec) for e in gallery()]
+    ops.append(make_gallery_operator(OperatorSpec("jordan", 16, eigenvalue=0.9)))
+    for T in ops:
+        n_max = 9 if p == 3.0 else 40
+        got = power_norm_sequence(T, p, n_max, cfg)
+        want = _serial_power_norms(T, p, n_max, cfg)
+        assert len(got) == len(want) == n_max
+        for b, ref in zip(got, want):
+            assert (b.lower, b.upper, b.method) == (ref.lower, ref.upper, ref.method)
+            assert np.array_equal(b.witness, ref.witness)
+        one = operator_p_norm(T, p, cfg)
+        assert (one.lower, one.upper) == (want[0].lower, want[0].upper)
+        assert np.array_equal(one.witness, want[0].witness)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, math.inf])

@@ -7,12 +7,14 @@ from scipy.special import gammaln
 from kreisslab.operators import ComplexMatrix, OperatorSpec, make_gallery_operator, positive_gallery
 from kreisslab.positivity import (
     BlockBoundResult,
+    KrivineResult,
     PositiveOperator,
     TruncationError,
     block_bound_check,
     krivine_check,
+    krivine_checks,
 )
-from kreisslab.verify import bound_m_range
+from kreisslab.verify import bound_m_range, poisson_log_weights
 
 
 def pos(kind_spec):
@@ -93,6 +95,118 @@ def test_krivine_validates_inputs():
         krivine_check(T, np.ones(2), 1, 1.0)
     with pytest.raises(ValueError):
         krivine_check(T, np.ones(2), 4, 2.0)
+
+
+def _serial_krivine(T, x, n, q, trunc_terms=None):
+    """The one-vector series loop, kept as the oracle of krivine_checks."""
+    A = T.array
+    xv = np.asarray(x, dtype=float).reshape(T.dim)
+    if np.any(xv < 0):
+        raise ValueError("x must be entrywise nonnegative")
+    t_inf = float(np.max(np.sum(A, axis=1)))
+    kmax = trunc_terms if trunc_terms is not None else max(4 * n, 128, math.ceil(2 * n * max(t_inf, 1.0)))
+    if kmax < n + 1:
+        raise TruncationError(f"trunc_terms={kmax} does not even reach the window at n={n}")
+    w = np.exp(poisson_log_weights(n, np.arange(0, kmax + 1)))
+    win = bound_m_range(n)
+    rhs = np.zeros(T.dim)
+    lhs_q = np.zeros(T.dim)
+    xk = xv.copy()
+    for k in range(0, kmax + 1):
+        if k > 0:
+            xk = A @ xk
+        rhs += w[k] * xk
+        if k in win:
+            lhs_q += xk ** q
+    x_kmax_inf = float(np.max(xk))
+    lhs = lhs_q ** (1.0 / q) / (28.0 * math.sqrt(n))
+    ratio = n * t_inf / (kmax + 1.0)
+    if t_inf == 0.0 or x_kmax_inf == 0.0:
+        tail = 0.0
+    else:
+        if ratio >= 1.0:
+            raise TruncationError(
+                f"geometric tail ratio {ratio:.3f} >= 1; increase trunc_terms beyond {kmax}"
+            )
+        tail = w[kmax] * x_kmax_inf * ratio / (1.0 - ratio)
+    relevant = lhs > 0.0
+    if not np.any(relevant):
+        return KrivineResult(math.inf, 0.0, n, q, kmax, (int(win[0]), int(win[-1])), None)
+    rhs_rel = rhs[relevant]
+    tail_rel = tail / float(np.min(rhs_rel)) if np.min(rhs_rel) > 0 else math.inf
+    if tail_rel >= 1e-8:
+        raise TruncationError(f"tail certificate {tail_rel:.3e} of rhs is not below 1e-08")
+    margins = (rhs + tail) / np.where(relevant, lhs, 1.0)
+    margins[~relevant] = math.inf
+    i = int(np.argmin(margins))
+    return KrivineResult(float(margins[i]), float(tail_rel), n, q, int(kmax),
+                         (int(win[0]), int(win[-1])), i)
+
+
+def _serial_outcome(T, xs, n, q, trunc_terms=None):
+    """Results of the one-vector loop over xs, or the first error it raises."""
+    try:
+        return [_serial_krivine(T, x, n, q, trunc_terms) for x in xs]
+    except (ValueError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+def _stack_outcome(T, xs, n, q, trunc_terms=None):
+    try:
+        return krivine_checks(T, xs, n, q, trunc_terms)
+    except (ValueError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", positive_gallery(), ids=lambda e: e.name)
+def test_krivine_stack_matches_one_vector_loop(entry):
+    T = PositiveOperator(make_gallery_operator(entry.spec))
+    rng = np.random.default_rng(17)
+    xs = np.abs(rng.standard_normal((4, T.dim)))
+    xs[0] = 0.0  # lhs = 0 everywhere: margin +inf
+    xs[1, 0] = 0.0
+    for q in (1.0, 1.5, 1.99):
+        for n in (2, 3, 4, 16, 64, 256):
+            stack = krivine_checks(T, xs, n, q)
+            assert stack == _serial_outcome(T, xs, n, q)
+            assert math.isinf(stack[0].margin) and stack[0].argmin_coord is None
+
+
+def test_krivine_stack_matches_loop_on_dense_matrices():
+    # a matrix-matrix product would round differently from the matrix-vector one
+    rng = np.random.default_rng(3)
+    for d in (3, 16):
+        A = np.abs(rng.standard_normal((d, d)))
+        T = PositiveOperator(ComplexMatrix(A / (1.05 * A.sum(axis=1).max())))
+        xs = np.abs(rng.standard_normal((6, d)))
+        for n in (4, 64):
+            assert krivine_checks(T, xs, n, 1.5) == _serial_outcome(T, xs, n, 1.5)
+
+
+def test_krivine_stack_raises_the_first_failing_vector_error():
+    T = pos(OperatorSpec("scalar", 2, scale=0.9))
+    zero, neg = np.zeros(2), np.array([1.0, -1.0])
+    # on a scalar operator tail_rel grows with max(x) / min(x): the two
+    # vectors fail with different messages
+    flat, skew = np.ones(2), np.array([1.0, 0.5])
+    cases = [
+        ([zero, flat, skew], 70, TruncationError, "tail certificate"),
+        ([zero, skew, flat], 70, TruncationError, "tail certificate"),
+        ([flat, neg], 70, TruncationError, "tail certificate"),
+        ([zero, neg, flat], 70, ValueError, "x must be"),
+        ([neg, flat], 60, ValueError, "x must be"),
+        ([flat, flat], 60, TruncationError, "trunc_terms=60 does not even reach"),
+    ]
+    for xs, trunc, kind, start in cases:
+        want = _serial_outcome(T, xs, 64, 1.0, trunc)
+        assert want[0] is kind and want[1].startswith(start)
+        assert _stack_outcome(T, np.array(xs), 64, 1.0, trunc) == want
+    assert _serial_outcome(T, [flat], 64, 1.0, 70) != _serial_outcome(T, [skew], 64, 1.0, 70)
+    # a geometric ratio >= 1 fails every vector with a nonzero tail, not the zero one
+    T3 = pos(OperatorSpec("scalar", 2, scale=3.0))
+    want = _serial_outcome(T3, [zero, flat], 64, 1.0, 70)
+    assert want[0] is TruncationError and want[1].startswith("geometric tail ratio")
+    assert _stack_outcome(T3, np.array([zero, flat]), 64, 1.0, 70) == want
 
 
 def test_block_bound_identity_hand_value():

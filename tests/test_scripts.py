@@ -16,15 +16,15 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SURVEY_SHA256 = {
-    "half1.json": "51ddf47f9e20caea0af6c863b817df6f13919d8dea642ac5c94aa2ccf163d7fd",
-    "identity3.json": "051f8c32ddd15f34c92f734990955692345a188a5f61dda6ab59bb437e960400",
-    "jordan2.json": "7a8ef3968acd06a6970079dcd39b0145a29d8271a598771df932dc22041b507c",
-    "jordan2_damped.json": "be3c7e263b4bdf6df1aa3e99495970374ceaf752ad22334283a0f1cd066eb54a",
-    "nilpotent2.json": "a7918f576eda653064ca4c368c58817cc1c0b7069a682cf3a6ce0ad68a61d5e1",
-    "rotation1.json": "04c401547eaae450cd0f2ef6e1cb31a8722888a08b0f6a78d8c931ce006161ef",
-    "rotation3.json": "36f7432e9d63e62728dfc27607889d1ae7a59cd0292a20dafc23c49c39eba3aa",
-    "shift4.json": "f6c1a5e80f056edc2d939f0a10240f2377bb5a2cc51be8ad1d55de1dd09a7fd6",
-    "zero2.json": "f6c1a5e80f056edc2d939f0a10240f2377bb5a2cc51be8ad1d55de1dd09a7fd6",
+    "half1.json": "f5fcf986701f057b56ce8088e4e55fb115218362cda49e80a777761568780c4c",
+    "identity3.json": "7b2749a4930f814196abe6f8035790caa911675019e48b6f627962696613ee17",
+    "jordan2.json": "87a1740e505eb8b1a2111b7ad41a580c06ef8eff671b1c6ffc6ec5504344807b",
+    "jordan2_damped.json": "8aca7a1b3bbc357c0607c4d737ae2e4eeb13547f69e25bdd524897ce3137e75f",
+    "nilpotent2.json": "27d1b96ee1f5de16fcec2df065eed18ebb6eff5fcc0744b64cc504c987cd2811",
+    "rotation1.json": "82cec6d1dd457889a9bc0526132c8536a388c3eb8bdd58c01d995a686288f669",
+    "rotation3.json": "b5bb2a97b7ca559c21339f18609e9e22617c12735546515c77b07d3485343c25",
+    "shift4.json": "65a244a818231b1418ed6d8b9979e1927916127953b499ffe78d8aad61956fcf",
+    "zero2.json": "6a6e4a3c35df653c8371e658193c199270689c9ee0f8bfd84d77ded3fdeb0121",
 }
 
 
@@ -64,3 +64,5 @@ def test_gallery_survey(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = {f: _sha256(tmp_path / f) for f in sorted(os.listdir(tmp_path))}
     assert got == SURVEY_SHA256
+    # each report names its operator, so no two of them are the same file
+    assert len(set(got.values())) == len(got)

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from kreisslab.verify import (
+    SUP_BOUND,
     SWEEP_CSV_HEADER,
+    V1_BOUND,
+    SandwichResult,
+    SweepRow,
+    WindowBoundsResult,
     bound_m_range,
     log_poisson_term,
     log_sum_exp,
@@ -157,9 +163,58 @@ def test_a2_fast_path_matches_poisson_window_sum():
     from kreisslab.verify import _a_values
 
     for n in (7, 64, 1234):
-        fast = _a_values(n)
+        _, (fast,) = next(_a_values(np.array([n])))
         slow = [poisson_window_sum(n, m).a for m in bound_m_range(n)]
         assert np.allclose(fast, slow, rtol=1e-12)
+
+
+def _serial_sandwich(n):
+    """The one-n sandwich check, kept as the oracle of the block sweep."""
+    ks = np.arange(0, math.floor(2.0 * math.sqrt(n)) + 1)
+    mid = (n - ks) * math.log(n) - gammaln(n - ks + 1.0)
+    slack_lo = mid - (n - math.log(28.0 * math.sqrt(n)))
+    slack_hi = n - 0.5 * math.log(8.0 * math.pi * n / 5.0) - mid
+    i_lo, i_hi = int(np.argmin(slack_lo)), int(np.argmin(slack_hi))
+    if slack_lo[i_lo] <= slack_hi[i_hi]:
+        min_slack, argk, side = float(slack_lo[i_lo]), i_lo, "lower"
+    else:
+        min_slack, argk, side = float(slack_hi[i_hi]), i_hi, "upper"
+    return SandwichResult(n, min_slack, argk, side, bool(min_slack >= -1e-10))
+
+
+def _serial_window_bounds(n):
+    """The one-n window check, kept as the oracle of the block sweep."""
+    m_lo = bound_m_range(n).start
+    k_lo, _ = poisson_window(n, m_lo)
+    ks = np.arange(k_lo, n)
+    prefix = np.concatenate(([0.0], np.cumsum(np.exp(ks * math.log(n) - gammaln(ks + 1.0) - n))))
+    m_arr = np.arange(m_lo, n + 1)
+    lo_arr = np.maximum(0, np.ceil(m_arr - math.sqrt(n)).astype(int))
+    a = 1.0 / (prefix[m_arr - k_lo] - prefix[lo_arr - k_lo])
+    sup_a = float(np.max(a))
+    v1 = float(a[0] + np.abs(np.diff(a)).sum() + a[-1])
+    return WindowBoundsResult(n, sup_a, v1, bool(sup_a <= SUP_BOUND + 1e-9 and v1 <= V1_BOUND + 1e-9))
+
+
+def _serial_sweep(n_lo, n_hi):
+    rows = []
+    for n in range(n_lo, n_hi + 1):
+        a1, a2 = _serial_sandwich(n), _serial_window_bounds(n)
+        review = (a1.min_slack < 1e-6 or SUP_BOUND - a2.sup_a < 1e-6
+                  or V1_BOUND - a2.v1_a < 1e-6)
+        rows.append(SweepRow(n, a2.sup_a, a2.v1_a, a1.min_slack, a1.passed, a2.passed, review))
+    return rows
+
+
+@pytest.mark.parametrize("n_lo,n_hi", [(2, 3000), (10**6, 10**6 + 20)])
+def test_sweep_matches_one_n_loop(n_lo, n_hi):
+    assert sweep_appendix(n_lo, n_hi) == _serial_sweep(n_lo, n_hi)
+
+
+def test_single_n_checks_match_one_n_loop():
+    for n in (2, 3, 4, 5, 99, 100, 101, 4999, 10**6 + 7):
+        assert verify_factorial_sandwich(n) == _serial_sandwich(n)
+        assert verify_window_bounds(n) == _serial_window_bounds(n)
 
 
 def test_sweep_subset_all_pass():
@@ -170,12 +225,6 @@ def test_sweep_subset_all_pass():
     # the binding cases sit at small n
     worst = max(rows, key=lambda r: r.sup_a)
     assert worst.n == 4
-
-
-def test_sweep_threads_deterministic():
-    serial = sweep_appendix(2, 80, threads=1)
-    parallel = sweep_appendix(2, 80, threads=4)
-    assert serial == parallel
 
 
 def test_sweep_csv_rows_shape():
