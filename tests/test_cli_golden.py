@@ -60,6 +60,10 @@ CASES = {
                           "--seed", "5"],
     "riesz-norm": ["riesz-norm", "--p", "2", "--dim", "1", "--trials", "20",
                    "--ascent-steps", "10", "--seed", "1"],
+    # p = 4 with an l^1 inner norm: the projection norm exceeds 1, so the
+    # ascent's accepted steps reach the report
+    "riesz-norm-p4": ["riesz-norm", "--p", "4", "--dim", "2", "--inner-p", "1", "--trials", "30",
+                      "--ascent-steps", "40", "--seed", "2"],
     "marcinkiewicz": ["marcinkiewicz", "--p", "4", "--trials", "25", "--span", "4",
                       "--seed", "2"],
     "type-cotype": ["type-cotype", "--kind", "type", "--exponent", "2", "--dim", "2",
@@ -200,6 +204,12 @@ EXPECTED = {
         0, 'riesz-norm: p=2 d=1 lower bound 1.000000\n',
         {
             'riesz.json': '196ffbb48af2a2aad5708c7162e6357545af0f2db5eb161a9f849bd32534d303',
+        },
+    ),
+    'riesz-norm-p4': (
+        0, 'riesz-norm: p=4 d=2 lower bound 1.019283\n',
+        {
+            'riesz.json': 'd7694c4e990e4ee13b3a92036fddcd6ef981593ecc4fb6f704add809a65c790a',
         },
     ),
     'strong-kreiss': (
