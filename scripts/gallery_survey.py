@@ -20,12 +20,12 @@ def main() -> int:
     for entry in gallery():
         T = make_gallery_operator(entry.spec)
         rep = kreiss_report(T, cfg, n_max=16, xi_max=40.0, cesaro_n_max=256)
-        print(f"{entry.name:16s} {rep.spectral_radius:6.3f} {rep.k_lower:12.5g} "
-              f"{rep.ks_lower:12.5g} {rep.exp_lower:10.5g} {rep.cesaro_ratio_max:10.5g}")
+        print(f"{entry.name:16s} {rep['spectral_radius']:6.3f} {rep['k_lower']:12.5g} "
+              f"{rep['ks_lower']:12.5g} {rep['exp_lower']:10.5g} {rep['cesaro_ratio_max']:10.5g}")
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
             write_json(os.path.join(out_dir, f"{entry.name}.json"),
-                       {"operator": entry.name, **rep.to_json_dict()})
+                       {"operator": entry.name, **rep})
     return 0
 
 

@@ -1,110 +1,4 @@
 """kreisslab: a numerical laboratory for Kreiss-type resolvent bounds,
 matrix power growth, and Fourier decomposition constants on the discrete torus."""
 
-from .decomp import (
-    DecompositionEstimate,
-    DecompSearchConfig,
-    decomposition_ratio,
-    estimate_constant,
-    fourier_type_check,
-    hoelder_growth_check,
-    pairing_duality_check,
-    rademacher_constants,
-)
-from .fourier import (
-    Interval,
-    IntervalPartition,
-    MultiplierSeq,
-    TrigPolynomial,
-    apply_multiplier,
-    lp_torus_norm,
-    marcinkiewicz_check,
-    project_interval,
-    riesz_norm_lower_bound,
-    v1_seminorm,
-)
-from .norms import AscentConfig, NormBounds, operator_p_norm, power_norm_sequence, vector_p_norm
-from .operators import (
-    ComplexMatrix,
-    GalleryEntry,
-    OperatorSpec,
-    gallery,
-    gallery_entry,
-    load_matrix,
-    make_gallery_operator,
-    positive_gallery,
-    save_matrix,
-)
-from .positivity import PositiveOperator, block_bound_check, krivine_check
-from .power import GrowthFit, check_universal_bounds, growth_fit
-from .resolvent import (
-    KreissReport,
-    SearchConfig,
-    cesaro_partial_sum_bound,
-    exponential_criterion,
-    kreiss_constant,
-    kreiss_report,
-    strong_kreiss_constant,
-)
-from .verify import (
-    log_poisson_term,
-    poisson_window_sum,
-    sweep_appendix,
-    verify_factorial_sandwich,
-    verify_window_bounds,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AscentConfig",
-    "ComplexMatrix",
-    "DecompSearchConfig",
-    "DecompositionEstimate",
-    "GalleryEntry",
-    "GrowthFit",
-    "Interval",
-    "IntervalPartition",
-    "KreissReport",
-    "MultiplierSeq",
-    "NormBounds",
-    "OperatorSpec",
-    "PositiveOperator",
-    "SearchConfig",
-    "TrigPolynomial",
-    "apply_multiplier",
-    "block_bound_check",
-    "cesaro_partial_sum_bound",
-    "check_universal_bounds",
-    "decomposition_ratio",
-    "estimate_constant",
-    "exponential_criterion",
-    "fourier_type_check",
-    "gallery",
-    "gallery_entry",
-    "growth_fit",
-    "hoelder_growth_check",
-    "kreiss_constant",
-    "kreiss_report",
-    "krivine_check",
-    "load_matrix",
-    "log_poisson_term",
-    "poisson_window_sum",
-    "lp_torus_norm",
-    "make_gallery_operator",
-    "marcinkiewicz_check",
-    "operator_p_norm",
-    "pairing_duality_check",
-    "positive_gallery",
-    "power_norm_sequence",
-    "project_interval",
-    "rademacher_constants",
-    "riesz_norm_lower_bound",
-    "save_matrix",
-    "strong_kreiss_constant",
-    "sweep_appendix",
-    "v1_seminorm",
-    "vector_p_norm",
-    "verify_factorial_sandwich",
-    "verify_window_bounds",
-]

@@ -81,12 +81,12 @@ RANDOMIZED = {"decomp-scan", "riesz-norm", "marcinkiewicz", "type-cotype", "posi
 OPERATOR_SUBS = ("kreiss", "strong-kreiss", "exp-criterion", "cesaro", "growth", "bounds",
                  "positivity")
 
-# built-in defaults; a subcommand has exactly the flags named by its keys
+# built-in defaults; a subcommand has exactly the flags named by its keys, plus
+# --out, --config and --threads (parsed and echoed, default 1; it changes nothing)
 DEFAULTS: dict[str, dict] = {
     "kreiss": {"gallery": None, "op": None, "dim": 2, "scale": "1", "eigenvalue": "1",
                "coupling": 1.0, "weights": None, "angles": None, "matrix_file": None,
-               "p": "2", "r_max": 1e6, "radial": 48, "angular": 64, "refine_rounds": 3,
-               "seed": 0, "threads": 1},
+               "p": "2", "r_max": 1e6, "radial": 48, "angular": 64, "refine_rounds": 3, "seed": 0},
     "strong-kreiss": {"n_max": 16},
     "exp-criterion": {"xi_max": 40.0},
     "cesaro": {"n_max": 1000, "angular": 720, "ks_ref": None, "gz": False},
@@ -94,20 +94,17 @@ DEFAULTS: dict[str, dict] = {
     "bounds": {"n_max": 1024, "k_ref": None, "ks_ref": None},
     "decomp-scan": {"p": "2", "q": "2", "inner_p": "2", "side": "upper", "gamma": 0.0,
                     "trials": 2000, "ascent_steps": 200, "max_support": 16, "max_dim": 2,
-                    "seed": None, "threads": 1},
+                    "seed": None},
     "riesz-norm": {"p": "4", "dim": 1, "inner_p": "2", "trials": 300, "max_support": 12,
-                   "ascent_steps": 120, "seed": None, "threads": 1},
-    "marcinkiewicz": {"p": "4", "inner_p": "2", "dim": 1, "trials": 200, "span": 8,
-                      "seed": None, "threads": 1},
+                   "ascent_steps": 120, "seed": None},
+    "marcinkiewicz": {"p": "4", "inner_p": "2", "dim": 1, "trials": 200, "span": 8, "seed": None},
     "type-cotype": {"kind": "type", "exponent": 2.0, "dim": 2, "count": None,
-                    "family": "basis", "inner_p": "2", "samples": 4096, "seed": None,
-                    "threads": 1},
+                    "family": "basis", "inner_p": "2", "samples": 4096, "seed": None},
     "positivity": {"q": 1.0, "n_list": "4,16,64,256", "corpus": 100, "ks_ref": None,
-                   "seed": None, "threads": 1},
-    "verify-appendix": {"n_min": 2, "n_max": 10000, "threads": 1},
-    "gallery-list": {"threads": 1},
-    "plot": {"csv": None, "x_col": "n", "y_cols": None, "log_x": True, "log_y": True,
-             "title": "", "threads": 1},
+                   "seed": None},
+    "verify-appendix": {"n_min": 2, "n_max": 10000},
+    "gallery-list": {},
+    "plot": {"csv": None, "x_col": "n", "y_cols": None, "log_x": True, "log_y": True, "title": ""},
 }
 for _sub in OPERATOR_SUBS[1:]:
     DEFAULTS[_sub] = {**DEFAULTS["kreiss"], **DEFAULTS[_sub]}
@@ -251,10 +248,9 @@ def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser) 
             merged[key] = val
     if sub in RANDOMIZED and merged.get("seed") is None:
         parser.error(f"--seed is mandatory for the randomized subcommand {sub!r}")
-    if merged.get("seed") is None:
-        merged["seed"] = 0
-    if merged.get("threads") in (None, 0):
-        merged["threads"] = os.cpu_count() or 1
+    for key, default in (("seed", 0), ("threads", 1)):
+        if merged.get(key) is None:
+            merged[key] = default
     return merged
 
 
@@ -440,6 +436,8 @@ def _marcinkiewicz(params):
     inner_p = _parse_p(params["inner_p"])
     span = int(params["span"])
     d = int(params["dim"])
+    if span < 0 or d < 1:
+        raise ValueError("marcinkiewicz needs --span >= 0 and --dim >= 1")
     samples = []
     for _ in range(int(params["trials"])):
         vals = {n: complex(rng.choice([-1.0, 1.0])) for n in range(-span, span + 1)}
@@ -460,11 +458,13 @@ def _marcinkiewicz(params):
 
 def _type_cotype(params):
     d = int(params["dim"])
+    if d < 1:
+        raise ValueError("type-cotype needs --dim >= 1")
     if params["family"] == "basis":
         xs = [np.eye(d)[i] for i in range(d)]
     else:
         rng = np.random.default_rng(int(params["seed"]))
-        count = int(params["count"] or d)
+        count = d if params["count"] is None else int(params["count"])
         xs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(count)]
     est = rademacher_constants(
         xs, float(params["exponent"]), kind=params["kind"],

@@ -14,7 +14,6 @@ value as an empirical floor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,15 +23,15 @@ from .fourier import (
     Interval,
     IntervalPartition,
     TrigPolynomial,
+    _coefficient_ascent,
     _inner_norms,
     lp_torus_norm,
     pairing,
-    project_interval,
     quadrature_points,
 )
 from .norms import vector_p_norm
 
-# complex grid values per numpy pass of _run_block_norms; larger passes leave
+# complex grid values per numpy pass of _slot_block_norms; larger passes leave
 # the cache and run slower
 _CHUNK = 1 << 12
 _TINY = np.finfo(float).tiny
@@ -42,12 +41,22 @@ class ZeroPolynomialError(ValueError):
     """Decomposition ratios are undefined for the zero polynomial."""
 
 
-def block_norms(
-    f: TrigPolynomial, part: IntervalPartition, p: float, inner_p: float
-) -> np.ndarray:
-    return np.array(
-        [lp_torus_norm(project_interval(f, iv), p, inner_p).value for iv in part.intervals]
-    )
+def block_norms(f: TrigPolynomial, intervals, p: float, inner_p: float) -> np.ndarray:
+    """||D_I f||_p for each interval I, on the full-support grid.
+
+    One that holds no support frequency gets 0.
+    """
+    if not (1 <= p < math.inf) or inner_p < 1:
+        raise ValueError("need 1 <= p < inf and inner_p >= 1")
+    freqs = np.asarray(f.freqs, dtype=float)
+    lo = np.searchsorted(freqs, [-math.inf if iv.lo is None else iv.lo for iv in intervals])
+    hi = np.searchsorted(freqs, [math.inf if iv.hi is None else iv.hi for iv in intervals],
+                         "right") - 1
+    out = np.zeros(len(intervals))
+    held = lo <= hi
+    if held.any():
+        out[held] = _slot_block_norms(f, p, inner_p, lo[held], hi[held])
+    return out
 
 
 def decomposition_ratio(
@@ -65,8 +74,9 @@ def decomposition_ratio(
         raise ZeroPolynomialError("f must be nonzero")
     if not part.covers(f.support):
         raise ValueError("partition does not cover the support of f")
-    total = lp_torus_norm(f, p, inner_p).value
-    agg = vector_p_norm(block_norms(f, part, p, inner_p), q)
+    # the last interval is the whole support
+    norms = block_norms(f, part.intervals + (Interval(None, None),), p, inner_p)
+    total, agg = float(norms[-1]), vector_p_norm(norms[:-1], q)
     if side == "upper":
         return total / agg
     return agg / total
@@ -111,33 +121,14 @@ class DecompositionEstimate:
         return ratio / len(self.witness_partition) ** self.gamma
 
 
-def contiguous_partitions(freqs: tuple[int, ...]) -> list[IntervalPartition]:
-    """Every way to cut the sorted support into contiguous interval blocks."""
-    fs = sorted(freqs)
-    if not fs:
-        return []
-    out = []
-    for cuts in itertools.product((0, 1), repeat=len(fs) - 1):
-        blocks = []
-        start = fs[0]
-        prev = fs[0]
-        for i, c in enumerate(cuts):
-            if c:
-                blocks.append(Interval(start, prev))
-                start = fs[i + 1]
-            prev = fs[i + 1]
-        blocks.append(Interval(start, prev))
-        out.append(IntervalPartition(tuple(blocks)))
-    return out
-
-
-def _run_block_norms(f: TrigPolynomial, p: float, inner_p: float) -> np.ndarray:
-    """w[i, j] = ||D_I f||_p for I spanning support slots i..j, on a shared grid.
+def _slot_block_norms(
+    f: TrigPolynomial, p: float, inner_p: float, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """||D_I f||_p for I spanning support slots lo[k]..hi[k], on a shared grid.
 
     Prefix sums of the per-frequency waveforms give each contiguous block's
-    values as one difference.  The blocks of the upper triangle are taken in
-    row-major order, about _CHUNK grid values per numpy pass but at least s
-    blocks, so never more passes than one per start row.  The grid uses
+    values as one difference.  The blocks are taken in the given order, about
+    _CHUNK grid values per numpy pass but at least s blocks.  The grid uses
     the full-support quadrature rule, which is at least as fine as any block
     needs.
     """
@@ -147,14 +138,20 @@ def _run_block_norms(f: TrigPolynomial, p: float, inner_p: float) -> np.ndarray:
     phases = np.exp(2j * np.pi * np.outer(np.asarray(f.freqs, dtype=float), t))
     waves = f.vecs[:, None, :] * phases[:, :, None]
     prefix = np.concatenate([np.zeros((1, N, f.dim), dtype=complex), np.cumsum(waves, axis=0)])
-    lo, hi = np.triu_indices(s)
     mean_p = np.empty(lo.size)
     step = max(s, _CHUNK // (N * f.dim))
     for k in range(0, lo.size, step):
         vals = prefix[hi[k : k + step] + 1] - prefix[lo[k : k + step]]
         mean_p[k : k + step] = np.add.reduce(_inner_norms(vals, inner_p) ** p, axis=1) / N
+    return mean_p ** (1.0 / p)
+
+
+def _run_block_norms(f: TrigPolynomial, p: float, inner_p: float) -> np.ndarray:
+    """w[i, j] = ||D_I f||_p for I spanning support slots i..j (upper triangle)."""
+    s = len(f.freqs)
+    lo, hi = np.triu_indices(s)
     w = np.zeros((s, s))
-    w[lo, hi] = mean_p ** (1.0 / p)
+    w[lo, hi] = _slot_block_norms(f, p, inner_p, lo, hi)
     return w
 
 
@@ -253,13 +250,6 @@ def _partition(f: TrigPolynomial, cuts: list[tuple[int, int]]) -> IntervalPartit
     return IntervalPartition(tuple(Interval(f.freqs[i], f.freqs[j]) for i, j in cuts))
 
 
-def _objective_dp(
-    f: TrigPolynomial, p: float, q: float, inner_p: float, gamma: float, side: str
-) -> tuple[float, IntervalPartition]:
-    [(val, cuts)] = _score([f], p, q, inner_p, gamma, side)
-    return val, _partition(f, cuts)
-
-
 def _draw_polynomial(rng: np.random.Generator, cfg: DecompSearchConfig) -> TrigPolynomial:
     d = int(rng.integers(1, cfg.max_dim + 1))
     size = int(rng.integers(2, cfg.max_support + 1))
@@ -339,23 +329,11 @@ def estimate_constant(
     best_val, best_cuts = scored[order[0]]
     best_f = corpus[order[0]]
 
+    def score(cand):
+        return _score([cand], p, q, inner_p, gamma, side)[0]
+
     for k in order[: cfg.top_k]:
-        f = corpus[k]
-        cur, cur_cuts = scored[k]
-        step = 0.25
-        for _ in range(cfg.ascent_steps):
-            trial = f.vecs + step * (
-                rng.standard_normal(f.vecs.shape) + 1j * rng.standard_normal(f.vecs.shape)
-            )
-            cand = TrigPolynomial(f.freqs, trial, f.dim)
-            if cand.is_zero:
-                continue
-            [(v, v_cuts)] = _score([cand], p, q, inner_p, gamma, side)
-            if v > cur:
-                cur, f, cur_cuts = v, cand, v_cuts
-                step = min(step * 1.3, 1.0)
-            else:
-                step = max(step * 0.7, 1e-6)
+        cur, f, cur_cuts = _coefficient_ascent(corpus[k], scored[k], score, cfg.ascent_steps, rng)
         if cur > best_val:
             best_val, best_f, best_cuts = cur, f, cur_cuts
 
@@ -391,7 +369,7 @@ def hoelder_growth_check(
         raise ValueError(f"need r >= q, got r={r} < q={q}")
     if not part.covers(f.support):
         raise ValueError("partition does not cover the support of f")
-    a = block_norms(f, part, p, inner_p)
+    a = block_norms(f, part.intervals, p, inner_p)
     denom = vector_p_norm(a, q)
     if denom == 0.0:
         return math.inf
@@ -421,8 +399,8 @@ def pairing_duality_check(
     p_dual = math.inf if p == 1 else p / (p - 1.0)
     q_dual = math.inf if q == 1 else q / (q - 1.0)
     inner_dual = math.inf if inner_p == 1 else inner_p / (inner_p - 1.0)
-    af = block_norms(f, part, p, inner_p)
-    ag = block_norms(g, part, p_dual, inner_dual)
+    af = block_norms(f, part.intervals, p, inner_p)
+    ag = block_norms(g, part.intervals, p_dual, inner_dual)
     return vector_p_norm(af, q) * vector_p_norm(ag, q_dual) / abs(pr)
 
 
@@ -473,6 +451,8 @@ def rademacher_constants(
         raise ValueError("kind must be 'type' or 'cotype'")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if len(xs) < 1:
+        raise ValueError("xs must hold at least one vector (count >= 1)")
     vecs = np.stack([np.atleast_1d(np.asarray(x, dtype=complex)) for x in xs])
     if vecs.shape[1] == 0:
         raise ValueError("xs must be vectors of dimension >= 1")

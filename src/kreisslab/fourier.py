@@ -473,43 +473,46 @@ def riesz_norm_lower_bound(
     """
     if not (1 < p and not math.isinf(p)):
         raise ValueError("p must lie in (1, inf)")
+    if d < 1:
+        raise ValueError("dim must be >= 1")
+
+    def score(f: TrigPolynomial) -> tuple[float, None]:
+        return _multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), None
+
     rng = np.random.default_rng(cfg.seed)
-    templates = _riesz_templates(d, cfg.max_support)
-    pool: list[tuple[float, TrigPolynomial]] = []
-    for _ in range(cfg.trials):
-        f = _random_polynomial(rng, d, cfg.max_support)
-        pool.append((_multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), f))
-    pool.sort(key=lambda t: t[0], reverse=True)
+    drawn = [_random_polynomial(rng, d, cfg.max_support) for _ in range(cfg.trials)]
+    # stable: equal ratios keep draw order
+    pool = sorted(((score(f), f) for f in drawn), key=lambda t: t[0][0], reverse=True)
     # each ascent returns at least the ratio it starts from
-    starts = [(_multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), f) for f in templates]
-    return max(_coefficient_ascent(f, ratio, RIESZ_SYMBOL, p, inner_p, cfg, rng)
-               for ratio, f in starts + pool[: cfg.top_k])
+    starts = [(score(f), f) for f in _riesz_templates(d, cfg.max_support)] + pool[: cfg.top_k]
+    return max(_coefficient_ascent(f, start, score, cfg.ascent_steps, rng)[0]
+               for start, f in starts)
 
 
-def _coefficient_ascent(
-    f: TrigPolynomial,
-    ratio: float,
-    m: MultiplierSeq,
-    p: float,
-    inner_p: float,
-    cfg: ExtremalSearchConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Random-step ascent of the multiplier ratio from f, whose ratio is given."""
-    vecs = f.vecs.copy()
-    step = 0.25
-    for _ in range(cfg.ascent_steps):
-        trial = vecs + step * (
-            rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
+def _coefficient_ascent(f: TrigPolynomial, start: tuple, score, steps: int,
+                        rng: np.random.Generator) -> tuple:
+    """Random-step ascent of score(f) -> (value, extra) from f, whose score is start.
+
+    Each step adds step * (complex Gaussian) to the coefficients and keeps the
+    candidate if its value is strictly larger; the step starts at 0.25 and is
+    multiplied by 1.3 on success (at most 1) and by 0.7 on failure (at least
+    1e-6).  A zero candidate is skipped.  Returns (value, f, extra) of the best.
+    """
+    (value, extra), step = start, 0.25
+    for _ in range(steps):
+        trial = f.vecs + step * (
+            rng.standard_normal(f.vecs.shape) + 1j * rng.standard_normal(f.vecs.shape)
         )
         cand = TrigPolynomial(f.freqs, trial, f.dim)
-        r = _multiplier_ratio(cand, m, p, inner_p)
-        if r > ratio:
-            ratio, vecs = r, trial
+        if cand.is_zero:
+            continue
+        v, v_extra = score(cand)
+        if v > value:
+            value, f, extra = v, cand, v_extra
             step = min(step * 1.3, 1.0)
         else:
             step = max(step * 0.7, 1e-6)
-    return ratio
+    return value, f, extra
 
 
 def marcinkiewicz_check(

@@ -188,12 +188,6 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     return np.ldexp(f_out[np.arange(B), 0, best], shift), X_out[np.arange(B), :, best]
 
 
-def ascent_lower_bound(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()):
-    """ascent_lower_bounds for one matrix.  Returns (value, witness)."""
-    values, witnesses = ascent_lower_bounds(T.entries[None], p, cfg)
-    return float(values[0]), witnesses[0]
-
-
 def _is_exact(p: float) -> bool:
     return math.isinf(p) or p == 1 or p == 2
 

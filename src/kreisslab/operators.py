@@ -73,9 +73,6 @@ class ComplexMatrix:
     def is_entrywise_nonnegative(self) -> bool:
         return bool(np.all(self.entries.imag == 0.0) and np.all(self.entries.real >= 0.0))
 
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        return ComplexMatrix(self.entries @ other.entries)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ComplexMatrix) and np.array_equal(self.entries, other.entries)
 
@@ -337,7 +334,3 @@ def gallery_entry(name: str) -> GalleryEntry:
         if entry.name == name:
             return entry
     raise KeyError(f"no gallery entry named {name!r}")
-
-
-def positive_gallery() -> tuple[GalleryEntry, ...]:
-    return tuple(e for e in _GALLERY if e.positive)

@@ -187,6 +187,8 @@ def block_bound_check(
         raise ValueError("n must be >= 2")
     if q < 1:
         raise ValueError("q must be >= 1")
+    if corpus < 1:
+        raise ValueError("corpus must be >= 1")
     A = T.array
     rng = np.random.default_rng(seed)
     X = np.abs(rng.standard_normal((T.dim, corpus)))

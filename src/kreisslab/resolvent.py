@@ -34,7 +34,7 @@ argmax needs no second sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -482,56 +482,6 @@ def gz_partial_resolvent_ratio(
     return FunctionalEstimate(best, complex(lam[best_i]), n_at_max=best_n)
 
 
-@dataclass
-class KreissReport:
-    """All resolvent functionals of one operator, with search metadata."""
-
-    p: float
-    seed: int
-    spectral_radius: float
-    diverged: bool
-    k_lower: float
-    k_upper_hint: float | None
-    k_argmax: complex | None
-    ks_lower: float
-    ks_argmax: complex | None
-    ks_n_at_max: int | None
-    exp_lower: float
-    exp_argmax: complex | None
-    cesaro_lower: float
-    cesaro_ratio_max: float
-    cesaro_argmax: complex | None
-    cesaro_n_at_max: int | None
-    ks_ref: float
-    grid: dict = field(default_factory=dict)
-    gz_ratio_max: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "kreisslab/1",
-            "p": self.p,
-            "seed": self.seed,
-            "spectral_radius": self.spectral_radius,
-            "diverged": self.diverged,
-            "k_lower": self.k_lower,
-            "k_upper_hint": self.k_upper_hint,
-            "k_upper_note": "advisory grid supremum; no Lipschitz certificate is claimed",
-            "k_argmax": self.k_argmax,
-            "ks_lower": self.ks_lower,
-            "ks_argmax": self.ks_argmax,
-            "n_at_max": self.ks_n_at_max,
-            "exp_lower": self.exp_lower,
-            "exp_argmax": self.exp_argmax,
-            "cesaro_lower": self.cesaro_lower,
-            "cesaro_ratio_max": self.cesaro_ratio_max,
-            "cesaro_argmax": self.cesaro_argmax,
-            "cesaro_n_at_max": self.cesaro_n_at_max,
-            "ks_ref": self.ks_ref,
-            "gz_ratio_max": self.gz_ratio_max,
-            "grid": self.grid,
-        }
-
-
 def kreiss_report(
     T: ComplexMatrix,
     cfg: SearchConfig = SearchConfig(),
@@ -539,8 +489,8 @@ def kreiss_report(
     xi_max: float = 40.0,
     cesaro_n_max: int = 256,
     with_gz: bool = False,
-) -> KreissReport:
-    """Run every functional and assemble the unified report."""
+) -> dict:
+    """Run every functional; returns the combined report as a JSON-ready dict."""
     rho = T.spectral_radius()
     k = kreiss_constant(T, cfg)
     ks = strong_kreiss_constant(T, cfg, n_max, k_est=k)
@@ -550,25 +500,28 @@ def kreiss_report(
     gz = None
     if with_gz and math.isfinite(ks_ref):
         gz = gz_partial_resolvent_ratio(T, cfg, min(cesaro_n_max, 64), ks_ref).value
-    return KreissReport(
-        p=cfg.p,
-        seed=cfg.seed,
-        spectral_radius=rho,
-        diverged=k.diverged,
-        k_lower=k.value,
-        k_upper_hint=None if k.diverged else k.value,
-        k_argmax=k.argmax,
-        ks_lower=ks.value,
-        ks_argmax=ks.argmax,
-        ks_n_at_max=ks.n_at_max,
-        exp_lower=ex.value,
-        exp_argmax=ex.argmax,
-        cesaro_lower=ces.cesaro_lower,
-        cesaro_ratio_max=ces.ratio_max,
-        cesaro_argmax=ces.argmax,
-        cesaro_n_at_max=ces.n_at_max,
-        ks_ref=ks_ref,
-        grid={
+    return {
+        "schema": "kreisslab/1",
+        "p": cfg.p,
+        "seed": cfg.seed,
+        "spectral_radius": rho,
+        "diverged": k.diverged,
+        "k_lower": k.value,
+        "k_upper_hint": None if k.diverged else k.value,
+        "k_upper_note": "advisory grid supremum; no Lipschitz certificate is claimed",
+        "k_argmax": k.argmax,
+        "ks_lower": ks.value,
+        "ks_argmax": ks.argmax,
+        "n_at_max": ks.n_at_max,
+        "exp_lower": ex.value,
+        "exp_argmax": ex.argmax,
+        "cesaro_lower": ces.cesaro_lower,
+        "cesaro_ratio_max": ces.ratio_max,
+        "cesaro_argmax": ces.argmax,
+        "cesaro_n_at_max": ces.n_at_max,
+        "ks_ref": ks_ref,
+        "gz_ratio_max": gz,
+        "grid": {
             "r_max": cfg.r_max,
             "radial_count": cfg.radial_count,
             "angular_count": cfg.angular_count,
@@ -578,5 +531,4 @@ def kreiss_report(
             "xi_max": xi_max,
             "cesaro_n_max": cesaro_n_max,
         },
-        gz_ratio_max=gz,
-    )
+    }

@@ -14,7 +14,7 @@ settings.load_profile("ci")
 
 @pytest.fixture(scope="session")
 def gallery_matrices():
-    from kreisslab import gallery, make_gallery_operator
+    from kreisslab.operators import gallery, make_gallery_operator
 
     return {e.name: make_gallery_operator(e.spec) for e in gallery()}
 

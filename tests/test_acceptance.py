@@ -13,17 +13,17 @@ import time
 import numpy as np
 import pytest
 
-import kreisslab as kl
 from kreisslab.cli import main as cli_main
 from kreisslab.decomp import decomposition_ratio, hoelder_growth_check, pairing_duality_check
 from kreisslab.fourier import (
+    Interval,
     IntervalPartition,
     TrigPolynomial,
     lp_torus_norm,
     project_interval,
 )
 from kreisslab.norms import power_norm_sequence
-from kreisslab.operators import OperatorSpec, gallery, make_gallery_operator, positive_gallery
+from kreisslab.operators import OperatorSpec, gallery, gallery_entry, make_gallery_operator
 from kreisslab.positivity import PositiveOperator, krivine_checks
 from kreisslab.power import growth_fit
 from kreisslab.resolvent import SearchConfig, cesaro_partial_sum_bound, kreiss_constant, \
@@ -150,7 +150,7 @@ def test_criterion_07_universal_ceilings():
     cfg = SearchConfig()
     bad = []
     for name in ("identity3", "rotation1", "rotation3"):
-        T = make_gallery_operator(kl.gallery_entry(name).spec)
+        T = make_gallery_operator(gallery_entry(name).spec)
         k_ref = kreiss_constant(T, cfg).value
         ks_ref = strong_kreiss_constant(T, cfg, 16).value
         seq = power_norm_sequence(T, 2.0, 10_000)
@@ -178,8 +178,8 @@ def test_criterion_08_fourier_engine():
             freqs, rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d)), d
         )
         cut = int(rng.integers(-12, 13))
-        lo = kl.Interval(None, cut)
-        hi = kl.Interval(cut + 1, None)
+        lo = Interval(None, cut)
+        hi = Interval(cut + 1, None)
         once = project_interval(f, lo)
         # idempotence + disjoint annihilation + partition of unity, coefficientwise
         again = project_interval(once, lo)
@@ -277,7 +277,7 @@ def test_criterion_11_krivine_positivity():
     rng = np.random.default_rng(1111)
     worst = math.inf
     checks = 0
-    for entry in positive_gallery():
+    for entry in (e for e in gallery() if e.positive):
         T = PositiveOperator(make_gallery_operator(entry.spec))
         corpus = np.abs(rng.standard_normal((100, T.dim)))
         corpus /= np.sum(corpus, axis=1, keepdims=True)

@@ -42,6 +42,13 @@ def test_gallery_list_prints(capsys):
     assert "identity3" in out and "jordan2" in out
 
 
+def test_threads_echoed_as_written(tmp_path):
+    for argv, want in ((["--threads", "0"], 0), ([], 1)):
+        out = tmp_path / f"o{want}"
+        assert run(["gallery-list", *argv, "--out", str(out)]) == 0
+        assert read(out / "gallery.json")["config"]["threads"] == want
+
+
 def test_kreiss_identity_report(tmp_path):
     out = tmp_path / "o"
     assert run(["kreiss", "--gallery", "identity3", "--p", "2", "--out", str(out)]) == 0
@@ -255,6 +262,11 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert _tree_bytes(a) == _tree_bytes(b)
 
 
+# the flag these cases' messages must name
+NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim",
+              "riesz-dim-0": "dim", "positivity-corpus-0": "corpus", "type-count-0": "count"}
+
+
 @pytest.mark.parametrize("argv", [
     ["kreiss", "--gallery", "identity3", "--p", "abc"],
     ["kreiss", "--gallery", "identity3", "--p", "0.5"],
@@ -273,11 +285,18 @@ def test_reports_byte_identical_across_runs(tmp_path):
     ["decomp-scan", "--max-dim", "0", "--seed", "1"],
     ["decomp-scan", "--trials", "0", "--seed", "1"],
     ["decomp-scan", "--ascent-steps", "-1", "--seed", "1"],
+    ["marcinkiewicz", "--span", "-1", "--trials", "2", "--seed", "1"],
+    ["marcinkiewicz", "--dim", "0", "--trials", "2", "--seed", "1"],
+    ["riesz-norm", "--dim", "0", "--trials", "2", "--ascent-steps", "1", "--seed", "1"],
+    ["positivity", "--gallery", "shift4", "--n-list", "4", "--corpus", "0", "--ks-ref", "1.0",
+     "--seed", "1"],
+    ["type-cotype", "--family", "random", "--count", "0", "--samples", "50", "--seed", "1"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
-        "decomp-ascent-steps-negative"])
-def test_bad_input_exits_2_with_message(argv, tmp_path, capsys):
+        "decomp-ascent-steps-negative", "marcinkiewicz-span-negative", "marcinkiewicz-dim-0",
+        "riesz-dim-0", "positivity-corpus-0", "type-count-0"])
+def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):
@@ -287,5 +306,8 @@ def test_bad_input_exits_2_with_message(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run(argv + ["--out", str(out)])
     assert err.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err_text = capsys.readouterr().err
+    assert "error:" in err_text
+    flag = NAMED_FLAG.get(request.node.callspec.id)
+    assert flag is None or flag in err_text.rpartition("error:")[2]
     assert not out.exists()

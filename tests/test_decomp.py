@@ -11,7 +11,8 @@ from kreisslab.decomp import (
     _best_contiguous_partitions,
     _draw_polynomial,
     _run_block_norms,
-    contiguous_partitions,
+    _score,
+    block_norms,
     decomposition_ratio,
     estimate_constant,
     fourier_type_check,
@@ -19,7 +20,14 @@ from kreisslab.decomp import (
     pairing_duality_check,
     rademacher_constants,
 )
-from kreisslab.fourier import Interval, IntervalPartition, TrigPolynomial, quadrature_points
+from kreisslab.fourier import (
+    Interval,
+    IntervalPartition,
+    TrigPolynomial,
+    lp_torus_norm,
+    project_interval,
+    quadrature_points,
+)
 from kreisslab.norms import vector_p_norm
 
 # pinned from the pre-build exhaustive oracle: max over +-1 sign patterns on
@@ -138,6 +146,37 @@ def _rowwise_block_norms(f, p, inner_p):
             row = np.sum(a ** inner_p, axis=2) ** (1.0 / inner_p)
         w[i, i:] = np.mean(row ** p, axis=1) ** (1.0 / p)
     return w
+
+
+def _per_block_norms(f, part, p, inner_p):
+    # reference: one projection and one aliased FFT per block, on the full-support grid
+    N, _ = quadrature_points(f, p, inner_p)
+    return np.array([lp_torus_norm(project_interval(f, iv), p, inner_p, n_points=N).value
+                     for iv in part.intervals])
+
+
+@pytest.mark.parametrize("p,inner_p", [(2.0, 2.0), (4.0, 2.0), (3.0, 1.0), (1.5, math.inf)])
+def test_block_norms_match_per_block_projections(p, inner_p, rng):
+    for _ in range(40):
+        size, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        # even frequencies, so every gap between neighbours holds an odd one
+        freqs = 2 * rng.choice(np.arange(-6, 7), size=size, replace=False)
+        f = TrigPolynomial(tuple(int(n) for n in freqs),
+                           rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d)), d)
+        fs = f.support
+        cut = int(rng.integers(1, len(fs)))
+        parts = [
+            _random_partition(rng, fs),
+            # half-lines with None ends around a gap that holds no support frequency
+            IntervalPartition.from_pairs([(None, fs[cut - 1]), (fs[cut - 1] + 1, fs[cut] - 1),
+                                          (fs[cut], None)]),
+            IntervalPartition.from_pairs([(None, fs[0] - 1), (fs[0], fs[-1]),
+                                          (fs[-1] + 1, None)]),
+        ]
+        for part in parts:
+            got = block_norms(f, part.intervals, p, inner_p)
+            want = _per_block_norms(f, part, p, inner_p)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)  # zeros exactly
 
 
 def _quadratic_dp(w, q, gamma, side):
@@ -275,8 +314,6 @@ def test_estimate_witness_reproduces_value():
 def test_estimate_dominates_scanned_corpus():
     # bookkeeping invariant: the returned floor is >= every objective value
     # the scan evaluated; replay the seeded corpus and compare
-    from kreisslab.decomp import _draw_polynomial, _objective_dp
-
     cfg = DecompSearchConfig(trials=120, ascent_steps=30, max_support=6, max_dim=1, seed=13)
     est = estimate_constant(3.0, 2.0, 2.0, "upper", 0.0, cfg)
     replay = np.random.default_rng(cfg.seed)
@@ -284,7 +321,7 @@ def test_estimate_dominates_scanned_corpus():
         f = _draw_polynomial(replay, cfg)
         if f.is_zero:
             continue
-        val, _part = _objective_dp(f, 3.0, 2.0, 2.0, 0.0, "upper")
+        [(val, _cuts)] = _score([f], 3.0, 2.0, 2.0, 0.0, "upper")
         assert est.constant_lower >= val - 1e-12
     assert est.constant_lower >= 1.0 - 1e-9  # the one-interval partition scores 1
 

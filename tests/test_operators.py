@@ -13,7 +13,6 @@ from kreisslab.operators import (
     gallery_entry,
     load_matrix,
     make_gallery_operator,
-    positive_gallery,
     save_matrix,
 )
 
@@ -154,7 +153,7 @@ def test_gallery_names_unique_and_documented():
 
 
 def test_positive_gallery_subset():
-    pos = {e.name for e in positive_gallery()}
+    pos = {e.name for e in gallery() if e.positive}
     assert "identity3" in pos and "rotation1" not in pos
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from kreisslab.operators import ComplexMatrix, OperatorSpec, make_gallery_operator, positive_gallery
+from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
 from kreisslab.positivity import (
     BlockBoundResult,
     KrivineResult,
@@ -15,6 +15,8 @@ from kreisslab.positivity import (
     krivine_checks,
 )
 from kreisslab.verify import bound_m_range, poisson_log_weights
+
+POSITIVE_GALLERY = tuple(e for e in gallery() if e.positive)
 
 
 def pos(kind_spec):
@@ -71,7 +73,7 @@ def test_krivine_scalar_half_against_series_oracle():
 
 
 def test_krivine_margins_on_positive_gallery():
-    for entry in positive_gallery():
+    for entry in POSITIVE_GALLERY:
         T = PositiveOperator(make_gallery_operator(entry.spec))
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -158,7 +160,7 @@ def _stack_outcome(T, xs, n, q, trunc_terms=None):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("entry", positive_gallery(), ids=lambda e: e.name)
+@pytest.mark.parametrize("entry", POSITIVE_GALLERY, ids=lambda e: e.name)
 def test_krivine_stack_matches_one_vector_loop(entry):
     T = PositiveOperator(make_gallery_operator(entry.spec))
     rng = np.random.default_rng(17)
