@@ -51,6 +51,12 @@ CASES = {
                "--angular", "8"],
     "bounds-flagged": ["bounds", "--op", "jordan", "--dim", "2", "--p", "inf", "--n-max", "64",
                        "--k-ref", "1.0", "--ks-ref", "1.0", "--radial", "8", "--angular", "8"],
+    # zero norms from n = 2 on: 0.0 cells and inf margins
+    "bounds-nilpotent": ["bounds", "--gallery", "nilpotent2", "--n-max", "16", "--radial", "8",
+                         "--angular", "8"],
+    # general p: the norm bounds differ, norm_lower < norm_upper
+    "bounds-general-p": ["bounds", "--gallery", "jordan2_damped", "--p", "3", "--n-max", "64",
+                         "--k-ref", "2", "--ks-ref", "3"],
     "decomp-scan": ["decomp-scan", "--p", "2", "--q", "2", "--side", "lower", "--trials", "40",
                     "--max-support", "6", "--seed", "3"],
     # upper side: oversampled quadrature, l^1 inner norm, gamma > 0
@@ -96,6 +102,20 @@ EXPECTED = {
             'bounds.csv': 'e2b3c9677524ec6e997a8c9d3d7e853238f7ce3cf21230a5c09069f215c5b3cf',
             'bounds.json': '78ff25154cfd21ba2c1642952e7d2ceb5a621cc6e79f6c3f4affe85f7050dcd0',
             'witness_bounds.json': '0c30c20063294879d16e9d3e0ec7edbb42ed70e0162bd904fcc0481129d2a7ba',
+        },
+    ),
+    'bounds-general-p': (
+        0, 'bounds jordan2_damped: min margins kreiss=6.333 strong=4.850 matrixthm=2.551\n',
+        {
+            'bounds.csv': 'fbcaf63c7796824bdf2f80831243f8942b72b14ee31930804c02aaa1c962812b',
+            'bounds.json': '0c38d6ba01ff83dbb93dee2f3821142a4c4ce3c1ee8849f6276f2da975f27489',
+        },
+    ),
+    'bounds-nilpotent': (
+        0, 'bounds nilpotent2: min margins kreiss=2.718 strong=1.772 matrixthm=2.718\n',
+        {
+            'bounds.csv': 'd54b5480311f120b3165782bb70cefc9dfd99c5311e5c34d0452288a40f78caf',
+            'bounds.json': 'c8e2d1907a7de3ddcb25a61d98fac8379e01f0e8933f06ca1bb1503099009b11',
         },
     ),
     'cesaro': (

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+from kreisslab.cli import main as cli_main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,7 +50,9 @@ def test_appendix_table(tmp_path):
     proc = _run("appendix_table.py", "200", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "all pass: True" in proc.stdout
-    assert out.is_file() and out.stat().st_size > 0
+    # the script and the CLI write the same table
+    cli_main(["verify-appendix", "--n-max", "200", "--out", str(tmp_path / "cli")])
+    assert out.read_bytes() == (tmp_path / "cli" / "appendix.csv").read_bytes()
 
 
 def test_decomposition_frontier(tmp_path):
