@@ -6,29 +6,29 @@ Usage: python scripts/appendix_table.py [n_max] [out.csv]
 
 import sys
 
+import numpy as np
+
 from kreisslab.reporting import write_csv
-from kreisslab.verify import SWEEP_CSV_HEADER, sweep_appendix, sweep_csv_rows
+from kreisslab.verify import sweep_appendix
 
 
 def main() -> int:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
-    rows = sweep_appendix(2, n_max)
-    worst_sup = sorted(rows, key=lambda r: -r.sup_a)[:8]
-    worst_v1 = sorted(rows, key=lambda r: -r.v1_a)[:8]
-    worst_slack = sorted(rows, key=lambda r: r.a1_min_slack)[:8]
-    print(f"n in [2, {n_max}]  ({len(rows)} rows, all pass: "
-          f"{all(r.a1_pass and r.a2_pass for r in rows)})")
+    table = sweep_appendix(2, n_max)
+    n, sup_a, v1_a, slack = (table[c] for c in ("n", "sup_a", "v1_a", "a1_min_slack"))
+    print(f"n in [2, {n_max}]  ({len(n)} rows, all pass: "
+          f"{bool(np.all(table['a1_pass'] & table['a2_pass']))})")
     print("\nlargest sup_m a_{n,m} (bound 32):")
-    for r in worst_sup:
-        print(f"  n={r.n:6d}  sup_a={r.sup_a:10.6f}")
+    for i in np.argsort(-sup_a, kind="stable")[:8]:
+        print(f"  n={n[i]:6d}  sup_a={sup_a[i]:10.6f}")
     print("\nlargest V^1 (bound 978):")
-    for r in worst_v1:
-        print(f"  n={r.n:6d}  v1={r.v1_a:10.6f}")
+    for i in np.argsort(-v1_a, kind="stable")[:8]:
+        print(f"  n={n[i]:6d}  v1={v1_a[i]:10.6f}")
     print("\nsmallest sandwich slack (log domain):")
-    for r in worst_slack:
-        print(f"  n={r.n:6d}  slack={r.a1_min_slack:.6f}")
+    for i in np.argsort(slack, kind="stable")[:8]:
+        print(f"  n={n[i]:6d}  slack={slack[i]:.6f}")
     if len(sys.argv) > 2:
-        write_csv(sys.argv[2], SWEEP_CSV_HEADER, sweep_csv_rows(rows))
+        write_csv(sys.argv[2], table)
         print(f"\nwrote {sys.argv[2]}")
     return 0
 

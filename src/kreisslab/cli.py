@@ -39,7 +39,7 @@ from .fourier import (
     save_trig_polynomial,
     _random_polynomial,
 )
-from .norms import AscentConfig, power_norm_sequence
+from .norms import AscentConfig
 from .operators import (
     OperatorSpec,
     gallery,
@@ -47,14 +47,7 @@ from .operators import (
     make_gallery_operator,
 )
 from .positivity import PositiveOperator, TruncationError, block_bound_check, krivine_checks
-from .power import (
-    BOUNDS_CSV_HEADER,
-    GROWTH_CSV_HEADER,
-    bounds_csv_rows,
-    check_universal_bounds,
-    growth_csv_rows,
-    growth_fit,
-)
+from .power import bounds_flagged, check_universal_bounds, growth_fit, growth_table
 from .resolvent import (
     FunctionalEstimate,
     SearchConfig,
@@ -72,7 +65,7 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .verify import SWEEP_CSV_HEADER, sweep_appendix, sweep_csv_rows
+from .verify import sweep_appendix
 
 RANDOMIZED = {"decomp-scan", "riesz-norm", "marcinkiewicz", "type-cotype", "positivity"}
 
@@ -368,21 +361,22 @@ def _plot(params):
 
 
 def _verify_appendix(params):
-    rows = sweep_appendix(int(params["n_min"]), int(params["n_max"]))
-    failures = [r.n for r in rows if not (r.a1_pass and r.a2_pass)]
-    sup_a_max = max(r.sup_a for r in rows)
-    v1_a_max = max(r.v1_a for r in rows)
+    table = sweep_appendix(int(params["n_min"]), int(params["n_max"]))
+    n = table["n"]
+    failures = n[~(table["a1_pass"] & table["a2_pass"])].tolist()
+    sup_a_max = float(np.max(table["sup_a"]))
+    v1_a_max = float(np.max(table["v1_a"]))
     payload = {
         "n_min": int(params["n_min"]),
         "n_max": int(params["n_max"]),
-        "rows": len(rows),
+        "rows": len(n),
         "sup_a_max": sup_a_max,
         "v1_a_max": v1_a_max,
-        "a1_min_slack": min(r.a1_min_slack for r in rows),
+        "a1_min_slack": float(np.min(table["a1_min_slack"])),
         "failures": failures,
-        "review": [r.n for r in rows if r.review],
+        "review": n[table["review"]].tolist(),
     }
-    files = {"appendix.csv": lambda path: write_csv(path, SWEEP_CSV_HEADER, sweep_csv_rows(rows))}
+    files = {"appendix.csv": lambda path: write_csv(path, table)}
     if failures:
         return Outcome("appendix", payload,
                        f"verify-appendix: FAIL at {len(failures)} values of n; witness written",
@@ -434,12 +428,11 @@ def _marcinkiewicz(params):
     rng = np.random.default_rng(int(params["seed"]))
     p = _parse_p(params["p"])
     inner_p = _parse_p(params["inner_p"])
-    span = int(params["span"])
-    d = int(params["dim"])
-    if span < 0 or d < 1:
-        raise ValueError("marcinkiewicz needs --span >= 0 and --dim >= 1")
+    span, d, trials = int(params["span"]), int(params["dim"]), int(params["trials"])
+    if span < 0 or d < 1 or trials < 1:
+        raise ValueError("marcinkiewicz needs --span >= 0, --dim >= 1 and --trials >= 1")
     samples = []
-    for _ in range(int(params["trials"])):
+    for _ in range(trials):
         vals = {n: complex(rng.choice([-1.0, 1.0])) for n in range(-span, span + 1)}
         m = MultiplierSeq.from_values(vals)
         f = _random_polynomial(rng, d, span)
@@ -447,9 +440,9 @@ def _marcinkiewicz(params):
         samples.append(lhs / factor)
     best = max([0.0, *samples])
     payload = {
-        "p": p, "span": span, "trials": int(params["trials"]),
+        "p": p, "span": span, "trials": trials,
         "max_sample": best,
-        "mean_sample": float(np.mean(samples)) if samples else 0.0,
+        "mean_sample": float(np.mean(samples)),
         "label": "empirical lower bound for the multiplier constant",
     }
     return Outcome("marcinkiewicz", payload,
@@ -537,8 +530,9 @@ def _cesaro(params, name, T, cfg):
 
 
 def _growth(params, name, T, cfg):
-    seq = power_norm_sequence(T, cfg.p, int(params["n_max"]), AscentConfig(seed=cfg.seed))
-    data = [(n, b.lower) for n, b in enumerate(seq, start=1) if b.lower > 0]
+    table = growth_table(T, cfg.p, int(params["n_max"]), AscentConfig(seed=cfg.seed))
+    keep = table["norm_lower"] > 0
+    data = list(zip(table["n"][keep], table["norm_lower"][keep]))
     fits = {}
     which = params["fit"]
     for model in ("poly", "poly_log") if which == "both" else (which,):
@@ -551,8 +545,7 @@ def _growth(params, name, T, cfg):
     return Outcome("growth", {"fits": fits},
                    f"growth {name}: alpha={shown['alpha']:.4f} "
                    f"(residual {shown['residual']:.2e}, csv written)",
-                   files={"growth.csv": lambda path: write_csv(path, GROWTH_CSV_HEADER,
-                                                               growth_csv_rows(seq))})
+                   files={"growth.csv": lambda path: write_csv(path, table)})
 
 
 def _bounds(params, name, T, cfg):
@@ -564,42 +557,24 @@ def _bounds(params, name, T, cfg):
     if not (math.isfinite(k_ref) and math.isfinite(ks_ref)):
         raise ValueError("bounds needs finite reference constants (operator not Kreiss "
                          "bounded on this grid); pass --k-ref/--ks-ref explicitly")
-    report = check_universal_bounds(T, cfg.p, float(k_ref), float(ks_ref),
-                                    int(params["n_max"]), AscentConfig(seed=cfg.seed))
-    margins = {
-        "min_margin_kreiss": report.min_margin_kreiss,
-        "min_margin_strong": report.min_margin_strong,
-        "min_margin_matrixthm": report.min_margin_matrixthm,
-        "note": report.note,
-    }
-    payload = {
-        **margins,
-        "k_ref": report.k_ref, "ks_ref": report.ks_ref,
-        "n_at_min_kreiss": report.n_at_min_kreiss,
-        "n_at_min_strong": report.n_at_min_strong,
-        "n_at_min_matrixthm": report.n_at_min_matrixthm,
-        "implied_k_floor": report.implied_k_floor,
-        "implied_k_floor_matrixthm": report.implied_k_floor_matrixthm,
-        "implied_ks_floor": report.implied_ks_floor,
-        "combined_k_floor": report.combined_k_floor(float(k_ref)),
-    }
-    files = {"bounds.csv": lambda path: write_csv(path, BOUNDS_CSV_HEADER,
-                                                  bounds_csv_rows(report))}
-    if report.flagged():
-        return Outcome("bounds", payload,
+    summary, table = check_universal_bounds(T, cfg.p, float(k_ref), float(ks_ref),
+                                            int(params["n_max"]), AscentConfig(seed=cfg.seed))
+    mins = {k: v for k, v in summary.items() if k.startswith("min_margin_")}
+    files = {"bounds.csv": lambda path: write_csv(path, table)}
+    if bounds_flagged(summary):
+        return Outcome("bounds", summary,
                        f"bounds {name}: FLAGGED margin below 1 (see witness_bounds.json)",
-                       files, witness=margins)
-    return Outcome("bounds", payload,
-                   f"bounds {name}: min margins "
-                   f"kreiss={report.min_margin_kreiss:.3f} "
-                   f"strong={report.min_margin_strong:.3f} "
-                   f"matrixthm={report.min_margin_matrixthm:.3f}", files)
+                       files, witness={**mins, "note": summary["note"]})
+    return Outcome("bounds", summary, f"bounds {name}: min margins " + " ".join(
+        f"{k.removeprefix('min_margin_')}={v:.3f}" for k, v in mins.items()), files)
 
 
 def _positivity(params, name, T, cfg):
     P = PositiveOperator(T)
-    ks_ref = _ks_ref(params, T, cfg)
     n_list = _parse_int_list(params["n_list"])
+    if not n_list:
+        raise ValueError("positivity needs at least one n in --n-list")
+    ks_ref = _ks_ref(params, T, cfg)
     q = float(params["q"])
     corpus = int(params["corpus"])
     seed = int(params["seed"])

@@ -111,7 +111,6 @@ class DecompositionEstimate:
     witness: TrigPolynomial
     witness_partition: IntervalPartition
     trials: int
-    seed: int
     label: str = "empirical floor"
 
     def reevaluate(self) -> float:
@@ -347,7 +346,6 @@ def estimate_constant(
         witness=best_f,
         witness_partition=_partition(best_f, best_cuts),
         trials=cfg.trials,
-        seed=cfg.seed,
     )
 
 
@@ -428,9 +426,7 @@ class RademacherEstimate:
     exponent: float
     value: float  # implied sample lower bound for tau_p or c_q
     std_error: float
-    mean_square: float
     samples: int
-    seed: int
 
 
 def rademacher_constants(
@@ -476,7 +472,5 @@ def rademacher_constants(
         exponent=exponent,
         value=value,
         std_error=se,
-        mean_square=mean_sq,
         samples=samples,
-        seed=seed,
     )

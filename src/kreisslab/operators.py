@@ -251,7 +251,6 @@ class GalleryEntry:
     power_bounded: bool
     positive: bool  # entrywise nonnegative real, the lattice-positivity model
     nilpotent: bool = False
-    spectral_radius_le_one: bool = True
 
 
 _GALLERY: tuple[GalleryEntry, ...] = (

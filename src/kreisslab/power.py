@@ -1,4 +1,8 @@
-"""Growth profiling of ||T^n|| and regression against n^alpha (log(n+2))^beta.
+"""Growth profiling of ||T^n||, regression against n^alpha (log(n+2))^beta,
+and the margins of ||T^n|| against the universal ceilings.
+
+growth_table and check_universal_bounds build the growth.csv and bounds.csv
+tables as dicts of numpy columns, in header order.
 
 The polynomial and polynomial-log exponents are nearly collinear over a
 single octave of n, so fits use a wide window (n >= sqrt(n_max) by default)
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import AscentConfig, NormBounds, power_norm_sequence
+from .norms import AscentConfig, power_norm_sequence
 from .operators import ComplexMatrix
 
 _E = math.e
@@ -81,63 +85,15 @@ def growth_fit(seq, model: str = "poly", n_min_fit: int | None = None) -> Growth
     )
 
 
-@dataclass(frozen=True)
-class BoundsRow:
-    n: int
-    norm_lower: float
-    norm_upper: float
-    ceiling_kreiss: float
-    ceiling_strong: float
-    ceiling_matrixthm: float
-    margin_kreiss: float
-    margin_strong: float
-    margin_matrixthm: float
-
-
-@dataclass
-class BoundsReport:
-    """Margins of ||T^n|| against the three universal ceilings.
-
-    Margins divide by the upper side of the norm bounds, so a margin below 1
-    is a real numeric finding and not an ascent artifact.  Because k_ref and
-    ks_ref are themselves lower bounds of the true constants, such a finding
-    flags inconsistency of the substituted reference, not of the ceiling.
-    """
-
-    dim: int
-    p: float
-    k_ref: float
-    ks_ref: float
-    n_max: int
-    rows: list[BoundsRow]
-    min_margin_kreiss: float
-    n_at_min_kreiss: int
-    min_margin_strong: float
-    n_at_min_strong: int
-    min_margin_matrixthm: float
-    n_at_min_matrixthm: int
-    implied_k_floor: float
-    implied_k_floor_matrixthm: float
-    implied_ks_floor: float
-    note: str = "reference constants are lower-bound substitutions"
-
-    def flagged(self, slack: float = 1e-6) -> bool:
-        return (
-            self.min_margin_kreiss < 1.0 - slack
-            or self.min_margin_strong < 1.0 - slack
-            or self.min_margin_matrixthm < 1.0 - slack
-        )
-
-    def combined_k_floor(self, k_ref_lower: float) -> float:
-        """Best available lower bound for the true Kreiss constant: the max of
-        the power-implied floors and the resolvent-search floor."""
-        return max(self.implied_k_floor, self.implied_k_floor_matrixthm, k_ref_lower)
-
-
-def _margin(ceiling: float, denom: float) -> float:
-    if denom == 0.0:
-        return math.inf
-    return ceiling / denom
+def growth_table(T: ComplexMatrix, p: float, n_max: int,
+                 cfg: AscentConfig) -> dict[str, np.ndarray]:
+    """The growth.csv table: bounds of ||T^n||_p for n = 1..n_max as columns."""
+    seq = power_norm_sequence(T, p, n_max, cfg)
+    return {
+        "n": np.arange(1, len(seq) + 1),
+        "norm_lower": np.array([b.lower for b in seq], dtype=float),
+        "norm_upper": np.array([b.upper for b in seq], dtype=float),
+    }
 
 
 def check_universal_bounds(
@@ -147,92 +103,45 @@ def check_universal_bounds(
     ks_ref: float,
     n_max: int,
     cfg: AscentConfig = AscentConfig(),
-    seq: list[NormBounds] | None = None,
-) -> BoundsReport:
-    """Evaluate the linear, square-root, and dimension ceilings for n <= n_max."""
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Margins of ||T^n|| against the linear, square-root and dimension ceilings
+    K e (n+1), Ks sqrt(2 pi (n+1)) and K e d, for n <= n_max.
+
+    Returns (summary, table).  The table is the growth table with a ceiling
+    and a margin column per ceiling: the bounds.csv table.  The summary is
+    the bounds.json payload: the minimum margins and the n where each first
+    occurs, the reference constants, and the Kreiss floors that the powers
+    imply.  Margins divide by the upper side of the norm bounds (inf where it
+    is 0), so a margin below 1 is a real numeric finding and not an ascent
+    artifact.  Because k_ref and ks_ref are themselves lower bounds of the
+    true constants, such a finding flags inconsistency of the substituted
+    reference, not of the ceiling.
+    """
     if k_ref <= 0 or ks_ref <= 0:
         raise ValueError("reference constants must be positive")
-    if seq is None:
-        seq = power_norm_sequence(T, p, n_max, cfg)
-    d = T.dim
-    rows: list[BoundsRow] = []
-    implied_k = 0.0
-    implied_k_mat = 0.0
-    implied_ks = 0.0
-    for n, b in enumerate(seq, start=1):
-        ck = k_ref * _E * (n + 1)
-        cs = ks_ref * math.sqrt(2.0 * math.pi * (n + 1))
-        cm = k_ref * _E * d
-        rows.append(
-            BoundsRow(
-                n=n,
-                norm_lower=b.lower,
-                norm_upper=b.upper,
-                ceiling_kreiss=ck,
-                ceiling_strong=cs,
-                ceiling_matrixthm=cm,
-                margin_kreiss=_margin(ck, b.upper),
-                margin_strong=_margin(cs, b.upper),
-                margin_matrixthm=_margin(cm, b.upper),
-            )
-        )
-        implied_k = max(implied_k, b.lower / (_E * (n + 1)))
-        implied_k_mat = max(implied_k_mat, b.lower / (_E * d))
-        implied_ks = max(implied_ks, b.lower / math.sqrt(2.0 * math.pi * (n + 1)))
-    mk = min(rows, key=lambda r: r.margin_kreiss)
-    ms = min(rows, key=lambda r: r.margin_strong)
-    mm = min(rows, key=lambda r: r.margin_matrixthm)
-    return BoundsReport(
-        dim=d,
-        p=p,
-        k_ref=k_ref,
-        ks_ref=ks_ref,
-        n_max=n_max,
-        rows=rows,
-        min_margin_kreiss=mk.margin_kreiss,
-        n_at_min_kreiss=mk.n,
-        min_margin_strong=ms.margin_strong,
-        n_at_min_strong=ms.n,
-        min_margin_matrixthm=mm.margin_matrixthm,
-        n_at_min_matrixthm=mm.n,
-        implied_k_floor=implied_k,
-        implied_k_floor_matrixthm=implied_k_mat,
-        implied_ks_floor=implied_ks,
-    )
+    table = growth_table(T, p, n_max, cfg)
+    n, lower, upper = table["n"], table["norm_lower"], table["norm_upper"]
+    root = np.sqrt(2.0 * math.pi * (n + 1))
+    ceilings = {"kreiss": k_ref * _E * (n + 1), "strong": ks_ref * root,
+                "matrixthm": np.full(len(n), k_ref * _E * T.dim)}
+    summary = {"k_ref": k_ref, "ks_ref": ks_ref,
+               "note": "reference constants are lower-bound substitutions"}
+    table.update({f"ceiling_{c}": ceiling for c, ceiling in ceilings.items()})
+    for c, ceiling in ceilings.items():
+        margin = np.divide(ceiling, upper, out=np.full(len(n), math.inf), where=upper != 0)
+        table[f"margin_{c}"] = margin
+        i = int(np.argmin(margin))
+        summary[f"min_margin_{c}"], summary[f"n_at_min_{c}"] = float(margin[i]), int(n[i])
+    floors = {"k_floor": lower / (_E * (n + 1)), "k_floor_matrixthm": lower / (_E * T.dim),
+              "ks_floor": lower / root}
+    for name, floor in floors.items():
+        summary[f"implied_{name}"] = max(0.0, float(np.max(floor)))
+    # the best available lower bound for the true Kreiss constant
+    summary["combined_k_floor"] = max(summary["implied_k_floor"],
+                                      summary["implied_k_floor_matrixthm"], k_ref)
+    return summary, table
 
 
-BOUNDS_CSV_HEADER = (
-    "n",
-    "norm_lower",
-    "norm_upper",
-    "ceiling_kreiss",
-    "ceiling_strong",
-    "ceiling_matrixthm",
-    "margin_kreiss",
-    "margin_strong",
-    "margin_matrixthm",
-)
-
-
-def bounds_csv_rows(report: BoundsReport) -> list[tuple]:
-    return [
-        (
-            r.n,
-            r.norm_lower,
-            r.norm_upper,
-            r.ceiling_kreiss,
-            r.ceiling_strong,
-            r.ceiling_matrixthm,
-            r.margin_kreiss,
-            r.margin_strong,
-            r.margin_matrixthm,
-        )
-        for r in report.rows
-    ]
-
-
-GROWTH_CSV_HEADER = ("n", "norm_lower", "norm_upper")
-
-
-def growth_csv_rows(seq: list[NormBounds]) -> list[tuple]:
-    return [(n, b.lower, b.upper) for n, b in enumerate(seq, start=1)]
+def bounds_flagged(summary: dict) -> bool:
+    """A minimum margin of check_universal_bounds' summary lies below 1 - 1e-6."""
+    return any(v < 1.0 - 1e-6 for k, v in summary.items() if k.startswith("min_margin_"))

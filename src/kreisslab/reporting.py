@@ -3,7 +3,10 @@
 Byte-identical output for identical inputs is a contract here: floats are
 serialized with repr (shortest round-trip form), JSON keys are sorted, and
 the SVG writer emits no timestamps or random ids.  Wall-clock metadata goes
-to a separate run_meta file that determinism checks exclude.
+to a separate run_meta file that determinism checks exclude.  A CSV table is
+a dict of named columns, built by the module that computes its numbers;
+write_csv formats it one column at a time, and the dict's key order is the
+header.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,20 +49,20 @@ def write_json(path, payload: Mapping) -> None:
         fh.write(body + "\n")
 
 
-def fmt_cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _fmt_column(col) -> list[str]:
+    """One CSV column as text: booleans as 1/0, integers as digits, floats by repr."""
+    col = np.asarray(col)
+    if col.dtype == bool:
+        return ["1" if x else "0" for x in col.tolist()]
+    if np.issubdtype(col.dtype, np.integer):
+        return [str(x) for x in col.tolist()]
+    return [repr(x) for x in col.astype(float).tolist()]
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(x) for x in row))
+def write_csv(path, table: Mapping[str, Sequence]) -> None:
+    """Write a table of equal-length named columns; its key order is the header."""
+    cells = [_fmt_column(col) for col in table.values()]
+    lines = [",".join(table), *map(",".join, zip(*cells))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -43,6 +43,7 @@ from .operators import ComplexMatrix
 
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
+_REFINE_SHRINK = 0.25  # each refinement round shrinks the local grid by this factor
 # Rounding margin of the certified log-domain sigma_max bounds.  Column norms,
 # the Frobenius norm, np.log and LAPACK's largest singular value each carry a
 # relative error of a few d ulps (about 1e-13 at d = 64), far inside it.
@@ -63,7 +64,6 @@ class SearchConfig:
     radial_count: int = 48
     angular_count: int = 64
     refine_rounds: int = 3
-    refine_shrink: float = 0.25
     seed: int = 0
     p: float = 2.0
 
@@ -74,8 +74,6 @@ class SearchConfig:
             raise ValueError("grid counts must be >= 4")
         if self.refine_rounds < 0:
             raise ValueError("refinement rounds must be >= 0")
-        if not (0 < self.refine_shrink < 1):
-            raise ValueError("refine_shrink must lie in (0, 1)")
         if self.p < 1:
             raise ValueError("p must be >= 1")
 
@@ -101,7 +99,6 @@ class CesaroResult:
     argmax: complex
     n_at_max: int
     cesaro_lower: float
-    ks_ref: float
 
 
 def _batched_norm_lower(mats: np.ndarray, p: float, acfg: AscentConfig) -> np.ndarray:
@@ -153,7 +150,7 @@ def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
             if top[0] > best[0]:
                 best = top
             cx, ct = top[1]
-            wx, wt = wx * cfg.refine_shrink, wt * cfg.refine_shrink
+            wx, wt = wx * _REFINE_SHRINK, wt * _REFINE_SHRINK
     return best
 
 
@@ -443,7 +440,6 @@ def cesaro_partial_sum_bound(
         argmax=complex(lam[best_i]),
         n_at_max=best_n,
         cesaro_lower=best_norm_ratio,
-        ks_ref=ks_ref,
     )
 
 
@@ -526,7 +522,7 @@ def kreiss_report(
             "radial_count": cfg.radial_count,
             "angular_count": cfg.angular_count,
             "refine_rounds": cfg.refine_rounds,
-            "refine_shrink": cfg.refine_shrink,
+            "refine_shrink": _REFINE_SHRINK,
             "n_max": n_max,
             "xi_max": xi_max,
             "cesaro_n_max": cesaro_n_max,

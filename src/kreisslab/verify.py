@@ -24,6 +24,8 @@ compensated summation for the window sums, so the sweep reaches n = 10^6
 without overflow.  sweep_appendix works on blocks of _CHUNK values of n at a
 time, and every row keeps the values and summation order of its single-n
 check; the sweep over n in [2, 10^4] takes 0.16-0.21 s on a 2-vCPU x86 VM.
+It returns the appendix.csv table as a dict of numpy columns, in header
+order.
 """
 
 from __future__ import annotations
@@ -220,38 +222,22 @@ def verify_window_bounds(n: int) -> WindowBoundsResult:
     return WindowBoundsResult(n, sup_a, v1_a, bool(passed))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    sup_a: float
-    v1_a: float
-    a1_min_slack: float
-    a1_pass: bool
-    a2_pass: bool
-    review: bool  # within 1e-6 of a bound: surfaced for human review
+def sweep_appendix(n_lo: int = 2, n_hi: int = 10_000) -> dict[str, np.ndarray]:
+    """Run both checks for every n in [n_lo, n_hi], a block of n at a time.
 
-
-def sweep_appendix(n_lo: int = 2, n_hi: int = 10_000) -> list[SweepRow]:
-    """Run both checks for every n in [n_lo, n_hi], a block of n at a time."""
+    Returns the appendix.csv table: columns n, sup_a, v1_a, a1_min_slack,
+    a1_pass, a2_pass and review (within 1e-6 of a bound: surfaced for human
+    review), one row per n.
+    """
     if n_lo < 2 or n_hi < n_lo:
         raise ValueError("need 2 <= n_lo <= n_hi")
     ns = np.arange(n_lo, n_hi + 1)
     slack, _, _ = _sandwich_slacks(ns)
     sup_a, v1_a = _window_stats(ns)
-    a1_pass = slack >= -_SLACK_TOL
-    a2_pass = (sup_a <= SUP_BOUND + _TOL) & (v1_a <= V1_BOUND + _TOL)
-    review = ((slack < _REVIEW_MARGIN) | (SUP_BOUND - sup_a < _REVIEW_MARGIN)
-              | (V1_BOUND - v1_a < _REVIEW_MARGIN))
-    return [SweepRow(*row) for row in zip(ns.tolist(), sup_a.tolist(), v1_a.tolist(),
-                                          slack.tolist(), a1_pass.tolist(), a2_pass.tolist(),
-                                          review.tolist())]
-
-
-SWEEP_CSV_HEADER = ("n", "sup_a", "v1_a", "a1_min_slack", "a1_pass", "a2_pass", "review")
-
-
-def sweep_csv_rows(rows: list[SweepRow]) -> list[tuple]:
-    return [
-        (r.n, r.sup_a, r.v1_a, r.a1_min_slack, int(r.a1_pass), int(r.a2_pass), int(r.review))
-        for r in rows
-    ]
+    return {
+        "n": ns, "sup_a": sup_a, "v1_a": v1_a, "a1_min_slack": slack,
+        "a1_pass": slack >= -_SLACK_TOL,
+        "a2_pass": (sup_a <= SUP_BOUND + _TOL) & (v1_a <= V1_BOUND + _TOL),
+        "review": ((slack < _REVIEW_MARGIN) | (SUP_BOUND - sup_a < _REVIEW_MARGIN)
+                   | (V1_BOUND - v1_a < _REVIEW_MARGIN)),
+    }

@@ -42,10 +42,10 @@ def _report(num, passed, detail):
 
 def test_criterion_01_appendix_a2_sweep():
     t0 = time.time()
-    rows = sweep_appendix(2, 10_000)
+    table = sweep_appendix(2, 10_000)
     elapsed = time.time() - t0
-    sup_ok = all(r.sup_a <= 32.0 + 1e-9 for r in rows)
-    v1_ok = all(r.v1_a <= 978.0 + 1e-9 for r in rows)
+    sup_ok = bool(np.all(table["sup_a"] <= 32.0 + 1e-9))
+    v1_ok = bool(np.all(table["v1_a"] <= 978.0 + 1e-9))
     _report(
         1,
         sup_ok and v1_ok and elapsed <= 60.0,
@@ -56,14 +56,14 @@ def test_criterion_01_appendix_a2_sweep():
 
 def test_criterion_02_appendix_a1_sweep():
     t0 = time.time()
-    rows = sweep_appendix(2, 10_000)
+    slack = sweep_appendix(2, 10_000)["a1_min_slack"]
     elapsed = time.time() - t0
-    slack_ok = all(r.a1_min_slack >= -1e-10 for r in rows)
+    slack_ok = bool(np.all(slack >= -1e-10))
     _report(
         2,
         slack_ok and elapsed <= 60.0,
         f"sandwich estimate sweep n in [2,1e4], k in [0,2 sqrt n]: min slack "
-        f"{min(r.a1_min_slack for r in rows):.4g} >= -1e-10, {elapsed:.1f}s (limit 60s)",
+        f"{np.min(slack):.4g} >= -1e-10, {elapsed:.1f}s (limit 60s)",
     )
 
 

@@ -264,7 +264,8 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 # the flag these cases' messages must name
 NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim",
-              "riesz-dim-0": "dim", "positivity-corpus-0": "corpus", "type-count-0": "count"}
+              "riesz-dim-0": "dim", "positivity-corpus-0": "corpus", "type-count-0": "count",
+              "positivity-n-list-empty": "--n-list", "marcinkiewicz-trials-0": "--trials"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -291,11 +292,15 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     ["positivity", "--gallery", "shift4", "--n-list", "4", "--corpus", "0", "--ks-ref", "1.0",
      "--seed", "1"],
     ["type-cotype", "--family", "random", "--count", "0", "--samples", "50", "--seed", "1"],
+    # a run that checks nothing
+    ["positivity", "--gallery", "shift4", "--n-list", ",", "--seed", "1"],
+    ["marcinkiewicz", "--trials", "0", "--seed", "1"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
         "decomp-ascent-steps-negative", "marcinkiewicz-span-negative", "marcinkiewicz-dim-0",
-        "riesz-dim-0", "positivity-corpus-0", "type-count-0"])
+        "riesz-dim-0", "positivity-corpus-0", "type-count-0", "positivity-n-list-empty",
+        "marcinkiewicz-trials-0"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

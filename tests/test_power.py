@@ -5,12 +5,7 @@ import pytest
 
 from kreisslab.norms import power_norm_sequence
 from kreisslab.operators import ComplexMatrix, OperatorSpec, make_gallery_operator
-from kreisslab.power import (
-    BOUNDS_CSV_HEADER,
-    bounds_csv_rows,
-    check_universal_bounds,
-    growth_fit,
-)
+from kreisslab.power import bounds_flagged, check_universal_bounds, growth_fit
 from kreisslab.resolvent import SearchConfig, kreiss_constant
 
 
@@ -71,18 +66,18 @@ def test_fit_residual_reproduces_input():
 
 def test_check_bounds_identity_margins():
     T = make_gallery_operator(OperatorSpec("identity", 3))
-    rep = check_universal_bounds(T, 2.0, 1.0, 1.0, 64)
-    assert rep.min_margin_kreiss >= 1.0
-    assert rep.min_margin_strong >= 1.0
-    assert rep.min_margin_matrixthm >= 1.0
-    assert not rep.flagged()
+    rep, _ = check_universal_bounds(T, 2.0, 1.0, 1.0, 64)
+    assert rep["min_margin_kreiss"] >= 1.0
+    assert rep["min_margin_strong"] >= 1.0
+    assert rep["min_margin_matrixthm"] >= 1.0
+    assert not bounds_flagged(rep)
 
 
 def test_check_bounds_rotation_margins():
     T = make_gallery_operator(OperatorSpec("rotation", 1, angles=0.3))
-    rep = check_universal_bounds(T, 2.0, 1.0, 1.0, 128)
-    assert rep.min_margin_strong >= 1.0
-    assert not rep.flagged()
+    rep, _ = check_universal_bounds(T, 2.0, 1.0, 1.0, 128)
+    assert rep["min_margin_strong"] >= 1.0
+    assert not bounds_flagged(rep)
 
 
 def test_check_bounds_jordan_consistency_finding():
@@ -90,28 +85,31 @@ def test_check_bounds_jordan_consistency_finding():
     # which flags the lower-bound substitution; the resolvent search must
     # then confirm a Kreiss constant at least as large as the implied floor
     T = ComplexMatrix([[1, 1], [0, 1]])
-    rep = check_universal_bounds(T, math.inf, 1.0, 1.0, 256)
-    assert rep.min_margin_matrixthm < 1.0
-    assert rep.flagged()
-    assert rep.implied_k_floor_matrixthm == pytest.approx(257 / (math.e * 2), rel=1e-12)
+    rep, _ = check_universal_bounds(T, math.inf, 1.0, 1.0, 256)
+    assert rep["min_margin_matrixthm"] < 1.0
+    assert bounds_flagged(rep)
+    assert rep["implied_k_floor_matrixthm"] == pytest.approx(257 / (math.e * 2), rel=1e-12)
     k = kreiss_constant(T, SearchConfig())
-    assert k.value >= rep.implied_k_floor_matrixthm - 1e-6
-    assert rep.combined_k_floor(k.value) == max(k.value, rep.implied_k_floor_matrixthm)
+    assert k.value >= rep["implied_k_floor_matrixthm"] - 1e-6
+    # with the search floor as reference, the combined floor is the larger of the two
+    rep_k, _ = check_universal_bounds(T, math.inf, k.value, 1.0, 256)
+    assert rep_k["combined_k_floor"] == max(k.value, rep["implied_k_floor_matrixthm"])
 
 
 def test_check_bounds_nilpotent_infinite_margin():
     T = make_gallery_operator(OperatorSpec("nilpotent", 2, coupling=2.0))
-    rep = check_universal_bounds(T, 2.0, 1.0, 1.0, 8)
-    assert math.isinf(rep.rows[-1].margin_strong)
+    _, table = check_universal_bounds(T, 2.0, 1.0, 1.0, 8)
+    assert math.isinf(table["margin_strong"][-1])
 
 
 def test_bounds_csv_rows_shape():
     T = make_gallery_operator(OperatorSpec("identity", 2))
-    rep = check_universal_bounds(T, 2.0, 1.0, 1.0, 5)
-    rows = bounds_csv_rows(rep)
-    assert len(rows) == 5
-    assert len(rows[0]) == len(BOUNDS_CSV_HEADER)
-    assert rows[2][0] == 3
+    _, table = check_universal_bounds(T, 2.0, 1.0, 1.0, 5)
+    assert list(table) == ["n", "norm_lower", "norm_upper", "ceiling_kreiss", "ceiling_strong",
+                           "ceiling_matrixthm", "margin_kreiss", "margin_strong",
+                           "margin_matrixthm"]
+    assert all(len(col) == 5 for col in table.values())
+    assert table["n"][2] == 3
 
 
 def test_check_bounds_rejects_bad_refs():

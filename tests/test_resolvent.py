@@ -336,7 +336,7 @@ def _ref_search(evaluate, xf, tf, vals, hw_x, bounds, cfg):
         seeds = [(float(xf[j]), float(tf[j])) for j in np.argsort(vals)[::-1][:5]]
         hw = (hw_x, 2 * np.pi / cfg.angular_count)
         rbest, rxt = _ref_refine_2d(evaluate, seeds, hw, cfg.refine_rounds,
-                                    cfg.refine_shrink, bounds)
+                                    resolvent._REFINE_SHRINK, bounds)
         if rbest > best:
             best, best_xt, refined = rbest, rxt, True
     return best, best_xt, i, refined

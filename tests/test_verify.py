@@ -7,10 +7,8 @@ from scipy.special import gammaln
 
 from kreisslab.verify import (
     SUP_BOUND,
-    SWEEP_CSV_HEADER,
     V1_BOUND,
     SandwichResult,
-    SweepRow,
     WindowBoundsResult,
     bound_m_range,
     log_poisson_term,
@@ -18,7 +16,6 @@ from kreisslab.verify import (
     poisson_window,
     poisson_window_sum,
     sweep_appendix,
-    sweep_csv_rows,
     verify_factorial_sandwich,
     verify_window_bounds,
 )
@@ -202,13 +199,18 @@ def _serial_sweep(n_lo, n_hi):
         a1, a2 = _serial_sandwich(n), _serial_window_bounds(n)
         review = (a1.min_slack < 1e-6 or SUP_BOUND - a2.sup_a < 1e-6
                   or V1_BOUND - a2.v1_a < 1e-6)
-        rows.append(SweepRow(n, a2.sup_a, a2.v1_a, a1.min_slack, a1.passed, a2.passed, review))
-    return rows
+        rows.append((n, a2.sup_a, a2.v1_a, a1.min_slack, a1.passed, a2.passed, review))
+    names = ("n", "sup_a", "v1_a", "a1_min_slack", "a1_pass", "a2_pass", "review")
+    return {name: np.array(col) for name, col in zip(names, zip(*rows))}
 
 
 @pytest.mark.parametrize("n_lo,n_hi", [(2, 3000), (10**6, 10**6 + 20)])
 def test_sweep_matches_one_n_loop(n_lo, n_hi):
-    assert sweep_appendix(n_lo, n_hi) == _serial_sweep(n_lo, n_hi)
+    got, want = sweep_appendix(n_lo, n_hi), _serial_sweep(n_lo, n_hi)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_single_n_checks_match_one_n_loop():
@@ -218,20 +220,19 @@ def test_single_n_checks_match_one_n_loop():
 
 
 def test_sweep_subset_all_pass():
-    rows = sweep_appendix(2, 500)
-    assert len(rows) == 499
-    assert all(r.a1_pass and r.a2_pass for r in rows)
-    assert all(not r.review for r in rows)
+    table = sweep_appendix(2, 500)
+    assert len(table["n"]) == 499
+    assert np.all(table["a1_pass"] & table["a2_pass"])
+    assert not np.any(table["review"])
     # the binding cases sit at small n
-    worst = max(rows, key=lambda r: r.sup_a)
-    assert worst.n == 4
+    assert table["n"][np.argmax(table["sup_a"])] == 4
 
 
 def test_sweep_csv_rows_shape():
-    rows = sweep_appendix(2, 5)
-    table = sweep_csv_rows(rows)
-    assert len(table[0]) == len(SWEEP_CSV_HEADER)
-    assert table[0][0] == 2
+    table = sweep_appendix(2, 5)
+    assert list(table) == ["n", "sup_a", "v1_a", "a1_min_slack", "a1_pass", "a2_pass", "review"]
+    assert all(len(col) == 4 for col in table.values())
+    assert table["n"][0] == 2
 
 
 def test_sweep_validates_range():
