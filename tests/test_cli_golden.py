@@ -64,6 +64,11 @@ CASES = {
                           "--inner-p", "1", "--gamma", "0.25", "--trials", "60",
                           "--max-support", "10", "--max-dim", "3", "--ascent-steps", "40",
                           "--seed", "5"],
+    # p = q = 4 lower side: the floor is 1.075066 against 1.050153 without the
+    # ascent, so the ascent's accepted steps reach the report
+    "decomp-scan-lower-p4": ["decomp-scan", "--p", "4", "--q", "4", "--side", "lower",
+                             "--trials", "200", "--max-support", "12", "--max-dim", "2",
+                             "--ascent-steps", "30", "--seed", "4"],
     "riesz-norm": ["riesz-norm", "--p", "2", "--dim", "1", "--trials", "20",
                    "--ascent-steps", "10", "--seed", "1"],
     # p = 4 with an l^1 inner norm: the projection norm exceeds 1, so the
@@ -143,6 +148,13 @@ EXPECTED = {
         {
             'decomp.json': 'e0a36bb0e81120ad3c8fa4893d5065d5cd53cb46ad981752fadd5434b7f15009',
             'witness_f.txt': '16f8d7c6d245f57f82cfe1c2c35042f204d665643144e6e99c80a495b0362820',
+        },
+    ),
+    'decomp-scan-lower-p4': (
+        0, 'decomp-scan: lower p=4.0 q=4.0 gamma=0.0 empirical floor 1.075066\n',
+        {
+            'decomp.json': '4def708fb19812237ed195d733752fbbb3b753ed327f2a8d7776aa387fb0fd88',
+            'witness_f.txt': 'b99e0f4dfa85a11daff3ef675b3998aca085c396d47e0db890ecf997782759c2',
         },
     ),
     'exp-criterion': (
