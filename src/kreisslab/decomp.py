@@ -14,6 +14,7 @@ value as an empirical floor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .fourier import (
     Interval,
     IntervalPartition,
     TrigPolynomial,
-    _coefficient_ascent,
+    _coefficient_ascents,
     _inner_norms,
     lp_torus_norm,
     pairing,
@@ -46,7 +47,7 @@ def block_norms(f: TrigPolynomial, intervals, p: float, inner_p: float) -> np.nd
 
     One that holds no support frequency gets 0.
     """
-    if not (1 <= p < math.inf) or inner_p < 1:
+    if not (1 <= p < math.inf and inner_p >= 1):
         raise ValueError("need 1 <= p < inf and inner_p >= 1")
     freqs = np.asarray(f.freqs, dtype=float)
     lo = np.searchsorted(freqs, [-math.inf if iv.lo is None else iv.lo for iv in intervals])
@@ -145,26 +146,36 @@ def _slot_block_norms(
     return mean_p ** (1.0 / p)
 
 
+@functools.lru_cache(maxsize=64)  # bounded, as max_support is the caller's
+def _triangle(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(s), read-only: one per support size, not one per sample."""
+    lo, hi = np.triu_indices(s)
+    for a in (lo, hi):
+        a.setflags(write=False)
+    return lo, hi
+
+
 def _run_block_norms(f: TrigPolynomial, p: float, inner_p: float) -> np.ndarray:
     """w[i, j] = ||D_I f||_p for I spanning support slots i..j (upper triangle)."""
     s = len(f.freqs)
-    lo, hi = np.triu_indices(s)
+    lo, hi = _triangle(s)
     w = np.zeros((s, s))
     w[lo, hi] = _slot_block_norms(f, p, inner_p, lo, hi)
     return w
 
 
-def _min_max_block(w: np.ndarray) -> np.ndarray:
+def _min_max_block(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Least, over contiguous partitions, of the largest block norm; per sample."""
     B, s, _ = w.shape
     g = np.zeros((B, s + 1))  # g[:, j]: the same over partitions of slots 0..j-1
     for j in range(s):
         g[:, j + 1] = np.maximum(g[:, : j + 1], w[:, : j + 1, j]).min(axis=1)
-    return g[:, s]
+    return g[np.arange(B), sizes]
 
 
-def _block_powers(w: np.ndarray, q: float, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """(w / scale)^q and the scale of each sample of a (B, s, s) stack.
+def _block_powers(w: np.ndarray, q: float, side: str,
+                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w / scale)^q and the scale of each sample of a zero-padded (B, S, S) stack.
 
     The scale is 1 while w^q stays finite and normal.  Otherwise it is the
     largest block norm on the lower side and the least largest block norm of
@@ -177,44 +188,50 @@ def _block_powers(w: np.ndarray, q: float, side: str) -> tuple[np.ndarray, np.nd
         scale = np.ones(len(w))
         if not ok.all():
             bad = ~ok
-            scale[bad] = w[bad].max(axis=(1, 2)) if side == "lower" else _min_max_block(w[bad])
+            scale[bad] = (w[bad].max(axis=(1, 2)) if side == "lower"
+                          else _min_max_block(w[bad], sizes[bad]))
             wq[bad] = (w[bad] / scale[bad, None, None]) ** q
     return wq, scale
 
 
 def _best_contiguous_partitions(
-    w: np.ndarray, q: float, gamma: float, side: str
+    w: np.ndarray, q: float, gamma: float, side: str, sizes=None
 ) -> list[tuple[float, list[tuple[int, int]]]]:
     """Exact optimum of ratio / (#I)^gamma over contiguous partitions, per sample.
 
-    w is a (B, s, s) stack of block-norm triangles.  Dynamic program over
-    (block count, last slot): the lower side maximizes sum_I w^q, the upper
-    side minimizes it.  Each block count c takes one max/argmax over the
-    stack, then each count is scored and every sample's best
-    (value, slot cuts) pair is reconstructed.
+    w is a (B, S, S) stack of block-norm triangles; sample b's fills the top
+    left sizes[b] x sizes[b] corner (default S) and zeros the rest.  Dynamic
+    program over (block count, last slot): the lower side maximizes
+    sum_I w^q, the upper side minimizes it.  Each block count c takes one
+    max/argmax over the stack, then each count is scored and every sample's
+    best (value, slot cuts) pair is reconstructed.  A cell (c, j < sizes[b])
+    reads only the corner, so each sample gets its unpadded value and cuts.
     """
     B, s, _ = w.shape
+    sizes = np.full(B, s) if sizes is None else np.asarray(sizes)
+    rows, last = np.arange(B), sizes - 1
     sign = 1.0 if side == "lower" else -1.0
-    swq, scale = _block_powers(w, q, side)  # scale 1 keeps w^q as it is
+    swq, scale = _block_powers(w, q, side, sizes)  # scale 1 keeps w^q as it is
     swq *= sign
     swq[:, np.tri(s, k=-1, dtype=bool)] = -math.inf  # no block has i > j
     parent = np.zeros((B, s + 1, s), dtype=np.intp)
     best = swq[:, 0]  # best[b, j]: optimum over c-block partitions of slots 0..j
-    totals = np.empty((B, s))  # the same at j = s-1, for c = 1..s
-    totals[:, 0] = best[:, s - 1]
+    totals = np.empty((B, s))  # the same at each sample's last slot, for c = 1..s
+    totals[:, 0] = best[rows, last]
     buf = np.empty((B, s - 1, s))
     for c in range(2, s + 1):
         # opt_i best_{c-1}[i-1] + sign*wq[i, j] over i in [c-1, j]
         cand = np.add(best[:, c - 2 : s - 1, None], swq[:, c - 1 :], out=buf[:, : s - c + 1])
         best = cand.max(axis=1)
         parent[:, c] = cand.argmax(axis=1) + (c - 1)
-        totals[:, c - 1] = best[:, s - 1]
+        totals[:, c - 1] = best[rows, last]
     totals = (sign * totals).tolist()
     penalty = [c ** gamma for c in range(1, s + 1)]
     out = []
-    for fnorm, k, tots, par in zip(w[:, 0, s - 1].tolist(), scale.tolist(), totals, parent):
+    for fnorm, k, n, tots, par in zip(w[rows, 0, last].tolist(), scale.tolist(),
+                                      sizes.tolist(), totals, parent):
         best_val, best_c = -math.inf, 1
-        for c, tot in enumerate(tots, 1):
+        for c, tot in enumerate(tots[:n], 1):
             if not (tot > 0) or not math.isfinite(tot):
                 continue
             agg = k * tot ** (1.0 / q)
@@ -223,7 +240,7 @@ def _best_contiguous_partitions(
             if val > best_val:
                 best_val, best_c = val, c
         cuts = []
-        j, c = s - 1, best_c
+        j, c = n - 1, best_c
         while c >= 1:
             i = int(par[c, j]) if c > 1 else 0
             cuts.append((i, j))
@@ -236,13 +253,14 @@ def _best_contiguous_partitions(
 def _score(
     polys: list[TrigPolynomial], p: float, q: float, inner_p: float, gamma: float, side: str
 ) -> list[tuple[float, list[tuple[int, int]]]]:
-    """(value, slot cuts) of each polynomial; all share one support size."""
-    w = np.empty((len(polys), len(polys[0].freqs), len(polys[0].freqs)))
+    """(value, slot cuts) of each polynomial; mixed support sizes are zero-padded."""
+    sizes = np.array([len(f.freqs) for f in polys])
+    w = np.zeros((len(polys), sizes.max(), sizes.max()))
     for b, f in enumerate(polys):
-        w[b] = _run_block_norms(f, p, inner_p)
-    if not w[:, 0, -1].all():
+        w[b, : sizes[b], : sizes[b]] = _run_block_norms(f, p, inner_p)
+    if not w[np.arange(len(polys)), 0, sizes - 1].all():
         raise ZeroPolynomialError("f must be nonzero")
-    return _best_contiguous_partitions(w, q, gamma, side)
+    return _best_contiguous_partitions(w, q, gamma, side, sizes)
 
 
 def _partition(f: TrigPolynomial, cuts: list[tuple[int, int]]) -> IntervalPartition:
@@ -295,16 +313,20 @@ def estimate_constant(
     program), so the search over partitions is not itself randomized, and
     more trials can only raise the floor.  The whole corpus is drawn first,
     then scored one support size at a time with one dynamic program per
-    size; the top_k samples start their ascents from those scores, and each
-    ascent step scores one candidate.  Only the returned witness gets an
-    IntervalPartition.
+    size.  The top_k samples start lockstep ascents from those scores: each
+    step scores every start's candidate in one zero-padded program over their
+    mixed sizes, and the noise, drawn first in start order, takes
+    top_k * ascent_steps * 2 * s * d doubles (about 1 MB at decomp-scan's
+    defaults).  Only the returned witness gets an IntervalPartition.
     """
     if not (1 < p < math.inf):
         raise ValueError("p must lie in (1, inf)")
     if not (1 <= q < math.inf):
         raise ValueError("q must lie in [1, inf)")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not inner_p >= 1:  # a NaN fails too
+        raise ValueError(f"inner_p must be >= 1, got {inner_p}")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     rng = np.random.default_rng(cfg.seed)
@@ -327,12 +349,10 @@ def estimate_constant(
     order = sorted(range(len(corpus)), key=lambda k: scored[k][0], reverse=True)
     best_val, best_cuts = scored[order[0]]
     best_f = corpus[order[0]]
-
-    def score(cand):
-        return _score([cand], p, q, inner_p, gamma, side)[0]
-
-    for k in order[: cfg.top_k]:
-        cur, f, cur_cuts = _coefficient_ascent(corpus[k], scored[k], score, cfg.ascent_steps, rng)
+    ends = _coefficient_ascents([(corpus[k], scored[k]) for k in order[: cfg.top_k]],
+                                lambda fs: _score(fs, p, q, inner_p, gamma, side),
+                                cfg.ascent_steps, rng)
+    for cur, f, cur_cuts in ends:
         if cur > best_val:
             best_val, best_f, best_cuts = cur, f, cur_cuts
 
@@ -447,6 +467,9 @@ def rademacher_constants(
         raise ValueError("kind must be 'type' or 'cotype'")
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    for name, value in (("exponent", exponent), ("inner_p", inner_p)):
+        if not value >= 1:  # a NaN fails too
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if len(xs) < 1:
         raise ValueError("xs must hold at least one vector (count >= 1)")
     vecs = np.stack([np.atleast_1d(np.asarray(x, dtype=complex)) for x in xs])

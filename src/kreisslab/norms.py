@@ -62,7 +62,7 @@ class NormBounds:
 
 def vector_p_norm(v, p: float) -> float:
     """(sum |v_k|^p)^(1/p), max for p=inf.  Raises for p < 1."""
-    if p < 1:
+    if not p >= 1:  # a NaN fails too
         raise ValueError(f"p-norms need p >= 1, got {p}")
     a = np.abs(np.asarray(v, dtype=complex))
     if a.size == 0:

@@ -265,7 +265,12 @@ def test_reports_byte_identical_across_runs(tmp_path):
 # the flag these cases' messages must name
 NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim",
               "riesz-dim-0": "dim", "positivity-corpus-0": "corpus", "type-count-0": "count",
-              "positivity-n-list-empty": "--n-list", "marcinkiewicz-trials-0": "--trials"}
+              "positivity-n-list-empty": "--n-list", "marcinkiewicz-trials-0": "--trials",
+              "decomp-gamma-nan": "gamma", "decomp-inner-p-nan": "inner_p",
+              "decomp-inner-p-below-1": "inner_p", "riesz-inner-p-nan": "inner_p",
+              "type-inner-p-nan": "inner_p", "type-exponent-nan": "exponent",
+              "marcinkiewicz-inner-p-nan": "inner_p",
+              "marcinkiewicz-p-nan": "p must lie in [1, inf)"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,12 +300,24 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     # a run that checks nothing
     ["positivity", "--gallery", "shift4", "--n-list", ",", "--seed", "1"],
     ["marcinkiewicz", "--trials", "0", "--seed", "1"],
+    # NaN passes a "x < 1" range test
+    ["decomp-scan", "--gamma", "nan", "--trials", "5", "--ascent-steps", "1", "--seed", "1"],
+    ["decomp-scan", "--inner-p", "nan", "--trials", "5", "--ascent-steps", "1", "--seed", "1"],
+    # a quasi-norm
+    ["decomp-scan", "--inner-p", "0.5", "--trials", "5", "--ascent-steps", "1", "--seed", "1"],
+    ["riesz-norm", "--inner-p", "nan", "--trials", "2", "--ascent-steps", "1", "--seed", "1"],
+    ["type-cotype", "--inner-p", "nan", "--samples", "50", "--seed", "1"],
+    ["type-cotype", "--exponent", "nan", "--samples", "50", "--seed", "1"],
+    ["marcinkiewicz", "--inner-p", "nan", "--trials", "2", "--seed", "1"],
+    ["marcinkiewicz", "--p", "nan", "--trials", "2", "--seed", "1"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
         "decomp-ascent-steps-negative", "marcinkiewicz-span-negative", "marcinkiewicz-dim-0",
         "riesz-dim-0", "positivity-corpus-0", "type-count-0", "positivity-n-list-empty",
-        "marcinkiewicz-trials-0"])
+        "marcinkiewicz-trials-0", "decomp-gamma-nan", "decomp-inner-p-nan",
+        "decomp-inner-p-below-1", "riesz-inner-p-nan", "type-inner-p-nan", "type-exponent-nan",
+        "marcinkiewicz-inner-p-nan", "marcinkiewicz-p-nan"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

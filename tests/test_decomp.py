@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kreisslab import decomp
 from kreisslab.decomp import (
     DecompSearchConfig,
     ZeroPolynomialError,
@@ -12,6 +13,7 @@ from kreisslab.decomp import (
     _draw_polynomial,
     _run_block_norms,
     _score,
+    _sign_pattern_candidates,
     block_norms,
     decomposition_ratio,
     estimate_constant,
@@ -21,9 +23,12 @@ from kreisslab.decomp import (
     rademacher_constants,
 )
 from kreisslab.fourier import (
+    RIESZ_SYMBOL,
     Interval,
     IntervalPartition,
     TrigPolynomial,
+    _coefficient_ascents,
+    _multiplier_ratio,
     lp_torus_norm,
     project_interval,
     quadrature_points,
@@ -244,6 +249,26 @@ def test_dp_stack_of_equal_sizes_matches_one_sample_loop():
             assert got == [_quadratic_dp(w, q, gamma, side) for w in ws]
 
 
+def _mixed_size_stack(rng, sizes):
+    # each sample's triangle in the top left corner of a zero-padded stack
+    S = max(sizes)
+    ws = np.zeros((len(sizes), S, S))
+    for b, n in enumerate(sizes):
+        ws[b, :n, :n] = np.triu(0.2 + 3.0 * rng.random((n, n)))
+    return ws
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5, 4.0])
+def test_padded_dp_matches_one_sample_loop(q):
+    rng = np.random.default_rng(17)
+    sizes = [5, 1, 9, 2, 9, 3, 7, 4]
+    ws = _mixed_size_stack(rng, sizes)
+    for side in ("lower", "upper"):
+        for gamma in (0.0, 0.3):
+            got = _best_contiguous_partitions(ws, q, gamma, side, sizes)
+            assert got == [_quadratic_dp(w[:n, :n], q, gamma, side) for w, n in zip(ws, sizes)]
+
+
 def _brute_force_objective(w, q, gamma, side):
     # every contiguous partition, aggregated with the overflow-safe l^q norm
     s = w.shape[0]
@@ -271,11 +296,105 @@ def test_dp_rescales_out_of_range_powers(q):
                     assert val >= 1.0 - 1e-12  # the one-block partition scores 1
 
 
+@pytest.mark.parametrize("q", [500.0, 5000.0])
+def test_padded_dp_rescales_per_sample(q):
+    # the rescale path with per-sample sizes: brute force, and the unpadded program
+    rng = np.random.default_rng(5)
+    sizes = [7, 3, 6, 2, 7]
+    ws = 5.0 * _mixed_size_stack(rng, sizes)
+    for side in ("lower", "upper"):
+        for gamma in (0.0, 0.3):
+            got = _best_contiguous_partitions(ws, q, gamma, side, sizes)
+            for w, n, (val, cuts) in zip(ws, sizes, got):
+                assert val == pytest.approx(_brute_force_objective(w[:n, :n], q, gamma, side),
+                                            rel=1e-9)
+                assert [(val, cuts)] == _best_contiguous_partitions(w[None, :n, :n], q, gamma,
+                                                                    side)
+
+
 @pytest.mark.parametrize("q", [2000.0, 5000.0])
 def test_large_q_lower_floor_is_at_least_one(q):
     cfg = DecompSearchConfig(trials=50, ascent_steps=5, max_support=16, max_dim=2, seed=1)
     est = estimate_constant(3.0, q, 2.0, "lower", 0.0, cfg)
     assert est.constant_lower >= 1.0
+
+
+# ---------------------------------------------------------------------------
+# lockstep ascents against the one-start loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def _sequential_ascent(f, start, score, steps, rng):
+    # reference: one start at a time, two (s, d) noise draws per step
+    (value, extra), step = start, 0.25
+    for _ in range(steps):
+        trial = f.vecs + step * (
+            rng.standard_normal(f.vecs.shape) + 1j * rng.standard_normal(f.vecs.shape)
+        )
+        cand = TrigPolynomial(f.freqs, trial, f.dim)
+        if cand.is_zero:
+            continue
+        v, v_extra = score(cand)
+        if v > value:
+            value, f, extra = v, cand, v_extra
+            step = min(step * 1.3, 1.0)
+        else:
+            step = max(step * 0.7, 1e-6)
+    return value, f, extra
+
+
+def _decomp_objective(p, q, inner_p, gamma, side):
+    return lambda fs: _score(fs, p, q, inner_p, gamma, side)
+
+
+def _riesz_objective(p, inner_p):
+    return lambda fs: [(_multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), None) for f in fs]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("objective", [
+    _decomp_objective(4.0, 4.0, 1.0, 0.0, "lower"),
+    _decomp_objective(3.0, 1.5, 2.0, 0.3, "lower"),
+    _decomp_objective(4.0, 2.0, 2.0, 0.0, "upper"),
+    _riesz_objective(4.0, 1.0),
+], ids=["decomp-lower-l1", "decomp-lower-gamma", "decomp-upper", "riesz"])
+def test_lockstep_ascents_match_sequential_loop(objective, d):
+    rng = np.random.default_rng(40 + d)
+    sizes = [6, 2, 11, 6, 3, 9]  # mixed, one repeated
+    # sign patterns on runs of frequencies: the starts the ascent improves
+    polys = [TrigPolynomial(tuple(range(-2, n - 2)), rng.choice([-1.0, 1.0], (n, d)), d)
+             for n in sizes]
+    starts = list(zip(polys, objective(polys)))
+    steps = 25
+    seq_rng, lock_rng = np.random.default_rng(7), np.random.default_rng(7)
+    want = [_sequential_ascent(f, start, lambda g: objective([g])[0], steps, seq_rng)
+            for f, start in starts]
+    got = _coefficient_ascents(starts, objective, steps, lock_rng)
+    assert len(got) == len(want)
+    for (v, f, extra), (v_ref, f_ref, extra_ref) in zip(got, want):
+        assert v == v_ref and extra == extra_ref
+        assert f.freqs == f_ref.freqs and np.array_equal(f.vecs, f_ref.vecs)
+    assert lock_rng.random() == seq_rng.random()  # the next draw is the same
+    # some step is accepted, so the test compares more than the starts
+    assert any(v > start[0] for (v, _f, _e), (_g, start) in zip(got, starts))
+
+
+@pytest.mark.parametrize("cfg", [
+    DecompSearchConfig(trials=60, ascent_steps=7, top_k=4, max_support=10, max_dim=3, seed=2),
+    # sign-pattern candidates join the corpus
+    DecompSearchConfig(trials=30, ascent_steps=5, top_k=6, max_support=6, max_dim=1, seed=8),
+], ids=["random", "sign-patterns"])
+def test_objective_evals_are_corpus_plus_ascent_candidates(cfg, monkeypatch):
+    # one quadrature rule per scored polynomial: the corpus, then one
+    # candidate per start and step, none dropped and none repeated
+    calls = []
+    real = decomp.quadrature_points
+    monkeypatch.setattr(decomp, "quadrature_points", lambda *a: calls.append(1) or real(*a))
+    estimate_constant(3.0, 2.0, 2.0, "upper", 0.0, cfg)
+    replay = np.random.default_rng(cfg.seed)
+    corpus = len(_sign_pattern_candidates(cfg)) + sum(
+        not _draw_polynomial(replay, cfg).is_zero for _ in range(cfg.trials))
+    assert len(calls) == corpus + min(cfg.top_k, corpus) * cfg.ascent_steps
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,31 @@ def test_inner_norms_match_vector_norms(rng):
         assert np.allclose(_inner_norms(vals, r), want, rtol=1e-13, atol=0)
 
 
+def _reduced_inner_norms(vals, inner_p):
+    # reference: numpy's reduction over the vector axis for every dimension
+    a = np.abs(vals)
+    if math.isinf(inner_p):
+        return np.maximum.reduce(a, axis=-1)
+    if inner_p == 2.0:
+        return np.sqrt(np.add.reduce(a * a, axis=-1))
+    return np.add.reduce(a ** inner_p, axis=-1) ** (1.0 / inner_p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("inner_p", [1.0, 2.0, 3.0, math.inf])
+def test_inner_norms_bit_equal_to_reduction(d, inner_p, rng):
+    # zeros, the least subnormal, squares that underflow and cubes that overflow
+    mags = np.array([0.0, 5e-324, 1e-160, 1e150, 1.0])
+    shape = (6, 40, d)
+    vals = rng.choice(mags, size=shape) * np.exp(2j * np.pi * rng.random(shape))
+    vals = np.concatenate([vals, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)])
+    with np.errstate(over="ignore", under="ignore"):
+        want = _reduced_inner_norms(vals, inner_p)
+        got = _inner_norms(vals, inner_p)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # pairing convention
 # ---------------------------------------------------------------------------
