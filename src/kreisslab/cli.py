@@ -4,12 +4,13 @@ Usage contract:
   exit 0  run completed, nothing flagged
   exit 1  a checked inequality was flagged; a witness file sits in --out
   exit 2  usage error (bad flags, bad config file, missing mandatory seed,
-          out-of-range values, nothing to fit)
+          a value outside its flag's domain, nothing to fit)
 
 Determinism: identical argv (same seed) produce byte-identical report files.
 Wall-clock metadata is isolated in run_meta.json, which the determinism
 guarantee excludes.  Config files are JSON, keyed by subcommand; explicit CLI
-flags override config values, which override built-in defaults.
+flags override config values, which override built-in defaults.  _merge checks
+each joined numeric value against its domain in FLAGS before any work starts.
 
 Each subcommand is a handler in HANDLERS that only computes: it returns an
 Outcome, and main alone writes the report envelope, the extra files, the
@@ -45,6 +46,7 @@ from .operators import (
     gallery,
     gallery_entry,
     make_gallery_operator,
+    _require,
 )
 from .positivity import PositiveOperator, TruncationError, block_bound_check, krivine_checks
 from .power import bounds_flagged, check_universal_bounds, growth_fit, growth_table
@@ -102,45 +104,51 @@ DEFAULTS: dict[str, dict] = {
 for _sub in OPERATOR_SUBS[1:]:
     DEFAULTS[_sub] = {**DEFAULTS["kreiss"], **DEFAULTS[_sub]}
 
-# argparse options of every flag, keyed by dest; a dest not listed here is a
-# plain string flag.  The option is --<dest with - for _> unless "flag" names it,
-# and every flag defaults to None so that _merge sees what was given.
+# argparse options and domain of every flag, keyed by dest; a dest not listed
+# here is a plain string flag.  The option is --<dest with - for _> unless "flag"
+# names it, and every flag defaults to None so that _merge sees what was given.
+# A domain (lo, hi, ends) is the interval _merge checks the value against (see
+# operators._require): "[" admits its end and "(" does not, so "]" at inf admits
+# inf and ")" asks for a finite value.  A flag with a domain and no type is a
+# norm index that _parse_p reads ('inf' too).
 FLAGS: dict[str, dict] = {
     "out": {"help": "output directory for reports"},
     "config": {"help": "JSON config file"},
     "threads": {"type": int},
     "gallery": {"help": "gallery operator name"},
     "op": {"help": "operator kind"},
-    "dim": {"type": int},
-    "coupling": {"type": float},
+    "dim": {"type": int, "domain": (1, math.inf, "[)")},
+    "coupling": {"type": float, "domain": (-math.inf, math.inf, "()")},
     "weights": {"help": "comma-separated superdiagonal"},
     "angles": {"help": "angle in turns, or comma list"},
-    "p": {"help": "norm index (number or 'inf')"},
-    "r_max": {"type": float},
-    "radial": {"type": int},
-    "angular": {"type": int},
-    "refine_rounds": {"type": int},
-    "seed": {"type": int},
-    "n_max": {"type": int},
-    "n_min": {"type": int},
-    "xi_max": {"type": float},
-    "k_ref": {"type": float},
-    "ks_ref": {"type": float},
+    "p": {"help": "norm index (number or 'inf')", "domain": (1, math.inf, "[]")},
+    "q": {"domain": (1, math.inf, "[)")},
+    "inner_p": {"domain": (1, math.inf, "[]")},
+    "r_max": {"type": float, "domain": (1, math.inf, "()")},
+    "radial": {"type": int, "domain": (4, math.inf, "[)")},
+    "angular": {"type": int, "domain": (4, math.inf, "[)")},
+    "refine_rounds": {"type": int, "domain": (0, math.inf, "[)")},
+    "seed": {"type": int, "domain": (0, math.inf, "[)")},
+    "n_max": {"type": int, "domain": (1, math.inf, "[)")},
+    "n_min": {"type": int, "domain": (2, math.inf, "[)")},
+    "xi_max": {"type": float, "domain": (0, math.inf, "()")},
+    "k_ref": {"type": float, "domain": (0, math.inf, "()")},
+    "ks_ref": {"type": float, "domain": (0, math.inf, "()")},
     "fit": {"choices": ("poly", "poly_log", "both")},
     "gz": {"action": "store_true"},
     "side": {"choices": ("upper", "lower")},
-    "gamma": {"type": float},
-    "trials": {"type": int},
-    "ascent_steps": {"type": int},
-    "max_support": {"type": int},
-    "max_dim": {"type": int},
-    "span": {"type": int, "help": "multiplier window half-width"},
+    "gamma": {"type": float, "domain": (0, math.inf, "[)")},
+    "trials": {"type": int, "domain": (1, math.inf, "[)")},
+    "ascent_steps": {"type": int, "domain": (0, math.inf, "[)")},
+    "max_support": {"type": int, "domain": (2, math.inf, "[)")},
+    "max_dim": {"type": int, "domain": (1, math.inf, "[)")},
+    "span": {"type": int, "domain": (0, math.inf, "[)"), "help": "multiplier window half-width"},
     "kind": {"choices": ("type", "cotype")},
-    "exponent": {"type": float},
-    "count": {"type": int},
+    "exponent": {"type": float, "domain": (1, math.inf, "[]")},
+    "count": {"type": int, "domain": (1, math.inf, "[)")},
     "family": {"choices": ("basis", "random")},
-    "samples": {"type": int},
-    "corpus": {"type": int},
+    "samples": {"type": int, "domain": (2, math.inf, "[)")},
+    "corpus": {"type": int, "domain": (1, math.inf, "[)")},
     "y_cols": {"help": "comma-separated columns"},
     "log_x": {"flag": "--linear-x", "action": "store_false"},
     "log_y": {"flag": "--linear-y", "action": "store_false"},
@@ -177,10 +185,19 @@ def _parse_int_list(text) -> tuple[int, ...]:
 
 
 def _flag_spec(sub: str, dest: str) -> dict:
+    """FLAGS[dest] with the type and domain the flag has in subcommand sub."""
     spec = dict(FLAGS.get(dest, {}))
     if (sub, dest) == ("positivity", "q"):
-        spec["type"] = float  # an exponent here, a norm index ('inf' too) in decomp-scan
+        spec.update(type=float, domain=(1, 2, "[)"))  # the Krivine check's exponent
+    elif dest == "p" and sub in ("decomp-scan", "riesz-norm", "marcinkiewicz"):
+        spec["domain"] = (1, math.inf, "[)" if sub == "marcinkiewicz" else "()")
+    elif dest == "n_max" and sub in ("cesaro", "verify-appendix"):
+        spec["domain"] = (0 if sub == "cesaro" else 2, math.inf, "[)")
     return spec
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(sub)
         for dest in dict.fromkeys(("out", "config", "threads", *defaults)):
             spec = _flag_spec(sub, dest)
-            flag = spec.pop("flag", "--" + dest.replace("_", "-"))
-            sp.add_argument(flag, dest=dest, default=None, **spec)
+            spec.pop("domain", None)
+            sp.add_argument(spec.pop("flag", _option(dest)), dest=dest, default=None, **spec)
     return parser
 
 
@@ -217,16 +234,6 @@ def _load_config(path, sub: str, parser: argparse.ArgumentParser) -> dict:
     unknown = sorted(set(section) - known)
     if unknown:
         parser.error(f"unknown config keys for {sub!r}: {', '.join(unknown)}")
-    # check only: the config echo keeps the values as written
-    for key, value in section.items():
-        convert = _flag_spec(sub, key).get("type")
-        if convert is None:
-            continue
-        try:
-            convert(value)
-        except (TypeError, ValueError, OverflowError):
-            parser.error(f"config key {key!r} for {sub!r} must convert to "
-                         f"{convert.__name__}, got {value!r}")
     return section
 
 
@@ -244,6 +251,16 @@ def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser) 
     for key, default in (("seed", 0), ("threads", 1)):
         if merged.get(key) is None:
             merged[key] = default
+    # check only: the config echo keeps the values as written
+    for key, value in merged.items():
+        spec = _flag_spec(sub, key)
+        convert = spec.get("type", _parse_p if "domain" in spec else None)
+        if convert is None or value is None and DEFAULTS[sub].get(key) is None:
+            continue
+        try:
+            _require(key, convert(value), *spec.get("domain", (-math.inf, math.inf, "[]")))
+        except (TypeError, ValueError, OverflowError) as exc:
+            parser.error(f"argument {spec.get('flag', _option(key))}: {exc}")
     return merged
 
 
@@ -272,7 +289,7 @@ def _operator(params: dict):
         dim=dim,
         scale=_parse_complex(params.get("scale") or "1"),
         eigenvalue=_parse_complex(params.get("eigenvalue") or "1"),
-        coupling=float(params.get("coupling") if params.get("coupling") is not None else 1.0),
+        coupling=float(params["coupling"]),
         weights=weights,
         angles=angles_val,
         path=params.get("matrix_file") or "",
@@ -300,7 +317,7 @@ def _ks_ref(
     """
     if params["ks_ref"] is None:
         return strong_kreiss_constant(T, cfg, 16, k_est=k_est).value
-    return params["ks_ref"]
+    return float(params["ks_ref"])  # a config file may hold it as a string
 
 
 @dataclass(frozen=True)
@@ -429,8 +446,6 @@ def _marcinkiewicz(params):
     p = _parse_p(params["p"])
     inner_p = _parse_p(params["inner_p"])
     span, d, trials = int(params["span"]), int(params["dim"]), int(params["trials"])
-    if span < 0 or d < 1 or trials < 1:
-        raise ValueError("marcinkiewicz needs --span >= 0, --dim >= 1 and --trials >= 1")
     samples = []
     for _ in range(trials):
         vals = {n: complex(rng.choice([-1.0, 1.0])) for n in range(-span, span + 1)}
@@ -451,8 +466,6 @@ def _marcinkiewicz(params):
 
 def _type_cotype(params):
     d = int(params["dim"])
-    if d < 1:
-        raise ValueError("type-cotype needs --dim >= 1")
     if params["family"] == "basis":
         xs = [np.eye(d)[i] for i in range(d)]
     else:
@@ -502,9 +515,7 @@ def _exp_criterion(params, name, T, cfg):
 
 
 def _cesaro(params, name, T, cfg):
-    ks_ref = _ks_ref(params, T, cfg)
-    if not math.isfinite(ks_ref) or ks_ref <= 0:
-        raise ValueError("cesaro needs a finite positive ks_ref")
+    ks_ref = _ks_ref(params, T, cfg)  # cesaro_partial_sum_bound checks a computed one
     n_max = int(params["n_max"])
     res = cesaro_partial_sum_bound(T, cfg, n_max, float(ks_ref))
     gz_val = None
@@ -549,10 +560,8 @@ def _growth(params, name, T, cfg):
 
 
 def _bounds(params, name, T, cfg):
-    k_ref, k_est = params["k_ref"], None
-    if k_ref is None:
-        k_est = kreiss_constant(T, cfg)
-        k_ref = k_est.value
+    k_est = None if params["k_ref"] is not None else kreiss_constant(T, cfg)
+    k_ref = float(params["k_ref"]) if k_est is None else k_est.value
     ks_ref = _ks_ref(params, T, cfg, k_est)
     if not (math.isfinite(k_ref) and math.isfinite(ks_ref)):
         raise ValueError("bounds needs finite reference constants (operator not Kreiss "
@@ -580,7 +589,7 @@ def _positivity(params, name, T, cfg):
     seed = int(params["seed"])
     rng = np.random.default_rng(seed)
     xs = np.abs(rng.standard_normal((corpus, T.dim)))
-    xs /= np.sum(xs ** max(q, 1.0), axis=1, keepdims=True) ** (1.0 / max(q, 1.0))
+    xs /= np.sum(xs ** q, axis=1, keepdims=True) ** (1.0 / q)
     results = []
     worst = math.inf
     try:

@@ -31,6 +31,7 @@ from .fourier import (
     quadrature_points,
 )
 from .norms import vector_p_norm
+from .operators import _require
 
 # complex grid values per numpy pass of _slot_block_norms; larger passes leave
 # the cache and run slower
@@ -47,8 +48,8 @@ def block_norms(f: TrigPolynomial, intervals, p: float, inner_p: float) -> np.nd
 
     One that holds no support frequency gets 0.
     """
-    if not (1 <= p < math.inf and inner_p >= 1):
-        raise ValueError("need 1 <= p < inf and inner_p >= 1")
+    _require("p", p, 1)
+    _require("inner_p", inner_p, 1, math.inf, "[]")
     freqs = np.asarray(f.freqs, dtype=float)
     lo = np.searchsorted(freqs, [-math.inf if iv.lo is None else iv.lo for iv in intervals])
     hi = np.searchsorted(freqs, [math.inf if iv.hi is None else iv.hi for iv in intervals],
@@ -97,8 +98,7 @@ class DecompSearchConfig:
     def __post_init__(self):
         for name, least in (("trials", 1), ("ascent_steps", 0), ("top_k", 0),
                             ("max_support", 2), ("max_dim", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+            _require(name, getattr(self, name), least)
 
 
 @dataclass
@@ -119,6 +119,14 @@ class DecompositionEstimate:
             self.witness, self.witness_partition, self.p, self.q, self.inner_p, self.side
         )
         return ratio / len(self.witness_partition) ** self.gamma
+
+
+def _penalty(c: int, gamma: float) -> float:
+    """c^gamma, or inf where that overflows: a partition into c blocks then scores 0."""
+    try:
+        return c ** gamma
+    except OverflowError:
+        return math.inf
 
 
 def _slot_block_norms(
@@ -226,7 +234,7 @@ def _best_contiguous_partitions(
         parent[:, c] = cand.argmax(axis=1) + (c - 1)
         totals[:, c - 1] = best[rows, last]
     totals = (sign * totals).tolist()
-    penalty = [c ** gamma for c in range(1, s + 1)]
+    penalty = [_penalty(c, gamma) for c in range(1, s + 1)]
     out = []
     for fnorm, k, n, tots, par in zip(w[rows, 0, last].tolist(), scale.tolist(),
                                       sizes.tolist(), totals, parent):
@@ -319,14 +327,10 @@ def estimate_constant(
     top_k * ascent_steps * 2 * s * d doubles (about 1 MB at decomp-scan's
     defaults).  Only the returned witness gets an IntervalPartition.
     """
-    if not (1 < p < math.inf):
-        raise ValueError("p must lie in (1, inf)")
-    if not (1 <= q < math.inf):
-        raise ValueError("q must lie in [1, inf)")
-    if not inner_p >= 1:  # a NaN fails too
-        raise ValueError(f"inner_p must be >= 1, got {inner_p}")
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _require("p", p, 1, math.inf, "()")
+    _require("q", q, 1)
+    _require("inner_p", inner_p, 1, math.inf, "[]")
+    _require("gamma", gamma, 0)
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     rng = np.random.default_rng(cfg.seed)
@@ -383,8 +387,7 @@ def hoelder_growth_check(
     inequality to the computed block norms, so quadrature error cannot push
     it below 1.
     """
-    if r < q:
-        raise ValueError(f"need r >= q, got r={r} < q={q}")
+    _require("r", r, q, math.inf, "[]")
     if not part.covers(f.support):
         raise ValueError("partition does not cover the support of f")
     a = block_norms(f, part.intervals, p, inner_p)
@@ -465,13 +468,10 @@ def rademacher_constants(
     """
     if kind not in ("type", "cotype"):
         raise ValueError("kind must be 'type' or 'cotype'")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    for name, value in (("exponent", exponent), ("inner_p", inner_p)):
-        if not value >= 1:  # a NaN fails too
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if len(xs) < 1:
-        raise ValueError("xs must hold at least one vector (count >= 1)")
+    _require("samples", samples, 2)
+    _require("exponent", exponent, 1, math.inf, "[]")
+    _require("inner_p", inner_p, 1, math.inf, "[]")
+    _require("len(xs)", len(xs), 1)
     vecs = np.stack([np.atleast_1d(np.asarray(x, dtype=complex)) for x in xs])
     if vecs.shape[1] == 0:
         raise ValueError("xs must be vectors of dimension >= 1")

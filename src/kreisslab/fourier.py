@@ -19,6 +19,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from .operators import _require
+
 _OVERSAMPLE = 8
 
 
@@ -364,10 +366,8 @@ def lp_torus_norm(
     N > p * max|freq|; then the summand is a trig polynomial of degree at
     most p*M and the Riemann sum equals the integral.
     """
-    if not 1 <= p < math.inf:  # a NaN fails each range test
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not inner_p >= 1:
-        raise ValueError(f"inner_p must be >= 1, got {inner_p}")
+    _require("p", p, 1)
+    _require("inner_p", inner_p, 1, math.inf, "[]")
     if f.is_zero:
         default_n, exact = quadrature_points(f, p, inner_p)
         return TorusNorm(0.0, exact, n_points or default_n)
@@ -481,10 +481,8 @@ def riesz_norm_lower_bound(
     random draws alone rarely align the cancellation that pushes the ratio
     above 1.
     """
-    if not (1 < p and not math.isinf(p)):
-        raise ValueError("p must lie in (1, inf)")
-    if d < 1:
-        raise ValueError("dim must be >= 1")
+    _require("p", p, 1, math.inf, "()")
+    _require("dim", d, 1)
 
     def score(f: TrigPolynomial) -> tuple[float, None]:
         return _multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), None

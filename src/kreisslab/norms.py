@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ComplexMatrix
+from .operators import ComplexMatrix, _require
 
 _SCALE_HI = 1e100
 _SCALE_LO = 1e-100
@@ -38,8 +38,8 @@ class AscentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_steps < 1:
-            raise ValueError("restarts and max_steps must be >= 1")
+        _require("restarts", self.restarts, 1)
+        _require("max_steps", self.max_steps, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +61,8 @@ class NormBounds:
 
 
 def vector_p_norm(v, p: float) -> float:
-    """(sum |v_k|^p)^(1/p), max for p=inf.  Raises for p < 1."""
-    if not p >= 1:  # a NaN fails too
-        raise ValueError(f"p-norms need p >= 1, got {p}")
+    """(sum |v_k|^p)^(1/p), max for p=inf.  Raises for p outside [1, inf]."""
+    _require("p", p, 1, math.inf, "[]")
     a = np.abs(np.asarray(v, dtype=complex))
     if a.size == 0:
         return 0.0
@@ -121,8 +120,7 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     stopped leaves the working set, so each result is bit-for-bit the run of
     the ascent on that matrix alone.  Returns (values (B,), witnesses (B, d)).
     """
-    if p < 1:
-        raise ValueError(f"p-norms need p >= 1, got {p}")
+    _require("p", p, 1, math.inf, "[]")
     A = np.asarray(mats, dtype=np.complex128)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
@@ -239,8 +237,7 @@ def _stack_bounds(M: np.ndarray, p: float, cfg: AscentConfig, log_scales) -> lis
 
 def operator_p_norm(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()) -> NormBounds:
     """Two-sided bounds on ||T||_{p->p}; exact for p in {1, 2, inf}."""
-    if p < 1:
-        raise ValueError(f"p-norms need p >= 1, got {p}")
+    _require("p", p, 1, math.inf, "[]")
     return _stack_bounds(T.entries[None], p, cfg, [0.0])[0]
 
 
@@ -271,10 +268,8 @@ def power_norm_sequence(
     with the same bounds operator_p_norm gives each power; at p outside
     {1, 2, inf} each block goes through one stack ascent.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if p < 1:
-        raise ValueError(f"p-norms need p >= 1, got {p}")
+    _require("n_max", n_max, 1)
+    _require("p", p, 1, math.inf, "[]")
     powers = _scaled_powers(T.entries, n_max)
     block = max(1, _POWER_CHUNK // T.dim ** 2)
     bounds = []

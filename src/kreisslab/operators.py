@@ -13,6 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _require(name: str, x, lo, hi=math.inf, ends: str = "[)"):
+    """x if it lies between lo and hi, else a ValueError.  In ends, "[" or "]" admits
+    its end and "(" or ")" does not, so a closed infinite end admits that infinity
+    and an open one asks for a finite x.  NaN lies in no interval."""
+    if not ((lo < x if ends[0] == "(" else lo <= x) and (x < hi if ends[1] == ")" else x <= hi)):
+        raise ValueError(f"{name} must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {x}")
+    return x
+
+
 class InvalidOperatorError(ValueError):
     """A gallery operator spec has an invalid parameter.  `field` names it."""
 

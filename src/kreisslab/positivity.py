@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ComplexMatrix
+from .operators import ComplexMatrix, _require
 from .verify import bound_m_range, poisson_log_weights
 
 _TAIL_REL_LIMIT = 1e-8
@@ -86,10 +86,8 @@ def krivine_checks(
     negative = np.any(X < 0, axis=1)
     if negative[:1].any():
         raise ValueError("x must be entrywise nonnegative")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not (1.0 <= q < 2.0):
-        raise ValueError("q must lie in [1, 2)")
+    _require("n", n, 2)
+    _require("q", q, 1, 2)
     t_inf = float(np.max(np.sum(A, axis=1)))
     kmax = trunc_terms if trunc_terms is not None else max(4 * n, 128, math.ceil(2 * n * max(t_inf, 1.0)))
     if kmax < n + 1:
@@ -181,14 +179,10 @@ def block_bound_check(
     A margin below 1 is a flagged finding, not a disproof: ks_ref is a lower
     bound of the true strong-Kreiss constant.
     """
-    if ks_ref <= 0:
-        raise ValueError("ks_ref must be positive")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if corpus < 1:
-        raise ValueError("corpus must be >= 1")
+    _require("ks_ref", ks_ref, 0, math.inf, "()")
+    _require("n", n, 2)
+    _require("q", q, 1)
+    _require("corpus", corpus, 1)
     A = T.array
     rng = np.random.default_rng(seed)
     X = np.abs(rng.standard_normal((T.dim, corpus)))

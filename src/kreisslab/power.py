@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import AscentConfig, power_norm_sequence
-from .operators import ComplexMatrix
+from .operators import ComplexMatrix, _require
 
 _E = math.e
 
@@ -117,13 +117,14 @@ def check_universal_bounds(
     true constants, such a finding flags inconsistency of the substituted
     reference, not of the ceiling.
     """
-    if k_ref <= 0 or ks_ref <= 0:
-        raise ValueError("reference constants must be positive")
+    _require("k_ref", k_ref, 0, math.inf, "()")
+    _require("ks_ref", ks_ref, 0, math.inf, "()")
     table = growth_table(T, p, n_max, cfg)
     n, lower, upper = table["n"], table["norm_lower"], table["norm_upper"]
     root = np.sqrt(2.0 * math.pi * (n + 1))
-    ceilings = {"kreiss": k_ref * _E * (n + 1), "strong": ks_ref * root,
-                "matrixthm": np.full(len(n), k_ref * _E * T.dim)}
+    with np.errstate(over="ignore"):  # a ceiling past the float range is inf, its margin too
+        ceilings = {"kreiss": k_ref * _E * (n + 1), "strong": ks_ref * root,
+                    "matrixthm": np.full(len(n), k_ref * _E * T.dim)}
     summary = {"k_ref": k_ref, "ks_ref": ks_ref,
                "note": "reference constants are lower-bound substitutions"}
     table.update({f"ceiling_{c}": ceiling for c, ceiling in ceilings.items()})

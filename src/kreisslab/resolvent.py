@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import AscentConfig, ascent_lower_bounds
-from .operators import ComplexMatrix
+from .operators import ComplexMatrix, _require
 
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
@@ -68,14 +68,11 @@ class SearchConfig:
     p: float = 2.0
 
     def __post_init__(self):
-        if not self.r_max > 1:
-            raise ValueError("r_max must exceed 1")
-        if self.radial_count < 4 or self.angular_count < 4:
-            raise ValueError("grid counts must be >= 4")
-        if self.refine_rounds < 0:
-            raise ValueError("refinement rounds must be >= 0")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        _require("r_max", self.r_max, 1, math.inf, "()")
+        _require("radial_count", self.radial_count, 4)
+        _require("angular_count", self.angular_count, 4)
+        _require("refine_rounds", self.refine_rounds, 0)
+        _require("p", self.p, 1, math.inf, "[]")
 
     def ascent(self) -> AscentConfig:
         # reduced engine for per-grid-point lower bounds at general p
@@ -338,8 +335,7 @@ def strong_kreiss_constant(
     by construction; a caller that already has that estimate for the same
     T and cfg passes it as k_est instead of having it computed again.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _require("n_max", n_max, 1)
     rho = T.spectral_radius()
     if rho > 1.0 + _RHO_TOL:
         return FunctionalEstimate(math.inf, None, diverged=True)
@@ -374,8 +370,7 @@ def exponential_criterion(
     """
     import scipy.linalg  # scipy is imported on first use only
 
-    if xi_max <= 0:
-        raise ValueError("xi_max must be positive")
+    _require("xi_max", xi_max, 0, math.inf, "()")
     acfg = cfg.ascent()
 
     def evaluate(mflat: np.ndarray, tflat: np.ndarray):
@@ -404,10 +399,8 @@ def cesaro_partial_sum_bound(
     itself only a lower bound of the true constant.  cesaro_lower is the
     un-normalized sup ||S_n||/(n+1), which is >= 1 at n = 0 for any T.
     """
-    if ks_ref <= 0:
-        raise ValueError("ks_ref must be positive")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _require("ks_ref", ks_ref, 0, math.inf, "()")
+    _require("n_max", n_max, 0)
     acfg = cfg.ascent()
     lam = np.exp(1j * _angles(cfg.angular_count))
     G = len(lam)
@@ -451,8 +444,7 @@ def gz_partial_resolvent_ratio(
     The constant 4 in the reference bound comes from a source not reproduced
     here, so this diagnostic is advisory and never asserted as an invariant.
     """
-    if ks_ref <= 0:
-        raise ValueError("ks_ref must be positive")
+    _require("ks_ref", ks_ref, 0, math.inf, "()")
     acfg = cfg.ascent()
     xs, angles = _grid(cfg)
     R, A = np.meshgrid(1.0 + 10.0 ** xs, angles, indexing="ij")

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _require
+
 SUP_BOUND = 32.0
 V1_BOUND = 978.0
 _TOL = 1e-9
@@ -54,8 +56,8 @@ def log_poisson_term(n: int, k: int) -> float:
     has magnitude ~1e7, so the achievable absolute error of a float64 result
     is ~1e-9, far below every slack this module certifies.
     """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    _require("n", n, 1)
+    _require("k", k, 0)
     return k * math.log(n) - math.lgamma(k + 1)
 
 
@@ -110,10 +112,8 @@ def poisson_log_weights(n, ks: np.ndarray) -> np.ndarray:
 
 def poisson_window_sum(n: int, m: int) -> WindowSumRow:
     """b_{n,m} = sum over the Poisson window of n^k / k!, in the log domain."""
-    if n < 2:
-        raise ValueError("the window estimates start at n = 2")
-    if not (n - math.sqrt(n) <= m <= n):
-        raise ValueError(f"m={m} outside the index range [n - sqrt(n), n] for n={n}")
+    _require("n", n, 2)  # the window estimates start at n = 2
+    _require("m", m, n - math.sqrt(n), n, "[]")
     lo, hi = poisson_window(n, m)
     if hi < lo:
         raise EmptyWindowError(f"no admissible k for n={n}, m={m}")
@@ -159,8 +159,7 @@ def _sandwich_slacks(ns: np.ndarray):
 
 def verify_factorial_sandwich(n: int) -> SandwichResult:
     """Both sandwich inequalities for every integer k in [0, 2 sqrt(n)]."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _require("n", n, 2)
     slack, argk, lower = _sandwich_slacks(np.array([n]))
     min_slack = float(slack[0])
     return SandwichResult(n, min_slack, int(argk[0]), "lower" if lower[0] else "upper",
@@ -229,8 +228,8 @@ def sweep_appendix(n_lo: int = 2, n_hi: int = 10_000) -> dict[str, np.ndarray]:
     a1_pass, a2_pass and review (within 1e-6 of a bound: surfaced for human
     review), one row per n.
     """
-    if n_lo < 2 or n_hi < n_lo:
-        raise ValueError("need 2 <= n_lo <= n_hi")
+    _require("n_lo", n_lo, 2)
+    _require("n_hi", n_hi, n_lo)
     ns = np.arange(n_lo, n_hi + 1)
     slack, _, _ = _sandwich_slacks(ns)
     sup_a, v1_a = _window_stats(ns)

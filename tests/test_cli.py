@@ -226,6 +226,18 @@ def test_config_file_merging_and_unknown_key(tmp_path):
     assert err.value.code == 2
 
 
+def test_reference_constants_read_from_config_strings(tmp_path):
+    # the config echo keeps "1.5" as written; the handlers read it as a number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cesaro": {"ks_ref": "1.5"}, "bounds": {"k_ref": "2"}}))
+    for sub in ("cesaro", "bounds"):
+        out = tmp_path / sub
+        assert run([sub, "--gallery", "jordan2_damped", "--radial", "4", "--angular", "4",
+                    "--n-max", "8", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read(tmp_path / "cesaro" / "cesaro.json")["ks_ref"] == 1.5
+    assert read(tmp_path / "bounds" / "bounds.json")["k_ref"] == 2.0
+
+
 def test_custom_matrix_file_operator(tmp_path):
     mat = ComplexMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     mpath = tmp_path / "m.txt"
@@ -270,7 +282,10 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "decomp-inner-p-below-1": "inner_p", "riesz-inner-p-nan": "inner_p",
               "type-inner-p-nan": "inner_p", "type-exponent-nan": "exponent",
               "marcinkiewicz-inner-p-nan": "inner_p",
-              "marcinkiewicz-p-nan": "p must lie in [1, inf)"}
+              "marcinkiewicz-p-nan": "p must lie in [1, inf)",
+              "kreiss-p-nan": "--p", "exp-xi-max-nan": "--xi-max", "growth-p-nan": "--p",
+              "kreiss-r-max-inf": "--r-max", "appendix-n-min-1": "--n-min",
+              "positivity-ks-ref-nan": "--ks-ref", "config-p-nan": "--p"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,6 +325,19 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     ["type-cotype", "--exponent", "nan", "--samples", "50", "--seed", "1"],
     ["marcinkiewicz", "--inner-p", "nan", "--trials", "2", "--seed", "1"],
     ["marcinkiewicz", "--p", "nan", "--trials", "2", "--seed", "1"],
+    # NaN and inf past the range tests of the resolvent, growth and positivity
+    # code: each is caught by its flag's domain before any search runs
+    ["kreiss", "--gallery", "identity3", "--p", "nan", "--radial", "8", "--angular", "8"],
+    ["exp-criterion", "--gallery", "identity3", "--xi-max", "nan", "--radial", "8",
+     "--angular", "8"],
+    ["growth", "--gallery", "identity3", "--p", "nan", "--n-max", "8"],
+    ["kreiss", "--gallery", "identity3", "--r-max", "inf", "--radial", "8", "--angular", "8"],
+    ["verify-appendix", "--n-min", "1"],
+    # a NaN ks_ref would leave the block bound unchecked
+    ["positivity", "--gallery", "shift4", "--n-list", "4", "--corpus", "2", "--ks-ref", "nan",
+     "--seed", "1"],
+    # a config value is checked against its flag's domain too
+    ["kreiss", "--gallery", "identity3", "--config", {"kreiss": {"p": "nan"}}],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -317,7 +345,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "riesz-dim-0", "positivity-corpus-0", "type-count-0", "positivity-n-list-empty",
         "marcinkiewicz-trials-0", "decomp-gamma-nan", "decomp-inner-p-nan",
         "decomp-inner-p-below-1", "riesz-inner-p-nan", "type-inner-p-nan", "type-exponent-nan",
-        "marcinkiewicz-inner-p-nan", "marcinkiewicz-p-nan"])
+        "marcinkiewicz-inner-p-nan", "marcinkiewicz-p-nan", "kreiss-p-nan", "exp-xi-max-nan",
+        "growth-p-nan", "kreiss-r-max-inf", "appendix-n-min-1", "positivity-ks-ref-nan",
+        "config-p-nan"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
@@ -333,3 +363,14 @@ def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     flag = NAMED_FLAG.get(request.node.callspec.id)
     assert flag is None or flag in err_text.rpartition("error:")[2]
     assert not out.exists()
+
+
+def test_decomp_gamma_past_the_float_range_completes(tmp_path):
+    # 2^2000 overflows: every partition into two or more blocks scores 0, so
+    # the single block, whose ratio is 1, is the optimum
+    out = tmp_path / "o"
+    assert run(["decomp-scan", "--gamma", "2000", "--trials", "3", "--ascent-steps", "1",
+                "--seed", "1", "--out", str(out)]) == 0
+    rep = read(out / "decomp.json")
+    assert rep["constant_lower"] == 1.0
+    assert len(rep["witness_partition"]) == 1
