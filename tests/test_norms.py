@@ -304,9 +304,27 @@ def _serial_interpolation_bounds(A, p, lower, witness):
     return NormBounds(min(lower, upper), upper, witness, "ascent_plus_interpolation")
 
 
+def _serial_scaled_powers(A, n_max):
+    """Reference: the one-matrix power ledger, kept verbatim as an oracle.
+
+    Yields (M, log_scale) with A^n = e^log_scale M for n = 1..n_max.
+    """
+    M = np.eye(A.shape[0], dtype=complex)
+    log_scale = 0.0
+    for _ in range(n_max):
+        M = A @ M
+        peak = float(np.max(np.abs(M)))
+        if peak > 0.0 and not (1e-100 < peak < 1e100):
+            M = M / peak
+            log_scale += math.log(peak)
+            if not math.isfinite(log_scale):
+                raise OverflowError("power scale ledger left the representable range")
+        yield M, log_scale
+
+
 def _serial_power_norms(T, p, n_max, cfg):
     """One norm call per scaled power, rescaled by its ledger entry."""
-    powers = list(norms._scaled_powers(T.entries, n_max))
+    powers = list(_serial_scaled_powers(T.entries, n_max))
     if p in (1.0, 2.0, math.inf):
         scaled = [(_serial_exact_norm(M, p), s) for M, s in powers]
     else:

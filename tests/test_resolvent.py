@@ -9,6 +9,7 @@ from kreisslab import resolvent
 from kreisslab.resolvent import (
     FunctionalEstimate,
     SearchConfig,
+    _batched_norm_lower,
     _grid,
     _strong_kreiss_sweep,
     cesaro_partial_sum_bound,
@@ -142,6 +143,32 @@ def _serial_cesaro(T, cfg, n_max):
     return best, complex(lam[best_i]), best_n
 
 
+def _serial_gz(T, cfg, n_max, ks_ref):
+    """gz_partial_resolvent_ratio's plain power loop, kept verbatim as an oracle."""
+    acfg = cfg.ascent()
+    xs, angles = _grid(cfg)
+    R, A = np.meshgrid(1.0 + 10.0 ** xs, angles, indexing="ij")
+    lam = (R * np.exp(1j * A)).ravel()
+    eye = np.eye(T.dim, dtype=complex)
+    inv_lam = 1.0 / lam
+    S = inv_lam[:, None, None] * eye
+    P = eye.copy()
+    coef = inv_lam.copy()
+    best = -math.inf
+    best_i, best_n = 0, 0
+    for n in range(0, n_max + 1):
+        if n > 0:
+            P = T.entries @ P
+            coef = coef * inv_lam
+            S += coef[:, None, None] * P
+        norms = _batched_norm_lower(S, cfg.p, acfg)
+        vals = (np.abs(lam) - 1.0) * norms / (4.0 * ks_ref)
+        j = int(np.argmax(vals))
+        if float(vals[j]) > best:
+            best, best_i, best_n = float(vals[j]), j, n
+    return best, complex(lam[best_i]), best_n
+
+
 def _pruning_operators():
     ops = {e.name: make_gallery_operator(e.spec) for e in gallery()}
     ops = {name: T for name, T in ops.items() if T.spectral_radius() <= 1 + 1e-9}
@@ -182,6 +209,19 @@ def test_pruned_cesaro_matches_serial(name, n_max):
     res = cesaro_partial_sum_bound(T, cfg, n_max, 1.0)
     assert (res.cesaro_lower, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, n_max)
     assert res.ratio_max == res.cesaro_lower / 20.0
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("name, n_max", [
+    (name, n_max) for name in sorted(PRUNING_OPERATORS) for n_max in (0, 1, 8, 64)
+    if name != "jordan64_09" or n_max <= 1  # 64 x 64 SVDs: the serial loop is slow
+])
+def test_gz_matches_serial(name, n_max, p):
+    T = PRUNING_OPERATORS[name]
+    cfg = SearchConfig(radial_count=8, angular_count=8, p=p)
+    for ks_ref in (1.0, 2.5):
+        est = gz_partial_resolvent_ratio(T, cfg, n_max, ks_ref)
+        assert (est.value, est.argmax, est.n_at_max) == _serial_gz(T, cfg, n_max, ks_ref)
 
 
 # ---------------------------------------------------------------------------
