@@ -11,7 +11,7 @@ Usage: python scripts/decomposition_frontier.py [trials] [out.json]
 import sys
 
 from kreisslab.decomp import DecompSearchConfig, estimate_constant
-from kreisslab.reporting import write_json
+from kreisslab.reporting import SCHEMA, write_json
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
             "label": "exploratory empirical floor",
         })
     if len(sys.argv) > 2:
-        write_json(sys.argv[2], {"schema": "kreisslab/1", "records": records})
+        write_json(sys.argv[2], {"schema": SCHEMA, "records": records})
         print(f"wrote {sys.argv[2]}")
     return 0
 

@@ -673,9 +673,9 @@ def main(argv: list[str] | None = None) -> int:
                 "argv": argv,
                 "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             })
-    except (ValueError, OSError) as exc:
-        # bad input: an unparsable or out-of-range value, nothing to fit, an
-        # unreadable input file or an unusable --out; exit 2, not a traceback
+    except (ValueError, OSError, OverflowError) as exc:
+        # bad input (a bad value, nothing to fit, an unreadable file or --out)
+        # or powers whose scale ledger overflowed: exit 2, not a traceback
         parser.error(str(exc))
     print(done.summary)
     return 1 if done.witness is not None else 0

@@ -11,6 +11,8 @@ The ascent runs on a stack of matrices at once (ascent_lower_bounds): one
 numpy loop serves a whole resolvent grid or power sequence.  Each matrix keeps
 its own step sizes and stopping test and leaves the stack when it stops, so
 its result is the same, bit for bit, as an ascent on that matrix alone.
+The one power recurrence of the package, _power_ledger, lives here too: the
+powers of a matrix stack, each kept as a rescaled matrix and a log scale.
 """
 
 from __future__ import annotations
@@ -241,19 +243,27 @@ def operator_p_norm(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig
     return _stack_bounds(T.entries[None], p, cfg, [0.0])[0]
 
 
-def _scaled_powers(A: np.ndarray, n_max: int):
-    """Yield (M, log_scale) with A^n = e^log_scale M for n = 1..n_max."""
-    M = np.eye(A.shape[0], dtype=complex)
-    log_scale = 0.0
-    for _ in range(n_max):
-        M = A @ M
-        peak = float(np.max(np.abs(M)))
-        if peak > 0.0 and not (_SCALE_LO < peak < _SCALE_HI):
-            M = M / peak
-            log_scale += math.log(peak)
-            if not math.isfinite(log_scale):
+def _power_ledger(R: np.ndarray, n_max: int):
+    """Yield (n, M, log_scale), n = 1..n_max, with R_b^n = e^{log_scale_b} M_b
+    for each matrix R_b of a (B, d, d) stack.
+
+    M = R @ M, and M_b is divided by its peak entry whenever that peak leaves
+    [1e-100, 1e100], the log of the divisor moving to the ledger; a ledger
+    entry past the float range raises OverflowError.  Each M is a new array,
+    but log_scale is updated in place: read it before the next step.
+    """
+    M = np.broadcast_to(np.eye(R.shape[-1], dtype=complex), R.shape).copy()
+    log_scale = np.zeros(len(R))
+    for n in range(1, n_max + 1):
+        M = R @ M
+        peak = np.maximum.reduce(np.abs(M), axis=(1, 2))
+        if not (peak.min() > _SCALE_LO and peak.max() < _SCALE_HI):
+            out = ((peak > _SCALE_HI) | (peak < _SCALE_LO)) & (peak > 0.0)
+            log_scale[out] += np.log(peak[out])
+            if not np.isfinite(log_scale[out]).all():
                 raise OverflowError("power scale ledger left the representable range")
-        yield M, log_scale
+            M[out] /= peak[out, None, None]
+        yield n, M, log_scale
 
 
 def power_norm_sequence(
@@ -261,20 +271,19 @@ def power_norm_sequence(
 ) -> list[NormBounds]:
     """Bounds for ||T^n||_p for n = 1..n_max.
 
-    Powers accumulate by repeated multiplication with a log-scale ledger: the
-    stored matrix is renormalized whenever its largest entry leaves
-    [1e-100, 1e100], so Jordan-type growth cannot overflow the recurrence.
-    The scaled powers are bounded a block of _POWER_CHUNK entries at a time,
-    with the same bounds operator_p_norm gives each power; at p outside
+    Powers come from _power_ledger on a stack of one, so Jordan-type growth
+    cannot overflow them.  The scaled powers are bounded a block of
+    _POWER_CHUNK entries at a time, with the same bounds operator_p_norm gives each power; at p outside
     {1, 2, inf} each block goes through one stack ascent.
     """
     _require("n_max", n_max, 1)
     _require("p", p, 1, math.inf, "[]")
-    powers = _scaled_powers(T.entries, n_max)
+    powers = _power_ledger(T.entries[None], n_max)
     block = max(1, _POWER_CHUNK // T.dim ** 2)
     bounds = []
     for _ in range(0, n_max, block):
-        mats, log_scales = zip(*itertools.islice(powers, block))
+        mats, log_scales = zip(*[(M[0], float(s[0]))
+                                 for _, M, s in itertools.islice(powers, block)])
         bounds += _stack_bounds(np.array(mats), p, cfg, log_scales)
     return bounds
 

@@ -29,6 +29,9 @@ it is strictly larger: the first strict maximum, in grid-then-seed order,
 wins.  The strong-Kreiss evaluation returns with each value the n attaining
 it, and that n travels with the point through refinement, so a refined
 argmax needs no second sweep.
+
+Every power, of T or of a resolvent, comes from norms._power_ledger; the
+Cesaro and GZ scans read T^k = e^{log_scale} M from it through _partial_sums.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import AscentConfig, ascent_lower_bounds
+from .norms import AscentConfig, _power_ledger, ascent_lower_bounds
 from .operators import ComplexMatrix, _require
+from .reporting import SCHEMA
 
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
@@ -187,27 +191,6 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
     return FunctionalEstimate(1.0, None, log_value=0.0)
 
 
-def _scaled_powers(R: np.ndarray, n_max: int):
-    """Yield (n, M, log_scale) with R^n = e^{log_scale} M for each matrix of the stack R.
-
-    M is divided by its peak entry whenever that peak leaves [1e-100, 1e100],
-    and the log of the divisor moves to the ledger, so large n can neither
-    overflow nor underflow the powers.  ``log_scale`` is updated in place:
-    read it before the next step.
-    """
-    eye = np.eye(R.shape[-1], dtype=complex)
-    M = np.broadcast_to(eye, R.shape).copy()
-    log_scale = np.zeros(len(R))
-    for n in range(1, n_max + 1):
-        M = M @ R
-        peak = np.abs(M).max(axis=(1, 2))
-        mask = (peak > 0) & ((peak > 1e100) | (peak < 1e-100))
-        if mask.any():
-            M[mask] /= peak[mask, None, None]
-            log_scale[mask] += np.log(peak[mask])
-        yield n, M, log_scale
-
-
 def _log_sigma_max_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified bounds lo <= log sigma_max(M) <= hi for each matrix of a stack.
 
@@ -230,7 +213,7 @@ def _log_sigma_max_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _product_log_slack(d: int) -> float:
     """Per-power rounding slack of n * log ||R|| as a bound on the computed log ||R^n||.
 
-    Per step, the computed product M @ R of complex d x d matrices may exceed
+    Per step, the computed product R @ M of complex d x d matrices may exceed
     ||M|| ||R|| by a relative 2 d (d + 2) u (the entrywise bound
     gamma_{d+2} |M||R| taken to the 2-norm), the computed SVD of R may fall
     short of ||R|| by a relative d (d + 2) u, and a rescale rounds each entry
@@ -263,7 +246,7 @@ def _strong_kreiss_sweep(
         return _p2_sweep(R, log_gap, n_max)
     best_log = np.full(len(r), -np.inf)
     best_n = np.zeros(len(r), dtype=int)
-    for n, M, log_scale in _scaled_powers(R, n_max):
+    for n, M, log_scale in _power_ledger(R, n_max):
         nl = _batched_norm_lower(M, p, acfg)
         with np.errstate(divide="ignore"):
             score = n * log_gap + log_scale + np.log(nl)
@@ -285,7 +268,7 @@ def _p2_sweep(R: np.ndarray, log_gap: np.ndarray, n_max: int):
     a pair and takes SVDs of those pairs only: recomputing the powers is
     cheaper than storing every one of them.
     """
-    powers = _scaled_powers(R, n_max)
+    powers = _power_ledger(R, n_max)
     _, M, log_scale = next(powers)
     with np.errstate(divide="ignore"):
         score_1 = log_gap + log_scale + np.log(np.linalg.svd(M, compute_uv=False)[..., 0])
@@ -306,7 +289,7 @@ def _p2_sweep(R: np.ndarray, log_gap: np.ndarray, n_max: int):
     if pts.size == 0:
         return best_log, best_n
     last = int(np.flatnonzero(need.any(axis=1))[-1])
-    for n, M, log_scale in _scaled_powers(R[pts], last):
+    for n, M, log_scale in _power_ledger(R[pts], last):
         rows = np.flatnonzero(need[n, pts])
         if rows.size == 0:
             continue
@@ -328,8 +311,8 @@ def strong_kreiss_constant(
 ) -> FunctionalEstimate:
     """Lower bound of sup over |l|>1 and 1<=n<=n_max of (|l|-1)^n ||(l-T)^{-n}||.
 
-    Resolvent powers accumulate multiplicatively with a per-point log-scale
-    ledger, and the score is assembled in the log domain, so large n cannot
+    Resolvent powers come from the power ledger, one log scale per point,
+    and the score is assembled in the log domain, so large n cannot
     underflow (|l|-1)^n or overflow the powers.  The n=1 term is merged with
     kreiss_constant's refined estimate, which makes Ks_lower >= K_lower hold
     by construction; a caller that already has that estimate for the same
@@ -385,6 +368,22 @@ def exponential_criterion(
     return FunctionalEstimate(best, xi)
 
 
+def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
+    """Yield (n, S_n) for n = 0..n_max, one S_n per entry of ratio:
+    S_n = sum_{k<=n} c_k T^k with c_0 = first and c_k = c_{k-1} ratio.
+
+    T^k = e^{log_scale} M is read from the power ledger.  S_n is updated in
+    place: read it before the next step.
+    """
+    coef = np.broadcast_to(np.asarray(first, dtype=complex), ratio.shape)
+    S = coef[:, None, None] * np.eye(T.dim, dtype=complex)
+    yield 0, S
+    for n, M, log_scale in _power_ledger(T.entries[None], n_max):
+        coef = coef * ratio
+        S += coef[:, None, None] * (math.exp(log_scale[0]) * M[0])
+        yield n, S
+
+
 def cesaro_partial_sum_bound(
     T: ComplexMatrix,
     cfg: SearchConfig,
@@ -403,18 +402,12 @@ def cesaro_partial_sum_bound(
     _require("n_max", n_max, 0)
     acfg = cfg.ascent()
     lam = np.exp(1j * _angles(cfg.angular_count))
-    G = len(lam)
-    eye = np.eye(T.dim, dtype=complex)
-    S = np.broadcast_to(eye, (G, T.dim, T.dim)).copy()
-    P = eye.copy()
-    phase = np.ones(G, dtype=complex)
     best_norm_ratio = 1.0  # n = 0 gives ||I||/(1) = 1 for every lambda
     best_i, best_n = 0, 0
-    for n in range(1, n_max + 1):
-        P = T.entries @ P
-        phase = phase * lam
-        S += phase[:, None, None] * P
-        idx = np.arange(G)
+    sums = _partial_sums(T, 1.0, lam, n_max)
+    next(sums)  # S_0 = I: its ratio 1 is the starting best
+    for n, S in sums:
+        idx = np.arange(len(lam))
         if cfg.p == 2:
             # an SVD only where the Frobenius bound can beat the running best:
             # the others score strictly below it, so they can hold neither the
@@ -449,19 +442,10 @@ def gz_partial_resolvent_ratio(
     xs, angles = _grid(cfg)
     R, A = np.meshgrid(1.0 + 10.0 ** xs, angles, indexing="ij")
     lam = (R * np.exp(1j * A)).ravel()
-    G = len(lam)
-    eye = np.eye(T.dim, dtype=complex)
     inv_lam = 1.0 / lam
-    S = inv_lam[:, None, None] * eye
-    P = eye.copy()
-    coef = inv_lam.copy()
     best = -math.inf
     best_i, best_n = 0, 0
-    for n in range(0, n_max + 1):
-        if n > 0:
-            P = T.entries @ P
-            coef = coef * inv_lam
-            S += coef[:, None, None] * P
+    for n, S in _partial_sums(T, inv_lam, inv_lam, n_max):
         norms = _batched_norm_lower(S, cfg.p, acfg)
         vals = (np.abs(lam) - 1.0) * norms / (4.0 * ks_ref)
         j = int(np.argmax(vals))
@@ -489,7 +473,7 @@ def kreiss_report(
     if with_gz and math.isfinite(ks_ref):
         gz = gz_partial_resolvent_ratio(T, cfg, min(cesaro_n_max, 64), ks_ref).value
     return {
-        "schema": "kreisslab/1",
+        "schema": SCHEMA,
         "p": cfg.p,
         "seed": cfg.seed,
         "spectral_radius": rho,

@@ -74,11 +74,9 @@ def log_sum_exp(log_terms, reverse: bool = False) -> float:
     return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
 
-def poisson_window(n: int, m: int) -> tuple[int, int]:
-    """Integer k range [ceil(m - sqrt(n)) clamped at 0, m - 1], inclusive."""
-    lo = max(0, math.ceil(m - math.sqrt(n)))
-    hi = m - 1
-    return lo, hi
+def poisson_window(n, m):
+    """Integer k range [ceil(m - sqrt(n)) clamped at 0, m - 1], inclusive, elementwise."""
+    return np.maximum(0, np.ceil(m - np.sqrt(n))).astype(int), m - 1
 
 
 @dataclass(frozen=True)
@@ -184,9 +182,8 @@ def _a_values(ns: np.ndarray):
     The n of one block share the lengths of their k and m ranges, so each row
     holds exactly its own values and its sums run in the one-n order.
     """
-    sqrt_n = np.sqrt(ns)
-    m_lo = np.maximum(0, np.ceil(ns - sqrt_n)).astype(int)  # bound_m_range(n).start
-    k_lo = np.maximum(0, np.ceil(m_lo - sqrt_n)).astype(int)  # union of windows: k_lo..n-1
+    m_lo = poisson_window(ns, ns)[0]  # bound_m_range(n).start
+    k_lo = poisson_window(ns, m_lo)[0]  # union of windows: k_lo..n-1
     k_len, m_len = ns - k_lo, ns - m_lo + 1
     key = k_len * (int(m_len.max()) + 1) + m_len
     order = np.argsort(key, kind="stable")
@@ -197,7 +194,7 @@ def _a_values(ns: np.ndarray):
             w = np.exp(poisson_log_weights(n, kl + np.arange(nk)))
             prefix = np.concatenate((np.zeros((len(rows), 1)), np.cumsum(w, axis=1)), axis=1)
             m = m_lo[rows, None] + np.arange(nm)
-            win_lo = np.maximum(0, np.ceil(m - sqrt_n[rows, None]).astype(int)) - kl
+            win_lo = poisson_window(n, m)[0] - kl
             yield rows, 1.0 / (prefix[:, nk - nm + 1:] - np.take_along_axis(prefix, win_lo, 1))
 
 

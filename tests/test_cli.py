@@ -36,6 +36,23 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("sub, extra", [
+    ("growth", []), ("bounds", ["--k-ref", "1", "--ks-ref", "1"]), ("cesaro", ["--ks-ref", "1"]),
+])
+def test_power_ledger_overflow_exits_2(sub, extra, tmp_path):
+    # numpy's overflow warnings keep their default filter here: the suite's
+    # error::RuntimeWarning would raise them before the ledger sees the inf
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreisslab.__file__)))
+    argv = [sub, "--op", "jordan", "--dim", "2", "--eigenvalue", "1e308", "--coupling", "1e308",
+            "--n-max", "16", "--angular", "4", *extra, "--out", str(tmp_path / "o")]
+    res = subprocess.run([sys.executable, "-m", "kreisslab.cli", *argv], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+    assert res.returncode == 2
+    assert "error: power scale ledger left the representable range" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_gallery_list_prints(capsys):
     assert run(["gallery-list"]) == 0
     out = capsys.readouterr().out

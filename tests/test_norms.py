@@ -322,6 +322,35 @@ def _serial_scaled_powers(A, n_max):
         yield M, log_scale
 
 
+def _ledger_stack():
+    # peaks above 1e100 (10 I), below 1e-100 (I / 10), at 0 (nilpotent2) and
+    # below 1e-100 after a transient (jordan2_damped, near n = 2190)
+    specs = [OperatorSpec("scalar", 2, scale=10.0), OperatorSpec("scalar", 2, scale=0.1),
+             gallery_entry("nilpotent2").spec, gallery_entry("jordan2_damped").spec]
+    return np.array([make_gallery_operator(s).entries for s in specs])
+
+
+def _ledger_run(stack, n_max):
+    """(ns, M, log_scale) of every step of the stack ledger, stacked along axis 0."""
+    steps = [(n, M.copy(), s.copy()) for n, M, s in norms._power_ledger(stack, n_max)]
+    return tuple(np.array(col) for col in zip(*steps))
+
+
+def test_power_ledger_stack_matches_stack_of_one_and_serial():
+    stack, n_max = _ledger_stack(), 2400
+    ns, Ms, scales = _ledger_run(stack, n_max)
+    assert np.array_equal(ns, np.arange(1, n_max + 1))
+    for b, A in enumerate(stack):
+        _, Ms1, scales1 = _ledger_run(A[None], n_max)
+        ref_M, ref_s = (np.array(col) for col in zip(*_serial_scaled_powers(A, n_max)))
+        assert np.array_equal(Ms[:, b], Ms1[:, 0]) and np.array_equal(Ms[:, b], ref_M)
+        assert np.array_equal(scales[:, b], scales1[:, 0])
+        assert np.array_equal(scales[:, b], ref_s)
+    # every ledger case is reached: rescales up, down, never (T^2 = 0), late
+    assert scales[-1, 0] > 0 > scales[-1, 1] and scales[-1, 2] == 0.0
+    assert scales[2000, 3] == 0.0 > scales[-1, 3]
+
+
 def _serial_power_norms(T, p, n_max, cfg):
     """One norm call per scaled power, rescaled by its ledger entry."""
     powers = list(_serial_scaled_powers(T.entries, n_max))

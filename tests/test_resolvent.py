@@ -107,7 +107,7 @@ def _serial_strong_kreiss_sweep(T, xflat, tflat, n_max):
     best_n = np.zeros(len(r), dtype=int)
     rescaled = False
     for n in range(1, n_max + 1):
-        M = M @ R
+        M = R @ M
         peak = np.abs(M).max(axis=(1, 2))
         mask = (peak > 0) & ((peak > 1e100) | (peak < 1e-100))
         rescaled |= bool((peak > 1e100).any())
