@@ -313,11 +313,17 @@ def _ks_ref(
 ) -> float:
     """--ks-ref, or the strong-Kreiss lower bound at n_max = 16 when it is not given.
 
-    k_est is the caller's kreiss_constant(T, cfg), if it has one.
+    k_est is the caller's kreiss_constant(T, cfg), if it has one.  A computed
+    bound that is not finite is a usage error here, for every caller: --ks-ref
+    is the way out.
     """
-    if params["ks_ref"] is None:
-        return strong_kreiss_constant(T, cfg, 16, k_est=k_est).value
-    return float(params["ks_ref"])  # a config file may hold it as a string
+    if params["ks_ref"] is not None:
+        return float(params["ks_ref"])  # a config file may hold it as a string
+    ks = strong_kreiss_constant(T, cfg, 16, k_est=k_est).value
+    if not math.isfinite(ks):
+        raise ValueError(f"the strong-Kreiss search diverged (Ks = {ks}): the operator is not "
+                         "strongly Kreiss bounded on this grid; pass --ks-ref explicitly")
+    return ks
 
 
 @dataclass(frozen=True)
@@ -515,14 +521,14 @@ def _exp_criterion(params, name, T, cfg):
 
 
 def _cesaro(params, name, T, cfg):
-    ks_ref = _ks_ref(params, T, cfg)  # cesaro_partial_sum_bound checks a computed one
+    ks_ref = _ks_ref(params, T, cfg)
     n_max = int(params["n_max"])
-    res = cesaro_partial_sum_bound(T, cfg, n_max, float(ks_ref))
+    res = cesaro_partial_sum_bound(T, cfg, n_max, ks_ref)
     gz_val = None
     if params.get("gz"):
-        gz_val = gz_partial_resolvent_ratio(T, cfg, min(n_max, 64), float(ks_ref)).value
+        gz_val = gz_partial_resolvent_ratio(T, cfg, min(n_max, 64), ks_ref).value
     payload = {
-        "ks_ref": float(ks_ref),
+        "ks_ref": ks_ref,
         "cesaro_ratio_max": res.ratio_max,
         "cesaro_lower": res.cesaro_lower,
         "cesaro_argmax": res.argmax, "cesaro_n_at_max": res.n_at_max,
@@ -562,11 +568,11 @@ def _growth(params, name, T, cfg):
 def _bounds(params, name, T, cfg):
     k_est = None if params["k_ref"] is not None else kreiss_constant(T, cfg)
     k_ref = float(params["k_ref"]) if k_est is None else k_est.value
+    if not math.isfinite(k_ref):
+        raise ValueError("bounds needs a finite Kreiss constant (operator not Kreiss "
+                         "bounded on this grid); pass --k-ref explicitly")
     ks_ref = _ks_ref(params, T, cfg, k_est)
-    if not (math.isfinite(k_ref) and math.isfinite(ks_ref)):
-        raise ValueError("bounds needs finite reference constants (operator not Kreiss "
-                         "bounded on this grid); pass --k-ref/--ks-ref explicitly")
-    summary, table = check_universal_bounds(T, cfg.p, float(k_ref), float(ks_ref),
+    summary, table = check_universal_bounds(T, cfg.p, k_ref, ks_ref,
                                             int(params["n_max"]), AscentConfig(seed=cfg.seed))
     mins = {k: v for k, v in summary.items() if k.startswith("min_margin_")}
     files = {"bounds.csv": lambda path: write_csv(path, table)}
@@ -595,7 +601,7 @@ def _positivity(params, name, T, cfg):
     try:
         for n in n_list:
             margins = [r.margin for r in krivine_checks(P, xs, n, q)]
-            block = block_bound_check(P, q, float(ks_ref), n, corpus=corpus, seed=seed)
+            block = block_bound_check(P, q, ks_ref, n, corpus=corpus, seed=seed)
             m = min(margins)
             worst = min(worst, m)
             results.append({
@@ -606,7 +612,7 @@ def _positivity(params, name, T, cfg):
         return Outcome("positivity", None, f"positivity {name}: ABORT, {exc}",
                        witness={"error": str(exc)})
     payload = {
-        "q": q, "ks_ref": float(ks_ref), "corpus": corpus, "results": results,
+        "q": q, "ks_ref": ks_ref, "corpus": corpus, "results": results,
         "krivine_margin_overall": worst,
     }
     if worst < 1.0 - 1e-8:

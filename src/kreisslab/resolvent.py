@@ -23,12 +23,12 @@ every pair gives, bit for bit.
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
 suprema through one grid-and-refine search, _search.  It evaluates the whole
 grid, seeds refinement with the five best grid points in np.argsort order (so
-exact ties always resolve the same way) and runs refine_rounds shrinking 9x9
-grids around each seed.  A refined point replaces the best so far only when
-it is strictly larger: the first strict maximum, in grid-then-seed order,
-wins.  The strong-Kreiss evaluation returns with each value the n attaining
-it, and that n travels with the point through refinement, so a refined
-argmax needs no second sweep.
+exact ties always resolve the same way) and runs refine_rounds shrinking grids
+of up to 9x9 points around each seed.  A refined point replaces the best so
+far only when it is strictly larger: the first strict maximum, in
+grid-then-seed order, wins.  The strong-Kreiss evaluation returns with each
+value the n attaining it, and that n travels with the point through
+refinement, so a refined argmax needs no second sweep.
 
 Every power, of T or of a resolvent, comes from norms._power_ledger; the
 Cesaro and GZ scans read T^k = e^{log_scale} M from it through _partial_sums.
@@ -129,8 +129,10 @@ def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
 
     evaluate(x, t) returns the values at the points and the n attaining each
     one, or None for n.  Seeds are the five best grid points in argsort
-    order; each gets cfg.refine_rounds shrinking 9x9 grids of half-widths
-    (step, one angle step), with x clipped to bounds.
+    order; each gets cfg.refine_rounds shrinking grids of up to 9x9 points
+    and half-widths (step, one angle step).  x is clipped to bounds, and the
+    x values clipping repeats are evaluated once: a repeated x would repeat
+    its whole row of values, and the first maximum keeps the same (x, t).
     """
 
     def scan(x, t):
@@ -147,7 +149,7 @@ def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
         cx, ct = float(xf[j]), float(tf[j])
         wx, wt = step, 2 * np.pi / cfg.angular_count
         for _ in range(cfg.refine_rounds):
-            top = scan(np.clip(cx + wx * offs, bounds[0], bounds[1]), ct + wt * offs)[0]
+            top = scan(np.unique(np.clip(cx + wx * offs, *bounds)), ct + wt * offs)[0]
             if top[0] > best[0]:
                 best = top
             cx, ct = top[1]
@@ -343,21 +345,96 @@ def strong_kreiss_constant(
     return FunctionalEstimate(value, argmax, n_at_max=n_at, log_value=log_val)
 
 
+def _exp_sinch(x: np.ndarray) -> np.ndarray:
+    """(e^{x_{k+1}} - e^{x_k}) / (x_{k+1} - x_k) along the last axis, e^{x_k} where
+    the two are equal: Higham's formula (10.42), as scipy.linalg.expm evaluates it."""
+    lexp_diff = np.diff(np.exp(x))
+    l_diff = np.diff(x)
+    mask_z = l_diff == 0.0
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[..., :-1][mask_z])
+    return lexp_diff
+
+
+def _expm_stack(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of each matrix of a float64 or complex128 (B, d, d) stack, bit for
+    bit, with the squaring done once per group of matrices instead of once per matrix.
+
+    This replays the algorithm of scipy.linalg.expm (Al-Mohy and Higham, SIAM
+    J. Matrix Anal. Appl. 31 (2009)) on scipy's private kernels.  Each matrix
+    gets scipy's Pade step in order, through one reused scratch array: a
+    diagonal matrix its exact exponential, any other pick_pade_structure and
+    pade_UV_calc.  The Pade results are then grouped by their number s of
+    squarings and their kind (upper or lower triangular, or generic), and
+    each group is squared as one stack: E @ E, and on triangular groups the
+    diagonal and first off-diagonal reset from the exact formulas (Code
+    Fragment 2.1 of the paper) and the other triangle zeroed.  Every step is
+    the per-matrix operation scipy applies, so the results agree bit for bit;
+    a test against scipy.linalg.expm pins it.
+    """
+    from scipy.linalg import bandwidth  # scipy is imported on first use only
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+
+    d = A.shape[-1]
+    eA = np.empty_like(A)
+    Am = np.empty((5, d, d), dtype=A.dtype)  # scratch; Am[0] holds the Pade result
+    groups: dict[tuple[int, str], list[int]] = {}
+    for b, aw in enumerate(A):
+        lu = bandwidth(aw)
+        if not any(lu):
+            eA[b] = np.diag(np.exp(np.diag(aw)))
+            continue
+        Am[0] = aw
+        m, s = pick_pade_structure(Am)
+        if m < 0:
+            raise MemoryError("scipy.linalg.expm could not allocate sufficient memory while "
+                              f"trying to compute the Pade structure (error code {m}).")
+        info = pade_UV_calc(Am, m)
+        if info != 0:
+            if info <= -11:
+                raise MemoryError("scipy.linalg.expm could not allocate sufficient memory "
+                                  f"while trying to compute the exponential (error code {info}).")
+            raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
+                               f"exponential computation (error code {info})")
+        eA[b] = Am[0]
+        kind = "upper" if lu[0] == 0 else "lower" if lu[1] == 0 else "generic"
+        groups.setdefault((s, kind), []).append(b)
+    for (s, kind), idx in groups.items():
+        E = eA[idx]
+        if kind == "generic":
+            for _ in range(s):
+                E = E @ E
+            eA[idx] = E
+            continue
+        if s:
+            Ag = A[idx]
+            diag = np.diagonal(Ag, 0, -2, -1)
+            sd = np.diagonal(Ag, 1 if kind == "upper" else -1, -2, -1)
+            np.einsum("...ii->...i", E)[:] = np.exp(diag * 2.0**-s)
+            for i in range(s - 1, -1, -1):
+                E = E @ E
+                np.einsum("...ii->...i", E)[:] = np.exp(diag * 2.0**-i)
+                off = E[:, :-1, 1:] if kind == "upper" else E[:, 1:, :-1]
+                np.einsum("...ii->...i", off)[:] = _exp_sinch(diag * 2.0**-i) * (sd * 2.0**-i)
+        eA[idx] = np.triu(E) if kind == "upper" else np.tril(E)
+    return eA
+
+
 def exponential_criterion(
     T: ComplexMatrix, cfg: SearchConfig = SearchConfig(), xi_max: float = 40.0
 ) -> FunctionalEstimate:
     """Lower bound of sup_xi e^{-|xi|} ||e^{xi T}|| over the disc |xi| <= xi_max.
 
     The modulus grid includes xi = 0, where the functional equals 1 exactly.
-    Matrix exponentials use scipy's scaling-and-squaring Pade implementation.
+    Matrix exponentials are scipy.linalg.expm's, bit for bit, from _expm_stack:
+    scipy's Pade kernels run per matrix and the squaring runs batched over
+    each evaluated stack.
     """
-    import scipy.linalg  # scipy is imported on first use only
-
     _require("xi_max", xi_max, 0, math.inf, "()")
     acfg = cfg.ascent()
 
     def evaluate(mflat: np.ndarray, tflat: np.ndarray):
-        E = scipy.linalg.expm((mflat * np.exp(1j * tflat))[:, None, None] * T.entries)
+        E = _expm_stack((mflat * np.exp(1j * tflat))[:, None, None] * T.entries)
         nl = _batched_norm_lower(E, cfg.p, acfg)
         with np.errstate(divide="ignore"):
             return np.exp(np.log(np.maximum(nl, 1e-300)) - mflat), None
@@ -373,14 +450,20 @@ def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
     S_n = sum_{k<=n} c_k T^k with c_0 = first and c_k = c_{k-1} ratio.
 
     T^k = e^{log_scale} M is read from the power ledger.  S_n is updated in
-    place: read it before the next step.
+    place: read it before the next step.  An OverflowError names the first n
+    whose T^n leaves the float range.
     """
     coef = np.broadcast_to(np.asarray(first, dtype=complex), ratio.shape)
     S = coef[:, None, None] * np.eye(T.dim, dtype=complex)
     yield 0, S
     for n, M, log_scale in _power_ledger(T.entries[None], n_max):
         coef = coef * ratio
-        S += coef[:, None, None] * (math.exp(log_scale[0]) * M[0])
+        try:
+            scale = math.exp(log_scale[0])
+        except OverflowError:
+            raise OverflowError(f"T^n left the float range in the partial sums at n = {n} "
+                                f"(T^n = e^{log_scale[0]:.6g} M)") from None
+        S += coef[:, None, None] * (scale * M[0])
         yield n, S
 
 
@@ -411,8 +494,10 @@ def cesaro_partial_sum_bound(
         if cfg.p == 2:
             # an SVD only where the Frobenius bound can beat the running best:
             # the others score strictly below it, so they can hold neither the
-            # first argmax nor a new best
-            hi = _log_sigma_max_bounds(S)[1]
+            # first argmax nor a new best.  An entry past 1e154 overflows its
+            # square, and the infinite bound only keeps that SVD.
+            with np.errstate(over="ignore"):
+                hi = _log_sigma_max_bounds(S)[1]
             idx = idx[~(hi - math.log(n + 1.0) < math.log(best_norm_ratio))]
             if idx.size == 0:
                 continue

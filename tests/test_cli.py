@@ -302,7 +302,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "marcinkiewicz-p-nan": "p must lie in [1, inf)",
               "kreiss-p-nan": "--p", "exp-xi-max-nan": "--xi-max", "growth-p-nan": "--p",
               "kreiss-r-max-inf": "--r-max", "appendix-n-min-1": "--n-min",
-              "positivity-ks-ref-nan": "--ks-ref", "config-p-nan": "--p"}
+              "positivity-ks-ref-nan": "--ks-ref", "config-p-nan": "--p",
+              "cesaro-ks-diverged": "--ks-ref", "positivity-ks-diverged": "--ks-ref",
+              "cesaro-powers-overflow": "T^n left the float range in the partial sums at n = 2"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,6 +357,14 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
      "--seed", "1"],
     # a config value is checked against its flag's domain too
     ["kreiss", "--gallery", "identity3", "--config", {"kreiss": {"p": "nan"}}],
+    # a computed Ks that diverged is no reference constant: --ks-ref is the way out
+    ["cesaro", "--op", "jordan", "--dim", "2", "--eigenvalue", "1e308", "--coupling", "1e308",
+     "--radial", "4", "--angular", "4"],
+    ["positivity", "--op", "jordan", "--dim", "2", "--eigenvalue", "1e308", "--coupling",
+     "1e308", "--radial", "4", "--angular", "4", "--seed", "1"],
+    # T^2 = 1e400 has a finite log scale but no float value
+    ["cesaro", "--op", "scalar", "--dim", "1", "--scale", "1e200", "--ks-ref", "1",
+     "--n-max", "8", "--angular", "4"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -364,7 +374,7 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "decomp-inner-p-below-1", "riesz-inner-p-nan", "type-inner-p-nan", "type-exponent-nan",
         "marcinkiewicz-inner-p-nan", "marcinkiewicz-p-nan", "kreiss-p-nan", "exp-xi-max-nan",
         "growth-p-nan", "kreiss-r-max-inf", "appendix-n-min-1", "positivity-ks-ref-nan",
-        "config-p-nan"])
+        "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

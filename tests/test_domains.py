@@ -11,7 +11,7 @@ from hypothesis import assume, given, strategies as st
 from kreisslab import cli
 from kreisslab.operators import _require
 
-# tiny grids and counts: a run takes milliseconds, expm's a tenth of a second
+# tiny grids and counts: a run takes milliseconds (exp-criterion's first also imports scipy)
 _OPS = ["--gallery", "jordan2_damped", "--radial", "4", "--angular", "4", "--refine-rounds", "0"]
 BASE = {
     "kreiss": _OPS,

@@ -249,6 +249,33 @@ def test_exp_criterion_nilpotent_oracle():
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
+def _expm_gallery(d, rng):
+    """Shuffled stack of diagonal (zero and not), triangular (upper and lower Jordan,
+    upper with a distinct diagonal) and dense (rotation generator, random) matrices,
+    each at a modulus that needs no squaring and at moduli that need several."""
+    J = 0.9 * np.eye(d) + np.eye(d, k=1)
+    G = rng.standard_normal((d, d))
+    C = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
+    kinds = [np.zeros((d, d)), np.diag(rng.standard_normal(d)), J, J.T, np.triu(C),
+             (G - G.T) / d,  # skew: e^{t S} is a rotation for real t
+             C]
+    xis = [m * np.exp(1j * t) for m in (1e-3, 0.7, 5.0, 40.0, 150.0) for t in (0.0, 2.0, 4.0)]
+    A = np.array([xi * K for xi in xis for K in kinds])
+    return A[rng.permutation(len(A))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_expm_stack_matches_scipy_bit_for_bit(d):
+    import scipy.linalg
+
+    rng = np.random.default_rng(d)
+    A = _expm_gallery(d, rng)
+    for stack in (A, A.real.copy()):
+        got, ref = resolvent._expm_stack(stack), scipy.linalg.expm(stack)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+
+
 # ---------------------------------------------------------------------------
 # cesaro partial sums
 # ---------------------------------------------------------------------------
