@@ -361,7 +361,8 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     bit, with the squaring done once per group of matrices instead of once per matrix.
 
     This replays the algorithm of scipy.linalg.expm (Al-Mohy and Higham, SIAM
-    J. Matrix Anal. Appl. 31 (2009)) on scipy's private kernels.  Each matrix
+    J. Matrix Anal. Appl. 31 (2009)) on scipy's private kernels, in the
+    calling convention of scipy 1.17, the floor pyproject.toml sets.  Each matrix
     gets scipy's Pade step in order, through one reused scratch array: a
     diagonal matrix its exact exponential, any other pick_pade_structure and
     pade_UV_calc.  The Pade results are then grouped by their number s of
@@ -451,7 +452,8 @@ def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
 
     T^k = e^{log_scale} M is read from the power ledger.  S_n is updated in
     place: read it before the next step.  An OverflowError names the first n
-    whose T^n leaves the float range.
+    at which S_n is not finite: the scale e^{log_scale}, its product with M or
+    the sum left the float range.
     """
     coef = np.broadcast_to(np.asarray(first, dtype=complex), ratio.shape)
     S = coef[:, None, None] * np.eye(T.dim, dtype=complex)
@@ -461,9 +463,12 @@ def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
         try:
             scale = math.exp(log_scale[0])
         except OverflowError:
+            scale = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            S += coef[:, None, None] * (scale * M[0])
+        if not np.isfinite(S).all():
             raise OverflowError(f"T^n left the float range in the partial sums at n = {n} "
-                                f"(T^n = e^{log_scale[0]:.6g} M)") from None
-        S += coef[:, None, None] * (scale * M[0])
+                                f"(T^n = e^{log_scale[0]:.6g} M)")
         yield n, S
 
 

@@ -304,7 +304,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "kreiss-r-max-inf": "--r-max", "appendix-n-min-1": "--n-min",
               "positivity-ks-ref-nan": "--ks-ref", "config-p-nan": "--p",
               "cesaro-ks-diverged": "--ks-ref", "positivity-ks-diverged": "--ks-ref",
-              "cesaro-powers-overflow": "T^n left the float range in the partial sums at n = 2"}
+              "cesaro-powers-overflow": "T^n left the float range in the partial sums at n = 2",
+              "cesaro-powers-product-overflow":
+                  "T^n left the float range in the partial sums at n = 5"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,6 +367,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     # T^2 = 1e400 has a finite log scale but no float value
     ["cesaro", "--op", "scalar", "--dim", "1", "--scale", "1e200", "--ks-ref", "1",
      "--n-max", "8", "--angular", "4"],
+    # T^5 = e^644.7 (1e70)^1: the scale is finite, its product with M is not
+    ["cesaro", "--op", "scalar", "--dim", "1", "--scale", "1e70", "--ks-ref", "1",
+     "--n-max", "8", "--angular", "4"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -374,7 +379,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "decomp-inner-p-below-1", "riesz-inner-p-nan", "type-inner-p-nan", "type-exponent-nan",
         "marcinkiewicz-inner-p-nan", "marcinkiewicz-p-nan", "kreiss-p-nan", "exp-xi-max-nan",
         "growth-p-nan", "kreiss-r-max-inf", "appendix-n-min-1", "positivity-ks-ref-nan",
-        "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow"])
+        "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow",
+        "cesaro-powers-product-overflow"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
