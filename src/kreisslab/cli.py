@@ -9,8 +9,9 @@ Usage contract:
 Determinism: identical argv (same seed) produce byte-identical report files.
 Wall-clock metadata is isolated in run_meta.json, which the determinism
 guarantee excludes.  Config files are JSON, keyed by subcommand; explicit CLI
-flags override config values, which override built-in defaults.  _merge checks
-each joined numeric value against its domain in FLAGS before any work starts.
+flags override config values, which override built-in defaults.  _merge converts
+each joined value once, by its flag in FLAGS, and checks it against the flag's
+domain or choices before any work starts; the handlers get the typed values.
 
 Each subcommand is a handler in HANDLERS that only computes: it returns an
 Outcome, and main alone writes the report envelope, the extra files, the
@@ -69,15 +70,14 @@ from .reporting import (
 )
 from .verify import sweep_appendix
 
-RANDOMIZED = {"decomp-scan", "riesz-norm", "marcinkiewicz", "type-cotype", "positivity"}
-
 # subcommands that act on one operator: they take the kreiss operator and
 # search flags, and their handlers get the operator and its SearchConfig
 OPERATOR_SUBS = ("kreiss", "strong-kreiss", "exp-criterion", "cesaro", "growth", "bounds",
                  "positivity")
 
 # built-in defaults; a subcommand has exactly the flags named by its keys, plus
-# --out, --config and --threads (parsed and echoed, default 1; it changes nothing)
+# --out, --config and --threads (parsed and echoed, default 1; it changes nothing).
+# A seed default of None makes --seed mandatory.
 DEFAULTS: dict[str, dict] = {
     "kreiss": {"gallery": None, "op": None, "dim": 2, "scale": "1", "eigenvalue": "1",
                "coupling": 1.0, "weights": None, "angles": None, "matrix_file": None,
@@ -104,9 +104,10 @@ DEFAULTS: dict[str, dict] = {
 for _sub in OPERATOR_SUBS[1:]:
     DEFAULTS[_sub] = {**DEFAULTS["kreiss"], **DEFAULTS[_sub]}
 
-# argparse options and domain of every flag, keyed by dest; a dest not listed
-# here is a plain string flag.  The option is --<dest with - for _> unless "flag"
-# names it, and every flag defaults to None so that _merge sees what was given.
+# argparse options and domain of every flag, keyed by dest: how _merge converts
+# and checks its value.  A dest with no type, domain or action is text.  The
+# option is --<dest with - for _> unless "flag" names it, and every flag
+# defaults to None so that _merge sees what was given.
 # A domain (lo, hi, ends) is the interval _merge checks the value against (see
 # operators._require): "[" admits its end and "(" does not, so "]" at inf admits
 # inf and ")" asks for a finite value.  A flag with a domain and no type is a
@@ -156,32 +157,24 @@ FLAGS: dict[str, dict] = {
 
 
 def _parse_p(text) -> float:
-    if isinstance(text, (int, float)):
-        return float(text)
     t = str(text).strip().lower()
     if t in ("inf", "infinity", "oo"):
         return math.inf
     return float(t)
 
 
-def _parse_complex(text) -> complex:
-    if isinstance(text, (int, float, complex)):
-        return complex(text)
-    return complex(str(text).replace(" ", ""))
+def _parse_complex(text: str) -> complex:
+    return complex(text.replace(" ", ""))
 
 
-def _parse_float_list(text) -> tuple[float, ...]:
+def _parse_float_list(text: str | None) -> tuple[float, ...]:
     if text is None:
         return ()
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def _flag_spec(sub: str, dest: str) -> dict:
@@ -237,31 +230,46 @@ def _load_config(path, sub: str, parser: argparse.ArgumentParser) -> dict:
     return section
 
 
-def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser) -> dict:
-    config = _load_config(args.config, sub, parser)
-    merged = dict(DEFAULTS[sub])
-    merged.update(config)
-    for key, val in vars(args).items():
-        if key in ("subcommand", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
-    if sub in RANDOMIZED and merged.get("seed") is None:
+def _typed(key: str, spec: dict, value):
+    """value converted by its flag's spec and checked against its domain or choices.
+
+    A config file's JSON value is held to the flag's type: a number flag takes a
+    number or its text but no bool, an int flag no fraction, a switch only true
+    or false, and any other flag only a string.
+    """
+    convert = spec.get("type", _parse_p if "domain" in spec else None)
+    want = bool if "action" in spec else str if convert is None else (int, float, str)
+    if (not isinstance(value, want) or isinstance(value, bool) and want is not bool
+            or convert is int and isinstance(value, float) and not value.is_integer()):
+        name = want.__name__ if convert is None else "int" if convert is int else "float"
+        raise ValueError(f"invalid {name} value: {value!r}")
+    if value not in spec.get("choices", (value,)):
+        raise ValueError(f"invalid choice: {value!r} (choose from "
+                         f"{', '.join(map(repr, spec['choices']))})")
+    typed = value if convert is None else convert(value)
+    if "domain" in spec:
+        _require(key, typed, *spec["domain"])
+    return typed
+
+
+def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser):
+    """(typed, written): the joined values converted once for the run, and as written
+    for the report's config echo."""
+    defaults = {"out": None, "seed": 0, "threads": 1, **DEFAULTS[sub]}
+    written = {**defaults, **_load_config(args.config, sub, parser)}
+    written.update((key, val) for key, val in vars(args).items()
+                   if val is not None and key not in ("subcommand", "config"))
+    if defaults["seed"] is None and written["seed"] is None:
         parser.error(f"--seed is mandatory for the randomized subcommand {sub!r}")
-    for key, default in (("seed", 0), ("threads", 1)):
-        if merged.get(key) is None:
-            merged[key] = default
-    # check only: the config echo keeps the values as written
-    for key, value in merged.items():
+    typed = {}
+    for key, value in written.items():
         spec = _flag_spec(sub, key)
-        convert = spec.get("type", _parse_p if "domain" in spec else None)
-        if convert is None or value is None and DEFAULTS[sub].get(key) is None:
-            continue
-        try:
-            _require(key, convert(value), *spec.get("domain", (-math.inf, math.inf, "[]")))
-        except (TypeError, ValueError, OverflowError) as exc:
+        try:  # null stands only for a flag whose default is null
+            typed[key] = (None if value is None and defaults[key] is None
+                          else _typed(key, spec, value))
+        except (ValueError, OverflowError) as exc:
             parser.error(f"argument {spec.get('flag', _option(key))}: {exc}")
-    return merged
+    return typed, written
 
 
 def _operator(params: dict):
@@ -274,37 +282,31 @@ def _operator(params: dict):
     kind = params.get("op")
     if not kind:
         raise ValueError("select an operator with --gallery or --op")
-    dim = int(params["dim"])
     weights = _parse_float_list(params.get("weights"))
     if kind == "weighted_shift" and not weights:
-        weights = tuple(1.0 for _ in range(dim - 1))
-    angles = params.get("angles")
-    if angles is None:
-        angles_val: object = 0.3
-    else:
-        vals = _parse_float_list(angles)
-        angles_val = vals if len(vals) > 1 else (vals[0] if vals else 0.3)
+        weights = tuple(1.0 for _ in range(params["dim"] - 1))
+    angles = _parse_float_list(params["angles"])
     spec = OperatorSpec(
         kind=kind,
-        dim=dim,
+        dim=params["dim"],
         scale=_parse_complex(params.get("scale") or "1"),
         eigenvalue=_parse_complex(params.get("eigenvalue") or "1"),
-        coupling=float(params["coupling"]),
+        coupling=params["coupling"],
         weights=weights,
-        angles=angles_val,
+        angles=angles if len(angles) > 1 else (angles[0] if angles else 0.3),
         path=params.get("matrix_file") or "",
     )
-    return f"{kind}{dim}", make_gallery_operator(spec)
+    return f"{kind}{params['dim']}", make_gallery_operator(spec)
 
 
 def _search_config(params: dict) -> SearchConfig:
     return SearchConfig(
-        r_max=float(params["r_max"]),
-        radial_count=int(params["radial"]),
-        angular_count=int(params["angular"]),
-        refine_rounds=int(params["refine_rounds"]),
-        seed=int(params["seed"]),
-        p=_parse_p(params["p"]),
+        r_max=params["r_max"],
+        radial_count=params["radial"],
+        angular_count=params["angular"],
+        refine_rounds=params["refine_rounds"],
+        seed=params["seed"],
+        p=params["p"],
     )
 
 
@@ -318,7 +320,7 @@ def _ks_ref(
     is the way out.
     """
     if params["ks_ref"] is not None:
-        return float(params["ks_ref"])  # a config file may hold it as a string
+        return params["ks_ref"]
     ks = strong_kreiss_constant(T, cfg, 16, k_est=k_est).value
     if not math.isfinite(ks):
         raise ValueError(f"the strong-Kreiss search diverged (Ks = {ks}): the operator is not "
@@ -358,11 +360,11 @@ def _gallery_list(params):
 
 
 def _plot(params):
-    if not params.get("csv"):
+    if not params["csv"]:
         raise ValueError("--csv is required for plot")
     header, rows = read_csv(params["csv"])
     x_col = params["x_col"]
-    cols = (params["y_cols"].split(",") if params.get("y_cols")
+    cols = (params["y_cols"].split(",") if params["y_cols"]
             else [h for h in header if h != x_col])
     for axis, c in [("x", x_col)] + [("y", c) for c in cols]:
         if c not in header:
@@ -374,8 +376,8 @@ def _plot(params):
         svg_line_chart(
             path, xs, series,
             title=params.get("title") or os.path.basename(params["csv"]),
-            log_x=params.get("log_x", True) is not False,
-            log_y=params.get("log_y", True) is not False,
+            log_x=params["log_x"],
+            log_y=params["log_y"],
             x_label=x_col,
         )
 
@@ -384,14 +386,14 @@ def _plot(params):
 
 
 def _verify_appendix(params):
-    table = sweep_appendix(int(params["n_min"]), int(params["n_max"]))
+    table = sweep_appendix(params["n_min"], params["n_max"])
     n = table["n"]
     failures = n[~(table["a1_pass"] & table["a2_pass"])].tolist()
     sup_a_max = float(np.max(table["sup_a"]))
     v1_a_max = float(np.max(table["v1_a"]))
     payload = {
-        "n_min": int(params["n_min"]),
-        "n_max": int(params["n_max"]),
+        "n_min": params["n_min"],
+        "n_max": params["n_max"],
         "rows": len(n),
         "sup_a_max": sup_a_max,
         "v1_a_max": v1_a_max,
@@ -411,16 +413,15 @@ def _verify_appendix(params):
 
 def _decomp_scan(params):
     cfg = DecompSearchConfig(
-        trials=int(params["trials"]),
-        ascent_steps=int(params["ascent_steps"]),
-        max_support=int(params["max_support"]),
-        max_dim=int(params["max_dim"]),
-        seed=int(params["seed"]),
+        trials=params["trials"],
+        ascent_steps=params["ascent_steps"],
+        max_support=params["max_support"],
+        max_dim=params["max_dim"],
+        seed=params["seed"],
     )
     est = estimate_constant(
-        p=_parse_p(params["p"]), q=_parse_p(params["q"]),
-        inner_p=_parse_p(params["inner_p"]),
-        side=params["side"], gamma=float(params["gamma"]), cfg=cfg,
+        p=params["p"], q=params["q"], inner_p=params["inner_p"],
+        side=params["side"], gamma=params["gamma"], cfg=cfg,
     )
     payload = {
         "side": est.side, "p": est.p, "q": est.q, "inner_p": est.inner_p,
@@ -437,51 +438,46 @@ def _decomp_scan(params):
 
 def _riesz_norm(params):
     cfg = ExtremalSearchConfig(
-        trials=int(params["trials"]), max_support=int(params["max_support"]),
-        ascent_steps=int(params["ascent_steps"]), seed=int(params["seed"]),
+        trials=params["trials"], max_support=params["max_support"],
+        ascent_steps=params["ascent_steps"], seed=params["seed"],
     )
-    val = riesz_norm_lower_bound(
-        _parse_p(params["p"]), int(params["dim"]), _parse_p(params["inner_p"]), cfg
-    )
+    val = riesz_norm_lower_bound(params["p"], params["dim"], params["inner_p"], cfg)
     return Outcome("riesz", {"riesz_norm_lower": val, "label": "empirical floor"},
-                   f"riesz-norm: p={params['p']} d={params['dim']} lower bound {val:.6f}")
+                   f"riesz-norm: p={params['p']:g} d={params['dim']} lower bound {val:.6f}")
 
 
 def _marcinkiewicz(params):
-    rng = np.random.default_rng(int(params["seed"]))
-    p = _parse_p(params["p"])
-    inner_p = _parse_p(params["inner_p"])
-    span, d, trials = int(params["span"]), int(params["dim"]), int(params["trials"])
+    rng = np.random.default_rng(params["seed"])
     samples = []
-    for _ in range(trials):
-        vals = {n: complex(rng.choice([-1.0, 1.0])) for n in range(-span, span + 1)}
+    for _ in range(params["trials"]):
+        vals = {n: complex(rng.choice([-1.0, 1.0]))
+                for n in range(-params["span"], params["span"] + 1)}
         m = MultiplierSeq.from_values(vals)
-        f = _random_polynomial(rng, d, span)
-        lhs, factor = marcinkiewicz_check(f, m, p, inner_p)
+        f = _random_polynomial(rng, params["dim"], params["span"])
+        lhs, factor = marcinkiewicz_check(f, m, params["p"], params["inner_p"])
         samples.append(lhs / factor)
     best = max([0.0, *samples])
     payload = {
-        "p": p, "span": span, "trials": trials,
+        "p": params["p"], "span": params["span"], "trials": params["trials"],
         "max_sample": best,
         "mean_sample": float(np.mean(samples)),
         "label": "empirical lower bound for the multiplier constant",
     }
-    return Outcome("marcinkiewicz", payload,
-                   f"marcinkiewicz: p={p} max sample ratio {best:.6f} over {len(samples)} trials")
+    return Outcome("marcinkiewicz", payload, f"marcinkiewicz: p={params['p']} max sample ratio "
+                                             f"{best:.6f} over {len(samples)} trials")
 
 
 def _type_cotype(params):
-    d = int(params["dim"])
+    d = params["dim"]
     if params["family"] == "basis":
         xs = [np.eye(d)[i] for i in range(d)]
     else:
-        rng = np.random.default_rng(int(params["seed"]))
-        count = d if params["count"] is None else int(params["count"])
+        rng = np.random.default_rng(params["seed"])
+        count = d if params["count"] is None else params["count"]
         xs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(count)]
     est = rademacher_constants(
-        xs, float(params["exponent"]), kind=params["kind"],
-        samples=int(params["samples"]), seed=int(params["seed"]),
-        inner_p=_parse_p(params["inner_p"]),
+        xs, params["exponent"], kind=params["kind"], samples=params["samples"],
+        seed=params["seed"], inner_p=params["inner_p"],
     )
     payload = {
         "kind": est.kind, "exponent": est.exponent, "value": est.value,
@@ -506,7 +502,7 @@ def _kreiss(params, name, T, cfg):
 
 
 def _strong_kreiss(params, name, T, cfg):
-    est = strong_kreiss_constant(T, cfg, int(params["n_max"]))
+    est = strong_kreiss_constant(T, cfg, params["n_max"])
     payload = {
         "ks_lower": est.value, "ks_argmax": est.argmax, "n_at_max": est.n_at_max,
         "diverged": est.diverged, "spectral_radius": T.spectral_radius(),
@@ -515,18 +511,17 @@ def _strong_kreiss(params, name, T, cfg):
 
 
 def _exp_criterion(params, name, T, cfg):
-    est = exponential_criterion(T, cfg, float(params["xi_max"]))
+    est = exponential_criterion(T, cfg, params["xi_max"])
     return Outcome("exp_criterion", {"exp_lower": est.value, "exp_argmax": est.argmax},
                    f"exp-criterion {name}: exp_lower={est.value:.9g}")
 
 
 def _cesaro(params, name, T, cfg):
     ks_ref = _ks_ref(params, T, cfg)
-    n_max = int(params["n_max"])
-    res = cesaro_partial_sum_bound(T, cfg, n_max, ks_ref)
+    res = cesaro_partial_sum_bound(T, cfg, params["n_max"], ks_ref)
     gz_val = None
-    if params.get("gz"):
-        gz_val = gz_partial_resolvent_ratio(T, cfg, min(n_max, 64), ks_ref).value
+    if params["gz"]:
+        gz_val = gz_partial_resolvent_ratio(T, cfg, min(params["n_max"], 64), ks_ref).value
     payload = {
         "ks_ref": ks_ref,
         "cesaro_ratio_max": res.ratio_max,
@@ -547,7 +542,7 @@ def _cesaro(params, name, T, cfg):
 
 
 def _growth(params, name, T, cfg):
-    table = growth_table(T, cfg.p, int(params["n_max"]), AscentConfig(seed=cfg.seed))
+    table = growth_table(T, cfg.p, params["n_max"], AscentConfig(seed=cfg.seed))
     keep = table["norm_lower"] > 0
     data = list(zip(table["n"][keep], table["norm_lower"][keep]))
     fits = {}
@@ -567,13 +562,13 @@ def _growth(params, name, T, cfg):
 
 def _bounds(params, name, T, cfg):
     k_est = None if params["k_ref"] is not None else kreiss_constant(T, cfg)
-    k_ref = float(params["k_ref"]) if k_est is None else k_est.value
+    k_ref = params["k_ref"] if k_est is None else k_est.value
     if not math.isfinite(k_ref):
         raise ValueError("bounds needs a finite Kreiss constant (operator not Kreiss "
                          "bounded on this grid); pass --k-ref explicitly")
     ks_ref = _ks_ref(params, T, cfg, k_est)
     summary, table = check_universal_bounds(T, cfg.p, k_ref, ks_ref,
-                                            int(params["n_max"]), AscentConfig(seed=cfg.seed))
+                                            params["n_max"], AscentConfig(seed=cfg.seed))
     mins = {k: v for k, v in summary.items() if k.startswith("min_margin_")}
     files = {"bounds.csv": lambda path: write_csv(path, table)}
     if bounds_flagged(summary):
@@ -590,18 +585,16 @@ def _positivity(params, name, T, cfg):
     if not n_list:
         raise ValueError("positivity needs at least one n in --n-list")
     ks_ref = _ks_ref(params, T, cfg)
-    q = float(params["q"])
-    corpus = int(params["corpus"])
-    seed = int(params["seed"])
-    rng = np.random.default_rng(seed)
-    xs = np.abs(rng.standard_normal((corpus, T.dim)))
-    xs /= np.sum(xs ** q, axis=1, keepdims=True) ** (1.0 / q)
+    rng = np.random.default_rng(params["seed"])
+    xs = np.abs(rng.standard_normal((params["corpus"], T.dim)))
+    xs /= np.sum(xs ** params["q"], axis=1, keepdims=True) ** (1.0 / params["q"])
     results = []
     worst = math.inf
     try:
         for n in n_list:
-            margins = [r.margin for r in krivine_checks(P, xs, n, q)]
-            block = block_bound_check(P, q, ks_ref, n, corpus=corpus, seed=seed)
+            margins = [r.margin for r in krivine_checks(P, xs, n, params["q"])]
+            block = block_bound_check(P, params["q"], ks_ref, n, corpus=params["corpus"],
+                                      seed=params["seed"])
             m = min(margins)
             worst = min(worst, m)
             results.append({
@@ -612,7 +605,7 @@ def _positivity(params, name, T, cfg):
         return Outcome("positivity", None, f"positivity {name}: ABORT, {exc}",
                        witness={"error": str(exc)})
     payload = {
-        "q": q, "ks_ref": ks_ref, "corpus": corpus, "results": results,
+        "q": params["q"], "ks_ref": ks_ref, "corpus": params["corpus"], "results": results,
         "krivine_margin_overall": worst,
     }
     if worst < 1.0 - 1e-8:
@@ -645,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     sub = args.subcommand
-    params = _merge(args, sub, parser)
+    params, written = _merge(args, sub, parser)
     head = {"schema": SCHEMA}  # opens the report and the witness
     try:
         operand = ()
@@ -653,7 +646,7 @@ def main(argv: list[str] | None = None) -> int:
             name, T = _operator(params)
             head["operator"] = name
             operand = (name, T, _search_config(params))
-        out = params.get("out")
+        out = params["out"]
         if not out and sub != "gallery-list":
             raise ValueError("--out is required")
         done = HANDLERS[sub](params, *operand)
@@ -666,8 +659,8 @@ def main(argv: list[str] | None = None) -> int:
                     **head,
                     "tool_version": __version__,
                     "subcommand": sub,
-                    "seed": params.get("seed"),
-                    "config": {k: v for k, v in params.items() if k not in ("out", "config")},
+                    "seed": params["seed"],
+                    "config": {k: v for k, v in written.items() if k != "out"},
                     **done.payload,
                 })
             if done.witness is not None:

@@ -289,7 +289,11 @@ def power_norm_sequence(
 
 
 def _rescale(value: float, log_scale: float) -> float:
+    """value e^log_scale as a float, inf past the float range: the one conversion
+    of a log scale to a float."""
     if value == 0.0 or log_scale == 0.0:
         return value
-    x = math.log(value) + log_scale
-    return math.exp(x) if x < 709.0 else math.inf
+    try:
+        return math.exp(math.log(value) + log_scale)
+    except OverflowError:
+        return math.inf

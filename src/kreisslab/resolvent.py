@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import AscentConfig, _power_ledger, ascent_lower_bounds
+from .norms import AscentConfig, _power_ledger, _rescale, ascent_lower_bounds
 from .operators import ComplexMatrix, _require
 from .reporting import SCHEMA
 
@@ -341,7 +341,7 @@ def strong_kreiss_constant(
         (0.0, None, None),  # |lambda| -> inf limit, value 1 for every n
     ]
     log_val, argmax, n_at = max(candidates, key=lambda c: c[0])
-    value = math.exp(log_val) if log_val < 709.0 else math.inf
+    value = _rescale(1.0, log_val)
     return FunctionalEstimate(value, argmax, n_at_max=n_at, log_value=log_val)
 
 
@@ -373,16 +373,16 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     the per-matrix operation scipy applies, so the results agree bit for bit;
     a test against scipy.linalg.expm pins it.
     """
-    from scipy.linalg import bandwidth  # scipy is imported on first use only
-    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
+    from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure  # on first use
 
     d = A.shape[-1]
+    nonzero = A != 0  # scipy.linalg.bandwidth's split of each matrix, for the whole stack
+    below, above = np.tril(nonzero, -1).any(axis=(1, 2)), np.triu(nonzero, 1).any(axis=(1, 2))
     eA = np.empty_like(A)
     Am = np.empty((5, d, d), dtype=A.dtype)  # scratch; Am[0] holds the Pade result
     groups: dict[tuple[int, str], list[int]] = {}
     for b, aw in enumerate(A):
-        lu = bandwidth(aw)
-        if not any(lu):
+        if not (below[b] or above[b]):
             eA[b] = np.diag(np.exp(np.diag(aw)))
             continue
         Am[0] = aw
@@ -398,7 +398,7 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
             raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the "
                                f"exponential computation (error code {info})")
         eA[b] = Am[0]
-        kind = "upper" if lu[0] == 0 else "lower" if lu[1] == 0 else "generic"
+        kind = "upper" if not below[b] else "lower" if not above[b] else "generic"
         groups.setdefault((s, kind), []).append(b)
     for (s, kind), idx in groups.items():
         E = eA[idx]
@@ -460,10 +460,7 @@ def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
     yield 0, S
     for n, M, log_scale in _power_ledger(T.entries[None], n_max):
         coef = coef * ratio
-        try:
-            scale = math.exp(log_scale[0])
-        except OverflowError:
-            scale = math.inf
+        scale = _rescale(1.0, log_scale[0])
         with np.errstate(over="ignore", invalid="ignore"):
             S += coef[:, None, None] * (scale * M[0])
         if not np.isfinite(S).all():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import kreisslab
+from kreisslab import cli
 from kreisslab.cli import main
 from kreisslab.operators import ComplexMatrix, save_matrix
 
@@ -51,6 +53,78 @@ def test_power_ledger_overflow_exits_2(sub, extra, tmp_path):
     assert res.returncode == 2
     assert "error: power scale ledger left the representable range" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+# every subcommand's flags, recorded from build_parser(): "option dest type
+# choices action default" -> the subcommands that have that flag
+_OPS = "kreiss strong-kreiss exp-criterion cesaro growth bounds positivity"
+_SEEDED = "decomp-scan riesz-norm marcinkiewicz type-cotype"
+PARSER_SURFACE = {
+    "--out out - - _StoreAction None": f"{_OPS} {_SEEDED} verify-appendix gallery-list plot",
+    "--config config - - _StoreAction None": f"{_OPS} {_SEEDED} verify-appendix gallery-list plot",
+    "--threads threads int - _StoreAction None":
+        f"{_OPS} {_SEEDED} verify-appendix gallery-list plot",
+    "--gallery gallery - - _StoreAction None": _OPS,
+    "--op op - - _StoreAction None": _OPS,
+    "--dim dim int - _StoreAction None": f"{_OPS} riesz-norm marcinkiewicz type-cotype",
+    "--scale scale - - _StoreAction None": _OPS,
+    "--eigenvalue eigenvalue - - _StoreAction None": _OPS,
+    "--coupling coupling float - _StoreAction None": _OPS,
+    "--weights weights - - _StoreAction None": _OPS,
+    "--angles angles - - _StoreAction None": _OPS,
+    "--matrix-file matrix_file - - _StoreAction None": _OPS,
+    "--p p - - _StoreAction None": f"{_OPS} decomp-scan riesz-norm marcinkiewicz",
+    "--r-max r_max float - _StoreAction None": _OPS,
+    "--radial radial int - _StoreAction None": _OPS,
+    "--angular angular int - _StoreAction None": _OPS,
+    "--refine-rounds refine_rounds int - _StoreAction None": _OPS,
+    "--seed seed int - _StoreAction None": f"{_OPS} {_SEEDED}",
+    "--n-max n_max int - _StoreAction None": "strong-kreiss cesaro growth bounds verify-appendix",
+    "--xi-max xi_max float - _StoreAction None": "exp-criterion",
+    "--ks-ref ks_ref float - _StoreAction None": "cesaro bounds positivity",
+    "--gz gz - - _StoreTrueAction None": "cesaro",
+    "--fit fit - poly,poly_log,both _StoreAction None": "growth",
+    "--k-ref k_ref float - _StoreAction None": "bounds",
+    "--q q - - _StoreAction None": "decomp-scan",
+    "--inner-p inner_p - - _StoreAction None": "decomp-scan riesz-norm marcinkiewicz type-cotype",
+    "--side side - upper,lower _StoreAction None": "decomp-scan",
+    "--gamma gamma float - _StoreAction None": "decomp-scan",
+    "--trials trials int - _StoreAction None": "decomp-scan riesz-norm marcinkiewicz",
+    "--ascent-steps ascent_steps int - _StoreAction None": "decomp-scan riesz-norm",
+    "--max-support max_support int - _StoreAction None": "decomp-scan riesz-norm",
+    "--max-dim max_dim int - _StoreAction None": "decomp-scan",
+    "--span span int - _StoreAction None": "marcinkiewicz",
+    "--kind kind - type,cotype _StoreAction None": "type-cotype",
+    "--exponent exponent float - _StoreAction None": "type-cotype",
+    "--count count int - _StoreAction None": "type-cotype",
+    "--family family - basis,random _StoreAction None": "type-cotype",
+    "--samples samples int - _StoreAction None": "type-cotype",
+    "--q q float - _StoreAction None": "positivity",
+    "--n-list n_list - - _StoreAction None": "positivity",
+    "--corpus corpus int - _StoreAction None": "positivity",
+    "--n-min n_min int - _StoreAction None": "verify-appendix",
+    "--csv csv - - _StoreAction None": "plot",
+    "--x-col x_col - - _StoreAction None": "plot",
+    "--y-cols y_cols - - _StoreAction None": "plot",
+    "--linear-x log_x - - _StoreFalseAction None": "plot",
+    "--linear-y log_y - - _StoreFalseAction None": "plot",
+    "--title title - - _StoreAction None": "plot",
+}
+
+
+def test_parser_surface_is_pinned():
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for sub, sp in subs.choices.items():
+        for a in sp._actions:
+            if not isinstance(a, argparse._HelpAction):
+                row = " ".join([",".join(a.option_strings), a.dest,
+                                getattr(a.type, "__name__", "-"),
+                                ",".join(a.choices) if a.choices else "-",
+                                type(a).__name__, repr(a.default)])
+                surface.setdefault(row, set()).add(sub)
+    assert surface == {row: set(subs.split()) for row, subs in PARSER_SURFACE.items()}
 
 
 def test_gallery_list_prints(capsys):
@@ -306,7 +380,10 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "cesaro-ks-diverged": "--ks-ref", "positivity-ks-diverged": "--ks-ref",
               "cesaro-powers-overflow": "T^n left the float range in the partial sums at n = 2",
               "cesaro-powers-product-overflow":
-                  "T^n left the float range in the partial sums at n = 5"}
+                  "T^n left the float range in the partial sums at n = 5",
+              "config-trials-fraction": "--trials", "config-seed-fraction": "--seed",
+              "config-p-bool": "--p", "config-gz-string": "--gz",
+              "config-family-not-a-choice": "--family"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,6 +447,18 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     # T^5 = e^644.7 (1e70)^1: the scale is finite, its product with M is not
     ["cesaro", "--op", "scalar", "--dim", "1", "--scale", "1e70", "--ks-ref", "1",
      "--n-max", "8", "--angular", "4"],
+    # a config value is held to its flag's type and choices: no value is
+    # truncated, read as a bool or left to fall through to another branch
+    ["decomp-scan", "--ascent-steps", "1", "--max-support", "4", "--seed", "1",
+     "--config", {"decomp-scan": {"trials": 2.5}}],
+    ["kreiss", "--gallery", "identity3", "--radial", "8", "--angular", "8",
+     "--config", {"kreiss": {"seed": 7.9}}],
+    ["kreiss", "--gallery", "identity3", "--radial", "8", "--angular", "8",
+     "--config", {"kreiss": {"p": True}}],
+    ["cesaro", "--gallery", "identity3", "--radial", "4", "--angular", "4", "--n-max", "8",
+     "--config", {"cesaro": {"gz": "false"}}],
+    ["type-cotype", "--samples", "50", "--seed", "1",
+     "--config", {"type-cotype": {"family": "basiss"}}],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -380,7 +469,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "marcinkiewicz-inner-p-nan", "marcinkiewicz-p-nan", "kreiss-p-nan", "exp-xi-max-nan",
         "growth-p-nan", "kreiss-r-max-inf", "appendix-n-min-1", "positivity-ks-ref-nan",
         "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow",
-        "cesaro-powers-product-overflow"])
+        "cesaro-powers-product-overflow", "config-trials-fraction", "config-seed-fraction",
+        "config-p-bool", "config-gz-string", "config-family-not-a-choice"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import json
 import math
+import os
 import tempfile
 
 import pytest
@@ -61,16 +63,21 @@ def _in_domain(sub, dest, text):
         return False
 
 
-def _run(sub, dest, text):
-    """(exit code, stderr) of main on BASE[sub] plus --dest=text; an exception escapes."""
+def _main(argv):
+    """(exit code, stderr) of main on argv(out) plus --out out; an exception escapes."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         try:
-            code = cli.main([sub, *BASE[sub], f"{cli._option(dest)}={text}", "--out", out])
+            code = cli.main([*argv(out), "--out", out])
         except SystemExit as exc:
             code = exc.code
     return code, err.getvalue()
+
+
+def _run(sub, dest, text):
+    """_main on BASE[sub] plus --dest=text."""
+    return _main(lambda _: [sub, *BASE[sub], f"{cli._option(dest)}={text}"])
 
 
 def test_require_message_and_ends():
@@ -111,6 +118,52 @@ def test_fuzzed_flag_exits_0_1_or_2_and_rejects_by_name(case):
     if not _in_domain(sub, dest, text):
         assert code == 2
         assert f"argument {cli._option(dest)}:" in err
+
+
+# plot stops at its missing --csv, after its config values are checked
+CONFIG_KEYS = [(sub, key) for sub in [*BASE, "plot"] for key in cli.DEFAULTS[sub]]
+CONFIG_VALUES = (2.5, True, "false", "x", None, -1, 0.5, [])
+
+
+def _config_admits(sub, key, value):
+    """Whether a config file's JSON value is of key's type in sub and inside its
+    domain or choices: an int takes an int, a number no bool, a switch only a
+    bool and text only a string; null only a flag whose default is null."""
+    spec = cli._flag_spec(sub, key)
+    if value is None:
+        return cli.DEFAULTS[sub][key] is None
+    if "action" in spec:
+        return isinstance(value, bool)
+    if "domain" not in spec:
+        return isinstance(value, str) and value in spec.get("choices", (value,))
+    numbers = (int,) if spec.get("type") is int else (int, float)
+    return type(value) in numbers and _admits(spec["domain"], value)
+
+
+def _config_run(sub, key, value):
+    """_main on BASE[sub] without its --key, with a config file setting key to value."""
+    base = BASE.get(sub, [])
+    kept = [a for flag, text in zip(base[::2], base[1::2]) if flag != cli._option(key)
+            for a in (flag, text)]
+
+    def argv(tmp):
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({sub: {key: value}}, fh)
+        return [sub, *kept, "--config", path]
+
+    return _main(argv)
+
+
+@given(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES))
+def test_fuzzed_config_value_exits_0_1_or_2_and_rejects_by_name(sub_key, value):
+    sub, key = sub_key
+    assume((sub, key, json.dumps(value)) not in KNOWN_OVERFLOWS)
+    code, err = _config_run(sub, key, value)
+    assert code in (0, 1, 2)
+    if not _config_admits(sub, key, value):
+        assert code == 2
+        assert f"argument {cli._flag_spec(sub, key).get('flag', cli._option(key))}:" in err
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning,

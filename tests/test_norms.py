@@ -155,6 +155,15 @@ def test_power_sequence_scale_ledger():
     assert seq[-1].lower == pytest.approx(1e150, rel=1e-10)
 
 
+def test_power_sequence_keeps_a_norm_past_e709():
+    # the ledger holds 1.2e308 as e^709.4 M: still a float, not inf
+    T = ComplexMatrix([[1.2e308]])
+    for p in (2.0, 3.0):
+        bounds = power_norm_sequence(T, p, 1)[0]
+        assert bounds.lower == pytest.approx(operator_p_norm(T, 2.0).lower, rel=1e-12)
+        assert bounds.upper == pytest.approx(1.2e308, rel=1e-12)
+
+
 def test_power_sequence_requires_positive_n():
     T = make_gallery_operator(OperatorSpec("identity", 2))
     with pytest.raises(ValueError):
