@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import kreisslab
-from kreisslab import cli
-from kreisslab.cli import main
+from kreisslab.cli import build_parser, main
 from kreisslab.operators import ComplexMatrix, save_matrix
 
 
@@ -113,7 +112,7 @@ PARSER_SURFACE = {
 
 
 def test_parser_surface_is_pinned():
-    subs = next(a for a in cli.build_parser()._actions
+    subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
     surface = {}
     for sub, sp in subs.choices.items():
