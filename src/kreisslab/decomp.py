@@ -138,12 +138,14 @@ def _slot_block_norms(
     values as one difference.  The blocks are taken in the given order, about
     _CHUNK grid values per numpy pass but at least s blocks.  The grid uses
     the full-support quadrature rule, which is at least as fine as any block
-    needs.
+    needs.  The waveforms' phases are rows of _phase_table(N, M), one
+    read-only table per grid shared by every polynomial of the same N and
+    M = max|freq|, kept for the 64 most recent (N, M) pairs.
     """
     s = len(f.freqs)
     N, _ = quadrature_points(f, p, inner_p)
-    t = np.arange(N) / N
-    phases = np.exp(2j * np.pi * np.outer(np.asarray(f.freqs, dtype=float), t))
+    M = f.max_abs_freq
+    phases = _phase_table(N, M)[np.array(f.freqs, dtype=int) + M]
     waves = f.vecs[:, None, :] * phases[:, :, None]
     prefix = np.concatenate([np.zeros((1, N, f.dim), dtype=complex), np.cumsum(waves, axis=0)])
     mean_p = np.empty(lo.size)
@@ -152,6 +154,19 @@ def _slot_block_norms(
         vals = prefix[hi[k : k + step] + 1] - prefix[lo[k : k + step]]
         mean_p[k : k + step] = np.add.reduce(_inner_norms(vals, inner_p) ** p, axis=1) / N
     return mean_p ** (1.0 / p)
+
+
+@functools.lru_cache(maxsize=64)  # bounded, as the grids are the caller's
+def _phase_table(N: int, M: int) -> np.ndarray:
+    """exp(2j pi n t) at t = arange(N) / N in row n + M, for n in [-M, M]; read-only.
+
+    The exponents are the same float products np.outer(freqs, t) forms, so a
+    row equals the one computed for a single polynomial bit for bit.
+    """
+    t = np.arange(N) / N
+    table = np.exp(2j * np.pi * np.outer(np.arange(-M, M + 1, dtype=float), t))
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=64)  # bounded, as max_support is the caller's

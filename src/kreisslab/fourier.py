@@ -13,6 +13,7 @@ inexact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -108,6 +109,22 @@ class TrigPolynomial:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "vecs", arr)
 
+    @classmethod
+    def _sorted(cls, freqs: tuple[int, ...], vecs, dim: int) -> "TrigPolynomial":
+        """New coefficients on freqs, a tuple of ints already sorted and distinct.
+
+        Skips the public constructor's sort and duplicate test; still copies
+        vecs, makes the copy read-only and checks its shape.
+        """
+        arr = np.array(vecs, dtype=complex)
+        if arr.shape != (len(freqs), dim):
+            raise ValueError(f"coefficients of shape {arr.shape}, expected {(len(freqs), dim)}")
+        arr.setflags(write=False)
+        f = object.__new__(cls)
+        for name, value in (("freqs", freqs), ("vecs", arr), ("dim", dim)):
+            object.__setattr__(f, name, value)
+        return f
+
     @staticmethod
     def from_coeffs(coeffs: Mapping[int, object], dim: int | None = None) -> "TrigPolynomial":
         keys = sorted(coeffs)
@@ -138,13 +155,14 @@ class TrigPolynomial:
     def support(self) -> tuple[int, ...]:
         return self.freqs
 
-    @property
+    @functools.cached_property
     def is_zero(self) -> bool:
-        return len(self.freqs) == 0 or bool(np.all(self.vecs == 0))
+        return not self.vecs.any()
 
     @property
     def max_abs_freq(self) -> int:
-        return max((abs(n) for n in self.freqs), default=0)
+        # the frequencies are sorted: the largest |n| sits at one end
+        return max(-self.freqs[0], self.freqs[-1]) if self.freqs else 0
 
     def coeff_dict(self) -> dict[int, np.ndarray]:
         return {n: self.vecs[i].copy() for i, n in enumerate(self.freqs)}
@@ -158,7 +176,7 @@ class TrigPolynomial:
         return TrigPolynomial.from_coeffs(out, self.dim)
 
     def __mul__(self, scalar: complex) -> "TrigPolynomial":
-        return TrigPolynomial(self.freqs, self.vecs * scalar, self.dim)
+        return TrigPolynomial._sorted(self.freqs, self.vecs * scalar, self.dim)
 
     __rmul__ = __mul__
 
@@ -166,8 +184,8 @@ class TrigPolynomial:
         """f at t_j = j/N, j = 0..N-1, shape (N, dim), via an aliased inverse DFT."""
         N = int(n_points)
         A = np.zeros((N, self.dim), dtype=complex)
-        for i, n in enumerate(self.freqs):
-            A[n % N] += self.vecs[i]
+        # unbuffered, in index order: colliding residues add as a loop would
+        np.add.at(A, np.array(self.freqs, dtype=int) % N, self.vecs)
         return np.fft.ifft(A, axis=0) * N
 
 
@@ -306,13 +324,13 @@ RIESZ_SYMBOL = MultiplierSeq.indicator(Interval(0, None))
 def project_interval(f: TrigPolynomial, interval: Interval) -> TrigPolynomial:
     """D_I f: zero every coefficient outside the interval."""
     keep = [i for i, n in enumerate(f.freqs) if interval.contains(n)]
-    return TrigPolynomial(tuple(f.freqs[i] for i in keep), f.vecs[keep], f.dim)
+    return TrigPolynomial._sorted(tuple(f.freqs[i] for i in keep), f.vecs[keep], f.dim)
 
 
 def apply_multiplier(f: TrigPolynomial, m: MultiplierSeq) -> TrigPolynomial:
     """T_m f: multiply the coefficient at frequency n by m_n."""
     factors = m.at_many(f.freqs)
-    return TrigPolynomial(f.freqs, f.vecs * factors[:, None], f.dim)
+    return TrigPolynomial._sorted(f.freqs, f.vecs * factors[:, None], f.dim)
 
 
 def v1_seminorm(m: MultiplierSeq, window: tuple[int, int] | None = None) -> float:
@@ -384,19 +402,34 @@ def _inner_norms(vals: np.ndarray, inner_p: float) -> np.ndarray:
     a = np.abs(vals)
     if math.isinf(inner_p):
         return np.maximum.reduce(a, axis=-1)
-    a = a * a if inner_p == 2.0 else a ** inner_p
+    if inner_p == 2.0:
+        return np.sqrt(_sum_terms(a * a))
+    with np.errstate(over="ignore"):
+        total = _sum_terms(a ** inner_p)
+    out = total ** (1.0 / inner_p)
+    # Where a power overflowed, factor the row's max out, as vector_p_norm
+    # does; every row whose sum is finite keeps its bits, and a row that holds
+    # inf keeps its inf norm.
+    top = np.maximum.reduce(a, axis=-1)
+    bad = np.isinf(total) & np.isfinite(top)
+    if bad.any():
+        scaled = (a[bad] / top[bad][..., None]) ** inner_p
+        out[bad] = top[bad] * np.add.reduce(scaled, axis=-1) ** (1.0 / inner_p)
+    return out
+
+
+def _sum_terms(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, equal to np.add.reduce bit for bit."""
     # One or two terms round the same in any order (addition commutes), so the
     # column sums equal numpy's reduction bit for bit at a tenth of its cost
     # over so short an axis.  Three or more terms keep the reduction: its
     # grouping is numpy's own, and a column sum could round differently.
     d = a.shape[-1]
     if d == 1:
-        total = a[..., 0]
-    elif d == 2:
-        total = a[..., 0] + a[..., 1]
-    else:
-        total = np.add.reduce(a, axis=-1)
-    return np.sqrt(total) if inner_p == 2.0 else total ** (1.0 / inner_p)
+        return a[..., 0]
+    if d == 2:
+        return a[..., 0] + a[..., 1]
+    return np.add.reduce(a, axis=-1)
 
 
 def pairing(f: TrigPolynomial, g: TrigPolynomial) -> complex:
@@ -519,7 +552,7 @@ def _coefficient_ascents(starts: list, score_many, steps: int,
         cands = []
         for cur, z in zip(best, noise):
             f, step = cur[0], cur[3]
-            cand = TrigPolynomial(f.freqs, f.vecs + step * (z[k, 0] + 1j * z[k, 1]), f.dim)
+            cand = TrigPolynomial._sorted(f.freqs, f.vecs + step * (z[k, 0] + 1j * z[k, 1]), f.dim)
             if not cand.is_zero:
                 cands.append((cur, cand))
         if not cands:

@@ -11,6 +11,7 @@ from kreisslab.decomp import (
     ZeroPolynomialError,
     _best_contiguous_partitions,
     _draw_polynomial,
+    _phase_table,
     _run_block_norms,
     _score,
     _sign_pattern_candidates,
@@ -182,6 +183,23 @@ def test_block_norms_match_per_block_projections(p, inner_p, rng):
             got = block_norms(f, part.intervals, p, inner_p)
             want = _per_block_norms(f, part, p, inner_p)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)  # zeros exactly
+
+
+def test_phase_table_is_keyed_by_grid_and_degree(rng):
+    # p = 4 at M = 4 and p = 2 at M = 8 share the 17-point grid; each needs
+    # its own rows, so the table of one must not serve the other
+    f4 = TrigPolynomial(tuple(range(-4, 5)), rng.standard_normal((9, 2)), 2)
+    f2 = TrigPolynomial((-8, -3, 0, 2, 8), rng.standard_normal((5, 1)), 1)
+    assert quadrature_points(f4, 4.0, 2.0) == quadrature_points(f2, 2.0, 2.0) == (17, True)
+    _phase_table.cache_clear()
+    for f, p in ((f4, 4.0), (f2, 2.0), (f4, 4.0), (f2, 2.0)):
+        assert np.array_equal(_run_block_norms(f, p, 2.0), _rowwise_block_norms(f, p, 2.0))
+    info = _phase_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    table = _phase_table(17, 4)
+    assert table.shape == (9, 17)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
 
 
 def _quadratic_dp(w, q, gamma, side):

@@ -37,12 +37,10 @@ NUMERIC = [(sub, dest) for sub in BASE for dest in cli.DEFAULTS[sub]
            if "domain" in cli._flag_spec(sub, dest)]
 
 # In-domain values whose run overflows (a RuntimeWarning, an error in this
-# suite): powers of a huge finite p or inner_p in norms._ascent_direction and
-# fourier._inner_norms, and expm past |xi| ~ 709 in exponential_criterion.
+# suite): powers of a huge finite p in norms._ascent_direction, and expm past
+# |xi| ~ 709 in exponential_criterion.
 KNOWN_OVERFLOWS = (
     [(sub, "p", "1e308") for sub in cli.OPERATOR_SUBS]
-    + [(sub, "inner_p", "1e308")
-       for sub in ("decomp-scan", "riesz-norm", "marcinkiewicz", "type-cotype")]
     + [("exp-criterion", "xi_max", "1e308")]
 )
 
@@ -171,6 +169,32 @@ def test_fuzzed_config_value_exits_0_1_or_2_and_rejects_by_name(sub_key, value):
 @pytest.mark.parametrize("sub, dest, text", KNOWN_OVERFLOWS)
 def test_known_in_domain_overflow(sub, dest, text):
     _run(sub, dest, text)
+
+
+def _finite(value):
+    """Whether every number in a report is finite (JSON writes inf and nan as strings)."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value not in ("inf", "-inf", "nan")
+
+
+@pytest.mark.parametrize("sub", ["decomp-scan", "riesz-norm", "marcinkiewicz", "type-cotype"])
+def test_huge_inner_p_runs_to_finite_values(sub, tmp_path):
+    # a^inner_p overflows for |a| > 1; fourier._inner_norms then factors the row max out
+    argv = [sub, *BASE[sub], "--inner-p", "1e308", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    reports = [name for name in os.listdir(tmp_path)
+               if name.endswith(".json") and name != "run_meta.json"]
+    assert len(reports) == 1
+    with open(tmp_path / reports[0], encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["config"]["inner_p"] == "1e308"
+    assert _finite(report)
 
 
 def _library_calls():

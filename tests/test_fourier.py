@@ -21,10 +21,12 @@ from kreisslab.fourier import (
     pairing,
     pairing_quadrature,
     project_interval,
+    quadrature_points,
     riesz_norm_lower_bound,
     save_trig_polynomial,
     v1_seminorm,
 )
+from kreisslab.norms import vector_p_norm
 
 # regression floors pinned from pre-build oracle computations:
 #   * best 3-term ratio a e_{-1} + b e_0 + c e_1 for the Riesz projection at
@@ -236,7 +238,71 @@ def test_inner_norms_bit_equal_to_reduction(d, inner_p, rng):
         want = _reduced_inner_norms(vals, inner_p)
         got = _inner_norms(vals, inner_p)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
+    # the cubes of 1e150 overflow the reduction: those rows take the max-scaled
+    # norm of vector_p_norm, and every other row keeps the reduction's bits
+    over = np.isinf(want)
+    assert over.any() == (inner_p == 3.0)
+    assert np.array_equal(got[~over], want[~over])
+    assert np.array_equal(got[over], [vector_p_norm(v, inner_p) for v in vals[over]])
+    assert np.isfinite(got).all()
+
+
+def _looped_values_on_grid(f, n_points):
+    # reference: one scatter per frequency, in support order
+    A = np.zeros((n_points, f.dim), dtype=complex)
+    for i, n in enumerate(f.freqs):
+        A[n % n_points] += f.vecs[i]
+    return np.fft.ifft(A, axis=0) * n_points
+
+
+def test_values_on_grid_matches_per_frequency_loop(rng):
+    for _ in range(30):
+        size, d = int(rng.integers(4, 12)), int(rng.integers(1, 4))
+        freqs = rng.choice(np.arange(-12, 13), size=size, replace=False)
+        f = TrigPolynomial(tuple(int(n) for n in freqs),
+                           rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d)), d)
+        M = f.max_abs_freq
+        grids = {quadrature_points(f, p, r)[0] for p, r in ((4.0, 2.0), (3.0, 2.0), (2.0, 1.0))}
+        # aliased grids with n_points < 2M + 1: fewer points than frequencies
+        # at 1, 2 and 3, so residues collide and add up in one grid cell
+        grids |= {1, 2, 3, M, 2 * M}
+        for N in grids:
+            assert np.array_equal(f.values_on_grid(N), _looped_values_on_grid(f, N))
+    for d in (1, 3):
+        zero = TrigPolynomial.zero(d)
+        for N in (1, 8):
+            got = zero.values_on_grid(N)
+            assert got.shape == (N, d) and not got.any()
+            assert np.array_equal(got, _looped_values_on_grid(zero, N))
+
+
+def test_sorted_constructor_matches_validating_one(rng):
+    for freqs, d in (((-5, -1, 0, 3, 7), 2), ((2, 9), 1), ((-4, -2), 3), ((), 2)):
+        vecs = rng.standard_normal((len(freqs), d)) + 1j * rng.standard_normal((len(freqs), d))
+        if vecs.size:
+            vecs[0, 0] = -0.0  # a signed zero keeps its bits
+        want = TrigPolynomial(freqs, vecs, d)
+        got = TrigPolynomial._sorted(freqs, vecs, d)
+        assert got.freqs == want.freqs and got.dim == want.dim
+        assert got.vecs.dtype == want.vecs.dtype and got.vecs.shape == want.vecs.shape
+        assert got.vecs.tobytes() == want.vecs.tobytes()
+        assert not got.vecs.flags.writeable
+        assert got.max_abs_freq == want.max_abs_freq == max(map(abs, freqs), default=0)
+        assert got.is_zero == want.is_zero == (not freqs)
+        vecs[...] = 1.0  # the coefficients were copied
+        assert got.vecs.tobytes() == want.vecs.tobytes()
+    real = TrigPolynomial._sorted((0, 1), np.ones((2, 1)), 1)
+    assert real.vecs.dtype == complex
+    for bad in (np.ones((3, 2)), np.ones((2, 3)), np.ones(4), np.ones((2, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            TrigPolynomial._sorted((0, 1), bad, 2)
+
+
+def test_is_zero_is_computed_once():
+    f = TrigPolynomial((0, 1), np.zeros((2, 1)), 1)
+    assert f.is_zero and "is_zero" in vars(f)
+    g = 2.0 * TrigPolynomial.scalar({0: 1.0, 3: -1.0})
+    assert not g.is_zero and np.array_equal(g.vecs, [[2.0], [-2.0]])
 
 
 # ---------------------------------------------------------------------------
