@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kreisslab.norms import power_norm_sequence
+from kreisslab.norms import AscentConfig, _power_ledger, power_norm_sequence
 from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
 from kreisslab import resolvent
 from kreisslab.resolvent import (
@@ -89,7 +89,7 @@ def test_strong_dominates_kreiss_everywhere(gallery_matrices):
 
 
 # ---------------------------------------------------------------------------
-# bound-pruned p = 2 sweeps against the loops that take an SVD everywhere
+# bound-pruned sweeps against the loops that take a norm at every pair
 # ---------------------------------------------------------------------------
 
 
@@ -123,8 +123,28 @@ def _serial_strong_kreiss_sweep(T, xflat, tflat, n_max):
     return best_log, best_n, rescaled
 
 
+def _all_pairs_strong_kreiss_sweep(T, xflat, tflat, n_max, p, acfg):
+    """The general-p loop of _strong_kreiss_sweep before it was pruned, kept verbatim
+    as an oracle: a norm at every (point, n)."""
+    r = 1.0 + 10.0 ** xflat
+    lam = r * np.exp(1j * tflat)
+    R = np.linalg.inv(lam[:, None, None] * np.eye(T.dim, dtype=complex) - T.entries)
+    log_gap = np.log(r - 1.0)
+    best_log = np.full(len(r), -np.inf)
+    best_n = np.zeros(len(r), dtype=int)
+    for n, M, log_scale in _power_ledger(R, n_max):
+        nl = _batched_norm_lower(M, p, acfg)
+        with np.errstate(divide="ignore"):
+            score = n * log_gap + log_scale + np.log(nl)
+        better = score > best_log
+        best_log = np.where(better, score, best_log)
+        best_n = np.where(better, n, best_n)
+    return best_log, best_n
+
+
 def _serial_cesaro(T, cfg, n_max):
-    """(cesaro_lower, argmax, n_at_max) with an SVD at every (angle, n)."""
+    """(cesaro_lower, argmax, n_at_max) with a norm at every (angle, n)."""
+    acfg = cfg.ascent()
     angles = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
     lam = np.exp(1j * angles)
     eye = np.eye(T.dim, dtype=complex)
@@ -136,7 +156,7 @@ def _serial_cesaro(T, cfg, n_max):
         P = T.entries @ P
         phase = phase * lam
         S += phase[:, None, None] * P
-        ratios = np.linalg.svd(S, compute_uv=False)[..., 0] / (n + 1.0)
+        ratios = _batched_norm_lower(S, cfg.p, acfg) / (n + 1.0)
         j = int(np.argmax(ratios))
         if float(ratios[j]) > best:
             best, best_i, best_n = float(ratios[j]), j, n
@@ -179,6 +199,21 @@ def _pruning_operators():
 
 PRUNING_OPERATORS = _pruning_operators()
 PRUNING_CFG = SearchConfig(radial_count=8, angular_count=8)
+# the ascent runs at every pair of the oracles: a few small operators and a
+# short ascent keep them fast
+GENERAL_P = [1.5, 3.0, 4.0]
+GENERAL_P_OPERATORS = ["jordan2", "rotation3", "shift4"]
+GENERAL_P_ACFG = AscentConfig(restarts=4, max_steps=40, rel_tol=1e-9)
+
+
+def _sweep_points(n_max):
+    """The PRUNING_CFG grid and 24 random points."""
+    xs, angles = _grid(PRUNING_CFG)
+    X, Tt = np.meshgrid(xs, angles, indexing="ij")
+    rng = np.random.default_rng(n_max)
+    xf = np.concatenate([X.ravel(), rng.uniform(xs[0], xs[-1], 24)])
+    tf = np.concatenate([Tt.ravel(), rng.uniform(0.0, 2 * np.pi, 24)])
+    return xf, tf
 
 
 # 64 x 64 SVDs at 64 powers would take the serial loop alone several seconds
@@ -188,17 +223,24 @@ PRUNING_CFG = SearchConfig(radial_count=8, angular_count=8)
 ])
 def test_pruned_strong_kreiss_sweep_matches_serial(name, n_max):
     T = PRUNING_OPERATORS[name]
-    xs, angles = _grid(PRUNING_CFG)
-    X, Tt = np.meshgrid(xs, angles, indexing="ij")
-    rng = np.random.default_rng(n_max)
-    xf = np.concatenate([X.ravel(), rng.uniform(xs[0], xs[-1], 24)])
-    tf = np.concatenate([Tt.ravel(), rng.uniform(0.0, 2 * np.pi, 24)])
+    xf, tf = _sweep_points(n_max)
     best_log, best_n, rescaled = _serial_strong_kreiss_sweep(T, xf, tf, n_max)
     got_log, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent())
     assert np.array_equal(got_log, best_log)
     assert np.array_equal(got_n, best_n)
     if name == "jordan2" and n_max >= 16:
         assert rescaled  # near lambda = 1, ||R^n|| ~ n 1e8^(n+1) passes 1e100 at n = 12
+
+
+@pytest.mark.parametrize("name", GENERAL_P_OPERATORS)
+@pytest.mark.parametrize("p", GENERAL_P)
+def test_pruned_strong_kreiss_sweep_matches_all_pairs_loop(p, name):
+    T = PRUNING_OPERATORS[name]
+    xf, tf = _sweep_points(16)
+    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG)
+    best_log, best_n = _all_pairs_strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG)
+    assert np.array_equal(got_log, best_log)
+    assert np.array_equal(got_n, best_n)
 
 
 @pytest.mark.parametrize("n_max", [1, 8, 16, 64])
@@ -211,11 +253,20 @@ def test_pruned_cesaro_matches_serial(name, n_max):
     assert res.ratio_max == res.cesaro_lower / 20.0
 
 
-@pytest.mark.parametrize("p", [2.0, math.inf])
-@pytest.mark.parametrize("name, n_max", [
-    (name, n_max) for name in sorted(PRUNING_OPERATORS) for n_max in (0, 1, 8, 64)
+@pytest.mark.parametrize("name", GENERAL_P_OPERATORS)
+@pytest.mark.parametrize("p", GENERAL_P)
+def test_pruned_cesaro_matches_serial_at_general_p(p, name):
+    T = PRUNING_OPERATORS[name]
+    cfg = SearchConfig(angular_count=16, p=p)
+    res = cesaro_partial_sum_bound(T, cfg, 16, 1.0)
+    assert (res.cesaro_lower, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, 16)
+
+
+@pytest.mark.parametrize("name, n_max, p", [
+    (name, n_max, p) for name in sorted(PRUNING_OPERATORS) for n_max in (0, 1, 8, 64)
+    for p in (2.0, math.inf)
     if name != "jordan64_09" or n_max <= 1  # 64 x 64 SVDs: the serial loop is slow
-])
+] + [(name, n_max, p) for name in GENERAL_P_OPERATORS[:2] for n_max in (0, 8) for p in (1.5, 3.0)])
 def test_gz_matches_serial(name, n_max, p):
     T = PRUNING_OPERATORS[name]
     cfg = SearchConfig(radial_count=8, angular_count=8, p=p)
