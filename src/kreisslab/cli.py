@@ -449,10 +449,10 @@ def _riesz_norm(params):
 def _marcinkiewicz(params):
     rng = np.random.default_rng(params["seed"])
     samples = []
+    span = params["span"]
     for _ in range(params["trials"]):
-        vals = {n: complex(rng.choice([-1.0, 1.0]))
-                for n in range(-params["span"], params["span"] + 1)}
-        m = MultiplierSeq.from_values(vals)
+        signs = rng.choice([-1.0, 1.0], size=2 * span + 1)
+        m = MultiplierSeq.from_values(dict(zip(range(-span, span + 1), signs)))
         f = _random_polynomial(rng, params["dim"], params["span"])
         lhs, factor = marcinkiewicz_check(f, m, params["p"], params["inner_p"])
         samples.append(lhs / factor)

@@ -12,13 +12,15 @@ r_max, but the analytic |lambda| -> inf limit of the first two functionals
 equals 1 exactly and is always included in the max.  Upper "hints" are
 advisory only; no Lipschitz certificate is claimed.
 
-At p = 2 the strong-Kreiss and Cesaro scans take an exact SVD only where it
-can change the result.  Cheap certified bounds on sigma_max (the largest
-column norm below, the Frobenius norm above, both with an explicit rounding
-margin; for resolvent powers also the submultiplicative n * score_1) rule
-out the other (point, n) pairs, which score strictly below the maximum they
-are compared with.  Every reported value, witness and n is the one an SVD at
-every pair gives, bit for bit.
+The strong-Kreiss, Cesaro and GZ scans run through one bound-pruned sweep,
+_pruned_sweep, at every p.  It takes the norm of every point's first step;
+at the other (point, n) pairs it takes certified log bounds on the norm
+(the largest column norm and the Frobenius norm at p = 2, the Riesz-Thorin
+and norm-equivalence upper bound elsewhere, each with an explicit rounding
+margin; for resolvent powers also the submultiplicative cap), and it takes
+a norm only where the upper bound reaches a value some pair attains.  Every
+reported value, witness and n is the one a norm at every pair gives, bit
+for bit.
 
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
 suprema through one grid-and-refine search, _search.  It evaluates the whole
@@ -36,6 +38,7 @@ Cesaro and GZ scans read T^k = e^{log_scale} M from it through _partial_sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,9 +51,10 @@ from .reporting import SCHEMA
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
 _REFINE_SHRINK = 0.25  # each refinement round shrinks the local grid by this factor
-# Rounding margin of the certified log-domain sigma_max bounds.  Column norms,
-# the Frobenius norm, np.log and LAPACK's largest singular value each carry a
-# relative error of a few d ulps (about 1e-13 at d = 64), far inside it.
+# Rounding margin of the certified log-domain norm bounds.  The norm sums and
+# their powers, np.log, np.exp, LAPACK's largest singular value and the
+# ascent's p-norms each carry a relative error of a few d ulps (about 1e-13 at
+# d = 64), far inside it.
 _LOG_MARGIN = 1e-9
 
 
@@ -193,116 +197,133 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
     return FunctionalEstimate(1.0, None, log_value=0.0)
 
 
-def _log_sigma_max_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified bounds lo <= log sigma_max(M) <= hi for each matrix of a stack.
+def _log_norm_bounds(mats: np.ndarray, p: float, norms: np.ndarray | None = None):
+    """Certified bounds lo <= log ||M||_p <= hi for each matrix of a stack, which also
+    hold for the value _batched_norm_lower computes.
 
-    lo is the log of the largest column 2-norm and hi the log of the
-    Frobenius norm, widened by _LOG_MARGIN.  The margin also covers the
-    rounding of a computed SVD, so lo <= log(svd(M)[0]) <= hi holds for the
-    floating-point value a caller would compute.  Squares of entries below
-    1e-154 underflow; they cannot move either bound once the peak entry is
-    of normal size, as it is for rescaled powers and for partial sums that
-    can beat a ratio of 1.
+    At p = 2, lo and hi are the logs of the largest column 2-norm and of the
+    Frobenius norm, or both the log of norms, the stack's SVD values if known.
+    Elsewhere hi is the log of the Riesz-Thorin bound ||M||_1^{1/p}
+    ||M||_inf^{1-1/p} (the norm itself at p in {1, inf}) intersected with
+    d^{|1/2-1/p|} ||M||_F, and lo is -inf: an ascent value can lie anywhere
+    below the norm.  Both are widened by _LOG_MARGIN.  Squares below 1e-154
+    underflow, which cannot move a bound once the peak entry is of normal
+    size, as it is for rescaled powers and for partial sums that can beat a
+    floor; sums past the float range give an infinite hi, which keeps a pair.
     """
-    sq = mats.real**2 + mats.imag**2
-    col = sq.sum(axis=-2)
-    with np.errstate(divide="ignore"):
-        lo = 0.5 * np.log(col.max(axis=-1)) - _LOG_MARGIN
-        hi = 0.5 * np.log(col.sum(axis=-1)) + _LOG_MARGIN
-    return lo, hi
+    with np.errstate(over="ignore", divide="ignore"):
+        if p == 2 and norms is not None:
+            lo = hi = np.log(norms)
+        elif p == 2:
+            col = np.einsum("...ij->...j", mats.real**2 + mats.imag**2)
+            lo, hi = 0.5 * np.log(col.max(axis=-1)), 0.5 * np.log(col.sum(axis=-1))
+        else:
+            a = np.abs(mats)
+            one = np.einsum("...ij->...j", a).max(axis=-1)
+            inf = np.einsum("...ij->...i", a).max(axis=-1)
+            frob = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+            hi = np.log(np.minimum(one ** (1.0 / p) * inf ** (1.0 - 1.0 / p),
+                                   mats.shape[-1] ** abs(0.5 - 1.0 / p) * frob))
+            lo = np.full(len(mats), -np.inf)
+    return lo - _LOG_MARGIN, hi + _LOG_MARGIN
 
 
-def _product_log_slack(d: int) -> float:
-    """Per-power rounding slack of n * log ||R|| as a bound on the computed log ||R^n||.
+def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, shared: float | None = None):
+    """Max of score(n, idx, log_scale, ||M||_p) over the steps of a matrix stack, with
+    norms only where they can change it.
 
-    Per step, the computed product R @ M of complex d x d matrices may exceed
-    ||M|| ||R|| by a relative 2 d (d + 2) u (the entrywise bound
-    gamma_{d+2} |M||R| taken to the 2-norm), the computed SVD of R may fall
-    short of ||R|| by a relative d (d + 2) u, and a rescale rounds each entry
-    once; 4 d (d + 2) + 8 ulps cover the sum.  u = 2^-53.
+    stack(pts) yields (n, M, log_scale) in increasing n for the points pts (an
+    index array or slice(None)), point pts[k] having the matrix
+    e^{log_scale[k]} M[k].  score must not decrease as a norm grows, as no
+    rounded sum, product, quotient or log does.  Pass 1 takes norms at the
+    first step and scored _log_norm_bounds at the others; the floor is the
+    largest score or scored lower bound.  A pair whose scored upper bound is
+    below the floor scores strictly below a value some pair reaches, so it is
+    dropped (a NaN bound keeps it).  Pass 2 reruns the stack on the points
+    that keep a pair, which is cheaper than storing every matrix, and takes
+    norms in increasing n, re-testing each pair as they raise the floor.  A
+    matrix's norm is the same in any stack, so the result is that of a norm
+    at every pair, bit for bit.
+
+    With shared None every point keeps its own floor, and the result is each
+    point's max and the first n attaining it (0 if none beats -inf); the
+    stack must then be the powers R^n, n >= 1, of one R per point, and
+    log ||R^n|| <= n log ||R|| caps their bounds.  A float shared starts one
+    floor for all points, and the result is (value, point, n) of the largest
+    score, ties going to the smallest n and then point, or (shared, 0, 0)
+    when no score exceeds shared.
     """
-    return (4.0 * d * (d + 2) + 8.0) * 2.0**-53
+    steps = stack(slice(None))
+    try:
+        n, M, log_scale = next(steps)
+    except StopIteration:  # no step at all
+        return shared, 0, 0
+    every = np.arange(len(M))
+    norms = _batched_norm_lower(M, p, acfg)
+    top = score(n, every, log_scale, norms)
+    best = np.where(top > -np.inf, top, -np.inf)
+    best_n = np.where(top > -np.inf, n, 0)
+
+    def pool(floor):  # a shared floor is the max over every point
+        return floor if shared is None else np.full_like(floor, max(shared, floor.max()))
+
+    if shared is None:
+        # the bound on log ||R|| plus, per power, the rounding of R @ M (a relative
+        # 2 d (d + 2) u past ||R|| ||M||) and of a rescale: 4 d (d + 2) + 8 ulps
+        d = M.shape[-1]
+        slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
+        per_power = log_scale + _log_norm_bounds(M, p, norms)[1] + slack
+    floor, uppers = best, []
+    for n, M, log_scale in steps:
+        lo, hi = _log_norm_bounds(M, p)
+        if shared is None:
+            hi = np.minimum(hi, n * per_power - log_scale)
+        with np.errstate(over="ignore", divide="ignore"):
+            floor = np.maximum(floor, score(n, every, log_scale, np.exp(lo)))
+            uppers.append(score(n, every, log_scale, np.exp(hi)))
+    floor = pool(floor)
+    need = np.array([~(up < floor) for up in uppers]).reshape(-1, len(every))
+    pts = np.flatnonzero(need.any(axis=0))
+    if pts.size:
+        steps = stack(pts)
+        next(steps)
+        last = np.flatnonzero(need.any(axis=1))[-1]
+        for up, (n, M, log_scale) in zip(uppers[:last + 1], steps):
+            rows = np.flatnonzero(~(up[pts] < floor[pts]))
+            if rows.size == 0:
+                continue
+            idx = pts[rows]
+            vals = score(n, idx, log_scale[rows], _batched_norm_lower(M[rows], p, acfg))
+            better = vals > best[idx]
+            best[idx] = np.where(better, vals, best[idx])
+            best_n[idx] = np.where(better, n, best_n[idx])
+            floor = pool(np.maximum(floor, best))
+    if shared is None:
+        return best, best_n
+    i = int(np.lexsort((best_n, -best))[0])  # the largest score, then the smallest n and point
+    if not best[i] > shared:
+        return shared, 0, 0
+    return float(best[i]), i, int(best_n[i])
 
 
-def _strong_kreiss_sweep(
-    T: ComplexMatrix,
-    xflat: np.ndarray,
-    tflat: np.ndarray,
-    n_max: int,
-    p: float,
-    acfg: AscentConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray, n_max: int,
+                         p: float, acfg: AscentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-point max over 1 <= n <= n_max of the log score, and the first n attaining it.
 
     Points are l = (1 + 10^x) e^{it}, and the score is
-    n log(|l|-1) + log ||(l-T)^{-n}||_p.  At p = 2 only the (point, n) pairs
-    whose certified upper bound reaches the point's best certified lower
-    bound get an SVD (see _p2_sweep); the result is the one an SVD at every
-    pair gives, bit for bit.
+    n log(|l|-1) + log ||(l-T)^{-n}||_p, swept over the resolvent powers by
+    _pruned_sweep with one floor per point.
     """
     r = 1.0 + 10.0 ** xflat
     lam = r * np.exp(1j * tflat)
     R = np.linalg.inv(lam[:, None, None] * np.eye(T.dim, dtype=complex) - T.entries)
     log_gap = np.log(r - 1.0)
-    if p == 2:
-        return _p2_sweep(R, log_gap, n_max)
-    best_log = np.full(len(r), -np.inf)
-    best_n = np.zeros(len(r), dtype=int)
-    for n, M, log_scale in _power_ledger(R, n_max):
-        nl = _batched_norm_lower(M, p, acfg)
+
+    def score(n, idx, log_scale, norms):
         with np.errstate(divide="ignore"):
-            score = n * log_gap + log_scale + np.log(nl)
-        better = score > best_log
-        best_log = np.where(better, score, best_log)
-        best_n = np.where(better, n, best_n)
-    return best_log, best_n
+            return n * log_gap[idx] + log_scale + np.log(norms)
 
-
-def _p2_sweep(R: np.ndarray, log_gap: np.ndarray, n_max: int):
-    """The p = 2 strong-Kreiss sweep with SVDs only where they can win.
-
-    Pass 1 runs the power recurrence once: an exact SVD at n = 1 for every
-    point, and for n >= 2 the bounds of _log_sigma_max_bounds, the upper one
-    capped by the submultiplicative n * score_1.  A pair whose upper bound
-    lies below its point's best lower bound scores strictly below the point's
-    maximum, so dropping it moves neither the maximum nor the first n
-    attaining it.  Pass 2 runs the recurrence again on the points that keep
-    a pair and takes SVDs of those pairs only: recomputing the powers is
-    cheaper than storing every one of them.
-    """
-    powers = _power_ledger(R, n_max)
-    _, M, log_scale = next(powers)
-    with np.errstate(divide="ignore"):
-        score_1 = log_gap + log_scale + np.log(np.linalg.svd(M, compute_uv=False)[..., 0])
-    best_log = np.where(score_1 > -np.inf, score_1, -np.inf)
-    best_n = np.where(score_1 > -np.inf, 1, 0)
-    # per-power slack of the cap n * score_1: the scores' sums and the products
-    slack = _LOG_MARGIN * (np.abs(log_gap) + np.abs(score_1)) + _product_log_slack(R.shape[-1])
-    floor = best_log
-    upper = np.full((n_max + 1, len(R)), np.inf)
-    for n, M, log_scale in powers:
-        base = n * log_gap + log_scale
-        lo, hi = _log_sigma_max_bounds(M)
-        floor = np.maximum(floor, base + lo)
-        upper[n] = np.minimum(base + hi, n * score_1 + (_LOG_MARGIN + n * slack))
-    need = ~(upper < floor)  # NaN bounds keep their pair
-    need[:2] = False  # row 0 is unused and n = 1 is exact already
-    pts = np.flatnonzero(need.any(axis=0))
-    if pts.size == 0:
-        return best_log, best_n
-    last = int(np.flatnonzero(need.any(axis=1))[-1])
-    for n, M, log_scale in _power_ledger(R[pts], last):
-        rows = np.flatnonzero(need[n, pts])
-        if rows.size == 0:
-            continue
-        idx = pts[rows]
-        nl = np.linalg.svd(M[rows], compute_uv=False)[..., 0]
-        with np.errstate(divide="ignore"):
-            score = n * log_gap[idx] + log_scale[rows] + np.log(nl)
-        better = score > best_log[idx]
-        best_log[idx] = np.where(better, score, best_log[idx])
-        best_n[idx] = np.where(better, n, best_n[idx])
-    return best_log, best_n
+    return _pruned_sweep(lambda pts: _power_ledger(R[pts], n_max), score, p, acfg)
 
 
 def strong_kreiss_constant(
@@ -447,8 +468,8 @@ def exponential_criterion(
 
 
 def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
-    """Yield (n, S_n) for n = 0..n_max, one S_n per entry of ratio:
-    S_n = sum_{k<=n} c_k T^k with c_0 = first and c_k = c_{k-1} ratio.
+    """Yield (n, S_n, 0), the power ledger's (n, M, log_scale) form, for n = 0..n_max,
+    one S_n = sum_{k<=n} c_k T^k per entry of ratio, c_0 = first, c_k = c_{k-1} ratio.
 
     T^k = e^{log_scale} M is read from the power ledger.  S_n is updated in
     place: read it before the next step.  An OverflowError names the first n
@@ -457,7 +478,8 @@ def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
     """
     coef = np.broadcast_to(np.asarray(first, dtype=complex), ratio.shape)
     S = coef[:, None, None] * np.eye(T.dim, dtype=complex)
-    yield 0, S
+    zero = np.zeros(len(S))
+    yield 0, S, zero
     for n, M, log_scale in _power_ledger(T.entries[None], n_max):
         coef = coef * ratio
         scale = _rescale(1.0, log_scale[0])
@@ -466,7 +488,7 @@ def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
         if not np.isfinite(S).all():
             raise OverflowError(f"T^n left the float range in the partial sums at n = {n} "
                                 f"(T^n = e^{log_scale[0]:.6g} M)")
-        yield n, S
+        yield n, S, zero
 
 
 def cesaro_partial_sum_bound(
@@ -485,35 +507,13 @@ def cesaro_partial_sum_bound(
     """
     _require("ks_ref", ks_ref, 0, math.inf, "()")
     _require("n_max", n_max, 0)
-    acfg = cfg.ascent()
     lam = np.exp(1j * _angles(cfg.angular_count))
-    best_norm_ratio = 1.0  # n = 0 gives ||I||/(1) = 1 for every lambda
-    best_i, best_n = 0, 0
-    sums = _partial_sums(T, 1.0, lam, n_max)
-    next(sums)  # S_0 = I: its ratio 1 is the starting best
-    for n, S in sums:
-        idx = np.arange(len(lam))
-        if cfg.p == 2:
-            # an SVD only where the Frobenius bound can beat the running best:
-            # the others score strictly below it, so they can hold neither the
-            # first argmax nor a new best.  An entry past 1e154 overflows its
-            # square, and the infinite bound only keeps that SVD.
-            with np.errstate(over="ignore"):
-                hi = _log_sigma_max_bounds(S)[1]
-            idx = idx[~(hi - math.log(n + 1.0) < math.log(best_norm_ratio))]
-            if idx.size == 0:
-                continue
-        ratios = _batched_norm_lower(S[idx], cfg.p, acfg) / (n + 1.0)
-        j = int(np.argmax(ratios))
-        if float(ratios[j]) > best_norm_ratio:
-            best_norm_ratio, best_i, best_n = float(ratios[j]), int(idx[j]), n
-    ratio_max = best_norm_ratio / (20.0 * ks_ref)
-    return CesaroResult(
-        ratio_max=ratio_max,
-        argmax=complex(lam[best_i]),
-        n_at_max=best_n,
-        cesaro_lower=best_norm_ratio,
-    )
+    # S_0 = I scores ||I||/(0+1) = 1 at every lambda: the shared start
+    best, best_i, best_n = _pruned_sweep(
+        lambda pts: itertools.islice(_partial_sums(T, 1.0, lam[pts], n_max), 1, None),
+        lambda n, idx, _, norms: norms / (n + 1.0), cfg.p, cfg.ascent(), shared=1.0)
+    return CesaroResult(ratio_max=best / (20.0 * ks_ref), argmax=complex(lam[best_i]),
+                        n_at_max=best_n, cesaro_lower=best)
 
 
 def gz_partial_resolvent_ratio(
@@ -525,19 +525,15 @@ def gz_partial_resolvent_ratio(
     here, so this diagnostic is advisory and never asserted as an invariant.
     """
     _require("ks_ref", ks_ref, 0, math.inf, "()")
-    acfg = cfg.ascent()
     xs, angles = _grid(cfg)
     R, A = np.meshgrid(1.0 + 10.0 ** xs, angles, indexing="ij")
     lam = (R * np.exp(1j * A)).ravel()
     inv_lam = 1.0 / lam
-    best = -math.inf
-    best_i, best_n = 0, 0
-    for n, S in _partial_sums(T, inv_lam, inv_lam, n_max):
-        norms = _batched_norm_lower(S, cfg.p, acfg)
-        vals = (np.abs(lam) - 1.0) * norms / (4.0 * ks_ref)
-        j = int(np.argmax(vals))
-        if float(vals[j]) > best:
-            best, best_i, best_n = float(vals[j]), j, n
+    gap = np.abs(lam) - 1.0
+    best, best_i, best_n = _pruned_sweep(
+        lambda pts: _partial_sums(T, inv_lam[pts], inv_lam[pts], n_max),
+        lambda n, idx, _, norms: gap[idx] * norms / (4.0 * ks_ref), cfg.p, cfg.ascent(),
+        shared=-math.inf)
     return FunctionalEstimate(best, complex(lam[best_i]), n_at_max=best_n)
 
 

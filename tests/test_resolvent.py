@@ -262,6 +262,55 @@ def test_pruned_cesaro_matches_serial_at_general_p(p, name):
     assert (res.cesaro_lower, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, 16)
 
 
+def _counted(monkeypatch, module, name):
+    """Count the matrices of every stack passed to module.name."""
+    real, count = getattr(module, name), [0]
+
+    def counted(mats, *args, **kwargs):
+        count[0] += len(mats)
+        return real(mats, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def test_pruned_sweep_takes_norms_at_the_floor():
+    # A score that ignores the norm makes every bound exact: the pairs at n = 2
+    # score 1, the floor, and hold the max, so only a pair strictly below the
+    # floor may go without its norm.
+    R = np.random.default_rng(0).standard_normal((3, 2, 2)) + 0j
+
+    def stack(pts):
+        return _power_ledger(R[pts], 3)
+
+    def score(n, idx, log_scale, norms):
+        return np.full(len(norms), float(n == 2))
+
+    for p in (2.0, 3.0):
+        best, best_n = resolvent._pruned_sweep(stack, score, p, PRUNING_CFG.ascent())
+        assert best.tolist() == [1.0] * 3 and best_n.tolist() == [2] * 3
+        shared = resolvent._pruned_sweep(stack, score, p, PRUNING_CFG.ascent(), -math.inf)
+        assert shared == (1.0, 0, 2)
+
+
+def test_pruned_sweeps_skip_most_norms(monkeypatch):
+    T = PRUNING_OPERATORS["jordan2_damped"]
+    cfg = SearchConfig(radial_count=8, angular_count=16, p=3.0)
+    ascents = _counted(monkeypatch, resolvent, "ascent_lower_bounds")
+    xs, angles = _grid(cfg)
+    X, Tt = np.meshgrid(xs, angles, indexing="ij")
+    _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent())
+    assert ascents[0] < X.size * 16 / 2
+    ascents[0] = 0
+    cesaro_partial_sum_bound(T, cfg, 64, 1.0)
+    assert ascents[0] < cfg.angular_count * 64 / 2
+    # perfbench's resolvent_p2_matrix Cesaro task took 658 SVDs with a running-best prune
+    svds = _counted(monkeypatch, np.linalg, "svd")
+    J = PRUNING_OPERATORS["jordan16_09"]
+    cesaro_partial_sum_bound(J, SearchConfig(radial_count=16, angular_count=32), 128, 1.0)
+    assert svds[0] <= 658
+
+
 @pytest.mark.parametrize("name, n_max, p", [
     (name, n_max, p) for name in sorted(PRUNING_OPERATORS) for n_max in (0, 1, 8, 64)
     for p in (2.0, math.inf)
