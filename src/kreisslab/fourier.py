@@ -407,11 +407,11 @@ def _inner_norms(vals: np.ndarray, inner_p: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         total = _sum_terms(a ** inner_p)
     out = total ** (1.0 / inner_p)
-    # Where a power overflowed, factor the row's max out, as vector_p_norm
-    # does; every row whose sum is finite keeps its bits, and a row that holds
-    # inf keeps its inf norm.
+    # Where a power overflowed, or a nonzero row's sum fell below the normal
+    # floats, factor the row's max out, as vector_p_norm does; a row with a
+    # normal sum keeps its bits, and a row that holds inf its inf norm.
     top = np.maximum.reduce(a, axis=-1)
-    bad = np.isinf(total) & np.isfinite(top)
+    bad = np.isfinite(top) & (np.isinf(total) | ((total < np.finfo(float).tiny) & (top > 0)))
     if bad.any():
         scaled = (a[bad] / top[bad][..., None]) ** inner_p
         out[bad] = top[bad] * np.add.reduce(scaled, axis=-1) ** (1.0 / inner_p)
@@ -437,7 +437,8 @@ def pairing(f: TrigPolynomial, g: TrigPolynomial) -> complex:
 
     The pairing is sesquilinear (conjugation on g), which is precisely the
     convention under which the same-interval block identity
-    <f, g> = sum_I <D_I f, D_I g> holds; pairing_quadrature cross-checks it.
+    <f, g> = sum_I <D_I f, D_I g> holds; the quadrature pairing of the test
+    oracles cross-checks it.
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
@@ -447,14 +448,6 @@ def pairing(f: TrigPolynomial, g: TrigPolynomial) -> complex:
         if n in gmap:
             total += complex(np.sum(f.vecs[i] * np.conj(gmap[n])))
     return total
-
-
-def pairing_quadrature(f: TrigPolynomial, g: TrigPolynomial, n_points: int | None = None) -> complex:
-    M = f.max_abs_freq + g.max_abs_freq
-    N = int(n_points) if n_points is not None else 2 * M + 1
-    vf = f.values_on_grid(N)
-    vg = g.values_on_grid(N)
-    return complex(np.mean(np.sum(vf * np.conj(vg), axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -140,14 +140,16 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     B, d = A.shape[0], A.shape[-1]
     # A gradient entry is at most (d P)^q for the peak entry P of its matrix
     # (q = p; q = 1 at p = inf, where the direction has unit entries), so its
-    # squared 2-norm stays below 2^1022 while (2q + 1) log2 d + 2q log2 P does.
-    # A matrix past that runs divided by a power of two near P, which every
-    # step commutes with while nothing underflows, and its value is scaled back.
+    # squared 2-norm stays below 2^1022 while log2 P <= limit below.  A matrix
+    # past that runs divided by a power of two that takes P into [0.5, 1) and on
+    # down to 2^limit, which every step commutes with while nothing underflows,
+    # and its value is scaled back.
     q = 1.0 if math.isinf(p) else p
+    limit = (1022.0 - (2 * q + 1) * math.log2(d)) / (2 * q)
+    if math.isnan(limit):  # 2q overflowed: take the limit of limit as q grows
+        limit = -math.log2(d)
     peak = np.abs(A).max(axis=(-2, -1))
-    shift = np.where(
-        peak > 2.0 ** ((1022.0 - (2 * q + 1) * math.log2(d)) / (2 * q)), np.frexp(peak)[1], 0
-    )
+    shift = np.where(peak > 2.0 ** limit, np.frexp(peak)[1] + max(0, math.ceil(-limit)), 0)
     if shift.any():
         A = A * np.ldexp(1.0, -shift)[:, None, None]
     # |A x| <= d P on the unit p-sphere, so a^(p-1) in the direction can overflow

@@ -79,9 +79,6 @@ class ComplexMatrix:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.entries))))
 
-    def is_entrywise_nonnegative(self) -> bool:
-        return bool(np.all(self.entries.imag == 0.0) and np.all(self.entries.real >= 0.0))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ComplexMatrix) and np.array_equal(self.entries, other.entries)
 

@@ -13,7 +13,7 @@ certificate and the check refuses to pass when that certificate is weak.
 
 krivine_checks runs the series once for a whole (B, d) stack of vectors that
 share T, n and q, one matrix-vector product per row and power, so each row's
-result is bit for bit that of krivine_check on the row alone.
+result is bit for bit that of a one-row stack.
 """
 
 from __future__ import annotations
@@ -147,12 +147,6 @@ def krivine_checks(
         results.append(KrivineResult(float(margins[b, i]), float(tail_rel[b]), n, q,
                                      int(kmax), window, i))
     return results
-
-
-def krivine_check(T: PositiveOperator, x, n: int, q: float,
-                  trunc_terms: int | None = None) -> KrivineResult:
-    """krivine_checks for the single vector x."""
-    return krivine_checks(T, np.asarray(x, dtype=float).reshape(1, T.dim), n, q, trunc_terms)[0]
 
 
 @dataclass(frozen=True)

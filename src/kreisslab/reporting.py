@@ -68,10 +68,21 @@ def write_csv(path, table: Mapping[str, Sequence]) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[list[float]]]:
+    """Header and float rows of a CSV file, blank lines skipped; a malformed
+    file raises ValueError naming the file and the line."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no header line")
+    header, rows = lines[0][1].split(","), []
+    for i, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {i}: row width {len(cells)}, header width {len(header)}")
+        try:
+            rows.append([float(tok) for tok in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {i}: {exc}") from None
     return header, rows
 
 

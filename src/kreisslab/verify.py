@@ -19,19 +19,18 @@ m - 1.  An off-by-one here silently changes the constants, so this module
 is the single owner of that window (poisson_window, bound_m_range) and of
 the Poisson weights (poisson_log_weights); the positivity checks use both.
 
-All arithmetic stays in the natural-log domain (factorials via lgamma), with
-compensated summation for the window sums, so the sweep reaches n = 10^6
-without overflow.  sweep_appendix works on blocks of _CHUNK values of n at a
-time, and every row keeps the values and summation order of its single-n
-check; the sweep over n in [2, 10^4] takes 0.16-0.21 s on a 2-vCPU x86 VM.
-It returns the appendix.csv table as a dict of numpy columns, in header
-order.
+Factorials enter through lgamma and the window sums through Poisson-normalized
+weights, so the sweep reaches n = 10^6 without overflow.  sweep_appendix is
+the one entry point: it works on blocks of _CHUNK values of n at a time, and
+every row keeps the values and summation order of a one-n sweep
+(sweep_appendix(n, n)); the sweep over n in [2, 10^4] takes 0.16-0.21 s on a
+2-vCPU x86 VM.  It returns the appendix.csv table as a dict of numpy columns,
+in header order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,46 +44,9 @@ _REVIEW_MARGIN = 1e-6
 _CHUNK = 128  # rows of n per numpy block
 
 
-class EmptyWindowError(ValueError):
-    """The Poisson window [m - sqrt(n), m - 1] holds no admissible integer."""
-
-
-def log_poisson_term(n: int, k: int) -> float:
-    """log(n^k / k!) = k log n - lgamma(k+1).
-
-    Relative accuracy is a few ulp (math.lgamma); for k up to 1e6 the value
-    has magnitude ~1e7, so the achievable absolute error of a float64 result
-    is ~1e-9, far below every slack this module certifies.
-    """
-    _require("n", n, 1)
-    _require("k", k, 0)
-    return k * math.log(n) - math.lgamma(k + 1)
-
-
-def log_sum_exp(log_terms, reverse: bool = False) -> float:
-    """Stable log(sum exp(t_i)) with compensated (fsum) accumulation."""
-    terms = list(log_terms)
-    if not terms:
-        return -math.inf
-    if reverse:
-        terms = terms[::-1]
-    m = max(terms)
-    if math.isinf(m):
-        return m
-    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
-
-
 def poisson_window(n, m):
     """Integer k range [ceil(m - sqrt(n)) clamped at 0, m - 1], inclusive, elementwise."""
     return np.maximum(0, np.ceil(m - np.sqrt(n))).astype(int), m - 1
-
-
-@dataclass(frozen=True)
-class WindowSumRow:
-    n: int
-    m: int
-    log_b: float  # natural log of b_{n,m}
-    a: float  # e^n / b_{n,m}
 
 
 def bound_m_range(n: int) -> range:
@@ -108,31 +70,11 @@ def poisson_log_weights(n, ks: np.ndarray) -> np.ndarray:
     return ks * log_n - gammaln(ks + 1.0) - n
 
 
-def poisson_window_sum(n: int, m: int) -> WindowSumRow:
-    """b_{n,m} = sum over the Poisson window of n^k / k!, in the log domain."""
-    _require("n", n, 2)  # the window estimates start at n = 2
-    _require("m", m, n - math.sqrt(n), n, "[]")
-    lo, hi = poisson_window(n, m)
-    if hi < lo:
-        raise EmptyWindowError(f"no admissible k for n={n}, m={m}")
-    log_b = log_sum_exp(log_poisson_term(n, k) for k in range(lo, hi + 1))
-    return WindowSumRow(n=n, m=m, log_b=log_b, a=math.exp(n - log_b))
-
-
-@dataclass(frozen=True)
-class SandwichResult:
-    n: int
-    min_slack: float  # log-domain slack, >= 0 when the estimate holds
-    argmin_k: int
-    argmin_side: str  # 'lower' or 'upper'
-    passed: bool
-
-
-def _sandwich_slacks(ns: np.ndarray):
-    """(min_slack, argmin_k, lower side binds) for each n of ns.
+def _sandwich_slacks(ns: np.ndarray) -> np.ndarray:
+    """Least log-domain slack of the two sandwich estimates for each n of ns.
 
     Rows run over k in [0, floor(2 sqrt(n))] and repeat their last k out to
-    the block's width, so argmin still lands on the first minimizing k.
+    the block's width, which leaves each row's minimum as it is.
     """
     from scipy.special import gammaln
 
@@ -146,30 +88,8 @@ def _sandwich_slacks(ns: np.ndarray):
         kmax = np.floor(2.0 * np.sqrt(n)).astype(int)
         ks = np.minimum(np.arange(int(kmax.max()) + 1), kmax)
         mid = (n - ks) * log_n - gammaln(n - ks + 1.0)
-        slack_lo, slack_hi = mid - lower_ref, upper_ref - mid
-        rows = np.arange(len(n))
-        i_lo, i_hi = np.argmin(slack_lo, axis=1), np.argmin(slack_hi, axis=1)
-        s_lo, s_hi = slack_lo[rows, i_lo], slack_hi[rows, i_hi]
-        lower = s_lo <= s_hi
-        out.append((np.where(lower, s_lo, s_hi), np.where(lower, i_lo, i_hi), lower))
-    return tuple(np.concatenate(col) for col in zip(*out))
-
-
-def verify_factorial_sandwich(n: int) -> SandwichResult:
-    """Both sandwich inequalities for every integer k in [0, 2 sqrt(n)]."""
-    _require("n", n, 2)
-    slack, argk, lower = _sandwich_slacks(np.array([n]))
-    min_slack = float(slack[0])
-    return SandwichResult(n, min_slack, int(argk[0]), "lower" if lower[0] else "upper",
-                          bool(min_slack >= -_SLACK_TOL))
-
-
-@dataclass(frozen=True)
-class WindowBoundsResult:
-    n: int
-    sup_a: float
-    v1_a: float
-    passed: bool
+        out.append(np.minimum((mid - lower_ref).min(1), (upper_ref - mid).min(1)))
+    return np.concatenate(out)
 
 
 def _a_values(ns: np.ndarray):
@@ -178,7 +98,8 @@ def _a_values(ns: np.ndarray):
 
     b_{n,m} e^{-n} is a window sum of Poisson(n) probabilities, all of size
     ~1/sqrt(n) within the relevant range, so plain float64 prefix arithmetic
-    keeps ~1e-14 relative accuracy; poisson_window_sum cross-checks this path.
+    keeps ~1e-14 relative accuracy; the log-domain window sum of the test
+    oracles cross-checks this path.
     The n of one block share the lengths of their k and m ranges, so each row
     holds exactly its own values and its sums run in the one-n order.
     """
@@ -211,13 +132,6 @@ def _window_stats(ns: np.ndarray):
     return sup_a, v1_a
 
 
-def verify_window_bounds(n: int) -> WindowBoundsResult:
-    """sup and total variation of the extended-by-zero sequence a_{n,.}."""
-    sup_a, v1_a = (float(v[0]) for v in _window_stats(np.array([n])))
-    passed = sup_a <= SUP_BOUND + _TOL and v1_a <= V1_BOUND + _TOL
-    return WindowBoundsResult(n, sup_a, v1_a, bool(passed))
-
-
 def sweep_appendix(n_lo: int = 2, n_hi: int = 10_000) -> dict[str, np.ndarray]:
     """Run both checks for every n in [n_lo, n_hi], a block of n at a time.
 
@@ -228,7 +142,7 @@ def sweep_appendix(n_lo: int = 2, n_hi: int = 10_000) -> dict[str, np.ndarray]:
     _require("n_lo", n_lo, 2)
     _require("n_hi", n_hi, n_lo)
     ns = np.arange(n_lo, n_hi + 1)
-    slack, _, _ = _sandwich_slacks(ns)
+    slack = _sandwich_slacks(ns)
     sup_a, v1_a = _window_stats(ns)
     return {
         "n": ns, "sup_a": sup_a, "v1_a": v1_a, "a1_min_slack": slack,

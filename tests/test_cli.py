@@ -382,7 +382,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
                   "T^n left the float range in the partial sums at n = 5",
               "config-trials-fraction": "--trials", "config-seed-fraction": "--seed",
               "config-p-bool": "--p", "config-gz-string": "--gz",
-              "config-family-not-a-choice": "--family"}
+              "config-family-not-a-choice": "--family",
+              "plot-csv-empty": "in.csv: no header line",
+              "plot-csv-short-row": "in.csv line 2: row width 1, header width 2"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,6 +460,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
      "--config", {"cesaro": {"gz": "false"}}],
     ["type-cotype", "--samples", "50", "--seed", "1",
      "--config", {"type-cotype": {"family": "basiss"}}],
+    # bytes stand for a CSV file holding them: no header, a row short of the header
+    ["plot", "--csv", b""],
+    ["plot", "--csv", b"n,a\n1\n"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -469,13 +474,17 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "growth-p-nan", "kreiss-r-max-inf", "appendix-n-min-1", "positivity-ks-ref-nan",
         "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow",
         "cesaro-powers-product-overflow", "config-trials-fraction", "config-seed-fraction",
-        "config-p-bool", "config-gz-string", "config-family-not-a-choice"])
+        "config-p-bool", "config-gz-string", "config-family-not-a-choice", "plot-csv-empty",
+        "plot-csv-short-row"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):
             cfg.write_text(json.dumps(arg))
             argv = [*argv[:i], str(cfg), *argv[i + 1:]]
+        elif isinstance(arg, bytes):
+            (tmp_path / "in.csv").write_bytes(arg)
+            argv = [*argv[:i], str(tmp_path / "in.csv"), *argv[i + 1:]]
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as err:
         run(argv + ["--out", str(out)])
@@ -485,6 +494,18 @@ def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     flag = NAMED_FLAG.get(request.node.callspec.id)
     assert flag is None or flag in err_text.rpartition("error:")[2]
     assert not out.exists()
+
+
+def test_huge_finite_inner_p_agrees_with_inf(tmp_path):
+    # |e^{2 pi i x}| may round to just below 1, whose 1e20-th power underflows
+    # to 0: fourier._inner_norms then factors the row max out
+    value = {}
+    for inner_p in ("1e20", "inf"):
+        out = tmp_path / inner_p
+        assert run(["type-cotype", "--samples", "50", "--seed", "1", "--inner-p", inner_p,
+                    "--out", str(out)]) == 0
+        value[inner_p] = read(out / "type_cotype.json")["value"]
+    assert value["1e20"] == pytest.approx(value["inf"], abs=1e-12)
 
 
 def test_decomp_gamma_past_the_float_range_completes(tmp_path):

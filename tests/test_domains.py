@@ -197,7 +197,21 @@ def test_huge_inner_p_runs_to_finite_values(sub, tmp_path):
 def test_huge_p_runs_to_finite_values(sub, tmp_path):
     # a^(p-1) overflows in the ascent direction; norms._ascent_direction then
     # divides the column by its peak first
-    argv = [sub, *BASE[sub], "--p", "1e308", "--out", str(tmp_path)]
+    _assert_finite_reports([sub, *BASE[sub], "--p", "1e308"], tmp_path)
+
+
+# exp-criterion and positivity overflowed in the gradient already at p = 600 and 1000
+@pytest.mark.parametrize("sub, p", [*((sub, "10000") for sub in sorted(cli.OPERATOR_SUBS)),
+                                    ("exp-criterion", "600"), ("positivity", "1000")])
+def test_large_p_gradient_runs_to_finite_values(sub, p, tmp_path):
+    # the gradient's squared 2-norm overflows unless norms.ascent_lower_bounds
+    # scales a matrix whose peak entry is past its threshold down to it
+    _assert_finite_reports([sub, *BASE[sub], "--p", p], tmp_path)
+
+
+def _assert_finite_reports(argv, tmp_path):
+    """main on argv exits 0 and writes reports whose numbers are all finite."""
+    argv = [*argv, "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     reports = [name for name in os.listdir(tmp_path)
@@ -213,11 +227,11 @@ def _library_calls():
     from kreisslab.fourier import TrigPolynomial, lp_torus_norm, riesz_norm_lower_bound
     from kreisslab.norms import AscentConfig, operator_p_norm, power_norm_sequence, vector_p_norm
     from kreisslab.operators import OperatorSpec, make_gallery_operator
-    from kreisslab.positivity import PositiveOperator, block_bound_check, krivine_check
+    from kreisslab.positivity import PositiveOperator, block_bound_check, krivine_checks
     from kreisslab.power import check_universal_bounds
     from kreisslab.resolvent import (SearchConfig, cesaro_partial_sum_bound,
                                      exponential_criterion, strong_kreiss_constant)
-    from kreisslab.verify import log_poisson_term, poisson_window_sum, sweep_appendix
+    from kreisslab.verify import sweep_appendix
 
     T = make_gallery_operator(OperatorSpec("identity", 2))
     P = PositiveOperator(T)
@@ -241,9 +255,8 @@ def _library_calls():
         "gamma": [lambda: estimate_constant(2.0, 2.0, gamma=nan)],
         "trials": [lambda: DecompSearchConfig(trials=0)],
         "exponent": [lambda: rademacher_constants([[1.0]], nan)],
-        "q": [lambda: krivine_check(P, [1.0, 1.0], 4, 2.0)],
-        "n": [lambda: log_poisson_term(0, 1)],
-        "m": [lambda: poisson_window_sum(9, 1)],
+        "q": [lambda: krivine_checks(P, [[1.0, 1.0]], 4, 2.0)],
+        "n": [lambda: krivine_checks(P, [[1.0, 1.0]], 1, 1.5)],
         "n_lo": [lambda: sweep_appendix(1, 5)],
         "n_hi": [lambda: sweep_appendix(5, 3)],
     }

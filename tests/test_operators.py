@@ -15,6 +15,7 @@ from kreisslab.operators import (
     make_gallery_operator,
     save_matrix,
 )
+from kreisslab.positivity import PositiveOperator
 
 
 def test_identity_constructor():
@@ -147,7 +148,7 @@ def test_gallery_names_unique_and_documented():
         T = make_gallery_operator(e.spec)
         assert T.dim == e.spec.dim
         if e.positive:
-            assert T.is_entrywise_nonnegative()
+            PositiveOperator(T)  # raises unless T is real and entrywise nonnegative
         if e.nilpotent:
             assert np.allclose(np.linalg.matrix_power(T.entries, T.dim), 0.0)
 

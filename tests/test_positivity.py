@@ -11,7 +11,6 @@ from kreisslab.positivity import (
     PositiveOperator,
     TruncationError,
     block_bound_check,
-    krivine_check,
     krivine_checks,
 )
 from kreisslab.verify import bound_m_range, poisson_log_weights
@@ -44,7 +43,7 @@ def test_krivine_identity_hand_value():
     # T = I, x = 1: lhs = (#window)^{1/q} / (28 sqrt(n)), rhs = 1 (Poisson mass)
     T = pos(OperatorSpec("identity", 2))
     for q in (1.0, 1.5):
-        res = krivine_check(T, np.ones(2), 4, q)
+        res = krivine_checks(T, [np.ones(2)], 4, q)[0]
         expected = 28.0 * 2.0 / 3.0 ** (1.0 / q)
         assert res.margin == pytest.approx(expected, rel=1e-10)
         assert res.margin >= 1.0
@@ -53,7 +52,7 @@ def test_krivine_identity_hand_value():
 def test_krivine_nilpotent_degenerate_passes():
     # window contains only k >= 2 where T^k x = 0, so lhs vanishes
     T = pos(OperatorSpec("nilpotent", 2, coupling=2.0))
-    res = krivine_check(T, np.ones(2), 4, 1.0)
+    res = krivine_checks(T, [np.ones(2)], 4, 1.0)[0]
     assert math.isinf(res.margin)
 
 
@@ -66,8 +65,8 @@ def test_krivine_scalar_half_against_series_oracle():
     win = np.array(bound_m_range(n))
     lhs = float(np.sum((c ** win.astype(float)) ** q) ** (1 / q) / (28.0 * math.sqrt(n)))
     oracle = rhs / lhs
-    res = krivine_check(pos(OperatorSpec("scalar", 1, scale=0.5)), np.ones(1), n, q,
-                        trunc_terms=4 * n)
+    res = krivine_checks(pos(OperatorSpec("scalar", 1, scale=0.5)), [np.ones(1)], n, q,
+                         trunc_terms=4 * n)[0]
     assert res.margin == pytest.approx(oracle, rel=1e-10)
     assert res.margin >= 1.0
 
@@ -79,24 +78,24 @@ def test_krivine_margins_on_positive_gallery():
         for _ in range(10):
             x = np.abs(rng.standard_normal(T.dim))
             for n in (4, 16):
-                res = krivine_check(T, x, n, 1.5)
+                res = krivine_checks(T, [x], n, 1.5)[0]
                 assert res.margin >= 1.0 - 1e-8, entry.name
 
 
 def test_krivine_tail_certificate_rejects_short_series():
     T = pos(OperatorSpec("identity", 2))
     with pytest.raises(TruncationError):
-        krivine_check(T, np.ones(2), 64, 1.0, trunc_terms=70)
+        krivine_checks(T, [np.ones(2)], 64, 1.0, trunc_terms=70)
 
 
 def test_krivine_validates_inputs():
     T = pos(OperatorSpec("identity", 2))
     with pytest.raises(ValueError):
-        krivine_check(T, np.array([1.0, -1.0]), 4, 1.0)
+        krivine_checks(T, [[1.0, -1.0]], 4, 1.0)
     with pytest.raises(ValueError):
-        krivine_check(T, np.ones(2), 1, 1.0)
+        krivine_checks(T, [np.ones(2)], 1, 1.0)
     with pytest.raises(ValueError):
-        krivine_check(T, np.ones(2), 4, 2.0)
+        krivine_checks(T, [np.ones(2)], 4, 2.0)
 
 
 def _serial_krivine(T, x, n, q, trunc_terms=None):

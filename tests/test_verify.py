@@ -5,20 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from kreisslab.verify import (
-    SUP_BOUND,
-    V1_BOUND,
-    SandwichResult,
-    WindowBoundsResult,
-    bound_m_range,
-    log_poisson_term,
-    log_sum_exp,
-    poisson_window,
-    poisson_window_sum,
-    sweep_appendix,
-    verify_factorial_sandwich,
-    verify_window_bounds,
-)
+from kreisslab.verify import SUP_BOUND, V1_BOUND, bound_m_range, poisson_window, sweep_appendix
+from oracles import log_poisson_term, log_sum_exp, poisson_window_sum
 
 
 def exact_b(n: int, m: int) -> Fraction:
@@ -27,7 +15,7 @@ def exact_b(n: int, m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# log_poisson_term
+# log_poisson_term (test oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -54,7 +42,7 @@ def test_log_poisson_validates():
 
 
 # ---------------------------------------------------------------------------
-# poisson_window_sum
+# poisson_window_sum (test oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -110,15 +98,19 @@ def test_log_sum_exp_empty():
 # ---------------------------------------------------------------------------
 
 
+def _row(n):
+    """The appendix.csv row of n alone: sweep_appendix(n, n) as name -> value."""
+    return {name: col[0] for name, col in sweep_appendix(n, n).items()}
+
+
 def test_a1_small_n_hand_range():
     # n = 2: integer k in [0, 2 sqrt 2] = {0, 1, 2}
-    res = verify_factorial_sandwich(2)
-    assert res.passed
+    row = _row(2)
+    assert row["a1_pass"]
     # by hand: worst case is the upper estimate at k in {0, 1} where
     # n^{n-k}/(n-k)! = 2 and the ceiling is e^2 / sqrt(16 pi / 5)
     expect = (2 - 0.5 * math.log(8 * math.pi * 2 / 5)) - math.log(2.0)
-    assert res.min_slack == pytest.approx(expect, abs=1e-12)
-    assert res.argmin_side == "upper"
+    assert row["a1_min_slack"] == pytest.approx(expect, abs=1e-12)
 
 
 def test_a1_n100_k0_oracle():
@@ -127,13 +119,13 @@ def test_a1_n100_k0_oracle():
     mid = n * math.log(n) - math.lgamma(n + 1)
     assert mid >= n - math.log(28 * math.sqrt(n))
     assert mid <= n - 0.5 * math.log(8 * math.pi * n / 5)
-    assert verify_factorial_sandwich(n).passed
+    assert _row(n)["a1_pass"]
 
 
 def test_a1_huge_n_no_overflow():
-    res = verify_factorial_sandwich(10**6)
-    assert res.passed
-    assert math.isfinite(res.min_slack)
+    row = _row(10**6)
+    assert row["a1_pass"]
+    assert math.isfinite(row["a1_min_slack"])
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +134,18 @@ def test_a1_huge_n_no_overflow():
 
 
 def test_a2_n4_exact_values():
-    res = verify_window_bounds(4)
+    row = _row(4)
     a2, a3, a4 = (math.exp(4) / float(exact_b(4, m)) for m in (2, 3, 4))
-    assert res.sup_a == pytest.approx(a2, rel=1e-12)  # 10.9196...
+    assert row["sup_a"] == pytest.approx(a2, rel=1e-12)  # 10.9196...
     v1 = a2 + abs(a3 - a2) + abs(a4 - a3) + a4
-    assert res.v1_a == pytest.approx(v1, rel=1e-12)  # 21.839...
-    assert res.passed
+    assert row["v1_a"] == pytest.approx(v1, rel=1e-12)  # 21.839...
+    assert row["a2_pass"]
 
 
 def test_a2_n100_passes():
-    res = verify_window_bounds(100)
-    assert res.passed
-    assert res.sup_a <= 32.0 and res.v1_a <= 978.0
+    row = _row(100)
+    assert row["a2_pass"]
+    assert row["sup_a"] <= 32.0 and row["v1_a"] <= 978.0
 
 
 def test_a2_fast_path_matches_poisson_window_sum():
@@ -166,21 +158,20 @@ def test_a2_fast_path_matches_poisson_window_sum():
 
 
 def _serial_sandwich(n):
-    """The one-n sandwich check, kept as the oracle of the block sweep."""
+    """The one-n sandwich check, kept as the oracle of the block sweep:
+    (min_slack, passed)."""
     ks = np.arange(0, math.floor(2.0 * math.sqrt(n)) + 1)
     mid = (n - ks) * math.log(n) - gammaln(n - ks + 1.0)
     slack_lo = mid - (n - math.log(28.0 * math.sqrt(n)))
     slack_hi = n - 0.5 * math.log(8.0 * math.pi * n / 5.0) - mid
     i_lo, i_hi = int(np.argmin(slack_lo)), int(np.argmin(slack_hi))
-    if slack_lo[i_lo] <= slack_hi[i_hi]:
-        min_slack, argk, side = float(slack_lo[i_lo]), i_lo, "lower"
-    else:
-        min_slack, argk, side = float(slack_hi[i_hi]), i_hi, "upper"
-    return SandwichResult(n, min_slack, argk, side, bool(min_slack >= -1e-10))
+    min_slack = float(slack_lo[i_lo] if slack_lo[i_lo] <= slack_hi[i_hi] else slack_hi[i_hi])
+    return min_slack, bool(min_slack >= -1e-10)
 
 
 def _serial_window_bounds(n):
-    """The one-n window check, kept as the oracle of the block sweep."""
+    """The one-n window check, kept as the oracle of the block sweep:
+    (sup_a, v1_a, passed)."""
     m_lo = bound_m_range(n).start
     k_lo, _ = poisson_window(n, m_lo)
     ks = np.arange(k_lo, n)
@@ -190,33 +181,29 @@ def _serial_window_bounds(n):
     a = 1.0 / (prefix[m_arr - k_lo] - prefix[lo_arr - k_lo])
     sup_a = float(np.max(a))
     v1 = float(a[0] + np.abs(np.diff(a)).sum() + a[-1])
-    return WindowBoundsResult(n, sup_a, v1, bool(sup_a <= SUP_BOUND + 1e-9 and v1 <= V1_BOUND + 1e-9))
+    return sup_a, v1, bool(sup_a <= SUP_BOUND + 1e-9 and v1 <= V1_BOUND + 1e-9)
 
 
 def _serial_sweep(n_lo, n_hi):
     rows = []
     for n in range(n_lo, n_hi + 1):
-        a1, a2 = _serial_sandwich(n), _serial_window_bounds(n)
-        review = (a1.min_slack < 1e-6 or SUP_BOUND - a2.sup_a < 1e-6
-                  or V1_BOUND - a2.v1_a < 1e-6)
-        rows.append((n, a2.sup_a, a2.v1_a, a1.min_slack, a1.passed, a2.passed, review))
+        (min_slack, a1_pass), (sup_a, v1_a, a2_pass) = _serial_sandwich(n), _serial_window_bounds(n)
+        review = min_slack < 1e-6 or SUP_BOUND - sup_a < 1e-6 or V1_BOUND - v1_a < 1e-6
+        rows.append((n, sup_a, v1_a, min_slack, a1_pass, a2_pass, review))
     names = ("n", "sup_a", "v1_a", "a1_min_slack", "a1_pass", "a2_pass", "review")
     return {name: np.array(col) for name, col in zip(names, zip(*rows))}
 
 
-@pytest.mark.parametrize("n_lo,n_hi", [(2, 3000), (10**6, 10**6 + 20)])
+# one-n sweeps (n, n) pin the single-row blocks next to the long sweeps
+@pytest.mark.parametrize("n_lo,n_hi", [(2, 3000), (10**6, 10**6 + 20),
+                                       *((n, n) for n in (2, 3, 4, 5, 99, 100, 101, 4999,
+                                                          10**6 + 7))])
 def test_sweep_matches_one_n_loop(n_lo, n_hi):
     got, want = sweep_appendix(n_lo, n_hi), _serial_sweep(n_lo, n_hi)
     assert list(got) == list(want)
     for name in want:
         assert got[name].dtype == want[name].dtype, name
         assert np.array_equal(got[name], want[name]), name
-
-
-def test_single_n_checks_match_one_n_loop():
-    for n in (2, 3, 4, 5, 99, 100, 101, 4999, 10**6 + 7):
-        assert verify_factorial_sandwich(n) == _serial_sandwich(n)
-        assert verify_window_bounds(n) == _serial_window_bounds(n)
 
 
 def test_sweep_subset_all_pass():
