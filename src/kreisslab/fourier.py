@@ -23,6 +23,8 @@ import numpy as np
 from .operators import _require
 
 _OVERSAMPLE = 8
+# 2^20 points: an exact grid past it takes gigabytes of grid values per norm
+_MAX_EXACT_POINTS = 1 << 20
 
 
 class WindowTooSmallError(ValueError):
@@ -369,9 +371,22 @@ def _is_even_integer(p: float) -> bool:
 
 
 def quadrature_points(f: TrigPolynomial, p: float, inner_p: float) -> tuple[int, bool]:
+    """(N, exact): the grid size of f's L^p(l^inner_p) norm and whether it is exact.
+
+    An even p with inner_p 2 takes the exact grid of p * M + 1 points, M the
+    largest |frequency|; past _MAX_EXACT_POINTS a ValueError names p and the
+    size, before any grid is allocated.
+    """
     M = f.max_abs_freq
     if _is_even_integer(p) and inner_p == 2:
-        return int(p) * M + 1, True
+        N = int(p) * M + 1
+        if N > _MAX_EXACT_POINTS:
+            from decimal import Decimal  # formats an integer past the float range
+
+            raise ValueError(f"p = {p:g} needs an exact quadrature grid of p * M + 1 = "
+                             f"{Decimal(N):.7g} points at M = {M}, more than "
+                             f"{_MAX_EXACT_POINTS}")
+        return N, True
     return max(_OVERSAMPLE * (2 * M + 1), 8), False
 
 

@@ -18,19 +18,25 @@ at the other (point, n) pairs it takes certified log bounds on the norm
 (the largest column norm and the Frobenius norm at p = 2, the Riesz-Thorin
 and norm-equivalence upper bound elsewhere, each with an explicit rounding
 margin; for resolvent powers also the submultiplicative cap), and it takes
-a norm only where the upper bound reaches a value some pair attains.  Every
-reported value, witness and n is the one a norm at every pair gives, bit
-for bit.
+a norm only where the upper bound reaches a value some pair of the same
+group attains.  Points form groups with one floor each: every grid point
+is its own group, every refinement seed's local grid is one, and a Cesaro
+or GZ scan is one.  The last step's norms come first, since the max
+usually sits there; the steps between follow in increasing n, and an equal
+score at a smaller n takes the place of the best, so each point reports
+the first n attaining its max.  Every value a search reads, with its n, is
+the one a norm at every pair gives, bit for bit.
 
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
 suprema through one grid-and-refine search, _search.  It evaluates the whole
-grid, seeds refinement with the five best grid points in np.argsort order (so
-exact ties always resolve the same way) and runs refine_rounds shrinking grids
-of up to 9x9 points around each seed.  A refined point replaces the best so
-far only when it is strictly larger: the first strict maximum, in
-grid-then-seed order, wins.  The strong-Kreiss evaluation returns with each
-value the n attaining it, and that n travels with the point through
-refinement, so a refined argmax needs no second sweep.
+grid, seeds refinement with the five best grid points in stable argsort
+order (so exact ties always resolve the same way) and runs refine_rounds
+shrinking grids of up to 9x9 points around each seed, all five seeds' grids
+in one evaluation per round.  A refined point replaces the best so far only
+when it is strictly larger: the first strict maximum, in grid-then-seed
+order, wins.  The strong-Kreiss evaluation returns with each value the n
+attaining it, and that n travels with the point through refinement, so a
+refined argmax needs no second sweep.
 
 Every power, of T or of a resolvent, comes from norms._power_ledger; the
 Cesaro and GZ scans read T^k = e^{log_scale} M from it through _partial_sums.
@@ -131,33 +137,49 @@ def _grid(cfg: SearchConfig):
 def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
     """Grid-and-refine maximum of evaluate over xs x angles; returns (value, (x, t), n).
 
-    evaluate(x, t) returns the values at the points and the n attaining each
-    one, or None for n.  Seeds are the five best grid points in argsort
-    order; each gets cfg.refine_rounds shrinking grids of up to 9x9 points
-    and half-widths (step, one angle step).  x is clipped to bounds, and the
+    evaluate(x, t, groups) returns the values at the points and the n
+    attaining each one, or None for n.  On the grid groups is None and every
+    value must be exact.  Seeds are the five best grid points in stable
+    argsort order; each gets cfg.refine_rounds shrinking grids of up to 9x9
+    points and half-widths (step, one angle step).  A round evaluates the
+    five seeds' grids as one stack, groups holding the index of each seed's
+    first point, and reads only each seed's first maximum, which must be
+    exact; every other value may fall short.  x is clipped to bounds, and the
     x values clipping repeats are evaluated once: a repeated x would repeat
     its whole row of values, and the first maximum keeps the same (x, t).
+    The rounds' maxima are compared with the best in (seed, round) order.
     """
 
-    def scan(x, t):
+    def mesh(x, t):
         X, Tt = np.meshgrid(x, t, indexing="ij")
-        xf, tf = X.ravel(), Tt.ravel()
-        vals, ns = evaluate(xf, tf)
-        i = int(np.argmax(vals))
-        top = (float(vals[i]), (float(xf[i]), float(tf[i])), None if ns is None else int(ns[i]))
-        return top, vals, xf, tf
+        return X.ravel(), Tt.ravel()
 
-    best, vals, xf, tf = scan(xs, _angles(cfg.angular_count))
+    def point(vals, ns, xf, tf, i):
+        return float(vals[i]), (float(xf[i]), float(tf[i])), None if ns is None else int(ns[i])
+
+    xf, tf = mesh(xs, _angles(cfg.angular_count))
+    vals, ns = evaluate(xf, tf, None)
+    best = point(vals, ns, xf, tf, int(np.argmax(vals)))
+    centers = [(float(xf[j]), float(tf[j]))
+               for j in np.argsort(vals, kind="stable")[::-1][:5]]
     offs = np.linspace(-1.0, 1.0, 9)
-    for j in np.argsort(vals)[::-1][:5]:
-        cx, ct = float(xf[j]), float(tf[j])
-        wx, wt = step, 2 * np.pi / cfg.angular_count
-        for _ in range(cfg.refine_rounds):
-            top = scan(np.unique(np.clip(cx + wx * offs, *bounds)), ct + wt * offs)[0]
+    wx, wt = step, 2 * np.pi / cfg.angular_count
+    rounds = []
+    for _ in range(cfg.refine_rounds):
+        grids = [mesh(np.unique(np.clip(cx + wx * offs, *bounds)), ct + wt * offs)
+                 for cx, ct in centers]
+        ends = np.cumsum([len(g[0]) for g in grids])
+        starts = np.concatenate([[0], ends[:-1]])
+        xf, tf = map(np.concatenate, zip(*grids))
+        vals, ns = evaluate(xf, tf, starts)
+        rounds.append([point(vals, ns, xf, tf, a + int(np.argmax(vals[a:b])))
+                       for a, b in zip(starts, ends)])
+        centers = [top[1] for top in rounds[-1]]
+        wx, wt = wx * _REFINE_SHRINK, wt * _REFINE_SHRINK
+    for seed_tops in zip(*rounds):
+        for top in seed_tops:
             if top[0] > best[0]:
                 best = top
-            cx, ct = top[1]
-            wx, wt = wx * _REFINE_SHRINK, wt * _REFINE_SHRINK
     return best
 
 
@@ -179,7 +201,7 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
 
     acfg = cfg.ascent()
 
-    def evaluate(xflat: np.ndarray, tflat: np.ndarray):
+    def evaluate(xflat: np.ndarray, tflat: np.ndarray, _groups):
         r = 1.0 + 10.0 ** xflat
         A = (r * np.exp(1j * tflat))[:, None, None] * np.eye(T.dim) - T.entries
         if cfg.p == 2:
@@ -228,46 +250,62 @@ def _log_norm_bounds(mats: np.ndarray, p: float, norms: np.ndarray | None = None
     return lo - _LOG_MARGIN, hi + _LOG_MARGIN
 
 
-def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, shared: float | None = None):
-    """Max of score(n, idx, log_scale, ||M||_p) over the steps of a matrix stack, with
-    norms only where they can change it.
+def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None,
+                  start: float = -math.inf, powers: bool = False):
+    """Per-point max of score(n, idx, log_scale, ||M||_p) over the steps of a matrix
+    stack, with norms only where they can change the max of a group of points.
 
     stack(pts) yields (n, M, log_scale) in increasing n for the points pts (an
     index array or slice(None)), point pts[k] having the matrix
     e^{log_scale[k]} M[k].  score must not decrease as a norm grows, as no
-    rounded sum, product, quotient or log does.  Pass 1 takes norms at the
-    first step and scored _log_norm_bounds at the others; the floor is the
-    largest score or scored lower bound.  A pair whose scored upper bound is
-    below the floor scores strictly below a value some pair reaches, so it is
-    dropped (a NaN bound keeps it).  Pass 2 reruns the stack on the points
-    that keep a pair, which is cheaper than storing every matrix, and takes
-    norms in increasing n, re-testing each pair as they raise the floor.  A
-    matrix's norm is the same in any stack, so the result is that of a norm
-    at every pair, bit for bit.
+    rounded sum, product, quotient or log does.  groups holds the index of
+    the first point of each group, a run of consecutive points; None makes
+    every point its own group.  Each group keeps one floor, started at
+    start: the largest score or scored lower bound of its pairs.  A pair
+    whose scored upper bound is below its group's floor scores strictly
+    below a value some pair of the group reaches, so it is dropped (a NaN
+    bound keeps it).
 
-    With shared None every point keeps its own floor, and the result is each
-    point's max and the first n attaining it (0 if none beats -inf); the
-    stack must then be the powers R^n, n >= 1, of one R per point, and
-    log ||R^n|| <= n log ||R|| caps their bounds.  A float shared starts one
-    floor for all points, and the result is (value, point, n) of the largest
-    score, ties going to the smallest n and then point, or (shared, 0, 0)
-    when no score exceeds shared.
+    Pass 1 takes norms at the first step and scored _log_norm_bounds at the
+    others, and ends holding the last step: it takes the norms there that
+    the pooled floors keep, since the max usually sits at the last step, and
+    raises the floors with them.  Pass 2 reruns the stack on the points that
+    keep a pair of the steps between, which is cheaper than storing every
+    matrix, and takes norms in increasing n, re-testing each pair as they
+    raise the floors.  An equal score at a smaller n replaces a point's best.
+
+    Returns each point's best score and the first n attaining it (0 if none
+    beats -inf), or None when the stack has no step.  A point holding its
+    group's max gets that value and n exactly; another point may fall short
+    of its own max, unless it is a group of its own.  A matrix's norm is the
+    same in any stack, so the exact values are those of a norm at every
+    pair, bit for bit.  With powers set the stack must be the powers R^n,
+    n >= 1, of one R per point, and log ||R^n|| <= n log ||R|| caps their
+    bounds.
     """
     steps = stack(slice(None))
     try:
         n, M, log_scale = next(steps)
     except StopIteration:  # no step at all
-        return shared, 0, 0
+        return None
     every = np.arange(len(M))
+    groups = every if groups is None else np.asarray(groups)
+    sizes = np.diff(groups, append=len(M))
     norms = _batched_norm_lower(M, p, acfg)
     top = score(n, every, log_scale, norms)
     best = np.where(top > -np.inf, top, -np.inf)
     best_n = np.where(top > -np.inf, n, 0)
 
-    def pool(floor):  # a shared floor is the max over every point
-        return floor if shared is None else np.full_like(floor, max(shared, floor.max()))
+    def pool(floor):  # every point gets its group's floor
+        return np.repeat(np.maximum(np.maximum.reduceat(floor, groups), start), sizes)
 
-    if shared is None:
+    def take(n, idx, mats, log_scale):
+        vals = score(n, idx, log_scale, _batched_norm_lower(mats, p, acfg))
+        better = (vals > best[idx]) | ((vals == best[idx]) & (n < best_n[idx]))
+        best[idx] = np.where(better, vals, best[idx])
+        best_n[idx] = np.where(better, n, best_n[idx])
+
+    if powers:
         # the bound on log ||R|| plus, per power, the rounding of R @ M (a relative
         # 2 d (d + 2) u past ||R|| ||M||) and of a rescale: 4 d (d + 2) + 8 ulps
         d = M.shape[-1]
@@ -276,12 +314,18 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, shared: float | No
     floor, uppers = best, []
     for n, M, log_scale in steps:
         lo, hi = _log_norm_bounds(M, p)
-        if shared is None:
+        if powers:
             hi = np.minimum(hi, n * per_power - log_scale)
         with np.errstate(over="ignore", divide="ignore"):
             floor = np.maximum(floor, score(n, every, log_scale, np.exp(lo)))
             uppers.append(score(n, every, log_scale, np.exp(hi)))
     floor = pool(floor)
+    if uppers:  # n, M and log_scale hold the last step, which its generator no longer touches
+        rows = np.flatnonzero(~(uppers.pop() < floor))
+        if rows.size:
+            take(n, rows, M[rows], log_scale[rows])
+            floor = pool(np.maximum(floor, best))
+    del M  # no stack of pass 1 outlives it
     need = np.array([~(up < floor) for up in uppers]).reshape(-1, len(every))
     pts = np.flatnonzero(need.any(axis=0))
     if pts.size:
@@ -290,29 +334,35 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, shared: float | No
         last = np.flatnonzero(need.any(axis=1))[-1]
         for up, (n, M, log_scale) in zip(uppers[:last + 1], steps):
             rows = np.flatnonzero(~(up[pts] < floor[pts]))
-            if rows.size == 0:
-                continue
-            idx = pts[rows]
-            vals = score(n, idx, log_scale[rows], _batched_norm_lower(M[rows], p, acfg))
-            better = vals > best[idx]
-            best[idx] = np.where(better, vals, best[idx])
-            best_n[idx] = np.where(better, n, best_n[idx])
-            floor = pool(np.maximum(floor, best))
-    if shared is None:
-        return best, best_n
-    i = int(np.lexsort((best_n, -best))[0])  # the largest score, then the smallest n and point
-    if not best[i] > shared:
-        return shared, 0, 0
+            if rows.size:
+                take(n, pts[rows], M[rows], log_scale[rows])
+                floor = pool(np.maximum(floor, best))
+    return best, best_n
+
+
+def _sweep_max(stack, score, p: float, acfg: AscentConfig, start: float):
+    """(value, point, n) of the largest score of _pruned_sweep over all points as one
+    group, ties going to the smallest n and then point, or (start, 0, 0) when no
+    score exceeds start."""
+    swept = _pruned_sweep(stack, score, p, acfg, (0,), start)
+    if swept is None:
+        return start, 0, 0
+    best, best_n = swept
+    i = int(np.lexsort((best_n, -best))[0])
+    if not best[i] > start:
+        return start, 0, 0
     return float(best[i]), i, int(best_n[i])
 
 
 def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray, n_max: int,
-                         p: float, acfg: AscentConfig) -> tuple[np.ndarray, np.ndarray]:
+                         p: float, acfg: AscentConfig,
+                         groups=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-point max over 1 <= n <= n_max of the log score, and the first n attaining it.
 
     Points are l = (1 + 10^x) e^{it}, and the score is
     n log(|l|-1) + log ||(l-T)^{-n}||_p, swept over the resolvent powers by
-    _pruned_sweep with one floor per point.
+    _pruned_sweep with one floor per group (per point when groups is None):
+    only each group's max is exact.
     """
     r = 1.0 + 10.0 ** xflat
     lam = r * np.exp(1j * tflat)
@@ -323,7 +373,8 @@ def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray,
         with np.errstate(divide="ignore"):
             return n * log_gap[idx] + log_scale + np.log(norms)
 
-    return _pruned_sweep(lambda pts: _power_ledger(R[pts], n_max), score, p, acfg)
+    return _pruned_sweep(lambda pts: _power_ledger(R[pts], n_max), score, p, acfg, groups,
+                         powers=True)
 
 
 def strong_kreiss_constant(
@@ -348,8 +399,8 @@ def strong_kreiss_constant(
 
     acfg = cfg.ascent()
 
-    def sweep(xflat: np.ndarray, tflat: np.ndarray):
-        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg)
+    def sweep(xflat: np.ndarray, tflat: np.ndarray, groups):
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, groups)
 
     xs, _ = _grid(cfg)
     best_log, best_xt, best_n = _search(sweep, xs, (xs[-1] - xs[0]) / cfg.radial_count,
@@ -455,7 +506,7 @@ def exponential_criterion(
     _require("xi_max", xi_max, 0, math.inf, "()")
     acfg = cfg.ascent()
 
-    def evaluate(mflat: np.ndarray, tflat: np.ndarray):
+    def evaluate(mflat: np.ndarray, tflat: np.ndarray, _groups):
         E = _expm_stack((mflat * np.exp(1j * tflat))[:, None, None] * T.entries)
         nl = _batched_norm_lower(E, cfg.p, acfg)
         with np.errstate(divide="ignore"):
@@ -509,9 +560,9 @@ def cesaro_partial_sum_bound(
     _require("n_max", n_max, 0)
     lam = np.exp(1j * _angles(cfg.angular_count))
     # S_0 = I scores ||I||/(0+1) = 1 at every lambda: the shared start
-    best, best_i, best_n = _pruned_sweep(
+    best, best_i, best_n = _sweep_max(
         lambda pts: itertools.islice(_partial_sums(T, 1.0, lam[pts], n_max), 1, None),
-        lambda n, idx, _, norms: norms / (n + 1.0), cfg.p, cfg.ascent(), shared=1.0)
+        lambda n, idx, _, norms: norms / (n + 1.0), cfg.p, cfg.ascent(), 1.0)
     return CesaroResult(ratio_max=best / (20.0 * ks_ref), argmax=complex(lam[best_i]),
                         n_at_max=best_n, cesaro_lower=best)
 
@@ -530,10 +581,10 @@ def gz_partial_resolvent_ratio(
     lam = (R * np.exp(1j * A)).ravel()
     inv_lam = 1.0 / lam
     gap = np.abs(lam) - 1.0
-    best, best_i, best_n = _pruned_sweep(
+    best, best_i, best_n = _sweep_max(
         lambda pts: _partial_sums(T, inv_lam[pts], inv_lam[pts], n_max),
         lambda n, idx, _, norms: gap[idx] * norms / (4.0 * ks_ref), cfg.p, cfg.ascent(),
-        shared=-math.inf)
+        -math.inf)
     return FunctionalEstimate(best, complex(lam[best_i]), n_at_max=best_n)
 
 

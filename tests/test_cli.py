@@ -384,7 +384,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "config-p-bool": "--p", "config-gz-string": "--gz",
               "config-family-not-a-choice": "--family",
               "plot-csv-empty": "in.csv: no header line",
-              "plot-csv-short-row": "in.csv line 2: row width 1, header width 2"}
+              "plot-csv-short-row": "in.csv line 2: row width 1, header width 2",
+              "decomp-p-huge": "p = 1e+308 needs an exact quadrature grid",
+              "riesz-p-huge": "p = 1e+308 needs an exact quadrature grid"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -463,6 +465,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     # bytes stand for a CSV file holding them: no header, a row short of the header
     ["plot", "--csv", b""],
     ["plot", "--csv", b"n,a\n1\n"],
+    # an even p takes the exact grid of p * M + 1 points, refused past 2^20
+    ["decomp-scan", "--p", "1e308", "--trials", "3", "--max-support", "4", "--seed", "1"],
+    ["riesz-norm", "--p", "1e308", "--trials", "3", "--seed", "1"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -475,7 +480,7 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow",
         "cesaro-powers-product-overflow", "config-trials-fraction", "config-seed-fraction",
         "config-p-bool", "config-gz-string", "config-family-not-a-choice", "plot-csv-empty",
-        "plot-csv-short-row"])
+        "plot-csv-short-row", "decomp-p-huge", "riesz-p-huge"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

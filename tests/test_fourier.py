@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ def test_exactness_flag_honesty():
     assert base.exact
     doubled = lp_torus_norm(f, 4.0, 2.0, n_points=2 * base.n_points)
     assert abs(doubled.value - base.value) <= 1e-12 * base.value
+
+
+def test_exact_grid_past_its_bound_is_refused_before_allocation():
+    # p M + 1 is odd for an even p, so 2^20 - 1 is the largest exact grid
+    f = scal({-4: 1.0, 1: 0.5})
+    assert quadrature_points(f, 2.0**18 - 2, 2.0) == (2**20 - 7, True)
+    for p, size in ((2.0**18, "1048577"), (1e8, "4.000000e+8"), (1e308, "4.000000e+308")):
+        text = f"p = {p:g} needs an exact quadrature grid of p * M + 1 = {size} points"
+        with pytest.raises(ValueError, match="^" + re.escape(text)):
+            quadrature_points(f, p, 2.0)
+    assert quadrature_points(f, 1e8, 1.0) == (72, False)
 
 
 def test_inexact_path_tags_false():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,21 +277,25 @@ def _counted(monkeypatch, module, name):
 
 def test_pruned_sweep_takes_norms_at_the_floor():
     # A score that ignores the norm makes every bound exact: the pairs at n = 2
-    # score 1, the floor, and hold the max, so only a pair strictly below the
-    # floor may go without its norm.
+    # (and at the last n = 3, whose norms come first) score 1, the floor, and
+    # hold the max, so only a pair strictly below the floor may go without its
+    # norm, and a tie goes to the smaller n.
     R = np.random.default_rng(0).standard_normal((3, 2, 2)) + 0j
 
     def stack(pts):
         return _power_ledger(R[pts], 3)
 
-    def score(n, idx, log_scale, norms):
-        return np.full(len(norms), float(n == 2))
+    for tops in ((2,), (2, 3)):
+        def score(n, idx, log_scale, norms):
+            return np.full(len(norms), float(n in tops))
 
-    for p in (2.0, 3.0):
-        best, best_n = resolvent._pruned_sweep(stack, score, p, PRUNING_CFG.ascent())
-        assert best.tolist() == [1.0] * 3 and best_n.tolist() == [2] * 3
-        shared = resolvent._pruned_sweep(stack, score, p, PRUNING_CFG.ascent(), -math.inf)
-        assert shared == (1.0, 0, 2)
+        for p in (2.0, 3.0):
+            for groups in (None, (0,)):
+                best, best_n = resolvent._pruned_sweep(stack, score, p, PRUNING_CFG.ascent(),
+                                                       groups)
+                assert best.tolist() == [1.0] * 3 and best_n.tolist() == [2] * 3
+            shared = resolvent._sweep_max(stack, score, p, PRUNING_CFG.ascent(), -math.inf)
+            assert shared == (1.0, 0, 2)
 
 
 def test_pruned_sweeps_skip_most_norms(monkeypatch):
@@ -307,8 +312,31 @@ def test_pruned_sweeps_skip_most_norms(monkeypatch):
     # perfbench's resolvent_p2_matrix Cesaro task took 658 SVDs with a running-best prune
     svds = _counted(monkeypatch, np.linalg, "svd")
     J = PRUNING_OPERATORS["jordan16_09"]
-    cesaro_partial_sum_bound(J, SearchConfig(radial_count=16, angular_count=32), 128, 1.0)
+    cfg = SearchConfig(radial_count=16, angular_count=32, refine_rounds=1)
+    cesaro_partial_sum_bound(J, cfg, 128, 1.0)
     assert svds[0] <= 658
+    # and its Ks search 2,639 with norms in increasing n and one floor per point
+    k = kreiss_constant(J, cfg)
+    svds[0], calls, sweep = 0, [], resolvent._strong_kreiss_sweep
+    monkeypatch.setattr(resolvent, "_strong_kreiss_sweep", lambda *a: calls.append(1) or sweep(*a))
+    strong_kreiss_constant(J, cfg, 16, k_est=k)
+    assert svds[0] <= 1200
+    assert len(calls) == 1 + cfg.refine_rounds
+
+
+def test_strong_kreiss_sweep_peak_stays_within_four_stacks():
+    # R, a power, the next power and the bounds' temporaries: a sweep that kept
+    # one more matrix per point between its passes would pass the bound
+    J = PRUNING_OPERATORS["jordan16_09"]
+    xs, angles = _grid(SearchConfig(radial_count=16, angular_count=32))
+    X, Tt = np.meshgrid(xs, angles, indexing="ij")
+    tracemalloc.start()
+    try:
+        _strong_kreiss_sweep(J, X.ravel(), Tt.ravel(), 16, 2.0, AscentConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * X.size * J.dim**2 * 16
 
 
 @pytest.mark.parametrize("name, n_max, p", [
@@ -500,7 +528,8 @@ def _ref_search(evaluate, xf, tf, vals, hw_x, bounds, cfg):
     i = int(np.argmax(vals))
     best, best_xt, refined = float(vals[i]), (float(xf[i]), float(tf[i])), False
     if cfg.refine_rounds > 0:
-        seeds = [(float(xf[j]), float(tf[j])) for j in np.argsort(vals)[::-1][:5]]
+        seeds = [(float(xf[j]), float(tf[j]))
+                 for j in np.argsort(vals, kind="stable")[::-1][:5]]
         hw = (hw_x, 2 * np.pi / cfg.angular_count)
         rbest, rxt = _ref_refine_2d(evaluate, seeds, hw, cfg.refine_rounds,
                                     resolvent._REFINE_SHRINK, bounds)
@@ -585,6 +614,29 @@ def _fields(est):
     return (est.value, est.argmax, est.n_at_max, est.log_value)
 
 
+def test_search_seeds_exact_ties_in_stable_order():
+    # Among equal grid values the later grid point seeds first: numpy's default
+    # sort is not stable, and the seed order decides which of two equal refined
+    # maxima is reported.
+    cfg = SearchConfig(radial_count=16, angular_count=16, refine_rounds=1)
+    xs = np.arange(17.0)
+    calls = []
+
+    def evaluate(xf, tf, *groups):
+        calls.append((xf, tf))
+        if len(calls) == 1:
+            return np.floor(3 * np.sin(xf) * np.cos(tf)), None  # many exact ties
+        return np.zeros(len(xf)), None
+
+    resolvent._search(evaluate, xs, 1.0, (-100.0, 100.0), cfg)
+    (xf, tf), refined = calls[0], calls[1:]
+    vals = np.floor(3 * np.sin(xf) * np.cos(tf))
+    seeds = sorted(range(len(xf)), key=lambda j: (vals[j], j), reverse=True)[:5]
+    x = np.concatenate([c[0] for c in refined]).reshape(5, 9, 9)[:, 4, 0]
+    t = np.concatenate([c[1] for c in refined]).reshape(5, 9, 9)[:, 0, 4]
+    assert x.tolist() == xf[seeds].tolist() and t.tolist() == tf[seeds].tolist()
+
+
 @pytest.fixture
 def shared_norms(monkeypatch):
     """Norm each distinct stack once: the search and its oracle meet the same stacks
@@ -605,11 +657,20 @@ def shared_norms(monkeypatch):
 def test_search_matches_per_functional_flow(p, rounds, shared_norms, gallery_matrices):
     cfg = SearchConfig(radial_count=8, angular_count=8, refine_rounds=rounds, p=p)
     for name, T in gallery_matrices.items():
-        if T.spectral_radius() > 1 + 1e-9:
-            continue
-        k, k_ref = kreiss_constant(T, cfg), _ref_kreiss(T, cfg)
-        assert _fields(k) == _fields(k_ref), name
-        assert (_fields(strong_kreiss_constant(T, cfg, 3, k_est=k))
-                == _fields(_ref_strong_kreiss(T, cfg, 3, k_ref))), name
-        assert (_fields(exponential_criterion(T, cfg, 5.0))
-                == _fields(_ref_exponential(T, cfg, 5.0))), name
+        if T.spectral_radius() <= 1 + 1e-9:
+            _assert_search_matches_flow(T, cfg, name)
+
+
+def test_search_matches_per_functional_flow_on_the_default_grid(shared_norms, gallery_matrices):
+    # two of the five seeds are conjugate points with equal values
+    _assert_search_matches_flow(gallery_matrices["jordan2_damped"], SearchConfig(),
+                                "jordan2_damped")
+
+
+def _assert_search_matches_flow(T, cfg, name):
+    k, k_ref = kreiss_constant(T, cfg), _ref_kreiss(T, cfg)
+    assert _fields(k) == _fields(k_ref), name
+    assert (_fields(strong_kreiss_constant(T, cfg, 3, k_est=k))
+            == _fields(_ref_strong_kreiss(T, cfg, 3, k_ref))), name
+    assert (_fields(exponential_criterion(T, cfg, 5.0))
+            == _fields(_ref_exponential(T, cfg, 5.0))), name
