@@ -163,8 +163,11 @@ def _parse_p(text) -> float:
     return float(t)
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", ""))
+def _parse_complex(params: dict, key: str) -> complex:
+    try:
+        return complex((params[key] or "1").replace(" ", ""))
+    except ValueError as exc:  # named like the values _merge checks
+        raise ValueError(f"argument {_option(key)}: {exc}") from None
 
 
 def _parse_float_list(text: str | None) -> tuple[float, ...]:
@@ -282,6 +285,8 @@ def _operator(params: dict):
     kind = params.get("op")
     if not kind:
         raise ValueError("select an operator with --gallery or --op")
+    if kind == "custom" and not params["matrix_file"]:
+        raise ValueError("argument --matrix-file: --op custom reads its matrix from this file")
     weights = _parse_float_list(params.get("weights"))
     if kind == "weighted_shift" and not weights:
         weights = tuple(1.0 for _ in range(params["dim"] - 1))
@@ -289,8 +294,8 @@ def _operator(params: dict):
     spec = OperatorSpec(
         kind=kind,
         dim=params["dim"],
-        scale=_parse_complex(params.get("scale") or "1"),
-        eigenvalue=_parse_complex(params.get("eigenvalue") or "1"),
+        scale=_parse_complex(params, "scale"),
+        eigenvalue=_parse_complex(params, "eigenvalue"),
         coupling=params["coupling"],
         weights=weights,
         angles=angles if len(angles) > 1 else (angles[0] if angles else 0.3),
@@ -426,7 +431,7 @@ def _decomp_scan(params):
     payload = {
         "side": est.side, "p": est.p, "q": est.q, "inner_p": est.inner_p,
         "gamma": est.gamma, "constant_lower": est.constant_lower,
-        "label": est.label, "trials": est.trials,
+        "label": est.label, "trials": params["trials"],
         "witness_file": "witness_f.txt",
         "witness_partition": [[iv.lo, iv.hi] for iv in est.witness_partition.intervals],
     }
@@ -480,12 +485,12 @@ def _type_cotype(params):
         seed=params["seed"], inner_p=params["inner_p"],
     )
     payload = {
-        "kind": est.kind, "exponent": est.exponent, "value": est.value,
-        "std_error": est.std_error, "samples": est.samples,
+        "kind": params["kind"], "exponent": params["exponent"], "value": est.value,
+        "std_error": est.std_error, "samples": params["samples"],
         "family": params["family"], "dim": d,
     }
     return Outcome("type_cotype", payload,
-                   f"type-cotype: {est.kind}-{est.exponent} sample constant "
+                   f"type-cotype: {params['kind']}-{params['exponent']} sample constant "
                    f"{est.value:.6f} +/- {est.std_error:.2e}")
 
 

@@ -37,6 +37,8 @@ from .operators import _require
 # the cache and run slower
 _CHUNK = 1 << 12
 _TINY = np.finfo(float).tiny
+# the best corpus samples that start estimate_constant's ascents
+_TOP_K = 10
 
 
 class ZeroPolynomialError(ValueError):
@@ -90,14 +92,13 @@ class DecompSearchConfig:
 
     trials: int = 10_000
     ascent_steps: int = 200
-    top_k: int = 10
     max_support: int = 32
     max_dim: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("trials", 1), ("ascent_steps", 0), ("top_k", 0),
-                            ("max_support", 2), ("max_dim", 1)):
+        for name, least in (("trials", 1), ("ascent_steps", 0), ("max_support", 2),
+                            ("max_dim", 1)):
             _require(name, getattr(self, name), least)
 
 
@@ -111,7 +112,6 @@ class DecompositionEstimate:
     constant_lower: float
     witness: TrigPolynomial
     witness_partition: IntervalPartition
-    trials: int
     label: str = "empirical floor"
 
     def reevaluate(self) -> float:
@@ -336,10 +336,10 @@ def estimate_constant(
     program), so the search over partitions is not itself randomized, and
     more trials can only raise the floor.  The whole corpus is drawn first,
     then scored one support size at a time with one dynamic program per
-    size.  The top_k samples start lockstep ascents from those scores: each
+    size.  The _TOP_K best samples start lockstep ascents from those scores: each
     step scores every start's candidate in one zero-padded program over their
     mixed sizes, and the noise, drawn first in start order, takes
-    top_k * ascent_steps * 2 * s * d doubles (about 1 MB at decomp-scan's
+    _TOP_K * ascent_steps * 2 * s * d doubles (about 1 MB at decomp-scan's
     defaults).  Only the returned witness gets an IntervalPartition.
     """
     _require("p", p, 1, math.inf, "()")
@@ -368,7 +368,7 @@ def estimate_constant(
     order = sorted(range(len(corpus)), key=lambda k: scored[k][0], reverse=True)
     best_val, best_cuts = scored[order[0]]
     best_f = corpus[order[0]]
-    ends = _coefficient_ascents([(corpus[k], scored[k]) for k in order[: cfg.top_k]],
+    ends = _coefficient_ascents([(corpus[k], scored[k]) for k in order[:_TOP_K]],
                                 lambda fs: _score(fs, p, q, inner_p, gamma, side),
                                 cfg.ascent_steps, rng)
     for cur, f, cur_cuts in ends:
@@ -384,7 +384,6 @@ def estimate_constant(
         constant_lower=best_val,
         witness=best_f,
         witness_partition=_partition(best_f, best_cuts),
-        trials=cfg.trials,
     )
 
 
@@ -394,7 +393,6 @@ def hoelder_growth_check(
     p: float,
     q: float,
     r: float,
-    inner_p: float = 2.0,
 ) -> float:
     """margin = (#I)^{1/q - 1/r} (sum a^r)^{1/r} / (sum a^q)^{1/q}, a_I = ||D_I f||_p.
 
@@ -405,7 +403,7 @@ def hoelder_growth_check(
     _require("r", r, q, math.inf, "[]")
     if not part.covers(f.support):
         raise ValueError("partition does not cover the support of f")
-    a = block_norms(f, part.intervals, p, inner_p)
+    a = block_norms(f, part.intervals, p, 2.0)
     denom = vector_p_norm(a, q)
     if denom == 0.0:
         return math.inf
@@ -420,7 +418,6 @@ def pairing_duality_check(
     part: IntervalPartition,
     p: float,
     q: float,
-    inner_p: float = 2.0,
 ) -> float | None:
     """margin = (sum ||D_I f||_p^q)^{1/q} (sum ||D_I g||_{p'}^{q'})^{1/q'} / |<f, g>|.
 
@@ -434,15 +431,12 @@ def pairing_duality_check(
         return None
     p_dual = math.inf if p == 1 else p / (p - 1.0)
     q_dual = math.inf if q == 1 else q / (q - 1.0)
-    inner_dual = math.inf if inner_p == 1 else inner_p / (inner_p - 1.0)
-    af = block_norms(f, part.intervals, p, inner_p)
-    ag = block_norms(g, part.intervals, p_dual, inner_dual)
+    af = block_norms(f, part.intervals, p, 2.0)
+    ag = block_norms(g, part.intervals, p_dual, 2.0)
     return vector_p_norm(af, q) * vector_p_norm(ag, q_dual) / abs(pr)
 
 
-def fourier_type_check(
-    xs, p: float, q: float, u_ref: float, inner_p: float = 2.0
-) -> float:
+def fourier_type_check(xs, p: float, q: float, u_ref: float) -> float:
     """margin = U_ref (sum ||x_n||^q)^{1/q} / ||sum e_n x_n||_{L^p}.
 
     With U_ref produced by a singleton-partition estimate over a corpus
@@ -453,18 +447,15 @@ def fourier_type_check(
         raise ValueError("xs must contain a nonzero vector")
     d = vecs[0].shape[0]
     f = TrigPolynomial.from_coeffs({n: v for n, v in enumerate(vecs)}, d)
-    lhs = lp_torus_norm(f, p, inner_p).value
-    rhs = u_ref * vector_p_norm([vector_p_norm(v, inner_p) for v in vecs], q)
+    lhs = lp_torus_norm(f, p).value
+    rhs = u_ref * vector_p_norm([vector_p_norm(v, 2.0) for v in vecs], q)
     return rhs / lhs
 
 
 @dataclass(frozen=True)
 class RademacherEstimate:
-    kind: str
-    exponent: float
     value: float  # implied sample lower bound for tau_p or c_q
     std_error: float
-    samples: int
 
 
 def rademacher_constants(
@@ -505,10 +496,4 @@ def rademacher_constants(
     else:
         value = agg / l2 if l2 > 0 else math.inf
         se = agg * se_l2 / (l2 * l2) if l2 > 0 else math.inf
-    return RademacherEstimate(
-        kind=kind,
-        exponent=exponent,
-        value=value,
-        std_error=se,
-        samples=samples,
-    )
+    return RademacherEstimate(value=value, std_error=se)

@@ -25,10 +25,8 @@ from .operators import _require
 _OVERSAMPLE = 8
 # 2^20 points: an exact grid past it takes gigabytes of grid values per norm
 _MAX_EXACT_POINTS = 1 << 20
-
-
-class WindowTooSmallError(ValueError):
-    """The supplied window misses points where the multiplier still varies."""
+# the best random draws that start a Riesz ascent, after the templates
+_RIESZ_TOP_K = 4
 
 
 @dataclass(frozen=True)
@@ -166,15 +164,12 @@ class TrigPolynomial:
         # the frequencies are sorted: the largest |n| sits at one end
         return max(-self.freqs[0], self.freqs[-1]) if self.freqs else 0
 
-    def coeff_dict(self) -> dict[int, np.ndarray]:
-        return {n: self.vecs[i].copy() for i, n in enumerate(self.freqs)}
-
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = {n: v.copy() for n, v in self.coeff_dict().items()}
-        for n, v in other.coeff_dict().items():
-            out[n] = out.get(n, np.zeros(self.dim, dtype=complex)) + v
+        out = dict(zip(self.freqs, self.vecs))
+        for n, v in zip(other.freqs, other.vecs):
+            out[n] = out.get(n, 0) + v
         return TrigPolynomial.from_coeffs(out, self.dim)
 
     def __mul__(self, scalar: complex) -> "TrigPolynomial":
@@ -274,28 +269,6 @@ class MultiplierSeq:
         cand.extend(abs(v) for v in self.values)
         return max(cand)
 
-    def deviation_range(self) -> tuple[int, int] | None:
-        """Smallest [lo, hi] outside which m equals its tails; None if constant."""
-        lo = None
-        for i, v in enumerate(self.values):
-            if v != self.left_tail:
-                lo = self.window_lo + i
-                break
-        hi = None
-        for i in range(len(self.values) - 1, -1, -1):
-            if self.values[i] != self.right_tail:
-                hi = self.window_lo + i
-                break
-        if lo is None and hi is None:
-            if self.left_tail == self.right_tail:
-                return None
-            return (self.window_lo, self.window_hi)
-        if lo is None:
-            lo = hi
-        if hi is None:
-            hi = lo
-        return (min(lo, hi), max(lo, hi))
-
     @staticmethod
     def constant(c: complex) -> "MultiplierSeq":
         return MultiplierSeq(0, (), left_tail=c, right_tail=c)
@@ -312,12 +285,12 @@ class MultiplierSeq:
         return MultiplierSeq(lo, (1.0,) * (hi - lo + 1))
 
     @staticmethod
-    def from_values(values: Mapping[int, complex], default: complex = 0.0) -> "MultiplierSeq":
+    def from_values(values: Mapping[int, complex]) -> "MultiplierSeq":
+        """values on their frequencies, 0 everywhere else."""
         if not values:
-            return MultiplierSeq.constant(default)
+            return MultiplierSeq.constant(0.0)
         lo, hi = min(values), max(values)
-        vals = tuple(complex(values.get(n, default)) for n in range(lo, hi + 1))
-        return MultiplierSeq(lo, vals, left_tail=default, right_tail=default)
+        return MultiplierSeq(lo, tuple(complex(values.get(n, 0.0)) for n in range(lo, hi + 1)))
 
 
 RIESZ_SYMBOL = MultiplierSeq.indicator(Interval(0, None))
@@ -335,23 +308,9 @@ def apply_multiplier(f: TrigPolynomial, m: MultiplierSeq) -> TrigPolynomial:
     return TrigPolynomial._sorted(f.freqs, f.vecs * factors[:, None], f.dim)
 
 
-def v1_seminorm(m: MultiplierSeq, window: tuple[int, int] | None = None) -> float:
-    """Total variation sum |m_{n+1} - m_n| over Z, including both tail jumps.
-
-    If a window is supplied it must contain every point where m deviates from
-    its tail values; otherwise a WindowTooSmallError is raised.
-    """
-    dev = m.deviation_range()
-    if dev is None:
-        return 0.0
-    if window is not None:
-        lo, hi = int(window[0]), int(window[1])
-        if lo > dev[0] or hi < dev[1]:
-            raise WindowTooSmallError(
-                f"multiplier varies on [{dev[0]}, {dev[1]}], window [{lo}, {hi}] misses it"
-            )
-    lo, hi = dev
-    seq = [m.at(n) for n in range(lo - 1, hi + 2)]
+def v1_seminorm(m: MultiplierSeq) -> float:
+    """Total variation sum |m_{n+1} - m_n| over Z, including both tail jumps."""
+    seq = [m.left_tail, *m.values, m.right_tail]
     return float(sum(abs(b - a) for a, b in zip(seq, seq[1:])))
 
 
@@ -477,7 +436,6 @@ class ExtremalSearchConfig:
     trials: int = 300
     max_support: int = 12
     ascent_steps: int = 120
-    top_k: int = 4
     seed: int = 0
 
 
@@ -533,7 +491,7 @@ def riesz_norm_lower_bound(
     # stable: equal ratios keep draw order
     pool = sorted(((f, score(f)) for f in drawn), key=lambda t: t[1][0], reverse=True)
     # each ascent returns at least the ratio it starts from
-    starts = [(f, score(f)) for f in _riesz_templates(d, cfg.max_support)] + pool[: cfg.top_k]
+    starts = [(f, score(f)) for f in _riesz_templates(d, cfg.max_support)] + pool[:_RIESZ_TOP_K]
     ends = _coefficient_ascents(starts, lambda fs: [score(f) for f in fs], cfg.ascent_steps, rng)
     return max(value for value, _f, _extra in ends)
 
@@ -578,7 +536,6 @@ def marcinkiewicz_check(
     m: MultiplierSeq,
     p: float,
     inner_p: float = 2.0,
-    window: tuple[int, int] | None = None,
 ) -> tuple[float, float]:
     """Return (||T_m f||_p / ||f||_p, ||m||_inf + [m]_V1).
 
@@ -586,5 +543,5 @@ def marcinkiewicz_check(
     bounded-variation multiplier constant of the ambient space.
     """
     lhs = _multiplier_ratio(f, m, p, inner_p)
-    rhs_factor = m.sup_norm() + v1_seminorm(m, window)
+    rhs_factor = m.sup_norm() + v1_seminorm(m)
     return lhs, rhs_factor

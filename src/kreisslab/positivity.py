@@ -59,10 +59,7 @@ class PositiveOperator:
 class KrivineResult:
     margin: float
     tail_rel: float
-    n: int
-    q: float
     trunc_terms: int
-    window: tuple[int, int]
     argmin_coord: int | None
 
 
@@ -97,7 +94,6 @@ def krivine_checks(
     ks = np.arange(0, kmax + 1)
     w = np.exp(poisson_log_weights(n, ks))
     win = bound_m_range(n)
-    window = (int(win[0]), int(win[-1]))
 
     rhs = np.zeros_like(X)
     lhs_q = np.zeros_like(X)
@@ -137,15 +133,14 @@ def krivine_checks(
                 f"geometric tail ratio {ratio:.3f} >= 1; increase trunc_terms beyond {kmax}"
             )
         if not relevant[b].any():
-            results.append(KrivineResult(math.inf, 0.0, n, q, kmax, window, None))
+            results.append(KrivineResult(math.inf, 0.0, kmax, None))
             continue
         if tail_rel[b] >= _TAIL_REL_LIMIT:
             raise TruncationError(
                 f"tail certificate {tail_rel[b]:.3e} of rhs is not below {_TAIL_REL_LIMIT:.0e}"
             )
         i = int(argmin[b])
-        results.append(KrivineResult(float(margins[b, i]), float(tail_rel[b]), n, q,
-                                     int(kmax), window, i))
+        results.append(KrivineResult(float(margins[b, i]), float(tail_rel[b]), int(kmax), i))
     return results
 
 
@@ -153,9 +148,6 @@ def krivine_checks(
 class BlockBoundResult:
     margin: float
     witness: np.ndarray | None
-    n: int
-    q: float
-    ks_ref: float
     label: str = "consistency: lower-bound substitution"
 
 
@@ -196,4 +188,4 @@ def block_bound_check(
         margins = np.where(denom > 0, rhs / np.where(denom == 0, 1.0, denom), np.inf)
     j = int(np.argmin(margins))
     witness = X[:, j].copy() if math.isfinite(margins[j]) else None
-    return BlockBoundResult(float(margins[j]), witness, n, q, ks_ref)
+    return BlockBoundResult(float(margins[j]), witness)

@@ -34,14 +34,13 @@ class GrowthFit:
     logC: float
     residual: float  # RMS of log-space misfit over the fitted window
     n_range: tuple[int, int]
-    model: str
 
 
 def default_fit_floor(n_max: int) -> int:
     return max(8, math.isqrt(n_max))
 
 
-def growth_fit(seq, model: str = "poly", n_min_fit: int | None = None) -> GrowthFit:
+def growth_fit(seq, model: str = "poly") -> GrowthFit:
     """Least squares of log v against log n (and log log(n+2) for poly_log).
 
     `seq` is a list of (n, value) with positive values and strictly
@@ -60,8 +59,7 @@ def growth_fit(seq, model: str = "poly", n_min_fit: int | None = None) -> Growth
         raise ValueError("values must be positive")
     if np.any(np.diff(ns) <= 0):
         raise ValueError("n must be strictly increasing")
-    floor = default_fit_floor(int(ns[-1])) if n_min_fit is None else int(n_min_fit)
-    keep = ns >= floor
+    keep = ns >= default_fit_floor(int(ns[-1]))
     if int(keep.sum()) < 8:
         keep = np.ones_like(keep, dtype=bool)
     nf, vf = ns[keep], vs[keep]
@@ -81,7 +79,6 @@ def growth_fit(seq, model: str = "poly", n_min_fit: int | None = None) -> Growth
         logC=float(coef[0]),
         residual=resid,
         n_range=(int(nf[0]), int(nf[-1])),
-        model=model,
     )
 
 

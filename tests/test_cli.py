@@ -386,7 +386,10 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "plot-csv-empty": "in.csv: no header line",
               "plot-csv-short-row": "in.csv line 2: row width 1, header width 2",
               "decomp-p-huge": "p = 1e+308 needs an exact quadrature grid",
-              "riesz-p-huge": "p = 1e+308 needs an exact quadrature grid"}
+              "riesz-p-huge": "p = 1e+308 needs an exact quadrature grid",
+              "custom-no-matrix-file": "argument --matrix-file:",
+              "eigenvalue-malformed": "argument --eigenvalue:",
+              "scale-malformed": "argument --scale:"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -468,6 +471,10 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     # an even p takes the exact grid of p * M + 1 points, refused past 2^20
     ["decomp-scan", "--p", "1e308", "--trials", "3", "--max-support", "4", "--seed", "1"],
     ["riesz-norm", "--p", "1e308", "--trials", "3", "--seed", "1"],
+    # operator flags read by _operator, not by _merge
+    ["kreiss", "--op", "custom", "--dim", "2"],
+    ["kreiss", "--op", "jordan", "--dim", "2", "--eigenvalue", "abc"],
+    ["kreiss", "--op", "scalar", "--dim", "2", "--scale", "1+"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -480,7 +487,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow",
         "cesaro-powers-product-overflow", "config-trials-fraction", "config-seed-fraction",
         "config-p-bool", "config-gz-string", "config-family-not-a-choice", "plot-csv-empty",
-        "plot-csv-short-row", "decomp-p-huge", "riesz-p-huge"])
+        "plot-csv-short-row", "decomp-p-huge", "riesz-p-huge", "custom-no-matrix-file",
+        "eigenvalue-malformed", "scale-malformed"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

@@ -398,9 +398,9 @@ def test_lockstep_ascents_match_sequential_loop(objective, d):
 
 
 @pytest.mark.parametrize("cfg", [
-    DecompSearchConfig(trials=60, ascent_steps=7, top_k=4, max_support=10, max_dim=3, seed=2),
+    DecompSearchConfig(trials=60, ascent_steps=7, max_support=10, max_dim=3, seed=2),
     # sign-pattern candidates join the corpus
-    DecompSearchConfig(trials=30, ascent_steps=5, top_k=6, max_support=6, max_dim=1, seed=8),
+    DecompSearchConfig(trials=30, ascent_steps=5, max_support=6, max_dim=1, seed=8),
 ], ids=["random", "sign-patterns"])
 def test_objective_evals_are_corpus_plus_ascent_candidates(cfg, monkeypatch):
     # one quadrature rule per scored polynomial: the corpus, then one
@@ -412,7 +412,7 @@ def test_objective_evals_are_corpus_plus_ascent_candidates(cfg, monkeypatch):
     replay = np.random.default_rng(cfg.seed)
     corpus = len(_sign_pattern_candidates(cfg)) + sum(
         not _draw_polynomial(replay, cfg).is_zero for _ in range(cfg.trials))
-    assert len(calls) == corpus + min(cfg.top_k, corpus) * cfg.ascent_steps
+    assert len(calls) == corpus + min(decomp._TOP_K, corpus) * cfg.ascent_steps
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +435,7 @@ def test_q1_upper_estimate_never_exceeds_one():
 
 
 def test_p4q4_lower_beats_exhaustive_floor():
-    cfg = DecompSearchConfig(trials=1500, ascent_steps=150, top_k=6, max_support=8,
-                             max_dim=1, seed=5)
+    cfg = DecompSearchConfig(trials=1500, ascent_steps=150, max_support=8, max_dim=1, seed=5)
     est = estimate_constant(4.0, 4.0, 2.0, "lower", 0.0, cfg)
     assert est.constant_lower >= P4Q4_LOWER_FLOOR - 1e-9
 
@@ -601,7 +600,7 @@ def test_rademacher_validates():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("trials", 0), ("ascent_steps", -1), ("top_k", -1), ("max_support", 1), ("max_dim", 0),
+    ("trials", 0), ("ascent_steps", -1), ("max_support", 1), ("max_dim", 0),
 ])
 def test_search_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=field):

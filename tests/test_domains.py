@@ -8,7 +8,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from kreisslab import cli
 from kreisslab.operators import _require
@@ -35,10 +35,6 @@ FLOAT_VALUES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1e308")
 INT_VALUES = ("-1", "0", "nan", "0.5", "1e308")
 NUMERIC = [(sub, dest) for sub in BASE for dest in cli.DEFAULTS[sub]
            if "domain" in cli._flag_spec(sub, dest)]
-
-# In-domain values whose run overflows (a RuntimeWarning, an error in this
-# suite): expm past |xi| ~ 709 in exponential_criterion.
-KNOWN_OVERFLOWS = [("exp-criterion", "xi_max", "1e308")]
 
 
 def _admits(domain, x):
@@ -106,7 +102,6 @@ def test_every_numeric_flag_has_a_domain_that_rejects_its_outside():
     st.sampled_from(INT_VALUES if cli._flag_spec(*sd).get("type") is int else FLOAT_VALUES))))
 def test_fuzzed_flag_exits_0_1_or_2_and_rejects_by_name(case):
     (sub, dest), text = case
-    assume((sub, dest, text) not in KNOWN_OVERFLOWS)  # pinned by the strict xfail below
     code, err = _run(sub, dest, text)
     assert code in (0, 1, 2)
     if not _in_domain(sub, dest, text):
@@ -152,7 +147,6 @@ def _config_run(sub, key, value):
 @given(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES))
 def test_fuzzed_config_value_exits_0_1_or_2_and_rejects_by_name(sub_key, value):
     sub, key = sub_key
-    assume((sub, key, json.dumps(value)) not in KNOWN_OVERFLOWS)
     code, err = _config_run(sub, key, value)
     assert code in (0, 1, 2)
     if not _config_admits(sub, key, value):
@@ -160,11 +154,16 @@ def test_fuzzed_config_value_exits_0_1_or_2_and_rejects_by_name(sub_key, value):
         assert f"argument {cli._flag_spec(sub, key).get('flag', cli._option(key))}:" in err
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="an in-domain value overflows in the computation")
-@pytest.mark.parametrize("sub, dest, text", KNOWN_OVERFLOWS)
-def test_known_in_domain_overflow(sub, dest, text):
-    _run(sub, dest, text)
+@pytest.mark.parametrize("argv, xi", [
+    (["--gallery", "identity3", "--radial", "8", "--angular", "8", "--xi-max", "1000"], "750"),
+    # xi_max * 2 is inf on the modulus grid
+    ([*BASE["exp-criterion"], "--xi-max=1e308"], "2.5e+307"),
+], ids=["expm", "grid"])
+def test_known_in_domain_overflow(argv, xi):
+    # e^(xi T) past the float range: exit 2 naming the least such |xi|, before any SVD
+    code, err = _main(lambda _: ["exp-criterion", *argv])
+    assert code == 2
+    assert f"error: e^(xi T) left the float range at |xi| = {xi}\n" in err
 
 
 def _finite(value):

@@ -14,7 +14,6 @@ from kreisslab.fourier import (
     IntervalPartition,
     MultiplierSeq,
     TrigPolynomial,
-    WindowTooSmallError,
     apply_multiplier,
     load_trig_polynomial,
     lp_torus_norm,
@@ -136,11 +135,31 @@ def test_v1_box_two_jumps():
     assert v1_seminorm(MultiplierSeq.indicator(Interval(0, 17))) == pytest.approx(2.0)
 
 
-def test_v1_window_too_small():
-    m = MultiplierSeq.from_values({-3: 1.0, 5: -1.0})
-    with pytest.raises(WindowTooSmallError):
-        v1_seminorm(m, window=(-2, 5))
-    assert v1_seminorm(m, window=(-3, 5)) == v1_seminorm(m)
+def test_v1_equals_the_pointwise_sum_bit_for_bit():
+    # sum |m(n+1) - m(n)| over the window and two points past each end, on
+    # marcinkiewicz's +-1 windows, complex windows and tails, windows whose
+    # edges equal their tails, half-line and box indicators, and constants
+    rng = np.random.default_rng(20)
+    ms = [MultiplierSeq.constant(c) for c in (0.0, 3.0, 1 - 2j)]
+    for _ in range(200):
+        lo, span = int(rng.integers(-10, 10)), int(rng.integers(0, 9))
+        size = 2 * span + 1
+        tails = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        edges = (tails[0],) * int(rng.integers(1, 4)) + tuple(vals) + (tails[1],) * 2
+        ms += [
+            MultiplierSeq.from_values(dict(zip(range(-span, span + 1),
+                                               rng.choice([-1.0, 1.0], size=size)))),
+            MultiplierSeq(lo, tuple(vals), *tails),
+            MultiplierSeq(lo, edges, *tails),
+            MultiplierSeq.indicator(Interval(lo, None)),
+            MultiplierSeq.indicator(Interval(None, lo)),
+            MultiplierSeq.indicator(Interval(lo, lo + span)),
+        ]
+    for m in ms:
+        brute = float(sum(abs(m.at(n + 1) - m.at(n))
+                          for n in range(m.window_lo - 2, m.window_hi + 2)))
+        assert v1_seminorm(m) == brute, m
 
 
 # ---------------------------------------------------------------------------

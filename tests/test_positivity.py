@@ -132,7 +132,7 @@ def _serial_krivine(T, x, n, q, trunc_terms=None):
         tail = w[kmax] * x_kmax_inf * ratio / (1.0 - ratio)
     relevant = lhs > 0.0
     if not np.any(relevant):
-        return KrivineResult(math.inf, 0.0, n, q, kmax, (int(win[0]), int(win[-1])), None)
+        return KrivineResult(math.inf, 0.0, kmax, None)
     rhs_rel = rhs[relevant]
     tail_rel = tail / float(np.min(rhs_rel)) if np.min(rhs_rel) > 0 else math.inf
     if tail_rel >= 1e-8:
@@ -140,8 +140,7 @@ def _serial_krivine(T, x, n, q, trunc_terms=None):
     margins = (rhs + tail) / np.where(relevant, lhs, 1.0)
     margins[~relevant] = math.inf
     i = int(np.argmin(margins))
-    return KrivineResult(float(margins[i]), float(tail_rel), n, q, int(kmax),
-                         (int(win[0]), int(win[-1])), i)
+    return KrivineResult(float(margins[i]), float(tail_rel), int(kmax), i)
 
 
 def _serial_outcome(T, xs, n, q, trunc_terms=None):

@@ -491,7 +491,7 @@ def test_search_config_validation():
 
 def test_report_json_shape(gallery_matrices):
     d = kreiss_report(gallery_matrices["identity3"], FAST, n_max=4, xi_max=5.0,
-                      cesaro_n_max=8, with_gz=True)
+                      cesaro_n_max=8)
     for key in ("k_lower", "ks_lower", "exp_lower", "cesaro_ratio_max", "n_at_max",
                 "seed", "grid", "gz_ratio_max"):
         assert key in d

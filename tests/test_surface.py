@@ -1,5 +1,6 @@
 """The library's public surface: every public top-level function or class of
-src/kreisslab is used by the package or its scripts, or is documented API."""
+src/kreisslab is used by the package or its scripts, or is documented API, and
+so is every option of a public function, public method or *Config dataclass."""
 
 import ast
 import collections
@@ -57,3 +58,108 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert unreferenced - set(DOCUMENTED) == set(), "public names that only tests reach"
     # a documented name that gains a caller leaves the list
     assert unreferenced >= set(DOCUMENTED)
+
+
+# defaulted options that no package code or script passes, each kept for a reason
+DOCUMENTED_OPTIONS = {
+    "operator_p_norm(cfg)": "documented API",
+    "lp_torus_norm(n_points)": "the README's exact-quadrature claim is tested through it",
+    "krivine_checks(trunc_terms)": "the only way to make the tail-certificate check fail",
+    "svg_line_chart(y_label)": "plot.svg bytes",
+    "TrigPolynomial.zero(dim)": "the zero polynomial of C^dim that the zero-input checks reject",
+    "main(argv)": "the in-process entry point: perfbench and the CLI tests pass argv",
+}
+
+
+def _options(tree):
+    """(label, name, parameter, position, definition) of each option tree defines:
+    the defaulted parameters of its public functions and public methods, with
+    the position a positional argument passes them at (None for keyword-only
+    ones), and every field of its public *Config dataclasses, which only a
+    keyword passes."""
+    found = []
+
+    def defaulted(fn, label, skip):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for i, a in enumerate(args[first:], first):
+            found.append((f"{label}({a.arg})", fn.name, a.arg, i - skip, fn))
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if d is not None:
+                found.append((f"{label}({a.arg})", fn.name, a.arg, None, fn))
+
+    for node in _public_definitions(tree).values():
+        if not isinstance(node, ast.ClassDef):
+            defaulted(node, node.name, 0)
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                # self or cls takes position 0 of a method that is not static
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in item.decorator_list)
+                defaulted(item, f"{node.name}.{item.name}", 0 if static else 1)
+            elif isinstance(item, ast.AnnAssign) and node.name.endswith("Config"):
+                field = item.target.id
+                found.append((f"{node.name}({field})", node.name, field, None, node))
+    return found
+
+
+def _passed(call, param, pos):
+    """The expression call passes param, by keyword or at position pos; True for
+    a ** or a * that may pass it, None if it passes none."""
+    for k in call.keywords:
+        if k.arg in (param, None):
+            return k.value if k.arg else True
+    if pos is None:
+        return None
+    for i, a in enumerate(call.args):
+        if isinstance(a, ast.Starred):
+            return True
+        if i == pos:
+            return a
+    return None
+
+
+def _calls(tree):
+    """(call, the function or method around it, or None) of every call in tree."""
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in defs:
+            around = fn if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for c in ast.walk(fn):
+                if isinstance(c, ast.Call):
+                    yield c, around
+
+
+def _unpassed():
+    """Options no call sets.  Calls match by name, less those inside the option's
+    own definition; a call that only forwards an unpassed option of the function
+    around it sets nothing."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + SCRIPTS}
+    calls = [pair for tree in trees.values() for pair in _calls(tree)]
+    options = [opt for path in PACKAGE for opt in _options(trees[path])]
+    unpassed: set = set()
+    while True:  # forwarding chains: until no option joins
+        dead = {(id(fn), param) for label, _name, param, _pos, fn in options if label in unpassed}
+
+        def sets(value, around):
+            return value is True or value is not None and not (
+                isinstance(value, ast.Name) and (id(around), value.id) in dead)
+
+        found = set()
+        for label, name, param, pos, definition in options:
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(sets(_passed(c, param, pos), around) for c, around in calls
+                       if getattr(c.func, "id", getattr(c.func, "attr", None)) == name
+                       and id(c) not in own):
+                found.add(label)
+        if found == unpassed:
+            return unpassed
+        unpassed = found
+
+
+def test_every_option_is_passed_or_has_a_reason():
+    unpassed = _unpassed()
+    assert unpassed - set(DOCUMENTED_OPTIONS) == set(), "options that no caller sets"
+    # a documented option that gains a caller leaves the list
+    assert unpassed >= set(DOCUMENTED_OPTIONS)
