@@ -43,6 +43,9 @@ from .fourier import (
 )
 from .norms import AscentConfig
 from .operators import (
+    InvalidOperatorError,
+    MatrixParseError,
+    NonSquareError,
     OperatorSpec,
     gallery,
     gallery_entry,
@@ -104,10 +107,30 @@ DEFAULTS: dict[str, dict] = {
 for _sub in OPERATOR_SUBS[1:]:
     DEFAULTS[_sub] = {**DEFAULTS["kreiss"], **DEFAULTS[_sub]}
 
+
+def _parse_p(text) -> float:
+    t = str(text).strip().lower()
+    if t in ("inf", "infinity", "oo"):
+        return math.inf
+    return float(t)
+
+
+def _parse_list(convert: Callable, text: str) -> tuple:
+    return tuple(convert(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_n_list(text: str) -> tuple[int, ...]:
+    n_list = _parse_list(lambda tok: _require("n", int(tok), 2), text)
+    if not n_list:
+        raise ValueError("positivity needs at least one n")
+    return n_list
+
+
 # argparse options and domain of every flag, keyed by dest: how _merge converts
-# and checks its value.  A dest with no type, domain or action is text.  The
-# option is --<dest with - for _> unless "flag" names it, and every flag
-# defaults to None so that _merge sees what was given.
+# and checks its value.  A dest with no type, domain or action is text, which
+# its "parse", if any, converts in _merge (argparse and the config echo keep the
+# text).  The option is --<dest with - for _> unless "flag" names it, and every
+# flag defaults to None so that _merge sees what was given.
 # A domain (lo, hi, ends) is the interval _merge checks the value against (see
 # operators._require): "[" admits its end and "(" does not, so "]" at inf admits
 # inf and ")" asks for a finite value.  A flag with a domain and no type is a
@@ -119,9 +142,11 @@ FLAGS: dict[str, dict] = {
     "gallery": {"help": "gallery operator name"},
     "op": {"help": "operator kind"},
     "dim": {"type": int, "domain": (1, math.inf, "[)")},
+    "scale": {"parse": lambda t: complex(t.replace(" ", "") or "1")},
+    "eigenvalue": {"parse": lambda t: complex(t.replace(" ", "") or "1")},
     "coupling": {"type": float, "domain": (-math.inf, math.inf, "()")},
-    "weights": {"help": "comma-separated superdiagonal"},
-    "angles": {"help": "angle in turns, or comma list"},
+    "weights": {"help": "comma-separated superdiagonal", "parse": lambda t: _parse_list(float, t)},
+    "angles": {"help": "angle in turns, or comma list", "parse": lambda t: _parse_list(float, t)},
     "p": {"help": "norm index (number or 'inf')", "domain": (1, math.inf, "[]")},
     "q": {"domain": (1, math.inf, "[)")},
     "inner_p": {"domain": (1, math.inf, "[]")},
@@ -150,34 +175,11 @@ FLAGS: dict[str, dict] = {
     "family": {"choices": ("basis", "random")},
     "samples": {"type": int, "domain": (2, math.inf, "[)")},
     "corpus": {"type": int, "domain": (1, math.inf, "[)")},
-    "y_cols": {"help": "comma-separated columns"},
+    "n_list": {"parse": _parse_n_list},
+    "y_cols": {"help": "comma-separated columns", "parse": lambda t: t and t.split(",")},
     "log_x": {"flag": "--linear-x", "action": "store_false"},
     "log_y": {"flag": "--linear-y", "action": "store_false"},
 }
-
-
-def _parse_p(text) -> float:
-    t = str(text).strip().lower()
-    if t in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(t)
-
-
-def _parse_complex(params: dict, key: str) -> complex:
-    try:
-        return complex((params[key] or "1").replace(" ", ""))
-    except ValueError as exc:  # named like the values _merge checks
-        raise ValueError(f"argument {_option(key)}: {exc}") from None
-
-
-def _parse_float_list(text: str | None) -> tuple[float, ...]:
-    if text is None:
-        return ()
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def _flag_spec(sub: str, dest: str) -> dict:
@@ -207,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub, defaults in DEFAULTS.items():
         sp = subs.add_parser(sub)
         for dest in dict.fromkeys(("out", "config", "threads", *defaults)):
-            spec = _flag_spec(sub, dest)
-            spec.pop("domain", None)
+            spec = {k: v for k, v in _flag_spec(sub, dest).items() if k not in ("domain", "parse")}
             sp.add_argument(spec.pop("flag", _option(dest)), dest=dest, default=None, **spec)
     return parser
 
@@ -249,6 +250,7 @@ def _typed(key: str, spec: dict, value):
     if value not in spec.get("choices", (value,)):
         raise ValueError(f"invalid choice: {value!r} (choose from "
                          f"{', '.join(map(repr, spec['choices']))})")
+    convert = convert or spec.get("parse")
     typed = value if convert is None else convert(value)
     if "domain" in spec:
         _require(key, typed, *spec["domain"])
@@ -276,32 +278,33 @@ def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser):
 
 
 def _operator(params: dict):
+    """(name, matrix) of the operator the flags select; a bad operator value is a
+    ValueError that names its flag."""
     if params.get("gallery"):
         try:
             entry = gallery_entry(params["gallery"])
         except KeyError as exc:
-            raise ValueError(str(exc)) from None
+            raise ValueError(f"argument --gallery: {exc.args[0]}") from None
         return entry.name, make_gallery_operator(entry.spec)
     kind = params.get("op")
     if not kind:
         raise ValueError("select an operator with --gallery or --op")
     if kind == "custom" and not params["matrix_file"]:
         raise ValueError("argument --matrix-file: --op custom reads its matrix from this file")
-    weights = _parse_float_list(params.get("weights"))
+    weights = params["weights"] or ()
     if kind == "weighted_shift" and not weights:
         weights = tuple(1.0 for _ in range(params["dim"] - 1))
-    angles = _parse_float_list(params["angles"])
-    spec = OperatorSpec(
-        kind=kind,
-        dim=params["dim"],
-        scale=_parse_complex(params, "scale"),
-        eigenvalue=_parse_complex(params, "eigenvalue"),
-        coupling=params["coupling"],
-        weights=weights,
-        angles=angles if len(angles) > 1 else (angles[0] if angles else 0.3),
-        path=params.get("matrix_file") or "",
-    )
-    return f"{kind}{params['dim']}", make_gallery_operator(spec)
+    angles = params["angles"] or (0.3,)
+    spec = OperatorSpec(kind=kind, dim=params["dim"], scale=params["scale"],
+                        eigenvalue=params["eigenvalue"], coupling=params["coupling"],
+                        weights=weights, angles=angles if len(angles) > 1 else angles[0],
+                        path=params["matrix_file"] or "")
+    try:
+        return f"{kind}{params['dim']}", make_gallery_operator(spec)
+    except (InvalidOperatorError, MatrixParseError, NonSquareError) as exc:
+        field_name = getattr(exc, "field", "path")  # the file's errors have no field
+        flag = {"kind": "op", "path": "matrix_file"}.get(field_name, field_name)
+        raise ValueError(f"argument {_option(flag)}: {exc}") from None
 
 
 def _search_config(params: dict) -> SearchConfig:
@@ -369,8 +372,7 @@ def _plot(params):
         raise ValueError("--csv is required for plot")
     header, rows = read_csv(params["csv"])
     x_col = params["x_col"]
-    cols = (params["y_cols"].split(",") if params["y_cols"]
-            else [h for h in header if h != x_col])
+    cols = params["y_cols"] or [h for h in header if h != x_col]
     for axis, c in [("x", x_col)] + [("y", c) for c in cols]:
         if c not in header:
             raise ValueError(f"{axis} column {c!r} not in CSV header {header}")
@@ -586,9 +588,7 @@ def _bounds(params, name, T, cfg):
 
 def _positivity(params, name, T, cfg):
     P = PositiveOperator(T)
-    n_list = _parse_int_list(params["n_list"])
-    if not n_list:
-        raise ValueError("positivity needs at least one n in --n-list")
+    n_list = params["n_list"]
     ks_ref = _ks_ref(params, T, cfg)
     rng = np.random.default_rng(params["seed"])
     xs = np.abs(rng.standard_normal((params["corpus"], T.dim)))

@@ -76,7 +76,7 @@ def decomposition_ratio(
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     if f.is_zero:
         raise ZeroPolynomialError("f must be nonzero")
-    if not part.covers(f.support):
+    if not part.covers(f.freqs):
         raise ValueError("partition does not cover the support of f")
     # the last interval is the whole support
     norms = block_norms(f, part.intervals + (Interval(None, None),), p, inner_p)
@@ -401,7 +401,7 @@ def hoelder_growth_check(
     it below 1.
     """
     _require("r", r, q, math.inf, "[]")
-    if not part.covers(f.support):
+    if not part.covers(f.freqs):
         raise ValueError("partition does not cover the support of f")
     a = block_norms(f, part.intervals, p, 2.0)
     denom = vector_p_norm(a, q)
@@ -424,7 +424,7 @@ def pairing_duality_check(
     Two Hoelder applications give margin >= 1.  Returns None (a skip, not an
     error) when the pairing vanishes.
     """
-    if not part.covers(f.support) or not part.covers(g.support):
+    if not part.covers(f.freqs) or not part.covers(g.freqs):
         raise ValueError("partition must cover both supports")
     pr = pairing(f, g)
     if abs(pr) == 0.0:

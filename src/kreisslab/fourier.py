@@ -81,14 +81,6 @@ class IntervalPartition:
     def covers(self, freqs: Iterable[int]) -> bool:
         return all(any(iv.contains(n) for iv in self.intervals) for n in freqs)
 
-    @staticmethod
-    def singletons(freqs: Iterable[int]) -> "IntervalPartition":
-        return IntervalPartition(tuple(Interval(n, n) for n in sorted(set(freqs))))
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple]) -> "IntervalPartition":
-        return IntervalPartition(tuple(Interval(a, b) for a, b in pairs))
-
 
 @dataclass(frozen=True, eq=False)
 class TrigPolynomial:
@@ -136,24 +128,6 @@ class TrigPolynomial:
         for i, n in enumerate(keys):
             vecs[i] = np.atleast_1d(np.asarray(coeffs[n], dtype=complex))
         return TrigPolynomial(tuple(keys), vecs, d)
-
-    @staticmethod
-    def scalar(coeffs: Mapping[int, complex]) -> "TrigPolynomial":
-        return TrigPolynomial.from_coeffs({n: [c] for n, c in coeffs.items()}, dim=1)
-
-    @staticmethod
-    def zero(dim: int = 1) -> "TrigPolynomial":
-        return TrigPolynomial((), np.zeros((0, dim)), dim)
-
-    def coeff(self, n: int) -> np.ndarray:
-        for i, m in enumerate(self.freqs):
-            if m == n:
-                return self.vecs[i]
-        return np.zeros(self.dim, dtype=complex)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.freqs
 
     @functools.cached_property
     def is_zero(self) -> bool:
@@ -360,13 +334,11 @@ def lp_torus_norm(
     """
     _require("p", p, 1)
     _require("inner_p", inner_p, 1, math.inf, "[]")
-    if f.is_zero:
-        default_n, exact = quadrature_points(f, p, inner_p)
-        return TorusNorm(0.0, exact, n_points or default_n)
     default_n, exact = quadrature_points(f, p, inner_p)
+    if f.is_zero:
+        return TorusNorm(0.0, exact, n_points or default_n)
     N = int(n_points) if n_points is not None else default_n
-    if n_points is not None:
-        exact = _is_even_integer(p) and inner_p == 2 and N > int(p) * f.max_abs_freq
+    exact = exact and N >= default_n
     row = _inner_norms(f.values_on_grid(N), inner_p)
     return TorusNorm(float(np.mean(row ** p) ** (1.0 / p)), exact, N)
 

@@ -114,6 +114,15 @@ def _check_dim(spec: OperatorSpec) -> int:
     return spec.dim
 
 
+def _finite(field_name: str, z) -> complex:
+    """z as a complex number, or an InvalidOperatorError naming the field if it is
+    not finite."""
+    c = complex(z)
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise InvalidOperatorError(field_name, "must be finite")
+    return c
+
+
 def make_gallery_operator(spec: OperatorSpec) -> ComplexMatrix:
     """Instantiate the matrix described by `spec`.  Pure and deterministic."""
     if spec.kind not in OPERATOR_KINDS:
@@ -125,25 +134,13 @@ def make_gallery_operator(spec: OperatorSpec) -> ComplexMatrix:
     if spec.kind == "zero":
         return ComplexMatrix(np.zeros((d, d), dtype=complex))
     if spec.kind == "scalar":
-        c = complex(spec.scale)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise InvalidOperatorError("scale", "must be finite")
-        return ComplexMatrix(c * np.eye(d, dtype=complex))
+        return ComplexMatrix(_finite("scale", spec.scale) * np.eye(d, dtype=complex))
     if spec.kind == "jordan":
-        lam = complex(spec.eigenvalue)
-        eps = complex(spec.coupling)
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            raise InvalidOperatorError("eigenvalue", "must be finite")
-        if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
-            raise InvalidOperatorError("coupling", "must be finite")
-        arr = lam * np.eye(d, dtype=complex)
-        arr += eps * np.eye(d, k=1, dtype=complex)
+        arr = _finite("eigenvalue", spec.eigenvalue) * np.eye(d, dtype=complex)
+        arr += _finite("coupling", spec.coupling) * np.eye(d, k=1, dtype=complex)
         return ComplexMatrix(arr)
     if spec.kind == "nilpotent":
-        a = complex(spec.coupling)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise InvalidOperatorError("coupling", "must be finite")
-        return ComplexMatrix(a * np.eye(d, k=1, dtype=complex))
+        return ComplexMatrix(_finite("coupling", spec.coupling) * np.eye(d, k=1, dtype=complex))
     if spec.kind == "weighted_shift":
         w = np.asarray(spec.weights, dtype=float)
         if w.shape != (d - 1,):
@@ -157,10 +154,7 @@ def make_gallery_operator(spec: OperatorSpec) -> ComplexMatrix:
         return ComplexMatrix(arr)
     if spec.kind == "rotation":
         if np.isscalar(spec.angles):
-            t = float(spec.angles)
-            if not math.isfinite(t):
-                raise InvalidOperatorError("angles", "must be finite")
-            th = t * np.arange(1, d + 1, dtype=float)
+            th = _finite("angles", float(spec.angles)).real * np.arange(1, d + 1, dtype=float)
         else:
             th = np.asarray(spec.angles, dtype=float)
             if th.shape != (d,):

@@ -389,7 +389,14 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "riesz-p-huge": "p = 1e+308 needs an exact quadrature grid",
               "custom-no-matrix-file": "argument --matrix-file:",
               "eigenvalue-malformed": "argument --eigenvalue:",
-              "scale-malformed": "argument --scale:"}
+              "scale-malformed": "argument --scale:",
+              "weights-malformed": "argument --weights:", "angles-malformed": "argument --angles:",
+              "matrix-file-missing": "argument --matrix-file:",
+              "matrix-file-non-square": "argument --matrix-file:",
+              "gallery-unknown": "argument --gallery:", "op-unknown": "argument --op:",
+              "n-list-malformed": "argument --n-list:", "n-list-below-2": "argument --n-list:",
+              "weights-negative": "argument --weights:", "angles-count": "argument --angles:",
+              "scale-inf": "argument --scale:"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -465,16 +472,28 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
      "--config", {"cesaro": {"gz": "false"}}],
     ["type-cotype", "--samples", "50", "--seed", "1",
      "--config", {"type-cotype": {"family": "basiss"}}],
-    # bytes stand for a CSV file holding them: no header, a row short of the header
+    # bytes stand for a file holding them: a CSV with no header, one with a row short of
+    # the header
     ["plot", "--csv", b""],
     ["plot", "--csv", b"n,a\n1\n"],
     # an even p takes the exact grid of p * M + 1 points, refused past 2^20
     ["decomp-scan", "--p", "1e308", "--trials", "3", "--max-support", "4", "--seed", "1"],
     ["riesz-norm", "--p", "1e308", "--trials", "3", "--seed", "1"],
-    # operator flags read by _operator, not by _merge
     ["kreiss", "--op", "custom", "--dim", "2"],
     ["kreiss", "--op", "jordan", "--dim", "2", "--eigenvalue", "abc"],
     ["kreiss", "--op", "scalar", "--dim", "2", "--scale", "1+"],
+    ["kreiss", "--op", "weighted_shift", "--dim", "3", "--weights", "1,a"],
+    ["kreiss", "--op", "rotation", "--dim", "2", "--angles", "x"],
+    ["kreiss", "--op", "custom", "--dim", "2", "--matrix-file", "/nonexistent/matrix.txt"],
+    ["kreiss", "--op", "custom", "--dim", "2", "--matrix-file", b"2\n1 0 0 0\n"],
+    ["kreiss", "--gallery", "nosuch"],
+    ["kreiss", "--op", "nosuch"],
+    ["positivity", "--gallery", "shift4", "--n-list", "4,x", "--seed", "1"],
+    ["positivity", "--gallery", "shift4", "--n-list", "1", "--seed", "1"],
+    # values the operator constructor rejects name their flag too
+    ["kreiss", "--op", "weighted_shift", "--dim", "3", "--weights", "1,-1"],
+    ["kreiss", "--op", "rotation", "--dim", "2", "--angles", "1,2,3"],
+    ["kreiss", "--op", "scalar", "--dim", "2", "--scale", "inf"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -488,7 +507,9 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "cesaro-powers-product-overflow", "config-trials-fraction", "config-seed-fraction",
         "config-p-bool", "config-gz-string", "config-family-not-a-choice", "plot-csv-empty",
         "plot-csv-short-row", "decomp-p-huge", "riesz-p-huge", "custom-no-matrix-file",
-        "eigenvalue-malformed", "scale-malformed"])
+        "eigenvalue-malformed", "scale-malformed", "weights-malformed", "angles-malformed",
+        "matrix-file-missing", "matrix-file-non-square", "gallery-unknown", "op-unknown",
+        "n-list-malformed", "n-list-below-2", "weights-negative", "angles-count", "scale-inf"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

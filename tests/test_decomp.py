@@ -42,7 +42,7 @@ P4Q4_LOWER_FLOOR = 1.0922123778851
 
 
 def scal(d):
-    return TrigPolynomial.scalar(d)
+    return TrigPolynomial.from_coeffs(d)
 
 
 def _random_poly(rng, size=6, d=2, span=10):
@@ -61,7 +61,7 @@ def _random_partition(rng, freqs):
             start = fs[i + 1]
         prev = fs[i + 1]
     blocks.append((start, prev))
-    return IntervalPartition.from_pairs(blocks)
+    return IntervalPartition(tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -71,40 +71,40 @@ def _random_partition(rng, freqs):
 
 def test_single_interval_ratio_is_one(rng):
     f = _random_poly(rng)
-    part = IntervalPartition((Interval(min(f.support), max(f.support)),))
+    part = IntervalPartition((Interval(min(f.freqs), max(f.freqs)),))
     assert decomposition_ratio(f, part, 2.5, 1.7, 2.0, "upper") == pytest.approx(1.0)
     assert decomposition_ratio(f, part, 2.5, 1.7, 2.0, "lower") == pytest.approx(1.0)
 
 
 def test_parseval_lower_singletons():
     f = scal({0: 1.0, 1: 1.0, 5: -2.0})
-    part = IntervalPartition.singletons(f.support)
+    part = IntervalPartition(tuple((n, n) for n in f.freqs))
     assert decomposition_ratio(f, part, 2.0, 2.0, 2.0, "lower") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_upper_ratio_hand_value():
     f = scal({0: 1.0, 1: 1.0})
-    part = IntervalPartition.from_pairs([(0, 0), (1, 1)])
+    part = IntervalPartition(((0, 0), (1, 1)))
     val = decomposition_ratio(f, part, 2.0, 1.0, 2.0, "upper")
     assert val == pytest.approx(math.sqrt(2.0) / 2.0)
 
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
-        decomposition_ratio(TrigPolynomial.zero(1), IntervalPartition(()), 2, 2, 2, "upper")
+        decomposition_ratio(TrigPolynomial.from_coeffs({}, 1), IntervalPartition(()), 2, 2, 2, "upper")
 
 
 def test_partition_must_cover():
     f = scal({0: 1.0, 9: 1.0})
     with pytest.raises(ValueError):
-        decomposition_ratio(f, IntervalPartition.from_pairs([(0, 0)]), 2, 2, 2, "upper")
+        decomposition_ratio(f, IntervalPartition(((0, 0),)), 2, 2, 2, "upper")
 
 
 def test_parseval_rigidity_random_pairs(rng):
     # p = q = 2 with Euclidean inner norm: every ratio is exactly 1
     for _ in range(200):
         f = _random_poly(rng, size=int(rng.integers(2, 8)), d=int(rng.integers(1, 4)))
-        part = _random_partition(rng, f.support)
+        part = _random_partition(rng, f.freqs)
         for side in ("upper", "lower"):
             assert decomposition_ratio(f, part, 2.0, 2.0, 2.0, side) == pytest.approx(
                 1.0, abs=1e-9
@@ -114,7 +114,7 @@ def test_parseval_rigidity_random_pairs(rng):
 def test_triangle_inequality_upper_q1(rng):
     for _ in range(100):
         f = _random_poly(rng, size=5, d=2)
-        part = _random_partition(rng, f.support)
+        part = _random_partition(rng, f.freqs)
         assert decomposition_ratio(f, part, 2.5, 1.0, 2.0, "upper") <= 1.0 + 1e-9
 
 
@@ -169,15 +169,14 @@ def test_block_norms_match_per_block_projections(p, inner_p, rng):
         freqs = 2 * rng.choice(np.arange(-6, 7), size=size, replace=False)
         f = TrigPolynomial(tuple(int(n) for n in freqs),
                            rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d)), d)
-        fs = f.support
+        fs = f.freqs
         cut = int(rng.integers(1, len(fs)))
         parts = [
             _random_partition(rng, fs),
             # half-lines with None ends around a gap that holds no support frequency
-            IntervalPartition.from_pairs([(None, fs[cut - 1]), (fs[cut - 1] + 1, fs[cut] - 1),
-                                          (fs[cut], None)]),
-            IntervalPartition.from_pairs([(None, fs[0] - 1), (fs[0], fs[-1]),
-                                          (fs[-1] + 1, None)]),
+            IntervalPartition(((None, fs[cut - 1]), (fs[cut - 1] + 1, fs[cut] - 1),
+                               (fs[cut], None))),
+            IntervalPartition(((None, fs[0] - 1), (fs[0], fs[-1]), (fs[-1] + 1, None))),
         ]
         for part in parts:
             got = block_norms(f, part.intervals, p, inner_p)
@@ -486,26 +485,26 @@ def test_estimate_validates_arguments():
 
 def test_hoelder_equal_exponents_margin_one(rng):
     f = _random_poly(rng, size=5, d=1)
-    part = _random_partition(rng, f.support)
+    part = _random_partition(rng, f.freqs)
     assert hoelder_growth_check(f, part, 2.0, 2.0, 2.0) == pytest.approx(1.0)
 
 
 def test_hoelder_equality_case_large_r():
     # equal block norms: margin -> 1 as r grows
     f = scal({0: 1.0, 1: 1.0})
-    part = IntervalPartition.from_pairs([(0, 0), (1, 1)])
+    part = IntervalPartition(((0, 0), (1, 1)))
     assert hoelder_growth_check(f, part, 2.0, 1.0, 64.0) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_hoelder_hand_value_zero_block():
     f = scal({0: 1.0})
-    part = IntervalPartition.from_pairs([(0, 0), (1, 1)])
+    part = IntervalPartition(((0, 0), (1, 1)))
     assert hoelder_growth_check(f, part, 2.0, 1.0, 2.0) == pytest.approx(math.sqrt(2.0))
 
 
 def test_hoelder_rejects_r_below_q():
     f = scal({0: 1.0})
-    part = IntervalPartition.from_pairs([(0, 0)])
+    part = IntervalPartition(((0, 0),))
     with pytest.raises(ValueError):
         hoelder_growth_check(f, part, 2.0, 2.0, 1.5)
 
@@ -513,7 +512,7 @@ def test_hoelder_rejects_r_below_q():
 def test_hoelder_margin_random_instances(rng):
     for _ in range(1000):
         f = _random_poly(rng, size=int(rng.integers(2, 7)), d=int(rng.integers(1, 3)))
-        part = _random_partition(rng, f.support)
+        part = _random_partition(rng, f.freqs)
         q = 1.0 + 2.0 * rng.random()
         r = q + 3.0 * rng.random()
         assert hoelder_growth_check(f, part, 2.0, q, r) >= 1.0 - 1e-10
@@ -526,14 +525,14 @@ def test_hoelder_margin_random_instances(rng):
 
 def test_pairing_duality_identity_case():
     f = scal({0: 1.0})
-    part = IntervalPartition.from_pairs([(0, 0)])
+    part = IntervalPartition(((0, 0),))
     assert pairing_duality_check(f, f, part, 2.0, 2.0) == pytest.approx(1.0)
 
 
 def test_pairing_duality_skip_on_orthogonal():
     f = scal({0: 1.0})
     g = scal({3: 1.0})
-    part = IntervalPartition.from_pairs([(0, 0), (3, 3)])
+    part = IntervalPartition(((0, 0), (3, 3)))
     assert pairing_duality_check(f, g, part, 2.0, 2.0) is None
 
 

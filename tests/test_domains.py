@@ -194,8 +194,8 @@ def test_huge_inner_p_runs_to_finite_values(sub, tmp_path):
 
 @pytest.mark.parametrize("sub", sorted(cli.OPERATOR_SUBS))
 def test_huge_p_runs_to_finite_values(sub, tmp_path):
-    # a^(p-1) overflows in the ascent direction; norms._ascent_direction then
-    # divides the column by its peak first
+    # a^(p-1) in the ascent direction would overflow; the power-of-two shift in
+    # norms.ascent_lower_bounds takes each matrix's peak entry down far enough
     _assert_finite_reports([sub, *BASE[sub], "--p", "1e308"], tmp_path)
 
 

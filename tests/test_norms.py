@@ -393,7 +393,7 @@ def test_power_stack_matches_per_power_norms(p, monkeypatch):
         assert np.array_equal(one.witness, want[0].witness)
 
 
-@pytest.mark.parametrize("p", [3.0, 4.0, math.inf, 1e4, 1e308])
+@pytest.mark.parametrize("p", [3.0, 4.0, math.inf, 600, 1e4, 1e12, 1e308])
 def test_stack_ascent_scales_exactly_past_gradient_overflow(p):
     # At these p every ascent step commutes with scaling the matrix by 2^k, so
     # the value scales by 2^k and the witness stays put.  The larger k take the
@@ -402,6 +402,7 @@ def test_stack_ascent_scales_exactly_past_gradient_overflow(p):
     # p = 4, 600 at p = inf); the smaller ones run unscaled, as before.  At
     # p = 1e4 and 1e308 the threshold is below 1/d, and every nonzero matrix of
     # the stack runs scaled down to it at every k (the square overflowed there).
+    # At p = 600 and 1e12 the shift alone keeps the direction's a^(p-1) finite.
     mats = _mixed_stack()
     cfg = AscentConfig(restarts=8, max_steps=150, rel_tol=1e-9)
     values, witnesses = ascent_lower_bounds(mats, p, cfg)

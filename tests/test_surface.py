@@ -1,6 +1,7 @@
 """The library's public surface: every public top-level function or class of
 src/kreisslab is used by the package or its scripts, or is documented API, and
-so is every option of a public function, public method or *Config dataclass."""
+so is every public method of a public class and every option of a public
+function, public method or *Config dataclass."""
 
 import ast
 import collections
@@ -60,13 +61,52 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert unreferenced >= set(DOCUMENTED)
 
 
+# public methods, staticmethods and properties that no package code or script
+# reads, each kept for a reason
+DOCUMENTED_METHODS = {
+    "DecompositionEstimate.reevaluate": "the witness-replay path of the certificate item",
+}
+
+
+def _attribute_reads(tree):
+    """How often each name is read as an Attribute within tree.  A Name does not
+    count: a local variable may share a method's name."""
+    return collections.Counter(node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute))
+
+
+def _unread_methods():
+    """Public methods, staticmethods and properties of public classes that no
+    package code or script reads as an attribute; private ones and dunders are
+    skipped."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + SCRIPTS]
+    reads = sum(map(_attribute_reads, trees), collections.Counter())
+    found = set()
+    for tree in trees[:len(PACKAGE)]:
+        classes = [c for c in _public_definitions(tree).values() if isinstance(c, ast.ClassDef)]
+        for cls in classes:
+            for item in cls.body:
+                # reads from anywhere, less those inside the method itself
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")
+                        and reads[item.name] == _attribute_reads(item)[item.name]):
+                    found.add(f"{cls.name}.{item.name}")
+    return found
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    unread = _unread_methods()
+    assert unread - set(DOCUMENTED_METHODS) == set(), "public methods that only tests reach"
+    # a documented method that gains a caller leaves the list
+    assert unread >= set(DOCUMENTED_METHODS)
+
+
 # defaulted options that no package code or script passes, each kept for a reason
 DOCUMENTED_OPTIONS = {
     "operator_p_norm(cfg)": "documented API",
     "lp_torus_norm(n_points)": "the README's exact-quadrature claim is tested through it",
     "krivine_checks(trunc_terms)": "the only way to make the tail-certificate check fail",
     "svg_line_chart(y_label)": "plot.svg bytes",
-    "TrigPolynomial.zero(dim)": "the zero polynomial of C^dim that the zero-input checks reject",
     "main(argv)": "the in-process entry point: perfbench and the CLI tests pass argv",
 }
 
