@@ -459,7 +459,7 @@ def _marcinkiewicz(params):
     span = params["span"]
     for _ in range(params["trials"]):
         signs = rng.choice([-1.0, 1.0], size=2 * span + 1)
-        m = MultiplierSeq.from_values(dict(zip(range(-span, span + 1), signs)))
+        m = MultiplierSeq(-span, tuple(signs))
         f = _random_polynomial(rng, params["dim"], params["span"])
         lhs, factor = marcinkiewicz_check(f, m, params["p"], params["inner_p"])
         samples.append(lhs / factor)

@@ -138,19 +138,6 @@ class TrigPolynomial:
         # the frequencies are sorted: the largest |n| sits at one end
         return max(-self.freqs[0], self.freqs[-1]) if self.freqs else 0
 
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(zip(self.freqs, self.vecs))
-        for n, v in zip(other.freqs, other.vecs):
-            out[n] = out.get(n, 0) + v
-        return TrigPolynomial.from_coeffs(out, self.dim)
-
-    def __mul__(self, scalar: complex) -> "TrigPolynomial":
-        return TrigPolynomial._sorted(self.freqs, self.vecs * scalar, self.dim)
-
-    __rmul__ = __mul__
-
     def values_on_grid(self, n_points: int) -> np.ndarray:
         """f at t_j = j/N, j = 0..N-1, shape (N, dim), via an aliased inverse DFT."""
         N = int(n_points)
@@ -203,10 +190,11 @@ def load_trig_polynomial(path) -> TrigPolynomial:
 class MultiplierSeq:
     """A bounded scalar sequence m: Z -> C, eventually constant on both sides.
 
-    Values on [window_lo, window_lo + len(values) - 1] are explicit; below the
-    window the sequence equals left_tail, above it right_tail.  This encodes
-    every in-scope symbol, including half-line indicators such as the Riesz
-    projection symbol 1_{[0, inf)}.
+    m_n = values[n - window_lo] on the window [window_lo, window_lo +
+    len(values) - 1], left_tail below it and right_tail above it; an empty
+    window is a step at window_lo.  This encodes every in-scope symbol,
+    including half-line indicators such as the Riesz projection symbol
+    1_{[0, inf)}.
     """
 
     window_lo: int
@@ -215,59 +203,23 @@ class MultiplierSeq:
     right_tail: complex = 0.0
 
     def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        if not vals and complex(self.left_tail) != complex(self.right_tail):
-            raise ValueError("empty window needs equal tails")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
         object.__setattr__(self, "left_tail", complex(self.left_tail))
         object.__setattr__(self, "right_tail", complex(self.right_tail))
 
-    @property
-    def window_hi(self) -> int:
-        return self.window_lo + len(self.values) - 1
-
-    def at(self, n: int) -> complex:
-        if not self.values:
-            return self.left_tail
-        if n < self.window_lo:
-            return self.left_tail
-        if n > self.window_hi:
-            return self.right_tail
-        return self.values[n - self.window_lo]
-
     def at_many(self, ns) -> np.ndarray:
-        return np.array([self.at(int(n)) for n in ns], dtype=complex)
+        lo, vals, left, right = self.window_lo, self.values, self.left_tail, self.right_tail
+        hi = lo + len(vals)  # one past the window
+        return np.array([left if n < lo else right if n >= hi else vals[n - lo] for n in ns],
+                        dtype=complex)
 
     def sup_norm(self) -> float:
         cand = [abs(self.left_tail), abs(self.right_tail)]
         cand.extend(abs(v) for v in self.values)
         return max(cand)
 
-    @staticmethod
-    def constant(c: complex) -> "MultiplierSeq":
-        return MultiplierSeq(0, (), left_tail=c, right_tail=c)
 
-    @staticmethod
-    def indicator(interval: Interval) -> "MultiplierSeq":
-        lo, hi = interval.lo, interval.hi
-        if lo is None and hi is None:
-            return MultiplierSeq.constant(1.0)
-        if lo is None:
-            return MultiplierSeq(hi, (1.0,), left_tail=1.0, right_tail=0.0)
-        if hi is None:
-            return MultiplierSeq(lo, (1.0,), left_tail=0.0, right_tail=1.0)
-        return MultiplierSeq(lo, (1.0,) * (hi - lo + 1))
-
-    @staticmethod
-    def from_values(values: Mapping[int, complex]) -> "MultiplierSeq":
-        """values on their frequencies, 0 everywhere else."""
-        if not values:
-            return MultiplierSeq.constant(0.0)
-        lo, hi = min(values), max(values)
-        return MultiplierSeq(lo, tuple(complex(values.get(n, 0.0)) for n in range(lo, hi + 1)))
-
-
-RIESZ_SYMBOL = MultiplierSeq.indicator(Interval(0, None))
+RIESZ_SYMBOL = MultiplierSeq(0, (1.0,), 0.0, 1.0)
 
 
 def project_interval(f: TrigPolynomial, interval: Interval) -> TrigPolynomial:

@@ -79,9 +79,6 @@ class ComplexMatrix:
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.entries))))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ComplexMatrix) and np.array_equal(self.entries, other.entries)
-
 
 @dataclass(frozen=True)
 class OperatorSpec:
@@ -230,6 +227,8 @@ def load_matrix(path) -> ComplexMatrix:
                 raise MatrixParseError(
                     f"bad number {tok!r}", line=i + 2, column=t + 1
                 ) from exc
+            if not math.isfinite(val):
+                raise MatrixParseError(f"non-finite number {tok!r}", line=i + 2, column=t + 1)
             if t % 2 == 0:
                 arr[i, t // 2] += val
             else:

@@ -111,7 +111,6 @@ def svg_line_chart(
     log_x: bool = False,
     log_y: bool = False,
     x_label: str = "n",
-    y_label: str = "",
 ) -> None:
     """Render polyline series over a shared x axis to a static SVG file."""
     xs = [float(v) for v in x]
@@ -138,7 +137,7 @@ def svg_line_chart(
         f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" font-size="13" '
         f'font-family="monospace">{x_label}</text>',
         f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'font-family="monospace" transform="rotate(-90 16 {_H / 2:.1f})">{y_label}</text>',
+        f'font-family="monospace" transform="rotate(-90 16 {_H / 2:.1f})"></text>',
     ]
     for idx, (name, vals) in enumerate(series.items()):
         pts = []

@@ -1,8 +1,9 @@
 """Reference implementations that the library's fast paths are checked against.
 
 Each one computes a quantity the slow, plain way: the appendix window sums
-term by term in the log domain with compensated summation, and the pairing
-of two trigonometric polynomials by quadrature on the torus.
+term by term in the log domain with compensated summation, the pairing of
+two trigonometric polynomials by quadrature on the torus, and a multiplier's
+value at one frequency by case analysis.
 """
 
 from __future__ import annotations
@@ -72,3 +73,18 @@ def pairing_quadrature(f: TrigPolynomial, g: TrigPolynomial, n_points: int | Non
     vf = f.values_on_grid(N)
     vg = g.values_on_grid(N)
     return complex(np.mean(np.sum(vf * np.conj(vg), axis=1)))
+
+
+def multiplier_at(m, n: int) -> complex:
+    """m_n by cases: left_tail below the window, right_tail above it.
+
+    An empty window gives left_tail everywhere, where MultiplierSeq.at_many
+    makes it a step at window_lo: the two agree on non-empty windows only.
+    """
+    if not m.values:
+        return m.left_tail
+    if n < m.window_lo:
+        return m.left_tail
+    if n > m.window_lo + len(m.values) - 1:
+        return m.right_tail
+    return m.values[n - m.window_lo]

@@ -186,8 +186,10 @@ def test_criterion_08_fourier_engine():
         worst_proj = max(worst_proj, float(np.max(np.abs(again.vecs - once.vecs), initial=0.0)))
         cross = project_interval(once, hi)
         worst_proj = max(worst_proj, float(np.max(np.abs(cross.vecs), initial=0.0)))
-        back = project_interval(f, lo) + project_interval(f, hi)
-        back_at = dict(zip(back.freqs, back.vecs))
+        back_at = {}
+        for g in (project_interval(f, lo), project_interval(f, hi)):
+            for n, v in zip(g.freqs, g.vecs):
+                back_at[n] = back_at.get(n, 0) + v
         diff = {n: back_at.get(n, 0) - v for n, v in zip(f.freqs, f.vecs)}
         worst_proj = max(
             worst_proj, max(float(np.max(np.abs(v))) for v in diff.values())

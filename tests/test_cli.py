@@ -393,6 +393,10 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "weights-malformed": "argument --weights:", "angles-malformed": "argument --angles:",
               "matrix-file-missing": "argument --matrix-file:",
               "matrix-file-non-square": "argument --matrix-file:",
+              "matrix-file-nan":
+                  "argument --matrix-file: line 2, column 1: non-finite number 'nan'",
+              "matrix-file-inf":
+                  "argument --matrix-file: line 2, column 3: non-finite number 'inf'",
               "gallery-unknown": "argument --gallery:", "op-unknown": "argument --op:",
               "n-list-malformed": "argument --n-list:", "n-list-below-2": "argument --n-list:",
               "weights-negative": "argument --weights:", "angles-count": "argument --angles:",
@@ -486,6 +490,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     ["kreiss", "--op", "rotation", "--dim", "2", "--angles", "x"],
     ["kreiss", "--op", "custom", "--dim", "2", "--matrix-file", "/nonexistent/matrix.txt"],
     ["kreiss", "--op", "custom", "--dim", "2", "--matrix-file", b"2\n1 0 0 0\n"],
+    ["kreiss", "--op", "custom", "--dim", "2", "--matrix-file", b"2\nnan 0 0 0\n0 0 1 0\n"],
+    ["kreiss", "--op", "custom", "--dim", "2", "--matrix-file", b"2\n1 0 inf 0\n0 0 1 0\n"],
     ["kreiss", "--gallery", "nosuch"],
     ["kreiss", "--op", "nosuch"],
     ["positivity", "--gallery", "shift4", "--n-list", "4,x", "--seed", "1"],
@@ -508,8 +514,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "config-p-bool", "config-gz-string", "config-family-not-a-choice", "plot-csv-empty",
         "plot-csv-short-row", "decomp-p-huge", "riesz-p-huge", "custom-no-matrix-file",
         "eigenvalue-malformed", "scale-malformed", "weights-malformed", "angles-malformed",
-        "matrix-file-missing", "matrix-file-non-square", "gallery-unknown", "op-unknown",
-        "n-list-malformed", "n-list-below-2", "weights-negative", "angles-count", "scale-inf"])
+        "matrix-file-missing", "matrix-file-non-square", "matrix-file-nan", "matrix-file-inf",
+        "gallery-unknown", "op-unknown", "n-list-malformed", "n-list-below-2", "weights-negative", "angles-count", "scale-inf"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):

@@ -26,7 +26,7 @@ from kreisslab.fourier import (
     v1_seminorm,
 )
 from kreisslab.norms import vector_p_norm
-from oracles import pairing_quadrature
+from oracles import multiplier_at, pairing_quadrature
 
 # regression floors pinned from pre-build oracle computations:
 #   * best 3-term ratio a e_{-1} + b e_0 + c e_1 for the Riesz projection at
@@ -83,7 +83,11 @@ def test_projection_algebra(seed):
     # disjoint composition vanishes
     assert project_interval(once, hi).is_zero
     # partition of unity
-    back = project_interval(f, lo) + project_interval(f, hi)
+    back = {}
+    for g in (project_interval(f, lo), project_interval(f, hi)):
+        for n, v in zip(g.freqs, g.vecs):
+            back[n] = back.get(n, 0) + v
+    back = TrigPolynomial.from_coeffs(back, f.dim)
     assert np.allclose(back.values_on_grid(32), f.values_on_grid(32), atol=1e-12)
 
 
@@ -101,7 +105,7 @@ def test_partition_disjointness_enforced():
 
 def test_constant_multiplier_is_identity():
     f = scal({-1: 2.0, 4: 1.0 - 1j})
-    g = apply_multiplier(f, MultiplierSeq.constant(1.0))
+    g = apply_multiplier(f, MultiplierSeq(0, (), 1.0, 1.0))
     assert np.array_equal(g.vecs, f.vecs)
 
 
@@ -113,19 +117,39 @@ def test_riesz_projection_symbol():
     assert coeffs.get(1, 0) == pytest.approx(4.0)
 
 
+def test_riesz_symbol_fields():
+    m = RIESZ_SYMBOL
+    assert (m.window_lo, m.values, m.left_tail, m.right_tail) == (0, (1 + 0j,), 0j, 1 + 0j)
+
+
+_offsets = st.one_of(st.integers(-3, 12), st.integers(-10**9, 10**9))
+
+
+@given(st.integers(-50, 50), st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=8),
+       st.complex_numbers(allow_nan=False), st.complex_numbers(allow_nan=False),
+       st.lists(_offsets, max_size=20))
+def test_at_many_is_the_lookup_rule(lo, values, left, right, offsets):
+    # non-empty windows at negative and positive window_lo, complex tails, and n
+    # near the window or far outside it
+    m = MultiplierSeq(lo, tuple(values), left, right)
+    ns = [lo + k for k in offsets]
+    want = np.array([multiplier_at(m, n) for n in ns], dtype=complex)
+    assert m.at_many(ns).tobytes() == want.tobytes()
+
+
 def test_multiplier_composition_is_pointwise_product(rng):
     freqs = tuple(range(-4, 5))
     f = TrigPolynomial(freqs, rng.standard_normal((9, 1)) + 1j * rng.standard_normal((9, 1)), 1)
-    m1 = MultiplierSeq.from_values({n: complex(rng.standard_normal()) for n in freqs})
-    m2 = MultiplierSeq.from_values({n: complex(rng.standard_normal()) for n in freqs})
-    prod = MultiplierSeq.from_values({n: m1.at(n) * m2.at(n) for n in freqs})
+    m1 = MultiplierSeq(-4, tuple(complex(rng.standard_normal()) for n in freqs))
+    m2 = MultiplierSeq(-4, tuple(complex(rng.standard_normal()) for n in freqs))
+    prod = MultiplierSeq(-4, tuple(a * b for a, b in zip(m1.values, m2.values)))
     lhs = apply_multiplier(apply_multiplier(f, m1), m2)
     rhs = apply_multiplier(f, prod)
     assert np.allclose(lhs.vecs, rhs.vecs, atol=1e-12)
 
 
 def test_v1_constant_is_zero():
-    assert v1_seminorm(MultiplierSeq.constant(3.0)) == 0.0
+    assert v1_seminorm(MultiplierSeq(0, (), 3.0, 3.0)) == 0.0
 
 
 def test_v1_riesz_single_jump():
@@ -133,15 +157,16 @@ def test_v1_riesz_single_jump():
 
 
 def test_v1_box_two_jumps():
-    assert v1_seminorm(MultiplierSeq.indicator(Interval(0, 17))) == pytest.approx(2.0)
+    assert v1_seminorm(MultiplierSeq(0, (1.0,) * 18)) == pytest.approx(2.0)
 
 
 def test_v1_equals_the_pointwise_sum_bit_for_bit():
     # sum |m(n+1) - m(n)| over the window and two points past each end, on
     # marcinkiewicz's +-1 windows, complex windows and tails, windows whose
-    # edges equal their tails, half-line and box indicators, and constants
+    # edges equal their tails, half-line and box indicators, constants, and
+    # empty windows with unequal tails (a step at window_lo)
     rng = np.random.default_rng(20)
-    ms = [MultiplierSeq.constant(c) for c in (0.0, 3.0, 1 - 2j)]
+    ms = [MultiplierSeq(0, (), c, c) for c in (0.0, 3.0, 1 - 2j)]
     for _ in range(200):
         lo, span = int(rng.integers(-10, 10)), int(rng.integers(0, 9))
         size = 2 * span + 1
@@ -149,17 +174,17 @@ def test_v1_equals_the_pointwise_sum_bit_for_bit():
         vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         edges = (tails[0],) * int(rng.integers(1, 4)) + tuple(vals) + (tails[1],) * 2
         ms += [
-            MultiplierSeq.from_values(dict(zip(range(-span, span + 1),
-                                               rng.choice([-1.0, 1.0], size=size)))),
+            MultiplierSeq(-span, tuple(rng.choice([-1.0, 1.0], size=size))),
             MultiplierSeq(lo, tuple(vals), *tails),
             MultiplierSeq(lo, edges, *tails),
-            MultiplierSeq.indicator(Interval(lo, None)),
-            MultiplierSeq.indicator(Interval(None, lo)),
-            MultiplierSeq.indicator(Interval(lo, lo + span)),
+            MultiplierSeq(lo, (), *tails),
+            MultiplierSeq(lo, (1.0,), 0.0, 1.0),
+            MultiplierSeq(lo, (1.0,), 1.0, 0.0),
+            MultiplierSeq(lo, (1.0,) * (span + 1)),
         ]
     for m in ms:
-        brute = float(sum(abs(m.at(n + 1) - m.at(n))
-                          for n in range(m.window_lo - 2, m.window_hi + 2)))
+        seq = m.at_many(range(m.window_lo - 2, m.window_lo + len(m.values) + 2)).tolist()
+        brute = float(sum(abs(b - a) for a, b in zip(seq, seq[1:])))
         assert v1_seminorm(m) == brute, m
 
 
@@ -228,7 +253,9 @@ def test_multiplier_contraction_at_p2(rng):
     for _ in range(25):
         freqs = tuple(int(n) for n in rng.choice(np.arange(-8, 9), size=5, replace=False))
         f = TrigPolynomial(freqs, rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)), 2)
-        m = MultiplierSeq.from_values({n: complex(rng.standard_normal()) for n in freqs})
+        vals = {n: complex(rng.standard_normal()) for n in freqs}
+        lo = min(freqs)
+        m = MultiplierSeq(lo, tuple(vals.get(n, 0.0) for n in range(lo, max(freqs) + 1)))
         lhs = lp_torus_norm(apply_multiplier(f, m), 2.0, 2.0).value
         assert lhs <= m.sup_norm() * lp_torus_norm(f, 2.0, 2.0).value + 1e-10
 
@@ -340,7 +367,8 @@ def test_sorted_constructor_matches_validating_one(rng):
 def test_is_zero_is_computed_once():
     f = TrigPolynomial((0, 1), np.zeros((2, 1)), 1)
     assert f.is_zero and "is_zero" in vars(f)
-    g = 2.0 * TrigPolynomial.from_coeffs({0: 1.0, 3: -1.0})
+    h = TrigPolynomial.from_coeffs({0: 1.0, 3: -1.0})
+    g = TrigPolynomial(h.freqs, 2.0 * h.vecs, h.dim)
     assert not g.is_zero and np.array_equal(g.vecs, [[2.0], [-2.0]])
 
 
@@ -414,7 +442,7 @@ def test_riesz_norm_p4_beats_pinned_floor():
 
 def test_marcinkiewicz_identity_symbol():
     f = scal({0: 1.0, 1: 1.0})
-    lhs, factor = marcinkiewicz_check(f, MultiplierSeq.constant(1.0), 4.0)
+    lhs, factor = marcinkiewicz_check(f, MultiplierSeq(0, (), 1.0, 1.0), 4.0)
     assert lhs == pytest.approx(1.0)
     assert factor == pytest.approx(1.0)
 
@@ -430,9 +458,7 @@ def test_marcinkiewicz_corpus_under_pinned_constant():
     rng = np.random.default_rng(77)
     freqs = np.arange(-8, 9)
     for _ in range(150):
-        m = MultiplierSeq.from_values(
-            {int(n): complex(rng.choice([-1.0, 1.0])) for n in freqs}
-        )
+        m = MultiplierSeq(-8, tuple(complex(rng.choice([-1.0, 1.0])) for n in freqs))
         sub = rng.choice(freqs, size=6, replace=False)
         f = TrigPolynomial(
             tuple(int(n) for n in sub),

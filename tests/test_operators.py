@@ -114,6 +114,15 @@ def test_load_bad_token_reports_line_and_column(tmp_path):
     assert err.value.line == 2 and err.value.column == 1
 
 
+@pytest.mark.parametrize("row, column", [("nan 0 0 0", 1), ("1 0 inf 0", 3), ("1 -inf 0 0", 2)])
+def test_load_non_finite_token_reports_line_and_column(tmp_path, row, column):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"2\n{row}\n0 0 1 0\n")
+    with pytest.raises(MatrixParseError, match="non-finite number") as err:
+        load_matrix(path)
+    assert err.value.line == 2 and err.value.column == column
+
+
 def test_custom_kind_roundtrip(tmp_path):
     orig = make_gallery_operator(OperatorSpec("jordan", 3, eigenvalue=0.9j, coupling=0.25))
     path = tmp_path / "jordan.txt"

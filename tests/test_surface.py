@@ -1,7 +1,8 @@
 """The library's public surface: every public top-level function or class of
 src/kreisslab is used by the package or its scripts, or is documented API, and
 so is every public method of a public class and every option of a public
-function, public method or *Config dataclass."""
+function, public method or *Config dataclass; and no public class defines an
+arithmetic or comparison dunder without a reason."""
 
 import ast
 import collections
@@ -106,7 +107,6 @@ DOCUMENTED_OPTIONS = {
     "operator_p_norm(cfg)": "documented API",
     "lp_torus_norm(n_points)": "the README's exact-quadrature claim is tested through it",
     "krivine_checks(trunc_terms)": "the only way to make the tail-certificate check fail",
-    "svg_line_chart(y_label)": "plot.svg bytes",
     "main(argv)": "the in-process entry point: perfbench and the CLI tests pass argv",
 }
 
@@ -203,3 +203,39 @@ def test_every_option_is_passed_or_has_a_reason():
     assert unpassed - set(DOCUMENTED_OPTIONS) == set(), "options that no caller sets"
     # a documented option that gains a caller leaves the list
     assert unpassed >= set(DOCUMENTED_OPTIONS)
+
+
+# arithmetic and comparison dunders of public classes, each kept for a reason
+DOCUMENTED_OPERATORS: dict = {}
+
+OPERATOR_DUNDERS = {
+    "__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "__matmul__",
+    "__neg__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__",
+}
+
+
+def _operator_dunders():
+    """Class.dunder of each operator dunder a public class defines, by a def or by
+    a class-level assignment such as __rmul__ = __mul__."""
+    found = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in _public_definitions(tree).values():
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                found |= {f"{cls.name}.{n}" for n in names if n in OPERATOR_DUNDERS}
+    return found
+
+
+def test_every_operator_dunder_has_a_reason():
+    defined = _operator_dunders()
+    assert defined - set(DOCUMENTED_OPERATORS) == set(), "operator dunders that only tests reach"
+    # a documented dunder that is deleted leaves the list
+    assert defined >= set(DOCUMENTED_OPERATORS)
