@@ -3,36 +3,46 @@
 
 For p in (1, 2) the interesting endpoint is q = p/(p-1); whether the scalar
 field admits lower decompositions there is open, so these numbers are
-recorded as exploratory data only, never as answers.
+recorded as exploratory data only, never as answers.  Each p is one CLI
+decomp-scan run, whose report lands in <out_dir>/p<p>/ (a temporary
+directory when no out_dir is given); the table is read back from them.
 
-Usage: python scripts/decomposition_frontier.py [trials] [out.json]
+Usage: python scripts/decomposition_frontier.py [trials] [out_dir]
 """
 
+import contextlib
+import io
+import json
+import os
 import sys
+import tempfile
 
-from kreisslab.decomp import DecompSearchConfig, estimate_constant
-from kreisslab.reporting import SCHEMA, write_json
+from kreisslab.cli import main as cli_main
+
+
+def scan(trials: int, out_dir) -> None:
+    print(f"{'p':>6s} {'q':>8s} {'empirical floor':>16s}")
+    for p in (1.25, 1.5, 1.75):
+        q = p / (p - 1.0)
+        out = os.path.join(out_dir, f"p{p}")
+        with contextlib.redirect_stdout(io.StringIO()):  # hides the CLI summary line
+            cli_main(["decomp-scan", "--p", repr(p), "--q", repr(q), "--side", "lower",
+                      "--gamma", "0", "--trials", str(trials), "--ascent-steps", "120",
+                      "--max-support", "12", "--max-dim", "1", "--seed", "2024",
+                      "--out", out])
+        with open(os.path.join(out, "decomp.json"), encoding="ascii") as fh:
+            floor = float(json.load(fh)["constant_lower"])
+        print(f"{p:6.2f} {q:8.4f} {floor:16.8f}")
 
 
 def main() -> int:
     trials = int(sys.argv[1]) if len(sys.argv) > 1 else 1500
-    cfg = DecompSearchConfig(trials=trials, ascent_steps=120, max_support=12,
-                             max_dim=1, seed=2024)
-    records = []
-    print(f"{'p':>6s} {'q':>8s} {'empirical floor':>16s}")
-    for p in (1.25, 1.5, 1.75):
-        q = p / (p - 1.0)
-        est = estimate_constant(p, q, 2.0, side="lower", gamma=0.0, cfg=cfg)
-        print(f"{p:6.2f} {q:8.4f} {est.constant_lower:16.8f}")
-        records.append({
-            "p": p, "q": q, "side": "lower",
-            "constant_lower": est.constant_lower,
-            "trials": trials, "seed": cfg.seed,
-            "label": "exploratory empirical floor",
-        })
     if len(sys.argv) > 2:
-        write_json(sys.argv[2], {"schema": SCHEMA, "records": records})
+        scan(trials, sys.argv[2])
         print(f"wrote {sys.argv[2]}")
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            scan(trials, tmp)
     return 0
 
 

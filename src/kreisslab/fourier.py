@@ -176,7 +176,12 @@ def load_trig_polynomial(path) -> TrigPolynomial:
             elif d != dim:
                 raise ValueError(f"line {lineno}: inconsistent dimension {d} (expected {dim})")
             n = int(toks[0])
+            if n in coeffs:
+                raise ValueError(f"line {lineno}: repeated frequency {n}")
             vals = [float(t) for t in toks[1:]]
+            for t, v in zip(toks[1:], vals):
+                if not math.isfinite(v):
+                    raise ValueError(f"line {lineno}: non-finite number {t!r}")
             coeffs[n] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
     return TrigPolynomial.from_coeffs(coeffs, dim or 1)
 

@@ -113,6 +113,8 @@ def svg_line_chart(
     x_label: str = "n",
 ) -> None:
     """Render polyline series over a shared x axis to a static SVG file."""
+    from xml.sax.saxutils import escape  # imports urllib.request: only plot pays for it
+
     xs = [float(v) for v in x]
     finite_ys = [
         float(v)
@@ -131,13 +133,11 @@ def svg_line_chart(
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-size="16" '
-        f'font-family="monospace">{title}</text>',
+        f'font-family="monospace">{escape(title)}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         f'fill="none" stroke="#444"/>',
         f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle" font-size="13" '
-        f'font-family="monospace">{x_label}</text>',
-        f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'font-family="monospace" transform="rotate(-90 16 {_H / 2:.1f})"></text>',
+        f'font-family="monospace">{escape(x_label)}</text>',
     ]
     for idx, (name, vals) in enumerate(series.items()):
         pts = []
@@ -161,7 +161,7 @@ def svg_line_chart(
         )
         parts.append(
             f'<text x="{_W - _MR - 120}" y="{ly}" font-size="12" '
-            f'font-family="monospace">{name}</text>'
+            f'font-family="monospace">{escape(name)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:

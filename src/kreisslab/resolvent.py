@@ -52,7 +52,6 @@ import numpy as np
 
 from .norms import AscentConfig, _power_ledger, _rescale, ascent_lower_bounds
 from .operators import ComplexMatrix, _require
-from .reporting import SCHEMA
 
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
@@ -592,51 +591,3 @@ def gz_partial_resolvent_ratio(
         lambda n, idx, _, norms: gap[idx] * norms / (4.0 * ks_ref), cfg.p, cfg.ascent(),
         -math.inf)
     return FunctionalEstimate(best, complex(lam[best_i]), n_at_max=best_n)
-
-
-def kreiss_report(
-    T: ComplexMatrix,
-    cfg: SearchConfig = SearchConfig(),
-    n_max: int = 16,
-    xi_max: float = 40.0,
-    cesaro_n_max: int = 256,
-) -> dict:
-    """Run every functional; returns the combined report as a JSON-ready dict."""
-    rho = T.spectral_radius()
-    k = kreiss_constant(T, cfg)
-    ks = strong_kreiss_constant(T, cfg, n_max, k_est=k)
-    ex = exponential_criterion(T, cfg, xi_max)
-    ks_ref = ks.value if math.isfinite(ks.value) and ks.value > 0 else 1.0
-    ces = cesaro_partial_sum_bound(T, cfg, cesaro_n_max, ks_ref)
-    return {
-        "schema": SCHEMA,
-        "p": cfg.p,
-        "seed": cfg.seed,
-        "spectral_radius": rho,
-        "diverged": k.diverged,
-        "k_lower": k.value,
-        "k_upper_hint": None if k.diverged else k.value,
-        "k_upper_note": "advisory grid supremum; no Lipschitz certificate is claimed",
-        "k_argmax": k.argmax,
-        "ks_lower": ks.value,
-        "ks_argmax": ks.argmax,
-        "n_at_max": ks.n_at_max,
-        "exp_lower": ex.value,
-        "exp_argmax": ex.argmax,
-        "cesaro_lower": ces.cesaro_lower,
-        "cesaro_ratio_max": ces.ratio_max,
-        "cesaro_argmax": ces.argmax,
-        "cesaro_n_at_max": ces.n_at_max,
-        "ks_ref": ks_ref,
-        "gz_ratio_max": None,  # the GZ scan is the cesaro subcommand's --gz
-        "grid": {
-            "r_max": cfg.r_max,
-            "radial_count": cfg.radial_count,
-            "angular_count": cfg.angular_count,
-            "refine_rounds": cfg.refine_rounds,
-            "refine_shrink": _REFINE_SHRINK,
-            "n_max": n_max,
-            "xi_max": xi_max,
-            "cesaro_n_max": cesaro_n_max,
-        },
-    }

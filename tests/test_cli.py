@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ def test_growth_fit_and_plot(tmp_path):
     assert run(["plot", "--csv", str(out / "growth.csv"), "--out", str(pout)]) == 0
     svg = (pout / "plot.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_plot_escapes_markup_in_labels(tmp_path):
+    # the title, the x label and a series name each hold an XML metacharacter
+    csv = tmp_path / "s.csv"
+    csv.write_text("k>0,a<b\n1,1\n2,4\n")
+    assert run(["plot", "--csv", str(csv), "--x-col", "k>0", "--title", "x & y",
+                "--out", str(tmp_path / "p")]) == 0
+    doc = xml.dom.minidom.parse(str(tmp_path / "p" / "plot.svg"))
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert texts == ["x & y", "k>0", "a<b"]
 
 
 def test_bounds_flags_jordan(tmp_path):

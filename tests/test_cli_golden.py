@@ -217,7 +217,7 @@ EXPECTED = {
     'plot': (
         0, 'plot: wrote {out}/plot.svg\n',
         {
-            'plot.svg': '7b7ec3cc869038d912252f1071535b4e299d7da56f5dd0eb200780e09315fed3',
+            'plot.svg': '5229956879c1093610d0479f2c03bd9060743fca8e26e6c6acced41b9a681f9b',
         },
     ),
     'positivity': (

@@ -415,6 +415,18 @@ def test_trig_polynomial_roundtrip(tmp_path, rng):
     assert np.array_equal(g.vecs, f.vecs)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 1 0\n3 2 0\n5 0 0\n", "line 2: repeated frequency 3"),
+    ("3 1 0\n\n5 nan 0\n", "line 3: non-finite number 'nan'"),
+    ("3 1 -inf\n", "line 1: non-finite number '-inf'"),
+])
+def test_trig_polynomial_file_rejects_repeats_and_non_finite(tmp_path, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_trig_polynomial(path)
+
+
 # ---------------------------------------------------------------------------
 # empirical norm lower bounds
 # ---------------------------------------------------------------------------

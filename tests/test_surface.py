@@ -1,8 +1,9 @@
 """The library's public surface: every public top-level function or class of
 src/kreisslab is used by the package or its scripts, or is documented API, and
 so is every public method of a public class and every option of a public
-function, public method or *Config dataclass; and no public class defines an
-arithmetic or comparison dunder without a reason."""
+function, public method or *Config dataclass; no public class defines an
+arithmetic or comparison dunder without a reason; and only cli.main writes
+reports."""
 
 import ast
 import collections
@@ -239,3 +240,25 @@ def test_every_operator_dunder_has_a_reason():
     assert defined - set(DOCUMENTED_OPERATORS) == set(), "operator dunders that only tests reach"
     # a documented dunder that is deleted leaves the list
     assert defined >= set(DOCUMENTED_OPERATORS)
+
+
+# the files that may know the report envelope: cli.main alone writes reports,
+# with reporting's writer and schema tag
+REPORT_WRITERS = {"cli.py", "reporting.py"}
+
+
+def _report_writers():
+    """Names of the package and script files that reference write_json or SCHEMA,
+    by a read or an import."""
+    found = set()
+    for path in PACKAGE + SCRIPTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set(_references(tree))
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        if names & {"write_json", "SCHEMA"}:
+            found.add(path.name)
+    return found
+
+
+def test_only_the_cli_writes_reports():
+    assert _report_writers() - REPORT_WRITERS == set(), "report writers outside cli.main"
