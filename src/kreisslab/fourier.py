@@ -175,12 +175,20 @@ def load_trig_polynomial(path) -> TrigPolynomial:
                 dim = d
             elif d != dim:
                 raise ValueError(f"line {lineno}: inconsistent dimension {d} (expected {dim})")
-            n = int(toks[0])
+            try:
+                n = int(toks[0])
+            except ValueError:
+                msg = f"line {lineno}: frequency {toks[0]!r} is not an integer"
+                raise ValueError(msg) from None
             if n in coeffs:
                 raise ValueError(f"line {lineno}: repeated frequency {n}")
-            vals = [float(t) for t in toks[1:]]
-            for t, v in zip(toks[1:], vals):
-                if not math.isfinite(v):
+            vals = []
+            for t in toks[1:]:
+                try:
+                    vals.append(float(t))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: invalid number {t!r}") from None
+                if not math.isfinite(vals[-1]):
                     raise ValueError(f"line {lineno}: non-finite number {t!r}")
             coeffs[n] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
     return TrigPolynomial.from_coeffs(coeffs, dim or 1)

@@ -164,7 +164,8 @@ def svg_line_chart(
             f'font-family="monospace">{escape(name)}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
+    # a non-ASCII label becomes an XML character reference: e-acute is written &#233;
+    with open(path, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
         fh.write("\n".join(parts) + "\n")
 
 

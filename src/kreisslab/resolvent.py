@@ -12,31 +12,41 @@ r_max, but the analytic |lambda| -> inf limit of the first two functionals
 equals 1 exactly and is always included in the max.  Upper "hints" are
 advisory only; no Lipschitz certificate is claimed.
 
+A search reads few of the values it evaluates, and one rule, _top_norms,
+decides which it norms: given each point's certified upper bound, a group
+of points and a count top, it norms the group's top highest-bound points,
+takes the top-th best of their values as the group's floor and norms every
+other point whose bound reaches the floor.  The bounds are the Riesz-Thorin
+and norm-equivalence bounds of _log_norm_bounds (the largest column norm
+and the Frobenius norm at p = 2), each with an explicit rounding margin;
+for resolvent powers also the submultiplicative cap.  A point left out has
+its value certified below top values of its group, so each group's first
+maximum and top best values are exact.  kreiss_constant uses it at every
+p != 2 on (r-1) ||(l-T)^{-1}||.
+
 The strong-Kreiss, Cesaro and GZ scans run through one bound-pruned sweep,
-_pruned_sweep, at every p.  It takes the norm of every point's first step;
-at the other (point, n) pairs it takes certified log bounds on the norm
-(the largest column norm and the Frobenius norm at p = 2, the Riesz-Thorin
-and norm-equivalence upper bound elsewhere, each with an explicit rounding
-margin; for resolvent powers also the submultiplicative cap), and it takes
-a norm only where the upper bound reaches a value some pair of the same
-group attains.  Points form groups with one floor each: every grid point
-is its own group, every refinement seed's local grid is one, and a Cesaro
-or GZ scan is one.  The last step's norms come first, since the max
-usually sits there; the steps between follow in increasing n, and an equal
-score at a smaller n takes the place of the best, so each point reports
-the first n attaining its max.  Every value a search reads, with its n, is
-the one a norm at every pair gives, bit for bit.
+_pruned_sweep, at every p.  It takes the first step's norms through
+_top_norms and scored bounds at the other (point, n) pairs, and takes a
+norm only where the upper bound reaches its group's floor, the top-th best
+of the points' lower bounds.  The last step's norms come first, since the
+max usually sits there; the steps between follow in increasing n, and an
+equal score at a smaller n takes the place of the best, so each point
+reports the first n attaining its max.  Every value a search reads, with
+its n, is the one a norm at every pair gives, bit for bit.
 
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
 suprema through one grid-and-refine search, _search.  It evaluates the whole
-grid, seeds refinement with the five best grid points in stable argsort
-order (so exact ties always resolve the same way) and runs refine_rounds
-shrinking grids of up to 9x9 points around each seed, all five seeds' grids
-in one evaluation per round.  A refined point replaces the best so far only
+grid as one group with top = 5, the five best grid points being the seeds
+of refinement in stable argsort order (so exact ties always resolve the
+same way), and runs refine_rounds shrinking grids of up to 9x9 points
+around each seed, all five seeds' grids in one evaluation per round, one
+group with top = 1 per seed.  A refined point replaces the best so far only
 when it is strictly larger: the first strict maximum, in grid-then-seed
 order, wins.  The strong-Kreiss evaluation returns with each value the n
 attaining it, and that n travels with the point through refinement, so a
-refined argmax needs no second sweep.
+refined argmax needs no second sweep.  The Cesaro and GZ scans are one
+group with top = 1; a direct call of the sweep without groups makes every
+point a group of its own.
 
 Every power, of T or of a resolvent, comes from norms._power_ledger; the
 Cesaro and GZ scans read T^k = e^{log_scale} M from it through _partial_sums.
@@ -56,6 +66,7 @@ from .operators import ComplexMatrix, _require
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
 _REFINE_SHRINK = 0.25  # each refinement round shrinks the local grid by this factor
+_SEEDS = 5  # grid points that seed refinement
 # Rounding margin of the certified log-domain norm bounds.  The norm sums and
 # their powers, np.log, np.exp, LAPACK's largest singular value and the
 # ascent's p-norms each carry a relative error of a few d ulps (about 1e-13 at
@@ -136,14 +147,16 @@ def _grid(cfg: SearchConfig):
 def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
     """Grid-and-refine maximum of evaluate over xs x angles; returns (value, (x, t), n).
 
-    evaluate(x, t, groups) returns the values at the points and the n
-    attaining each one, or None for n.  On the grid groups is None and every
-    value must be exact.  Seeds are the five best grid points in stable
-    argsort order; each gets cfg.refine_rounds shrinking grids of up to 9x9
-    points and half-widths (step, one angle step).  A round evaluates the
-    five seeds' grids as one stack, groups holding the index of each seed's
-    first point, and reads only each seed's first maximum, which must be
-    exact; every other value may fall short.  x is clipped to bounds, and the
+    evaluate(x, t, groups, top) returns the values at the points and the n
+    attaining each one, or None for n.  groups holds the index of the first
+    point of each group, a run of consecutive points, and only each group's
+    first maximum and its top best values must be exact: another point may
+    fall short, down to -inf, if its value is below the group's top-th best.
+    The grid is one group with top = _SEEDS.  Seeds are its _SEEDS best
+    points in stable argsort order; each gets cfg.refine_rounds shrinking
+    grids of up to 9x9 points and half-widths (step, one angle step).  A
+    round evaluates the seeds' grids as one stack, one group with top = 1 per
+    seed, and reads each seed's first maximum.  x is clipped to bounds, and the
     x values clipping repeats are evaluated once: a repeated x would repeat
     its whole row of values, and the first maximum keeps the same (x, t).
     The rounds' maxima are compared with the best in (seed, round) order.
@@ -157,10 +170,10 @@ def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
         return float(vals[i]), (float(xf[i]), float(tf[i])), None if ns is None else int(ns[i])
 
     xf, tf = mesh(xs, _angles(cfg.angular_count))
-    vals, ns = evaluate(xf, tf, None)
+    vals, ns = evaluate(xf, tf, np.zeros(1, dtype=int), _SEEDS)
     best = point(vals, ns, xf, tf, int(np.argmax(vals)))
     centers = [(float(xf[j]), float(tf[j]))
-               for j in np.argsort(vals, kind="stable")[::-1][:5]]
+               for j in np.argsort(vals, kind="stable")[::-1][:_SEEDS]]
     offs = np.linspace(-1.0, 1.0, 9)
     wx, wt = step, 2 * np.pi / cfg.angular_count
     rounds = []
@@ -170,7 +183,7 @@ def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
         ends = np.cumsum([len(g[0]) for g in grids])
         starts = np.concatenate([[0], ends[:-1]])
         xf, tf = map(np.concatenate, zip(*grids))
-        vals, ns = evaluate(xf, tf, starts)
+        vals, ns = evaluate(xf, tf, starts, 1)
         rounds.append([point(vals, ns, xf, tf, a + int(np.argmax(vals[a:b])))
                        for a, b in zip(starts, ends)])
         centers = [top[1] for top in rounds[-1]]
@@ -200,14 +213,21 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
 
     acfg = cfg.ascent()
 
-    def evaluate(xflat: np.ndarray, tflat: np.ndarray, _groups):
+    def evaluate(xflat: np.ndarray, tflat: np.ndarray, groups, top):
         r = 1.0 + 10.0 ** xflat
         A = (r * np.exp(1j * tflat))[:, None, None] * np.eye(T.dim) - T.entries
         if cfg.p == 2:
             smin = np.linalg.svd(A, compute_uv=False)[:, -1]
             with np.errstate(divide="ignore"):
                 return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf), None
-        return (r - 1.0) * _batched_norm_lower(np.linalg.inv(A), cfg.p, acfg), None
+        R = np.linalg.inv(A)
+        with np.errstate(over="ignore"):
+            upper = (r - 1.0) * np.exp(_log_norm_bounds(R, cfg.p)[1])
+
+        def value(idx):
+            return (r[idx] - 1.0) * _batched_norm_lower(R[idx], cfg.p, acfg)
+
+        return _top_norms(upper, groups, top, value), None
 
     xs, _ = _grid(cfg)
     best, best_xt, _ = _search(evaluate, xs, (xs[-1] - xs[0]) / cfg.radial_count,
@@ -218,24 +238,22 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
     return FunctionalEstimate(1.0, None, log_value=0.0)
 
 
-def _log_norm_bounds(mats: np.ndarray, p: float, norms: np.ndarray | None = None):
+def _log_norm_bounds(mats: np.ndarray, p: float):
     """Certified bounds lo <= log ||M||_p <= hi for each matrix of a stack, which also
     hold for the value _batched_norm_lower computes.
 
     At p = 2, lo and hi are the logs of the largest column 2-norm and of the
-    Frobenius norm, or both the log of norms, the stack's SVD values if known.
-    Elsewhere hi is the log of the Riesz-Thorin bound ||M||_1^{1/p}
-    ||M||_inf^{1-1/p} (the norm itself at p in {1, inf}) intersected with
-    d^{|1/2-1/p|} ||M||_F, and lo is -inf: an ascent value can lie anywhere
-    below the norm.  Both are widened by _LOG_MARGIN.  Squares below 1e-154
-    underflow, which cannot move a bound once the peak entry is of normal
-    size, as it is for rescaled powers and for partial sums that can beat a
-    floor; sums past the float range give an infinite hi, which keeps a pair.
+    Frobenius norm.  Elsewhere hi is the log of the Riesz-Thorin bound
+    ||M||_1^{1/p} ||M||_inf^{1-1/p} (the norm itself at p in {1, inf})
+    intersected with d^{|1/2-1/p|} ||M||_F, and lo is -inf: an ascent value
+    can lie anywhere below the norm.  Both are widened by _LOG_MARGIN.
+    Squares below 1e-154 underflow, which cannot move a bound once the peak
+    entry is of normal size, as it is for rescaled powers and for partial
+    sums that can beat a floor; sums past the float range give an infinite
+    hi, which keeps a pair.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        if p == 2 and norms is not None:
-            lo = hi = np.log(norms)
-        elif p == 2:
+        if p == 2:
             col = np.einsum("...ij->...j", mats.real**2 + mats.imag**2)
             lo, hi = 0.5 * np.log(col.max(axis=-1)), 0.5 * np.log(col.sum(axis=-1))
         else:
@@ -249,10 +267,56 @@ def _log_norm_bounds(mats: np.ndarray, p: float, norms: np.ndarray | None = None
     return lo - _LOG_MARGIN, hi + _LOG_MARGIN
 
 
-def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None,
+def _floors(vals: np.ndarray, groups: np.ndarray, top: int) -> np.ndarray:
+    """Each group's top-th largest value, -inf for a group of fewer points.
+
+    groups holds the index of the first point of each group, a run of
+    consecutive points.  A NaN value lowers its group's floor (it ranks
+    last) or, at top = 1, makes it NaN, which keeps every point.
+    """
+    if top == 1:
+        return np.maximum.reduceat(vals, groups)
+    sizes = np.diff(groups, append=len(vals))
+    ranked = vals[np.lexsort((-vals, np.repeat(np.arange(len(groups)), sizes)))]
+    return np.where(sizes >= top, ranked[np.minimum(groups + top - 1, len(vals) - 1)], -np.inf)
+
+
+def _top_norms(upper: np.ndarray, groups: np.ndarray, top: int, value) -> np.ndarray:
+    """The values of a stack's points that can reach their group's top best values,
+    -inf at the others: the one pruning rule of a stack's norms.
+
+    upper holds each point's scored upper bound (from _log_norm_bounds), and
+    value(idx) returns the exact scored values at the points idx, an index
+    array or slice(None).  Each group's top highest-bound points are valued
+    first (ties go to the earlier point); the group's floor is the top-th
+    best of their values.  Then every other point whose bound is not below
+    the floor is valued (a NaN bound keeps its point).  A point left at -inf
+    has its value certified below the floor, and so below top values of its
+    group: the group's first maximum and its top best values, and every tie
+    with the top-th, are exact.
+    """
+    count = len(upper)
+    sizes = np.diff(groups, append=count)
+    order = np.lexsort((-np.where(np.isnan(upper), np.inf, upper),
+                        np.repeat(np.arange(len(groups)), sizes)))
+    first = np.zeros(count, dtype=bool)
+    first[order[np.arange(count) - np.repeat(groups, sizes) < top]] = True
+    vals = np.full(count, -np.inf)
+
+    def take(mask):
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            vals[idx] = value(idx if idx.size < count else slice(None))
+
+    take(first)
+    take(~first & ~(upper < np.repeat(_floors(vals, groups, top), sizes)))
+    return vals
+
+
+def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: int = 1,
                   start: float = -math.inf, powers: bool = False):
     """Per-point max of score(n, idx, log_scale, ||M||_p) over the steps of a matrix
-    stack, with norms only where they can change the max of a group of points.
+    stack, with norms only where they can reach the top values of a group of points.
 
     stack(pts) yields (n, M, log_scale) in increasing n for the points pts (an
     index array or slice(None)), point pts[k] having the matrix
@@ -260,27 +324,28 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None,
     rounded sum, product, quotient or log does.  groups holds the index of
     the first point of each group, a run of consecutive points; None makes
     every point its own group.  Each group keeps one floor, started at
-    start: the largest score or scored lower bound of its pairs.  A pair
-    whose scored upper bound is below its group's floor scores strictly
-    below a value some pair of the group reaches, so it is dropped (a NaN
-    bound keeps it).
+    start: the top-th largest of its points' lower bounds, each the largest
+    score or scored lower bound of the point's pairs.  A pair whose scored
+    upper bound is below its group's floor scores strictly below top points
+    of the group, so it is dropped (a NaN bound keeps it).
 
-    Pass 1 takes norms at the first step and scored _log_norm_bounds at the
-    others, and ends holding the last step: it takes the norms there that
-    the pooled floors keep, since the max usually sits at the last step, and
+    Pass 1 takes the first step's norms through _top_norms, the group's top
+    highest-bound points first, and scored _log_norm_bounds at the other
+    steps, and ends holding the last step: it takes the norms there that the
+    pooled floors keep, since the max usually sits at the last step, and
     raises the floors with them.  Pass 2 reruns the stack on the points that
     keep a pair of the steps between, which is cheaper than storing every
     matrix, and takes norms in increasing n, re-testing each pair as they
     raise the floors.  An equal score at a smaller n replaces a point's best.
 
     Returns each point's best score and the first n attaining it (0 if none
-    beats -inf), or None when the stack has no step.  A point holding its
-    group's max gets that value and n exactly; another point may fall short
-    of its own max, unless it is a group of its own.  A matrix's norm is the
-    same in any stack, so the exact values are those of a norm at every
-    pair, bit for bit.  With powers set the stack must be the powers R^n,
-    n >= 1, of one R per point, and log ||R^n|| <= n log ||R|| caps their
-    bounds.
+    beats -inf), or None when the stack has no step.  The points holding a
+    group's top best values, and every point tied with the top-th, get their
+    value and n exactly, as does a group's first max; another point may fall
+    short of its own max, down to -inf.  A matrix's norm is the same in any
+    stack, so the exact values are those of a norm at every pair, bit for
+    bit.  With powers set the stack must be the powers R^n, n >= 1, of one R
+    per point, and log ||R^n|| <= n log ||R|| caps their bounds.
     """
     steps = stack(slice(None))
     try:
@@ -290,13 +355,18 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None,
     every = np.arange(len(M))
     groups = every if groups is None else np.asarray(groups)
     sizes = np.diff(groups, append=len(M))
-    norms = _batched_norm_lower(M, p, acfg)
-    top = score(n, every, log_scale, norms)
-    best = np.where(top > -np.inf, top, -np.inf)
-    best_n = np.where(top > -np.inf, n, 0)
+    norms = np.full(len(M), np.nan)
 
-    def pool(floor):  # every point gets its group's floor
-        return np.repeat(np.maximum(np.maximum.reduceat(floor, groups), start), sizes)
+    def first(idx):
+        norms[idx] = _batched_norm_lower(M[idx], p, acfg)
+        return score(n, every[idx], log_scale[idx], norms[idx])
+
+    def scored(n, log_scale, log_norms):
+        with np.errstate(over="ignore", divide="ignore"):
+            return score(n, every, log_scale, np.exp(log_norms))
+
+    def pool():  # every point gets its group's floor
+        return np.repeat(np.maximum(_floors(np.maximum(low, best), groups, top), start), sizes)
 
     def take(n, idx, mats, log_scale):
         vals = score(n, idx, log_scale, _batched_norm_lower(mats, p, acfg))
@@ -304,26 +374,34 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None,
         best[idx] = np.where(better, vals, best[idx])
         best_n[idx] = np.where(better, n, best_n[idx])
 
+    lo, hi = _log_norm_bounds(M, p)
+    vals = _top_norms(scored(n, log_scale, hi), groups, top, first)
+    best = np.where(vals > -np.inf, vals, -np.inf)
+    best_n = np.where(vals > -np.inf, n, 0)
+    low = scored(n, log_scale, lo)  # with best, each point's lower bound
     if powers:
-        # the bound on log ||R|| plus, per power, the rounding of R @ M (a relative
-        # 2 d (d + 2) u past ||R|| ||M||) and of a rescale: 4 d (d + 2) + 8 ulps
+        # the bound on log ||R|| (the norm itself where an SVD took it) plus, per
+        # power, the rounding of R @ M (a relative 2 d (d + 2) u past ||R|| ||M||)
+        # and of a rescale: 4 d (d + 2) + 8 ulps
         d = M.shape[-1]
         slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
-        per_power = log_scale + _log_norm_bounds(M, p, norms)[1] + slack
-    floor, uppers = best, []
+        if p == 2:
+            with np.errstate(divide="ignore"):
+                hi = np.where(np.isnan(norms), hi, np.log(norms) + _LOG_MARGIN)
+        per_power = log_scale + hi + slack
+    uppers = []
     for n, M, log_scale in steps:
         lo, hi = _log_norm_bounds(M, p)
         if powers:
             hi = np.minimum(hi, n * per_power - log_scale)
-        with np.errstate(over="ignore", divide="ignore"):
-            floor = np.maximum(floor, score(n, every, log_scale, np.exp(lo)))
-            uppers.append(score(n, every, log_scale, np.exp(hi)))
-    floor = pool(floor)
+        low = np.maximum(low, scored(n, log_scale, lo))
+        uppers.append(scored(n, log_scale, hi))
+    floor = pool()
     if uppers:  # n, M and log_scale hold the last step, which its generator no longer touches
         rows = np.flatnonzero(~(uppers.pop() < floor))
         if rows.size:
             take(n, rows, M[rows], log_scale[rows])
-            floor = pool(np.maximum(floor, best))
+            floor = pool()
     del M  # no stack of pass 1 outlives it
     need = np.array([~(up < floor) for up in uppers]).reshape(-1, len(every))
     pts = np.flatnonzero(need.any(axis=0))
@@ -335,7 +413,7 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None,
             rows = np.flatnonzero(~(up[pts] < floor[pts]))
             if rows.size:
                 take(n, pts[rows], M[rows], log_scale[rows])
-                floor = pool(np.maximum(floor, best))
+                floor = pool()
     return best, best_n
 
 
@@ -343,7 +421,7 @@ def _sweep_max(stack, score, p: float, acfg: AscentConfig, start: float):
     """(value, point, n) of the largest score of _pruned_sweep over all points as one
     group, ties going to the smallest n and then point, or (start, 0, 0) when no
     score exceeds start."""
-    swept = _pruned_sweep(stack, score, p, acfg, (0,), start)
+    swept = _pruned_sweep(stack, score, p, acfg, (0,), start=start)
     if swept is None:
         return start, 0, 0
     best, best_n = swept
@@ -355,13 +433,13 @@ def _sweep_max(stack, score, p: float, acfg: AscentConfig, start: float):
 
 def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray, n_max: int,
                          p: float, acfg: AscentConfig,
-                         groups=None) -> tuple[np.ndarray, np.ndarray]:
+                         groups=None, top: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-point max over 1 <= n <= n_max of the log score, and the first n attaining it.
 
     Points are l = (1 + 10^x) e^{it}, and the score is
     n log(|l|-1) + log ||(l-T)^{-n}||_p, swept over the resolvent powers by
     _pruned_sweep with one floor per group (per point when groups is None):
-    only each group's max is exact.
+    only each group's first max and its top best values are exact.
     """
     r = 1.0 + 10.0 ** xflat
     lam = r * np.exp(1j * tflat)
@@ -372,7 +450,7 @@ def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray,
         with np.errstate(divide="ignore"):
             return n * log_gap[idx] + log_scale + np.log(norms)
 
-    return _pruned_sweep(lambda pts: _power_ledger(R[pts], n_max), score, p, acfg, groups,
+    return _pruned_sweep(lambda pts: _power_ledger(R[pts], n_max), score, p, acfg, groups, top,
                          powers=True)
 
 
@@ -398,8 +476,8 @@ def strong_kreiss_constant(
 
     acfg = cfg.ascent()
 
-    def sweep(xflat: np.ndarray, tflat: np.ndarray, groups):
-        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, groups)
+    def sweep(xflat: np.ndarray, tflat: np.ndarray, groups, top):
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, groups, top)
 
     xs, _ = _grid(cfg)
     best_log, best_xt, best_n = _search(sweep, xs, (xs[-1] - xs[0]) / cfg.radial_count,
@@ -506,7 +584,7 @@ def exponential_criterion(
     _require("xi_max", xi_max, 0, math.inf, "()")
     acfg = cfg.ascent()
 
-    def evaluate(mflat: np.ndarray, tflat: np.ndarray, _groups):
+    def evaluate(mflat: np.ndarray, tflat: np.ndarray, _groups, _top):
         with np.errstate(all="ignore"):
             E = _expm_stack((mflat * np.exp(1j * tflat))[:, None, None] * T.entries)
         bad = ~np.isfinite(E).all(axis=(1, 2))

@@ -210,6 +210,16 @@ def test_plot_escapes_markup_in_labels(tmp_path):
     assert texts == ["x & y", "k>0", "a<b"]
 
 
+def test_plot_writes_a_non_ascii_title_as_a_character_reference(tmp_path):
+    csv = tmp_path / "s.csv"
+    csv.write_text("n,a\n1,1\n2,4\n")
+    assert run(["plot", "--csv", str(csv), "--title", "\u00e9", "--out", str(tmp_path / "o")]) == 0
+    raw = (tmp_path / "o" / "plot.svg").read_bytes()
+    assert b">&#233;</text>" in raw and raw.isascii()
+    doc = xml.dom.minidom.parse(str(tmp_path / "o" / "plot.svg"))
+    assert doc.getElementsByTagName("text")[0].firstChild.data == "\u00e9"
+
+
 def test_bounds_flags_jordan(tmp_path):
     out = tmp_path / "o"
     code = run(["bounds", "--op", "jordan", "--dim", "2", "--p", "inf", "--n-max", "64",

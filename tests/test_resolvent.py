@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kreisslab.norms import AscentConfig, _power_ledger, power_norm_sequence
 from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
@@ -12,6 +14,7 @@ from kreisslab.resolvent import (
     SearchConfig,
     _batched_norm_lower,
     _grid,
+    _log_norm_bounds,
     _strong_kreiss_sweep,
     cesaro_partial_sum_bound,
     exponential_criterion,
@@ -243,6 +246,26 @@ def test_pruned_strong_kreiss_sweep_matches_all_pairs_loop(p, name):
     assert np.array_equal(got_n, best_n)
 
 
+@pytest.mark.parametrize("top", [1, 2, 5])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_pruned_sweep_keeps_each_groups_top_values_exact(p, top):
+    # each group's top best values and every tie with the top-th are exact (n
+    # too); any other point reads at most its value, below the top-th.  Two
+    # groups hold fewer than top points.
+    T = PRUNING_OPERATORS["jordan2_damped"]
+    xf, tf = _sweep_points(16)
+    want, want_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG)
+    groups = np.array([0, 1, 30, len(xf) - 2])
+    got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, groups, top)
+    for a, b in zip(groups, [*groups[1:], len(xf)]):
+        floor = np.sort(want[a:b])[::-1][min(top, b - a) - 1]
+        exact = np.arange(a, b)[want[a:b] >= floor]
+        rest = np.arange(a, b)[want[a:b] < floor]
+        assert np.array_equal(got[exact], want[exact])
+        assert np.array_equal(got_n[exact], want_n[exact])
+        assert (got[rest] <= want[rest]).all()
+
+
 @pytest.mark.parametrize("n_max", [1, 8, 16, 64])
 @pytest.mark.parametrize("name", sorted(PRUNING_OPERATORS))
 def test_pruned_cesaro_matches_serial(name, n_max):
@@ -260,6 +283,24 @@ def test_pruned_cesaro_matches_serial_at_general_p(p, name):
     cfg = SearchConfig(angular_count=16, p=p)
     res = cesaro_partial_sum_bound(T, cfg, 16, 1.0)
     assert (res.cesaro_lower, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, 16)
+
+
+@given(d=st.sampled_from([1, 2, 5, 16]),
+       p=st.sampled_from([1.0, 1.5, 3.0, 7.5, 60.0, math.inf]),
+       log10_scales=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=4),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_log_norm_bounds_hold_for_the_computed_norm(d, p, log10_scales, density, seed):
+    # every pruning decision rests on lo <= log of the value _batched_norm_lower
+    # computes <= hi; each matrix has a peak entry of normal size
+    rng = np.random.default_rng(seed)
+    shape = (len(log10_scales), d, d)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    M *= rng.random(shape) < density
+    M *= 10.0 ** np.array(log10_scales)[:, None, None]
+    lo, hi = _log_norm_bounds(M, p)
+    with np.errstate(divide="ignore"):
+        computed = np.log(_batched_norm_lower(M, p, SearchConfig().ascent()))
+    assert (lo <= computed).all() and (computed <= hi).all()
 
 
 def _counted(monkeypatch, module, name):
@@ -573,11 +614,12 @@ def _ref_kreiss(T, cfg):
 
 
 def _ref_strong_kreiss(T, cfg, n_max, k):
-    """The n of a refined argmax comes from a second one-point sweep there."""
+    """The n of a refined argmax comes from a second one-point sweep there.  Every
+    point is a group of its own, so every point's value is exact."""
     acfg = cfg.ascent()
 
     def sweep(xflat, tflat):
-        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg)
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, np.arange(len(xflat)))
 
     xs = _ref_xs(cfg)
     xf, tf = _ref_mesh(xs, cfg)
@@ -650,8 +692,10 @@ def shared_norms(monkeypatch):
     monkeypatch.setattr(resolvent, "_batched_norm_lower", lower)
 
 
+# the search norms only the grid points that can reach the five seeds; the flow
+# it replaced norms every point
 @pytest.mark.parametrize("rounds", [0, 2])
-@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, math.inf])
 def test_search_matches_per_functional_flow(p, rounds, shared_norms, gallery_matrices):
     cfg = SearchConfig(radial_count=8, angular_count=8, refine_rounds=rounds, p=p)
     for name, T in gallery_matrices.items():
@@ -659,10 +703,22 @@ def test_search_matches_per_functional_flow(p, rounds, shared_norms, gallery_mat
             _assert_search_matches_flow(T, cfg, name)
 
 
-def test_search_matches_per_functional_flow_on_the_default_grid(shared_norms, gallery_matrices):
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_search_matches_per_functional_flow_on_the_default_grid(p, shared_norms,
+                                                                gallery_matrices):
     # two of the five seeds are conjugate points with equal values
-    _assert_search_matches_flow(gallery_matrices["jordan2_damped"], SearchConfig(),
+    _assert_search_matches_flow(gallery_matrices["jordan2_damped"], SearchConfig(p=p),
                                 "jordan2_damped")
+
+
+def test_kreiss_search_norms_under_half_the_grid(monkeypatch, gallery_matrices):
+    # the certified upper bounds put most of the default grid below the fifth-best value
+    T, cfg = gallery_matrices["jordan2_damped"], SearchConfig(p=3.0)
+    ascents = _counted(monkeypatch, resolvent, "ascent_lower_bounds")
+    k = kreiss_constant(T, cfg)
+    pruned, ascents[0] = ascents[0], 0
+    assert _fields(k) == _fields(_ref_kreiss(T, cfg))
+    assert pruned < ascents[0] / 2
 
 
 def _assert_search_matches_flow(T, cfg, name):
