@@ -359,7 +359,7 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
 
     def first(idx):
         norms[idx] = _batched_norm_lower(M[idx], p, acfg)
-        return score(n, every[idx], log_scale[idx], norms[idx])
+        return score(n, idx, log_scale[idx], norms[idx])
 
     def scored(n, log_scale, log_norms):
         with np.errstate(over="ignore", divide="ignore"):
