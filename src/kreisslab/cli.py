@@ -16,11 +16,15 @@ domain or choices before any work starts; the handlers get the typed values.
 Each subcommand is a handler in HANDLERS that only computes: it returns an
 Outcome, and main alone writes the report envelope, the extra files, the
 witness and run_meta.json, prints the summary and picks the exit code.
+
+main builds the parser for the subcommand it is given once per process, with
+only that subcommand's flags (build_parser is memoized per subcommand).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,7 +57,13 @@ from .operators import (
     _require,
 )
 from .positivity import PositiveOperator, TruncationError, block_bound_check, krivine_checks
-from .power import bounds_flagged, check_universal_bounds, growth_fit, growth_table
+from .power import (
+    MIN_FIT_SAMPLES,
+    bounds_flagged,
+    check_universal_bounds,
+    growth_fit,
+    growth_table,
+)
 from .resolvent import (
     FunctionalEstimate,
     SearchConfig,
@@ -189,8 +199,9 @@ def _flag_spec(sub: str, dest: str) -> dict:
         spec.update(type=float, domain=(1, 2, "[)"))  # the Krivine check's exponent
     elif dest == "p" and sub in ("decomp-scan", "riesz-norm", "marcinkiewicz"):
         spec["domain"] = (1, math.inf, "[)" if sub == "marcinkiewicz" else "()")
-    elif dest == "n_max" and sub in ("cesaro", "verify-appendix"):
-        spec["domain"] = (0 if sub == "cesaro" else 2, math.inf, "[)")
+    elif dest == "n_max" and sub in ("cesaro", "verify-appendix", "growth"):
+        lo = {"cesaro": 0, "verify-appendix": 2, "growth": MIN_FIT_SAMPLES}[sub]
+        spec["domain"] = (lo, math.inf, "[)")
     return spec
 
 
@@ -198,7 +209,10 @@ def _option(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser(sub: str | None = None) -> argparse.ArgumentParser:
+    """The kreisslab parser.  It names every subcommand, but only sub's parser, or
+    every one's when sub is None, gets its flags: adding them is most of the cost."""
     parser = argparse.ArgumentParser(
         prog="kreisslab",
         description="Resolvent-condition diagnostics, power-growth profiling, and "
@@ -206,10 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"kreisslab {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for sub, defaults in DEFAULTS.items():
-        sp = subs.add_parser(sub)
+    for name, defaults in DEFAULTS.items():
+        sp = subs.add_parser(name)
+        if sub not in (None, name):
+            continue
         for dest in dict.fromkeys(("out", "config", "threads", *defaults)):
-            spec = {k: v for k, v in _flag_spec(sub, dest).items() if k not in ("domain", "parse")}
+            spec = {k: v for k, v in _flag_spec(name, dest).items() if k not in ("domain", "parse")}
             sp.add_argument(spec.pop("flag", _option(dest)), dest=dest, default=None, **spec)
     return parser
 
@@ -393,6 +409,10 @@ def _plot(params):
 
 
 def _verify_appendix(params):
+    try:
+        _require("n_max", params["n_max"], params["n_min"])
+    except ValueError as exc:
+        raise ValueError(f"argument --n-max: {exc}") from None
     table = sweep_appendix(params["n_min"], params["n_max"])
     n = table["n"]
     failures = n[~(table["a1_pass"] & table["a2_pass"])].tolist()
@@ -640,7 +660,9 @@ HANDLERS: dict[str, Callable[..., Outcome]] = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # the top-level parser has no option that takes a value, so argv[0], when it
+    # names a subcommand, is the one argparse picks
+    parser = build_parser(argv[0] if argv and argv[0] in DEFAULTS else None)
     args = parser.parse_args(argv)
     sub = args.subcommand
     params, written = _merge(args, sub, parser)
@@ -654,6 +676,8 @@ def main(argv: list[str] | None = None) -> int:
         out = params["out"]
         if not out and sub != "gallery-list":
             raise ValueError("--out is required")
+        if out and os.path.exists(out) and not os.path.isdir(out):
+            raise ValueError(f"argument --out: {out} exists and is not a directory")
         done = HANDLERS[sub](params, *operand)
         if out:
             out = ensure_out_dir(out)

@@ -22,6 +22,8 @@ from .operators import ComplexMatrix, _require
 
 _E = math.e
 
+MIN_FIT_SAMPLES = 8  # the fewest (n, value) samples growth_fit accepts
+
 
 class DegenerateFitError(ValueError):
     """The regression design matrix is rank-deficient."""
@@ -51,8 +53,8 @@ def growth_fit(seq, model: str = "poly") -> GrowthFit:
     if model not in ("poly", "poly_log"):
         raise ValueError(f"unknown model {model!r}")
     pts = [(int(n), float(v)) for n, v in seq]
-    if len(pts) < 8:
-        raise ValueError("need at least 8 samples")
+    if len(pts) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
     ns = np.array([n for n, _ in pts], dtype=float)
     vs = np.array([v for _, v in pts], dtype=float)
     if np.any(vs <= 0):
@@ -60,7 +62,7 @@ def growth_fit(seq, model: str = "poly") -> GrowthFit:
     if np.any(np.diff(ns) <= 0):
         raise ValueError("n must be strictly increasing")
     keep = ns >= default_fit_floor(int(ns[-1]))
-    if int(keep.sum()) < 8:
+    if int(keep.sum()) < MIN_FIT_SAMPLES:
         keep = np.ones_like(keep, dtype=bool)
     nf, vf = ns[keep], vs[keep]
     cols = [np.ones_like(nf), np.log(nf)]

@@ -125,6 +125,37 @@ def test_parser_surface_is_pinned():
                                 type(a).__name__, repr(a.default)])
                 surface.setdefault(row, set()).add(sub)
     assert surface == {row: set(subs.split()) for row, subs in PARSER_SURFACE.items()}
+    # the parser main builds for one subcommand: the same names and text, and only
+    # that subcommand's flags
+    full = build_parser()
+    for sub, sp in subs.choices.items():
+        lazy = build_parser(sub)
+        assert lazy.format_usage() == full.format_usage()
+        assert lazy.format_help() == full.format_help()
+        lazy_subs = next(a for a in lazy._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(lazy_subs.choices) == list(subs.choices)
+        for name, lsp in lazy_subs.choices.items():
+            if name == sub:
+                assert lsp.format_help() == sp.format_help()
+                assert [a.option_strings for a in lsp._actions] == \
+                    [a.option_strings for a in sp._actions]
+            else:
+                assert [a.option_strings for a in lsp._actions] == [["-h", "--help"]]
+
+
+def test_repeated_main_calls_match_fresh_runs(tmp_path):
+    # build_parser is memoized: a flag given to one call must not reach the next
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreisslab.__file__)))
+    for i, (flags, p) in enumerate(((["--p", "3"], "3"), ([], "2"))):
+        argv = ["kreiss", "--gallery", "jordan2_damped", "--radial", "8", "--angular", "8", *flags]
+        assert run([*argv, "--out", str(tmp_path / f"seq{i}")]) == 0
+        subprocess.run([sys.executable, "-m", "kreisslab.cli", *argv,
+                        "--out", str(tmp_path / f"alone{i}")],
+                       env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+                       check=True)
+        report = (tmp_path / f"seq{i}" / "kreiss.json").read_bytes()
+        assert report == (tmp_path / f"alone{i}" / "kreiss.json").read_bytes()
+        assert json.loads(report)["config"]["p"] == p
 
 
 def test_gallery_list_prints(capsys):
@@ -422,7 +453,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "gallery-unknown": "argument --gallery:", "op-unknown": "argument --op:",
               "n-list-malformed": "argument --n-list:", "n-list-below-2": "argument --n-list:",
               "weights-negative": "argument --weights:", "angles-count": "argument --angles:",
-              "scale-inf": "argument --scale:"}
+              "scale-inf": "argument --scale:",
+              "appendix-n-max-below-n-min": "argument --n-max: n_max must lie in [5, inf), got 3"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -470,6 +502,7 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     ["growth", "--gallery", "identity3", "--p", "nan", "--n-max", "8"],
     ["kreiss", "--gallery", "identity3", "--r-max", "inf", "--radial", "8", "--angular", "8"],
     ["verify-appendix", "--n-min", "1"],
+    ["verify-appendix", "--n-min", "5", "--n-max", "3"],
     # a NaN ks_ref would leave the block bound unchecked
     ["positivity", "--gallery", "shift4", "--n-list", "4", "--corpus", "2", "--ks-ref", "nan",
      "--seed", "1"],
@@ -530,7 +563,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "marcinkiewicz-trials-0", "decomp-gamma-nan", "decomp-inner-p-nan",
         "decomp-inner-p-below-1", "riesz-inner-p-nan", "type-inner-p-nan", "type-exponent-nan",
         "marcinkiewicz-inner-p-nan", "marcinkiewicz-p-nan", "kreiss-p-nan", "exp-xi-max-nan",
-        "growth-p-nan", "kreiss-r-max-inf", "appendix-n-min-1", "positivity-ks-ref-nan",
+        "growth-p-nan", "kreiss-r-max-inf", "appendix-n-min-1", "appendix-n-max-below-n-min",
+        "positivity-ks-ref-nan",
         "config-p-nan", "cesaro-ks-diverged", "positivity-ks-diverged", "cesaro-powers-overflow",
         "cesaro-powers-product-overflow", "config-trials-fraction", "config-seed-fraction",
         "config-p-bool", "config-gz-string", "config-family-not-a-choice", "plot-csv-empty",
@@ -556,6 +590,19 @@ def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     flag = NAMED_FLAG.get(request.node.callspec.id)
     assert flag is None or flag in err_text.rpartition("error:")[2]
     assert not out.exists()
+
+
+def test_out_that_is_a_file_exits_2_before_the_handler(tmp_path, capsys, monkeypatch):
+    def handler(*args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(kreisslab.cli.HANDLERS, "kreiss", handler)
+    out = tmp_path / "F"
+    out.write_text("")
+    with pytest.raises(SystemExit) as err:
+        run(["kreiss", "--gallery", "jordan2", "--out", str(out)])
+    assert err.value.code == 2
+    assert f"error: argument --out: {out} exists and is not a directory" in capsys.readouterr().err
 
 
 def test_huge_finite_inner_p_agrees_with_inf(tmp_path):
