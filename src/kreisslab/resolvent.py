@@ -22,7 +22,8 @@ and the Frobenius norm at p = 2), each with an explicit rounding margin;
 for resolvent powers also the submultiplicative cap.  A point left out has
 its value certified below top values of its group, so each group's first
 maximum and top best values are exact.  kreiss_constant uses it at every
-p != 2 on (r-1) ||(l-T)^{-1}||.
+p != 2 on (r-1) ||(l-T)^{-1}||, exponential_criterion at every p on
+e^{-|xi|} ||e^{xi T}||.
 
 The strong-Kreiss, Cesaro and GZ scans run through one bound-pruned sweep,
 _pruned_sweep, at every p.  It takes the first step's norms through
@@ -31,8 +32,10 @@ norm only where the upper bound reaches its group's floor, the top-th best
 of the points' lower bounds.  The last step's norms come first, since the
 max usually sits there; the steps between follow in increasing n, and an
 equal score at a smaller n takes the place of the best, so each point
-reports the first n attaining its max.  Every value a search reads, with
-its n, is the one a norm at every pair gives, bit for bit.
+reports the first n attaining its max.  A strong-Kreiss point whose capped
+bounds lie below its floor at every later n after the first step leaves the
+power ledger there.  Every value a search reads, with its n, is the one a
+norm at every pair gives, bit for bit.
 
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
 suprema through one grid-and-refine search, _search.  It evaluates the whole
@@ -314,7 +317,7 @@ def _top_norms(upper: np.ndarray, groups: np.ndarray, top: int, value) -> np.nda
 
 
 def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: int = 1,
-                  start: float = -math.inf, powers: bool = False):
+                  start: float = -math.inf, powers: int = 0):
     """Per-point max of score(n, idx, log_scale, ||M||_p) over the steps of a matrix
     stack, with norms only where they can reach the top values of a group of points.
 
@@ -344,8 +347,20 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
     value and n exactly, as does a group's first max; another point may fall
     short of its own max, down to -inf.  A matrix's norm is the same in any
     stack, so the exact values are those of a norm at every pair, bit for
-    bit.  With powers set the stack must be the powers R^n, n >= 1, of one R
-    per point, and log ||R^n|| <= n log ||R|| caps their bounds.
+    bit.
+
+    powers, when not 0, is the last n of a stack of the powers R^n, n >= 1,
+    of one R per point, scored as the log of g^n ||R^n|| for a g > 0 per
+    point.  Then log ||R^n|| <= n log ||R|| caps their bounds: with c the
+    score of the capped bound on ||R|| at n = 1, every later pair's scored
+    upper bound is at most n c.  A point whose n c, with _LOG_MARGIN to
+    spare for the rounding of the scored bounds, is below its floor after
+    the first step at n = 2 and at the last n, and so at every n between,
+    has no later pair that can reach the floor, which only rises: it leaves
+    pass 1, and the stack restarts on the points kept.  Its lower bounds at
+    those pairs lie below the floor too, so they could not raise it: every
+    floor, every norm taken and every value stays what a sweep over every
+    point gives.
     """
     steps = stack(slice(None))
     try:
@@ -361,9 +376,9 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
         norms[idx] = _batched_norm_lower(M[idx], p, acfg)
         return score(n, idx, log_scale[idx], norms[idx])
 
-    def scored(n, log_scale, log_norms):
+    def scored(n, idx, log_scale, log_norms):
         with np.errstate(over="ignore", divide="ignore"):
-            return score(n, every, log_scale, np.exp(log_norms))
+            return score(n, idx, log_scale, np.exp(log_norms))
 
     def pool():  # every point gets its group's floor
         return np.repeat(np.maximum(_floors(np.maximum(low, best), groups, top), start), sizes)
@@ -375,42 +390,54 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
         best_n[idx] = np.where(better, n, best_n[idx])
 
     lo, hi = _log_norm_bounds(M, p)
-    vals = _top_norms(scored(n, log_scale, hi), groups, top, first)
+    vals = _top_norms(scored(n, every, log_scale, hi), groups, top, first)
     best = np.where(vals > -np.inf, vals, -np.inf)
     best_n = np.where(vals > -np.inf, n, 0)
-    low = scored(n, log_scale, lo)  # with best, each point's lower bound
-    if powers:
-        # the bound on log ||R|| (the norm itself where an SVD took it) plus, per
-        # power, the rounding of R @ M (a relative 2 d (d + 2) u past ||R|| ||M||)
-        # and of a rescale: 4 d (d + 2) + 8 ulps
+    low = scored(n, every, log_scale, lo)  # with best, each point's lower bound
+    kept = every
+    if powers > 1:
+        # the bound on log ||R|| (the norm itself where an SVD took it, else at
+        # p = 2 also the Schur test sqrt(||R||_1 ||R||_inf)) plus, per power, the
+        # rounding of R @ M (a relative 2 d (d + 2) u past ||R|| ||M||) and of a
+        # rescale: 4 d (d + 2) + 8 ulps
         d = M.shape[-1]
         slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
         if p == 2:
+            a = np.abs(M)
             with np.errstate(divide="ignore"):
-                hi = np.where(np.isnan(norms), hi, np.log(norms) + _LOG_MARGIN)
+                schur = 0.5 * (np.log(np.einsum("...ij->...j", a).max(axis=-1))
+                               + np.log(np.einsum("...ij->...i", a).max(axis=-1))) + _LOG_MARGIN
+                hi = np.where(np.isnan(norms), np.minimum(hi, schur), np.log(norms) + _LOG_MARGIN)
         per_power = log_scale + hi + slack
+        c = scored(1, every, per_power, 0.0)  # n c caps the scored bounds at n
+        kept = np.flatnonzero(~(np.maximum(2 * c, powers * c) + _LOG_MARGIN < pool()))
+        per_power = per_power[kept]
+        if kept.size < len(every):  # restart on the points kept, if any: the ledger
+            steps = stack(kept) if kept.size else iter(())  # needs a point
+            next(steps, None)
     uppers = []
     for n, M, log_scale in steps:
         lo, hi = _log_norm_bounds(M, p)
-        if powers:
+        if powers > 1:
             hi = np.minimum(hi, n * per_power - log_scale)
-        low = np.maximum(low, scored(n, log_scale, lo))
-        uppers.append(scored(n, log_scale, hi))
+        low[kept] = np.maximum(low[kept], scored(n, kept, log_scale, lo))
+        uppers.append(scored(n, kept, log_scale, hi))
     floor = pool()
     if uppers:  # n, M and log_scale hold the last step, which its generator no longer touches
-        rows = np.flatnonzero(~(uppers.pop() < floor))
+        rows = np.flatnonzero(~(uppers.pop() < floor[kept]))
         if rows.size:
-            take(n, rows, M[rows], log_scale[rows])
+            take(n, kept[rows], M[rows], log_scale[rows])
             floor = pool()
     del M  # no stack of pass 1 outlives it
-    need = np.array([~(up < floor) for up in uppers]).reshape(-1, len(every))
-    pts = np.flatnonzero(need.any(axis=0))
-    if pts.size:
+    need = np.array([~(up < floor[kept]) for up in uppers]).reshape(len(uppers), len(kept))
+    sel = np.flatnonzero(need.any(axis=0))
+    if sel.size:
+        pts = kept[sel]
         steps = stack(pts)
         next(steps)
         last = np.flatnonzero(need.any(axis=1))[-1]
         for up, (n, M, log_scale) in zip(uppers[:last + 1], steps):
-            rows = np.flatnonzero(~(up[pts] < floor[pts]))
+            rows = np.flatnonzero(~(up[sel] < floor[pts]))
             if rows.size:
                 take(n, pts[rows], M[rows], log_scale[rows])
                 floor = pool()
@@ -451,7 +478,7 @@ def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray,
             return n * log_gap[idx] + log_scale + np.log(norms)
 
     return _pruned_sweep(lambda pts: _power_ledger(R[pts], n_max), score, p, acfg, groups, top,
-                         powers=True)
+                         powers=n_max)
 
 
 def strong_kreiss_constant(
@@ -578,21 +605,28 @@ def exponential_criterion(
     The modulus grid includes xi = 0, where the functional equals 1 exactly.
     Matrix exponentials are scipy.linalg.expm's, bit for bit, from _expm_stack:
     scipy's Pade kernels run per matrix and the squaring runs batched over
-    each evaluated stack.  An OverflowError names the least |xi| of an
-    evaluation whose e^{xi T} is not finite.
+    each evaluated stack.  The search norms them through _top_norms, each
+    bounded by e^{hi - |xi|} with hi from _log_norm_bounds.  An OverflowError
+    names the least |xi| of an evaluation whose e^{xi T} is not finite.
     """
     _require("xi_max", xi_max, 0, math.inf, "()")
     acfg = cfg.ascent()
 
-    def evaluate(mflat: np.ndarray, tflat: np.ndarray, _groups, _top):
+    def evaluate(mflat: np.ndarray, tflat: np.ndarray, groups, top):
         with np.errstate(all="ignore"):
             E = _expm_stack((mflat * np.exp(1j * tflat))[:, None, None] * T.entries)
         bad = ~np.isfinite(E).all(axis=(1, 2))
         if bad.any():
             raise OverflowError(f"e^(xi T) left the float range at |xi| = {mflat[bad].min():.6g}")
-        nl = _batched_norm_lower(E, cfg.p, acfg)
-        with np.errstate(divide="ignore"):
-            return np.exp(np.log(np.maximum(nl, 1e-300)) - mflat), None
+        with np.errstate(over="ignore"):
+            upper = np.exp(np.maximum(_log_norm_bounds(E, cfg.p)[1], np.log(1e-300)) - mflat)
+
+        def value(idx):
+            nl = _batched_norm_lower(E[idx], cfg.p, acfg)
+            with np.errstate(divide="ignore"):
+                return np.exp(np.log(np.maximum(nl, 1e-300)) - mflat[idx])
+
+        return _top_norms(upper, groups, top, value), None
 
     with np.errstate(over="ignore"):  # an inf modulus fails in evaluate, by name
         moduli = xi_max * np.arange(cfg.radial_count + 1) / cfg.radial_count

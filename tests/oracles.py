@@ -2,8 +2,10 @@
 
 Each one computes a quantity the slow, plain way: the appendix window sums
 term by term in the log domain with compensated summation, the pairing of
-two trigonometric polynomials by quadrature on the torus, and a multiplier's
-value at one frequency by case analysis.
+two trigonometric polynomials by quadrature on the torus, a multiplier's
+value at one frequency by case analysis, and the bound-pruned sweep with
+every point kept in the power ledger to its last step.  ledger_steps counts
+the work of the power ledger.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kreisslab import resolvent
 from kreisslab.fourier import TrigPolynomial
 from kreisslab.operators import _require
 from kreisslab.verify import poisson_window
@@ -88,3 +91,88 @@ def multiplier_at(m, n: int) -> complex:
     if n > m.window_lo + len(m.values) - 1:
         return m.right_tail
     return m.values[n - m.window_lo]
+
+
+def ledger_steps(monkeypatch):
+    """Count the power ledger's matrix-steps in resolvent: the stack sizes summed over
+    the steps resolvent._power_ledger yields."""
+    real, count = resolvent._power_ledger, [0]
+
+    def counted(R, n_max):
+        for step in real(R, n_max):
+            count[0] += len(step[1])
+            yield step
+
+    monkeypatch.setattr(resolvent, "_power_ledger", counted)
+    return count
+
+
+def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf, powers=0):
+    """resolvent._pruned_sweep as it was while pass 1 ran every point through every
+    step of the stack, kept verbatim as an oracle; it reads the resolvent module's
+    norms, bounds and pruning rule, so a patched one counts here too."""
+    steps = stack(slice(None))
+    try:
+        n, M, log_scale = next(steps)
+    except StopIteration:  # no step at all
+        return None
+    every = np.arange(len(M))
+    groups = every if groups is None else np.asarray(groups)
+    sizes = np.diff(groups, append=len(M))
+    norms = np.full(len(M), np.nan)
+
+    def first(idx):
+        norms[idx] = resolvent._batched_norm_lower(M[idx], p, acfg)
+        return score(n, idx, log_scale[idx], norms[idx])
+
+    def scored(n, log_scale, log_norms):
+        with np.errstate(over="ignore", divide="ignore"):
+            return score(n, every, log_scale, np.exp(log_norms))
+
+    def pool():  # every point gets its group's floor
+        floors = resolvent._floors(np.maximum(low, best), groups, top)
+        return np.repeat(np.maximum(floors, start), sizes)
+
+    def take(n, idx, mats, log_scale):
+        vals = score(n, idx, log_scale, resolvent._batched_norm_lower(mats, p, acfg))
+        better = (vals > best[idx]) | ((vals == best[idx]) & (n < best_n[idx]))
+        best[idx] = np.where(better, vals, best[idx])
+        best_n[idx] = np.where(better, n, best_n[idx])
+
+    lo, hi = resolvent._log_norm_bounds(M, p)
+    vals = resolvent._top_norms(scored(n, log_scale, hi), groups, top, first)
+    best = np.where(vals > -np.inf, vals, -np.inf)
+    best_n = np.where(vals > -np.inf, n, 0)
+    low = scored(n, log_scale, lo)  # with best, each point's lower bound
+    if powers:
+        d = M.shape[-1]
+        slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
+        if p == 2:
+            with np.errstate(divide="ignore"):
+                hi = np.where(np.isnan(norms), hi, np.log(norms) + resolvent._LOG_MARGIN)
+        per_power = log_scale + hi + slack
+    uppers = []
+    for n, M, log_scale in steps:
+        lo, hi = resolvent._log_norm_bounds(M, p)
+        if powers:
+            hi = np.minimum(hi, n * per_power - log_scale)
+        low = np.maximum(low, scored(n, log_scale, lo))
+        uppers.append(scored(n, log_scale, hi))
+    floor = pool()
+    if uppers:
+        rows = np.flatnonzero(~(uppers.pop() < floor))
+        if rows.size:
+            take(n, rows, M[rows], log_scale[rows])
+            floor = pool()
+    need = np.array([~(up < floor) for up in uppers]).reshape(-1, len(every))
+    pts = np.flatnonzero(need.any(axis=0))
+    if pts.size:
+        steps = stack(pts)
+        next(steps)
+        last = np.flatnonzero(need.any(axis=1))[-1]
+        for up, (n, M, log_scale) in zip(uppers[:last + 1], steps):
+            rows = np.flatnonzero(~(up[pts] < floor[pts]))
+            if rows.size:
+                take(n, pts[rows], M[rows], log_scale[rows])
+                floor = pool()
+    return best, best_n

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from kreisslab.norms import AscentConfig, _power_ledger, power_norm_sequence
 from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
 from kreisslab import resolvent
+from oracles import ledger_steps, sweep_every_point
+
 from kreisslab.resolvent import (
     FunctionalEstimate,
     SearchConfig,
@@ -362,6 +364,102 @@ def test_pruned_sweeps_skip_most_norms(monkeypatch):
     strong_kreiss_constant(J, cfg, 16, k_est=k)
     assert svds[0] <= 1200
     assert len(calls) == 1 + cfg.refine_rounds
+    # and its exp-criterion search all 841 of its exponentials; it norms 11
+    svds[0] = 0
+    exponential_criterion(J, cfg)
+    assert svds[0] <= 50
+
+
+def _recorded(monkeypatch, module, name):
+    """Record every stack passed to module.name."""
+    real, stacks = getattr(module, name), []
+
+    def recorded(mats, *args, **kwargs):
+        stacks.append(mats.copy())
+        return real(mats, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return stacks
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("jordan16_09", SearchConfig(radial_count=16, angular_count=32)),
+    ("shift4", SearchConfig()),
+])
+def test_strong_kreiss_points_leave_the_ledger_after_the_first_step(monkeypatch, name, cfg):
+    # a grid sweep as the search runs it: the points whose capped bound is below
+    # the floor after the first step skip the ledger's products from then on,
+    # and every norm taken is the one a sweep over every point takes
+    T = PRUNING_OPERATORS[name]
+    xs, angles = _grid(cfg)
+    X, Tt = np.meshgrid(xs, angles, indexing="ij")
+    args = (T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.zeros(1, dtype=int), 5)
+    steps = ledger_steps(monkeypatch)
+    normed = _recorded(monkeypatch, resolvent, "_batched_norm_lower")
+    got = _strong_kreiss_sweep(*args)
+    dropped, got_normed = steps[0], normed[:]
+    steps[0], normed[:] = 0, []
+    monkeypatch.setattr(resolvent, "_pruned_sweep", sweep_every_point)
+    want = _strong_kreiss_sweep(*args)
+    assert 5 * dropped <= steps[0]
+    assert len(got_normed) == len(normed)
+    assert all(np.array_equal(a, b) for a, b in zip(got_normed, normed))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_strong_kreiss_sweep_with_every_point_leaving_the_ledger():
+    # (l - 0)^{-n} scores n log(1 - 1/r) < 0, which falls with n: after the
+    # first step every point's cap is below its floor, and the ledger never
+    # runs on an empty stack
+    T = make_gallery_operator(OperatorSpec("zero", 2))
+    xf, tf = _sweep_points(16)
+    want, want_n, _ = _serial_strong_kreiss_sweep(T, xf, tf, 16)
+    assert (want_n == 1).all()
+    for groups in (None, np.zeros(1, dtype=int)):
+        with pytest.MonkeyPatch.context() as mp:
+            steps = ledger_steps(mp)
+            got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, 2.0, PRUNING_CFG.ascent(), groups)
+        assert steps[0] == len(xf)
+        assert np.array_equal(got[got_n > 0], want[got_n > 0]) and (got_n <= 1).all()
+        if groups is None:
+            assert np.array_equal(got, want) and np.array_equal(got_n, want_n)
+
+
+def test_pruned_sweep_keeps_a_point_whose_cap_reaches_the_floor_only_at_the_last_n():
+    # B scores 1 at n = 1 and -inf after (R_B^2 = 0); A scores 0.1 n, below the
+    # floor 1 at n = 2 but not at n = 16, where it holds the group's max
+    R = np.zeros((2, 2, 2), dtype=complex)
+    R[0, 0, 0], R[1, 0, 1] = math.exp(0.1), math.e
+
+    def score(n, idx, log_scale, norms):
+        with np.errstate(divide="ignore"):
+            return log_scale + np.log(norms)
+
+    best, best_n = resolvent._pruned_sweep(lambda pts: _power_ledger(R[pts], 16), score, 2.0,
+                                           PRUNING_CFG.ascent(), (0,), powers=16)
+    assert best[0] == pytest.approx(1.6) and best_n[0] == 16
+    assert best[0] > best[1] == pytest.approx(1.0) and best_n[1] == 1
+
+
+@given(d=st.sampled_from([2, 3]), radius=st.floats(0.0, 1.0), n_max=st.sampled_from([1, 2, 5, 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_strong_kreiss_sweep_matches_serial_on_random_operators(d, radius, n_max, seed):
+    # every point its own group: every value is exact; one group at top = 5: its
+    # first max and five best values, with their n
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = np.abs(np.linalg.eigvals(A)).max()
+    T = ComplexMatrix(A * (radius / rho if rho > 0 else 1.0))
+    xf, tf = _sweep_points(n_max)
+    want, want_n, _ = _serial_strong_kreiss_sweep(T, xf, tf, n_max)
+    got, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent())
+    assert np.array_equal(got, want) and np.array_equal(got_n, want_n)
+    got, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent(),
+                                      np.zeros(1, dtype=int), 5)
+    i = int(np.argmax(want))
+    assert int(np.argmax(got)) == i and got[i] == want[i] and got_n[i] == want_n[i]
+    exact = want >= np.sort(want)[::-1][4]
+    assert np.array_equal(got[exact], want[exact]) and np.array_equal(got_n[exact], want_n[exact])
 
 
 def test_strong_kreiss_sweep_peak_stays_within_four_stacks():
@@ -712,6 +810,13 @@ def test_search_matches_per_functional_flow_on_the_default_grid(shared_norms, ga
 def test_search_matches_per_functional_flow_on_the_default_grid_at_p3(shared_norms,
                                                                       gallery_matrices):
     _assert_search_matches_flow(gallery_matrices["jordan2_damped"], SearchConfig(p=3.0),
+                                "jordan2_damped")
+
+
+def test_search_matches_per_functional_flow_on_the_default_grid_at_pinf(shared_norms,
+                                                                        gallery_matrices):
+    # exp-criterion's search norms only the points that can reach its five seeds
+    _assert_search_matches_flow(gallery_matrices["jordan2_damped"], SearchConfig(p=math.inf),
                                 "jordan2_damped")
 
 
