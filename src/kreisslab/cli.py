@@ -572,6 +572,9 @@ def _growth(params, name, T, cfg):
     table = growth_table(T, cfg.p, params["n_max"], AscentConfig(seed=cfg.seed))
     keep = table["norm_lower"] > 0
     data = list(zip(table["n"][keep], table["norm_lower"][keep]))
+    if len(data) < MIN_FIT_SAMPLES:  # a zero norm has no log to fit
+        raise ValueError(f"{len(data)} of {len(keep)} powers T^n have a nonzero norm (first zero "
+                         f"at n = {table['n'][~keep][0]}); a fit needs {MIN_FIT_SAMPLES} of them")
     fits = {}
     which = params["fit"]
     for model in ("poly", "poly_log") if which == "both" else (which,):

@@ -1,4 +1,5 @@
-"""Vector and operator p-norms on C^d with certified two-sided operator bounds.
+"""Vector and operator p-norms on C^d: every matrix-stack norm and certified norm
+bound of the package.
 
 For p in {1, 2, inf} the operator norm is exact (column sums, largest singular
 value, row sums).  For other p the norm is NP-hard to certify, so we return a
@@ -7,12 +8,16 @@ projected steepest ascent on the unit p-sphere, the upper bound is the
 Riesz-Thorin interpolation bound ||T||_1^{1/p} ||T||_inf^{1-1/p} intersected
 with the d^|1/2-1/p| equivalence bound through the 2-norm.
 
-The ascent runs on a stack of matrices at once (ascent_lower_bounds): one
-numpy loop serves a whole resolvent grid or power sequence.  Each matrix keeps
-its own step sizes and stopping test and leaves the stack when it stops, so
-its result is the same, bit for bit, as an ascent on that matrix alone.
-The one power recurrence of the package, _power_ledger, lives here too: the
-powers of a matrix stack, each kept as a rescaled matrix and a log scale.
+The ascent (ascent_lower_bounds, p in [1, inf); the package calls it only
+outside {1, 2, inf}) runs a whole stack in one numpy loop, each matrix with
+its own steps and stopping test, so each result is bit for bit that of an
+ascent on the matrix alone.  Every stack norm and certified log bound the
+searches of resolvent read lives here, with the power-step cap and the one
+power recurrence, _power_ledger.  Two forks stay, since report bytes pin
+them: _batched_norm_lower takes sigma_1 from a values-only SVD and
+_exact_norms from the full one, which differ in the last bits (growth.csv and
+bounds.csv print the latter); _interpolation_uppers gives the printed upper
+bounds, _log_norm_bounds the margin-widened ones that only prune.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from .operators import ComplexMatrix, _require
 _SCALE_HI = 1e100
 _SCALE_LO = 1e-100
 _POWER_CHUNK = 1 << 18  # matrix entries per block of powers
+# Rounding margin of the certified log-domain norm bounds.  The norm sums and
+# their powers, np.log, np.exp, LAPACK's largest singular value and the
+# ascent's p-norms each carry a relative error of a few d ulps (about 1e-13 at
+# d = 64), far inside it.
+_LOG_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,11 +78,9 @@ def vector_p_norm(v, p: float) -> float:
     a = np.abs(np.asarray(v, dtype=complex))
     if a.size == 0:
         return 0.0
-    if math.isinf(p):
-        return float(a.max())
     m = float(a.max())
-    if m == 0.0:
-        return 0.0
+    if math.isinf(p) or m == 0.0:
+        return m
     # factor the max out so large p cannot overflow
     return m * float(np.sum((a / m) ** p) ** (1.0 / p))
 
@@ -86,8 +94,6 @@ def _pnorm_cols(X: np.ndarray, p: float) -> np.ndarray:
     """
     a = np.abs(X)
     m = np.maximum.reduce(a, axis=-2, keepdims=True)
-    if math.isinf(p):
-        return m
     safe = np.where(m == 0.0, 1.0, m)
     return m * np.add.reduce((a / safe) ** p, axis=-2, keepdims=True) ** (1.0 / p)
 
@@ -98,20 +104,6 @@ def _phase(Y: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.where(pos, Y / np.where(pos, a, 1.0), 0.0)
 
 
-def _ascent_direction(Y: np.ndarray, p: float) -> np.ndarray:
-    """Steepest-ascent direction of ||y||_p at each column y of Y (up to scale)."""
-    a = np.abs(Y)
-    if not math.isinf(p):
-        return a ** (p - 1) * _phase(Y, a)
-    # subgradient of the max-modulus functional: mass on the argmax row
-    W = np.zeros_like(Y)
-    idx = np.expand_dims(np.argmax(a, axis=-2), -2)
-    np.put_along_axis(
-        W, idx, _phase(np.take_along_axis(Y, idx, -2), np.take_along_axis(a, idx, -2)), -2
-    )
-    return W
-
-
 def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     """Best ||M x||_p over the unit p-sphere for each M of a (B, d, d) stack.
 
@@ -120,22 +112,21 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     an accepted one).  Every matrix starts from the same seeded restart block
     and keeps its own steps, stall count and stop test; a matrix that has
     stopped leaves the working set, so each result is bit-for-bit the run of
-    the ascent on that matrix alone.  Returns (values (B,), witnesses (B, d)).
+    the ascent on that matrix alone.  p lies in [1, inf).  Returns (values (B,),
+    witnesses (B, d)).
     """
-    _require("p", p, 1, math.inf, "[]")
+    _require("p", p, 1)
     A = np.asarray(mats, dtype=np.complex128)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     B, d = A.shape[0], A.shape[-1]
-    # A gradient entry is at most (d P)^q for the peak entry P of its matrix
-    # (q = p; q = 1 at p = inf, where the direction has unit entries), so its
-    # squared 2-norm stays below 2^1022 while log2 P <= limit below.  A matrix
-    # past that runs divided by a power of two that takes P into [0.5, 1) and on
-    # down to 2^limit, which every step commutes with while nothing underflows,
-    # and its value is scaled back.
-    q = 1.0 if math.isinf(p) else p
-    limit = (1022.0 - (2 * q + 1) * math.log2(d)) / (2 * q)
-    if math.isnan(limit):  # 2q overflowed: take the limit of limit as q grows
+    # A gradient entry is at most (d P)^p for the peak entry P of its matrix, so
+    # its squared 2-norm stays below 2^1022 while log2 P <= limit below.  A
+    # matrix past that runs divided by a power of two that takes P into [0.5, 1)
+    # and on down to 2^limit, which every step commutes with while nothing
+    # underflows, and its value is scaled back.
+    limit = (1022.0 - (2 * p + 1) * math.log2(d)) / (2 * p)
+    if math.isnan(limit):  # 2p overflowed: take the limit of limit as p grows
         limit = -math.log2(d)
     peak = np.abs(A).max(axis=(-2, -1))
     shift = np.where(peak > 2.0 ** limit, np.frexp(peak)[1] + max(0, math.ceil(-limit)), 0)
@@ -143,7 +134,7 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
         A = A * np.ldexp(1.0, -shift)[:, None, None]
     # With log2 P <= limit, an entry a of |A x| on the unit p-sphere is at most
     # P ||x||_1 <= P d^(1-1/p), so log2 a^(p-1) <= ((p-1)/p)(511 - 1.5 log2 d) < 511
-    # (a <= 1 where 2q overflowed): the power in _ascent_direction never overflows.
+    # (a <= 1 where 2p overflowed): the power in the ascent step never overflows.
     rng = np.random.default_rng(cfg.seed)
     X0 = rng.standard_normal((d, cfg.restarts)) + 1j * rng.standard_normal((d, cfg.restarts))
     X0 /= _pnorm_cols(X0, p)
@@ -159,7 +150,9 @@ def ascent_lower_bounds(mats, p: float, cfg: AscentConfig = AscentConfig()):
     rows = np.arange(B)  # stack index of each matrix still in the working set
     X_out, f_out = np.empty_like(X), np.empty_like(f)
     for _ in range(cfg.max_steps):
-        G = Ah @ _ascent_direction(A @ X, p)
+        Y = A @ X
+        a = np.abs(Y)
+        G = Ah @ (a ** (p - 1) * _phase(Y, a))  # steepest ascent of each ||y||_p
         gn = np.sqrt(np.add.reduce(np.abs(G) ** 2, axis=-2, keepdims=True))
         pos = gn > 0
         G = np.where(pos, G / np.where(pos, gn, 1.0), 0.0)
@@ -225,6 +218,67 @@ def _interpolation_uppers(M: np.ndarray, p: float) -> list[float]:
     d = M.shape[-1]
     return [min(one ** (1.0 / p) * inf ** (1.0 - 1.0 / p), d ** abs(0.5 - 1.0 / p) * s)
             for one, inf, s in zip(n1, ninf, sigma)]
+
+
+def _batched_norm_lower(mats: np.ndarray, p: float, acfg: AscentConfig) -> np.ndarray:
+    """Lower bounds (exact for p in {1,2,inf}) of ||M||_p over a stack."""
+    if p == 2:
+        return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    if _is_exact(p):  # row sums at p = inf, column sums at p = 1
+        return np.abs(mats).sum(axis=-1 if math.isinf(p) else -2).max(axis=-1)
+    return ascent_lower_bounds(mats, p, acfg)[0]
+
+
+def _smallest_singular_values(mats: np.ndarray) -> np.ndarray:
+    """sigma_min of each matrix of a (B, d, d) stack."""
+    return np.linalg.svd(mats, compute_uv=False)[:, -1]
+
+
+def _log_norm_bounds(mats: np.ndarray, p: float):
+    """Certified bounds lo <= log ||M||_p <= hi for each matrix of a stack, which also
+    hold for the value _batched_norm_lower computes.
+
+    At p = 2, lo and hi are the logs of the largest column 2-norm and of the
+    Frobenius norm.  Elsewhere hi is the log of the Riesz-Thorin bound
+    ||M||_1^{1/p} ||M||_inf^{1-1/p} (the norm itself at p in {1, inf})
+    intersected with d^{|1/2-1/p|} ||M||_F, and lo is -inf: an ascent value
+    can lie anywhere below the norm.  Both are widened by _LOG_MARGIN.
+    Squares below 1e-154 underflow, which cannot move a bound once the peak
+    entry is of normal size, as it is for rescaled powers and for partial
+    sums that can beat a floor; sums past the float range give an infinite
+    hi, which keeps a pair.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        if p == 2:
+            col = np.einsum("...ij->...j", mats.real**2 + mats.imag**2)
+            lo, hi = 0.5 * np.log(col.max(axis=-1)), 0.5 * np.log(col.sum(axis=-1))
+        else:
+            a = np.abs(mats)
+            one = np.einsum("...ij->...j", a).max(axis=-1)
+            inf = np.einsum("...ij->...i", a).max(axis=-1)
+            frob = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+            hi = np.log(np.minimum(one ** (1.0 / p) * inf ** (1.0 - 1.0 / p),
+                                   mats.shape[-1] ** abs(0.5 - 1.0 / p) * frob))
+            lo = np.full(len(mats), -np.inf)
+    return lo - _LOG_MARGIN, hi + _LOG_MARGIN
+
+
+def _log_step_cap(M: np.ndarray, p: float, log_scale: np.ndarray, hi: np.ndarray,
+                  norms: np.ndarray) -> np.ndarray:
+    """Per-step bound on log ||R||_p for each R = e^{log_scale} M of a stack, given
+    hi = _log_norm_bounds(M, p)[1] and the norms _batched_norm_lower took (NaN
+    where none): the norm itself where an SVD took it, else hi and at p = 2 the
+    Schur test sqrt(||M||_1 ||M||_inf), plus the rounding of a ledger step, R @ M
+    (2 d (d + 2) u past ||R|| ||M||) and a rescale: 4 d (d + 2) + 8 ulps."""
+    d = M.shape[-1]
+    slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
+    if p == 2:
+        a = np.abs(M)
+        with np.errstate(divide="ignore"):
+            schur = 0.5 * (np.log(np.einsum("...ij->...j", a).max(axis=-1))
+                           + np.log(np.einsum("...ij->...i", a).max(axis=-1))) + _LOG_MARGIN
+            hi = np.where(np.isnan(norms), np.minimum(hi, schur), np.log(norms) + _LOG_MARGIN)
+    return log_scale + hi + slack
 
 
 def _stack_bounds(M: np.ndarray, p: float, cfg: AscentConfig, log_scales) -> list[NormBounds]:

@@ -16,14 +16,12 @@ A search reads few of the values it evaluates, and one rule, _top_norms,
 decides which it norms: given each point's certified upper bound, a group
 of points and a count top, it norms the group's top highest-bound points,
 takes the top-th best of their values as the group's floor and norms every
-other point whose bound reaches the floor.  The bounds are the Riesz-Thorin
-and norm-equivalence bounds of _log_norm_bounds (the largest column norm
-and the Frobenius norm at p = 2), each with an explicit rounding margin;
-for resolvent powers also the submultiplicative cap.  A point left out has
-its value certified below top values of its group, so each group's first
-maximum and top best values are exact.  kreiss_constant uses it at every
-p != 2 on (r-1) ||(l-T)^{-1}||, exponential_criterion at every p on
-e^{-|xi|} ||e^{xi T}||.
+other point whose bound reaches the floor.  The bounds are those of
+norms._log_norm_bounds, for resolvent powers also the submultiplicative cap
+of norms._log_step_cap.  A point left out has its value certified below top
+values of its group, so each group's first maximum and top best values are
+exact.  kreiss_constant uses it at every p != 2 on (r-1) ||(l-T)^{-1}||,
+exponential_criterion at every p on e^{-|xi|} ||e^{xi T}||.
 
 The strong-Kreiss, Cesaro and GZ scans run through one bound-pruned sweep,
 _pruned_sweep, at every p.  It takes the first step's norms through
@@ -51,8 +49,9 @@ refined argmax needs no second sweep.  The Cesaro and GZ scans are one
 group with top = 1; a direct call of the sweep without groups makes every
 point a group of its own.
 
-Every power, of T or of a resolvent, comes from norms._power_ledger; the
-Cesaro and GZ scans read T^k = e^{log_scale} M from it through _partial_sums.
+Every power, of T or of a resolvent, comes from norms._power_ledger, and
+every norm and norm bound from norms; the Cesaro and GZ scans read
+T^k = e^{log_scale} M from the ledger through _partial_sums.
 """
 
 from __future__ import annotations
@@ -63,18 +62,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import AscentConfig, _power_ledger, _rescale, ascent_lower_bounds
+from .norms import (AscentConfig, _LOG_MARGIN, _batched_norm_lower, _log_norm_bounds,
+                    _log_step_cap, _power_ledger, _rescale, _smallest_singular_values)
 from .operators import ComplexMatrix, _require
 
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
 _REFINE_SHRINK = 0.25  # each refinement round shrinks the local grid by this factor
 _SEEDS = 5  # grid points that seed refinement
-# Rounding margin of the certified log-domain norm bounds.  The norm sums and
-# their powers, np.log, np.exp, LAPACK's largest singular value and the
-# ascent's p-norms each carry a relative error of a few d ulps (about 1e-13 at
-# d = 64), far inside it.
-_LOG_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,17 +118,6 @@ class CesaroResult:
     argmax: complex
     n_at_max: int
     cesaro_lower: float
-
-
-def _batched_norm_lower(mats: np.ndarray, p: float, acfg: AscentConfig) -> np.ndarray:
-    """Lower bounds (exact for p in {1,2,inf}) of ||M||_p over a stack."""
-    if p == 2:
-        return np.linalg.svd(mats, compute_uv=False)[..., 0]
-    if math.isinf(p):
-        return np.abs(mats).sum(axis=-1).max(axis=-1)
-    if p == 1:
-        return np.abs(mats).sum(axis=-2).max(axis=-1)
-    return ascent_lower_bounds(mats, p, acfg)[0]
 
 
 def _angles(count: int) -> np.ndarray:
@@ -220,7 +204,7 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
         r = 1.0 + 10.0 ** xflat
         A = (r * np.exp(1j * tflat))[:, None, None] * np.eye(T.dim) - T.entries
         if cfg.p == 2:
-            smin = np.linalg.svd(A, compute_uv=False)[:, -1]
+            smin = _smallest_singular_values(A)
             with np.errstate(divide="ignore"):
                 return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf), None
         R = np.linalg.inv(A)
@@ -239,35 +223,6 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
         return FunctionalEstimate(best, _xt_to_lambda(best_xt), log_value=math.log(best))
     # sup attained only in the |lambda| -> inf limit
     return FunctionalEstimate(1.0, None, log_value=0.0)
-
-
-def _log_norm_bounds(mats: np.ndarray, p: float):
-    """Certified bounds lo <= log ||M||_p <= hi for each matrix of a stack, which also
-    hold for the value _batched_norm_lower computes.
-
-    At p = 2, lo and hi are the logs of the largest column 2-norm and of the
-    Frobenius norm.  Elsewhere hi is the log of the Riesz-Thorin bound
-    ||M||_1^{1/p} ||M||_inf^{1-1/p} (the norm itself at p in {1, inf})
-    intersected with d^{|1/2-1/p|} ||M||_F, and lo is -inf: an ascent value
-    can lie anywhere below the norm.  Both are widened by _LOG_MARGIN.
-    Squares below 1e-154 underflow, which cannot move a bound once the peak
-    entry is of normal size, as it is for rescaled powers and for partial
-    sums that can beat a floor; sums past the float range give an infinite
-    hi, which keeps a pair.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        if p == 2:
-            col = np.einsum("...ij->...j", mats.real**2 + mats.imag**2)
-            lo, hi = 0.5 * np.log(col.max(axis=-1)), 0.5 * np.log(col.sum(axis=-1))
-        else:
-            a = np.abs(mats)
-            one = np.einsum("...ij->...j", a).max(axis=-1)
-            inf = np.einsum("...ij->...i", a).max(axis=-1)
-            frob = np.sqrt(np.einsum("...ij,...ij->...", a, a))
-            hi = np.log(np.minimum(one ** (1.0 / p) * inf ** (1.0 - 1.0 / p),
-                                   mats.shape[-1] ** abs(0.5 - 1.0 / p) * frob))
-            lo = np.full(len(mats), -np.inf)
-    return lo - _LOG_MARGIN, hi + _LOG_MARGIN
 
 
 def _floors(vals: np.ndarray, groups: np.ndarray, top: int) -> np.ndarray:
@@ -352,7 +307,7 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
     powers, when not 0, is the last n of a stack of the powers R^n, n >= 1,
     of one R per point, scored as the log of g^n ||R^n|| for a g > 0 per
     point.  Then log ||R^n|| <= n log ||R|| caps their bounds: with c the
-    score of the capped bound on ||R|| at n = 1, every later pair's scored
+    score at n = 1 of norms._log_step_cap, every later pair's scored
     upper bound is at most n c.  A point whose n c, with _LOG_MARGIN to
     spare for the rounding of the scored bounds, is below its floor after
     the first step at n = 2 and at the last n, and so at every n between,
@@ -396,19 +351,7 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
     low = scored(n, every, log_scale, lo)  # with best, each point's lower bound
     kept = every
     if powers > 1:
-        # the bound on log ||R|| (the norm itself where an SVD took it, else at
-        # p = 2 also the Schur test sqrt(||R||_1 ||R||_inf)) plus, per power, the
-        # rounding of R @ M (a relative 2 d (d + 2) u past ||R|| ||M||) and of a
-        # rescale: 4 d (d + 2) + 8 ulps
-        d = M.shape[-1]
-        slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
-        if p == 2:
-            a = np.abs(M)
-            with np.errstate(divide="ignore"):
-                schur = 0.5 * (np.log(np.einsum("...ij->...j", a).max(axis=-1))
-                               + np.log(np.einsum("...ij->...i", a).max(axis=-1))) + _LOG_MARGIN
-                hi = np.where(np.isnan(norms), np.minimum(hi, schur), np.log(norms) + _LOG_MARGIN)
-        per_power = log_scale + hi + slack
+        per_power = _log_step_cap(M, p, log_scale, hi, norms)
         c = scored(1, every, per_power, 0.0)  # n c caps the scored bounds at n
         kept = np.flatnonzero(~(np.maximum(2 * c, powers * c) + _LOG_MARGIN < pool()))
         per_power = per_power[kept]

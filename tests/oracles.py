@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import kreisslab.norms
 from kreisslab import resolvent
 from kreisslab.fourier import TrigPolynomial
 from kreisslab.operators import _require
@@ -109,8 +110,9 @@ def ledger_steps(monkeypatch):
 
 def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf, powers=0):
     """resolvent._pruned_sweep as it was while pass 1 ran every point through every
-    step of the stack, kept verbatim as an oracle; it reads the resolvent module's
-    norms, bounds and pruning rule, so a patched one counts here too."""
+    step of the stack, kept verbatim as an oracle; it reads the norms module's norms
+    and bounds and the resolvent module's pruning rule, so a patched one counts
+    here too."""
     steps = stack(slice(None))
     try:
         n, M, log_scale = next(steps)
@@ -122,7 +124,7 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
     norms = np.full(len(M), np.nan)
 
     def first(idx):
-        norms[idx] = resolvent._batched_norm_lower(M[idx], p, acfg)
+        norms[idx] = kreisslab.norms._batched_norm_lower(M[idx], p, acfg)
         return score(n, idx, log_scale[idx], norms[idx])
 
     def scored(n, log_scale, log_norms):
@@ -134,12 +136,12 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
         return np.repeat(np.maximum(floors, start), sizes)
 
     def take(n, idx, mats, log_scale):
-        vals = score(n, idx, log_scale, resolvent._batched_norm_lower(mats, p, acfg))
+        vals = score(n, idx, log_scale, kreisslab.norms._batched_norm_lower(mats, p, acfg))
         better = (vals > best[idx]) | ((vals == best[idx]) & (n < best_n[idx]))
         best[idx] = np.where(better, vals, best[idx])
         best_n[idx] = np.where(better, n, best_n[idx])
 
-    lo, hi = resolvent._log_norm_bounds(M, p)
+    lo, hi = kreisslab.norms._log_norm_bounds(M, p)
     vals = resolvent._top_norms(scored(n, log_scale, hi), groups, top, first)
     best = np.where(vals > -np.inf, vals, -np.inf)
     best_n = np.where(vals > -np.inf, n, 0)
@@ -149,11 +151,11 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
         slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
         if p == 2:
             with np.errstate(divide="ignore"):
-                hi = np.where(np.isnan(norms), hi, np.log(norms) + resolvent._LOG_MARGIN)
+                hi = np.where(np.isnan(norms), hi, np.log(norms) + kreisslab.norms._LOG_MARGIN)
         per_power = log_scale + hi + slack
     uppers = []
     for n, M, log_scale in steps:
-        lo, hi = resolvent._log_norm_bounds(M, p)
+        lo, hi = kreisslab.norms._log_norm_bounds(M, p)
         if powers:
             hi = np.minimum(hi, n * per_power - log_scale)
         low = np.maximum(low, scored(n, log_scale, lo))

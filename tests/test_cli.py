@@ -592,6 +592,21 @@ def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, n_max, nonzero, first_zero", [
+    ("nilpotent2", "64", 1, 2), ("shift4", "8", 3, 4), ("zero2", "8", 0, 1),
+])
+def test_growth_of_vanishing_powers_says_why_nothing_fits(name, n_max, nonzero, first_zero,
+                                                          tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as err:
+        run(["growth", "--gallery", name, "--n-max", n_max, "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.rpartition("error:")[2]
+    assert (f"{nonzero} of {n_max} powers T^n have a nonzero norm (first zero at "
+            f"n = {first_zero}); a fit needs 8 of them") in message
+    assert not out.exists()
+
+
 def test_out_that_is_a_file_exits_2_before_the_handler(tmp_path, capsys, monkeypatch):
     def handler(*args):
         raise AssertionError("the handler ran")

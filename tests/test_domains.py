@@ -192,6 +192,19 @@ def test_huge_inner_p_runs_to_finite_values(sub, tmp_path):
     assert _finite(report)
 
 
+@pytest.mark.parametrize("inner_p", [1e20, 1e308])
+def test_huge_inner_p_takes_the_inner_p_inf_value(inner_p):
+    # type-cotype --samples 50 --seed 1: an entry of modulus 1 - 1 ulp once
+    # raised to 0 at a huge finite inner_p, and the constant read 0.685565
+    from kreisslab.decomp import rademacher_constants
+
+    xs = [[1.0, 0.0], [0.0, 1.0]]  # the default basis family at dim 2
+    want = rademacher_constants(xs, 2.0, samples=50, seed=1, inner_p=math.inf)
+    got = rademacher_constants(xs, 2.0, samples=50, seed=1, inner_p=inner_p)
+    assert want.value == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert got.value == pytest.approx(want.value, abs=1e-12)
+
+
 @pytest.mark.parametrize("sub", sorted(cli.OPERATOR_SUBS))
 def test_huge_p_runs_to_finite_values(sub, tmp_path):
     # a^(p-1) in the ascent direction would overflow; the power-of-two shift in

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kreisslab.norms import AscentConfig, _power_ledger, power_norm_sequence
+from kreisslab.norms import (AscentConfig, _batched_norm_lower, _log_norm_bounds, _log_step_cap,
+                             _power_ledger, power_norm_sequence)
 from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
-from kreisslab import resolvent
+from kreisslab import norms, resolvent
 from oracles import ledger_steps, sweep_every_point
 
 from kreisslab.resolvent import (
     FunctionalEstimate,
     SearchConfig,
-    _batched_norm_lower,
     _grid,
-    _log_norm_bounds,
     _strong_kreiss_sweep,
     cesaro_partial_sum_bound,
     exponential_criterion,
@@ -288,7 +287,7 @@ def test_pruned_cesaro_matches_serial_at_general_p(p, name):
 
 
 @given(d=st.sampled_from([1, 2, 5, 16]),
-       p=st.sampled_from([1.0, 1.5, 3.0, 7.5, 60.0, math.inf]),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.5, 60.0, math.inf]),
        log10_scales=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=4),
        density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_log_norm_bounds_hold_for_the_computed_norm(d, p, log10_scales, density, seed):
@@ -303,6 +302,29 @@ def test_log_norm_bounds_hold_for_the_computed_norm(d, p, log10_scales, density,
     with np.errstate(divide="ignore"):
         computed = np.log(_batched_norm_lower(M, p, SearchConfig().ascent()))
     assert (lo <= computed).all() and (computed <= hi).all()
+
+
+@given(d=st.sampled_from([1, 2, 5, 16]),
+       log10_scales=st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=4),
+       log10_x=st.floats(-100.0, 100.0), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_log_step_cap_bounds_a_ledger_step_at_p2(d, log10_scales, log10_x, density, seed):
+    # the strong-Kreiss sweep drops a point on log ||fl(R @ X)|| <= log ||X|| + cap,
+    # for R = e^{log_scale} M as the ledger's first step gives it and X a rescaled
+    # power; the cap takes the SVD norm at some points and the bounds at the others
+    rng = np.random.default_rng(seed)
+    shape = (len(log10_scales), d, d)
+    R = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    R *= rng.random(shape) < density
+    R *= 10.0 ** np.array(log10_scales)[:, None, None]
+    X = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** log10_x
+    _, M, log_scale = next(_power_ledger(R, 1))
+    taken = np.where(rng.random(len(R)) < 0.5, _batched_norm_lower(M, 2.0, None), np.nan)
+    cap = _log_step_cap(M, 2.0, log_scale, _log_norm_bounds(M, 2.0)[1], taken)
+    with np.errstate(divide="ignore"):
+        after = np.log(_batched_norm_lower(R @ X, 2.0, None))
+        before = np.log(_batched_norm_lower(X, 2.0, None))
+    assert (after <= before + cap).all()
 
 
 def _counted(monkeypatch, module, name):
@@ -343,7 +365,7 @@ def test_pruned_sweep_takes_norms_at_the_floor():
 def test_pruned_sweeps_skip_most_norms(monkeypatch):
     T = PRUNING_OPERATORS["jordan2_damped"]
     cfg = SearchConfig(radial_count=8, angular_count=16, p=3.0)
-    ascents = _counted(monkeypatch, resolvent, "ascent_lower_bounds")
+    ascents = _counted(monkeypatch, norms, "ascent_lower_bounds")
     xs, angles = _grid(cfg)
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
     _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent())
@@ -398,7 +420,8 @@ def test_strong_kreiss_points_leave_the_ledger_after_the_first_step(monkeypatch,
     normed = _recorded(monkeypatch, resolvent, "_batched_norm_lower")
     got = _strong_kreiss_sweep(*args)
     dropped, got_normed = steps[0], normed[:]
-    steps[0], normed[:] = 0, []
+    steps[0] = 0
+    normed = _recorded(monkeypatch, norms, "_batched_norm_lower")  # where the oracle norms
     monkeypatch.setattr(resolvent, "_pruned_sweep", sweep_every_point)
     want = _strong_kreiss_sweep(*args)
     assert 5 * dropped <= steps[0]
@@ -700,7 +723,7 @@ def _ref_kreiss(T, cfg):
             smin = np.linalg.svd(A, compute_uv=False)[:, -1]
             with np.errstate(divide="ignore"):
                 return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf)
-        return (r - 1.0) * resolvent._batched_norm_lower(np.linalg.inv(A), cfg.p, acfg)
+        return (r - 1.0) * norms._batched_norm_lower(np.linalg.inv(A), cfg.p, acfg)
 
     xs = _ref_xs(cfg)
     xf, tf = _ref_mesh(xs, cfg)
@@ -739,7 +762,7 @@ def _ref_exponential(T, cfg, xi_max):
     def evaluate(mflat, tflat):
         m = np.clip(mflat, 0.0, None)
         E = scipy.linalg.expm((m * np.exp(1j * tflat))[:, None, None] * T.entries)
-        nl = resolvent._batched_norm_lower(E, cfg.p, acfg)
+        nl = norms._batched_norm_lower(E, cfg.p, acfg)
         return np.exp(np.log(np.maximum(nl, 1e-300)) - m)
 
     xf, tf = _ref_mesh(xi_max * np.arange(cfg.radial_count + 1) / cfg.radial_count, cfg)
@@ -779,7 +802,7 @@ def test_search_seeds_exact_ties_in_stable_order():
 def shared_norms(monkeypatch):
     """Norm each distinct stack once: the search and its oracle meet the same stacks
     wherever they agree, and a stack that differs is normed afresh."""
-    real, seen = resolvent._batched_norm_lower, {}
+    real, seen = norms._batched_norm_lower, {}
 
     def lower(mats, p, acfg):
         key = (mats.shape, mats.tobytes(), p, acfg)
@@ -787,13 +810,14 @@ def shared_norms(monkeypatch):
             seen[key] = real(mats, p, acfg)
         return seen[key].copy()
 
-    monkeypatch.setattr(resolvent, "_batched_norm_lower", lower)
+    for module in (norms, resolvent):  # the oracles norm through norms, the search
+        monkeypatch.setattr(module, "_batched_norm_lower", lower)  # through its import
 
 
 # the search norms only the grid points that can reach the five seeds; the flow
 # it replaced norms every point
 @pytest.mark.parametrize("rounds", [0, 2])
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
 def test_search_matches_per_functional_flow(p, rounds, shared_norms, gallery_matrices):
     cfg = SearchConfig(radial_count=8, angular_count=8, refine_rounds=rounds, p=p)
     for name, T in gallery_matrices.items():
@@ -823,7 +847,7 @@ def test_search_matches_per_functional_flow_on_the_default_grid_at_pinf(shared_n
 def test_kreiss_search_norms_under_half_the_grid(monkeypatch, gallery_matrices):
     # the certified upper bounds put most of the default grid below the fifth-best value
     T, cfg = gallery_matrices["jordan2_damped"], SearchConfig(p=3.0)
-    ascents = _counted(monkeypatch, resolvent, "ascent_lower_bounds")
+    ascents = _counted(monkeypatch, norms, "ascent_lower_bounds")
     k = kreiss_constant(T, cfg)
     pruned, ascents[0] = ascents[0], 0
     assert _fields(k) == _fields(_ref_kreiss(T, cfg))

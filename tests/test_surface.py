@@ -2,8 +2,9 @@
 src/kreisslab is used by the package or its scripts, or is documented API, and
 so is every public method of a public class and every option of a public
 function, public method or *Config dataclass; no public class defines an
-arithmetic or comparison dunder without a reason; and only cli.main writes
-reports."""
+arithmetic or comparison dunder without a reason; only cli.main writes
+reports; and only norms takes a singular value decomposition or runs the
+ascent."""
 
 import ast
 import collections
@@ -262,3 +263,27 @@ def _report_writers():
 
 def test_only_the_cli_writes_reports():
     assert _report_writers() - REPORT_WRITERS == set(), "report writers outside cli.main"
+
+
+# the files that may take a singular value decomposition or run the ascent: norms
+# owns every matrix-stack norm and norm bound
+NORM_KERNELS = {"norms.py"}
+
+
+def _norm_kernel_callers(paths):
+    """Names of the files among paths that call svd (np.linalg.svd or any other)
+    or ascent_lower_bounds."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("svd", "ascent_lower_bounds"):
+                    found.add(path.name)
+    return found
+
+
+def test_only_norms_takes_svds_and_ascents():
+    found = _norm_kernel_callers(PACKAGE + SCRIPTS)
+    assert found - NORM_KERNELS == set(), "norm kernels outside norms"
