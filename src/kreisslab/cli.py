@@ -17,8 +17,8 @@ Each subcommand is a handler in HANDLERS that only computes: it returns an
 Outcome, and main alone writes the report envelope, the extra files, the
 witness and run_meta.json, prints the summary and picks the exit code.
 
-main builds the parser for the subcommand it is given once per process, with
-only that subcommand's flags (build_parser is memoized per subcommand).
+main parses with the parser of the subcommand it is given, built once per process
+(see build_parser), and reports every usage error with that subcommand's usage.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ OPERATOR_SUBS = ("kreiss", "strong-kreiss", "exp-criterion", "cesaro", "growth",
                  "positivity")
 
 # built-in defaults; a subcommand has exactly the flags named by its keys, plus
-# --out, --config and --threads (parsed and echoed, default 1; it changes nothing).
-# A seed default of None makes --seed mandatory.
+# --out and --config.  A seed default of None makes --seed mandatory.
 DEFAULTS: dict[str, dict] = {
     "kreiss": {"gallery": None, "op": None, "dim": 2, "scale": "1", "eigenvalue": "1",
                "coupling": 1.0, "weights": None, "angles": None, "matrix_file": None,
@@ -148,7 +147,6 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 FLAGS: dict[str, dict] = {
     "out": {"help": "output directory for reports"},
     "config": {"help": "JSON config file"},
-    "threads": {"type": int},
     "gallery": {"help": "gallery operator name"},
     "op": {"help": "operator kind"},
     "dim": {"type": int, "domain": (1, math.inf, "[)")},
@@ -210,9 +208,9 @@ def _option(dest: str) -> str:
 
 
 @functools.cache
-def build_parser(sub: str | None = None) -> argparse.ArgumentParser:
-    """The kreisslab parser.  It names every subcommand, but only sub's parser, or
-    every one's when sub is None, gets its flags: adding them is most of the cost."""
+def build_parser(sub: str | None) -> argparse.ArgumentParser:
+    """The kreisslab parser.  It names every subcommand, but only sub's parser gets its
+    flags, most of the cost, and sets "parser" to itself to report usage errors."""
     parser = argparse.ArgumentParser(
         prog="kreisslab",
         description="Resolvent-condition diagnostics, power-growth profiling, and "
@@ -222,9 +220,10 @@ def build_parser(sub: str | None = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, defaults in DEFAULTS.items():
         sp = subs.add_parser(name)
-        if sub not in (None, name):
+        if name != sub:
             continue
-        for dest in dict.fromkeys(("out", "config", "threads", *defaults)):
+        sp.set_defaults(parser=sp)
+        for dest in dict.fromkeys(("out", "config", *defaults)):
             spec = {k: v for k, v in _flag_spec(name, dest).items() if k not in ("domain", "parse")}
             sp.add_argument(spec.pop("flag", _option(dest)), dest=dest, default=None, **spec)
     return parser
@@ -243,7 +242,7 @@ def _load_config(path, sub: str, parser: argparse.ArgumentParser) -> dict:
     section = data.get(sub, {})
     if not isinstance(section, dict):
         parser.error(f"config section {sub!r} must be an object")
-    known = set(DEFAULTS[sub]) | {"threads", "out"}
+    known = set(DEFAULTS[sub]) | {"out"}
     unknown = sorted(set(section) - known)
     if unknown:
         parser.error(f"unknown config keys for {sub!r}: {', '.join(unknown)}")
@@ -274,12 +273,12 @@ def _typed(key: str, spec: dict, value):
 
 
 def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser):
-    """(typed, written): the joined values converted once for the run, and as written
-    for the report's config echo."""
-    defaults = {"out": None, "seed": 0, "threads": 1, **DEFAULTS[sub]}
+    """(typed, echo): the joined values converted once for the run, and the report's
+    config echo: them as written, less out, with schema 1's fixed "threads": 1."""
+    defaults = {"out": None, "seed": 0, **DEFAULTS[sub]}
     written = {**defaults, **_load_config(args.config, sub, parser)}
     written.update((key, val) for key, val in vars(args).items()
-                   if val is not None and key not in ("subcommand", "config"))
+                   if val is not None and key not in ("subcommand", "config", "parser"))
     if defaults["seed"] is None and written["seed"] is None:
         parser.error(f"--seed is mandatory for the randomized subcommand {sub!r}")
     typed = {}
@@ -290,7 +289,7 @@ def _merge(args: argparse.Namespace, sub: str, parser: argparse.ArgumentParser):
                           else _typed(key, spec, value))
         except (ValueError, OverflowError) as exc:
             parser.error(f"argument {spec.get('flag', _option(key))}: {exc}")
-    return typed, written
+    return typed, {"threads": 1, **{k: v for k, v in written.items() if k != "out"}}
 
 
 def _operator(params: dict):
@@ -663,12 +662,13 @@ HANDLERS: dict[str, Callable[..., Outcome]] = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # the top-level parser has no option that takes a value, so argv[0], when it
-    # names a subcommand, is the one argparse picks
-    parser = build_parser(argv[0] if argv and argv[0] in DEFAULTS else None)
-    args = parser.parse_args(argv)
-    sub = args.subcommand
-    params, written = _merge(args, sub, parser)
+    # the top-level parser has no option that takes a value, so the first word
+    # naming a subcommand is the one argparse picks
+    sub = next((a for a in argv if a in DEFAULTS), None)
+    args, extras = build_parser(sub).parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    params, echo = _merge(args, sub, args.parser)
     head = {"schema": SCHEMA}  # opens the report and the witness
     try:
         operand = ()
@@ -692,7 +692,7 @@ def main(argv: list[str] | None = None) -> int:
                     "tool_version": __version__,
                     "subcommand": sub,
                     "seed": params["seed"],
-                    "config": {k: v for k, v in written.items() if k != "out"},
+                    "config": echo,
                     **done.payload,
                 })
             if done.witness is not None:
@@ -707,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, OverflowError) as exc:
         # bad input (a bad value, nothing to fit, an unreadable file or --out)
         # or powers whose scale ledger overflowed: exit 2, not a traceback
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     print(done.summary)
     return 1 if done.witness is not None else 0
 

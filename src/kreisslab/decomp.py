@@ -98,7 +98,7 @@ class DecompSearchConfig:
 
     def __post_init__(self):
         for name, least in (("trials", 1), ("ascent_steps", 0), ("max_support", 2),
-                            ("max_dim", 1)):
+                            ("max_dim", 1), ("seed", 0)):
             _require(name, getattr(self, name), least)
 
 
@@ -218,20 +218,19 @@ def _block_powers(w: np.ndarray, q: float, side: str,
 
 
 def _best_contiguous_partitions(
-    w: np.ndarray, q: float, gamma: float, side: str, sizes=None
+    w: np.ndarray, q: float, gamma: float, side: str, sizes: np.ndarray
 ) -> list[tuple[float, list[tuple[int, int]]]]:
     """Exact optimum of ratio / (#I)^gamma over contiguous partitions, per sample.
 
     w is a (B, S, S) stack of block-norm triangles; sample b's fills the top
-    left sizes[b] x sizes[b] corner (default S) and zeros the rest.  Dynamic
-    program over (block count, last slot): the lower side maximizes
-    sum_I w^q, the upper side minimizes it.  Each block count c takes one
+    left sizes[b] x sizes[b] corner and zeros the rest.  Dynamic program
+    over (block count, last slot): the lower side maximizes sum_I w^q, the
+    upper side minimizes it.  Each block count c takes one
     max/argmax over the stack, then each count is scored and every sample's
     best (value, slot cuts) pair is reconstructed.  A cell (c, j < sizes[b])
     reads only the corner, so each sample gets its unpadded value and cuts.
     """
     B, s, _ = w.shape
-    sizes = np.full(B, s) if sizes is None else np.asarray(sizes)
     rows, last = np.arange(B), sizes - 1
     sign = 1.0 if side == "lower" else -1.0
     swq, scale = _block_powers(w, q, side, sizes)  # scale 1 keeps w^q as it is

@@ -375,6 +375,10 @@ class ExtremalSearchConfig:
     ascent_steps: int = 120
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("trials", 1), ("max_support", 2), ("ascent_steps", 0), ("seed", 0)):
+            _require(name, getattr(self, name), least)
+
 
 def _random_polynomial(rng: np.random.Generator, d: int, max_support: int) -> TrigPolynomial:
     size = int(rng.integers(2, max(3, max_support + 1)))

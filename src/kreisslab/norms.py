@@ -52,6 +52,8 @@ class AscentConfig:
     def __post_init__(self):
         _require("restarts", self.restarts, 1)
         _require("max_steps", self.max_steps, 1)
+        _require("rel_tol", self.rel_tol, 0)
+        _require("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)

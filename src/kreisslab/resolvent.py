@@ -46,8 +46,7 @@ when it is strictly larger: the first strict maximum, in grid-then-seed
 order, wins.  The strong-Kreiss evaluation returns with each value the n
 attaining it, and that n travels with the point through refinement, so a
 refined argmax needs no second sweep.  The Cesaro and GZ scans are one
-group with top = 1; a direct call of the sweep without groups makes every
-point a group of its own.
+group with top = 1.
 
 Every power, of T or of a resolvent, comes from norms._power_ledger, and
 every norm and norm bound from norms; the Cesaro and GZ scans read
@@ -94,6 +93,7 @@ class SearchConfig:
         _require("radial_count", self.radial_count, 4)
         _require("angular_count", self.angular_count, 4)
         _require("refine_rounds", self.refine_rounds, 0)
+        _require("seed", self.seed, 0)
         _require("p", self.p, 1, math.inf, "[]")
 
     def ascent(self) -> AscentConfig:
@@ -271,7 +271,7 @@ def _top_norms(upper: np.ndarray, groups: np.ndarray, top: int, value) -> np.nda
     return vals
 
 
-def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: int = 1,
+def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int = 1,
                   start: float = -math.inf, powers: int = 0):
     """Per-point max of score(n, idx, log_scale, ||M||_p) over the steps of a matrix
     stack, with norms only where they can reach the top values of a group of points.
@@ -280,12 +280,12 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
     index array or slice(None)), point pts[k] having the matrix
     e^{log_scale[k]} M[k].  score must not decrease as a norm grows, as no
     rounded sum, product, quotient or log does.  groups holds the index of
-    the first point of each group, a run of consecutive points; None makes
-    every point its own group.  Each group keeps one floor, started at
-    start: the top-th largest of its points' lower bounds, each the largest
-    score or scored lower bound of the point's pairs.  A pair whose scored
-    upper bound is below its group's floor scores strictly below top points
-    of the group, so it is dropped (a NaN bound keeps it).
+    the first point of each group, a run of consecutive points.  Each group
+    keeps one floor, started at start: the top-th largest of its points'
+    lower bounds, each the largest score or scored lower bound of the
+    point's pairs.  A pair whose scored upper bound is below its group's
+    floor scores strictly below top points of the group, so it is dropped
+    (a NaN bound keeps it).
 
     Pass 1 takes the first step's norms through _top_norms, the group's top
     highest-bound points first, and scored _log_norm_bounds at the other
@@ -323,7 +323,6 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups=None, top: 
     except StopIteration:  # no step at all
         return None
     every = np.arange(len(M))
-    groups = every if groups is None else np.asarray(groups)
     sizes = np.diff(groups, append=len(M))
     norms = np.full(len(M), np.nan)
 
@@ -391,7 +390,7 @@ def _sweep_max(stack, score, p: float, acfg: AscentConfig, start: float):
     """(value, point, n) of the largest score of _pruned_sweep over all points as one
     group, ties going to the smallest n and then point, or (start, 0, 0) when no
     score exceeds start."""
-    swept = _pruned_sweep(stack, score, p, acfg, (0,), start=start)
+    swept = _pruned_sweep(stack, score, p, acfg, np.zeros(1, dtype=int), start=start)
     if swept is None:
         return start, 0, 0
     best, best_n = swept
@@ -403,13 +402,13 @@ def _sweep_max(stack, score, p: float, acfg: AscentConfig, start: float):
 
 def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray, n_max: int,
                          p: float, acfg: AscentConfig,
-                         groups=None, top: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                         groups, top: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point max over 1 <= n <= n_max of the log score, and the first n attaining it.
 
     Points are l = (1 + 10^x) e^{it}, and the score is
     n log(|l|-1) + log ||(l-T)^{-n}||_p, swept over the resolvent powers by
-    _pruned_sweep with one floor per group (per point when groups is None):
-    only each group's first max and its top best values are exact.
+    _pruned_sweep with one floor per group: only each group's first max and
+    its top best values are exact.
     """
     r = 1.0 + 10.0 ** xflat
     lam = r * np.exp(1j * tflat)

@@ -55,15 +55,13 @@ def test_power_ledger_overflow_exits_2(sub, extra, tmp_path):
     assert "Traceback" not in res.stderr
 
 
-# every subcommand's flags, recorded from build_parser(): "option dest type
+# every subcommand's flags, recorded from build_parser(sub): "option dest type
 # choices action default" -> the subcommands that have that flag
 _OPS = "kreiss strong-kreiss exp-criterion cesaro growth bounds positivity"
 _SEEDED = "decomp-scan riesz-norm marcinkiewicz type-cotype"
 PARSER_SURFACE = {
     "--out out - - _StoreAction None": f"{_OPS} {_SEEDED} verify-appendix gallery-list plot",
     "--config config - - _StoreAction None": f"{_OPS} {_SEEDED} verify-appendix gallery-list plot",
-    "--threads threads int - _StoreAction None":
-        f"{_OPS} {_SEEDED} verify-appendix gallery-list plot",
     "--gallery gallery - - _StoreAction None": _OPS,
     "--op op - - _StoreAction None": _OPS,
     "--dim dim int - _StoreAction None": f"{_OPS} riesz-norm marcinkiewicz type-cotype",
@@ -112,12 +110,26 @@ PARSER_SURFACE = {
 }
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_parser_surface_is_pinned():
-    subs = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
+    # the parser main builds for each subcommand names every subcommand, with the
+    # text of the bare parser, and gives only that subcommand flags
+    bare = build_parser(None)
+    names = list(_subparsers(bare))
+    assert names == list(kreisslab.cli.DEFAULTS)
     surface = {}
-    for sub, sp in subs.choices.items():
-        for a in sp._actions:
+    for sub in names:
+        parser = build_parser(sub)
+        assert parser.format_help() == bare.format_help()
+        subs = _subparsers(parser)
+        assert list(subs) == names
+        for name, sp in subs.items():
+            if name != sub:
+                assert [a.option_strings for a in sp._actions] == [["-h", "--help"]]
+        for a in subs[sub]._actions:
             if not isinstance(a, argparse._HelpAction):
                 row = " ".join([",".join(a.option_strings), a.dest,
                                 getattr(a.type, "__name__", "-"),
@@ -125,22 +137,9 @@ def test_parser_surface_is_pinned():
                                 type(a).__name__, repr(a.default)])
                 surface.setdefault(row, set()).add(sub)
     assert surface == {row: set(subs.split()) for row, subs in PARSER_SURFACE.items()}
-    # the parser main builds for one subcommand: the same names and text, and only
-    # that subcommand's flags
-    full = build_parser()
-    for sub, sp in subs.choices.items():
-        lazy = build_parser(sub)
-        assert lazy.format_usage() == full.format_usage()
-        assert lazy.format_help() == full.format_help()
-        lazy_subs = next(a for a in lazy._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(lazy_subs.choices) == list(subs.choices)
-        for name, lsp in lazy_subs.choices.items():
-            if name == sub:
-                assert lsp.format_help() == sp.format_help()
-                assert [a.option_strings for a in lsp._actions] == \
-                    [a.option_strings for a in sp._actions]
-            else:
-                assert [a.option_strings for a in lsp._actions] == [["-h", "--help"]]
+    # the bare parser, for --help, --version and an unknown subcommand, adds no flag
+    for sp in _subparsers(bare).values():
+        assert [a.option_strings for a in sp._actions] == [["-h", "--help"]]
 
 
 def test_repeated_main_calls_match_fresh_runs(tmp_path):
@@ -164,11 +163,21 @@ def test_gallery_list_prints(capsys):
     assert "identity3" in out and "jordan2" in out
 
 
-def test_threads_echoed_as_written(tmp_path):
-    for argv, want in ((["--threads", "0"], 0), ([], 1)):
-        out = tmp_path / f"o{want}"
-        assert run(["gallery-list", *argv, "--out", str(out)]) == 0
-        assert read(out / "gallery.json")["config"]["threads"] == want
+def test_threads_is_no_flag_or_config_key_but_reports_echo_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gallery-list": {"threads": 1}}))
+    out = tmp_path / "o"
+    for argv, message in ((["--threads", "1"], "unrecognized arguments: --threads 1"),
+                          (["--config", str(cfg)],
+                           "unknown config keys for 'gallery-list': threads")):
+        with pytest.raises(SystemExit) as err:
+            run(["gallery-list", *argv, "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not out.exists()
+    # schema 1 keeps "threads": 1 in the config echo as a fixed field
+    assert run(["gallery-list", "--out", str(out)]) == 0
+    assert read(out / "gallery.json")["config"]["threads"] == 1
 
 
 def test_kreiss_identity_report(tmp_path):
@@ -340,6 +349,36 @@ def test_randomized_subcommand_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["decomp-scan", "--p", "2", "--q", "2", "--out", str(tmp_path / "o")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse rejects the type
+    (["growth", "--gallery", "zero2", "--n-max", "abc"],
+     "argument --n-max: invalid int value: 'abc'"),
+    (["growth", "--gallery", "zero2", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    # _merge checks the domain and the mandatory seed
+    (["growth", "--gallery", "zero2", "--n-max", "3"],
+     "argument --n-max: n_max must lie in [8, inf), got 3"),
+    (["decomp-scan", "--p", "4"],
+     "--seed is mandatory for the randomized subcommand 'decomp-scan'"),
+    # a handler's ValueError
+    (["growth", "--gallery", "nilpotent2", "--n-max", "64"],
+     "1 of 64 powers T^n have a nonzero norm (first zero at n = 2); a fit needs 8 of them"),
+    # _load_config reads the file
+    (["kreiss", "--gallery", "zero2", "--config", {"kreiss": {"warp_factor": 9}}],
+     "unknown config keys for 'kreiss': warp_factor"),
+], ids=["type", "unrecognized", "domain", "seed", "handler", "config"])
+def test_usage_errors_print_the_subcommands_usage(argv, message, tmp_path, capsys):
+    if isinstance(argv[-1], dict):  # a dict stands for a config file holding it
+        (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(tmp_path / "cfg.json")]
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: kreisslab {argv[0]} [-h] [--out OUT]")
+    assert lines[-1] == f"kreisslab {argv[0]}: error: {message}"
+    assert not any("Traceback" in line for line in lines)
 
 
 def test_unknown_flag_exits_2(tmp_path):

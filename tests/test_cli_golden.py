@@ -87,8 +87,7 @@ CASES = {
     "verify-appendix": ["verify-appendix", "--n-max", "200"],
     # n_min > 2, across the 5000 mark and several window lengths
     "verify-appendix-tail": ["verify-appendix", "--n-min", "4990", "--n-max", "5130"],
-    # --threads is echoed as written; 1 is also its default
-    "gallery-list": ["gallery-list", "--threads", "1"],
+    "gallery-list": ["gallery-list"],
     "plot": ["plot", "--csv", "{tmp}/series.csv", "--title", "golden"],
 }
 

@@ -252,7 +252,8 @@ def test_batched_objective_matches_one_sample_loops(p, inner_p, q, max_support):
     for ws in by_size.values():
         for side in ("lower", "upper"):
             for gamma in (0.0, 0.3):
-                got = _best_contiguous_partitions(np.stack(ws), q, gamma, side)
+                got = _best_contiguous_partitions(np.stack(ws), q, gamma, side,
+                                                  np.full(len(ws), len(ws[0])))
                 assert got == [_quadratic_dp(w, q, gamma, side) for w in ws]
 
 
@@ -262,7 +263,7 @@ def test_dp_stack_of_equal_sizes_matches_one_sample_loop():
     ws = np.triu(rng.random((40, 9, 9)) * 3.0)
     for side in ("lower", "upper"):
         for q, gamma in ((1.0, 0.0), (2.5, 0.3), (4.0, 0.0)):
-            got = _best_contiguous_partitions(ws, q, gamma, side)
+            got = _best_contiguous_partitions(ws, q, gamma, side, np.full(40, 9))
             assert got == [_quadratic_dp(w, q, gamma, side) for w in ws]
 
 
@@ -278,7 +279,7 @@ def _mixed_size_stack(rng, sizes):
 @pytest.mark.parametrize("q", [1.0, 2.5, 4.0])
 def test_padded_dp_matches_one_sample_loop(q):
     rng = np.random.default_rng(17)
-    sizes = [5, 1, 9, 2, 9, 3, 7, 4]
+    sizes = np.array([5, 1, 9, 2, 9, 3, 7, 4])
     ws = _mixed_size_stack(rng, sizes)
     for side in ("lower", "upper"):
         for gamma in (0.0, 0.3):
@@ -306,7 +307,7 @@ def test_dp_rescales_out_of_range_powers(q):
     ws = np.triu(0.2 + 5.0 * rng.random((6, 7, 7)))
     for side in ("lower", "upper"):
         for gamma in (0.0, 0.3):
-            got = _best_contiguous_partitions(ws, q, gamma, side)
+            got = _best_contiguous_partitions(ws, q, gamma, side, np.full(6, 7))
             for w, (val, _cuts) in zip(ws, got):
                 assert val == pytest.approx(_brute_force_objective(w, q, gamma, side), rel=1e-9)
                 if gamma == 0.0:
@@ -317,7 +318,7 @@ def test_dp_rescales_out_of_range_powers(q):
 def test_padded_dp_rescales_per_sample(q):
     # the rescale path with per-sample sizes: brute force, and the unpadded program
     rng = np.random.default_rng(5)
-    sizes = [7, 3, 6, 2, 7]
+    sizes = np.array([7, 3, 6, 2, 7])
     ws = 5.0 * _mixed_size_stack(rng, sizes)
     for side in ("lower", "upper"):
         for gamma in (0.0, 0.3):
@@ -326,7 +327,7 @@ def test_padded_dp_rescales_per_sample(q):
                 assert val == pytest.approx(_brute_force_objective(w[:n, :n], q, gamma, side),
                                             rel=1e-9)
                 assert [(val, cuts)] == _best_contiguous_partitions(w[None, :n, :n], q, gamma,
-                                                                    side)
+                                                                    side, np.array([n]))
 
 
 @pytest.mark.parametrize("q", [2000.0, 5000.0])

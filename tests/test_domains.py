@@ -80,7 +80,7 @@ def test_require_message_and_ends():
 
 def test_every_numeric_flag_has_a_domain_that_rejects_its_outside():
     for dest, spec in cli.FLAGS.items():
-        assert dest == "threads" or spec.get("type") not in (int, float) or "domain" in spec
+        assert spec.get("type") not in (int, float) or "domain" in spec
     for sub, defaults in cli.DEFAULTS.items():
         for dest in defaults:
             domain = cli._flag_spec(sub, dest).get("domain")
@@ -236,7 +236,8 @@ def _assert_finite_reports(argv, tmp_path):
 
 def _library_calls():
     from kreisslab.decomp import DecompSearchConfig, estimate_constant, rademacher_constants
-    from kreisslab.fourier import TrigPolynomial, lp_torus_norm, riesz_norm_lower_bound
+    from kreisslab.fourier import (ExtremalSearchConfig, TrigPolynomial, lp_torus_norm,
+                                   riesz_norm_lower_bound)
     from kreisslab.norms import AscentConfig, operator_p_norm, power_norm_sequence, vector_p_norm
     from kreisslab.operators import OperatorSpec, make_gallery_operator
     from kreisslab.positivity import PositiveOperator, block_bound_check, krivine_checks
@@ -257,6 +258,10 @@ def _library_calls():
               lambda: lp_torus_norm(f, math.inf), lambda: riesz_norm_lower_bound(nan, 1),
               lambda: estimate_constant(nan, 2.0)],
         "restarts": [lambda: AscentConfig(restarts=0)],
+        "rel_tol": [lambda: AscentConfig(rel_tol=nan), lambda: AscentConfig(rel_tol=-1e-10),
+                    lambda: AscentConfig(rel_tol=math.inf)],
+        "seed": [lambda: AscentConfig(seed=-1), lambda: SearchConfig(seed=-1),
+                 lambda: DecompSearchConfig(seed=-1), lambda: ExtremalSearchConfig(seed=-1)],
         "r_max": [lambda: SearchConfig(r_max=math.inf)],
         "n_max": [lambda: strong_kreiss_constant(T, cfg, 0)],
         "xi_max": [lambda: exponential_criterion(T, cfg, nan)],
@@ -265,7 +270,9 @@ def _library_calls():
         "k_ref": [lambda: check_universal_bounds(T, 2.0, nan, 1.0, 4)],
         "inner_p": [lambda: lp_torus_norm(f, 2.0, nan)],
         "gamma": [lambda: estimate_constant(2.0, 2.0, gamma=nan)],
-        "trials": [lambda: DecompSearchConfig(trials=0)],
+        "trials": [lambda: DecompSearchConfig(trials=0), lambda: ExtremalSearchConfig(trials=-1)],
+        "ascent_steps": [lambda: ExtremalSearchConfig(ascent_steps=-1)],
+        "max_support": [lambda: ExtremalSearchConfig(max_support=-5)],
         "exponent": [lambda: rademacher_constants([[1.0]], nan)],
         "q": [lambda: krivine_checks(P, [[1.0, 1.0]], 4, 2.0)],
         "n": [lambda: krivine_checks(P, [[1.0, 1.0]], 1, 1.5)],

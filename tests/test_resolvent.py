@@ -229,7 +229,8 @@ def test_pruned_strong_kreiss_sweep_matches_serial(name, n_max):
     T = PRUNING_OPERATORS[name]
     xf, tf = _sweep_points(n_max)
     best_log, best_n, rescaled = _serial_strong_kreiss_sweep(T, xf, tf, n_max)
-    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent())
+    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent(),
+                                          np.arange(len(xf)), 1)
     assert np.array_equal(got_log, best_log)
     assert np.array_equal(got_n, best_n)
     if name == "jordan2" and n_max >= 16:
@@ -241,7 +242,7 @@ def test_pruned_strong_kreiss_sweep_matches_serial(name, n_max):
 def test_pruned_strong_kreiss_sweep_matches_all_pairs_loop(p, name):
     T = PRUNING_OPERATORS[name]
     xf, tf = _sweep_points(16)
-    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG)
+    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, np.arange(len(xf)), 1)
     best_log, best_n = _all_pairs_strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG)
     assert np.array_equal(got_log, best_log)
     assert np.array_equal(got_n, best_n)
@@ -255,7 +256,7 @@ def test_pruned_sweep_keeps_each_groups_top_values_exact(p, top):
     # groups hold fewer than top points.
     T = PRUNING_OPERATORS["jordan2_damped"]
     xf, tf = _sweep_points(16)
-    want, want_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG)
+    want, want_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, np.arange(len(xf)), 1)
     groups = np.array([0, 1, 30, len(xf) - 2])
     got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, groups, top)
     for a, b in zip(groups, [*groups[1:], len(xf)]):
@@ -354,7 +355,7 @@ def test_pruned_sweep_takes_norms_at_the_floor():
             return np.full(len(norms), float(n in tops))
 
         for p in (2.0, 3.0):
-            for groups in (None, (0,)):
+            for groups in (np.arange(3), np.zeros(1, dtype=int)):
                 best, best_n = resolvent._pruned_sweep(stack, score, p, PRUNING_CFG.ascent(),
                                                        groups)
                 assert best.tolist() == [1.0] * 3 and best_n.tolist() == [2] * 3
@@ -368,7 +369,7 @@ def test_pruned_sweeps_skip_most_norms(monkeypatch):
     ascents = _counted(monkeypatch, norms, "ascent_lower_bounds")
     xs, angles = _grid(cfg)
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
-    _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent())
+    _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.arange(X.size), 1)
     assert ascents[0] < X.size * 16 / 2
     ascents[0] = 0
     cesaro_partial_sum_bound(T, cfg, 64, 1.0)
@@ -438,13 +439,13 @@ def test_strong_kreiss_sweep_with_every_point_leaving_the_ledger():
     xf, tf = _sweep_points(16)
     want, want_n, _ = _serial_strong_kreiss_sweep(T, xf, tf, 16)
     assert (want_n == 1).all()
-    for groups in (None, np.zeros(1, dtype=int)):
+    for groups in (np.arange(len(xf)), np.zeros(1, dtype=int)):
         with pytest.MonkeyPatch.context() as mp:
             steps = ledger_steps(mp)
-            got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, 2.0, PRUNING_CFG.ascent(), groups)
+            got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, 2.0, PRUNING_CFG.ascent(), groups, 1)
         assert steps[0] == len(xf)
         assert np.array_equal(got[got_n > 0], want[got_n > 0]) and (got_n <= 1).all()
-        if groups is None:
+        if len(groups) == len(xf):
             assert np.array_equal(got, want) and np.array_equal(got_n, want_n)
 
 
@@ -459,7 +460,8 @@ def test_pruned_sweep_keeps_a_point_whose_cap_reaches_the_floor_only_at_the_last
             return log_scale + np.log(norms)
 
     best, best_n = resolvent._pruned_sweep(lambda pts: _power_ledger(R[pts], 16), score, 2.0,
-                                           PRUNING_CFG.ascent(), (0,), powers=16)
+                                           PRUNING_CFG.ascent(), np.zeros(1, dtype=int),
+                                           powers=16)
     assert best[0] == pytest.approx(1.6) and best_n[0] == 16
     assert best[0] > best[1] == pytest.approx(1.0) and best_n[1] == 1
 
@@ -475,7 +477,8 @@ def test_strong_kreiss_sweep_matches_serial_on_random_operators(d, radius, n_max
     T = ComplexMatrix(A * (radius / rho if rho > 0 else 1.0))
     xf, tf = _sweep_points(n_max)
     want, want_n, _ = _serial_strong_kreiss_sweep(T, xf, tf, n_max)
-    got, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent())
+    got, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent(),
+                                      np.arange(len(xf)), 1)
     assert np.array_equal(got, want) and np.array_equal(got_n, want_n)
     got, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent(),
                                       np.zeros(1, dtype=int), 5)
@@ -493,7 +496,8 @@ def test_strong_kreiss_sweep_peak_stays_within_four_stacks():
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
     tracemalloc.start()
     try:
-        _strong_kreiss_sweep(J, X.ravel(), Tt.ravel(), 16, 2.0, AscentConfig())
+        _strong_kreiss_sweep(J, X.ravel(), Tt.ravel(), 16, 2.0, AscentConfig(),
+                             np.arange(X.size), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -740,7 +744,7 @@ def _ref_strong_kreiss(T, cfg, n_max, k):
     acfg = cfg.ascent()
 
     def sweep(xflat, tflat):
-        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, np.arange(len(xflat)))
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, np.arange(len(xflat)), 1)
 
     xs = _ref_xs(cfg)
     xf, tf = _ref_mesh(xs, cfg)

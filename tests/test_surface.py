@@ -1,10 +1,10 @@
 """The library's public surface: every public top-level function or class of
 src/kreisslab is used by the package or its scripts, or is documented API, and
 so is every public method of a public class and every option of a public
-function, public method or *Config dataclass; no public class defines an
-arithmetic or comparison dunder without a reason; only cli.main writes
-reports; and only norms takes a singular value decomposition or runs the
-ascent."""
+function, public method or *Config dataclass; no default of a private
+function is left to tests alone; no public class defines an arithmetic or
+comparison dunder without a reason; only cli.main writes reports; and only
+norms takes a singular value decomposition or runs the ascent."""
 
 import ast
 import collections
@@ -113,33 +113,34 @@ DOCUMENTED_OPTIONS = {
 }
 
 
+def _defaulted(fn, label, skip):
+    """(label, name, parameter, position, definition) of each defaulted parameter
+    of fn, with the position a positional argument passes it at, less skip (None
+    for keyword-only ones)."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    found = [(f"{label}({a.arg})", fn.name, a.arg, i - skip, fn)
+             for i, a in enumerate(args[first:], first)]
+    return found + [(f"{label}({a.arg})", fn.name, a.arg, None, fn)
+                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+
+
 def _options(tree):
     """(label, name, parameter, position, definition) of each option tree defines:
-    the defaulted parameters of its public functions and public methods, with
-    the position a positional argument passes them at (None for keyword-only
-    ones), and every field of its public *Config dataclasses, which only a
-    keyword passes."""
+    the defaulted parameters of its public functions and public methods, and
+    every field of its public *Config dataclasses, which only a keyword
+    passes."""
     found = []
-
-    def defaulted(fn, label, skip):
-        args = fn.args.posonlyargs + fn.args.args
-        first = len(args) - len(fn.args.defaults)
-        for i, a in enumerate(args[first:], first):
-            found.append((f"{label}({a.arg})", fn.name, a.arg, i - skip, fn))
-        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-            if d is not None:
-                found.append((f"{label}({a.arg})", fn.name, a.arg, None, fn))
-
     for node in _public_definitions(tree).values():
         if not isinstance(node, ast.ClassDef):
-            defaulted(node, node.name, 0)
+            found += _defaulted(node, node.name, 0)
             continue
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                 # self or cls takes position 0 of a method that is not static
                 static = any(getattr(d, "id", None) == "staticmethod"
                              for d in item.decorator_list)
-                defaulted(item, f"{node.name}.{item.name}", 0 if static else 1)
+                found += _defaulted(item, f"{node.name}.{item.name}", 0 if static else 1)
             elif isinstance(item, ast.AnnAssign) and node.name.endswith("Config"):
                 field = item.target.id
                 found.append((f"{node.name}({field})", node.name, field, None, node))
@@ -205,6 +206,32 @@ def test_every_option_is_passed_or_has_a_reason():
     assert unpassed - set(DOCUMENTED_OPTIONS) == set(), "options that no caller sets"
     # a documented option that gains a caller leaves the list
     assert unpassed >= set(DOCUMENTED_OPTIONS)
+
+
+def _test_only_defaults():
+    """Defaulted parameters of the private top-level functions that every package
+    or script call of the function passes, so that only tests use the default.
+    Calls match by name, less those inside the definition; a * or ** argument
+    that may pass the parameter passes it."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + SCRIPTS]
+    calls = [c for tree in trees for c, _around in _calls(tree)]
+    found = set()
+    for tree in trees[:len(PACKAGE)]:
+        for fn in tree.body:
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_")):
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            callers = [c for c in calls if id(c) not in own
+                       and getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name]
+            for label, _name, param, pos, _fn in _defaulted(fn, fn.name, 0):
+                if callers and all(_passed(c, param, pos) is not None for c in callers):
+                    found.add(label)
+    return found
+
+
+def test_no_private_default_is_left_to_tests():
+    assert _test_only_defaults() == set(), "defaults that only tests use"
 
 
 # arithmetic and comparison dunders of public classes, each kept for a reason
