@@ -250,6 +250,9 @@ def _best_contiguous_partitions(
     totals = (sign * totals).tolist()
     penalty = [_penalty(c, gamma) for c in range(1, s + 1)]
     out = []
+    # Python floats on purpose: numpy's SIMD np.power is not bit-equal to ** (with
+    # numpy 2.4 on an AVX-512 Xeon, np.power(x, 1 / 1.5) differed on 10,493 of
+    # 200,000 random x), so a vectorized score would move report bytes.
     for fnorm, k, n, tots, par in zip(w[rows, 0, last].tolist(), scale.tolist(),
                                       sizes.tolist(), totals, parent):
         best_val, best_c = -math.inf, 1

@@ -87,12 +87,8 @@ def growth_fit(seq, model: str = "poly") -> GrowthFit:
 def growth_table(T: ComplexMatrix, p: float, n_max: int,
                  cfg: AscentConfig) -> dict[str, np.ndarray]:
     """The growth.csv table: bounds of ||T^n||_p for n = 1..n_max as columns."""
-    seq = power_norm_sequence(T, p, n_max, cfg)
-    return {
-        "n": np.arange(1, len(seq) + 1),
-        "norm_lower": np.array([b.lower for b in seq], dtype=float),
-        "norm_upper": np.array([b.upper for b in seq], dtype=float),
-    }
+    lower, upper = power_norm_sequence(T, p, n_max, cfg)
+    return {"n": np.arange(1, n_max + 1), "norm_lower": lower, "norm_upper": upper}
 
 
 def check_universal_bounds(

@@ -19,8 +19,9 @@ m - 1.  An off-by-one here silently changes the constants, so this module
 is the single owner of that window (poisson_window, bound_m_range) and of
 the Poisson weights (poisson_log_weights); the positivity checks use both.
 
-Factorials enter through lgamma and the window sums through Poisson-normalized
-weights, so the sweep reaches n = 10^6 without overflow.  sweep_appendix is
+Factorials enter as log-factorials, read from the one gammaln table of
+_log_factorials, and the window sums through Poisson-normalized weights, so
+the sweep reaches n = 10^6 without overflow.  sweep_appendix is
 the one entry point: it works on blocks of _CHUNK values of n at a time, and
 every row keeps the values and summation order of a one-n sweep
 (sweep_appendix(n, n)); the sweep over n in [2, 10^4] takes 0.16-0.21 s on a
@@ -58,16 +59,27 @@ def bound_m_range(n: int) -> range:
     return range(poisson_window(n, n)[0], n + 1)
 
 
+def _log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max, indexed by k: the one site that evaluates
+    gammaln, at the float k + 1.0 of every caller."""
+    from scipy.special import gammaln  # scipy is imported on first use only
+
+    return gammaln(np.arange(k_max + 1) + 1.0)
+
+
 def poisson_log_weights(n, ks: np.ndarray) -> np.ndarray:
     """log of the Poisson(n) probabilities n^k e^{-n} / k!, elementwise in ks.
 
-    n may be an integer array that broadcasts against ks; its logs are taken
-    with math.log, one n at a time, so every n sees the same log n.
+    ks holds nonnegative integers.  n may be an integer array that broadcasts
+    against ks; its logs are taken with math.log, one n at a time, so every n
+    sees the same log n.
     """
-    from scipy.special import gammaln  # scipy is imported on first use only
-
+    ks = np.asarray(ks)
+    if not np.issubdtype(ks.dtype, np.integer) or (ks < 0).any():
+        raise ValueError(f"ks must be nonnegative integers, got {ks.dtype} values "
+                         f"{ks.ravel()[:4].tolist()}")
     log_n = np.reshape([math.log(v) for v in np.ravel(n).tolist()], np.shape(n))
-    return ks * log_n - gammaln(ks + 1.0) - n
+    return ks * log_n - _log_factorials(int(ks.max(initial=0)))[ks] - n
 
 
 def _sandwich_slacks(ns: np.ndarray) -> np.ndarray:
@@ -76,8 +88,7 @@ def _sandwich_slacks(ns: np.ndarray) -> np.ndarray:
     Rows run over k in [0, floor(2 sqrt(n))] and repeat their last k out to
     the block's width, which leaves each row's minimum as it is.
     """
-    from scipy.special import gammaln
-
+    log_fact = _log_factorials(int(ns.max()))
     out = []
     for lo in range(0, len(ns), _CHUNK):
         n = ns[lo:lo + _CHUNK, None]
@@ -87,7 +98,7 @@ def _sandwich_slacks(ns: np.ndarray) -> np.ndarray:
         ]).T[:, :, None]
         kmax = np.floor(2.0 * np.sqrt(n)).astype(int)
         ks = np.minimum(np.arange(int(kmax.max()) + 1), kmax)
-        mid = (n - ks) * log_n - gammaln(n - ks + 1.0)
+        mid = (n - ks) * log_n - log_fact[n - ks]
         out.append(np.minimum((mid - lower_ref).min(1), (upper_ref - mid).min(1)))
     return np.concatenate(out)
 

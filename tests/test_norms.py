@@ -131,37 +131,37 @@ def test_ascent_deterministic_given_seed():
 
 def test_power_sequence_jordan_closed_form():
     T = ComplexMatrix([[1, 1], [0, 1]])
-    seq = power_norm_sequence(T, math.inf, 5)
+    lower, upper = power_norm_sequence(T, math.inf, 5)
     # T^n = [[1, n], [0, 1]], row sum n + 1
-    assert [b.lower for b in seq] == pytest.approx([2, 3, 4, 5, 6])
+    assert lower.tolist() == upper.tolist() == [2, 3, 4, 5, 6]
 
 
 def test_power_sequence_zero():
     T = make_gallery_operator(OperatorSpec("zero", 2))
-    seq = power_norm_sequence(T, 2.0, 4)
-    assert all(b.lower == 0.0 and b.upper == 0.0 for b in seq)
+    lower, upper = power_norm_sequence(T, 2.0, 4)
+    assert lower.tolist() == upper.tolist() == [0.0] * 4
 
 
 def test_power_sequence_rotation_isometry():
     T = make_gallery_operator(OperatorSpec("rotation", 1, angles=0.3))
-    seq = power_norm_sequence(T, 2.0, 50)
-    assert all(b.lower == pytest.approx(1.0, rel=1e-12) for b in seq)
+    lower, _ = power_norm_sequence(T, 2.0, 50)
+    assert lower == pytest.approx(np.ones(50), rel=1e-12)
 
 
 def test_power_sequence_scale_ledger():
     # 10^n growth forces renormalization through the 1e100 guard
     T = make_gallery_operator(OperatorSpec("scalar", 2, scale=10.0))
-    seq = power_norm_sequence(T, 2.0, 150)
-    assert seq[-1].lower == pytest.approx(1e150, rel=1e-10)
+    lower, _ = power_norm_sequence(T, 2.0, 150)
+    assert lower[-1] == pytest.approx(1e150, rel=1e-10)
 
 
 def test_power_sequence_keeps_a_norm_past_e709():
     # the ledger holds 1.2e308 as e^709.4 M: still a float, not inf
     T = ComplexMatrix([[1.2e308]])
     for p in (2.0, 3.0):
-        bounds = power_norm_sequence(T, p, 1)[0]
-        assert bounds.lower == pytest.approx(operator_p_norm(T, 2.0).lower, rel=1e-12)
-        assert bounds.upper == pytest.approx(1.2e308, rel=1e-12)
+        (lower,), (upper,) = power_norm_sequence(T, p, 1)
+        assert lower == pytest.approx(operator_p_norm(T, 2.0).lower, rel=1e-12)
+        assert upper == pytest.approx(1.2e308, rel=1e-12)
 
 
 def test_power_sequence_requires_positive_n():
@@ -275,13 +275,12 @@ def test_stack_ascent_rejects_p_inf():
 
 def test_power_sequence_matches_per_power_norms():
     T = make_gallery_operator(gallery_entry("jordan2").spec)
-    seq = power_norm_sequence(T, 3.0, 64)
+    lower, upper = power_norm_sequence(T, 3.0, 64)
     M = np.eye(2, dtype=complex)
-    for b in seq:
+    for lo, up in zip(lower.tolist(), upper.tolist()):
         M = T.entries @ M
         ref = operator_p_norm(ComplexMatrix(M), 3.0)
-        assert (b.lower, b.upper, b.method) == (ref.lower, ref.upper, ref.method)
-        assert np.array_equal(b.witness, ref.witness)
+        assert (lo, up) == (ref.lower, ref.upper)
 
 
 def _serial_exact_norm(A, p):
@@ -378,15 +377,28 @@ def test_power_stack_matches_per_power_norms(p, monkeypatch):
     ops.append(make_gallery_operator(OperatorSpec("jordan", 16, eigenvalue=0.9)))
     for T in ops:
         n_max = 9 if p == 3.0 else 40
-        got = power_norm_sequence(T, p, n_max, cfg)
+        lower, upper = power_norm_sequence(T, p, n_max, cfg)
         want = _serial_power_norms(T, p, n_max, cfg)
-        assert len(got) == len(want) == n_max
-        for b, ref in zip(got, want):
-            assert (b.lower, b.upper, b.method) == (ref.lower, ref.upper, ref.method)
-            assert np.array_equal(b.witness, ref.witness)
+        assert len(lower) == len(upper) == len(want) == n_max
+        assert np.array_equal(lower, [ref.lower for ref in want])
+        assert np.array_equal(upper, [ref.upper for ref in want])
         one = operator_p_norm(T, p, cfg)
+        assert one.method == want[0].method
         assert (one.lower, one.upper) == (want[0].lower, want[0].upper)
         assert np.array_equal(one.witness, want[0].witness)
+
+
+@pytest.mark.parametrize("bad_upper", [-1.0, math.nan])
+def test_stack_bounds_out_of_order_raise(bad_upper, monkeypatch):
+    # an upper bound below the ascent value (negative) or NaN fails the order check
+    monkeypatch.setattr(norms, "_interpolation_uppers",
+                        lambda M, p: [bad_upper] * len(M))
+    T = make_gallery_operator(gallery_entry("jordan2").spec)
+    cfg = AscentConfig(restarts=2, max_steps=5)
+    with pytest.raises(ValueError, match="bounds out of order"):
+        power_norm_sequence(T, 3.0, 4, cfg)
+    with pytest.raises(ValueError, match="bounds out of order"):
+        operator_p_norm(T, 3.0, cfg)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 600, 1e4, 1e12, 1e308])

@@ -25,10 +25,10 @@ def test_fit_strong_kreiss_ceiling_slope():
 
 def test_fit_jordan_power_norms():
     T = ComplexMatrix([[1, 1], [0, 1]])
-    seq = power_norm_sequence(T, math.inf, 4096)
+    lower, _ = power_norm_sequence(T, math.inf, 4096)
     # closed form ||T^n||_inf = n + 1
-    assert seq[99].lower == pytest.approx(101.0)
-    fit = growth_fit([(n, b.lower) for n, b in enumerate(seq, 1)], "poly")
+    assert lower[99] == pytest.approx(101.0)
+    fit = growth_fit(list(enumerate(lower.tolist(), 1)), "poly")
     assert fit.alpha == pytest.approx(1.0, abs=0.02)
 
 

@@ -3,8 +3,9 @@ src/kreisslab is used by the package or its scripts, or is documented API, and
 so is every public method of a public class and every option of a public
 function, public method or *Config dataclass; no default of a private
 function is left to tests alone; no public class defines an arithmetic or
-comparison dunder without a reason; only cli.main writes reports; and only
-norms takes a singular value decomposition or runs the ascent."""
+comparison dunder without a reason; only cli.main writes reports; only
+norms takes a singular value decomposition or runs the ascent; and only
+verify's log-factorial table evaluates a log-gamma function."""
 
 import ast
 import collections
@@ -314,3 +315,31 @@ def _norm_kernel_callers(paths):
 def test_only_norms_takes_svds_and_ascents():
     found = _norm_kernel_callers(PACKAGE + SCRIPTS)
     assert found - NORM_KERNELS == set(), "norm kernels outside norms"
+
+
+# the functions that may evaluate a log-gamma function: verify's table of
+# log-factorials is the one site
+LOG_FACTORIAL_TABLES = {"verify._log_factorials"}
+LOG_GAMMA = {"gammaln", "lgamma", "loggamma"}
+
+
+def _log_gamma_readers(paths):
+    """file stem.function of each top-level function or method among paths that
+    reads gammaln, lgamma or loggamma, by a call or otherwise; <module> for a
+    read outside any function.  Imports do not count."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in defs:
+                if LOG_GAMMA & set(_references(fn)):
+                    around = fn.name if isinstance(fn, (ast.FunctionDef,
+                                                        ast.AsyncFunctionDef)) else "<module>"
+                    found.add(f"{path.stem}.{around}")
+    return found
+
+
+def test_only_the_log_factorial_table_calls_gammaln():
+    assert _log_gamma_readers(PACKAGE + SCRIPTS) - LOG_FACTORIAL_TABLES == set(), \
+        "log-gamma evaluations outside verify._log_factorials"

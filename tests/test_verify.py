@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from kreisslab.verify import SUP_BOUND, V1_BOUND, bound_m_range, poisson_window, sweep_appendix
+from kreisslab import verify
+from kreisslab.verify import (
+    SUP_BOUND,
+    V1_BOUND,
+    bound_m_range,
+    poisson_log_weights,
+    poisson_window,
+    sweep_appendix,
+)
 from oracles import log_poisson_term, log_sum_exp, poisson_window_sum
 
 
@@ -227,3 +235,34 @@ def test_sweep_validates_range():
         sweep_appendix(1, 10)
     with pytest.raises(ValueError):
         sweep_appendix(5, 4)
+
+
+# ---------------------------------------------------------------------------
+# the log-factorial table and the Poisson weights read from it
+# ---------------------------------------------------------------------------
+
+
+def test_log_factorial_table_is_gammaln_bit_for_bit():
+    ks = np.arange(10_001)
+    assert np.array_equal(verify._log_factorials(10_000), gammaln(ks + 1.0))
+
+
+def test_poisson_log_weights_match_direct_gammaln_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for n in rng.integers(1, 10_001, size=40).tolist():
+        lo = int(rng.integers(0, n + 1))
+        ks = np.arange(lo, lo + int(rng.integers(1, 300)))
+        want = ks * math.log(n) - gammaln(ks + 1.0) - n
+        assert np.array_equal(poisson_log_weights(n, ks), want), n
+    # a column of n against a row of k, as the window sums pass them
+    n = np.array([[9], [400], [10_000]])
+    ks = np.array([[3, 7, 9_999]])
+    log_n = np.array([[math.log(v)] for v in n.ravel().tolist()])
+    want = ks * log_n - gammaln(ks + 1.0) - n
+    assert np.array_equal(poisson_log_weights(n, ks), want)
+
+
+@pytest.mark.parametrize("ks", [[-1], [0.5], [True]])
+def test_poisson_log_weights_reject_ks_outside_the_nonnegative_integers(ks):
+    with pytest.raises(ValueError, match="ks must be nonnegative integers"):
+        poisson_log_weights(10, np.array(ks))
