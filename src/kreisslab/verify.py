@@ -19,14 +19,16 @@ m - 1.  An off-by-one here silently changes the constants, so this module
 is the single owner of that window (poisson_window, bound_m_range) and of
 the Poisson weights (poisson_log_weights); the positivity checks use both.
 
-Factorials enter as log-factorials, read from the one gammaln table of
-_log_factorials, and the window sums through Poisson-normalized weights, so
-the sweep reaches n = 10^6 without overflow.  sweep_appendix is
-the one entry point: it works on blocks of _CHUNK values of n at a time, and
-every row keeps the values and summation order of a one-n sweep
-(sweep_appendix(n, n)); the sweep over n in [2, 10^4] takes 0.16-0.21 s on a
-2-vCPU x86 VM.  It returns the appendix.csv table as a dict of numpy columns,
-in header order.
+Factorials enter as log-factorials, read from the one table of log k! that
+_log_factorials keeps per process (a numpy port of Cephes lgam, equal to
+scipy.special.gammaln bit for bit, so no scipy import; 8 MB at n = 10^6),
+and the window sums through Poisson-normalized weights, so the sweep reaches
+n = 10^6 without overflow.  sweep_appendix is the one entry point: it works
+on blocks of _CHUNK values of n at a time, and every row keeps the values and
+summation order of a one-n sweep (sweep_appendix(n, n)); the sweep over n in
+[2, 10^4] takes 0.09-0.13 s in process on a 2-vCPU x86 VM, its first call
+(which builds the table) included.  It returns the appendix.csv table as a
+dict of numpy columns, in header order.
 """
 
 from __future__ import annotations
@@ -59,12 +61,59 @@ def bound_m_range(n: int) -> range:
     return range(poisson_window(n, n)[0], n + 1)
 
 
-def _log_factorials(k_max: int) -> np.ndarray:
-    """log k! for k = 0..k_max, indexed by k: the one site that evaluates
-    gammaln, at the float k + 1.0 of every caller."""
-    from scipy.special import gammaln  # scipy is imported on first use only
+# Cephes lgam's constants (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989): log sqrt(2 pi) and the Stirling series for x < 1000
+_LS2PI = 0.91893853320467274178
+_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LOG_SMALL_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(12)])
 
-    return gammaln(np.arange(k_max + 1) + 1.0)
+
+def _lgam(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) at each float64 integer x >= 1 of a 1-D array, as Cephes
+    lgam (scipy.special.gammaln) evaluates it, bit for bit.
+
+    Below 13 the value is log((x - 1)!) of the exact product; from 13 on it is
+    Stirling's q = (x - 1/2) log x - x + log sqrt(2 pi), plus a series in
+    1/x^2 over x (a degree-4 fit below 1000, three terms from there on).
+    Cephes drops the series past 1e8; there it is below 1e-9, under half an
+    ulp of q > 2^30, so adding it changes no bit.
+
+    Scalar log on purpose: numpy's SIMD np.log is not bit-equal to math.log
+    (with numpy 2.4 on an x86 Xeon it differed on 8 of the integers
+    13..200,001), and Cephes takes the C library's log, as math.log does.
+    math.lgamma is no substitute: it differs from gammaln in the last bit on
+    103,496 of k = 0..200,000, which would move bytes of appendix.csv and of
+    the positivity reports.
+    """
+    log_x = np.fromiter(map(math.log, memoryview(x)), float, x.size)  # no list of x
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.where(x < 1000.0, (((_A[0] * p + _A[1]) * p + _A[2]) * p + _A[3]) * p + _A[4],
+                      (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                      + 0.0833333333333333333333)
+    q = q + series / x
+    return np.where(x < 13.0, _LOG_SMALL_FACTORIALS[np.minimum(x, 12.0).astype(int) - 1], q)
+
+
+_log_factorial_table = np.zeros(0)  # built and grown by _log_factorials
+
+
+def _log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max, indexed by k: a read-only slice of the one
+    table per process, the one site that evaluates log-gamma (_lgam at the
+    float k + 1.0).
+
+    The table is built on first use and rebuilt at least twice as long when
+    a larger k_max is asked for, as decomp._phase_table is kept; each entry
+    is the same whatever the table's length.  It holds 8 MB at k_max = 10^6.
+    """
+    global _log_factorial_table
+    if k_max >= len(_log_factorial_table):
+        table = _lgam(np.arange(max(k_max + 1, 2 * len(_log_factorial_table))) + 1.0)
+        table.setflags(write=False)
+        _log_factorial_table = table
+    return _log_factorial_table[:k_max + 1]
 
 
 def poisson_log_weights(n, ks: np.ndarray) -> np.ndarray:
@@ -72,7 +121,8 @@ def poisson_log_weights(n, ks: np.ndarray) -> np.ndarray:
 
     ks holds nonnegative integers.  n may be an integer array that broadcasts
     against ks; its logs are taken with math.log, one n at a time, so every n
-    sees the same log n.
+    sees the same log n.  The log k! are read from the process's one table
+    (_log_factorials), not built per call.
     """
     ks = np.asarray(ks)
     if not np.issubdtype(ks.dtype, np.integer) or (ks < 0).any():
@@ -86,7 +136,9 @@ def _sandwich_slacks(ns: np.ndarray) -> np.ndarray:
     """Least log-domain slack of the two sandwich estimates for each n of ns.
 
     Rows run over k in [0, floor(2 sqrt(n))] and repeat their last k out to
-    the block's width, which leaves each row's minimum as it is.
+    the block's width, which leaves each row's minimum as it is.  The
+    log (n - k)! are read from the process's one table (_log_factorials),
+    which the window sums of the same sweep read too.
     """
     log_fact = _log_factorials(int(ns.max()))
     out = []

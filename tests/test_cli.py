@@ -27,15 +27,30 @@ def run(argv):
     return main(argv)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported where expm and gammaln are used, not with the CLI
+def _scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kreisslab.__file__)))
-    code = ("import sys, kreisslab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": src}
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60, check=True)
-    assert res.stdout.strip() == "[]"
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    return res.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where expm is used (exp-criterion), not with the CLI
+    assert _scipy_modules_after("import sys, kreisslab.cli") == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-appendix", "--n-max", "50"],
+    ["positivity", "--gallery", "shift4", "--q", "1.5", "--n-list", "4", "--corpus", "2",
+     "--seed", "1"],
+], ids=["verify-appendix", "positivity"])
+def test_log_factorial_runs_leave_scipy_unloaded(argv, tmp_path):
+    # the log-factorial table is numpy's own: no scipy.special behind it
+    code = (f"import sys, kreisslab.cli; "
+            f"kreisslab.cli.main({[*argv, '--out', str(tmp_path / 'o')]!r})")
+    assert _scipy_modules_after(code) == "[]"
 
 
 @pytest.mark.parametrize("sub, extra", [

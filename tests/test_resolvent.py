@@ -802,11 +802,18 @@ def test_search_seeds_exact_ties_in_stable_order():
     assert x.tolist() == xf[seeds].tolist() and t.tolist() == tf[seeds].tolist()
 
 
+@pytest.fixture(scope="module")
+def norm_store():
+    """The stacks normed so far in this module, by (shape, stack bytes, p, config)."""
+    return {}
+
+
 @pytest.fixture
-def shared_norms(monkeypatch):
+def shared_norms(monkeypatch, norm_store):
     """Norm each distinct stack once: the search and its oracle meet the same stacks
-    wherever they agree, and a stack that differs is normed afresh."""
-    real, seen = norms._batched_norm_lower, {}
+    wherever they agree, as do the cases that share a grid (the [p-0] and [p-2]
+    flow cases), and a stack that differs is normed afresh."""
+    real, seen = norms._batched_norm_lower, norm_store
 
     def lower(mats, p, acfg):
         key = (mats.shape, mats.tobytes(), p, acfg)

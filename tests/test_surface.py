@@ -4,8 +4,9 @@ so is every public method of a public class and every option of a public
 function, public method or *Config dataclass; no default of a private
 function is left to tests alone; no public class defines an arithmetic or
 comparison dunder without a reason; only cli.main writes reports; only
-norms takes a singular value decomposition or runs the ascent; and only
-verify's log-factorial table evaluates a log-gamma function."""
+norms takes a singular value decomposition or runs the ascent; only
+verify's log-factorial table evaluates a log-gamma function; and only
+resolvent's matrix exponential imports scipy."""
 
 import ast
 import collections
@@ -318,28 +319,57 @@ def test_only_norms_takes_svds_and_ascents():
 
 
 # the functions that may evaluate a log-gamma function: verify's table of
-# log-factorials is the one site
+# log-factorials is the one site, through verify's own port of Cephes lgam
 LOG_FACTORIAL_TABLES = {"verify._log_factorials"}
-LOG_GAMMA = {"gammaln", "lgamma", "loggamma"}
+LOG_GAMMA = {"gammaln", "lgamma", "loggamma", "_lgam"}
 
 
-def _log_gamma_readers(paths):
-    """file stem.function of each top-level function or method among paths that
-    reads gammaln, lgamma or loggamma, by a call or otherwise; <module> for a
-    read outside any function.  Imports do not count."""
+def _functions_where(paths, hit):
+    """file stem.function of each top-level function or method among paths whose
+    node hit(node) accepts; <module> for a statement outside any function."""
     found = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             defs = node.body if isinstance(node, ast.ClassDef) else [node]
             for fn in defs:
-                if LOG_GAMMA & set(_references(fn)):
+                if hit(fn):
                     around = fn.name if isinstance(fn, (ast.FunctionDef,
                                                         ast.AsyncFunctionDef)) else "<module>"
                     found.add(f"{path.stem}.{around}")
     return found
 
 
+def _log_gamma_readers(paths):
+    """The functions among paths that read gammaln, lgamma, loggamma or _lgam, by a
+    call or otherwise.  Imports do not count."""
+    return _functions_where(paths, lambda fn: LOG_GAMMA & set(_references(fn)))
+
+
 def test_only_the_log_factorial_table_calls_gammaln():
     assert _log_gamma_readers(PACKAGE + SCRIPTS) - LOG_FACTORIAL_TABLES == set(), \
         "log-gamma evaluations outside verify._log_factorials"
+
+
+# the functions that may import scipy: the matrix exponential replays
+# scipy.linalg.expm's kernels; every other path runs on numpy alone
+SCIPY_IMPORTERS = {"resolvent._expm_stack"}
+
+
+def _imported_modules(tree):
+    """The names of the modules that the imports within tree import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def _scipy_importers(paths):
+    """The functions among paths that import a scipy module."""
+    return _functions_where(paths, lambda fn: any(
+        name.split(".")[0] == "scipy" for name in _imported_modules(fn)))
+
+
+def test_only_the_matrix_exponential_imports_scipy():
+    assert _scipy_importers(PACKAGE + SCRIPTS) == SCIPY_IMPORTERS

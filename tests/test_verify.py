@@ -242,9 +242,55 @@ def test_sweep_validates_range():
 # ---------------------------------------------------------------------------
 
 
+# Cephes lgam's branches at x = k + 1: the exact product below 13, Stirling's q with
+# the degree-4 series below 1000, with the three-term series up to 1e8, and q alone
+# past it (where the port still adds the series, which changes no bit)
+LGAM_BRANCHES = (13.0, 1000.0, 1e8)
+
+
+def _sampled_ks(seed, size):
+    """Seeded k in [0, 2^52], log-uniform so that every branch of lgam gets many,
+    with the branch edges and both ends added."""
+    rng = np.random.default_rng(seed)
+    ks = np.exp(rng.uniform(0.0, 52 * math.log(2), size)).astype(np.int64) - 1
+    edges = [int(e) + d for e in LGAM_BRANCHES for d in range(-3, 3)]
+    return np.concatenate([ks, [0, 1, *edges, 2**52 - 1, 2**52]])
+
+
 def test_log_factorial_table_is_gammaln_bit_for_bit():
-    ks = np.arange(10_001)
-    assert np.array_equal(verify._log_factorials(10_000), gammaln(ks + 1.0))
+    ks = np.arange(200_001)
+    assert np.array_equal(verify._log_factorials(200_000), gammaln(ks + 1.0))
+    ks = _sampled_ks(29, 100_000)
+    branch = np.searchsorted(LGAM_BRANCHES, ks + 1.0, side="right")
+    assert np.bincount(branch).min() > 5_000  # every branch is well covered
+    assert np.array_equal(verify._lgam(ks + 1.0), gammaln(ks + 1.0))
+
+
+def test_log_factorial_table_is_built_once_and_grown(monkeypatch):
+    monkeypatch.setattr(verify, "_log_factorial_table", np.zeros(0))
+    fresh = verify._lgam(np.arange(5_001) + 1.0)
+    slices = [verify._log_factorials(k) for k in (10, 5_000, 3)]
+    for k, got in zip((10, 5_000, 3), slices):
+        assert np.array_equal(got, fresh[:k + 1]), k
+        assert not got.flags.writeable, k
+    assert slices[2].base is slices[1].base  # k_max = 3 reads the table k_max = 5,000 built
+    with pytest.raises(ValueError, match="read-only"):
+        slices[1][0] = 1.0
+    grown = verify._log_factorials(6_000)  # a larger k_max doubles the table
+    assert len(verify._log_factorial_table) == 10_002
+    assert np.array_equal(grown, verify._lgam(np.arange(6_001) + 1.0))
+    assert verify._log_factorials(0).tolist() == [0.0]
+
+
+def test_log_factorials_within_4_ulps_of_mpmath():
+    # gammaln, and so the table, reaches 2.30 ulps of the exact log k! on these k
+    mpmath = pytest.importorskip("mpmath")
+    ks = _sampled_ks(4, 6_000)
+    got = verify._lgam(ks + 1.0)
+    with mpmath.workdps(50):
+        for k, v in zip(ks.tolist(), got.tolist()):
+            exact = mpmath.loggamma(mpmath.mpf(k) + 1)
+            assert abs(mpmath.mpf(v) - exact) <= 4 * math.ulp(float(exact)), k
 
 
 def test_poisson_log_weights_match_direct_gammaln_bit_for_bit():
