@@ -40,7 +40,7 @@ from .decomp import DecompSearchConfig, estimate_constant, rademacher_constants
 from .fourier import (
     ExtremalSearchConfig,
     MultiplierSeq,
-    marcinkiewicz_check,
+    marcinkiewicz_checks,
     riesz_norm_lower_bound,
     save_trig_polynomial,
     _random_polynomial,
@@ -87,6 +87,9 @@ from .verify import sweep_appendix
 # search flags, and their handlers get the operator and its SearchConfig
 OPERATOR_SUBS = ("kreiss", "strong-kreiss", "exp-criterion", "cesaro", "growth", "bounds",
                  "positivity")
+# marcinkiewicz trials drawn and scored as one batch: the memory of a run does
+# not grow with --trials
+_MARCINKIEWICZ_CHUNK = 256
 
 # built-in defaults; a subcommand has exactly the flags named by its keys, plus
 # --out and --config.  A seed default of None makes --seed mandatory.
@@ -476,12 +479,15 @@ def _marcinkiewicz(params):
     rng = np.random.default_rng(params["seed"])
     samples = []
     span = params["span"]
-    for _ in range(params["trials"]):
-        signs = rng.choice([-1.0, 1.0], size=2 * span + 1)
-        m = MultiplierSeq(-span, tuple(signs))
-        f = _random_polynomial(rng, params["dim"], params["span"])
-        lhs, factor = marcinkiewicz_check(f, m, params["p"], params["inner_p"])
-        samples.append(lhs / factor)
+    for k in range(0, params["trials"], _MARCINKIEWICZ_CHUNK):
+        # each trial draws its signs, then its polynomial: the stream of one
+        # trial at a time, as scoring draws nothing
+        ms, fs = [], []
+        for _ in range(min(_MARCINKIEWICZ_CHUNK, params["trials"] - k)):
+            ms.append(MultiplierSeq(-span, tuple(rng.choice([-1.0, 1.0], size=2 * span + 1))))
+            fs.append(_random_polynomial(rng, params["dim"], span))
+        checks = marcinkiewicz_checks(fs, ms, params["p"], params["inner_p"])
+        samples.extend(lhs / factor for lhs, factor in checks)
     best = max([0.0, *samples])
     payload = {
         "p": params["p"], "span": params["span"], "trials": params["trials"],

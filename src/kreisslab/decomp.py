@@ -449,7 +449,7 @@ def fourier_type_check(xs, p: float, q: float, u_ref: float) -> float:
         raise ValueError("xs must contain a nonzero vector")
     d = vecs[0].shape[0]
     f = TrigPolynomial.from_coeffs({n: v for n, v in enumerate(vecs)}, d)
-    lhs = lp_torus_norm(f, p).value
+    lhs = lp_torus_norm(f, p, 2.0).value
     rhs = u_ref * vector_p_norm([vector_p_norm(v, 2.0) for v in vecs], q)
     return rhs / lhs
 

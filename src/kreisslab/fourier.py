@@ -14,6 +14,7 @@ inexact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -25,6 +26,9 @@ from .operators import _require
 _OVERSAMPLE = 8
 # 2^20 points: an exact grid past it takes gigabytes of grid values per norm
 _MAX_EXACT_POINTS = 1 << 20
+# complex grid values per pass of _torus_norms: bounds the memory of one pass;
+# 2^12 to 2^30 ran riesz-norm and marcinkiewicz in the same time
+_TORUS_CHUNK = 1 << 13
 # the best random draws that start a Riesz ascent, after the templates
 _RIESZ_TOP_K = 4
 
@@ -137,14 +141,6 @@ class TrigPolynomial:
     def max_abs_freq(self) -> int:
         # the frequencies are sorted: the largest |n| sits at one end
         return max(-self.freqs[0], self.freqs[-1]) if self.freqs else 0
-
-    def values_on_grid(self, n_points: int) -> np.ndarray:
-        """f at t_j = j/N, j = 0..N-1, shape (N, dim), via an aliased inverse DFT."""
-        N = int(n_points)
-        A = np.zeros((N, self.dim), dtype=complex)
-        # unbuffered, in index order: colliding residues add as a loop would
-        np.add.at(A, np.array(self.freqs, dtype=int) % N, self.vecs)
-        return np.fft.ifft(A, axis=0) * N
 
 
 def save_trig_polynomial(f: TrigPolynomial, path) -> None:
@@ -289,23 +285,68 @@ def quadrature_points(f: TrigPolynomial, p: float, inner_p: float) -> tuple[int,
 
 
 def lp_torus_norm(
-    f: TrigPolynomial, p: float, inner_p: float = 2.0, n_points: int | None = None
+    f: TrigPolynomial, p: float, inner_p: float, n_points: int | None = None
 ) -> TorusNorm:
     """(1/N sum_j ||f(j/N)||_{inner_p}^p)^{1/p} on the uniform N-point grid.
 
     Exact (flag True) iff p is an even integer and inner_p == 2 and
     N > p * max|freq|; then the summand is a trig polynomial of degree at
-    most p*M and the Riemann sum equals the integral.
+    most p*M and the Riemann sum equals the integral.  The zero polynomial's
+    norm 0 is exact on any grid.  The value is _torus_norms' for [f].
+    """
+    value = _torus_norms([f], p, inner_p, n_points)[0]
+    default_n, exact = quadrature_points(f, p, inner_p)
+    N = default_n if n_points is None else int(n_points)
+    return TorusNorm(value, exact and (f.is_zero or N >= default_n), N)
+
+
+def _torus_norms(fs, p: float, inner_p: float, n_points: int | None = None) -> list[float]:
+    """L^p(l^{inner_p}) norm of each polynomial of fs, on its quadrature grid or on n_points.
+
+    The nonzero polynomials are grouped by grid (N, d), in order.  Each group
+    goes through passes of at most _TORUS_CHUNK complex grid values (and at
+    least one polynomial): _grid_values stacks the pass into one (B, N, d)
+    array, and one _inner_norms, one power and one row mean score it.  Each
+    value equals the one a pass of that polynomial alone gives, bit for bit:
+    the inverse FFT transforms each line on its own, the elementwise steps
+    do not depend on the position in the array, and the sum over a row of a
+    C-contiguous (B, N) array is reduced as np.mean sums a 1-D row.  The root is
+    taken on each mean alone, as a float64 scalar: numpy's array power took
+    another path and differed from the scalar one in the last bit on about
+    5% of random means on an AVX-512 host.  A zero polynomial gets 0.0 and
+    no grid.
     """
     _require("p", p, 1)
     _require("inner_p", inner_p, 1, math.inf, "[]")
-    default_n, exact = quadrature_points(f, p, inner_p)
-    if f.is_zero:
-        return TorusNorm(0.0, exact, n_points or default_n)
-    N = int(n_points) if n_points is not None else default_n
-    exact = exact and N >= default_n
-    row = _inner_norms(f.values_on_grid(N), inner_p)
-    return TorusNorm(float(np.mean(row ** p) ** (1.0 / p)), exact, N)
+    out = [0.0] * len(fs)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, f in enumerate(fs):
+        N = quadrature_points(f, p, inner_p)[0] if n_points is None else int(n_points)
+        if not f.is_zero:
+            groups.setdefault((N, f.dim), []).append(i)
+    root = 1.0 / p
+    for (N, d), idx in groups.items():
+        step = max(1, _TORUS_CHUNK // (N * d))
+        for k in range(0, len(idx), step):
+            part = idx[k : k + step]
+            rows = _inner_norms(_grid_values([fs[i] for i in part], N), inner_p)
+            for i, mean in zip(part, np.add.reduce(rows ** p, axis=1) / N):
+                out[i] = float(mean ** root)
+    return out
+
+
+def _grid_values(fs, N: int) -> np.ndarray:
+    """f(j/N), j = 0..N-1, of each f of fs (all of one dim), shape (len(fs), N, dim).
+
+    Each polynomial is scattered into its slice of one zero array, and one
+    aliased inverse DFT along the grid axis gives every value.
+    """
+    A = np.zeros((len(fs), N, fs[0].dim), dtype=complex)
+    slots = np.repeat(np.arange(len(fs)), [len(f.freqs) for f in fs])
+    cells = np.fromiter(itertools.chain.from_iterable(f.freqs for f in fs), int, len(slots)) % N
+    # unbuffered, in index order: colliding residues add as a loop would
+    np.add.at(A, (slots, cells), np.concatenate([f.vecs for f in fs]))
+    return np.fft.ifft(A, axis=1) * N
 
 
 def _inner_norms(vals: np.ndarray, inner_p: float) -> np.ndarray:
@@ -388,12 +429,14 @@ def _random_polynomial(rng: np.random.Generator, d: int, max_support: int) -> Tr
     return TrigPolynomial(tuple(int(n) for n in freqs), vecs, d)
 
 
-def _multiplier_ratio(f: TrigPolynomial, m: MultiplierSeq, p: float, inner_p: float) -> float:
-    den = lp_torus_norm(f, p, inner_p).value
-    if den == 0.0:
-        return 0.0
-    num = lp_torus_norm(apply_multiplier(f, m), p, inner_p).value
-    return num / den
+def _multiplier_ratios(fs, ms, p: float, inner_p: float) -> list[float]:
+    """||T_m f||_p / ||f||_p of each f of fs and m of ms, 0.0 where ||f||_p is 0.
+
+    Every f and every T_m f is scored in one _torus_norms call.
+    """
+    images = [apply_multiplier(f, m) for f, m in zip(fs, ms, strict=True)]
+    norms = _torus_norms([*fs, *images], p, inner_p)
+    return [num / den if den != 0.0 else 0.0 for den, num in zip(norms, norms[len(fs):])]
 
 
 def _riesz_templates(d: int, max_support: int) -> list[TrigPolynomial]:
@@ -419,21 +462,25 @@ def riesz_norm_lower_bound(
     projection fixes, so the result is >= 1 - 1e-9 regardless of the draw.
     Deterministic templates with two-sided support seed the ascent, since
     random draws alone rarely align the cancellation that pushes the ratio
-    above 1.
+    above 1.  The draw pool, the templates and each lockstep ascent step are
+    scored in one _multiplier_ratios call each, one quadrature grid at a
+    time, and every ratio equals that of the polynomial scored alone, bit
+    for bit.
     """
     _require("p", p, 1, math.inf, "()")
     _require("dim", d, 1)
 
-    def score(f: TrigPolynomial) -> tuple[float, None]:
-        return _multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), None
+    def ratios(fs: list[TrigPolynomial]) -> list[tuple[float, None]]:
+        return [(r, None) for r in _multiplier_ratios(fs, [RIESZ_SYMBOL] * len(fs), p, inner_p)]
 
     rng = np.random.default_rng(cfg.seed)
     drawn = [_random_polynomial(rng, d, cfg.max_support) for _ in range(cfg.trials)]
     # stable: equal ratios keep draw order
-    pool = sorted(((f, score(f)) for f in drawn), key=lambda t: t[1][0], reverse=True)
+    pool = sorted(zip(drawn, ratios(drawn)), key=lambda t: t[1][0], reverse=True)
     # each ascent returns at least the ratio it starts from
-    starts = [(f, score(f)) for f in _riesz_templates(d, cfg.max_support)] + pool[:_RIESZ_TOP_K]
-    ends = _coefficient_ascents(starts, lambda fs: [score(f) for f in fs], cfg.ascent_steps, rng)
+    templates = _riesz_templates(d, cfg.max_support)
+    starts = list(zip(templates, ratios(templates))) + pool[:_RIESZ_TOP_K]
+    ends = _coefficient_ascents(starts, ratios, cfg.ascent_steps, rng)
     return max(value for value, _f, _extra in ends)
 
 
@@ -448,7 +495,9 @@ def _coefficient_ascents(starts: list, score_many, steps: int,
     start's best.
 
     The ascents run in lockstep, every start's candidate scored in one
-    score_many(list) -> list call per step.  Each start's noise block, shape
+    score_many(list) -> list call per step; the Riesz scorer takes the list
+    one quadrature grid at a time (see _torus_norms), and gives each
+    candidate the value it gets alone, bit for bit.  Each start's noise block, shape
     (steps, 2, s, d), is drawn first, in start order: the stream and the
     generator state after it equal those of one start at a time with two
     (s, d) draws per step.  It holds len(starts) * steps * 2 * s * d doubles.
@@ -472,17 +521,12 @@ def _coefficient_ascents(starts: list, score_many, steps: int,
     return [(value, f, extra) for f, value, extra, _step in best]
 
 
-def marcinkiewicz_check(
-    f: TrigPolynomial,
-    m: MultiplierSeq,
-    p: float,
-    inner_p: float = 2.0,
-) -> tuple[float, float]:
-    """Return (||T_m f||_p / ||f||_p, ||m||_inf + [m]_V1).
+def marcinkiewicz_checks(fs, ms, p: float, inner_p: float = 2.0) -> list[tuple[float, float]]:
+    """(||T_m f||_p / ||f||_p, ||m||_inf + [m]_V1) of each f of fs and m of ms.
 
     The ratio of the two terms is a sample-wise lower bound for the
-    bounded-variation multiplier constant of the ambient space.
+    bounded-variation multiplier constant of the ambient space.  Every f and
+    every T_m f is scored in one _torus_norms call.
     """
-    lhs = _multiplier_ratio(f, m, p, inner_p)
-    rhs_factor = m.sup_norm() + v1_seminorm(m)
-    return lhs, rhs_factor
+    lhs = _multiplier_ratios(fs, ms, p, inner_p)
+    return [(r, m.sup_norm() + v1_seminorm(m)) for r, m in zip(lhs, ms)]

@@ -3,9 +3,10 @@
 Each one computes a quantity the slow, plain way: the appendix window sums
 term by term in the log domain with compensated summation, the pairing of
 two trigonometric polynomials by quadrature on the torus, a multiplier's
-value at one frequency by case analysis, and the bound-pruned sweep with
-every point kept in the power ledger to its last step.  ledger_steps counts
-the work of the power ledger.
+value at one frequency by case analysis, the torus norm and the multiplier
+ratio one polynomial at a time, the marcinkiewicz subcommand one trial at a
+time, and the bound-pruned sweep with every point kept in the power ledger
+to its last step.  ledger_steps counts the work of the power ledger.
 """
 
 from __future__ import annotations
@@ -16,8 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 import kreisslab.norms
-from kreisslab import resolvent
-from kreisslab.fourier import TrigPolynomial
+from kreisslab import cli, resolvent
+from kreisslab.fourier import (
+    MultiplierSeq,
+    TrigPolynomial,
+    _inner_norms,
+    _random_polynomial,
+    apply_multiplier,
+    quadrature_points,
+    v1_seminorm,
+)
 from kreisslab.operators import _require
 from kreisslab.verify import poisson_window
 
@@ -74,9 +83,60 @@ def pairing_quadrature(f: TrigPolynomial, g: TrigPolynomial, n_points: int | Non
     """<f, g> as the mean of <f(t), g(t)> over a grid exact for f conj(g)."""
     M = f.max_abs_freq + g.max_abs_freq
     N = int(n_points) if n_points is not None else 2 * M + 1
-    vf = f.values_on_grid(N)
-    vg = g.values_on_grid(N)
+    vf = values_alone(f, N)
+    vg = values_alone(g, N)
     return complex(np.mean(np.sum(vf * np.conj(vg), axis=1)))
+
+
+def values_alone(f: TrigPolynomial, N: int) -> np.ndarray:
+    """f at t_j = j/N, shape (N, dim): one polynomial's scatter and aliased inverse DFT."""
+    A = np.zeros((N, f.dim), dtype=complex)
+    np.add.at(A, np.array(f.freqs, dtype=int) % N, f.vecs)
+    return np.fft.ifft(A, axis=0) * N
+
+
+def torus_norm_alone(f: TrigPolynomial, p: float, inner_p: float,
+                     n_points: int | None = None) -> float:
+    """lp_torus_norm's value as it was while each polynomial took its own grid
+    pass, kept verbatim as an oracle: the inner norms of values_alone, then the
+    mean of their powers and its root."""
+    if f.is_zero:
+        return 0.0
+    N = int(n_points) if n_points is not None else quadrature_points(f, p, inner_p)[0]
+    row = _inner_norms(values_alone(f, N), inner_p)
+    return float(np.mean(row ** p) ** (1.0 / p))
+
+
+def multiplier_ratio_alone(f: TrigPolynomial, m: MultiplierSeq, p: float,
+                           inner_p: float) -> float:
+    """||T_m f||_p / ||f||_p from torus_norm_alone, 0.0 where ||f||_p is 0."""
+    den = torus_norm_alone(f, p, inner_p)
+    if den == 0.0:
+        return 0.0
+    return torus_norm_alone(apply_multiplier(f, m), p, inner_p) / den
+
+
+def marcinkiewicz_one_trial_at_a_time(params) -> cli.Outcome:
+    """cli's marcinkiewicz handler as it was while it drew and scored one trial at
+    a time, kept verbatim as an oracle, with multiplier_ratio_alone for the ratio."""
+    rng = np.random.default_rng(params["seed"])
+    samples = []
+    span = params["span"]
+    for _ in range(params["trials"]):
+        signs = rng.choice([-1.0, 1.0], size=2 * span + 1)
+        m = MultiplierSeq(-span, tuple(signs))
+        f = _random_polynomial(rng, params["dim"], params["span"])
+        lhs = multiplier_ratio_alone(f, m, params["p"], params["inner_p"])
+        samples.append(lhs / (m.sup_norm() + v1_seminorm(m)))
+    best = max([0.0, *samples])
+    payload = {
+        "p": params["p"], "span": params["span"], "trials": params["trials"],
+        "max_sample": best,
+        "mean_sample": float(np.mean(samples)),
+        "label": "empirical lower bound for the multiplier constant",
+    }
+    return cli.Outcome("marcinkiewicz", payload, f"marcinkiewicz: p={params['p']} max sample "
+                                                 f"ratio {best:.6f} over {len(samples)} trials")
 
 
 def multiplier_at(m, n: int) -> complex:

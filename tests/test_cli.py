@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import kreisslab
+from kreisslab import cli
 from kreisslab.cli import build_parser, main
 from kreisslab.operators import ComplexMatrix, save_matrix
+from oracles import marcinkiewicz_one_trial_at_a_time
 
 
 def read(path):
@@ -331,6 +333,28 @@ def test_marcinkiewicz_subcommand(tmp_path):
     assert code == 0
     rep = read(out / "marcinkiewicz.json")
     assert 0 < rep["max_sample"] < 1.0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p", "4", "--span", "4", "--seed", "2"],
+    ["--p", "3", "--dim", "2", "--inner-p", "1", "--seed", "5"],
+])
+def test_marcinkiewicz_chunks_write_the_bytes_of_one_trial_at_a_time(flags, tmp_path,
+                                                                     monkeypatch):
+    # 25 trials in chunks of 7: three full chunks and a short one, each scored
+    # in one call, and a report equal to that of the per-trial loop
+    argv = ["marcinkiewicz", "--trials", "25", *flags]
+    monkeypatch.setattr(cli, "_MARCINKIEWICZ_CHUNK", 7)
+    batches = []
+    real = cli.marcinkiewicz_checks
+    monkeypatch.setattr(cli, "marcinkiewicz_checks",
+                        lambda fs, *a: batches.append(len(fs)) or real(fs, *a))
+    assert run([*argv, "--out", str(tmp_path / "chunked")]) == 0
+    assert batches == [7, 7, 7, 4]
+    monkeypatch.setitem(cli.HANDLERS, "marcinkiewicz", marcinkiewicz_one_trial_at_a_time)
+    assert run([*argv, "--out", str(tmp_path / "alone")]) == 0
+    report = [(tmp_path / d / "marcinkiewicz.json").read_bytes() for d in ("chunked", "alone")]
+    assert report[0] == report[1]
 
 
 def test_type_cotype_subcommand(tmp_path):

@@ -29,7 +29,7 @@ from kreisslab.fourier import (
     IntervalPartition,
     TrigPolynomial,
     _coefficient_ascents,
-    _multiplier_ratio,
+    _multiplier_ratios,
     lp_torus_norm,
     project_interval,
     quadrature_points,
@@ -366,7 +366,9 @@ def _decomp_objective(p, q, inner_p, gamma, side):
 
 
 def _riesz_objective(p, inner_p):
-    return lambda fs: [(_multiplier_ratio(f, RIESZ_SYMBOL, p, inner_p), None) for f in fs]
+    def score(fs):
+        return [(r, None) for r in _multiplier_ratios(fs, [RIESZ_SYMBOL] * len(fs), p, inner_p)]
+    return score
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

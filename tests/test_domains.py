@@ -255,7 +255,7 @@ def _library_calls():
         # -inf would pass for inf in the exact-norm branch
         "p": [lambda: vector_p_norm([1.0], nan), lambda: operator_p_norm(T, -math.inf),
               lambda: power_norm_sequence(T, -math.inf, 2), lambda: SearchConfig(p=nan),
-              lambda: lp_torus_norm(f, math.inf), lambda: riesz_norm_lower_bound(nan, 1),
+              lambda: lp_torus_norm(f, math.inf, 2.0), lambda: riesz_norm_lower_bound(nan, 1),
               lambda: estimate_constant(nan, 2.0)],
         "restarts": [lambda: AscentConfig(restarts=0)],
         "rel_tol": [lambda: AscentConfig(rel_tol=nan), lambda: AscentConfig(rel_tol=-1e-10),

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kreisslab import fourier
 from kreisslab.fourier import (
     RIESZ_SYMBOL,
+    _grid_values,
     _inner_norms,
+    _multiplier_ratios,
+    _torus_norms,
     ExtremalSearchConfig,
     Interval,
     IntervalPartition,
@@ -17,7 +21,7 @@ from kreisslab.fourier import (
     apply_multiplier,
     load_trig_polynomial,
     lp_torus_norm,
-    marcinkiewicz_check,
+    marcinkiewicz_checks,
     pairing,
     project_interval,
     quadrature_points,
@@ -26,7 +30,8 @@ from kreisslab.fourier import (
     v1_seminorm,
 )
 from kreisslab.norms import vector_p_norm
-from oracles import multiplier_at, pairing_quadrature
+from oracles import (multiplier_at, multiplier_ratio_alone, pairing_quadrature,
+                     torus_norm_alone, values_alone)
 
 # regression floors pinned from pre-build oracle computations:
 #   * best 3-term ratio a e_{-1} + b e_0 + c e_1 for the Riesz projection at
@@ -79,7 +84,8 @@ def test_projection_algebra(seed):
     # idempotence
     once = project_interval(f, lo)
     twice = project_interval(once, lo)
-    assert np.allclose(twice.values_on_grid(32), once.values_on_grid(32), atol=1e-12)
+    assert np.allclose(_grid_values([twice, once], 32)[0], _grid_values([once], 32)[0],
+                       atol=1e-12)
     # disjoint composition vanishes
     assert project_interval(once, hi).is_zero
     # partition of unity
@@ -88,7 +94,7 @@ def test_projection_algebra(seed):
         for n, v in zip(g.freqs, g.vecs):
             back[n] = back.get(n, 0) + v
     back = TrigPolynomial.from_coeffs(back, f.dim)
-    assert np.allclose(back.values_on_grid(32), f.values_on_grid(32), atol=1e-12)
+    assert np.allclose(*_grid_values([back, f], 32), atol=1e-12)
 
 
 def test_partition_disjointness_enforced():
@@ -263,9 +269,9 @@ def test_multiplier_contraction_at_p2(rng):
 def test_rejects_bad_exponents():
     f = scal({0: 1.0})
     with pytest.raises(ValueError):
-        lp_torus_norm(f, 0.5)
+        lp_torus_norm(f, 0.5, 2.0)
     with pytest.raises(ValueError):
-        lp_torus_norm(f, math.inf)
+        lp_torus_norm(f, math.inf, 2.0)
 
 
 def test_inner_norms_match_vector_norms(rng):
@@ -321,25 +327,95 @@ def _looped_values_on_grid(f, n_points):
     return np.fft.ifft(A, axis=0) * n_points
 
 
-def test_values_on_grid_matches_per_frequency_loop(rng):
-    for _ in range(30):
-        size, d = int(rng.integers(4, 12)), int(rng.integers(1, 4))
-        freqs = rng.choice(np.arange(-12, 13), size=size, replace=False)
-        f = TrigPolynomial(tuple(int(n) for n in freqs),
-                           rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d)), d)
-        M = f.max_abs_freq
-        grids = {quadrature_points(f, p, r)[0] for p, r in ((4.0, 2.0), (3.0, 2.0), (2.0, 1.0))}
+def test_grid_values_match_per_frequency_loop(rng):
+    for d in (1, 2, 3):
+        polys = []
+        for _ in range(10):
+            size = int(rng.integers(4, 12))
+            freqs = rng.choice(np.arange(-12, 13), size=size, replace=False)
+            polys.append(TrigPolynomial(tuple(int(n) for n in freqs), rng.standard_normal(
+                (size, d)) + 1j * rng.standard_normal((size, d)), d))
+        polys.append(TrigPolynomial.from_coeffs({}, d))
+        M = max(f.max_abs_freq for f in polys)
+        grids = {quadrature_points(f, p, r)[0] for f in polys
+                 for p, r in ((4.0, 2.0), (3.0, 2.0), (2.0, 1.0))}
         # aliased grids with n_points < 2M + 1: fewer points than frequencies
         # at 1, 2 and 3, so residues collide and add up in one grid cell
         grids |= {1, 2, 3, M, 2 * M}
         for N in grids:
-            assert np.array_equal(f.values_on_grid(N), _looped_values_on_grid(f, N))
-    for d in (1, 3):
-        zero = TrigPolynomial.from_coeffs({}, d)
-        for N in (1, 8):
-            got = zero.values_on_grid(N)
-            assert got.shape == (N, d) and not got.any()
-            assert np.array_equal(got, _looped_values_on_grid(zero, N))
+            got = _grid_values(polys, N)
+            assert got.shape == (len(polys), N, d) and not got[-1].any()
+            for f, vals in zip(polys, got):
+                assert np.array_equal(vals, _looped_values_on_grid(f, N))
+                assert np.array_equal(vals, values_alone(f, N))
+
+
+def _kernel_corpus(rng):
+    """Polynomials of dims 1-3 and supports up to 12, on many grids, with zero ones and
+    Riesz images among them: one that vanishes (only negative frequencies), one that
+    keeps a constant alone, and the images of the draws."""
+    polys = []
+    for d in (1, 2, 3):
+        for _ in range(12):
+            polys.append(fourier._random_polynomial(rng, d, int(rng.integers(2, 13))))
+        polys.append(TrigPolynomial.from_coeffs({}, d))
+        polys.append(TrigPolynomial.from_coeffs({-3: np.ones(d), -1: 2j * np.ones(d)}, d))
+        polys.append(TrigPolynomial.from_coeffs({-2: np.ones(d), 0: np.ones(d)}, d))
+    polys += [apply_multiplier(f, RIESZ_SYMBOL) for f in polys]
+    order = rng.permutation(len(polys))  # dims and grids interleaved
+    return [polys[i] for i in order]
+
+
+@pytest.mark.parametrize("chunk", [fourier._TORUS_CHUNK, 40], ids=["default-pass", "small-pass"])
+@pytest.mark.parametrize("inner_p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 6.0])
+def test_torus_norms_match_one_polynomial_at_a_time(p, inner_p, chunk, monkeypatch):
+    # a pass of 40 values holds at most one polynomial at most grids, and a few
+    # on the smallest: passes split every group that the default pass holds whole
+    monkeypatch.setattr(fourier, "_TORUS_CHUNK", chunk)
+    polys = _kernel_corpus(np.random.default_rng(17))
+    assert len({(quadrature_points(f, p, inner_p)[0], f.dim) for f in polys}) > 12
+    got = _torus_norms(polys, p, inner_p)
+    want = [torus_norm_alone(f, p, inner_p) for f in polys]
+    assert got == want  # floats: equal means bit for bit
+    assert [v == 0.0 for v in got] == [f.is_zero for f in polys]
+    for f, v in zip(polys[:8], got):
+        res = lp_torus_norm(f, p, inner_p)
+        assert res.value == v
+        assert res.n_points == quadrature_points(f, p, inner_p)[0]
+    # each polynomial under the Riesz symbol, whose image of one with only negative
+    # frequencies is a zero numerator, and under a multiplier that scales every mode
+    ms = [RIESZ_SYMBOL, MultiplierSeq(-3, (1.0, -1.0, 2.0, 0.5j, -1.0, 1.0, 3.0))] * len(polys)
+    fs = [f for f in polys for _m in range(2)]
+    ratios = _multiplier_ratios(fs, ms, p, inner_p)
+    assert ratios == [multiplier_ratio_alone(f, m, p, inner_p) for f, m in zip(fs, ms)]
+    assert any(r == 0.0 and not f.is_zero for r, f in zip(ratios, fs))
+
+
+@pytest.mark.parametrize("chunk", [fourier._TORUS_CHUNK, 5], ids=["default-pass", "small-pass"])
+def test_torus_norms_on_an_aliased_grid(chunk, monkeypatch, rng):
+    # n_points below 2M + 1 folds frequencies onto one cell: every polynomial of
+    # the call takes that grid, and lp_torus_norm tags the result inexact
+    monkeypatch.setattr(fourier, "_TORUS_CHUNK", chunk)
+    polys = [fourier._random_polynomial(rng, 2, 12) for _ in range(9)]
+    polys.append(TrigPolynomial.from_coeffs({}, 2))
+    for p, inner_p in ((4.0, 2.0), (3.0, 1.0)):
+        for N in (1, 3, 7):
+            got = _torus_norms(polys, p, inner_p, n_points=N)
+            assert got == [torus_norm_alone(f, p, inner_p, n_points=N) for f in polys]
+            res = lp_torus_norm(polys[0], p, inner_p, n_points=N)
+            assert (res.value, res.exact, res.n_points) == (got[0], False, N)
+        # the zero norm is exact on any grid
+        zero = lp_torus_norm(polys[-1], p, inner_p, n_points=3)
+        assert zero == (0.0, quadrature_points(polys[-1], p, inner_p)[1], 3)
+
+
+def test_riesz_image_of_negative_frequencies_scores_zero():
+    f = TrigPolynomial.from_coeffs({-4: 1.0, -1: 2.0 - 1j}, 1)
+    assert apply_multiplier(f, RIESZ_SYMBOL).is_zero
+    for p in (1.5, 3.0, 4.0):
+        assert _multiplier_ratios([f, scal({0: 1.0, 1: 1.0})], [RIESZ_SYMBOL] * 2, p, 2.0) == [
+            0.0, 1.0]
 
 
 def test_sorted_constructor_matches_validating_one(rng):
@@ -456,14 +532,14 @@ def test_riesz_norm_p4_beats_pinned_floor():
 
 def test_marcinkiewicz_identity_symbol():
     f = scal({0: 1.0, 1: 1.0})
-    lhs, factor = marcinkiewicz_check(f, MultiplierSeq(0, (), 1.0, 1.0), 4.0)
+    [(lhs, factor)] = marcinkiewicz_checks([f], [MultiplierSeq(0, (), 1.0, 1.0)], 4.0)
     assert lhs == pytest.approx(1.0)
     assert factor == pytest.approx(1.0)
 
 
 def test_marcinkiewicz_riesz_at_p2():
     f = scal({-1: 1.0, 0: 1.0, 1: 1.0})
-    lhs, factor = marcinkiewicz_check(f, RIESZ_SYMBOL, 2.0)
+    [(lhs, factor)] = marcinkiewicz_checks([f], [RIESZ_SYMBOL], 2.0)
     assert lhs <= 1.0 + 1e-12
     assert factor == pytest.approx(2.0)
 
@@ -479,5 +555,5 @@ def test_marcinkiewicz_corpus_under_pinned_constant():
             rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1)),
             1,
         )
-        lhs, factor = marcinkiewicz_check(f, m, 4.0)
+        [(lhs, factor)] = marcinkiewicz_checks([f], [m], 4.0)
         assert lhs <= MARCINKIEWICZ_P4_CAP * factor

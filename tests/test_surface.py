@@ -5,8 +5,9 @@ function, public method or *Config dataclass; no default of a private
 function is left to tests alone; no public class defines an arithmetic or
 comparison dunder without a reason; only cli.main writes reports; only
 norms takes a singular value decomposition or runs the ascent; only
-verify's log-factorial table evaluates a log-gamma function; and only
-resolvent's matrix exponential imports scipy."""
+verify's log-factorial table evaluates a log-gamma function; only
+resolvent's matrix exponential imports scipy; and only the torus kernel's
+grid values run a fast Fourier transform."""
 
 import ast
 import collections
@@ -373,3 +374,22 @@ def _scipy_importers(paths):
 
 def test_only_the_matrix_exponential_imports_scipy():
     assert _scipy_importers(PACKAGE + SCRIPTS) == SCIPY_IMPORTERS
+
+
+# the functions that may run a fast Fourier transform: lp_torus_norm and the
+# multiplier ratios take their grid values from the torus kernel's one stacked
+# inverse FFT per pass, and decomp's block norms sum phase-table waveforms
+FFT_SITES = {"fourier._grid_values"}
+FFT_NAMES = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn",
+             "irfftn", "hfft", "ihfft"}
+
+
+def _fft_readers(paths):
+    """The functions among paths that read an FFT module or routine (np.fft.ifft,
+    fft, ...) or import one (numpy.fft, scipy.fft)."""
+    return _functions_where(paths, lambda fn: FFT_NAMES & set(_references(fn)) or any(
+        name.split(".")[-1] in FFT_NAMES for name in _imported_modules(fn)))
+
+
+def test_only_the_torus_kernel_runs_ffts():
+    assert _fft_readers(PACKAGE + SCRIPTS) == FFT_SITES
