@@ -550,27 +550,28 @@ def _exp_criterion(params, name, T, cfg):
 
 def _cesaro(params, name, T, cfg):
     ks_ref = _ks_ref(params, T, cfg)
-    res = cesaro_partial_sum_bound(T, cfg, params["n_max"], ks_ref)
+    res = cesaro_partial_sum_bound(T, cfg, params["n_max"])
+    ratio = res.value / (20.0 * ks_ref)
     gz_val = None
     if params["gz"]:
         gz_val = gz_partial_resolvent_ratio(T, cfg, min(params["n_max"], 64), ks_ref).value
     payload = {
         "ks_ref": ks_ref,
-        "cesaro_ratio_max": res.ratio_max,
-        "cesaro_lower": res.cesaro_lower,
+        "cesaro_ratio_max": ratio,
+        "cesaro_lower": res.value,
         "cesaro_argmax": res.argmax, "cesaro_n_at_max": res.n_at_max,
         "gz_ratio_max": gz_val,
         "gz_note": "informational diagnostic; its reference constant is uncertified",
     }
-    if res.ratio_max > 1.0 + 1e-6:
+    if ratio > 1.0 + 1e-6:
         return Outcome("cesaro", payload,
-                       f"cesaro {name}: FLAGGED ratio {res.ratio_max:.6f} at n={res.n_at_max}",
+                       f"cesaro {name}: FLAGGED ratio {ratio:.6f} at n={res.n_at_max}",
                        witness={
-                           "ratio": res.ratio_max, "lambda": res.argmax, "n": res.n_at_max,
+                           "ratio": ratio, "lambda": res.argmax, "n": res.n_at_max,
                            "note": "partial-sum ratio exceeded 20*Ks_ref*(n+1); Ks_ref is a "
                                    "lower bound, so this flags the substitution, not the bound",
                        })
-    return Outcome("cesaro", payload, f"cesaro {name}: ratio_max={res.ratio_max:.6f} (consistent)")
+    return Outcome("cesaro", payload, f"cesaro {name}: ratio_max={ratio:.6f} (consistent)")
 
 
 def _growth(params, name, T, cfg):

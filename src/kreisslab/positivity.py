@@ -27,6 +27,9 @@ from .operators import ComplexMatrix, _require
 from .verify import bound_m_range, poisson_log_weights
 
 _TAIL_REL_LIMIT = 1e-8
+# 2^20 series terms: past it the powers' loop and the log-factorial table take
+# minutes and gigabytes
+_MAX_TERMS = 1 << 20
 
 
 class TruncationError(ArithmeticError):
@@ -76,7 +79,9 @@ def krivine_checks(
     margin = min over coordinates of (rhs_i + tail) / lhs_i, where both sides
     carry the common e^n factor removed.  Coordinates with lhs_i = 0 pass
     vacuously; if every coordinate does, the margin is +inf.  The error raised
-    is the one the first failing row would raise on its own.
+    is the one the first failing row would raise on its own.  A series of
+    more than _MAX_TERMS terms is refused with a ValueError naming kmax,
+    before anything is allocated.
     """
     A = T.array
     X = np.array(xs, dtype=float).reshape(-1, T.dim)
@@ -85,8 +90,13 @@ def krivine_checks(
         raise ValueError("x must be entrywise nonnegative")
     _require("n", n, 2)
     _require("q", q, 1, 2)
-    t_inf = float(np.max(np.sum(A, axis=1)))
-    kmax = trunc_terms if trunc_terms is not None else max(4 * n, 128, math.ceil(2 * n * max(t_inf, 1.0)))
+    with np.errstate(over="ignore"):  # an infinite row sum is refused below
+        t_inf = float(np.max(np.sum(A, axis=1)))
+    kmax = trunc_terms if trunc_terms is not None else max(4 * n, 128, 2 * n * max(t_inf, 1.0))
+    if kmax > _MAX_TERMS:
+        raise ValueError(f"the series at n = {n} needs kmax = {kmax:.6g} terms, more than "
+                         f"{_MAX_TERMS}")
+    kmax = math.ceil(kmax)
     if kmax < n + 1:
         raise TruncationError(f"trunc_terms={kmax} does not even reach the window at n={n}")
     X[negative] = 0.0  # rejected below, in row order
@@ -120,7 +130,8 @@ def krivine_checks(
     rhs_min = np.min(np.where(relevant, rhs, np.inf), axis=1)
     tail_rel = np.full_like(tail, np.inf)
     np.divide(tail, rhs_min, out=tail_rel, where=rhs_min > 0)
-    margins = (rhs + tail[:, None]) / np.where(relevant, lhs, 1.0)
+    with np.errstate(over="ignore"):  # a subnormal lhs: the margin is inf
+        margins = (rhs + tail[:, None]) / np.where(relevant, lhs, 1.0)
     margins[~relevant] = math.inf
     argmin = np.argmin(margins, axis=1)
 
@@ -184,7 +195,7 @@ def block_bound_check(
             acc += np.sum(Xk ** q, axis=0)
     denom = acc ** (1.0 / q)
     rhs = 28.0 * ks_ref * math.sqrt(n)
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore"):  # a subnormal denominator: the margin is inf
         margins = np.where(denom > 0, rhs / np.where(denom == 0, 1.0, denom), np.inf)
     j = int(np.argmin(margins))
     witness = X[:, j].copy() if math.isfinite(margins[j]) else None

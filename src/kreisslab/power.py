@@ -45,7 +45,7 @@ def default_fit_floor(n_max: int) -> int:
 def growth_fit(seq, model: str = "poly") -> GrowthFit:
     """Least squares of log v against log n (and log log(n+2) for poly_log).
 
-    `seq` is a list of (n, value) with positive values and strictly
+    `seq` is a list of (n, value) with positive finite values and strictly
     increasing n; at least 8 samples are required.  Samples below the fit
     floor are dropped to suppress transients unless that would leave fewer
     than 8 points.
@@ -57,6 +57,10 @@ def growth_fit(seq, model: str = "poly") -> GrowthFit:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
     ns = np.array([n for n, _ in pts], dtype=float)
     vs = np.array([v for _, v in pts], dtype=float)
+    bad = ~np.isfinite(vs)
+    if bad.any():
+        raise ValueError(f"the value at n = {int(ns[bad][0])} is {vs[bad][0]}; "
+                         "a fit needs finite values")
     if np.any(vs <= 0):
         raise ValueError("values must be positive")
     if np.any(np.diff(ns) <= 0):

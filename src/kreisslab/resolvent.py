@@ -5,35 +5,25 @@ Four functionals of an operator T with spectral radius <= 1:
   kreiss_constant          sup_{|l|>1} (|l|-1) ||(l-T)^{-1}||
   strong_kreiss_constant   sup_{|l|>1, n} (|l|-1)^n ||(l-T)^{-n}||
   exponential_criterion    sup_{xi in C} e^{-|xi|} ||e^{xi T}||
-  cesaro_partial_sum_bound sup_{|l|=1, n} ||sum_{k<=n} l^k T^k|| / (20 Ks (n+1))
+  cesaro_partial_sum_bound sup_{|l|=1, n} ||sum_{k<=n} l^k T^k|| / (n+1)
 
 All reported values are lower bounds of the suprema: the grid is truncated at
 r_max, but the analytic |lambda| -> inf limit of the first two functionals
 equals 1 exactly and is always included in the max.  Upper "hints" are
 advisory only; no Lipschitz certificate is claimed.
 
-A search reads few of the values it evaluates, and one rule, _top_norms,
-decides which it norms: given each point's certified upper bound, a group
-of points and a count top, it norms the group's top highest-bound points,
-takes the top-th best of their values as the group's floor and norms every
-other point whose bound reaches the floor.  The bounds are those of
-norms._log_norm_bounds, for resolvent powers also the submultiplicative cap
-of norms._log_step_cap.  A point left out has its value certified below top
-values of its group, so each group's first maximum and top best values are
-exact.  kreiss_constant uses it at every p != 2 on (r-1) ||(l-T)^{-1}||,
-exponential_criterion at every p on e^{-|xi|} ||e^{xi T}||.
-
-The strong-Kreiss, Cesaro and GZ scans run through one bound-pruned sweep,
-_pruned_sweep, at every p.  It takes the first step's norms through
-_top_norms and scored bounds at the other (point, n) pairs, and takes a
-norm only where the upper bound reaches its group's floor, the top-th best
-of the points' lower bounds.  The last step's norms come first, since the
-max usually sits there; the steps between follow in increasing n, and an
-equal score at a smaller n takes the place of the best, so each point
-reports the first n attaining its max.  A strong-Kreiss point whose capped
-bounds lie below its floor at every later n after the first step leaves the
-power ledger there.  Every value a search reads, with its n, is the one a
-norm at every pair gives, bit for bit.
+A search reads few of the values it evaluates, and one bound-pruned sweep,
+_pruned_sweep, values every matrix stack of every search: the resolvents of
+kreiss_constant at p != 2 and the exponentials of exponential_criterion as
+stacks of one step, the resolvent powers of strong_kreiss_constant and the
+partial sums of the Cesaro and GZ scans as stacks of many.  It norms a
+(point, n) pair only where its certified upper bound (norms._log_norm_bounds,
+for resolvent powers also the cap of norms._log_step_cap) reaches its
+group's floor, the top-th best value of the group, so each group's first
+maximum and top best values, with their first n, are exact: bit for bit the
+values a norm at every pair gives.  kreiss_constant at p = 2 takes sigma_min
+of each l - T instead: inside |l| <= ||T|| no cheap certified bound on
+1/sigma_min prunes it.
 
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
 suprema through one grid-and-refine search, _search.  It evaluates the whole
@@ -48,8 +38,9 @@ attaining it, and that n travels with the point through refinement, so a
 refined argmax needs no second sweep.  The Cesaro and GZ scans are one
 group with top = 1.
 
-Every power, of T or of a resolvent, comes from norms._power_ledger, and
-every norm and norm bound from norms; the Cesaro and GZ scans read
+One builder, _resolvents, gives every grid's l - T and (l - T)^{-1}.  Every
+power, of T or of a resolvent, comes from norms._power_ledger, and every
+norm and norm bound from norms; the Cesaro and GZ scans read
 T^k = e^{log_scale} M from the ledger through _partial_sums.
 """
 
@@ -109,15 +100,6 @@ class FunctionalEstimate:
     argmax: complex | None
     n_at_max: int | None = None
     diverged: bool = False
-    log_value: float | None = None
-
-
-@dataclass(frozen=True)
-class CesaroResult:
-    ratio_max: float
-    argmax: complex
-    n_at_max: int
-    cesaro_lower: float
 
 
 def _angles(count: int) -> np.ndarray:
@@ -187,6 +169,27 @@ def _xt_to_lambda(xt: tuple[float, float]) -> complex:
     return r * complex(math.cos(xt[1]), math.sin(xt[1]))
 
 
+def _resolvents(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray, invert: bool):
+    """r = |l| and the stack l - T at the points l = (1 + 10^x) e^{it}, or with invert
+    the resolvents R = (l - T)^{-1}.  An OverflowError names the least |l| at which R
+    is not finite."""
+    r = 1.0 + 10.0 ** xflat
+    A = (r * np.exp(1j * tflat))[:, None, None] * np.eye(T.dim) - T.entries
+    if not invert:
+        return r, A
+    R = np.linalg.inv(A)
+    bad = ~np.isfinite(R).all(axis=(1, 2))
+    if bad.any():
+        raise OverflowError(f"(l - T)^{{-1}} left the float range at |l| = {r[bad].min():.6g}")
+    return r, R
+
+
+def _one_step(M: np.ndarray):
+    """The stack of _pruned_sweep that yields the matrices M once, as (1, M, 0)."""
+    zero = np.zeros(len(M))
+    return lambda pts: iter([(1, M[pts], zero[pts])])
+
+
 def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> FunctionalEstimate:
     """Grid-and-refine lower bound of the Kreiss constant sup (|l|-1)||(l-T)^{-1}||.
 
@@ -201,28 +204,21 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
     acfg = cfg.ascent()
 
     def evaluate(xflat: np.ndarray, tflat: np.ndarray, groups, top):
-        r = 1.0 + 10.0 ** xflat
-        A = (r * np.exp(1j * tflat))[:, None, None] * np.eye(T.dim) - T.entries
-        if cfg.p == 2:
-            smin = _smallest_singular_values(A)
+        r, M = _resolvents(T, xflat, tflat, cfg.p != 2)
+        if cfg.p == 2:  # M = l - T: (r - 1) / sigma_min(M)
+            smin = _smallest_singular_values(M)
             with np.errstate(divide="ignore"):
                 return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf), None
-        R = np.linalg.inv(A)
-        with np.errstate(over="ignore"):
-            upper = (r - 1.0) * np.exp(_log_norm_bounds(R, cfg.p)[1])
-
-        def value(idx):
-            return (r[idx] - 1.0) * _batched_norm_lower(R[idx], cfg.p, acfg)
-
-        return _top_norms(upper, groups, top, value), None
+        return _pruned_sweep(_one_step(M), lambda n, idx, _, norms: (r[idx] - 1.0) * norms,
+                             cfg.p, acfg, groups, top)
 
     xs, _ = _grid(cfg)
     best, best_xt, _ = _search(evaluate, xs, (xs[-1] - xs[0]) / cfg.radial_count,
                                (xs[0], xs[-1]), cfg)
     if best >= 1.0:
-        return FunctionalEstimate(best, _xt_to_lambda(best_xt), log_value=math.log(best))
+        return FunctionalEstimate(best, _xt_to_lambda(best_xt))
     # sup attained only in the |lambda| -> inf limit
-    return FunctionalEstimate(1.0, None, log_value=0.0)
+    return FunctionalEstimate(1.0, None)
 
 
 def _floors(vals: np.ndarray, groups: np.ndarray, top: int) -> np.ndarray:
@@ -410,9 +406,7 @@ def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray,
     _pruned_sweep with one floor per group: only each group's first max and
     its top best values are exact.
     """
-    r = 1.0 + 10.0 ** xflat
-    lam = r * np.exp(1j * tflat)
-    R = np.linalg.inv(lam[:, None, None] * np.eye(T.dim, dtype=complex) - T.entries)
+    r, R = _resolvents(T, xflat, tflat, True)
     log_gap = np.log(r - 1.0)
 
     def score(n, idx, log_scale, norms):
@@ -455,28 +449,32 @@ def strong_kreiss_constant(
         k_est = kreiss_constant(T, cfg)
     candidates = [
         (best_log, _xt_to_lambda(best_xt), best_n),
-        (k_est.log_value if k_est.log_value is not None else -math.inf, k_est.argmax, 1),
+        (math.log(k_est.value), k_est.argmax, 1),
         (0.0, None, None),  # |lambda| -> inf limit, value 1 for every n
     ]
     log_val, argmax, n_at = max(candidates, key=lambda c: c[0])
-    value = _rescale(1.0, log_val)
-    return FunctionalEstimate(value, argmax, n_at_max=n_at, log_value=log_val)
+    return FunctionalEstimate(_rescale(1.0, log_val), argmax, n_at_max=n_at)
 
 
-def _exp_sinch(x: np.ndarray) -> np.ndarray:
-    """(e^{x_{k+1}} - e^{x_k}) / (x_{k+1} - x_k) along the last axis, e^{x_k} where
-    the two are equal: Higham's formula (10.42), as scipy.linalg.expm evaluates it."""
-    lexp_diff = np.diff(np.exp(x))
-    l_diff = np.diff(x)
-    mask_z = l_diff == 0.0
-    lexp_diff[~mask_z] /= l_diff[~mask_z]
-    lexp_diff[mask_z] = np.exp(x[..., :-1][mask_z])
-    return lexp_diff
+def _exp_divided_differences(x: np.ndarray) -> np.ndarray:
+    """(e^b - e^a) / (b - a) for each pair a = x_k, b = x_{k+1} along the last axis, e^a
+    where b = a.  Where 0 < |z| <= 1, z = (b - a) / 2, it is e^{(a+b)/2} sinh(z) / z
+    (Higham, Functions of Matrices, (10.42)), as the quotient cancels for close a
+    and b; elsewhere the quotient, as in scipy.linalg.expm, as sinh(z) may overflow."""
+    ex = np.exp(x)
+    a, b, ea, eb = x[..., :-1], x[..., 1:], ex[..., :-1], ex[..., 1:]
+    z = (b - a) / 2
+    near = (z != 0) & (abs(z) <= 1)
+    far = (z != 0) & ~near
+    out = ea.copy()
+    out[far] = (eb[far] - ea[far]) / (b - a)[far]
+    out[near] = np.exp((a[near] + b[near]) / 2) * (np.sinh(z[near]) / z[near])
+    return out
 
 
 def _expm_stack(A: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm of each matrix of a float64 or complex128 (B, d, d) stack, bit for
-    bit, with the squaring done once per group of matrices instead of once per matrix.
+    """scipy.linalg.expm of each matrix of a float64 or complex128 (B, d, d) stack, with
+    the squaring done once per group of matrices instead of once per matrix.
 
     This replays the algorithm of scipy.linalg.expm (Al-Mohy and Higham, SIAM
     J. Matrix Anal. Appl. 31 (2009)) on scipy's private kernels, in the
@@ -488,8 +486,10 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     each group is squared as one stack: E @ E, and on triangular groups the
     diagonal and first off-diagonal reset from the exact formulas (Code
     Fragment 2.1 of the paper) and the other triangle zeroed.  Every step is
-    the per-matrix operation scipy applies, so the results agree bit for bit;
-    a test against scipy.linalg.expm pins it.
+    the per-matrix operation scipy applies, but for the first off-diagonal of
+    a triangular matrix, from _exp_divided_differences, which does not cancel
+    for close diagonal entries as scipy's does.  Tests pin the other matrices
+    to scipy.linalg.expm bit for bit, and those to an mpmath oracle.
     """
     from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure  # on first use
 
@@ -534,7 +534,7 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
                 E = E @ E
                 np.einsum("...ii->...i", E)[:] = np.exp(diag * 2.0**-i)
                 off = E[:, :-1, 1:] if kind == "upper" else E[:, 1:, :-1]
-                np.einsum("...ii->...i", off)[:] = _exp_sinch(diag * 2.0**-i) * (sd * 2.0**-i)
+                np.einsum("...ii->...i", off)[:] = _exp_divided_differences(diag * 2.0**-i) * (sd * 2.0**-i)
         eA[idx] = np.triu(E) if kind == "upper" else np.tril(E)
     return eA
 
@@ -545,11 +545,11 @@ def exponential_criterion(
     """Lower bound of sup_xi e^{-|xi|} ||e^{xi T}|| over the disc |xi| <= xi_max.
 
     The modulus grid includes xi = 0, where the functional equals 1 exactly.
-    Matrix exponentials are scipy.linalg.expm's, bit for bit, from _expm_stack:
-    scipy's Pade kernels run per matrix and the squaring runs batched over
-    each evaluated stack.  The search norms them through _top_norms, each
-    bounded by e^{hi - |xi|} with hi from _log_norm_bounds.  An OverflowError
-    names the least |xi| of an evaluation whose e^{xi T} is not finite.
+    Matrix exponentials come from _expm_stack: scipy's Pade kernels run per
+    matrix and the squaring runs batched over each evaluated stack.  The
+    search values them through _pruned_sweep as a stack of one step.  An
+    OverflowError names the least |xi| of an evaluation whose e^{xi T} is not
+    finite.
     """
     _require("xi_max", xi_max, 0, math.inf, "()")
     acfg = cfg.ascent()
@@ -560,15 +560,11 @@ def exponential_criterion(
         bad = ~np.isfinite(E).all(axis=(1, 2))
         if bad.any():
             raise OverflowError(f"e^(xi T) left the float range at |xi| = {mflat[bad].min():.6g}")
-        with np.errstate(over="ignore"):
-            upper = np.exp(np.maximum(_log_norm_bounds(E, cfg.p)[1], np.log(1e-300)) - mflat)
 
-        def value(idx):
-            nl = _batched_norm_lower(E[idx], cfg.p, acfg)
-            with np.errstate(divide="ignore"):
-                return np.exp(np.log(np.maximum(nl, 1e-300)) - mflat[idx])
+        def score(n, idx, _, norms):
+            return np.exp(np.log(np.maximum(norms, 1e-300)) - mflat[idx])
 
-        return _top_norms(upper, groups, top, value), None
+        return _pruned_sweep(_one_step(E), score, cfg.p, acfg, groups, top)
 
     with np.errstate(over="ignore"):  # an inf modulus fails in evaluate, by name
         moduli = xi_max * np.arange(cfg.radial_count + 1) / cfg.radial_count
@@ -601,29 +597,24 @@ def _partial_sums(T: ComplexMatrix, first, ratio: np.ndarray, n_max: int):
         yield n, S, zero
 
 
-def cesaro_partial_sum_bound(
-    T: ComplexMatrix,
-    cfg: SearchConfig,
-    n_max: int,
-    ks_ref: float,
-) -> CesaroResult:
-    """Scan ||sum_{k=0}^n l^k T^k|| along the unit circle against 20 Ks (n+1).
+def cesaro_partial_sum_bound(T: ComplexMatrix, cfg: SearchConfig,
+                             n_max: int) -> FunctionalEstimate:
+    """Lower bound of sup ||sum_{k=0}^n l^k T^k|| / (n+1) over |l| = 1 and 0 <= n <= n_max.
 
-    ratio_max <= 1 certifies consistency of the tested range with the
-    20 Ks (n+1) partial-sum ceiling for the supplied Ks_ref; ratio_max > 1 is a finding to
-    report with its witness (lambda, n), not a disproof, whenever Ks_ref is
-    itself only a lower bound of the true constant.  cesaro_lower is the
-    un-normalized sup ||S_n||/(n+1), which is >= 1 at n = 0 for any T.
+    The value is >= 1 at n = 0 for any T.  Divided by 20 Ks it is the ratio
+    to the 20 Ks (n+1) partial-sum ceiling: a ratio <= 1 certifies
+    consistency of the tested range with the ceiling for a supplied Ks_ref,
+    and a ratio > 1 is a finding to report with its witness (lambda, n), not
+    a disproof, whenever Ks_ref is itself only a lower bound of the true
+    constant.
     """
-    _require("ks_ref", ks_ref, 0, math.inf, "()")
     _require("n_max", n_max, 0)
     lam = np.exp(1j * _angles(cfg.angular_count))
     # S_0 = I scores ||I||/(0+1) = 1 at every lambda: the shared start
     best, best_i, best_n = _sweep_max(
         lambda pts: itertools.islice(_partial_sums(T, 1.0, lam[pts], n_max), 1, None),
         lambda n, idx, _, norms: norms / (n + 1.0), cfg.p, cfg.ascent(), 1.0)
-    return CesaroResult(ratio_max=best / (20.0 * ks_ref), argmax=complex(lam[best_i]),
-                        n_at_max=best_n, cesaro_lower=best)
+    return FunctionalEstimate(best, complex(lam[best_i]), n_at_max=best_n)
 
 
 def gz_partial_resolvent_ratio(

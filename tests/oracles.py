@@ -5,8 +5,9 @@ term by term in the log domain with compensated summation, the pairing of
 two trigonometric polynomials by quadrature on the torus, a multiplier's
 value at one frequency by case analysis, the torus norm and the multiplier
 ratio one polynomial at a time, the marcinkiewicz subcommand one trial at a
-time, and the bound-pruned sweep with every point kept in the power ledger
-to its last step.  ledger_steps counts the work of the power ledger.
+time, the bound-pruned sweep with every point kept in the power ledger to
+its last step, and the exponential of a triangular matrix at 50 digits.
+ledger_steps counts the work of the power ledger.
 """
 
 from __future__ import annotations
@@ -238,3 +239,25 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
                 take(n, pts[rows], M[rows], log_scale[rows])
                 floor = pool()
     return best, best_n
+
+
+def expm_upper_triangular_mp(A) -> np.ndarray:
+    """e^A for an upper triangular A with distinct diagonal entries, by Parlett's
+    recurrence at 50 digits: F A = A F gives each entry of F from the entries
+    nearer the diagonal (Higham, Functions of Matrices, ch. 4)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        T = mpmath.matrix(np.asarray(A, dtype=complex).tolist())
+        d = T.rows
+        F = mpmath.zeros(d)
+        for i in range(d):
+            F[i, i] = mpmath.exp(T[i, i])
+        for k in range(1, d):
+            for i in range(d - k):
+                j = i + k
+                s = T[i, j] * (F[j, j] - F[i, i])
+                for m in range(i + 1, j):
+                    s += T[i, m] * F[m, j] - F[i, m] * T[m, j]
+                F[i, j] = s / (T[j, j] - T[i, i])
+        return np.array(F.tolist(), dtype=complex)

@@ -111,9 +111,10 @@ def test_criterion_05_partial_sum_lemma(tmp_path):
         if T.spectral_radius() > 1 + 1e-9:
             continue
         ks = strong_kreiss_constant(T, SearchConfig(), 16).value
-        res = cesaro_partial_sum_bound(T, cfg, 1000, ks)
-        if res.ratio_max > 1 + 1e-6:
-            flagged.append({"operator": entry.name, "ratio": res.ratio_max,
+        res = cesaro_partial_sum_bound(T, cfg, 1000)
+        ratio = res.value / (20.0 * ks)
+        if ratio > 1 + 1e-6:
+            flagged.append({"operator": entry.name, "ratio": ratio,
                             "lambda": {"re": res.argmax.real, "im": res.argmax.imag},
                             "n": res.n_at_max})
     if flagged:

@@ -406,7 +406,33 @@ def test_randomized_subcommand_requires_seed(tmp_path):
     # _load_config reads the file
     (["kreiss", "--gallery", "zero2", "--config", {"kreiss": {"warp_factor": 9}}],
      "unknown config keys for 'kreiss': warp_factor"),
-], ids=["type", "unrecognized", "domain", "seed", "handler", "config"])
+    # ||T^n|| = 1e300^n passes the float range at n = 2: nothing finite to fit
+    (["growth", "--op", "nilpotent", "--dim", "9", "--coupling", "1e300", "--n-max", "16"],
+     "the value at n = 2 is inf; a fit needs finite values"),
+    # kmax = 2 n ||T||_inf terms, past 2^20 at n = 2, or at any scale past n = 2^18
+    (["positivity", "--op", "scalar", "--dim", "1", "--scale", "1e300", "--ks-ref", "1",
+      "--n-list", "2", "--seed", "1"],
+     "the series at n = 2 needs kmax = 4e+300 terms, more than 1048576"),
+    (["positivity", "--op", "scalar", "--dim", "1", "--scale", "0.5", "--ks-ref", "1",
+      "--n-list", "1000000", "--seed", "1"],
+     "the series at n = 1000000 needs kmax = 4e+06 terms, more than 1048576"),
+    (["positivity", "--op", "jordan", "--dim", "2", "--eigenvalue", "1e308", "--coupling",
+      "1e308", "--ks-ref", "1", "--n-list", "2", "--seed", "1"],
+     "the series at n = 2 needs kmax = inf terms, more than 1048576"),
+] + [
+    # (l - T)^{-1} holds c^2 / l^3 = 1e400 / l^3: the resolvent builder names it
+    # before a norm or a power sees an inf (at p = 2 kreiss inverts nothing); the
+    # suite's error::RuntimeWarning turns any warning on the way into a traceback
+    ([sub, "--op", "nilpotent", "--dim", "3", "--coupling", "1e200", "--p", p,
+      "--radial", "4", "--angular", "4"], "(l - T)^{-1} left the float range at |l| = 1")
+    for sub, ps in (("kreiss", ("1", "3", "inf")), ("strong-kreiss", ("1", "2", "3", "inf")))
+    for p in ps
+], ids=["type", "unrecognized", "domain", "seed", "handler", "config", "growth-not-finite",
+        "positivity-scale-huge", "positivity-n-huge", "positivity-row-sum-inf",
+        "kreiss-resolvent-overflow-p1",
+        "kreiss-resolvent-overflow-p3", "kreiss-resolvent-overflow-pinf",
+        "strong-kreiss-resolvent-overflow-p1", "strong-kreiss-resolvent-overflow-p2",
+        "strong-kreiss-resolvent-overflow-p3", "strong-kreiss-resolvent-overflow-pinf"])
 def test_usage_errors_print_the_subcommands_usage(argv, message, tmp_path, capsys):
     if isinstance(argv[-1], dict):  # a dict stands for a config file holding it
         (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
@@ -683,6 +709,17 @@ def test_growth_of_vanishing_powers_says_why_nothing_fits(name, n_max, nonzero, 
     assert (f"{nonzero} of {n_max} powers T^n have a nonzero norm (first zero at "
             f"n = {first_zero}); a fit needs 8 of them") in message
     assert not out.exists()
+
+
+def test_positivity_of_a_subnormal_operator_has_infinite_margins(tmp_path):
+    # T^k x is subnormal, so each margin, a quotient by it, overflows to inf:
+    # the intended value, reached with no overflow warning
+    out = tmp_path / "o"
+    assert run(["positivity", "--op", "scalar", "--dim", "1", "--scale", "1e-320", "--ks-ref",
+                "1", "--n-list", "2", "--seed", "1", "--out", str(out)]) == 0
+    rep = read(out / "positivity.json")
+    assert as_float(rep["krivine_margin_overall"]) == np.inf
+    assert as_float(rep["results"][0]["block_margin_min"]) == np.inf
 
 
 def test_out_that_is_a_file_exits_2_before_the_handler(tmp_path, capsys, monkeypatch):

@@ -242,8 +242,8 @@ def _library_calls():
     from kreisslab.operators import OperatorSpec, make_gallery_operator
     from kreisslab.positivity import PositiveOperator, block_bound_check, krivine_checks
     from kreisslab.power import check_universal_bounds
-    from kreisslab.resolvent import (SearchConfig, cesaro_partial_sum_bound,
-                                     exponential_criterion, strong_kreiss_constant)
+    from kreisslab.resolvent import (SearchConfig, exponential_criterion,
+                                     gz_partial_resolvent_ratio, strong_kreiss_constant)
     from kreisslab.verify import sweep_appendix
 
     T = make_gallery_operator(OperatorSpec("identity", 2))
@@ -265,7 +265,7 @@ def _library_calls():
         "r_max": [lambda: SearchConfig(r_max=math.inf)],
         "n_max": [lambda: strong_kreiss_constant(T, cfg, 0)],
         "xi_max": [lambda: exponential_criterion(T, cfg, nan)],
-        "ks_ref": [lambda: cesaro_partial_sum_bound(T, cfg, 2, nan),
+        "ks_ref": [lambda: gz_partial_resolvent_ratio(T, cfg, 2, nan),
                    lambda: block_bound_check(P, 1.5, nan, 4)],
         "k_ref": [lambda: check_universal_bounds(T, 2.0, nan, 1.0, 4)],
         "inner_p": [lambda: lp_torus_norm(f, 2.0, nan)],

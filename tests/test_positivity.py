@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ def test_krivine_tail_certificate_rejects_short_series():
     T = pos(OperatorSpec("identity", 2))
     with pytest.raises(TruncationError):
         krivine_checks(T, [np.ones(2)], 64, 1.0, trunc_terms=70)
+
+
+def test_krivine_refuses_a_series_past_2_20_terms_before_allocating():
+    # kmax = 2 n ||T||_inf = 8e8 terms would take gigabytes of powers and table
+    T = pos(OperatorSpec("scalar", 1, scale=1e8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^the series at n = 4 needs kmax = 8e\+08 terms, "
+                                             r"more than 1048576$"):
+            krivine_checks(T, [[1.0]], 4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match=r"kmax = 1\.04858e\+06 terms"):
+        krivine_checks(pos(OperatorSpec("identity", 2)), [np.ones(2)], 4, 1.0,
+                       trunc_terms=(1 << 20) + 1)
 
 
 def test_krivine_validates_inputs():

@@ -50,6 +50,9 @@ def test_fit_validation_errors():
         growth_fit([(n, 1.0) for n in [1, 2, 2, 3, 4, 5, 6, 7]], "poly")
     with pytest.raises(ValueError):
         growth_fit([(n, 1.0) for n in range(1, 10)], "cubic")
+    for bad in (math.inf, math.nan):  # no log to fit: a NaN fit otherwise
+        with pytest.raises(ValueError, match=f"^the value at n = 5 is {bad}; a fit needs finite"):
+            growth_fit([(n, bad if n == 5 else 1.0) for n in range(1, 10)], "poly")
 
 
 def test_fit_residual_reproduces_input():

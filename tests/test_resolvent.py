@@ -10,7 +10,7 @@ from kreisslab.norms import (AscentConfig, _batched_norm_lower, _log_norm_bounds
                              _power_ledger, power_norm_sequence)
 from kreisslab.operators import ComplexMatrix, OperatorSpec, gallery, make_gallery_operator
 from kreisslab import norms, resolvent
-from oracles import ledger_steps, sweep_every_point
+from oracles import expm_upper_triangular_mp, ledger_steps, sweep_every_point
 
 from kreisslab.resolvent import (
     FunctionalEstimate,
@@ -273,9 +273,8 @@ def test_pruned_sweep_keeps_each_groups_top_values_exact(p, top):
 def test_pruned_cesaro_matches_serial(name, n_max):
     T = PRUNING_OPERATORS[name]
     cfg = SearchConfig(angular_count=16)
-    res = cesaro_partial_sum_bound(T, cfg, n_max, 1.0)
-    assert (res.cesaro_lower, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, n_max)
-    assert res.ratio_max == res.cesaro_lower / 20.0
+    res = cesaro_partial_sum_bound(T, cfg, n_max)
+    assert (res.value, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, n_max)
 
 
 @pytest.mark.parametrize("name", GENERAL_P_OPERATORS)
@@ -283,8 +282,8 @@ def test_pruned_cesaro_matches_serial(name, n_max):
 def test_pruned_cesaro_matches_serial_at_general_p(p, name):
     T = PRUNING_OPERATORS[name]
     cfg = SearchConfig(angular_count=16, p=p)
-    res = cesaro_partial_sum_bound(T, cfg, 16, 1.0)
-    assert (res.cesaro_lower, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, 16)
+    res = cesaro_partial_sum_bound(T, cfg, 16)
+    assert (res.value, res.argmax, res.n_at_max) == _serial_cesaro(T, cfg, 16)
 
 
 @given(d=st.sampled_from([1, 2, 5, 16]),
@@ -372,13 +371,13 @@ def test_pruned_sweeps_skip_most_norms(monkeypatch):
     _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.arange(X.size), 1)
     assert ascents[0] < X.size * 16 / 2
     ascents[0] = 0
-    cesaro_partial_sum_bound(T, cfg, 64, 1.0)
+    cesaro_partial_sum_bound(T, cfg, 64)
     assert ascents[0] < cfg.angular_count * 64 / 2
     # perfbench's resolvent_p2_matrix Cesaro task took 658 SVDs with a running-best prune
     svds = _counted(monkeypatch, np.linalg, "svd")
     J = PRUNING_OPERATORS["jordan16_09"]
     cfg = SearchConfig(radial_count=16, angular_count=32, refine_rounds=1)
-    cesaro_partial_sum_bound(J, cfg, 128, 1.0)
+    cesaro_partial_sum_bound(J, cfg, 128)
     assert svds[0] <= 658
     # and its Ks search 2,639 with norms in increasing n and one floor per point
     k = kreiss_constant(J, cfg)
@@ -542,18 +541,30 @@ def test_exp_criterion_nilpotent_oracle():
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_exp_criterion_of_a_jordan_block_one_ulp_off_its_diagonal():
+    # the 1-ulp gap left scipy's quotient (e^b - e^a) / (b - a) to cancellation:
+    # it read 12.0436193 against 4.06569646 for the equal diagonal
+    A = np.array([[0.9, 1.0], [0.0, 0.9]])
+    want = exponential_criterion(ComplexMatrix(A), SearchConfig(p=1.0)).value
+    A[1, 1] = np.nextafter(0.9, 1.0)
+    got = exponential_criterion(ComplexMatrix(A), SearchConfig(p=1.0)).value
+    assert got == pytest.approx(want, rel=1e-14) and round(want, 8) == 4.06569646
+
+
+_EXPM_XIS = [m * np.exp(1j * t) for m in (1e-3, 0.7, 5.0, 40.0, 150.0) for t in (0.0, 2.0, 4.0)]
+
+
 def _expm_gallery(d, rng):
-    """Shuffled stack of diagonal (zero and not), triangular (upper and lower Jordan,
-    upper with a distinct diagonal) and dense (rotation generator, random) matrices,
-    each at a modulus that needs no squaring and at moduli that need several."""
+    """Shuffled stack of diagonal (zero and not), triangular with an equal diagonal
+    (upper and lower Jordan) and dense (rotation generator, random) matrices, each
+    at a modulus that needs no squaring and at moduli that need several."""
     J = 0.9 * np.eye(d) + np.eye(d, k=1)
     G = rng.standard_normal((d, d))
     C = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
-    kinds = [np.zeros((d, d)), np.diag(rng.standard_normal(d)), J, J.T, np.triu(C),
+    kinds = [np.zeros((d, d)), np.diag(rng.standard_normal(d)), J, J.T,
              (G - G.T) / d,  # skew: e^{t S} is a rotation for real t
              C]
-    xis = [m * np.exp(1j * t) for m in (1e-3, 0.7, 5.0, 40.0, 150.0) for t in (0.0, 2.0, 4.0)]
-    A = np.array([xi * K for xi in xis for K in kinds])
+    A = np.array([xi * K for xi in _EXPM_XIS for K in kinds])
     return A[rng.permutation(len(A))]
 
 
@@ -569,6 +580,31 @@ def test_expm_stack_matches_scipy_bit_for_bit(d):
         assert np.array_equal(got.view(np.float64), ref.view(np.float64))
 
 
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_expm_stack_of_triangular_matrices_with_distinct_diagonals_matches_mpmath(d):
+    # a random upper triangle and, at d = 2, a Jordan block whose diagonal
+    # entries are one ulp apart, where scipy's quotient (e^b - e^a) / (b - a)
+    # cancels (it is 6% off at xi = 5), and the transposes of both.  The oracle
+    # needs distinct diagonal entries, which rounding xi times an entry may
+    # undo, and loses about 16 of its 50 digits per ulp-close pair it divides by
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(d)
+    uppers = [np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d]
+    if d == 2:
+        uppers.append(np.array([[0.9, 1.0], [0.0, np.nextafter(0.9, 1.0)]]))
+    A = np.array([xi * K for xi in _EXPM_XIS for K in uppers])
+    for stack in (A, A.real.copy()):
+        diag = np.diagonal(stack, 0, 1, 2)
+        stack = stack[[len(np.unique(row)) == d for row in diag]]
+        assert len(stack) >= len(A) * 3 // 4
+        want = np.array([expm_upper_triangular_mp(a) for a in stack])
+        for got, ref in ((resolvent._expm_stack(stack), want),
+                         (resolvent._expm_stack(stack.transpose(0, 2, 1).copy()),
+                          want.transpose(0, 2, 1))):
+            err = np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+            assert err.max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # cesaro partial sums
 # ---------------------------------------------------------------------------
@@ -576,28 +612,27 @@ def test_expm_stack_matches_scipy_bit_for_bit(d):
 
 def test_cesaro_identity_ratio():
     T = make_gallery_operator(OperatorSpec("identity", 2))
-    res = cesaro_partial_sum_bound(T, SearchConfig(angular_count=8), 50, 1.0)
-    # ||sum_{k<=n} I|| = n + 1 at lambda = 1, so the ratio is exactly 1/20
-    assert res.ratio_max == pytest.approx(1 / 20)
-    assert res.cesaro_lower == pytest.approx(1.0)
+    res = cesaro_partial_sum_bound(T, SearchConfig(angular_count=8), 50)
+    # ||sum_{k<=n} I|| = n + 1 at lambda = 1, so the value is exactly 1
+    assert res.value == pytest.approx(1.0)
 
 
 def test_cesaro_zero_max_at_n0():
     T = make_gallery_operator(OperatorSpec("zero", 2))
-    res = cesaro_partial_sum_bound(T, SearchConfig(angular_count=8), 20, 1.0)
-    assert res.ratio_max == pytest.approx(1 / 20)
+    res = cesaro_partial_sum_bound(T, SearchConfig(angular_count=8), 20)
+    assert res.value == pytest.approx(1.0)
     assert res.n_at_max == 0
 
 
 def test_cesaro_minus_one_resonance():
-    # T = diag(-1): at lambda = -1 the summands are all +1, so the ratio
-    # stays at its n = 0 value 1/20 for every n (sustained resonance)
+    # T = diag(-1): at lambda = -1 the summands are all +1, so the value
+    # stays at its n = 0 value 1 for every n (sustained resonance)
     T = ComplexMatrix([[-1.0]])
-    res = cesaro_partial_sum_bound(T, SearchConfig(angular_count=8), 64, 1.0)
-    assert res.ratio_max == pytest.approx(1 / 20)
+    res = cesaro_partial_sum_bound(T, SearchConfig(angular_count=8), 64)
+    assert res.value == pytest.approx(1.0)
     for n in (1, 7, 64):
         resonant = sum((-1.0) ** k * (-1.0) ** k for k in range(n + 1))
-        assert resonant / (20 * (n + 1)) == pytest.approx(1 / 20)
+        assert resonant / (n + 1) == pytest.approx(1.0)
 
 
 def test_gz_ratio_informational():
@@ -617,12 +652,11 @@ def test_functionals_at_least_one_on_contractive_gallery(gallery_matrices):
             continue
         k = kreiss_constant(T, FAST)
         ks = strong_kreiss_constant(T, FAST, 8, k_est=k).value
-        ks_ref = ks if math.isfinite(ks) and ks > 0 else 1.0
         values = {
             "k_lower": k.value,
             "ks_lower": ks,
             "exp_lower": exponential_criterion(T, FAST, 10.0).value,
-            "cesaro_lower": cesaro_partial_sum_bound(T, FAST, 32, ks_ref).cesaro_lower,
+            "cesaro_lower": cesaro_partial_sum_bound(T, FAST, 32).value,
         }
         for key, value in values.items():
             assert value >= 1 - 1e-6, (name, key)
@@ -734,8 +768,8 @@ def _ref_kreiss(T, cfg):
     best, xt, _, _ = _ref_search(evaluate, xf, tf, evaluate(xf, tf),
                                  (xs[-1] - xs[0]) / cfg.radial_count, (xs[0], xs[-1]), cfg)
     if best >= 1.0:
-        return FunctionalEstimate(best, _ref_lambda(xt), log_value=math.log(best))
-    return FunctionalEstimate(1.0, None, log_value=0.0)
+        return FunctionalEstimate(best, _ref_lambda(xt))
+    return FunctionalEstimate(1.0, None)
 
 
 def _ref_strong_kreiss(T, cfg, n_max, k):
@@ -752,10 +786,10 @@ def _ref_strong_kreiss(T, cfg, n_max, k):
     best, xt, i, refined = _ref_search(lambda a, b: sweep(a, b)[0], xf, tf, logs,
                                        (xs[-1] - xs[0]) / cfg.radial_count, (xs[0], xs[-1]), cfg)
     n = int(sweep(np.array([xt[0]]), np.array([xt[1]]))[1][0]) if refined else int(ns[i])
-    candidates = [(best, _ref_lambda(xt), n), (k.log_value, k.argmax, 1), (0.0, None, None)]
+    candidates = [(best, _ref_lambda(xt), n), (math.log(k.value), k.argmax, 1), (0.0, None, None)]
     log_val, argmax, n_at = max(candidates, key=lambda c: c[0])
     value = math.exp(log_val) if log_val < 709.0 else math.inf
-    return FunctionalEstimate(value, argmax, n_at_max=n_at, log_value=log_val)
+    return FunctionalEstimate(value, argmax, n_at_max=n_at)
 
 
 def _ref_exponential(T, cfg, xi_max):
@@ -776,7 +810,7 @@ def _ref_exponential(T, cfg, xi_max):
 
 
 def _fields(est):
-    return (est.value, est.argmax, est.n_at_max, est.log_value)
+    return (est.value, est.argmax, est.n_at_max)
 
 
 def test_search_seeds_exact_ties_in_stable_order():

@@ -5,7 +5,8 @@ function, public method or *Config dataclass; no default of a private
 function is left to tests alone; no public class defines an arithmetic or
 comparison dunder without a reason; only cli.main writes reports; only
 norms takes a singular value decomposition or runs the ascent; only
-verify's log-factorial table evaluates a log-gamma function; only
+resolvent's bound-pruned sweep norms a stack there; only verify's
+log-factorial table evaluates a log-gamma function; only
 resolvent's matrix exponential imports scipy; and only the torus kernel's
 grid values run a fast Fourier transform."""
 
@@ -317,6 +318,25 @@ def _norm_kernel_callers(paths):
 def test_only_norms_takes_svds_and_ascents():
     found = _norm_kernel_callers(PACKAGE + SCRIPTS)
     assert found - NORM_KERNELS == set(), "norm kernels outside norms"
+
+
+# the functions of resolvent that may norm a stack or pick the points to norm:
+# every search values its matrices through the one bound-pruned sweep
+STACK_VALUERS = {"resolvent._pruned_sweep"}
+STACK_NORMS = {"_top_norms", "_batched_norm_lower"}
+
+
+def _stack_norm_callers(paths):
+    """The functions among paths that call _top_norms or _batched_norm_lower."""
+    return _functions_where(paths, lambda fn: any(
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in STACK_NORMS
+        for node in ast.walk(fn)))
+
+
+def test_only_the_pruned_sweep_norms_a_resolvent_stack():
+    found = _stack_norm_callers([ROOT / "src" / "kreisslab" / "resolvent.py"])
+    assert found == STACK_VALUERS, "a resolvent stack normed outside _pruned_sweep"
 
 
 # the functions that may evaluate a log-gamma function: verify's table of
