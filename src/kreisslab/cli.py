@@ -90,6 +90,12 @@ OPERATOR_SUBS = ("kreiss", "strong-kreiss", "exp-criterion", "cesaro", "growth",
 # marcinkiewicz trials drawn and scored as one batch: the memory of a run does
 # not grow with --trials
 _MARCINKIEWICZ_CHUNK = 256
+# the flag threshold of the positivity margins, Krivine and block alike
+_POSITIVITY_TOL = 1e-8
+# report wording: what the reports call their numbers
+_FLOOR_LABEL = "empirical floor"
+_BLOCK_LABEL = "consistency: lower-bound substitution"
+_BOUNDS_NOTE = "reference constants are lower-bound substitutions"
 
 # built-in defaults; a subcommand has exactly the flags named by its keys, plus
 # --out and --config.  A seed default of None makes --seed mandatory.
@@ -430,14 +436,13 @@ def _verify_appendix(params):
         "failures": failures,
         "review": n[table["review"]].tolist(),
     }
-    files = {"appendix.csv": lambda path: write_csv(path, table)}
-    if failures:
-        return Outcome("appendix", payload,
-                       f"verify-appendix: FAIL at {len(failures)} values of n; witness written",
-                       files, witness={"failing_n": failures})
-    return Outcome("appendix", payload,
-                   f"verify-appendix: n in [{params['n_min']}, {params['n_max']}] all pass "
-                   f"(sup_a_max={sup_a_max:.6f}, v1_max={v1_a_max:.6f})", files)
+    summary = (f"verify-appendix: FAIL at {len(failures)} values of n; witness written"
+               if failures else
+               f"verify-appendix: n in [{params['n_min']}, {params['n_max']}] all pass "
+               f"(sup_a_max={sup_a_max:.6f}, v1_max={v1_a_max:.6f})")
+    return Outcome("appendix", payload, summary,
+                   {"appendix.csv": lambda path: write_csv(path, table)},
+                   witness={"failing_n": failures} if failures else None)
 
 
 def _decomp_scan(params):
@@ -448,20 +453,17 @@ def _decomp_scan(params):
         max_dim=params["max_dim"],
         seed=params["seed"],
     )
-    est = estimate_constant(
-        p=params["p"], q=params["q"], inner_p=params["inner_p"],
-        side=params["side"], gamma=params["gamma"], cfg=cfg,
-    )
+    args = {k: params[k] for k in ("p", "q", "inner_p", "side", "gamma")}
+    est = estimate_constant(**args, cfg=cfg)
     payload = {
-        "side": est.side, "p": est.p, "q": est.q, "inner_p": est.inner_p,
-        "gamma": est.gamma, "constant_lower": est.constant_lower,
-        "label": est.label, "trials": params["trials"],
+        **args, "constant_lower": est.constant_lower,
+        "label": _FLOOR_LABEL, "trials": params["trials"],
         "witness_file": "witness_f.txt",
         "witness_partition": [[iv.lo, iv.hi] for iv in est.witness_partition.intervals],
     }
     return Outcome("decomp", payload,
-                   f"decomp-scan: {est.side} p={est.p} q={est.q} gamma={est.gamma} "
-                   f"empirical floor {est.constant_lower:.6f}",
+                   f"decomp-scan: {args['side']} p={args['p']} q={args['q']} "
+                   f"gamma={args['gamma']} {_FLOOR_LABEL} {est.constant_lower:.6f}",
                    files={"witness_f.txt": lambda path: save_trig_polynomial(est.witness, path)})
 
 
@@ -471,7 +473,7 @@ def _riesz_norm(params):
         ascent_steps=params["ascent_steps"], seed=params["seed"],
     )
     val = riesz_norm_lower_bound(params["p"], params["dim"], params["inner_p"], cfg)
-    return Outcome("riesz", {"riesz_norm_lower": val, "label": "empirical floor"},
+    return Outcome("riesz", {"riesz_norm_lower": val, "label": _FLOOR_LABEL},
                    f"riesz-norm: p={params['p']:g} d={params['dim']} lower bound {val:.6f}")
 
 
@@ -563,15 +565,14 @@ def _cesaro(params, name, T, cfg):
         "gz_ratio_max": gz_val,
         "gz_note": "informational diagnostic; its reference constant is uncertified",
     }
-    if ratio > 1.0 + 1e-6:
-        return Outcome("cesaro", payload,
-                       f"cesaro {name}: FLAGGED ratio {ratio:.6f} at n={res.n_at_max}",
-                       witness={
-                           "ratio": ratio, "lambda": res.argmax, "n": res.n_at_max,
-                           "note": "partial-sum ratio exceeded 20*Ks_ref*(n+1); Ks_ref is a "
-                                   "lower bound, so this flags the substitution, not the bound",
-                       })
-    return Outcome("cesaro", payload, f"cesaro {name}: ratio_max={ratio:.6f} (consistent)")
+    flagged = ratio > 1.0 + 1e-6
+    summary = (f"cesaro {name}: FLAGGED ratio {ratio:.6f} at n={res.n_at_max}" if flagged
+               else f"cesaro {name}: ratio_max={ratio:.6f} (consistent)")
+    return Outcome("cesaro", payload, summary, witness={
+        "ratio": ratio, "lambda": res.argmax, "n": res.n_at_max,
+        "note": "partial-sum ratio exceeded 20*Ks_ref*(n+1); Ks_ref is a "
+                "lower bound, so this flags the substitution, not the bound",
+    } if flagged else None)
 
 
 def _growth(params, name, T, cfg):
@@ -606,13 +607,13 @@ def _bounds(params, name, T, cfg):
     summary, table = check_universal_bounds(T, cfg.p, k_ref, ks_ref,
                                             params["n_max"], AscentConfig(seed=cfg.seed))
     mins = {k: v for k, v in summary.items() if k.startswith("min_margin_")}
-    files = {"bounds.csv": lambda path: write_csv(path, table)}
-    if bounds_flagged(summary):
-        return Outcome("bounds", summary,
-                       f"bounds {name}: FLAGGED margin below 1 (see witness_bounds.json)",
-                       files, witness={**mins, "note": summary["note"]})
-    return Outcome("bounds", summary, f"bounds {name}: min margins " + " ".join(
-        f"{k.removeprefix('min_margin_')}={v:.3f}" for k, v in mins.items()), files)
+    flagged = bounds_flagged(summary)
+    text = (f"bounds {name}: FLAGGED margin below 1 (see witness_bounds.json)" if flagged
+            else f"bounds {name}: min margins " + " ".join(
+                f"{k.removeprefix('min_margin_')}={v:.3f}" for k, v in mins.items()))
+    return Outcome("bounds", {"k_ref": k_ref, "ks_ref": ks_ref, "note": _BOUNDS_NOTE, **summary},
+                   text, {"bounds.csv": lambda path: write_csv(path, table)},
+                   witness={**mins, "note": _BOUNDS_NOTE} if flagged else None)
 
 
 def _positivity(params, name, T, cfg):
@@ -622,7 +623,7 @@ def _positivity(params, name, T, cfg):
     rng = np.random.default_rng(params["seed"])
     xs = np.abs(rng.standard_normal((params["corpus"], T.dim)))
     xs /= np.sum(xs ** params["q"], axis=1, keepdims=True) ** (1.0 / params["q"])
-    results = []
+    results, blocks = [], []
     worst = math.inf
     try:
         for n in n_list:
@@ -633,8 +634,10 @@ def _positivity(params, name, T, cfg):
             worst = min(worst, m)
             results.append({
                 "n": n, "krivine_margin_min": m,
-                "block_margin_min": block.margin, "block_label": block.label,
+                "block_margin_min": block.margin, "block_label": _BLOCK_LABEL,
             })
+            if block.margin < 1.0 - _POSITIVITY_TOL:
+                blocks.append({"n": n, "margin": block.margin, "witness": block.witness.tolist()})
     except TruncationError as exc:
         return Outcome("positivity", None, f"positivity {name}: ABORT, {exc}",
                        witness={"error": str(exc)})
@@ -642,11 +645,20 @@ def _positivity(params, name, T, cfg):
         "q": params["q"], "ks_ref": ks_ref, "corpus": params["corpus"], "results": results,
         "krivine_margin_overall": worst,
     }
-    if worst < 1.0 - 1e-8:
-        return Outcome("positivity", payload, f"positivity {name}: FLAGGED margin {worst:.9f} < 1",
-                       witness={"margin": worst})
-    return Outcome("positivity", payload,
-                   f"positivity {name}: krivine margin >= {worst:.6g} across n in {list(n_list)}")
+    krivine_flagged = worst < 1.0 - _POSITIVITY_TOL
+    witness = {"margin": worst} if krivine_flagged else {}
+    if blocks:
+        witness.update(block=blocks, note="Ks_ref is a lower bound, so a block margin below 1 "
+                                          "flags the substitution, not the bound")
+    if krivine_flagged:
+        summary = f"positivity {name}: FLAGGED margin {worst:.9f} < 1"
+    elif blocks:
+        low = min(b["margin"] for b in blocks)
+        summary = (f"positivity {name}: FLAGGED block margin {low:.9f} < 1 "
+                   "(see witness_positivity.json)")
+    else:
+        summary = f"positivity {name}: krivine margin >= {worst:.6g} across n in {list(n_list)}"
+    return Outcome("positivity", payload, summary, witness=witness or None)
 
 
 HANDLERS: dict[str, Callable[..., Outcome]] = {

@@ -68,8 +68,8 @@ def decomposition_ratio(
     part: IntervalPartition,
     p: float,
     q: float,
-    inner_p: float = 2.0,
-    side: str = "upper",
+    inner_p: float,
+    side: str,
 ) -> float:
     """One decomposition sample; any valid constant must dominate it."""
     if side not in ("upper", "lower"):
@@ -104,21 +104,13 @@ class DecompSearchConfig:
 
 @dataclass
 class DecompositionEstimate:
-    side: str
-    p: float
-    q: float
-    inner_p: float
-    gamma: float
+    """The floor estimate_constant found and the sample that attains it: the
+    decomposition ratio of witness over witness_partition, divided by
+    len(witness_partition) ** gamma."""
+
     constant_lower: float
     witness: TrigPolynomial
     witness_partition: IntervalPartition
-    label: str = "empirical floor"
-
-    def reevaluate(self) -> float:
-        ratio = decomposition_ratio(
-            self.witness, self.witness_partition, self.p, self.q, self.inner_p, self.side
-        )
-        return ratio / len(self.witness_partition) ** self.gamma
 
 
 def _penalty(c: int, gamma: float) -> float:
@@ -338,11 +330,14 @@ def estimate_constant(
     program), so the search over partitions is not itself randomized, and
     more trials can only raise the floor.  The whole corpus is drawn first,
     then scored one support size at a time with one dynamic program per
-    size.  The _TOP_K best samples start lockstep ascents from those scores: each
-    step scores every start's candidate in one zero-padded program over their
-    mixed sizes, and the noise, drawn first in start order, takes
-    _TOP_K * ascent_steps * 2 * s * d doubles (about 1 MB at decomp-scan's
-    defaults).  Only the returned witness gets an IntervalPartition.
+    size, which bounds memory: one zero-padded program over the whole corpus
+    gives the same bits, but pads every sample's block-norm triangle to the
+    largest size and so holds a larger stack.  The _TOP_K best samples start
+    lockstep ascents from those scores: each step scores every start's
+    candidate in one zero-padded program over their mixed sizes, and the
+    noise, drawn first in start order, takes _TOP_K * ascent_steps * 2 * s *
+    d doubles (about 1 MB at decomp-scan's defaults).  Only the returned
+    witness gets an IntervalPartition.
     """
     _require("p", p, 1, math.inf, "()")
     _require("q", q, 1)
@@ -377,16 +372,7 @@ def estimate_constant(
         if cur > best_val:
             best_val, best_f, best_cuts = cur, f, cur_cuts
 
-    return DecompositionEstimate(
-        side=side,
-        p=p,
-        q=q,
-        inner_p=inner_p,
-        gamma=gamma,
-        constant_lower=best_val,
-        witness=best_f,
-        witness_partition=_partition(best_f, best_cuts),
-    )
+    return DecompositionEstimate(best_val, best_f, _partition(best_f, best_cuts))
 
 
 def hoelder_growth_check(

@@ -24,8 +24,8 @@ import numpy as np
 from .operators import _require
 
 _OVERSAMPLE = 8
-# 2^20 points: an exact grid past it takes gigabytes of grid values per norm
-_MAX_EXACT_POINTS = 1 << 20
+# 2^20 points: a grid past it takes gigabytes of grid values per norm
+_MAX_POINTS = 1 << 20
 # complex grid values per pass of _torus_norms: bounds the memory of one pass;
 # 2^12 to 2^30 ran riesz-norm and marcinkiewicz in the same time
 _TORUS_CHUNK = 1 << 13
@@ -257,7 +257,6 @@ def v1_seminorm(m: MultiplierSeq) -> float:
 class TorusNorm(NamedTuple):
     value: float
     exact: bool
-    n_points: int
 
 
 def _is_even_integer(p: float) -> bool:
@@ -268,20 +267,21 @@ def quadrature_points(f: TrigPolynomial, p: float, inner_p: float) -> tuple[int,
     """(N, exact): the grid size of f's L^p(l^inner_p) norm and whether it is exact.
 
     An even p with inner_p 2 takes the exact grid of p * M + 1 points, M the
-    largest |frequency|; past _MAX_EXACT_POINTS a ValueError names p and the
-    size, before any grid is allocated.
+    largest |frequency|, and any other the oversampled grid of 8 (2 M + 1);
+    past _MAX_POINTS a ValueError names p and the size, before any grid is
+    allocated.
     """
     M = f.max_abs_freq
-    if _is_even_integer(p) and inner_p == 2:
-        N = int(p) * M + 1
-        if N > _MAX_EXACT_POINTS:
-            from decimal import Decimal  # formats an integer past the float range
+    exact = _is_even_integer(p) and inner_p == 2
+    N = int(p) * M + 1 if exact else max(_OVERSAMPLE * (2 * M + 1), 8)
+    if N > _MAX_POINTS:
+        from decimal import Decimal  # formats an integer past the float range
 
-            raise ValueError(f"p = {p:g} needs an exact quadrature grid of p * M + 1 = "
-                             f"{Decimal(N):.7g} points at M = {M}, more than "
-                             f"{_MAX_EXACT_POINTS}")
-        return N, True
-    return max(_OVERSAMPLE * (2 * M + 1), 8), False
+        grid = ("an exact quadrature grid of p * M + 1" if exact
+                else "an oversampled quadrature grid of 8 (2 M + 1)")
+        raise ValueError(f"p = {p:g} needs {grid} = {Decimal(N):.7g} points at M = {M}, more "
+                         f"than {_MAX_POINTS}")
+    return N, exact
 
 
 def lp_torus_norm(
@@ -292,12 +292,13 @@ def lp_torus_norm(
     Exact (flag True) iff p is an even integer and inner_p == 2 and
     N > p * max|freq|; then the summand is a trig polynomial of degree at
     most p*M and the Riemann sum equals the integral.  The zero polynomial's
-    norm 0 is exact on any grid.  The value is _torus_norms' for [f].
+    norm 0 is exact on any grid.  The value is _torus_norms' for [f]; a given
+    n_points is used whatever the size of f's own grid.
     """
     value = _torus_norms([f], p, inner_p, n_points)[0]
-    default_n, exact = quadrature_points(f, p, inner_p)
-    N = default_n if n_points is None else int(n_points)
-    return TorusNorm(value, exact and (f.is_zero or N >= default_n), N)
+    N = quadrature_points(f, p, inner_p)[0] if n_points is None else int(n_points)
+    return TorusNorm(value, _is_even_integer(p) and inner_p == 2
+                     and (f.is_zero or N > p * f.max_abs_freq))
 
 
 def _torus_norms(fs, p: float, inner_p: float, n_points: int | None = None) -> list[float]:

@@ -19,7 +19,7 @@ _exact_norms from the full one, which differ in the last bits (growth.csv and
 bounds.csv print the latter); _interpolation_uppers gives the printed upper
 bounds, _log_norm_bounds the margin-widened ones that only prune.
 
-_stack_bounds bounds a stack as columns (lower, upper, witnesses, method) and
+_stack_bounds bounds a stack as columns (lower, upper, witnesses) and
 checks their order: power_norm_sequence keeps the two float arrays of the
 powers, operator_p_norm wraps row 0 in a NormBounds.
 """
@@ -65,14 +65,14 @@ class NormBounds:
     """Two-sided bounds for an operator p-norm.
 
     `witness` is a unit p-norm vector with ||T witness||_p == lower (within
-    1e-12 relative); for method='exact' lower == upper.  _stack_bounds, which
-    builds every bound, has checked that lower <= upper.
+    1e-12 relative); for p in {1, 2, inf} the bounds are exact and lower ==
+    upper.  _stack_bounds, which builds every bound, has checked that lower
+    <= upper.
     """
 
     lower: float
     upper: float
     witness: np.ndarray
-    method: str
 
 
 def vector_p_norm(v, p: float) -> float:
@@ -289,16 +289,16 @@ def _stack_bounds(M: np.ndarray, p: float, cfg: AscentConfig, log_scales):
     exact for p in {1, 2, inf}, else an ascent lower bound paired with the
     Riesz-Thorin and norm-equivalence upper bound.
 
-    Returns the columns (lower, upper, witnesses, method): two float arrays,
-    the (B, d) witnesses of the unscaled M_b and the method of every row.  A
-    row whose lower bound exceeds its upper one raises ValueError.
+    Returns the columns (lower, upper, witnesses): two float arrays and the
+    (B, d) witnesses of the unscaled M_b.  A row whose lower bound exceeds
+    its upper one raises ValueError.
     """
     if _is_exact(p):
         lowers, witnesses = _exact_norms(M, p)
-        uppers, method = lowers, "exact"
+        uppers = lowers
     else:
         values, witnesses = ascent_lower_bounds(M, p, cfg)
-        uppers, method = _interpolation_uppers(M, p), "ascent_plus_interpolation"
+        uppers = _interpolation_uppers(M, p)
         lowers = [min(v, u) for v, u in zip(values.tolist(), uppers)]
     lower = np.array([_rescale(v, s) for v, s in zip(lowers, log_scales)])
     upper = lower if uppers is lowers else np.array(
@@ -307,14 +307,14 @@ def _stack_bounds(M: np.ndarray, p: float, cfg: AscentConfig, log_scales):
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"bounds out of order: {lower[i]} > {upper[i]}")
-    return lower, upper, witnesses, method
+    return lower, upper, witnesses
 
 
 def operator_p_norm(T: ComplexMatrix, p: float, cfg: AscentConfig = AscentConfig()) -> NormBounds:
     """Two-sided bounds on ||T||_{p->p}; exact for p in {1, 2, inf}."""
     _require("p", p, 1, math.inf, "[]")
-    lower, upper, witnesses, method = _stack_bounds(T.entries[None], p, cfg, [0.0])
-    return NormBounds(float(lower[0]), float(upper[0]), witnesses[0], method)
+    lower, upper, witnesses = _stack_bounds(T.entries[None], p, cfg, [0.0])
+    return NormBounds(float(lower[0]), float(upper[0]), witnesses[0])
 
 
 def _power_ledger(R: np.ndarray, n_max: int):
@@ -362,7 +362,7 @@ def power_norm_sequence(
         k = min(block, n_max - lo)
         for i, (_, M, s) in enumerate(itertools.islice(powers, k)):
             mats[i], log_scales[i] = M[0], s[0]
-        lower[lo:lo + k], upper[lo:lo + k], _, _ = _stack_bounds(
+        lower[lo:lo + k], upper[lo:lo + k], _ = _stack_bounds(
             mats[:k], p, cfg, log_scales[:k].tolist())
     return lower, upper
 

@@ -63,7 +63,6 @@ class KrivineResult:
     margin: float
     tail_rel: float
     trunc_terms: int
-    argmin_coord: int | None
 
 
 def krivine_checks(
@@ -133,7 +132,6 @@ def krivine_checks(
     with np.errstate(over="ignore"):  # a subnormal lhs: the margin is inf
         margins = (rhs + tail[:, None]) / np.where(relevant, lhs, 1.0)
     margins[~relevant] = math.inf
-    argmin = np.argmin(margins, axis=1)
 
     results = []
     for b in range(X.shape[0]):
@@ -144,14 +142,13 @@ def krivine_checks(
                 f"geometric tail ratio {ratio:.3f} >= 1; increase trunc_terms beyond {kmax}"
             )
         if not relevant[b].any():
-            results.append(KrivineResult(math.inf, 0.0, kmax, None))
+            results.append(KrivineResult(math.inf, 0.0, kmax))
             continue
         if tail_rel[b] >= _TAIL_REL_LIMIT:
             raise TruncationError(
                 f"tail certificate {tail_rel[b]:.3e} of rhs is not below {_TAIL_REL_LIMIT:.0e}"
             )
-        i = int(argmin[b])
-        results.append(KrivineResult(float(margins[b, i]), float(tail_rel[b]), int(kmax), i))
+        results.append(KrivineResult(float(margins[b].min()), float(tail_rel[b]), int(kmax)))
     return results
 
 
@@ -159,7 +156,6 @@ def krivine_checks(
 class BlockBoundResult:
     margin: float
     witness: np.ndarray | None
-    label: str = "consistency: lower-bound substitution"
 
 
 def block_bound_check(

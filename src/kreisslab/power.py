@@ -107,14 +107,13 @@ def check_universal_bounds(
     K e (n+1), Ks sqrt(2 pi (n+1)) and K e d, for n <= n_max.
 
     Returns (summary, table).  The table is the growth table with a ceiling
-    and a margin column per ceiling: the bounds.csv table.  The summary is
-    the bounds.json payload: the minimum margins and the n where each first
-    occurs, the reference constants, and the Kreiss floors that the powers
-    imply.  Margins divide by the upper side of the norm bounds (inf where it
-    is 0), so a margin below 1 is a real numeric finding and not an ascent
-    artifact.  Because k_ref and ks_ref are themselves lower bounds of the
-    true constants, such a finding flags inconsistency of the substituted
-    reference, not of the ceiling.
+    and a margin column per ceiling: the bounds.csv table.  The summary holds
+    the minimum margins and the n where each first occurs, and the Kreiss
+    floors that the powers imply.  Margins divide by the upper side of the
+    norm bounds (inf where it is 0), so a margin below 1 is a real numeric
+    finding and not an ascent artifact.  Because k_ref and ks_ref are
+    themselves lower bounds of the true constants, such a finding flags
+    inconsistency of the substituted reference, not of the ceiling.
     """
     _require("k_ref", k_ref, 0, math.inf, "()")
     _require("ks_ref", ks_ref, 0, math.inf, "()")
@@ -124,8 +123,7 @@ def check_universal_bounds(
     with np.errstate(over="ignore"):  # a ceiling past the float range is inf, its margin too
         ceilings = {"kreiss": k_ref * _E * (n + 1), "strong": ks_ref * root,
                     "matrixthm": np.full(len(n), k_ref * _E * T.dim)}
-    summary = {"k_ref": k_ref, "ks_ref": ks_ref,
-               "note": "reference constants are lower-bound substitutions"}
+    summary = {}
     table.update({f"ceiling_{c}": ceiling for c, ceiling in ceilings.items()})
     for c, ceiling in ceilings.items():
         margin = np.divide(ceiling, upper, out=np.full(len(n), math.inf), where=upper != 0)

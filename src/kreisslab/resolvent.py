@@ -178,10 +178,15 @@ def _resolvents(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray, invert: 
     if not invert:
         return r, A
     R = np.linalg.inv(A)
-    bad = ~np.isfinite(R).all(axis=(1, 2))
-    if bad.any():
-        raise OverflowError(f"(l - T)^{{-1}} left the float range at |l| = {r[bad].min():.6g}")
+    _check_resolvents(r, np.isfinite(R).all(axis=(1, 2)))
     return r, R
+
+
+def _check_resolvents(r: np.ndarray, finite: np.ndarray) -> None:
+    """Name the least |l| = r where (l - T)^{-1} is not finite in an OverflowError."""
+    if not finite.all():
+        raise OverflowError(f"(l - T)^{{-1}} left the float range at |l| = "
+                            f"{r[~finite].min():.6g}")
 
 
 def _one_step(M: np.ndarray):
@@ -206,9 +211,10 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
     def evaluate(xflat: np.ndarray, tflat: np.ndarray, groups, top):
         r, M = _resolvents(T, xflat, tflat, cfg.p != 2)
         if cfg.p == 2:  # M = l - T: (r - 1) / sigma_min(M)
-            smin = _smallest_singular_values(M)
-            with np.errstate(divide="ignore"):
-                return np.where(smin > 0, (r - 1.0) / np.where(smin == 0, 1, smin), np.inf), None
+            with np.errstate(divide="ignore", over="ignore"):
+                vals = (r - 1.0) / _smallest_singular_values(M)
+            _check_resolvents(r, np.isfinite(vals))
+            return vals, None
         return _pruned_sweep(_one_step(M), lambda n, idx, _, norms: (r[idx] - 1.0) * norms,
                              cfg.p, acfg, groups, top)
 

@@ -21,6 +21,7 @@ from kreisslab.fourier import (
     TrigPolynomial,
     lp_torus_norm,
     project_interval,
+    quadrature_points,
 )
 from kreisslab.norms import power_norm_sequence
 from kreisslab.operators import OperatorSpec, gallery, gallery_entry, make_gallery_operator
@@ -198,11 +199,9 @@ def test_criterion_08_fourier_engine():
         total = lp_torus_norm(f, 2.0, 2.0).value
         parseval = math.sqrt(float(np.sum(np.abs(f.vecs) ** 2)))
         worst_parseval = max(worst_parseval, abs(total - parseval) / parseval)
-    base = lp_torus_norm(TrigPolynomial.from_coeffs({-3: 1 + 2j, 0: -1.0, 2: 0.5}), 4.0, 2.0)
-    doubled = lp_torus_norm(
-        TrigPolynomial.from_coeffs({-3: 1 + 2j, 0: -1.0, 2: 0.5}), 4.0, 2.0,
-        n_points=2 * base.n_points,
-    )
+    poly = TrigPolynomial.from_coeffs({-3: 1 + 2j, 0: -1.0, 2: 0.5})
+    base = lp_torus_norm(poly, 4.0, 2.0)
+    doubled = lp_torus_norm(poly, 4.0, 2.0, n_points=2 * quadrature_points(poly, 4.0, 2.0)[0])
     flag_err = abs(doubled.value - base.value) / base.value
     ok = worst_proj <= 1e-12 and worst_parseval <= 1e-10 and base.exact and flag_err <= 1e-12
     _report(8, ok,

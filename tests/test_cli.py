@@ -11,7 +11,8 @@ import pytest
 import kreisslab
 from kreisslab import cli
 from kreisslab.cli import build_parser, main
-from kreisslab.operators import ComplexMatrix, save_matrix
+from kreisslab.operators import ComplexMatrix, gallery_entry, make_gallery_operator, save_matrix
+from kreisslab.verify import bound_m_range
 from oracles import marcinkiewicz_one_trial_at_a_time
 
 
@@ -377,6 +378,26 @@ def test_positivity_subcommand(tmp_path):
     assert as_float(rep["krivine_margin_overall"]) >= 1.0 - 1e-8
 
 
+def test_positivity_flags_a_block_margin_below_one(tmp_path, capsys):
+    # a Ks_ref far below the true Ks trips the block bound 28 Ks_ref sqrt(n) at
+    # n = 4 (shift4 is nilpotent: at n = 16 its window holds no nonzero power)
+    out = tmp_path / "o"
+    code = run(["positivity", "--gallery", "shift4", "--ks-ref", "0.001", "--n-list", "4,16",
+                "--corpus", "4", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "FLAGGED block margin 0.359471144 < 1" in capsys.readouterr().out
+    rep, wit = read(out / "positivity.json"), read(out / "witness_positivity.json")
+    assert [b["n"] for b in wit["block"]] == [4] and "margin" not in wit  # Krivine holds
+    (flag,) = wit["block"]
+    assert flag["margin"] == rep["results"][0]["block_margin_min"]
+    # the witness is a unit l^1 vector (q = 1) that replays the margin
+    A = make_gallery_operator(gallery_entry("shift4").spec).entries.real
+    x = np.array(flag["witness"])
+    window = sum(np.sum(np.linalg.matrix_power(A, k) @ x) for k in bound_m_range(4))
+    assert np.sum(x) == pytest.approx(1.0, rel=1e-15)
+    assert 28.0 * 0.001 * 2.0 / window == pytest.approx(flag["margin"], rel=1e-14)
+
+
 def test_positivity_rejects_non_positive(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["positivity", "--gallery", "rotation1", "--q", "1", "--seed", "1",
@@ -419,20 +440,28 @@ def test_randomized_subcommand_requires_seed(tmp_path):
     (["positivity", "--op", "jordan", "--dim", "2", "--eigenvalue", "1e308", "--coupling",
       "1e308", "--ks-ref", "1", "--n-list", "2", "--seed", "1"],
      "the series at n = 2 needs kmax = inf terms, more than 1048576"),
+    # the oversampled grid of p = 3 takes 8 (2 M + 1) points: refused past 2^20
+    (["riesz-norm", "--p", "3", "--max-support", "200000", "--trials", "1", "--seed", "1"],
+     "p = 3 needs an oversampled quadrature grid of 8 (2 M + 1) = 3199944 points at "
+     "M = 199996, more than 1048576"),
 ] + [
     # (l - T)^{-1} holds c^2 / l^3 = 1e400 / l^3: the resolvent builder names it
-    # before a norm or a power sees an inf (at p = 2 kreiss inverts nothing); the
+    # before a norm or a power sees an inf (at p = 2 kreiss inverts nothing, and
+    # (|l| - 1) / sigma_min(l - T) is not finite where the inverse is not); the
     # suite's error::RuntimeWarning turns any warning on the way into a traceback
     ([sub, "--op", "nilpotent", "--dim", "3", "--coupling", "1e200", "--p", p,
       "--radial", "4", "--angular", "4"], "(l - T)^{-1} left the float range at |l| = 1")
-    for sub, ps in (("kreiss", ("1", "3", "inf")), ("strong-kreiss", ("1", "2", "3", "inf")))
+    for sub, ps in (("kreiss", ("1", "2", "3", "inf")), ("strong-kreiss", ("1", "2", "3", "inf")),
+                    ("bounds", ("2",)))
     for p in ps
 ], ids=["type", "unrecognized", "domain", "seed", "handler", "config", "growth-not-finite",
         "positivity-scale-huge", "positivity-n-huge", "positivity-row-sum-inf",
-        "kreiss-resolvent-overflow-p1",
+        "riesz-norm-grid-huge",
+        "kreiss-resolvent-overflow-p1", "kreiss-resolvent-overflow-p2",
         "kreiss-resolvent-overflow-p3", "kreiss-resolvent-overflow-pinf",
         "strong-kreiss-resolvent-overflow-p1", "strong-kreiss-resolvent-overflow-p2",
-        "strong-kreiss-resolvent-overflow-p3", "strong-kreiss-resolvent-overflow-pinf"])
+        "strong-kreiss-resolvent-overflow-p3", "strong-kreiss-resolvent-overflow-pinf",
+        "bounds-resolvent-overflow-p2"])
 def test_usage_errors_print_the_subcommands_usage(argv, message, tmp_path, capsys):
     if isinstance(argv[-1], dict):  # a dict stands for a config file holding it
         (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))

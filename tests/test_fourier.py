@@ -231,7 +231,7 @@ def test_exactness_flag_honesty():
     f = scal({-3: 1.0 + 2j, 0: -1.0, 2: 0.5})
     base = lp_torus_norm(f, 4.0, 2.0)
     assert base.exact
-    doubled = lp_torus_norm(f, 4.0, 2.0, n_points=2 * base.n_points)
+    doubled = lp_torus_norm(f, 4.0, 2.0, n_points=2 * quadrature_points(f, 4.0, 2.0)[0])
     assert abs(doubled.value - base.value) <= 1e-12 * base.value
 
 
@@ -246,11 +246,25 @@ def test_exact_grid_past_its_bound_is_refused_before_allocation():
     assert quadrature_points(f, 1e8, 1.0) == (72, False)
 
 
+def test_oversampled_grid_past_the_bound_is_refused_before_allocation():
+    # 8 (2 M + 1) points: M = 65535 is the largest oversampled grid within 2^20
+    f = scal({-65535: 1.0, 3: 0.5})
+    assert quadrature_points(f, 3.0, 2.0) == (2**20 - 8, False)
+    g = scal({0: 1.0, 10**8: 1.0})
+    for p, inner_p in ((3.0, 2.0), (4.0, 1.0)):
+        text = (f"p = {p:g} needs an oversampled quadrature grid of 8 (2 M + 1) = 1.600000e+9 "
+                "points at M = 100000000, more than 1048576")
+        with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
+            quadrature_points(g, p, inner_p)
+        # a given grid is used as it is: 10^8 j / 16 is an integer, so g = 2 there
+        assert lp_torus_norm(g, p, inner_p, n_points=16) == (2.0, False)
+
+
 def test_inexact_path_tags_false():
     f = scal({0: 1.0, 1: 1.0})
     res = lp_torus_norm(f, 3.0, 2.0)
     assert not res.exact
-    finer = lp_torus_norm(f, 3.0, 2.0, n_points=4 * res.n_points)
+    finer = lp_torus_norm(f, 3.0, 2.0, n_points=4 * quadrature_points(f, 3.0, 2.0)[0])
     assert res.value == pytest.approx(finer.value, rel=1e-4)
 
 
@@ -380,9 +394,7 @@ def test_torus_norms_match_one_polynomial_at_a_time(p, inner_p, chunk, monkeypat
     assert got == want  # floats: equal means bit for bit
     assert [v == 0.0 for v in got] == [f.is_zero for f in polys]
     for f, v in zip(polys[:8], got):
-        res = lp_torus_norm(f, p, inner_p)
-        assert res.value == v
-        assert res.n_points == quadrature_points(f, p, inner_p)[0]
+        assert lp_torus_norm(f, p, inner_p).value == v
     # each polynomial under the Riesz symbol, whose image of one with only negative
     # frequencies is a zero numerator, and under a multiplier that scales every mode
     ms = [RIESZ_SYMBOL, MultiplierSeq(-3, (1.0, -1.0, 2.0, 0.5j, -1.0, 1.0, 3.0))] * len(polys)
@@ -404,10 +416,10 @@ def test_torus_norms_on_an_aliased_grid(chunk, monkeypatch, rng):
             got = _torus_norms(polys, p, inner_p, n_points=N)
             assert got == [torus_norm_alone(f, p, inner_p, n_points=N) for f in polys]
             res = lp_torus_norm(polys[0], p, inner_p, n_points=N)
-            assert (res.value, res.exact, res.n_points) == (got[0], False, N)
+            assert (res.value, res.exact) == (got[0], False)
         # the zero norm is exact on any grid
         zero = lp_torus_norm(polys[-1], p, inner_p, n_points=3)
-        assert zero == (0.0, quadrature_points(polys[-1], p, inner_p)[1], 3)
+        assert zero == (0.0, quadrature_points(polys[-1], p, inner_p)[1])
 
 
 def test_riesz_image_of_negative_frequencies_scores_zero():

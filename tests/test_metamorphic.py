@@ -1,12 +1,17 @@
-"""Metamorphic checks of the resolvent functionals at p in {1, 2, inf}, where every
-norm is exact: no oracle, only identities the true values satisfy.
+"""Metamorphic checks of the resolvent functionals and power norms at p in {1, 2,
+inf}, where every norm is exact, and of the Krivine margins: no oracle, only
+identities the true values satisfy.
 
 A signed permutation with unimodular phases, S = P diag(e^{i phi}), is an
-isometry of l^p for every p, so K, Ks and the exponential criterion of T equal
-those of S T S*.  And ||A||_p = ||A*||_p' gives K_p(T) = K_p'(T*): the adjoint
-resolvent (l - T)^{-1}* = (conj(l) - T*)^{-1} sits at the conjugate point,
-e^{xi T}* = e^{conj(xi) T*} likewise, and the search grids are symmetric under
-conjugation up to the rounding of their angles.
+isometry of l^p for every p, so K, Ks, the exponential criterion, the Cesaro
+partial-sum bound and ||T^n|| of T equal those of S T S*.  And ||A||_p =
+||A*||_p' gives K_p(T) = K_p'(T*): the adjoint resolvent (l - T)^{-1}* =
+(conj(l) - T*)^{-1} sits at the conjugate point, e^{xi T}* = e^{conj(xi) T*}
+and (sum l^k T^k)* = sum conj(l)^k T*^k likewise, (T^n)* = (T*)^n, and the
+search grids are symmetric under conjugation up to the rounding of their
+angles.  A permutation similarity P T P^T keeps T entrywise nonnegative and
+permutes the coordinates of every T^k x, so the Krivine margins of P T P^T on
+the permuted vectors P x are those of T on x.
 """
 
 import math
@@ -14,9 +19,11 @@ import math
 import numpy as np
 import pytest
 
-from kreisslab.operators import ComplexMatrix
-from kreisslab.resolvent import (SearchConfig, exponential_criterion, kreiss_constant,
-                                 strong_kreiss_constant)
+from kreisslab.norms import power_norm_sequence
+from kreisslab.operators import ComplexMatrix, gallery, make_gallery_operator
+from kreisslab.positivity import PositiveOperator, krivine_checks
+from kreisslab.resolvent import (SearchConfig, cesaro_partial_sum_bound, exponential_criterion,
+                                 kreiss_constant, strong_kreiss_constant)
 
 CFG = dict(radial_count=16, angular_count=32, refine_rounds=2)
 REL_TOL = 1e-14
@@ -26,8 +33,11 @@ DUAL = {1.0: math.inf, 2.0: 2.0, math.inf: 1.0}
 def _functionals(T, p):
     cfg = SearchConfig(**CFG, p=p)
     k = kreiss_constant(T, cfg)
+    powers = power_norm_sequence(T, p, 256)[0].tolist()
     return {"K": k.value, "Ks": strong_kreiss_constant(T, cfg, 8, k_est=k).value,
-            "exp": exponential_criterion(T, cfg, 10.0).value}
+            "exp": exponential_criterion(T, cfg, 10.0).value,
+            "cesaro": cesaro_partial_sum_bound(T, cfg, 64).value,
+            **{f"T^{n}": v for n, v in enumerate(powers, 1)}}
 
 
 def _signed_permutation_similarity(T, seed):
@@ -60,3 +70,18 @@ def test_functionals_of_the_adjoint_at_the_dual_p(p, gallery_matrices):
     for name, T in gallery_matrices.items():
         _assert_close(_functionals(ComplexMatrix(T.entries.conj().T), DUAL[p]),
                       _functionals(T, p), name, p)
+
+
+def test_krivine_margins_are_invariant_under_permutations():
+    rng = np.random.default_rng(5)
+    for entry in (e for e in gallery() if e.positive):
+        T = make_gallery_operator(entry.spec)
+        P = np.eye(T.dim)[rng.permutation(T.dim)]
+        xs = np.abs(rng.standard_normal((8, T.dim)))
+        permuted = PositiveOperator(ComplexMatrix(P @ T.entries @ P.T))
+        for q in (1.0, 1.5):
+            for n in (4, 16, 64):
+                want = [r.margin for r in krivine_checks(PositiveOperator(T), xs, n, q)]
+                got = [r.margin for r in krivine_checks(permuted, xs @ P.T, n, q)]
+                for g, w in zip(got, want, strict=True):
+                    assert g == w or abs(g - w) <= REL_TOL * abs(w), (entry.name, q, n, g, w)

@@ -57,7 +57,6 @@ def test_operator_norm_inf_row_sum():
     T = ComplexMatrix([[1, 1], [0, 1]])
     b = operator_p_norm(T, math.inf)
     assert b.lower == b.upper == pytest.approx(2.0)
-    assert b.method == "exact"
 
 
 def test_operator_norm_identity_any_p():
@@ -287,7 +286,7 @@ def _serial_exact_norm(A, p):
     """||A||_p for p in {1, 2, inf} on one matrix: the per-power oracle."""
     if p == 2:
         _, s, Vh = np.linalg.svd(A)
-        return NormBounds(float(s[0]), float(s[0]), Vh[0].conj(), "exact")
+        return NormBounds(float(s[0]), float(s[0]), Vh[0].conj())
     sums = np.sum(np.abs(A), axis=1 if math.isinf(p) else 0)
     i = int(np.argmax(sums))
     if math.isinf(p):
@@ -296,7 +295,7 @@ def _serial_exact_norm(A, p):
     else:
         w = np.zeros(A.shape[0], dtype=complex)
         w[i] = 1.0
-    return NormBounds(float(sums[i]), float(sums[i]), w, "exact")
+    return NormBounds(float(sums[i]), float(sums[i]), w)
 
 
 def _serial_interpolation_bounds(A, p, lower, witness):
@@ -305,7 +304,7 @@ def _serial_interpolation_bounds(A, p, lower, witness):
     sigma = float(np.linalg.svd(A, compute_uv=False)[0])
     upper = min(n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p),
                 A.shape[0] ** abs(0.5 - 1.0 / p) * sigma)
-    return NormBounds(min(lower, upper), upper, witness, "ascent_plus_interpolation")
+    return NormBounds(min(lower, upper), upper, witness)
 
 
 def _serial_scaled_powers(A, n_max):
@@ -364,8 +363,8 @@ def _serial_power_norms(T, p, n_max, cfg):
         out = [_one_ascent(M, p, cfg) for M, _ in powers]
         scaled = [(_serial_interpolation_bounds(M, p, lo, w), s)
                   for (M, s), (lo, w) in zip(powers, out)]
-    return [NormBounds(norms._rescale(b.lower, s), norms._rescale(b.upper, s), b.witness,
-                       b.method) for b, s in scaled]
+    return [NormBounds(norms._rescale(b.lower, s), norms._rescale(b.upper, s), b.witness)
+            for b, s in scaled]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -383,7 +382,6 @@ def test_power_stack_matches_per_power_norms(p, monkeypatch):
         assert np.array_equal(lower, [ref.lower for ref in want])
         assert np.array_equal(upper, [ref.upper for ref in want])
         one = operator_p_norm(T, p, cfg)
-        assert one.method == want[0].method
         assert (one.lower, one.upper) == (want[0].lower, want[0].upper)
         assert np.array_equal(one.witness, want[0].witness)
 

@@ -150,7 +150,7 @@ def _serial_krivine(T, x, n, q, trunc_terms=None):
         tail = w[kmax] * x_kmax_inf * ratio / (1.0 - ratio)
     relevant = lhs > 0.0
     if not np.any(relevant):
-        return KrivineResult(math.inf, 0.0, kmax, None)
+        return KrivineResult(math.inf, 0.0, kmax)
     rhs_rel = rhs[relevant]
     tail_rel = tail / float(np.min(rhs_rel)) if np.min(rhs_rel) > 0 else math.inf
     if tail_rel >= 1e-8:
@@ -158,7 +158,7 @@ def _serial_krivine(T, x, n, q, trunc_terms=None):
     margins = (rhs + tail) / np.where(relevant, lhs, 1.0)
     margins[~relevant] = math.inf
     i = int(np.argmin(margins))
-    return KrivineResult(float(margins[i]), float(tail_rel), int(kmax), i)
+    return KrivineResult(float(margins[i]), float(tail_rel), int(kmax))
 
 
 def _serial_outcome(T, xs, n, q, trunc_terms=None):
@@ -187,7 +187,7 @@ def test_krivine_stack_matches_one_vector_loop(entry):
         for n in (2, 3, 4, 16, 64, 256):
             stack = krivine_checks(T, xs, n, q)
             assert stack == _serial_outcome(T, xs, n, q)
-            assert math.isinf(stack[0].margin) and stack[0].argmin_coord is None
+            assert math.isinf(stack[0].margin)
 
 
 def test_krivine_stack_matches_loop_on_dense_matrices():
@@ -232,7 +232,6 @@ def test_block_bound_identity_hand_value():
     for q in (1.0, 2.0):
         res = block_bound_check(T, q, 1.0, 100, corpus=8, seed=0)
         assert res.margin == pytest.approx(280.0 / 11.0 ** (1.0 / q), rel=1e-10)
-        assert res.label == "consistency: lower-bound substitution"
 
 
 def test_block_bound_doubly_stochastic():

@@ -1,7 +1,8 @@
 """The library's public surface: every public top-level function or class of
 src/kreisslab is used by the package or its scripts, or is documented API, and
-so is every public method of a public class and every option of a public
-function, public method or *Config dataclass; no default of a private
+so is every public method of a public class, every field of a public result
+type and every option of a public function, public method or *Config
+dataclass; no default of a private
 function is left to tests alone; no public class defines an arithmetic or
 comparison dunder without a reason; only cli.main writes reports; only
 norms takes a singular value decomposition or runs the ascent; only
@@ -27,6 +28,8 @@ DOCUMENTED = {
     "project_interval": "the frequency-interval projection D_I of the Fourier engine",
     "save_matrix": "writer of the matrix format in docs/formats.md",
     "load_trig_polynomial": "reader of the trigonometric polynomial format in docs/formats.md",
+    "decomposition_ratio": "the one-sample ratio the decomp module defines; it replays "
+                           "estimate_constant's witness",
 }
 
 
@@ -70,9 +73,7 @@ def test_every_public_name_has_a_caller_or_a_reason():
 
 # public methods, staticmethods and properties that no package code or script
 # reads, each kept for a reason
-DOCUMENTED_METHODS = {
-    "DecompositionEstimate.reevaluate": "the witness-replay path of the certificate item",
-}
+DOCUMENTED_METHODS: dict = {}
 
 
 def _attribute_reads(tree):
@@ -106,6 +107,48 @@ def test_every_public_method_has_a_caller_or_a_reason():
     assert unread - set(DOCUMENTED_METHODS) == set(), "public methods that only tests reach"
     # a documented method that gains a caller leaves the list
     assert unread >= set(DOCUMENTED_METHODS)
+
+
+# fields of public result types that no package code or script reads, each kept
+# for a reason
+DOCUMENTED_FIELDS = {
+    "TorusNorm.exact": "the exactness tag the README's quadrature claim rests on (criterion 8)",
+    "NormBounds.upper": "the certified side of operator_p_norm, documented API",
+    "KrivineResult.tail_rel": "the tail certificate of each Krivine margin (criterion 11)",
+    "KrivineResult.trunc_terms": "the series length of each margin, which schema v2b reports "
+                                 "with tail_rel",
+}
+
+
+def _is_record(cls):
+    """A public class that holds fields: a dataclass (by a dataclass decorator, called
+    or not) or a NamedTuple subclass."""
+    decorators = [getattr(d, "func", d) for d in cls.decorator_list]
+    return (any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases))
+
+
+def _unread_fields():
+    """Class.field of each field of a public dataclass or NamedTuple, less the
+    *Config ones, that no package code or script reads as an attribute.  Reads
+    count by name, from anywhere."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + SCRIPTS]
+    reads = sum(map(_attribute_reads, trees), collections.Counter())
+    found = set()
+    for tree in trees[:len(PACKAGE)]:
+        for cls in _public_definitions(tree).values():
+            if (isinstance(cls, ast.ClassDef) and _is_record(cls)
+                    and not cls.name.endswith("Config")):
+                found |= {f"{cls.name}.{item.target.id}" for item in cls.body
+                          if isinstance(item, ast.AnnAssign) and not reads[item.target.id]}
+    return found
+
+
+def test_every_result_field_has_a_reader_or_a_reason():
+    unread = _unread_fields()
+    assert unread - set(DOCUMENTED_FIELDS) == set(), "result fields that only tests read"
+    # a documented field that gains a reader leaves the list
+    assert unread >= set(DOCUMENTED_FIELDS)
 
 
 # defaulted options that no package code or script passes, each kept for a reason
