@@ -10,6 +10,19 @@ constant of the ambient space.  estimate_constant accumulates an empirical
 floor over a seeded corpus; it never claims convergence to the true constant
 (the interesting spaces are infinite dimensional) and all reports label the
 value as an empirical floor.
+
+A sample's score takes a block-norm triangle, s(s+1)/2 torus norms, but the
+search reads only the best ones.  _score_bounds gives each sample a certified
+upper bound on its score from its coefficients and ||f||_p alone: on the
+upper side at p >= 2, ||f||_p / (kappa_lo A), and on the lower side at
+p <= 2, kappa_hi A' / ||f||_p (discrete Parseval, the power mean and the
+closed-form extremes of sum_I ||c_I||_2^q over partitions), widened by the
+rounding budget next to _U; the other two sides have no bound and pay
+nothing.  _pruned_scores, the one path to triangles, builds them only where
+the bound reaches a floor: over the corpus by norms._top_norms, the rule of
+resolvent's sweeps, and for each ascent candidate against its start's
+value.  Every value the search reads is exact, so its results are those of
+scoring every sample.
 """
 
 from __future__ import annotations
@@ -26,11 +39,12 @@ from .fourier import (
     TrigPolynomial,
     _coefficient_ascents,
     _inner_norms,
+    _torus_norms,
     lp_torus_norm,
     pairing,
     quadrature_points,
 )
-from .norms import vector_p_norm
+from .norms import _top_norms, vector_p_norm
 from .operators import _require
 
 # complex grid values per numpy pass of _slot_block_norms; larger passes leave
@@ -39,6 +53,30 @@ _CHUNK = 1 << 12
 _TINY = np.finfo(float).tiny
 # the best corpus samples that start estimate_constant's ascents
 _TOP_K = 10
+_U = 2.0 ** -53  # unit roundoff
+# Rounding budget of _score_bounds: _score's computed value of f is at most the
+# computed bound before widening times (1 + delta)^2 / (1 - delta)^4, which is
+# at most 1 + 8 delta for delta <= 1/32.  For f of s slots in C^d, largest
+# |frequency| M and grid N, take L = kappa_lo ||c||_2 / sqrt(s), at most
+# ||f||_p, the bound's aggregate and, at p >= 2, every partition's aggregate
+# (each holds the block of the largest coefficient); delta sums
+#   (4 d + N + 4 s + 64) u: relative rounding of each norm's inner norm, power,
+#     N-term mean and root, of the partition sums and their root (an s-term sum
+#     per partition) and of kappa, ||c||_2 and the q-norm of the ||c_n||_2;
+#   s (24 M + 4 s + 8) u S / L with S = sum |c_nk| <= sqrt(s d) ||c||_2: a block
+#     is a prefix difference, so each grid value is off by the phases' error
+#     (22 M + 2) u, the product's 3 u, the two prefix sums' 3 s u and the
+#     difference's u, all relative to the running prefix sum_{n <= j} |c_nk|
+#     and not to the block; by Minkowski's inequality that moves a partition's
+#     aggregate by at most s such errors, however small its blocks;
+#   32 (log2 N + 2) u sqrt(N d) ||c||_2 / L: the FFT of _torus_norms, whose
+#     normwise error is at most log2 N (mu + 4 sqrt(2) u) for radix 2, taken
+#     5x over for the mixed-radix and Bluestein kernels;
+#   (s + 2) (sqrt(d) 2^-537 + 2^(-1073 / p)) / L: squares and p-th powers that
+#     underflow, in s blocks, ||f||_p and the torus norm.
+# Past delta = 1/32, at ||c||_2 <= 2^-400, or where a p-th power of the grid
+# values (each at most S <= 2 sqrt(s d) ||c||_2), or N of them summed, could
+# pass 2^1000, the bound is +inf.
 
 
 class ZeroPolynomialError(ValueError):
@@ -280,6 +318,112 @@ def _score(
     return _best_contiguous_partitions(w, q, gamma, side, sizes)
 
 
+def _score_bounds(polys: list[TrigPolynomial], p: float, q: float, inner_p: float,
+                  side: str, floors) -> np.ndarray:
+    """A certified upper bound on _score's value of each polynomial, +inf where none holds.
+
+    On f's grid of N >= 2 M + 1 points, discrete Parseval and the power mean
+    give ||D_I f||_p >= kappa_lo ||c_I||_2 for p >= 2 and <= kappa_hi ||c_I||_2
+    for p <= 2, where kappa = d^(1/inner_p - 1/2), kappa_lo = min(1, kappa)
+    and kappa_hi = max(1, kappa).  Over contiguous partitions, sum_I
+    ||c_I||_2^q is least at singletons and largest at one block for q >= 2
+    (x^(q/2) is superadditive), and the reverse for q < 2.  So the upper side
+    at p >= 2 scores at most ||f||_p / (kappa_lo A), with A the least such sum
+    to the 1/q, and the lower side at p <= 2 at most kappa_hi A' / ||f||_p,
+    with A' the largest; a penalty gamma >= 0 only lowers a score.  ||f||_p
+    is _torus_norms' (||c||_2 at p = inner_p = 2), and the bound is widened
+    by the rounding budget above.  The upper side at p < 2 and the lower side
+    at p > 2 have no bound and cost nothing.
+
+    Every finite bound exceeds 1 + 256 u: A <= ||c||_2 <= A' and ||f||_p is at
+    least (upper side) or at most (lower side) kappa ||c||_2, so it is at
+    least 1 before the widening, which adds more than 6 delta >= 384 u.  So,
+    given floors (None: every polynomial is bounded), a polynomial whose
+    floor is below 1 + 256 u gets +inf and costs nothing.
+    """
+    out = np.full(len(polys), math.inf)
+    if (p < 2.0) if side == "upper" else (p > 2.0):
+        return out
+    need = (np.arange(len(polys)) if floors is None
+            else np.flatnonzero(np.asarray(floors) >= 1 + 256 * _U))
+    if not need.size:
+        return out
+    fs = [polys[k] for k in need.tolist()]
+    s = np.array([len(f.freqs) for f in fs])
+    d = np.array([f.dim for f in fs])
+    M = np.array([f.max_abs_freq for f in fs])
+    N = np.array([quadrature_points(f, p, inner_p)[0] for f in fs])
+    row_len = np.repeat(d, s)
+    first = np.cumsum(s) - s
+    with np.errstate(all="ignore"):  # a nonfinite or zero statistic gives +inf
+        a = np.abs(np.concatenate([f.vecs.ravel() for f in fs]))
+        sq = np.add.reduceat(a * a, np.cumsum(row_len) - row_len)  # ||c_n||_2^2
+        cn = np.sqrt(np.add.reduceat(sq, first))
+        if (q >= 2.0) == (side == "upper"):  # the q-norm of the ||c_n||_2
+            rows = np.sqrt(sq)
+            top = np.maximum.reduceat(rows, first)
+            agg = top * np.add.reduceat((rows / np.repeat(top, s)) ** q, first) ** (1.0 / q)
+        else:
+            agg = cn
+        t = cn if p == inner_p == 2.0 else np.array(_torus_norms(fs, p, inner_p))
+        kappa = d ** ((0.0 if math.isinf(inner_p) else 1.0 / inner_p) - 0.5)
+        kappa_lo = np.minimum(kappa, 1.0)
+        delta = (4 * d + N + 4 * s + 64) * _U + np.sqrt(s) / kappa_lo * (
+            1.01 * s * np.sqrt(s * d) * (24 * M + 4 * s + 8) * _U
+            + 32 * (np.log2(N) + 2) * np.sqrt(N * d) * _U
+            + (s + 2) * (np.sqrt(d) * 2.0 ** -537 + 2.0 ** (-1073 / p)) / cn)
+        ok = ((cn > 2.0 ** -400) & (delta <= 1 / 32) & (t > 0) & np.isfinite(t)
+              & (agg > 0) & np.isfinite(agg)
+              & (max(p, 2.0) * np.log2(2 * np.sqrt(s * d) * cn) + np.log2(N) < 1000))
+        raw = t / (kappa_lo * agg) if side == "upper" else np.maximum(kappa, 1.0) * agg / t
+        out[need] = np.where(ok, raw * (1 + 8 * delta), math.inf)
+    return out
+
+
+def _pruned_scores(polys: list[TrigPolynomial], p: float, q: float, inner_p: float,
+                   gamma: float, side: str, floors=None) -> list:
+    """_score's (value, cuts) of each polynomial that can reach its floor, (-inf, None)
+    at the others: the one path to block-norm triangles.
+
+    Given floors (the ascent's, one per polynomial), one zero-padded program
+    scores the polynomials whose _score_bounds bound is above their floor;
+    the others, which score at most their floor, get -inf.  Without, the
+    corpus rule of _top_norms over one group with top = _TOP_K: the _TOP_K
+    highest-bound polynomials are scored first, then every other one whose
+    bound is not below the _TOP_K-th best of their values, one program per
+    support size, so the _TOP_K best values and every tie with the last are
+    exact; where no bound is finite, every polynomial is scored in one pass.
+    Each value and its cuts are the ones _score gives the polynomial alone.
+    """
+    bounds = _score_bounds(polys, p, q, inner_p, side, floors)
+    out: list = [(-math.inf, None)] * len(polys)
+
+    def score(ks):
+        for k, result in zip(ks, _score([polys[k] for k in ks], p, q, inner_p, gamma, side)):
+            out[k] = result
+
+    if floors is not None:
+        keep = [k for k, (b, floor) in enumerate(zip(bounds.tolist(), floors)) if not b <= floor]
+        if keep:
+            score(keep)
+        return out
+
+    def value(idx):
+        ks = np.arange(len(polys))[idx].tolist()
+        by_size: dict[int, list[int]] = {}
+        for k in ks:
+            by_size.setdefault(len(polys[k].freqs), []).append(k)
+        for group in by_size.values():
+            score(group)
+        return np.array([out[k][0] for k in ks])
+
+    if np.isposinf(bounds).all():  # nothing to prune: one program per size
+        value(slice(None))
+    else:
+        _top_norms(bounds, np.zeros(1, dtype=np.intp), _TOP_K, value)
+    return out
+
+
 def _partition(f: TrigPolynomial, cuts: list[tuple[int, int]]) -> IntervalPartition:
     return IntervalPartition(tuple(Interval(f.freqs[i], f.freqs[j]) for i, j in cuts))
 
@@ -329,14 +473,19 @@ def estimate_constant(
     Each sample is scored at its exact best contiguous partition (dynamic
     program), so the search over partitions is not itself randomized, and
     more trials can only raise the floor.  The whole corpus is drawn first,
-    then scored one support size at a time with one dynamic program per
-    size, which bounds memory: one zero-padded program over the whole corpus
-    gives the same bits, but pads every sample's block-norm triangle to the
-    largest size and so holds a larger stack.  The _TOP_K best samples start
-    lockstep ascents from those scores: each step scores every start's
-    candidate in one zero-padded program over their mixed sizes, and the
-    noise, drawn first in start order, takes _TOP_K * ascent_steps * 2 * s *
-    d doubles (about 1 MB at decomp-scan's defaults).  Only the returned
+    then bounded (_score_bounds) and scored through _pruned_scores: the
+    _TOP_K highest-bound samples first, then every sample whose bound is not
+    below the _TOP_K-th best of their values, one support size at a time
+    with one dynamic program per size, which bounds memory: one zero-padded
+    program over the whole corpus gives the same bits, but pads every
+    sample's block-norm triangle to the largest size and so holds a larger
+    stack.  A pruned sample scores below the _TOP_K best, so the _TOP_K best
+    samples and their order are those of scoring every sample.  They start
+    lockstep ascents from those scores: each step scores, in one zero-padded
+    program over their mixed sizes, every start's candidate whose bound
+    exceeds the start's current value (the others cannot be accepted), and
+    the noise, drawn first in start order, takes _TOP_K * ascent_steps * 2 *
+    s * d doubles (about 1 MB at decomp-scan's defaults).  Only the returned
     witness gets an IntervalPartition.
     """
     _require("p", p, 1, math.inf, "()")
@@ -353,21 +502,16 @@ def estimate_constant(
             corpus.append(f)
     if not corpus:
         raise ValueError("corpus produced no nonzero polynomial")
-    by_size: dict[int, list[int]] = {}
-    for k, f in enumerate(corpus):
-        by_size.setdefault(len(f.freqs), []).append(k)
-    scored: list = [None] * len(corpus)
-    for idx in by_size.values():
-        group = _score([corpus[k] for k in idx], p, q, inner_p, gamma, side)
-        for k, result in zip(idx, group):
-            scored[k] = result
-    # stable: equal values keep corpus order
+    scored = _pruned_scores(corpus, p, q, inner_p, gamma, side)
+    # stable: equal values keep corpus order; a pruned sample's -inf ranks
+    # below the _TOP_K exact best ones, as its value does
     order = sorted(range(len(corpus)), key=lambda k: scored[k][0], reverse=True)
     best_val, best_cuts = scored[order[0]]
     best_f = corpus[order[0]]
-    ends = _coefficient_ascents([(corpus[k], scored[k]) for k in order[:_TOP_K]],
-                                lambda fs: _score(fs, p, q, inner_p, gamma, side),
-                                cfg.ascent_steps, rng)
+    ends = _coefficient_ascents(
+        [(corpus[k], scored[k]) for k in order[:_TOP_K]],
+        lambda fs, floors: _pruned_scores(fs, p, q, inner_p, gamma, side, floors),
+        cfg.ascent_steps, rng)
     for cur, f, cur_cuts in ends:
         if cur > best_val:
             best_val, best_f, best_cuts = cur, f, cur_cuts

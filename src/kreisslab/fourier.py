@@ -95,7 +95,10 @@ class TrigPolynomial:
     dim: int
 
     def __post_init__(self):
-        arr = np.array(self.vecs, dtype=complex).reshape(len(self.freqs), self.dim)
+        arr = np.array(self.vecs, dtype=complex)
+        if arr.shape != (len(self.freqs), self.dim):
+            raise ValueError(f"coefficients of shape {arr.shape}, expected "
+                             f"{(len(self.freqs), self.dim)}")
         if len(set(self.freqs)) != len(self.freqs):
             raise ValueError("duplicate frequencies")
         order = np.argsort(np.asarray(self.freqs, dtype=int), kind="stable")
@@ -466,12 +469,13 @@ def riesz_norm_lower_bound(
     above 1.  The draw pool, the templates and each lockstep ascent step are
     scored in one _multiplier_ratios call each, one quadrature grid at a
     time, and every ratio equals that of the polynomial scored alone, bit
-    for bit.
+    for bit.  The ascent's floors are ignored, as a ratio's one bound is the
+    Riesz norm itself, and every candidate is scored.
     """
     _require("p", p, 1, math.inf, "()")
     _require("dim", d, 1)
 
-    def ratios(fs: list[TrigPolynomial]) -> list[tuple[float, None]]:
+    def ratios(fs: list[TrigPolynomial], _floors=None) -> list[tuple[float, None]]:
         return [(r, None) for r in _multiplier_ratios(fs, [RIESZ_SYMBOL] * len(fs), p, inner_p)]
 
     rng = np.random.default_rng(cfg.seed)
@@ -496,9 +500,14 @@ def _coefficient_ascents(starts: list, score_many, steps: int,
     start's best.
 
     The ascents run in lockstep, every start's candidate scored in one
-    score_many(list) -> list call per step; the Riesz scorer takes the list
-    one quadrature grid at a time (see _torus_norms), and gives each
-    candidate the value it gets alone, bit for bit.  Each start's noise block, shape
+    score_many(candidates, floors) -> list call per step, floors holding each
+    candidate's start's current value.  A candidate can only be accepted
+    above its floor, so a scorer may give -inf to one it certifies at or
+    below it: decomp's does, without a block-norm triangle, and the stream
+    and the step rules do not change.  The Riesz scorer ignores the floors
+    and takes the list one quadrature grid at a time (see _torus_norms); each
+    scorer gives each candidate it scores the value it gets alone, bit for
+    bit.  Each start's noise block, shape
     (steps, 2, s, d), is drawn first, in start order: the stream and the
     generator state after it equal those of one start at a time with two
     (s, d) draws per step.  It holds len(starts) * steps * 2 * s * d doubles.
@@ -514,7 +523,8 @@ def _coefficient_ascents(starts: list, score_many, steps: int,
                 cands.append((cur, cand))
         if not cands:
             continue
-        for (cur, cand), (v, v_extra) in zip(cands, score_many([c for _cur, c in cands])):
+        scores = score_many([c for _cur, c in cands], [cur[1] for cur, _c in cands])
+        for (cur, cand), (v, v_extra) in zip(cands, scores):
             if v > cur[1]:
                 cur[:] = cand, v, v_extra, min(cur[3] * 1.3, 1.0)
             else:

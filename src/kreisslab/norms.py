@@ -21,7 +21,9 @@ bounds, _log_norm_bounds the margin-widened ones that only prune.
 
 _stack_bounds bounds a stack as columns (lower, upper, witnesses) and
 checks their order: power_norm_sequence keeps the two float arrays of the
-powers, operator_p_norm wraps row 0 in a NormBounds.
+powers, operator_p_norm wraps row 0 in a NormBounds.  _top_norms is the one
+pruning rule: it values only the points whose certified bound reaches the
+top best values of their group, for resolvent's sweeps and decomp's corpus.
 """
 
 from __future__ import annotations
@@ -383,3 +385,51 @@ def _rescale(value: float, log_scale: float) -> float:
         return math.exp(math.log(value) + log_scale)
     except OverflowError:
         return math.inf
+
+
+def _floors(vals: np.ndarray, groups: np.ndarray, top: int) -> np.ndarray:
+    """Each group's top-th largest value, -inf for a group of fewer points.
+
+    groups holds the index of the first point of each group, a run of
+    consecutive points.  A NaN value lowers its group's floor (it ranks
+    last) or, at top = 1, makes it NaN, which keeps every point.
+    """
+    if top == 1:
+        return np.maximum.reduceat(vals, groups)
+    sizes = np.diff(groups, append=len(vals))
+    ranked = vals[np.lexsort((-vals, np.repeat(np.arange(len(groups)), sizes)))]
+    return np.where(sizes >= top, ranked[np.minimum(groups + top - 1, len(vals) - 1)], -np.inf)
+
+
+def _top_norms(upper: np.ndarray, groups: np.ndarray, top: int, value) -> np.ndarray:
+    """The values of a stack's points that can reach their group's top best values,
+    -inf at the others: the one rule that prunes by certified bounds, for
+    resolvent's matrix stacks and decomp's corpus alike.
+
+    upper holds each point's certified upper bound on its value (scored
+    _log_norm_bounds in resolvent, decomp._score_bounds in decomp), and
+    value(idx) returns the exact scored values at the points idx, an index
+    array or slice(None).  Each group's top highest-bound points are valued
+    first (ties go to the earlier point); the group's floor is the top-th
+    best of their values.  Then every other point whose bound is not below
+    the floor is valued (a NaN bound keeps its point).  A point left at -inf
+    has its value certified below the floor, and so below top values of its
+    group: the group's first maximum and its top best values, and every tie
+    with the top-th, are exact.
+    """
+    count = len(upper)
+    sizes = np.diff(groups, append=count)
+    order = np.lexsort((-np.where(np.isnan(upper), np.inf, upper),
+                        np.repeat(np.arange(len(groups)), sizes)))
+    first = np.zeros(count, dtype=bool)
+    first[order[np.arange(count) - np.repeat(groups, sizes) < top]] = True
+    vals = np.full(count, -np.inf)
+
+    def take(mask):
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            vals[idx] = value(idx if idx.size < count else slice(None))
+
+    take(first)
+    take(~first & ~(upper < np.repeat(_floors(vals, groups, top), sizes)))
+    return vals

@@ -52,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import (AscentConfig, _LOG_MARGIN, _batched_norm_lower, _log_norm_bounds,
-                    _log_step_cap, _power_ledger, _rescale, _smallest_singular_values)
+from .norms import (AscentConfig, _LOG_MARGIN, _batched_norm_lower, _floors, _log_norm_bounds,
+                    _log_step_cap, _power_ledger, _rescale, _smallest_singular_values,
+                    _top_norms)
 from .operators import ComplexMatrix, _require
 
 _RHO_TOL = 1e-9
@@ -225,52 +226,6 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
         return FunctionalEstimate(best, _xt_to_lambda(best_xt))
     # sup attained only in the |lambda| -> inf limit
     return FunctionalEstimate(1.0, None)
-
-
-def _floors(vals: np.ndarray, groups: np.ndarray, top: int) -> np.ndarray:
-    """Each group's top-th largest value, -inf for a group of fewer points.
-
-    groups holds the index of the first point of each group, a run of
-    consecutive points.  A NaN value lowers its group's floor (it ranks
-    last) or, at top = 1, makes it NaN, which keeps every point.
-    """
-    if top == 1:
-        return np.maximum.reduceat(vals, groups)
-    sizes = np.diff(groups, append=len(vals))
-    ranked = vals[np.lexsort((-vals, np.repeat(np.arange(len(groups)), sizes)))]
-    return np.where(sizes >= top, ranked[np.minimum(groups + top - 1, len(vals) - 1)], -np.inf)
-
-
-def _top_norms(upper: np.ndarray, groups: np.ndarray, top: int, value) -> np.ndarray:
-    """The values of a stack's points that can reach their group's top best values,
-    -inf at the others: the one pruning rule of a stack's norms.
-
-    upper holds each point's scored upper bound (from _log_norm_bounds), and
-    value(idx) returns the exact scored values at the points idx, an index
-    array or slice(None).  Each group's top highest-bound points are valued
-    first (ties go to the earlier point); the group's floor is the top-th
-    best of their values.  Then every other point whose bound is not below
-    the floor is valued (a NaN bound keeps its point).  A point left at -inf
-    has its value certified below the floor, and so below top values of its
-    group: the group's first maximum and its top best values, and every tie
-    with the top-th, are exact.
-    """
-    count = len(upper)
-    sizes = np.diff(groups, append=count)
-    order = np.lexsort((-np.where(np.isnan(upper), np.inf, upper),
-                        np.repeat(np.arange(len(groups)), sizes)))
-    first = np.zeros(count, dtype=bool)
-    first[order[np.arange(count) - np.repeat(groups, sizes) < top]] = True
-    vals = np.full(count, -np.inf)
-
-    def take(mask):
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            vals[idx] = value(idx if idx.size < count else slice(None))
-
-    take(first)
-    take(~first & ~(upper < np.repeat(_floors(vals, groups, top), sizes)))
-    return vals
 
 
 def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int = 1,

@@ -6,8 +6,9 @@ two trigonometric polynomials by quadrature on the torus, a multiplier's
 value at one frequency by case analysis, the torus norm and the multiplier
 ratio one polynomial at a time, the marcinkiewicz subcommand one trial at a
 time, the bound-pruned sweep with every point kept in the power ledger to
-its last step, and the exponential of a triangular matrix at 50 digits.
-ledger_steps counts the work of the power ledger.
+its last step, the decomposition-constant search with every corpus sample
+and ascent candidate scored, and the exponential of a triangular matrix at
+50 digits.  ledger_steps counts the work of the power ledger.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 import kreisslab.norms
-from kreisslab import cli, resolvent
+from kreisslab import cli, decomp, resolvent
 from kreisslab.fourier import (
     MultiplierSeq,
     TrigPolynomial,
+    _coefficient_ascents,
     _inner_norms,
     _random_polynomial,
     apply_multiplier,
@@ -171,9 +173,8 @@ def ledger_steps(monkeypatch):
 
 def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf, powers=0):
     """resolvent._pruned_sweep as it was while pass 1 ran every point through every
-    step of the stack, kept verbatim as an oracle; it reads the norms module's norms
-    and bounds and the resolvent module's pruning rule, so a patched one counts
-    here too."""
+    step of the stack, kept verbatim as an oracle; it reads the norms module's norms,
+    bounds and pruning rule, so a patched one counts here too."""
     steps = stack(slice(None))
     try:
         n, M, log_scale = next(steps)
@@ -193,7 +194,7 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
             return score(n, every, log_scale, np.exp(log_norms))
 
     def pool():  # every point gets its group's floor
-        floors = resolvent._floors(np.maximum(low, best), groups, top)
+        floors = kreisslab.norms._floors(np.maximum(low, best), groups, top)
         return np.repeat(np.maximum(floors, start), sizes)
 
     def take(n, idx, mats, log_scale):
@@ -203,7 +204,7 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
         best_n[idx] = np.where(better, n, best_n[idx])
 
     lo, hi = kreisslab.norms._log_norm_bounds(M, p)
-    vals = resolvent._top_norms(scored(n, log_scale, hi), groups, top, first)
+    vals = kreisslab.norms._top_norms(scored(n, log_scale, hi), groups, top, first)
     best = np.where(vals > -np.inf, vals, -np.inf)
     best_n = np.where(vals > -np.inf, n, 0)
     low = scored(n, log_scale, lo)  # with best, each point's lower bound
@@ -239,6 +240,36 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
                 take(n, pts[rows], M[rows], log_scale[rows])
                 floor = pool()
     return best, best_n
+
+
+def estimate_every_sample(p, q, inner_p, side, gamma, cfg) -> decomp.DecompositionEstimate:
+    """decomp.estimate_constant as it was while it built a block-norm triangle for
+    every corpus sample, one program per support size, and every ascent
+    candidate, its scorer ignoring the floors."""
+    rng = np.random.default_rng(cfg.seed)
+    corpus = decomp._sign_pattern_candidates(cfg)
+    for _ in range(cfg.trials):
+        f = decomp._draw_polynomial(rng, cfg)
+        if not f.is_zero:
+            corpus.append(f)
+    by_size: dict[int, list[int]] = {}
+    for k, f in enumerate(corpus):
+        by_size.setdefault(len(f.freqs), []).append(k)
+    scored: list = [None] * len(corpus)
+    for idx in by_size.values():
+        for k, result in zip(idx, decomp._score([corpus[k] for k in idx], p, q, inner_p,
+                                                gamma, side)):
+            scored[k] = result
+    order = sorted(range(len(corpus)), key=lambda k: scored[k][0], reverse=True)
+    best_val, best_cuts = scored[order[0]]
+    best_f = corpus[order[0]]
+    ends = _coefficient_ascents([(corpus[k], scored[k]) for k in order[:decomp._TOP_K]],
+                                lambda fs, _floors: decomp._score(fs, p, q, inner_p, gamma, side),
+                                cfg.ascent_steps, rng)
+    for cur, f, cur_cuts in ends:
+        if cur > best_val:
+            best_val, best_f, best_cuts = cur, f, cur_cuts
+    return decomp.DecompositionEstimate(best_val, best_f, decomp._partition(best_f, best_cuts))
 
 
 def expm_upper_triangular_mp(A) -> np.ndarray:

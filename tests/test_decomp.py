@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreisslab import decomp
@@ -12,8 +12,10 @@ from kreisslab.decomp import (
     _best_contiguous_partitions,
     _draw_polynomial,
     _phase_table,
+    _pruned_scores,
     _run_block_norms,
     _score,
+    _score_bounds,
     _sign_pattern_candidates,
     block_norms,
     decomposition_ratio,
@@ -35,6 +37,7 @@ from kreisslab.fourier import (
     quadrature_points,
 )
 from kreisslab.norms import vector_p_norm
+from oracles import estimate_every_sample
 
 # pinned from the pre-build exhaustive oracle: max over +-1 sign patterns on
 # support {0..7} and all contiguous partitions of the lower l^4(L^4) ratio
@@ -362,34 +365,52 @@ def _sequential_ascent(f, start, score, steps, rng):
 
 
 def _decomp_objective(p, q, inner_p, gamma, side):
-    return lambda fs: _score(fs, p, q, inner_p, gamma, side)
+    # (the bounded scorer the ascent calls with floors, the unbounded one)
+    return (lambda fs, floors: _pruned_scores(fs, p, q, inner_p, gamma, side, floors),
+            lambda fs: _score(fs, p, q, inner_p, gamma, side))
 
 
 def _riesz_objective(p, inner_p):
-    def score(fs):
+    def score(fs, _floors=None):
         return [(r, None) for r in _multiplier_ratios(fs, [RIESZ_SYMBOL] * len(fs), p, inner_p)]
-    return score
+    return score, score
+
+
+def _count_triangles(monkeypatch):
+    calls = [0]
+    real = decomp._run_block_norms
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(decomp, "_run_block_norms", counted)
+    return calls
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("objective", [
-    _decomp_objective(4.0, 4.0, 1.0, 0.0, "lower"),
-    _decomp_objective(3.0, 1.5, 2.0, 0.3, "lower"),
-    _decomp_objective(4.0, 2.0, 2.0, 0.0, "upper"),
-    _riesz_objective(4.0, 1.0),
-], ids=["decomp-lower-l1", "decomp-lower-gamma", "decomp-upper", "riesz"])
-def test_lockstep_ascents_match_sequential_loop(objective, d):
+@pytest.mark.parametrize("objective,prunes", [
+    (_decomp_objective(4.0, 4.0, 1.0, 0.0, "lower"), False),
+    (_decomp_objective(3.0, 1.5, 2.0, 0.3, "lower"), False),
+    (_decomp_objective(4.0, 2.0, 2.0, 0.0, "upper"), True),
+    (_decomp_objective(1.5, 1.5, 1.0, 0.0, "lower"), True),
+    (_riesz_objective(4.0, 1.0), False),
+], ids=["decomp-lower-l1", "decomp-lower-gamma", "decomp-upper", "decomp-lower-pruned",
+        "riesz"])
+def test_lockstep_ascents_match_sequential_loop(objective, prunes, d, monkeypatch):
+    bounded, alone = objective
     rng = np.random.default_rng(40 + d)
     sizes = [6, 2, 11, 6, 3, 9]  # mixed, one repeated
     # sign patterns on runs of frequencies: the starts the ascent improves
     polys = [TrigPolynomial(tuple(range(-2, n - 2)), rng.choice([-1.0, 1.0], (n, d)), d)
              for n in sizes]
-    starts = list(zip(polys, objective(polys)))
+    starts = list(zip(polys, alone(polys)))
     steps = 25
     seq_rng, lock_rng = np.random.default_rng(7), np.random.default_rng(7)
-    want = [_sequential_ascent(f, start, lambda g: objective([g])[0], steps, seq_rng)
+    want = [_sequential_ascent(f, start, lambda g: alone([g])[0], steps, seq_rng)
             for f, start in starts]
-    got = _coefficient_ascents(starts, objective, steps, lock_rng)
+    triangles = _count_triangles(monkeypatch)
+    got = _coefficient_ascents(starts, bounded, steps, lock_rng)
     assert len(got) == len(want)
     for (v, f, extra), (v_ref, f_ref, extra_ref) in zip(got, want):
         assert v == v_ref and extra == extra_ref
@@ -397,24 +418,116 @@ def test_lockstep_ascents_match_sequential_loop(objective, d):
     assert lock_rng.random() == seq_rng.random()  # the next draw is the same
     # some step is accepted, so the test compares more than the starts
     assert any(v > start[0] for (v, _f, _e), (_g, start) in zip(got, starts))
+    # a bounded side skips some candidates' triangles; an unbounded one none
+    if prunes:
+        assert 0 < triangles[0] < len(starts) * steps
+    elif bounded is not alone:
+        assert triangles[0] == len(starts) * steps
 
 
 @pytest.mark.parametrize("cfg", [
     DecompSearchConfig(trials=60, ascent_steps=7, max_support=10, max_dim=3, seed=2),
     # sign-pattern candidates join the corpus
     DecompSearchConfig(trials=30, ascent_steps=5, max_support=6, max_dim=1, seed=8),
-], ids=["random", "sign-patterns"])
-def test_objective_evals_are_corpus_plus_ascent_candidates(cfg, monkeypatch):
-    # one quadrature rule per scored polynomial: the corpus, then one
-    # candidate per start and step, none dropped and none repeated
-    calls = []
-    real = decomp.quadrature_points
-    monkeypatch.setattr(decomp, "quadrature_points", lambda *a: calls.append(1) or real(*a))
-    estimate_constant(3.0, 2.0, 2.0, "upper", 0.0, cfg)
+    DecompSearchConfig(trials=500, ascent_steps=50, max_support=16, max_dim=2, seed=1),
+], ids=["random", "sign-patterns", "workload"])
+def test_triangles_are_a_few_top_k_plus_unpruned_candidates(cfg, monkeypatch):
+    # the bound prunes the corpus to a few _TOP_K and the ascent well below its
+    # _TOP_K * ascent_steps candidates (the workload task: 10 of 500 samples
+    # and about 210 of 500 candidates); the lower side at p > 2 has no bound
+    # and scores every sample and candidate
     replay = np.random.default_rng(cfg.seed)
     corpus = len(_sign_pattern_candidates(cfg)) + sum(
         not _draw_polynomial(replay, cfg).is_zero for _ in range(cfg.trials))
-    assert len(calls) == corpus + min(decomp._TOP_K, corpus) * cfg.ascent_steps
+    candidates = decomp._TOP_K * cfg.ascent_steps
+    triangles = _count_triangles(monkeypatch)
+    real = decomp._coefficient_ascents
+    at_ascent = []
+    monkeypatch.setattr(decomp, "_coefficient_ascents",
+                        lambda *a: at_ascent.append(triangles[0]) or real(*a))
+    estimate_constant(3.0, 2.0, 2.0, "upper", 0.0, cfg)
+    assert decomp._TOP_K <= at_ascent[0] <= 2 * decomp._TOP_K < corpus
+    assert triangles[0] - at_ascent[0] <= candidates // 2
+    triangles[0] = 0
+    estimate_constant(3.0, 2.0, 2.0, "lower", 0.0, cfg)
+    assert triangles[0] == corpus + candidates
+
+
+# ---------------------------------------------------------------------------
+# the certified score bound and the pruning it drives
+# ---------------------------------------------------------------------------
+
+# exponents p on the side of 2 where each side's score has a bound
+BOUNDED_P = {"upper": [2.0, 2.5, 3.0, 4.0, 6.0], "lower": [1.1, 1.5, 2.0]}
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12),
+       d=st.sampled_from([1, 2, 3]), inner_p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+       q=st.sampled_from([1.0, 1.5, 2.0, 4.0]), gamma=st.sampled_from([0.0, 0.5]),
+       k=st.integers(0, 4), spread=st.sampled_from([0.0, 8.0]))
+def test_score_never_exceeds_its_bound(side, seed, size, d, inner_p, q, gamma, k, spread):
+    # spread 8 scales the coefficient rows by 1e-8 to 1e8: a block after a
+    # large prefix is a difference of large prefix sums
+    p = BOUNDED_P[side][k % len(BOUNDED_P[side])]
+    rng = np.random.default_rng(seed)
+    freqs = rng.choice(np.arange(-12, 13), size=size, replace=False)
+    vecs = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
+    vecs *= 10.0 ** rng.uniform(-spread, spread, (size, 1))
+    f = TrigPolynomial(tuple(int(n) for n in freqs), vecs, d)
+    [(value, _cuts)] = _score([f], p, q, inner_p, gamma, side)
+    [bound] = _score_bounds([f], p, q, inner_p, side, None)
+    assert math.isfinite(bound) and value <= bound
+
+
+@pytest.mark.parametrize("side,p", [("upper", 1.5), ("lower", 3.0)])
+def test_unbounded_side_has_no_bound_and_no_torus_norm(side, p, rng, monkeypatch):
+    monkeypatch.setattr(decomp, "_torus_norms", lambda *a: pytest.fail("a torus norm"))
+    polys = [_random_poly(rng) for _ in range(4)]
+    assert np.isposinf(_score_bounds(polys, p, 2.0, 2.0, side, None)).all()
+    assert np.isposinf(_score_bounds(polys, p, 2.0, 2.0, side, [5.0] * 4)).all()
+
+
+def test_floor_below_every_bound_costs_nothing(rng, monkeypatch):
+    # every finite bound exceeds 1 + 256 u, so such a floor prunes nothing
+    polys = [_random_poly(rng) for _ in range(5)]
+    bounds = _score_bounds(polys, 3.0, 2.0, 2.0, "upper", None)
+    assert (bounds > 1 + 256 * 2.0**-53).all()
+    monkeypatch.setattr(decomp, "_torus_norms", lambda *a: pytest.fail("a torus norm"))
+    assert np.isposinf(_score_bounds(polys, 3.0, 2.0, 2.0, "upper", [1.0] * 5)).all()
+
+
+ORACLE_CONFIGS = [
+    DecompSearchConfig(trials=80, ascent_steps=12, max_support=12, max_dim=2, seed=7),
+    DecompSearchConfig(trials=80, ascent_steps=12, max_support=10, max_dim=3, seed=1),
+    DecompSearchConfig(trials=60, ascent_steps=12, max_support=16, max_dim=2, seed=2),
+    # sign-pattern candidates join the corpus
+    DecompSearchConfig(trials=30, ascent_steps=12, max_support=7, max_dim=1, seed=4),
+]
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["seed7", "seed1-d3", "seed2-s16", "signs"])
+@pytest.mark.parametrize("p,q,inner_p,side,gamma", [
+    # the bound prunes corpus samples or ascent candidates on every config
+    (3.0, 2.0, 2.0, "upper", 0.0),
+    (4.0, 4.0, 2.0, "upper", 0.1),
+    (1.5, 2.0, 2.0, "lower", 0.0),
+    (1.5, 1.0, 1.0, "lower", 0.2),
+    # bounded sides where it prunes nothing: d^(1/2) loose, every value 1
+    (2.0, 1.5, math.inf, "upper", 0.0),
+    (2.0, 2.0, 2.0, "lower", 0.0),
+    # the sides with no bound
+    (4.0, 4.0, 2.0, "lower", 0.0),
+    (1.5, 2.0, 2.0, "upper", 0.0),
+])
+def test_pruned_estimate_matches_every_sample_oracle(p, q, inner_p, side, gamma, cfg):
+    got = estimate_constant(p, q, inner_p, side, gamma, cfg)
+    want = estimate_every_sample(p, q, inner_p, side, gamma, cfg)
+    assert got.constant_lower == want.constant_lower
+    assert got.witness.freqs == want.witness.freqs
+    assert np.array_equal(got.witness.vecs, want.witness.vecs)
+    assert got.witness_partition == want.witness_partition
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,15 @@ def test_sorted_constructor_matches_validating_one(rng):
             TrigPolynomial._sorted((0, 1), bad, 2)
 
 
+def test_constructor_checks_the_coefficient_shape():
+    # a (2, 3) array holds six coefficients, not the rows [[0, 1], [2, 3], [4, 5]]
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(3, 2\)"):
+        TrigPolynomial((0, 1, 2), np.arange(6).reshape(2, 3), 2)
+    for bad in (np.ones(3), np.ones((3, 1, 1)), np.ones((1, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            TrigPolynomial((0, 1, 2), bad, 1)
+
+
 def test_is_zero_is_computed_once():
     f = TrigPolynomial((0, 1), np.zeros((2, 1)), 1)
     assert f.is_zero and "is_zero" in vars(f)

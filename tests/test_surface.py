@@ -6,7 +6,8 @@ dataclass; no default of a private
 function is left to tests alone; no public class defines an arithmetic or
 comparison dunder without a reason; only cli.main writes reports; only
 norms takes a singular value decomposition or runs the ascent; only
-resolvent's bound-pruned sweep norms a stack there; only verify's
+resolvent's bound-pruned sweep norms a stack there; only decomp's
+bound-pruned scorer builds block-norm triangles; only verify's
 log-factorial table evaluates a log-gamma function; only
 resolvent's matrix exponential imports scipy; and only the torus kernel's
 grid values run a fast Fourier transform."""
@@ -380,6 +381,24 @@ def _stack_norm_callers(paths):
 def test_only_the_pruned_sweep_norms_a_resolvent_stack():
     found = _stack_norm_callers([ROOT / "src" / "kreisslab" / "resolvent.py"])
     assert found == STACK_VALUERS, "a resolvent stack normed outside _pruned_sweep"
+
+
+# the functions that may build decomp's block-norm triangles: _score builds
+# them, and only the bound-pruned scorer calls _score, so no corpus sample or
+# ascent candidate gets a triangle its certified bound rules out
+TRIANGLE_CALLERS = {"_score": {"decomp._pruned_scores"}, "_run_block_norms": {"decomp._score"}}
+
+
+def _callers(paths, name):
+    """The functions among paths that call name, as a function or a method."""
+    return _functions_where(paths, lambda fn: any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == name for node in ast.walk(fn)))
+
+
+def test_only_the_pruned_scorer_builds_block_norm_triangles():
+    found = {name: _callers(PACKAGE + SCRIPTS, name) for name in TRIANGLE_CALLERS}
+    assert found == TRIANGLE_CALLERS, "a triangle built outside decomp._pruned_scores"
 
 
 # the functions that may evaluate a log-gamma function: verify's table of
