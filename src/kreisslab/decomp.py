@@ -180,10 +180,22 @@ def _slot_block_norms(
     prefix = np.concatenate([np.zeros((1, N, f.dim), dtype=complex), np.cumsum(waves, axis=0)])
     mean_p = np.empty(lo.size)
     step = max(s, _CHUNK // (N * f.dim))
-    for k in range(0, lo.size, step):
-        vals = prefix[hi[k : k + step] + 1] - prefix[lo[k : k + step]]
-        mean_p[k : k + step] = np.add.reduce(_inner_norms(vals, inner_p) ** p, axis=1) / N
-    return mean_p ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        for k in range(0, lo.size, step):
+            vals = prefix[hi[k : k + step] + 1] - prefix[lo[k : k + step]]
+            mean_p[k : k + step] = np.add.reduce(_inner_norms(vals, inner_p) ** p, axis=1) / N
+    out = mean_p ** (1.0 / p)
+    if not (mean_p.min() >= _TINY and mean_p.max() < math.inf):
+        # Where a power or the sum overflowed, or a nonzero block's mean fell
+        # below the normal floats, factor the block's peak out, as
+        # fourier._inner_norms does; every other block keeps its bits.
+        redo = np.flatnonzero(~((mean_p >= _TINY) & (mean_p < math.inf)))
+        rows = _inner_norms(prefix[hi[redo] + 1] - prefix[lo[redo]], inner_p)
+        peak = np.maximum.reduce(rows, axis=1)
+        ok = np.isfinite(peak) & (peak > 0)
+        scaled = np.add.reduce((rows[ok] / peak[ok][:, None]) ** p, axis=1) / N
+        out[redo[ok]] = peak[ok] * scaled ** (1.0 / p)
+    return out
 
 
 @functools.lru_cache(maxsize=64)  # bounded, as the grids are the caller's
@@ -408,7 +420,7 @@ def _pruned_scores(polys: list[TrigPolynomial], p: float, q: float, inner_p: flo
             score(keep)
         return out
 
-    def value(idx):
+    def value(idx, _tops):
         ks = np.arange(len(polys))[idx].tolist()
         by_size: dict[int, list[int]] = {}
         for k in ks:
@@ -417,10 +429,7 @@ def _pruned_scores(polys: list[TrigPolynomial], p: float, q: float, inner_p: flo
             score(group)
         return np.array([out[k][0] for k in ks])
 
-    if np.isposinf(bounds).all():  # nothing to prune: one program per size
-        value(slice(None))
-    else:
-        _top_norms(bounds, np.zeros(1, dtype=np.intp), _TOP_K, value)
+    _top_norms(bounds, np.zeros(1, dtype=np.intp), _TOP_K, value, np.empty((1, 0)))
     return out
 
 

@@ -21,9 +21,11 @@ bounds, _log_norm_bounds the margin-widened ones that only prune.
 
 _stack_bounds bounds a stack as columns (lower, upper, witnesses) and
 checks their order: power_norm_sequence keeps the two float arrays of the
-powers, operator_p_norm wraps row 0 in a NormBounds.  _top_norms is the one
-pruning rule: it values only the points whose certified bound reaches the
-top best values of their group, for resolvent's sweeps and decomp's corpus.
+powers, operator_p_norm wraps row 0 in a NormBounds.  _prior_log_bounds
+bounds the resolvents and exponentials of T at search points from T's
+entries alone, before they are built.  _top_norms is the one pruning rule:
+it values only the points whose certified bound reaches the top best values
+of their group, for resolvent's searches and sweeps and decomp's corpus.
 """
 
 from __future__ import annotations
@@ -273,10 +275,9 @@ def _log_step_cap(M: np.ndarray, p: float, log_scale: np.ndarray, hi: np.ndarray
     """Per-step bound on log ||R||_p for each R = e^{log_scale} M of a stack, given
     hi = _log_norm_bounds(M, p)[1] and the norms _batched_norm_lower took (NaN
     where none): the norm itself where an SVD took it, else hi and at p = 2 the
-    Schur test sqrt(||M||_1 ||M||_inf), plus the rounding of a ledger step, R @ M
-    (2 d (d + 2) u past ||R|| ||M||) and a rescale: 4 d (d + 2) + 8 ulps."""
-    d = M.shape[-1]
-    slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
+    Schur test sqrt(||M||_1 ||M||_inf), plus the rounding of a ledger step,
+    _step_slack."""
+    slack = _step_slack(M.shape[-1])
     if p == 2:
         a = np.abs(M)
         with np.errstate(divide="ignore"):
@@ -387,49 +388,152 @@ def _rescale(value: float, log_scale: float) -> float:
         return math.inf
 
 
-def _floors(vals: np.ndarray, groups: np.ndarray, top: int) -> np.ndarray:
-    """Each group's top-th largest value, -inf for a group of fewer points.
+def _tops(vals: np.ndarray, groups: np.ndarray, top: int, start: np.ndarray) -> np.ndarray:
+    """Each group's top largest values, in decreasing order and -inf past its count: a
+    (groups, top) array whose last column is the group's floor.
 
     groups holds the index of the first point of each group, a run of
-    consecutive points.  A NaN value lowers its group's floor (it ranks
-    last) or, at top = 1, makes it NaN, which keeps every point.
+    consecutive points, and start, a (groups, k) array, the values other
+    points attain that each group's points compete with (k may be 0).  A NaN
+    value lowers its group's floor (it ranks last) or, at top = 1, makes it
+    NaN, which keeps every point.
     """
     if top == 1:
-        return np.maximum.reduceat(vals, groups)
+        return np.maximum(np.maximum.reduceat(vals, groups),
+                          start.max(axis=1, initial=-np.inf))[:, None]
     sizes = np.diff(groups, append=len(vals))
     ranked = vals[np.lexsort((-vals, np.repeat(np.arange(len(groups)), sizes)))]
-    return np.where(sizes >= top, ranked[np.minimum(groups + top - 1, len(vals) - 1)], -np.inf)
+    k = np.arange(top)
+    own = np.where(k < sizes[:, None], ranked[np.minimum(groups[:, None] + k, len(vals) - 1)],
+                   -np.inf)
+    if not start.shape[1]:
+        return own
+    both = np.concatenate([own, start], axis=1)
+    return -np.sort(-np.where(np.isnan(both), -np.inf, both), axis=1)[:, :top]
 
 
-def _top_norms(upper: np.ndarray, groups: np.ndarray, top: int, value) -> np.ndarray:
+def _top_norms(upper: np.ndarray, groups: np.ndarray, top: int, value, start) -> np.ndarray:
     """The values of a stack's points that can reach their group's top best values,
     -inf at the others: the one rule that prunes by certified bounds, for
-    resolvent's matrix stacks and decomp's corpus alike.
+    resolvent's matrix stacks and searches and decomp's corpus alike.
 
     upper holds each point's certified upper bound on its value (scored
-    _log_norm_bounds in resolvent, decomp._score_bounds in decomp), and
-    value(idx) returns the exact scored values at the points idx, an index
-    array or slice(None).  Each group's top highest-bound points are valued
-    first (ties go to the earlier point); the group's floor is the top-th
-    best of their values.  Then every other point whose bound is not below
-    the floor is valued (a NaN bound keeps its point).  A point left at -inf
-    has its value certified below the floor, and so below top values of its
-    group: the group's first maximum and its top best values, and every tie
-    with the top-th, are exact.
+    _log_norm_bounds or a prior from _prior_log_bounds in resolvent,
+    decomp._score_bounds in decomp), and start, a (groups, k) array, values
+    that other points attain, which each group's points compete with.
+    value(idx, tops) returns the values at the points idx, an index array or
+    slice(None), given each point's row of its group's _tops so far (start
+    included): exact where they are not below the row's last entry, the
+    floor.  The first take values each group's top highest finite-bound
+    points (ties go to the earlier point) and every point whose bound is
+    +inf or NaN, which no floor can prune, but none whose bound is below the
+    floor of start alone; the floor rises to the top-th best of their values
+    and start.  The second values every other point whose bound is not
+    below it.  A point left at -inf has its value certified below the
+    floor, and so below top values of its group: the group's first maximum
+    and its top best values, and every tie with the top-th, are exact.
     """
     count = len(upper)
     sizes = np.diff(groups, append=count)
-    order = np.lexsort((-np.where(np.isnan(upper), np.inf, upper),
-                        np.repeat(np.arange(len(groups)), sizes)))
-    first = np.zeros(count, dtype=bool)
-    first[order[np.arange(count) - np.repeat(groups, sizes) < top]] = True
     vals = np.full(count, -np.inf)
 
     def take(mask):
-        idx = np.flatnonzero(mask)
+        rows = np.repeat(_tops(vals, groups, top, start), sizes, axis=0)
+        idx = np.flatnonzero(mask & ~(upper < rows[:, -1]))
         if idx.size:
-            vals[idx] = value(idx if idx.size < count else slice(None))
+            vals[idx] = value(idx, rows[idx]) if idx.size < count else value(slice(None), rows)
 
+    bounded = upper < np.inf
+    order = np.lexsort((-np.where(bounded, upper, -np.inf),
+                        np.repeat(np.arange(len(groups)), sizes)))
+    first = ~bounded
+    first[order[np.arange(count) - np.repeat(groups, sizes) < top]] = True
     take(first)
-    take(~first & ~(upper < np.repeat(_floors(vals, groups, top), sizes)))
+    take(~first)
     return vals
+
+
+def _step_slack(d: int) -> float:
+    """The rounding of one product of d x d matrices in the log domain of a norm: R @ M
+    lies 2 d (d + 2) u past ||R|| ||M||, doubled, plus 8 ulps for a rescale."""
+    return (4.0 * d * (d + 2) + 8.0) * 2.0**-53
+
+
+# the log of the largest float; a bound past it cannot certify a finite matrix
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
+                      kind: str) -> np.ndarray:
+    """Certified upper bounds on log ||X||_p, from the entries of T alone, for the matrix
+    X that resolvent computes at each point z = r e^{it}, before it is built: the
+    resolvent (z - T)^{-1} (kind "resolvent"), or e^{z T} (kind "exponential").
+
+    Resolvents: ||(z - T)^{-1}||_p <= 1/beta_p, where beta_p bounds the least
+    ||(z - T) x||_p on the unit sphere from below by diagonal dominance:
+    min_i |z - t_ii| - (r_i + c_i)/2 at p = 2 (C. R. Johnson, Linear Algebra
+    Appl. 112, 1989; r_i and c_i are T's off-diagonal row and column sums),
+    min_i |z - t_ii| - r_i at inf and - c_i at 1 (Varah), Riesz-Thorin between
+    the three, and never less than |z| - ||T||_p.  beta loses
+    delta = _step_slack(d) sqrt(d) (|z| + max(||T||_1, ||T||_inf)) first: the
+    backward error of the SVD's sigma_min and of the inverse's solve, whose
+    relative error delta / beta it covers for a pivot growth up to about d,
+    and the bound's own arithmetic.
+
+    Exponentials: ||e^{z T}||_p <= e^{r mu_p(e^{it} T)}, the logarithmic norm
+    (G. Soderlind, BIT 46, 2006): mu_2 is the largest eigenvalue of the
+    Hermitian part, one eigvalsh per distinct angle, mu_1 and mu_inf are
+    max_j Re(e^{it} t_jj) + c_j and max_i Re(e^{it} t_ii) + r_i, and
+    Riesz-Thorin interpolates their exponents.  To it come
+    _step_slack(d) sqrt(d) r max(||T||_1, ||T||_inf) for mu's arithmetic and
+    _step_slack(d) (2 max(1, r ||T||_1) + 1), twice, for the expm's Pade step
+    and its s squarings, 2^s <= 2 max(1, ||z T||_1) at theta_13 = 5.37.
+
+    Every bound carries _LOG_MARGIN for the norms' rounding, and is +inf where
+    it passes _LOG_MAX, so that it cannot certify that X is finite, or where
+    its own arithmetic overflows (NaN included).
+    """
+    d = T.shape[-1]
+    a = np.abs(T)
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    rows, cols = off.sum(axis=1), off.sum(axis=0)
+    n1, ninf = a.sum(axis=0).max(), a.sum(axis=1).max()
+    slack = _step_slack(d)
+    mid = not _is_exact(p) or p == 2  # whether the p = 2 form takes part
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kind == "resolvent":
+            gap = np.abs((r * np.exp(1j * t))[:, None] - np.diagonal(T))
+            delta = slack * math.sqrt(d) * (r + max(n1, ninf))
+
+            def neg_log(beta):  # -log(beta - delta), +inf where that is not positive
+                b = beta - delta
+                return np.where(b > 0.0, -np.log(np.where(b > 0.0, b, 1.0)), np.inf)
+
+            one, inf_ = (neg_log((gap - s).min(axis=1)) for s in (cols, rows))
+            two = neg_log((gap - 0.5 * (rows + cols)).min(axis=1)) if mid else None
+            # |z| - ||T||_p, ||T||_p at most Riesz-Thorin's ||T||_1^{1/p} ||T||_inf^{1-1/p}
+            cap, err = neg_log(r - n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)), 0.0
+        else:
+            angles, at = np.unique(t, return_inverse=True)
+            w = np.exp(1j * angles)[:, None]
+            diag = (w * np.diagonal(T)).real
+            one, inf_ = ((diag + s).max(axis=1)[at] * r for s in (cols, rows))
+            if mid:
+                H = w[:, :, None] * T
+                two = np.linalg.eigvalsh(0.5 * (H + H.conj().swapaxes(-1, -2)))[:, -1][at] * r
+            cap = np.inf
+            err = slack * (math.sqrt(d) * r * max(n1, ninf)
+                           + 2.0 * (2.0 * np.maximum(1.0, r * n1) + 1.0))
+        # Riesz-Thorin: the (1, inf) pair at every p, with (1, 2) below 2 and (2, inf)
+        # above; a pair enters only with both weights positive, as 0 inf is NaN
+        if math.isinf(p) or p == 1:
+            inter = inf_ if math.isinf(p) else one
+        elif p == 2:
+            inter = np.minimum(two, 0.5 * (one + inf_))
+        else:
+            inter = np.minimum(one / p + inf_ * (1.0 - 1.0 / p),
+                               one * (2.0 / p - 1.0) + two * (2.0 - 2.0 / p) if p < 2
+                               else two * (2.0 / p) + inf_ * (1.0 - 2.0 / p))
+        bound = np.minimum(cap, inter) + err + _LOG_MARGIN
+    return np.where(bound < _LOG_MAX, bound, np.inf)

@@ -22,21 +22,31 @@ for resolvent powers also the cap of norms._log_step_cap) reaches its
 group's floor, the top-th best value of the group, so each group's first
 maximum and top best values, with their first n, are exact: bit for bit the
 values a norm at every pair gives.  kreiss_constant at p = 2 takes sigma_min
-of each l - T instead: inside |l| <= ||T|| no cheap certified bound on
-1/sigma_min prunes it.
+of each l - T instead.
+
+Before any matrix is built, each search point gets a prior, a certified
+upper bound on its value from T's entries alone (norms._prior_log_bounds):
+(|l| - 1) / beta for kreiss_constant, with beta a diagonal-dominance lower
+bound on sigma_min(l - T) at p = 2 (Johnson's) and on its p-norm analogue
+elsewhere, max(L, n_max L), L = log((|l| - 1) / beta), for
+strong_kreiss_constant, and e^{|xi| (mu - 1)}, mu a logarithmic norm of
+e^{it} T, for exponential_criterion.  It holds at every p, and inside
+|l| <= ||T|| too, wherever l - T is diagonally dominant enough.  Only the
+points whose prior reaches their group's floor get an SVD, an inverse and
+power ledger, or an exponential.
 
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
-suprema through one grid-and-refine search, _search.  It evaluates the whole
-grid as one group with top = 5, the five best grid points being the seeds
-of refinement in stable argsort order (so exact ties always resolve the
-same way), and runs refine_rounds shrinking grids of up to 9x9 points
-around each seed, all five seeds' grids in one evaluation per round, one
-group with top = 1 per seed.  A refined point replaces the best so far only
-when it is strictly larger: the first strict maximum, in grid-then-seed
-order, wins.  The strong-Kreiss evaluation returns with each value the n
-attaining it, and that n travels with the point through refinement, so a
-refined argmax needs no second sweep.  The Cesaro and GZ scans are one
-group with top = 1.
+suprema through one grid-and-refine search, _search, which prunes by the
+priors through norms._top_norms.  It evaluates the whole grid as one group
+with top = 5, the five best grid points being the seeds of refinement in
+stable argsort order (so exact ties always resolve the same way), and runs
+refine_rounds shrinking grids of up to 9x9 points around each seed, all five
+seeds' grids in one evaluation per round, one group with top = 1 per seed.
+A refined point replaces the best so far only when it is strictly larger:
+the first strict maximum, in grid-then-seed order, wins.  The strong-Kreiss
+evaluation returns with each value the n attaining it, and that n travels
+with the point through refinement, so a refined argmax needs no second
+sweep.  The Cesaro and GZ scans are one group with top = 1.
 
 One builder, _resolvents, gives every grid's l - T and (l - T)^{-1}.  Every
 power, of T or of a resolvent, comes from norms._power_ledger, and every
@@ -52,15 +62,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import (AscentConfig, _LOG_MARGIN, _batched_norm_lower, _floors, _log_norm_bounds,
-                    _log_step_cap, _power_ledger, _rescale, _smallest_singular_values,
-                    _top_norms)
+from .norms import (AscentConfig, _LOG_MARGIN, _batched_norm_lower, _log_norm_bounds,
+                    _log_step_cap, _power_ledger, _prior_log_bounds, _rescale,
+                    _smallest_singular_values, _step_slack, _top_norms, _tops)
 from .operators import ComplexMatrix, _require
 
 _RHO_TOL = 1e-9
 _R_MIN_OFFSET = 1e-8
 _REFINE_SHRINK = 0.25  # each refinement round shrinks the local grid by this factor
 _SEEDS = 5  # grid points that seed refinement
+_NORM_FLOOR = 1e-300  # exponential_criterion scores a smaller norm as this one
+_LOG_FLOOR = float(np.log(_NORM_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -114,14 +126,23 @@ def _grid(cfg: SearchConfig):
     return xs, _angles(cfg.angular_count)
 
 
-def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
+def _search(evaluate, prior, xs, step, bounds, cfg: SearchConfig):
     """Grid-and-refine maximum of evaluate over xs x angles; returns (value, (x, t), n).
 
-    evaluate(x, t, groups, top) returns the values at the points and the n
-    attaining each one, or None for n.  groups holds the index of the first
-    point of each group, a run of consecutive points, and only each group's
-    first maximum and its top best values must be exact: another point may
-    fall short, down to -inf, if its value is below the group's top-th best.
+    prior(x, t) returns a certified upper bound on each point's value, from
+    T's entries alone, and evaluate(x, t, groups, top, start) returns the
+    values at the points and the n attaining each one, or None for n.
+    groups holds the index of the first point of each group, a run of
+    consecutive points, and start, a (groups, top) array, the best values
+    other points of each group attain.  Only each group's first maximum and
+    its top best values among its points and start must be exact: another
+    point may fall short, down to -inf, if its value is below the top-th.
+    Every evaluation goes through norms._top_norms on the priors, so
+    evaluate sees only the points whose prior reaches their group's floor:
+    first every point without a finite prior and each group's top
+    highest-prior points, then, with start their best values, the others
+    whose prior is not below the floor.  No point is evaluated twice.
+
     The grid is one group with top = _SEEDS.  Seeds are its _SEEDS best
     points in stable argsort order; each gets cfg.refine_rounds shrinking
     grids of up to 9x9 points and half-widths (step, one angle step).  A
@@ -139,8 +160,28 @@ def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
     def point(vals, ns, xf, tf, i):
         return float(vals[i]), (float(xf[i]), float(tf[i])), None if ns is None else int(ns[i])
 
+    def run(xf, tf, groups, top):
+        owner = np.repeat(np.arange(len(groups)), np.diff(groups, append=len(xf)))
+        found = []
+
+        def value(idx, tops):
+            pts = np.arange(len(xf))[idx]
+            heads = np.flatnonzero(np.diff(owner[pts], prepend=-1))  # a group per owner seen
+            vals, n = evaluate(xf[pts], tf[pts], heads, top, tops[heads])
+            if n is not None:
+                found.append((pts, n))
+            return vals
+
+        vals = _top_norms(prior(xf, tf), groups, top, value, np.empty((len(groups), 0)))
+        if not found:
+            return vals, None
+        ns = np.zeros(len(xf), dtype=int)
+        for pts, n in found:
+            ns[pts] = n
+        return vals, ns
+
     xf, tf = mesh(xs, _angles(cfg.angular_count))
-    vals, ns = evaluate(xf, tf, np.zeros(1, dtype=int), _SEEDS)
+    vals, ns = run(xf, tf, np.zeros(1, dtype=int), _SEEDS)
     best = point(vals, ns, xf, tf, int(np.argmax(vals)))
     centers = [(float(xf[j]), float(tf[j]))
                for j in np.argsort(vals, kind="stable")[::-1][:_SEEDS]]
@@ -153,7 +194,7 @@ def _search(evaluate, xs, step, bounds, cfg: SearchConfig):
         ends = np.cumsum([len(g[0]) for g in grids])
         starts = np.concatenate([[0], ends[:-1]])
         xf, tf = map(np.concatenate, zip(*grids))
-        vals, ns = evaluate(xf, tf, starts, 1)
+        vals, ns = run(xf, tf, starts, 1)
         rounds.append([point(vals, ns, xf, tf, a + int(np.argmax(vals[a:b])))
                        for a, b in zip(starts, ends)])
         centers = [top[1] for top in rounds[-1]]
@@ -209,7 +250,7 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
 
     acfg = cfg.ascent()
 
-    def evaluate(xflat: np.ndarray, tflat: np.ndarray, groups, top):
+    def evaluate(xflat: np.ndarray, tflat: np.ndarray, groups, top, start):
         r, M = _resolvents(T, xflat, tflat, cfg.p != 2)
         if cfg.p == 2:  # M = l - T: (r - 1) / sigma_min(M)
             with np.errstate(divide="ignore", over="ignore"):
@@ -217,10 +258,15 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
             _check_resolvents(r, np.isfinite(vals))
             return vals, None
         return _pruned_sweep(_one_step(M), lambda n, idx, _, norms: (r[idx] - 1.0) * norms,
-                             cfg.p, acfg, groups, top)
+                             cfg.p, acfg, groups, top, start)
+
+    def prior(xflat: np.ndarray, tflat: np.ndarray):  # (r - 1) / beta
+        r = 1.0 + 10.0 ** xflat
+        with np.errstate(over="ignore"):
+            return (r - 1.0) * np.exp(_prior_log_bounds(T.entries, cfg.p, r, tflat, "resolvent"))
 
     xs, _ = _grid(cfg)
-    best, best_xt, _ = _search(evaluate, xs, (xs[-1] - xs[0]) / cfg.radial_count,
+    best, best_xt, _ = _search(evaluate, prior, xs, (xs[-1] - xs[0]) / cfg.radial_count,
                                (xs[0], xs[-1]), cfg)
     if best >= 1.0:
         return FunctionalEstimate(best, _xt_to_lambda(best_xt))
@@ -228,8 +274,8 @@ def kreiss_constant(T: ComplexMatrix, cfg: SearchConfig = SearchConfig()) -> Fun
     return FunctionalEstimate(1.0, None)
 
 
-def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int = 1,
-                  start: float = -math.inf, powers: int = 0):
+def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int, start,
+                  powers: int = 0):
     """Per-point max of score(n, idx, log_scale, ||M||_p) over the steps of a matrix
     stack, with norms only where they can reach the top values of a group of points.
 
@@ -237,12 +283,14 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int =
     index array or slice(None)), point pts[k] having the matrix
     e^{log_scale[k]} M[k].  score must not decrease as a norm grows, as no
     rounded sum, product, quotient or log does.  groups holds the index of
-    the first point of each group, a run of consecutive points.  Each group
-    keeps one floor, started at start: the top-th largest of its points'
-    lower bounds, each the largest score or scored lower bound of the
-    point's pairs.  A pair whose scored upper bound is below its group's
-    floor scores strictly below top points of the group, so it is dropped
-    (a NaN bound keeps it).
+    the first point of each group, a run of consecutive points, and start
+    the values that other points attain, which each group's points compete
+    with: a (groups, k) array, or one float for every group.  Each group
+    keeps one floor: the top-th largest of start and its points' lower
+    bounds, each the largest score or scored lower bound of the point's
+    pairs.  A pair whose scored upper bound is below its group's floor
+    scores strictly below top points of the group, so it is dropped (a NaN
+    bound keeps it).
 
     Pass 1 takes the first step's norms through _top_norms, the group's top
     highest-bound points first, and scored _log_norm_bounds at the other
@@ -282,8 +330,10 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int =
     every = np.arange(len(M))
     sizes = np.diff(groups, append=len(M))
     norms = np.full(len(M), np.nan)
+    if np.ndim(start) == 0:  # one value for every group
+        start = np.full((len(groups), 1), start)
 
-    def first(idx):
+    def first(idx, _tops):
         norms[idx] = _batched_norm_lower(M[idx], p, acfg)
         return score(n, idx, log_scale[idx], norms[idx])
 
@@ -292,7 +342,7 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int =
             return score(n, idx, log_scale, np.exp(log_norms))
 
     def pool():  # every point gets its group's floor
-        return np.repeat(np.maximum(_floors(np.maximum(low, best), groups, top), start), sizes)
+        return np.repeat(_tops(np.maximum(low, best), groups, top, start)[:, -1], sizes)
 
     def take(n, idx, mats, log_scale):
         vals = score(n, idx, log_scale, _batched_norm_lower(mats, p, acfg))
@@ -301,7 +351,7 @@ def _pruned_sweep(stack, score, p: float, acfg: AscentConfig, groups, top: int =
         best_n[idx] = np.where(better, n, best_n[idx])
 
     lo, hi = _log_norm_bounds(M, p)
-    vals = _top_norms(scored(n, every, log_scale, hi), groups, top, first)
+    vals = _top_norms(scored(n, every, log_scale, hi), groups, top, first, start)
     best = np.where(vals > -np.inf, vals, -np.inf)
     best_n = np.where(vals > -np.inf, n, 0)
     low = scored(n, every, log_scale, lo)  # with best, each point's lower bound
@@ -347,7 +397,7 @@ def _sweep_max(stack, score, p: float, acfg: AscentConfig, start: float):
     """(value, point, n) of the largest score of _pruned_sweep over all points as one
     group, ties going to the smallest n and then point, or (start, 0, 0) when no
     score exceeds start."""
-    swept = _pruned_sweep(stack, score, p, acfg, np.zeros(1, dtype=int), start=start)
+    swept = _pruned_sweep(stack, score, p, acfg, np.zeros(1, dtype=int), 1, start)
     if swept is None:
         return start, 0, 0
     best, best_n = swept
@@ -358,14 +408,14 @@ def _sweep_max(stack, score, p: float, acfg: AscentConfig, start: float):
 
 
 def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray, n_max: int,
-                         p: float, acfg: AscentConfig,
-                         groups, top: int) -> tuple[np.ndarray, np.ndarray]:
+                         p: float, acfg: AscentConfig, groups, top: int,
+                         start) -> tuple[np.ndarray, np.ndarray]:
     """Per-point max over 1 <= n <= n_max of the log score, and the first n attaining it.
 
     Points are l = (1 + 10^x) e^{it}, and the score is
     n log(|l|-1) + log ||(l-T)^{-n}||_p, swept over the resolvent powers by
-    _pruned_sweep with one floor per group: only each group's first max and
-    its top best values are exact.
+    _pruned_sweep with one floor per group, which the values in start join:
+    only each group's first max and its top best values are exact.
     """
     r, R = _resolvents(T, xflat, tflat, True)
     log_gap = np.log(r - 1.0)
@@ -375,7 +425,7 @@ def _strong_kreiss_sweep(T: ComplexMatrix, xflat: np.ndarray, tflat: np.ndarray,
             return n * log_gap[idx] + log_scale + np.log(norms)
 
     return _pruned_sweep(lambda pts: _power_ledger(R[pts], n_max), score, p, acfg, groups, top,
-                         powers=n_max)
+                         start, n_max)
 
 
 def strong_kreiss_constant(
@@ -400,11 +450,17 @@ def strong_kreiss_constant(
 
     acfg = cfg.ascent()
 
-    def sweep(xflat: np.ndarray, tflat: np.ndarray, groups, top):
-        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, groups, top)
+    def sweep(xflat: np.ndarray, tflat: np.ndarray, groups, top, start):
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, groups, top, start)
+
+    def prior(xflat: np.ndarray, tflat: np.ndarray):  # max over n of n L, L = log((r - 1) / beta)
+        r = 1.0 + 10.0 ** xflat
+        step = (np.log(r - 1.0) + _prior_log_bounds(T.entries, cfg.p, r, tflat, "resolvent")
+                + _step_slack(T.dim))
+        return np.maximum(step, n_max * step) + _LOG_MARGIN
 
     xs, _ = _grid(cfg)
-    best_log, best_xt, best_n = _search(sweep, xs, (xs[-1] - xs[0]) / cfg.radial_count,
+    best_log, best_xt, best_n = _search(sweep, prior, xs, (xs[-1] - xs[0]) / cfg.radial_count,
                                         (xs[0], xs[-1]), cfg)
     if k_est is None:
         k_est = kreiss_constant(T, cfg)
@@ -515,7 +571,7 @@ def exponential_criterion(
     _require("xi_max", xi_max, 0, math.inf, "()")
     acfg = cfg.ascent()
 
-    def evaluate(mflat: np.ndarray, tflat: np.ndarray, groups, top):
+    def evaluate(mflat: np.ndarray, tflat: np.ndarray, groups, top, start):
         with np.errstate(all="ignore"):
             E = _expm_stack((mflat * np.exp(1j * tflat))[:, None, None] * T.entries)
         bad = ~np.isfinite(E).all(axis=(1, 2))
@@ -523,13 +579,19 @@ def exponential_criterion(
             raise OverflowError(f"e^(xi T) left the float range at |xi| = {mflat[bad].min():.6g}")
 
         def score(n, idx, _, norms):
-            return np.exp(np.log(np.maximum(norms, 1e-300)) - mflat[idx])
+            return np.exp(np.log(np.maximum(norms, _NORM_FLOOR)) - mflat[idx])
 
-        return _pruned_sweep(_one_step(E), score, cfg.p, acfg, groups, top)
+        return _pruned_sweep(_one_step(E), score, cfg.p, acfg, groups, top, start)
+
+    def prior(mflat: np.ndarray, tflat: np.ndarray):  # e^{|xi| (mu - 1)}, as score takes it
+        log_norms = _prior_log_bounds(T.entries, cfg.p, mflat, tflat, "exponential")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(np.maximum(log_norms, _LOG_FLOOR + _LOG_MARGIN) - mflat)
 
     with np.errstate(over="ignore"):  # an inf modulus fails in evaluate, by name
         moduli = xi_max * np.arange(cfg.radial_count + 1) / cfg.radial_count
-    best, best_mt, _ = _search(evaluate, moduli, xi_max / cfg.radial_count, (0.0, xi_max), cfg)
+    best, best_mt, _ = _search(evaluate, prior, moduli, xi_max / cfg.radial_count,
+                               (0.0, xi_max), cfg)
     xi = best_mt[0] * complex(math.cos(best_mt[1]), math.sin(best_mt[1]))
     return FunctionalEstimate(best, xi)
 

@@ -6,9 +6,10 @@ two trigonometric polynomials by quadrature on the torus, a multiplier's
 value at one frequency by case analysis, the torus norm and the multiplier
 ratio one polynomial at a time, the marcinkiewicz subcommand one trial at a
 time, the bound-pruned sweep with every point kept in the power ledger to
-its last step, the decomposition-constant search with every corpus sample
-and ascent candidate scored, and the exponential of a triangular matrix at
-50 digits.  ledger_steps counts the work of the power ledger.
+its last step, the pruning rule with a first take of each group's top
+highest-bound points only, the decomposition-constant search with every
+corpus sample and ascent candidate scored, and the exponential of a
+triangular matrix at 50 digits.  ledger_steps counts the work of the power ledger.
 """
 
 from __future__ import annotations
@@ -171,6 +172,30 @@ def ledger_steps(monkeypatch):
     return count
 
 
+def top_norms_first_top(upper, groups, top, value):
+    """norms._top_norms as it was while its first take held only each group's top
+    highest-bound points, kept verbatim as an oracle: a group with more than top
+    points of +inf or NaN bound took its floor from the first top of them.
+    value(idx) returns the values at the points idx."""
+    count = len(upper)
+    sizes = np.diff(groups, append=count)
+    order = np.lexsort((-np.where(np.isnan(upper), np.inf, upper),
+                        np.repeat(np.arange(len(groups)), sizes)))
+    first = np.zeros(count, dtype=bool)
+    first[order[np.arange(count) - np.repeat(groups, sizes) < top]] = True
+    vals = np.full(count, -np.inf)
+
+    def take(mask):
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            vals[idx] = value(idx if idx.size < count else slice(None))
+
+    take(first)
+    floors = kreisslab.norms._tops(vals, groups, top, np.empty((len(groups), 0)))[:, -1]
+    take(~first & ~(upper < np.repeat(floors, sizes)))
+    return vals
+
+
 def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf, powers=0):
     """resolvent._pruned_sweep as it was while pass 1 ran every point through every
     step of the stack, kept verbatim as an oracle; it reads the norms module's norms,
@@ -183,9 +208,11 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
     every = np.arange(len(M))
     groups = every if groups is None else np.asarray(groups)
     sizes = np.diff(groups, append=len(M))
+    if np.ndim(start) == 0:  # one value for every group
+        start = np.full((len(groups), 1), start)
     norms = np.full(len(M), np.nan)
 
-    def first(idx):
+    def first(idx, _tops):
         norms[idx] = kreisslab.norms._batched_norm_lower(M[idx], p, acfg)
         return score(n, idx, log_scale[idx], norms[idx])
 
@@ -194,8 +221,8 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
             return score(n, every, log_scale, np.exp(log_norms))
 
     def pool():  # every point gets its group's floor
-        floors = kreisslab.norms._floors(np.maximum(low, best), groups, top)
-        return np.repeat(np.maximum(floors, start), sizes)
+        floors = kreisslab.norms._tops(np.maximum(low, best), groups, top, start)[:, -1]
+        return np.repeat(floors, sizes)
 
     def take(n, idx, mats, log_scale):
         vals = score(n, idx, log_scale, kreisslab.norms._batched_norm_lower(mats, p, acfg))
@@ -204,7 +231,7 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
         best_n[idx] = np.where(better, n, best_n[idx])
 
     lo, hi = kreisslab.norms._log_norm_bounds(M, p)
-    vals = kreisslab.norms._top_norms(scored(n, log_scale, hi), groups, top, first)
+    vals = kreisslab.norms._top_norms(scored(n, log_scale, hi), groups, top, first, start)
     best = np.where(vals > -np.inf, vals, -np.inf)
     best_n = np.where(vals > -np.inf, n, 0)
     low = scored(n, log_scale, lo)  # with best, each point's lower bound

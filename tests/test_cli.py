@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -316,6 +317,17 @@ def test_decomp_scan_writes_witness(tmp_path):
     assert abs(rep["constant_lower"] - 1.0) < 1e-6
     assert rep["label"] == "empirical floor"
     assert (out / "witness_f.txt").exists()
+
+
+def test_decomp_scan_at_a_large_p_reports_a_finite_floor(tmp_path):
+    # the p-th powers of block values above 1 pass the float range at p = 300:
+    # each such block takes its peak out instead of reporting an inf floor (the
+    # suite's error::RuntimeWarning also fails on the overflow warning)
+    out = tmp_path / "o"
+    code = run(["decomp-scan", "--p", "300", "--q", "2", "--trials", "100",
+                "--ascent-steps", "20", "--seed", "19", "--out", str(out)])
+    assert code == 0
+    assert 1.0 <= read(out / "decomp.json")["constant_lower"] < math.inf
 
 
 def test_riesz_norm_subcommand(tmp_path):

@@ -187,6 +187,26 @@ def test_block_norms_match_per_block_projections(p, inner_p, rng):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)  # zeros exactly
 
 
+@pytest.mark.parametrize("p", [300.0, 1e4])
+@pytest.mark.parametrize("scale", [1e3, 1e-3])
+def test_block_norms_take_the_peak_out_past_the_float_range(p, scale, rng):
+    # at such p the p-th powers of grid values above 1 overflow and those of
+    # values below 1 underflow: each block takes its peak out and its norm is the
+    # peak-scaled power mean's, (mean row^p)^(1/p) = ||row||_p / N^(1/p)
+    f = TrigPolynomial((-3, -1, 0, 2, 5), scale * (rng.standard_normal((5, 2))
+                                                  + 1j * rng.standard_normal((5, 2))), 2)
+    N, _ = quadrature_points(f, p, 2.0)
+    t = np.arange(N) / N
+    waves = f.vecs[:, None, :] * np.exp(2j * np.pi * np.outer(f.freqs, t))[:, :, None]
+    with np.errstate(over="ignore", under="ignore"):
+        w = _run_block_norms(f, p, 2.0)
+    for i in range(5):
+        for j in range(i, 5):
+            row = np.sqrt((np.abs(waves[i:j + 1].sum(axis=0)) ** 2).sum(axis=1))
+            assert w[i, j] == pytest.approx(vector_p_norm(row, p) / N ** (1.0 / p), rel=1e-12)
+    assert (w[np.triu_indices(5)] > 0).all() and np.isfinite(w).all()
+
+
 def test_phase_table_is_keyed_by_grid_and_degree(rng):
     # p = 4 at M = 4 and p = 2 at M = 8 share the 17-point grid; each needs
     # its own rows, so the table of one must not serve the other

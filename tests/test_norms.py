@@ -416,3 +416,148 @@ def test_stack_ascent_scales_exactly_past_gradient_overflow(p):
         got_v, got_w = ascent_lower_bounds(mats * 2.0**k, p, cfg)
         assert np.array_equal(got_v, values * 2.0**k)
         assert np.array_equal(got_w, witnesses)
+
+
+# ---------------------------------------------------------------------------
+# the a priori bounds that prune resolvent's search points before their
+# matrices are built, and the pruning rule that reads them
+# ---------------------------------------------------------------------------
+
+PRIOR_P = [1.0, 1.5, 2.0, 3.0, math.inf]
+PRIOR_ACFG = AscentConfig(restarts=8, max_steps=150, rel_tol=1e-9)
+
+
+def _unit_radius_operator(seed, d, density, coupling):
+    """A random operator of spectral radius 1 (0 if nilpotent) plus coupling times
+    a strictly upper triangular part, which makes it far from normal."""
+    rng = np.random.default_rng(seed)
+    A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * (rng.random((d, d))
+                                                                           < density)
+    A += coupling * np.triu(rng.standard_normal((d, d)), 1)
+    rho = np.abs(np.linalg.eigvals(A)).max()
+    return A / rho if rho > 1e-12 else A, rng
+
+
+def _computed_value(M, p):
+    """log of what the search values: 1/sigma_min of l - T at p = 2, the norm (exact
+    at 1 and inf, the ascent's floor elsewhere) of the computed matrix otherwise;
+    nan where the computed matrix is not finite."""
+    with np.errstate(all="ignore"):
+        if not np.isfinite(M).all():
+            return math.nan
+        return math.log(norms._batched_norm_lower(M[None], p, PRIOR_ACFG)[0])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 5]),
+       p=st.sampled_from(PRIOR_P), density=st.floats(0.2, 1.0),
+       coupling=st.sampled_from([0.0, 1.0, 30.0]), log10_gap=st.floats(-14.0, 3.0))
+def test_resolvent_prior_bounds_the_computed_value(seed, d, p, density, coupling, log10_gap):
+    # at l = (1 + gap) e for an eigenvalue e of modulus 1 (near-singular l - T at a
+    # small gap) and at a random point of the same |l|: the prior is +inf or at
+    # least (|l| - 1) / sigma_min(l - T) (p = 2) or (|l| - 1) times the computed
+    # resolvent's norm (exact at 1 and inf, the ascent floor elsewhere)
+    from kreisslab import resolvent
+
+    T, rng = _unit_radius_operator(seed, d, density, coupling)
+    e = np.linalg.eigvals(T)
+    e = e[np.argmax(np.abs(e))]
+    lam = np.array([e * (1.0 + 10.0 ** log10_gap) if abs(e) > 0.5 else 1.0 + 10.0 ** log10_gap,
+                    (1.0 + 10.0 ** log10_gap) * np.exp(2j * np.pi * rng.random())])
+    r, t = np.abs(lam), np.angle(lam)
+    r = np.maximum(r, 1.0 + 1e-15)
+    prior = (r - 1.0) * np.exp(norms._prior_log_bounds(T, p, r, t, "resolvent"))
+    _, A = resolvent._resolvents(ComplexMatrix(T), np.log10(r - 1.0), t, False)
+    for k in range(len(r)):
+        if p == 2:
+            with np.errstate(divide="ignore"):
+                value = (r[k] - 1.0) / norms._smallest_singular_values(A[k:k + 1])[0]
+        else:
+            try:
+                value = (r[k] - 1.0) * math.exp(_computed_value(np.linalg.inv(A[k]), p))
+            except (np.linalg.LinAlgError, OverflowError):
+                value = math.inf
+        assert value <= prior[k] or prior[k] == math.inf, (k, value, prior[k])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 5]),
+       p=st.sampled_from(PRIOR_P), density=st.floats(0.2, 1.0),
+       coupling=st.sampled_from([0.0, 1.0, 30.0]), modulus=st.floats(0.0, 60.0),
+       angle=st.floats(0.0, 2 * math.pi))
+def test_exponential_prior_bounds_the_computed_value(seed, d, p, density, coupling, modulus,
+                                                     angle):
+    # ||e^{xi T}|| of the search's own stacked expm is at most e^{prior}, at every p:
+    # exact norms at 1, 2 and inf, the ascent floor elsewhere
+    from kreisslab import resolvent
+
+    T, _ = _unit_radius_operator(seed, d, density, coupling)
+    m, t = np.array([modulus, 0.0]), np.array([angle, angle])
+    bound = norms._prior_log_bounds(T, p, m, t, "exponential")
+    with np.errstate(all="ignore"):
+        E = resolvent._expm_stack((m * np.exp(1j * t))[:, None, None] * T)
+    for k in range(2):
+        value = _computed_value(E[k], p)
+        assert value <= bound[k] or bound[k] == math.inf, (k, value, bound[k])
+    assert bound[1] < math.inf  # e^{0 T} = I
+
+
+def test_priors_are_infinite_where_they_cannot_certify_a_finite_matrix():
+    from kreisslab import resolvent
+
+    # (l - N)^{-1} holds c^2 / l^3 = 1e400 / l^3 for the nilpotent N of coupling 1e200
+    N = np.diag([1e200, 1e200], 1).astype(complex)
+    r = np.array([1.0 + 1e-8, 10.0, 1e300])
+    for p in PRIOR_P:
+        bound = norms._prior_log_bounds(N, p, r, np.zeros(3), "resolvent")
+        assert bound[:2].tolist() == [math.inf] * 2 and bound[2] < math.inf
+    # e^{xi I} = e^{xi} I passes the float range at xi > 709.78; nothing overflows at
+    # an angle where Re xi is below it, and an inf modulus gives no bound
+    xi = np.array([700.0, 750.0, 750.0, math.inf])
+    t = np.array([0.0, 0.0, 2.0, 2.0])
+    for p in PRIOR_P:
+        bound = norms._prior_log_bounds(np.eye(3, dtype=complex), p, xi, t, "exponential")
+        assert bound[0] < 709.78 and bound[1] == math.inf and bound[2] < 0
+        assert bound[3] == math.inf
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(resolvent._expm_stack(750.0 * np.eye(3, dtype=complex)[None])).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       top=st.sampled_from([1, 2, 5]), unbounded=st.floats(0.0, 1.0))
+def test_top_norms_adds_to_the_first_top_rule_only_the_best_finite_bounds(seed, sizes, top,
+                                                                          unbounded):
+    # the first take now holds every +inf or NaN bound and each group's top highest
+    # finite bounds, a superset of the first-top rule's first take, so the floors
+    # can only rise: besides those finite-bound points the rule values a subset of
+    # what the first-top rule values, and both give every group's first maximum and
+    # top best values, with the ties of the top-th, exactly
+    from oracles import top_norms_first_top
+
+    rng = np.random.default_rng(seed)
+    count = sum(sizes)
+    groups = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    exact = rng.integers(0, 6, count).astype(float)  # ties are common
+    upper = exact + rng.integers(0, 4, count)
+    wild = rng.random(count) < unbounded
+    upper[wild] = np.where(rng.random(wild.sum()) < 0.5, np.inf, np.nan)
+    taken = {"new": set(), "old": set()}
+
+    def valuer(key):
+        def value(idx, *_floor):
+            pts = np.arange(count)[idx]
+            assert not taken[key] & set(pts.tolist())  # no point valued twice
+            taken[key].update(pts.tolist())
+            return exact[pts]
+        return value
+
+    new = norms._top_norms(upper, groups, top, valuer("new"), np.empty((len(sizes), 0)))
+    old = top_norms_first_top(upper, groups, top, valuer("old"))
+    best_finite = set()
+    for a, b in zip(groups, [*groups[1:], count]):
+        finite = [k for k in range(a, b) if upper[k] < np.inf]
+        best_finite.update(sorted(finite, key=lambda k: (-upper[k], k))[:top])
+    assert taken["new"] <= taken["old"] | best_finite
+    for a, b in zip(groups, [*groups[1:], count]):
+        floor = np.sort(exact[a:b])[::-1][min(top, b - a) - 1]
+        keep = np.arange(a, b)[exact[a:b] >= floor]
+        assert np.array_equal(new[keep], exact[keep]) and np.array_equal(old[keep], exact[keep])
+        assert (new[a:b] <= exact[a:b]).all()

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreisslab.norms import (AscentConfig, _batched_norm_lower, _log_norm_bounds, _log_step_cap,
@@ -230,7 +231,7 @@ def test_pruned_strong_kreiss_sweep_matches_serial(name, n_max):
     xf, tf = _sweep_points(n_max)
     best_log, best_n, rescaled = _serial_strong_kreiss_sweep(T, xf, tf, n_max)
     got_log, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent(),
-                                          np.arange(len(xf)), 1)
+                                          np.arange(len(xf)), 1, -math.inf)
     assert np.array_equal(got_log, best_log)
     assert np.array_equal(got_n, best_n)
     if name == "jordan2" and n_max >= 16:
@@ -242,7 +243,8 @@ def test_pruned_strong_kreiss_sweep_matches_serial(name, n_max):
 def test_pruned_strong_kreiss_sweep_matches_all_pairs_loop(p, name):
     T = PRUNING_OPERATORS[name]
     xf, tf = _sweep_points(16)
-    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, np.arange(len(xf)), 1)
+    got_log, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, np.arange(len(xf)), 1,
+                                          -math.inf)
     best_log, best_n = _all_pairs_strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG)
     assert np.array_equal(got_log, best_log)
     assert np.array_equal(got_n, best_n)
@@ -256,9 +258,10 @@ def test_pruned_sweep_keeps_each_groups_top_values_exact(p, top):
     # groups hold fewer than top points.
     T = PRUNING_OPERATORS["jordan2_damped"]
     xf, tf = _sweep_points(16)
-    want, want_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, np.arange(len(xf)), 1)
+    want, want_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, np.arange(len(xf)), 1,
+                                        -math.inf)
     groups = np.array([0, 1, 30, len(xf) - 2])
-    got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, groups, top)
+    got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, p, GENERAL_P_ACFG, groups, top, -math.inf)
     for a, b in zip(groups, [*groups[1:], len(xf)]):
         floor = np.sort(want[a:b])[::-1][min(top, b - a) - 1]
         exact = np.arange(a, b)[want[a:b] >= floor]
@@ -356,7 +359,7 @@ def test_pruned_sweep_takes_norms_at_the_floor():
         for p in (2.0, 3.0):
             for groups in (np.arange(3), np.zeros(1, dtype=int)):
                 best, best_n = resolvent._pruned_sweep(stack, score, p, PRUNING_CFG.ascent(),
-                                                       groups)
+                                                       groups, 1, -math.inf)
                 assert best.tolist() == [1.0] * 3 and best_n.tolist() == [2] * 3
             shared = resolvent._sweep_max(stack, score, p, PRUNING_CFG.ascent(), -math.inf)
             assert shared == (1.0, 0, 2)
@@ -368,7 +371,8 @@ def test_pruned_sweeps_skip_most_norms(monkeypatch):
     ascents = _counted(monkeypatch, norms, "ascent_lower_bounds")
     xs, angles = _grid(cfg)
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
-    _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.arange(X.size), 1)
+    _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.arange(X.size), 1,
+                         -math.inf)
     assert ascents[0] < X.size * 16 / 2
     ascents[0] = 0
     cesaro_partial_sum_bound(T, cfg, 64)
@@ -381,15 +385,124 @@ def test_pruned_sweeps_skip_most_norms(monkeypatch):
     assert svds[0] <= 658
     # and its Ks search 2,639 with norms in increasing n and one floor per point
     k = kreiss_constant(J, cfg)
-    svds[0], calls, sweep = 0, [], resolvent._strong_kreiss_sweep
-    monkeypatch.setattr(resolvent, "_strong_kreiss_sweep", lambda *a: calls.append(1) or sweep(*a))
+    svds[0], evaluations = 0, _swept_points(monkeypatch)
     strong_kreiss_constant(J, cfg, 16, k_est=k)
     assert svds[0] <= 1200
-    assert len(calls) == 1 + cfg.refine_rounds
+    # the grid and each round take their priors once and sweep no point twice
+    assert len(evaluations) == 1 + cfg.refine_rounds
+    for points, swept in evaluations:
+        assert not Counter(swept) - Counter(points)
     # and its exp-criterion search all 841 of its exponentials; it norms 11
     svds[0] = 0
     exponential_criterion(J, cfg)
     assert svds[0] <= 50
+
+
+def _swept_points(monkeypatch):
+    """Record, for each evaluation of resolvent._search (the grid, then each round),
+    the points it takes priors at and the points its evaluate calls receive."""
+    real, evaluations = resolvent._search, []
+
+    def search(evaluate, prior, *args):
+        def counted_prior(xf, tf):
+            evaluations.append((list(zip(xf.tolist(), tf.tolist())), []))
+            return prior(xf, tf)
+
+        def counted_evaluate(xf, tf, *rest):
+            evaluations[-1][1].extend(zip(xf.tolist(), tf.tolist()))
+            return evaluate(xf, tf, *rest)
+
+        return real(counted_evaluate, counted_prior, *args)
+
+    monkeypatch.setattr(resolvent, "_search", search)
+    return evaluations
+
+
+def test_priors_prune_the_grid_before_its_matrices_are_built(monkeypatch):
+    # jordan d = 16, eigenvalue 0.9 on the 16 x 32 grid at p = 2: the diagonal
+    # dominance and logarithmic-norm priors leave few of the 544 grid points an
+    # SVD of l - T or an exponential (109 and 49 of them), with the same results
+    J = PRUNING_OPERATORS["jordan16_09"]
+    cfg = SearchConfig(radial_count=16, angular_count=32, refine_rounds=0)
+    svds = _counted(monkeypatch, resolvent, "_smallest_singular_values")
+    expms = _counted(monkeypatch, resolvent, "_expm_stack")
+    evaluations = _swept_points(monkeypatch)
+    k, e = kreiss_constant(J, cfg), exponential_criterion(J, cfg)
+    assert [len(points) for points, _ in evaluations] == [544, 544]
+    pruned = svds[0], expms[0]
+    assert pruned[0] <= 120 and pruned[1] <= 60
+    # valuing every point, as the search did before, gives the same results
+    monkeypatch.setattr(resolvent, "_top_norms", lambda upper, groups, top, value, start:
+                        value(slice(None), np.full((len(upper), 0), -np.inf)))
+    assert _fields(k) == _fields(kreiss_constant(J, cfg))
+    assert _fields(e) == _fields(exponential_criterion(J, cfg))
+    assert (svds[0] - pruned[0], expms[0] - pruned[1]) == (544, 544)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_priors_take_no_more_ascents_than_one_sweep(monkeypatch, seed):
+    # kreiss at p = 3 on jordan2_damped's 9 x 16 grid: the first take holds the 25
+    # points of +inf prior, near the spectrum, with the five best finite priors,
+    # near |l| -> inf where the values tend to 1, so its floor is the one a single
+    # sweep over the grid reaches (6 ascents at each seed; the sweep takes 8, 15,
+    # 8 and 8); a later take carries the first take's best values in
+    T = PRUNING_OPERATORS["jordan2_damped"]
+    cfg = SearchConfig(radial_count=8, angular_count=16, refine_rounds=0, p=3.0, seed=seed)
+    ascents = _counted(monkeypatch, norms, "ascent_lower_bounds")
+    k = kreiss_constant(T, cfg)
+    pruned, ascents[0] = ascents[0], 0
+    monkeypatch.setattr(resolvent, "_prior_log_bounds", lambda T, p, r, *_: np.full(len(r), np.inf))
+    assert _fields(k) == _fields(kreiss_constant(T, cfg))
+    assert pruned <= ascents[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), radius=st.floats(0.0, 1.0),
+       coupling=st.sampled_from([0.0, 1.0, 5.0]), p=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_priors_keep_every_search_result(d, radius, coupling, p, seed):
+    # the three searches with their priors give what they give with no prior
+    # pruning (every prior +inf), on random operators of spectral radius <= 1
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    A += coupling * np.triu(rng.standard_normal((d, d)), 1)
+    rho = np.abs(np.linalg.eigvals(A)).max()
+    T = ComplexMatrix(A * (radius / rho if rho > 0 else 1.0))
+    cfg = SearchConfig(radial_count=8, angular_count=8, refine_rounds=1, p=p)
+
+    def results():
+        k = kreiss_constant(T, cfg)
+        return [_fields(k), _fields(strong_kreiss_constant(T, cfg, 8, k_est=k)),
+                _fields(exponential_criterion(T, cfg, 10.0))]
+
+    pruned = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolvent, "_prior_log_bounds", lambda T, p, r, *_: np.full(len(r), np.inf))
+        assert pruned == results()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_overflow_messages_name_the_least_modulus_with_finite_priors_elsewhere(p):
+    # the priors are finite at |l| = 1e250, past ||T|| = 1e200, and at every angle
+    # of e^{xi I} with Re xi below 709: the points that overflow have no finite
+    # prior, so the first take values them all and names the least |l| and |xi|
+    N = make_gallery_operator(OperatorSpec("nilpotent", 3, coupling=1e200))
+    cfg = SearchConfig(r_max=1e250, radial_count=4, angular_count=4, p=p)
+    xs, angles = _grid(cfg)
+    X, Tt = np.meshgrid(xs, angles, indexing="ij")
+    r = 1.0 + 10.0 ** X.ravel()
+    assert np.isfinite(norms._prior_log_bounds(N.entries, p, r, Tt.ravel(), "resolvent")).any()
+    for run in (lambda: kreiss_constant(N, cfg), lambda: strong_kreiss_constant(N, cfg, 4)):
+        with pytest.raises(OverflowError, match=r"at \|l\| = 1$"):
+            run()
+    identity = make_gallery_operator(OperatorSpec("identity", 3))
+    cfg = SearchConfig(radial_count=8, angular_count=8, p=p)
+    moduli = np.repeat(1000.0 * np.arange(9) / 8, 8)
+    bounds = norms._prior_log_bounds(identity.entries, p, moduli, np.tile(_grid(cfg)[1], 9),
+                                     "exponential")
+    assert np.isfinite(bounds[moduli > 709.78]).any() and np.isinf(bounds[moduli > 709.78]).any()
+    with pytest.raises(OverflowError, match=r"at \|xi\| = 750$"):
+        exponential_criterion(identity, cfg, 1000.0)
 
 
 def _recorded(monkeypatch, module, name):
@@ -415,7 +528,8 @@ def test_strong_kreiss_points_leave_the_ledger_after_the_first_step(monkeypatch,
     T = PRUNING_OPERATORS[name]
     xs, angles = _grid(cfg)
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
-    args = (T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.zeros(1, dtype=int), 5)
+    args = (T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.zeros(1, dtype=int), 5,
+            -math.inf)
     steps = ledger_steps(monkeypatch)
     normed = _recorded(monkeypatch, resolvent, "_batched_norm_lower")
     got = _strong_kreiss_sweep(*args)
@@ -441,7 +555,8 @@ def test_strong_kreiss_sweep_with_every_point_leaving_the_ledger():
     for groups in (np.arange(len(xf)), np.zeros(1, dtype=int)):
         with pytest.MonkeyPatch.context() as mp:
             steps = ledger_steps(mp)
-            got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, 2.0, PRUNING_CFG.ascent(), groups, 1)
+            got, got_n = _strong_kreiss_sweep(T, xf, tf, 16, 2.0, PRUNING_CFG.ascent(), groups, 1,
+                                              -math.inf)
         assert steps[0] == len(xf)
         assert np.array_equal(got[got_n > 0], want[got_n > 0]) and (got_n <= 1).all()
         if len(groups) == len(xf):
@@ -459,8 +574,8 @@ def test_pruned_sweep_keeps_a_point_whose_cap_reaches_the_floor_only_at_the_last
             return log_scale + np.log(norms)
 
     best, best_n = resolvent._pruned_sweep(lambda pts: _power_ledger(R[pts], 16), score, 2.0,
-                                           PRUNING_CFG.ascent(), np.zeros(1, dtype=int),
-                                           powers=16)
+                                           PRUNING_CFG.ascent(), np.zeros(1, dtype=int), 1,
+                                           -math.inf, 16)
     assert best[0] == pytest.approx(1.6) and best_n[0] == 16
     assert best[0] > best[1] == pytest.approx(1.0) and best_n[1] == 1
 
@@ -477,10 +592,10 @@ def test_strong_kreiss_sweep_matches_serial_on_random_operators(d, radius, n_max
     xf, tf = _sweep_points(n_max)
     want, want_n, _ = _serial_strong_kreiss_sweep(T, xf, tf, n_max)
     got, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent(),
-                                      np.arange(len(xf)), 1)
+                                      np.arange(len(xf)), 1, -math.inf)
     assert np.array_equal(got, want) and np.array_equal(got_n, want_n)
     got, got_n = _strong_kreiss_sweep(T, xf, tf, n_max, 2.0, PRUNING_CFG.ascent(),
-                                      np.zeros(1, dtype=int), 5)
+                                      np.zeros(1, dtype=int), 5, -math.inf)
     i = int(np.argmax(want))
     assert int(np.argmax(got)) == i and got[i] == want[i] and got_n[i] == want_n[i]
     exact = want >= np.sort(want)[::-1][4]
@@ -496,7 +611,7 @@ def test_strong_kreiss_sweep_peak_stays_within_four_stacks():
     tracemalloc.start()
     try:
         _strong_kreiss_sweep(J, X.ravel(), Tt.ravel(), 16, 2.0, AscentConfig(),
-                             np.arange(X.size), 1)
+                             np.arange(X.size), 1, -math.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -778,7 +893,8 @@ def _ref_strong_kreiss(T, cfg, n_max, k):
     acfg = cfg.ascent()
 
     def sweep(xflat, tflat):
-        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, np.arange(len(xflat)), 1)
+        return _strong_kreiss_sweep(T, xflat, tflat, n_max, cfg.p, acfg, np.arange(len(xflat)), 1,
+                                    -math.inf)
 
     xs = _ref_xs(cfg)
     xf, tf = _ref_mesh(xs, cfg)
@@ -827,7 +943,8 @@ def test_search_seeds_exact_ties_in_stable_order():
             return np.floor(3 * np.sin(xf) * np.cos(tf)), None  # many exact ties
         return np.zeros(len(xf)), None
 
-    resolvent._search(evaluate, xs, 1.0, (-100.0, 100.0), cfg)
+    resolvent._search(evaluate, lambda xf, tf: np.full(len(xf), np.inf), xs, 1.0, (-100.0, 100.0),
+                      cfg)
     (xf, tf), refined = calls[0], calls[1:]
     vals = np.floor(3 * np.sin(xf) * np.cos(tf))
     seeds = sorted(range(len(xf)), key=lambda j: (vals[j], j), reverse=True)[:5]

@@ -365,8 +365,9 @@ def test_only_norms_takes_svds_and_ascents():
 
 
 # the functions of resolvent that may norm a stack or pick the points to norm:
-# every search values its matrices through the one bound-pruned sweep
-STACK_VALUERS = {"resolvent._pruned_sweep"}
+# every search picks its points by their priors in _search and values their
+# matrices through the one bound-pruned sweep
+STACK_VALUERS = {"resolvent._pruned_sweep", "resolvent._search"}
 STACK_NORMS = {"_top_norms", "_batched_norm_lower"}
 
 
@@ -380,7 +381,7 @@ def _stack_norm_callers(paths):
 
 def test_only_the_pruned_sweep_norms_a_resolvent_stack():
     found = _stack_norm_callers([ROOT / "src" / "kreisslab" / "resolvent.py"])
-    assert found == STACK_VALUERS, "a resolvent stack normed outside _pruned_sweep"
+    assert found == STACK_VALUERS, "a resolvent stack normed outside _pruned_sweep and _search"
 
 
 # the functions that may build decomp's block-norm triangles: _score builds
