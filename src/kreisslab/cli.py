@@ -19,6 +19,11 @@ witness and run_meta.json, prints the summary and picks the exit code.
 
 main parses with the parser of the subcommand it is given, built once per process
 (see build_parser), and reports every usage error with that subcommand's usage.
+
+At module level this file imports only what parsing, merging and reporting
+need: numpy, operators and reporting.  Each handler imports the computation
+modules it runs in its own body, so a process loads (and, with no bytecode
+cache, compiles) only the modules of the subcommand it was given.
 """
 
 from __future__ import annotations
@@ -31,21 +36,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
-from .decomp import DecompSearchConfig, estimate_constant, rademacher_constants
-from .fourier import (
-    ExtremalSearchConfig,
-    MultiplierSeq,
-    marcinkiewicz_checks,
-    riesz_norm_lower_bound,
-    save_trig_polynomial,
-    _random_polynomial,
-)
-from .norms import AscentConfig
 from .operators import (
     InvalidOperatorError,
     MatrixParseError,
@@ -56,23 +51,6 @@ from .operators import (
     make_gallery_operator,
     _require,
 )
-from .positivity import PositiveOperator, TruncationError, block_bound_check, krivine_checks
-from .power import (
-    MIN_FIT_SAMPLES,
-    bounds_flagged,
-    check_universal_bounds,
-    growth_fit,
-    growth_table,
-)
-from .resolvent import (
-    FunctionalEstimate,
-    SearchConfig,
-    cesaro_partial_sum_bound,
-    exponential_criterion,
-    gz_partial_resolvent_ratio,
-    kreiss_constant,
-    strong_kreiss_constant,
-)
 from .reporting import (
     SCHEMA,
     ensure_out_dir,
@@ -81,7 +59,9 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .verify import sweep_appendix
+
+if TYPE_CHECKING:
+    from .resolvent import FunctionalEstimate, SearchConfig
 
 # subcommands that act on one operator: they take the kreiss operator and
 # search flags, and their handlers get the operator and its SearchConfig
@@ -206,9 +186,11 @@ def _flag_spec(sub: str, dest: str) -> dict:
         spec.update(type=float, domain=(1, 2, "[)"))  # the Krivine check's exponent
     elif dest == "p" and sub in ("decomp-scan", "riesz-norm", "marcinkiewicz"):
         spec["domain"] = (1, math.inf, "[)" if sub == "marcinkiewicz" else "()")
-    elif dest == "n_max" and sub in ("cesaro", "verify-appendix", "growth"):
-        lo = {"cesaro": 0, "verify-appendix": 2, "growth": MIN_FIT_SAMPLES}[sub]
-        spec["domain"] = (lo, math.inf, "[)")
+    elif dest == "n_max" and sub in ("cesaro", "verify-appendix"):
+        spec["domain"] = ({"cesaro": 0, "verify-appendix": 2}[sub], math.inf, "[)")
+    elif (sub, dest) == ("growth", "n_max"):
+        from .power import MIN_FIT_SAMPLES
+        spec["domain"] = (MIN_FIT_SAMPLES, math.inf, "[)")
     return spec
 
 
@@ -332,6 +314,7 @@ def _operator(params: dict):
 
 
 def _search_config(params: dict) -> SearchConfig:
+    from .resolvent import SearchConfig
     return SearchConfig(
         r_max=params["r_max"],
         radial_count=params["radial"],
@@ -351,6 +334,7 @@ def _ks_ref(
     bound that is not finite is a usage error here, for every caller: --ks-ref
     is the way out.
     """
+    from .resolvent import strong_kreiss_constant
     if params["ks_ref"] is not None:
         return params["ks_ref"]
     ks = strong_kreiss_constant(T, cfg, 16, k_est=k_est).value
@@ -417,6 +401,7 @@ def _plot(params):
 
 
 def _verify_appendix(params):
+    from .verify import sweep_appendix
     try:
         _require("n_max", params["n_max"], params["n_min"])
     except ValueError as exc:
@@ -446,6 +431,8 @@ def _verify_appendix(params):
 
 
 def _decomp_scan(params):
+    from .decomp import DecompSearchConfig, estimate_constant
+    from .fourier import save_trig_polynomial
     cfg = DecompSearchConfig(
         trials=params["trials"],
         ascent_steps=params["ascent_steps"],
@@ -468,6 +455,7 @@ def _decomp_scan(params):
 
 
 def _riesz_norm(params):
+    from .fourier import ExtremalSearchConfig, riesz_norm_lower_bound
     cfg = ExtremalSearchConfig(
         trials=params["trials"], max_support=params["max_support"],
         ascent_steps=params["ascent_steps"], seed=params["seed"],
@@ -478,6 +466,7 @@ def _riesz_norm(params):
 
 
 def _marcinkiewicz(params):
+    from .fourier import MultiplierSeq, marcinkiewicz_checks, _random_polynomial
     rng = np.random.default_rng(params["seed"])
     samples = []
     span = params["span"]
@@ -502,8 +491,11 @@ def _marcinkiewicz(params):
 
 
 def _type_cotype(params):
+    from .decomp import rademacher_constants
     d = params["dim"]
     if params["family"] == "basis":
+        if params["count"] is not None:
+            raise ValueError("argument --count: --count applies to --family random only")
         xs = [np.eye(d)[i] for i in range(d)]
     else:
         rng = np.random.default_rng(params["seed"])
@@ -524,6 +516,7 @@ def _type_cotype(params):
 
 
 def _kreiss(params, name, T, cfg):
+    from .resolvent import kreiss_constant
     est = kreiss_constant(T, cfg)
     payload = {
         "k_lower": est.value, "k_argmax": est.argmax,
@@ -536,6 +529,7 @@ def _kreiss(params, name, T, cfg):
 
 
 def _strong_kreiss(params, name, T, cfg):
+    from .resolvent import strong_kreiss_constant
     est = strong_kreiss_constant(T, cfg, params["n_max"])
     payload = {
         "ks_lower": est.value, "ks_argmax": est.argmax, "n_at_max": est.n_at_max,
@@ -545,12 +539,14 @@ def _strong_kreiss(params, name, T, cfg):
 
 
 def _exp_criterion(params, name, T, cfg):
+    from .resolvent import exponential_criterion
     est = exponential_criterion(T, cfg, params["xi_max"])
     return Outcome("exp_criterion", {"exp_lower": est.value, "exp_argmax": est.argmax},
                    f"exp-criterion {name}: exp_lower={est.value:.9g}")
 
 
 def _cesaro(params, name, T, cfg):
+    from .resolvent import cesaro_partial_sum_bound, gz_partial_resolvent_ratio
     ks_ref = _ks_ref(params, T, cfg)
     res = cesaro_partial_sum_bound(T, cfg, params["n_max"])
     ratio = res.value / (20.0 * ks_ref)
@@ -576,6 +572,8 @@ def _cesaro(params, name, T, cfg):
 
 
 def _growth(params, name, T, cfg):
+    from .norms import AscentConfig
+    from .power import MIN_FIT_SAMPLES, growth_fit, growth_table
     table = growth_table(T, cfg.p, params["n_max"], AscentConfig(seed=cfg.seed))
     keep = table["norm_lower"] > 0
     data = list(zip(table["n"][keep], table["norm_lower"][keep]))
@@ -598,6 +596,9 @@ def _growth(params, name, T, cfg):
 
 
 def _bounds(params, name, T, cfg):
+    from .norms import AscentConfig
+    from .power import bounds_flagged, check_universal_bounds
+    from .resolvent import kreiss_constant
     k_est = None if params["k_ref"] is not None else kreiss_constant(T, cfg)
     k_ref = params["k_ref"] if k_est is None else k_est.value
     if not math.isfinite(k_ref):
@@ -617,6 +618,7 @@ def _bounds(params, name, T, cfg):
 
 
 def _positivity(params, name, T, cfg):
+    from .positivity import PositiveOperator, TruncationError, block_bound_check, krivine_checks
     P = PositiveOperator(T)
     n_list = params["n_list"]
     ks_ref = _ks_ref(params, T, cfg)

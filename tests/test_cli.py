@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kreisslab
-from kreisslab import cli
+from kreisslab import cli, fourier
 from kreisslab.cli import build_parser, main
 from kreisslab.operators import ComplexMatrix, gallery_entry, make_gallery_operator, save_matrix
 from kreisslab.verify import bound_m_range
@@ -31,30 +31,42 @@ def run(argv):
     return main(argv)
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once code has run in a fresh interpreter."""
+def _modules_after(code):
+    """(scipy, kreisslab): the sets of scipy and kreisslab modules loaded once code
+    has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kreisslab.__file__)))
-    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-    return res.stdout.strip().splitlines()[-1]
+    code += ("; print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == top)"
+             " for top in ('scipy', 'kreisslab')]))")
+    res = subprocess.run([sys.executable, "-c", f"import json; {code}"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    return tuple(map(set, json.loads(res.stdout.strip().splitlines()[-1])))
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported where expm is used (exp-criterion), not with the CLI
-    assert _scipy_modules_after("import sys, kreisslab.cli") == "[]"
+    # scipy is imported where expm is used (exp-criterion), not with the CLI; the
+    # computation modules are imported by the handlers that run them
+    scipy, loaded = _modules_after("import sys, kreisslab.cli")
+    assert scipy == set()
+    assert loaded == {"kreisslab", "kreisslab.cli", "kreisslab.operators", "kreisslab.reporting"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-appendix", "--n-max", "50"],
-    ["positivity", "--gallery", "shift4", "--q", "1.5", "--n-list", "4", "--corpus", "2",
-     "--seed", "1"],
-], ids=["verify-appendix", "positivity"])
-def test_log_factorial_runs_leave_scipy_unloaded(argv, tmp_path):
-    # the log-factorial table is numpy's own: no scipy.special behind it
+@pytest.mark.parametrize("argv, unused", [
+    (["verify-appendix", "--n-max", "50"], {"resolvent", "norms", "decomp", "fourier"}),
+    (["positivity", "--gallery", "shift4", "--q", "1.5", "--n-list", "4", "--corpus", "2",
+      "--seed", "1"], {"decomp", "fourier", "power"}),
+    (["kreiss", "--gallery", "jordan2_damped", "--radial", "4", "--angular", "4"],
+     {"decomp", "fourier", "positivity", "verify", "power"}),
+    (["decomp-scan", "--trials", "2", "--ascent-steps", "1", "--max-support", "4", "--seed", "1"],
+     {"resolvent", "positivity", "power", "verify"}),
+], ids=["verify-appendix", "positivity", "kreiss", "decomp-scan"])
+def test_log_factorial_runs_leave_scipy_unloaded(argv, unused, tmp_path):
+    # the log-factorial table is numpy's own: no scipy.special behind it; and a
+    # subcommand loads none of the computation modules it does not run
     code = (f"import sys, kreisslab.cli; "
             f"kreisslab.cli.main({[*argv, '--out', str(tmp_path / 'o')]!r})")
-    assert _scipy_modules_after(code) == "[]"
+    scipy, loaded = _modules_after(code)
+    assert scipy == set()
+    assert not loaded & {f"kreisslab.{name}" for name in unused}
 
 
 @pytest.mark.parametrize("sub, extra", [
@@ -359,8 +371,8 @@ def test_marcinkiewicz_chunks_write_the_bytes_of_one_trial_at_a_time(flags, tmp_
     argv = ["marcinkiewicz", "--trials", "25", *flags]
     monkeypatch.setattr(cli, "_MARCINKIEWICZ_CHUNK", 7)
     batches = []
-    real = cli.marcinkiewicz_checks
-    monkeypatch.setattr(cli, "marcinkiewicz_checks",
+    real = fourier.marcinkiewicz_checks  # the handler imports it from fourier at each call
+    monkeypatch.setattr(fourier, "marcinkiewicz_checks",
                         lambda fs, *a: batches.append(len(fs)) or real(fs, *a))
     assert run([*argv, "--out", str(tmp_path / "chunked")]) == 0
     assert batches == [7, 7, 7, 4]
@@ -456,6 +468,12 @@ def test_randomized_subcommand_requires_seed(tmp_path):
     (["riesz-norm", "--p", "3", "--max-support", "200000", "--trials", "1", "--seed", "1"],
      "p = 3 needs an oversampled quadrature grid of 8 (2 M + 1) = 3199944 points at "
      "M = 199996, more than 1048576"),
+    # --count sizes the random family: the basis family has its d vectors, from a
+    # flag or a config file alike
+    (["type-cotype", "--family", "basis", "--count", "3", "--seed", "1"],
+     "argument --count: --count applies to --family random only"),
+    (["type-cotype", "--seed", "1", "--config", {"type-cotype": {"count": 3}}],
+     "argument --count: --count applies to --family random only"),
 ] + [
     # (l - T)^{-1} holds c^2 / l^3 = 1e400 / l^3: the resolvent builder names it
     # before a norm or a power sees an inf (at p = 2 kreiss inverts nothing, and
@@ -468,7 +486,7 @@ def test_randomized_subcommand_requires_seed(tmp_path):
     for p in ps
 ], ids=["type", "unrecognized", "domain", "seed", "handler", "config", "growth-not-finite",
         "positivity-scale-huge", "positivity-n-huge", "positivity-row-sum-inf",
-        "riesz-norm-grid-huge",
+        "riesz-norm-grid-huge", "type-count-basis", "config-type-count-basis",
         "kreiss-resolvent-overflow-p1", "kreiss-resolvent-overflow-p2",
         "kreiss-resolvent-overflow-p3", "kreiss-resolvent-overflow-pinf",
         "strong-kreiss-resolvent-overflow-p1", "strong-kreiss-resolvent-overflow-p2",
@@ -599,7 +617,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
               "n-list-malformed": "argument --n-list:", "n-list-below-2": "argument --n-list:",
               "weights-negative": "argument --weights:", "angles-count": "argument --angles:",
               "scale-inf": "argument --scale:",
-              "appendix-n-max-below-n-min": "argument --n-max: n_max must lie in [5, inf), got 3"}
+              "appendix-n-max-below-n-min": "argument --n-max: n_max must lie in [5, inf), got 3",
+              "type-count-basis": "argument --count: --count applies to --family random"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -700,6 +719,7 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
     ["kreiss", "--op", "weighted_shift", "--dim", "3", "--weights", "1,-1"],
     ["kreiss", "--op", "rotation", "--dim", "2", "--angles", "1,2,3"],
     ["kreiss", "--op", "scalar", "--dim", "2", "--scale", "inf"],
+    ["type-cotype", "--kind", "type", "--family", "basis", "--count", "3", "--seed", "1"],
 ], ids=["p-not-a-number", "p-below-1", "radial-too-small", "dim-0", "positivity-q",
         "decomp-p-1", "type-exponent-below-1", "type-dim-0", "growth-nothing-to-fit",
         "config-value-type", "decomp-max-support-1", "decomp-max-dim-0", "decomp-trials-0",
@@ -716,7 +736,8 @@ NAMED_FLAG = {"marcinkiewicz-span-negative": "span", "marcinkiewicz-dim-0": "dim
         "plot-csv-short-row", "decomp-p-huge", "riesz-p-huge", "custom-no-matrix-file",
         "eigenvalue-malformed", "scale-malformed", "weights-malformed", "angles-malformed",
         "matrix-file-missing", "matrix-file-non-square", "matrix-file-nan", "matrix-file-inf",
-        "gallery-unknown", "op-unknown", "n-list-malformed", "n-list-below-2", "weights-negative", "angles-count", "scale-inf"])
+        "gallery-unknown", "op-unknown", "n-list-malformed", "n-list-below-2", "weights-negative", "angles-count", "scale-inf",
+        "type-count-basis"])
 def test_bad_input_exits_2_with_message(argv, tmp_path, capsys, request):
     cfg = tmp_path / "cfg.json"
     for i, arg in enumerate(argv):
