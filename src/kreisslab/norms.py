@@ -23,7 +23,10 @@ _stack_bounds bounds a stack as columns (lower, upper, witnesses) and
 checks their order: power_norm_sequence keeps the two float arrays of the
 powers, operator_p_norm wraps row 0 in a NormBounds.  _prior_log_bounds
 bounds the resolvents and exponentials of T at search points from T's
-entries alone, before they are built.  _top_norms is the one pruning rule:
+entries alone, before they are built: the least of an O(d) rung from T's
+row and column sums and a comparison-matrix rung, whose positive series,
+_positive_series, sees the transient of a non-normal T with a rounding
+bounded a priori.  _top_norms is the one pruning rule:
 it values only the points whose certified bound reaches the top best values
 of their group, for resolvent's searches and sweeps and decomp's corpus.
 """
@@ -44,7 +47,11 @@ _POWER_CHUNK = 1 << 18  # matrix entries per block of powers
 # Rounding margin of the certified log-domain norm bounds.  The norm sums and
 # their powers, np.log, np.exp, LAPACK's largest singular value and the
 # ascent's p-norms each carry a relative error of a few d ulps (about 1e-13 at
-# d = 64), far inside it.
+# d = 64), far inside it.  The comparison rungs of _prior_log_bounds budget
+# their own rounding before it: a positive series of K terms is taken
+# 2 eta = 4 (K + 2) (d + 4) u high (_positive_series), the resolvent rung's
+# beta 4 u low and then delta low, and the exponential rung adds the expm error
+# err and the rounding of z T.
 _LOG_MARGIN = 1e-9
 
 
@@ -461,6 +468,71 @@ def _step_slack(d: int) -> float:
 
 # the log of the largest float; a bound past it cannot certify a finite matrix
 _LOG_MAX = math.log(np.finfo(float).max)
+_SERIES_TERMS = 16  # terms past the first d of a positive series that has not ended
+
+
+def _riesz_thorin(one, inf_, p: float):
+    """Riesz-Thorin's log bound on a p-norm from the logs of the 1- and inf-norm bounds."""
+    if math.isinf(p) or p == 1:
+        return inf_ if math.isinf(p) else one
+    return one / p + inf_ * (1.0 - 1.0 / p)
+
+
+def _positive_series(first: np.ndarray, left: np.ndarray, scale: np.ndarray,
+                     taylor: bool = False) -> np.ndarray:
+    """Certified upper bounds on max_i s_i for the sums s = sum_k v_k of the positive
+    series v_0 = first, v_{k+1} = c_k (left @ v_k), one series per column of first.
+
+    first is a (d, count) array, left a nonnegative (d, d) matrix and
+    c_k = scale, or scale / (k + 1) with taylor, for a nonnegative scale of
+    shape (d, count) or (1, count).  A series whose terms reach zero, as they
+    do within d terms when left's pattern is nilpotent, is summed exactly.
+    Past d terms, theta, the largest ratio v_{k+1} / v_k of a column's
+    entries, bounds each later ratio, as left >= 0 and c_k does not grow: the
+    rest of the series is at most v_{k+1} theta / (1 - theta) if theta < 1.
+    A column stops once that rest moves its max by at most 2^-20 relative, or
+    once its sum is not finite (+inf), and leaves the working set; so does a
+    column with a constant c_k whose v_{k+1} >= v_k where v_k > 0, as then
+    the spectral radius of c left is at least 1 (Collatz-Wielandt) and no
+    theta < 1 can follow (+inf).  After d + _SERIES_TERMS terms a column
+    keeps its last bound, +inf without a theta < 1.  The arrays are laid out
+    (d, count) because numpy reduces a short last axis slowly.
+
+    Rounding: every operation acts on nonnegative numbers, so each rounds
+    componentwise and nothing cancels.  A term made in k sweeps lies within
+    gamma_{k (d + 4)} of its exact value (the d products and sums of a sweep,
+    its c_k, and one rounding each of the entries of first, scale and
+    left), and the sum of K + 1 terms adds gamma_K; eta = 2 (K + 2) (d + 4) u
+    bounds both.  theta is taken 4 eta high, and the sum 2 eta high.
+    """
+    d = len(first)
+    sums = np.empty(first.shape[1])
+    live = np.arange(first.shape[1])  # the columns still summed
+    total, v = first.copy(), first
+    with np.errstate(all="ignore"):
+        for k in range(d + _SERIES_TERMS):
+            nxt = (scale / (k + 1.0) if taylor else scale) * (left @ v)
+            total += nxt
+            if k >= d - 1:  # past the d terms of a nilpotent left's pattern
+                eta = 2.0 * (k + 3) * (d + 4) * 2.0**-53
+                ratio = nxt / v
+                theta = np.where(nxt > 0.0, ratio, 0.0).max(axis=0) * (1.0 + 4.0 * eta)
+                ok = theta < 1.0
+                rest = np.where(ok, theta / (1.0 - theta), 0.0) * nxt
+                s = np.where(ok, (total + rest).max(axis=0) * (1.0 + 2.0 * eta), np.inf)
+                top = total.max(axis=0)
+                done = (ok & (s <= (1.0 + 2.0**-20) * top)) | ~(top < np.inf)
+                if not taylor:  # v_{k+1} >= v_k: rho(c left) >= 1, no later theta < 1
+                    done |= np.where(v > 0.0, ratio, np.inf).min(axis=0) >= 1.0
+                sums[live[done]] = s[done]
+                if done.all():
+                    break
+                keep = ~done
+                live, total, nxt, scale = live[keep], total[:, keep], nxt[:, keep], scale[:, keep]
+            v = nxt
+        else:
+            sums[live] = s[keep]
+    return np.where(sums < np.inf, sums, np.inf)
 
 
 def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
@@ -468,17 +540,33 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
     """Certified upper bounds on log ||X||_p, from the entries of T alone, for the matrix
     X that resolvent computes at each point z = r e^{it}, before it is built: the
     resolvent (z - T)^{-1} (kind "resolvent"), or e^{z T} (kind "exponential").
+    Each kind takes the least of two rungs: an O(d) bound from T's row and
+    column sums, and a bound through the comparison matrix of z - T or of
+    z T, which sees the transient of a non-normal T.  N = |off(T)| below.
 
     Resolvents: ||(z - T)^{-1}||_p <= 1/beta_p, where beta_p bounds the least
     ||(z - T) x||_p on the unit sphere from below by diagonal dominance:
     min_i |z - t_ii| - (r_i + c_i)/2 at p = 2 (C. R. Johnson, Linear Algebra
     Appl. 112, 1989; r_i and c_i are T's off-diagonal row and column sums),
     min_i |z - t_ii| - r_i at inf and - c_i at 1 (Varah), Riesz-Thorin between
-    the three, and never less than |z| - ||T||_p.  beta loses
-    delta = _step_slack(d) sqrt(d) (|z| + max(||T||_1, ||T||_inf)) first: the
-    backward error of the SVD's sigma_min and of the inverse's solve, whose
-    relative error delta / beta it covers for a pivot growth up to about d,
-    and the bound's own arithmetic.
+    the three, and never less than |z| - ||T||_p.  At p = 2 the comparison
+    rung adds beta = 1 / sqrt(max x max y), x = M^{-1} 1 and y = M^{-T} 1 for
+    the comparison matrix M = D - N of z - T, D = |z - t_ii|: where M is a
+    nonsingular M-matrix, |(z - T)^{-1}| <= M^{-1} entrywise (A. Ostrowski,
+    Comment. Math. Helv. 10, 1937; R. S. Varga, Matrix Iterative Analysis,
+    2nd ed., 2000, ch. 3), whose inf- and 1-norms are max x and max y.  x and
+    y are Jacobi's series sum_k (D^{-1} N)^k D^{-1} 1, from _positive_series,
+    which ends after d terms when N is nilpotent and otherwise certifies
+    its tail, and so that M is an M-matrix; the series' rounding is in its
+    budget, and the square roots and quotient take beta 4 u low.  (Only p = 2
+    takes it: elsewhere _pruned_sweep bounds each built resolvent by
+    Riesz-Thorin on the same |R| <= M^{-1}, and the rung would save only an
+    inverse.)  Every beta loses delta = _step_slack(d) sqrt(d) (|z| +
+    max(||T||_1, ||T||_inf)) first: the backward error of the SVD's
+    sigma_min and of the inverse's solve, whose relative error delta / beta
+    it covers for a pivot growth up to about d, and the O(d) bound's own
+    arithmetic.  Where sigma_min(z - T) < delta, no bound is finite: the
+    computed sigma_min is rounding noise there.
 
     Exponentials: ||e^{z T}||_p <= e^{r mu_p(e^{it} T)}, the logarithmic norm
     (G. Soderlind, BIT 46, 2006): mu_2 is the largest eigenvalue of the
@@ -487,7 +575,19 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
     Riesz-Thorin interpolates their exponents.  To it come
     _step_slack(d) sqrt(d) r max(||T||_1, ||T||_inf) for mu's arithmetic and
     _step_slack(d) (2 max(1, r ||T||_1) + 1), twice, for the expm's Pade step
-    and its s squarings, 2^s <= 2 max(1, ||z T||_1) at theta_13 = 5.37.
+    and its s squarings, 2^s <= 2 max(1, ||z T||_1) at theta_13 = 5.37: err,
+    the two together.  The comparison rung: |e^{z T}| <= e^{r M_t} entrywise
+    for the Metzler matrix M_t with diagonal Re(e^{it} t_ii) and off-diagonal
+    N (the limit of |(I + z T / n)^n|), and M_t <= a_t I + N, a_t =
+    max_i Re(e^{it} t_ii), so ||e^{z T}||_p <= e^{r a_t} G, G the
+    Riesz-Thorin bound from max e^{r N} 1 and max 1^T e^{r N}: the positive
+    Taylor series of _positive_series, one per distinct r, exact after d
+    terms when N is nilpotent.  Its exponent carries the rounding of z T and
+    of a_t, within the same _step_slack(d) sqrt(d) r max(||T||_1, ||T||_inf),
+    and the computed expm's error is the model err budgets, relative to
+    e^{r mu}: the rung is log(e^{r a_t} G + (e^{err} - 1) e^{r mu}).  It is
+    +inf wherever the O(d) bound is, so that a point whose expm may overflow
+    is evaluated, and named.
 
     Every bound carries _LOG_MARGIN for the norms' rounding, and is +inf where
     it passes _LOG_MAX, so that it cannot certify that X is finite, or where
@@ -512,6 +612,11 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
 
             one, inf_ = (neg_log((gap - s).min(axis=1)) for s in (cols, rows))
             two = neg_log((gap - 0.5 * (rows + cols)).min(axis=1)) if mid else None
+            if p == 2:
+                # a C-ordered column per point: M^{-1} 1 from N, M^{-T} 1 from N^T
+                inv_gap = np.ascontiguousarray(1.0 / gap.T)
+                x, y = (_positive_series(inv_gap, left, inv_gap) for left in (off, off.T))
+                two = np.fmin(two, neg_log((1.0 - 4.0 * 2.0**-53) / (np.sqrt(x) * np.sqrt(y))))
             # |z| - ||T||_p, ||T||_p at most Riesz-Thorin's ||T||_1^{1/p} ||T||_inf^{1-1/p}
             cap, err = neg_log(r - n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)), 0.0
         else:
@@ -523,8 +628,8 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
                 H = w[:, :, None] * T
                 two = np.linalg.eigvalsh(0.5 * (H + H.conj().swapaxes(-1, -2)))[:, -1][at] * r
             cap = np.inf
-            err = slack * (math.sqrt(d) * r * max(n1, ninf)
-                           + 2.0 * (2.0 * np.maximum(1.0, r * n1) + 1.0))
+            arith = slack * math.sqrt(d) * r * max(n1, ninf)
+            err = arith + slack * 2.0 * (2.0 * np.maximum(1.0, r * n1) + 1.0)
         # Riesz-Thorin: the (1, inf) pair at every p, with (1, 2) below 2 and (2, inf)
         # above; a pair enters only with both weights positive, as 0 inf is NaN
         if math.isinf(p) or p == 1:
@@ -532,8 +637,17 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
         elif p == 2:
             inter = np.minimum(two, 0.5 * (one + inf_))
         else:
-            inter = np.minimum(one / p + inf_ * (1.0 - 1.0 / p),
+            inter = np.minimum(_riesz_thorin(one, inf_, p),
                                one * (2.0 / p - 1.0) + two * (2.0 - 2.0 / p) if p < 2
                                else two * (2.0 / p) + inf_ * (1.0 - 2.0 / p))
         bound = np.minimum(cap, inter) + err + _LOG_MARGIN
+        if kind == "exponential":
+            moduli, mt = np.unique(r, return_inverse=True)
+            ones = np.ones((d, len(moduli)))
+            row_sums, col_sums = (_positive_series(ones, left, moduli[None], taylor=True)
+                                  for left in (off, off.T))
+            log_g = _riesz_thorin(np.log(col_sums), np.log(row_sums), p)[mt]
+            rung = np.logaddexp(r * diag.max(axis=1)[at] + log_g + arith,
+                                inter + np.log(np.expm1(err))) + _LOG_MARGIN
+            bound = np.where(bound < _LOG_MAX, np.fmin(bound, rung), np.inf)
     return np.where(bound < _LOG_MAX, bound, np.inf)

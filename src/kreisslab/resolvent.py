@@ -26,14 +26,18 @@ of each l - T instead.
 
 Before any matrix is built, each search point gets a prior, a certified
 upper bound on its value from T's entries alone (norms._prior_log_bounds):
-(|l| - 1) / beta for kreiss_constant, with beta a diagonal-dominance lower
-bound on sigma_min(l - T) at p = 2 (Johnson's) and on its p-norm analogue
-elsewhere, max(L, n_max L), L = log((|l| - 1) / beta), for
-strong_kreiss_constant, and e^{|xi| (mu - 1)}, mu a logarithmic norm of
-e^{it} T, for exponential_criterion.  It holds at every p, and inside
-|l| <= ||T|| too, wherever l - T is diagonally dominant enough.  Only the
-points whose prior reaches their group's floor get an SVD, an inverse and
-power ledger, or an exponential.
+(|l| - 1) / beta for kreiss_constant, with beta a lower bound on
+sigma_min(l - T) at p = 2 and on its p-norm analogue elsewhere,
+max(L, n_max L), L = log((|l| - 1) / beta), for strong_kreiss_constant,
+and a bound on e^{-|xi|} ||e^{xi T}|| for exponential_criterion.  beta is
+the larger of a diagonal-dominance bound (Johnson's at p = 2) and, at
+p = 2, Ostrowski's comparison-matrix bound |(l - T)^{-1}| <= M(l)^{-1};
+||e^{xi T}|| is bounded by the lesser of e^{|xi| mu}, mu a logarithmic
+norm of e^{it} T, and the comparison-matrix bound |e^{xi T}| <=
+e^{|xi| a} e^{|xi| N}, N = |off(T)|, which sees a non-normal transient.
+The priors hold at every p, and inside |l| <= ||T|| too.  Only the points
+whose prior reaches their group's floor get an SVD, an inverse and power
+ledger, or an exponential.
 
 kreiss_constant, strong_kreiss_constant and exponential_criterion reach their
 suprema through one grid-and-refine search, _search, which prunes by the

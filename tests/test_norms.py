@@ -427,13 +427,23 @@ PRIOR_P = [1.0, 1.5, 2.0, 3.0, math.inf]
 PRIOR_ACFG = AscentConfig(restarts=8, max_steps=150, rel_tol=1e-9)
 
 
-def _unit_radius_operator(seed, d, density, coupling):
+PRIOR_SHAPES = ["dense", "triangular", "bidiagonal"]
+
+
+def _unit_radius_operator(seed, d, density, coupling, shape="dense"):
     """A random operator of spectral radius 1 (0 if nilpotent) plus coupling times
-    a strictly upper triangular part, which makes it far from normal."""
+    a strictly upper triangular part, which makes it far from normal.  Its upper
+    triangle or, with a constant diagonal, its upper bidiagonal band give the
+    priors' comparison-matrix rungs a nilpotent |off(T)|, where they are
+    finite near the spectrum too."""
     rng = np.random.default_rng(seed)
     A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * (rng.random((d, d))
                                                                            < density)
     A += coupling * np.triu(rng.standard_normal((d, d)), 1)
+    if shape == "triangular":
+        A = np.triu(A)
+    elif shape == "bidiagonal":
+        A = A[0, 0] * np.eye(d) + np.diag(np.diagonal(A, 1), 1)
     rho = np.abs(np.linalg.eigvals(A)).max()
     return A / rho if rho > 1e-12 else A, rng
 
@@ -450,15 +460,17 @@ def _computed_value(M, p):
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 5]),
        p=st.sampled_from(PRIOR_P), density=st.floats(0.2, 1.0),
-       coupling=st.sampled_from([0.0, 1.0, 30.0]), log10_gap=st.floats(-14.0, 3.0))
-def test_resolvent_prior_bounds_the_computed_value(seed, d, p, density, coupling, log10_gap):
+       coupling=st.sampled_from([0.0, 1.0, 30.0]), log10_gap=st.floats(-14.0, 3.0),
+       shape=st.sampled_from(PRIOR_SHAPES))
+def test_resolvent_prior_bounds_the_computed_value(seed, d, p, density, coupling, log10_gap,
+                                                   shape):
     # at l = (1 + gap) e for an eigenvalue e of modulus 1 (near-singular l - T at a
     # small gap) and at a random point of the same |l|: the prior is +inf or at
     # least (|l| - 1) / sigma_min(l - T) (p = 2) or (|l| - 1) times the computed
     # resolvent's norm (exact at 1 and inf, the ascent floor elsewhere)
     from kreisslab import resolvent
 
-    T, rng = _unit_radius_operator(seed, d, density, coupling)
+    T, rng = _unit_radius_operator(seed, d, density, coupling, shape)
     e = np.linalg.eigvals(T)
     e = e[np.argmax(np.abs(e))]
     lam = np.array([e * (1.0 + 10.0 ** log10_gap) if abs(e) > 0.5 else 1.0 + 10.0 ** log10_gap,
@@ -482,14 +494,14 @@ def test_resolvent_prior_bounds_the_computed_value(seed, d, p, density, coupling
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 5]),
        p=st.sampled_from(PRIOR_P), density=st.floats(0.2, 1.0),
        coupling=st.sampled_from([0.0, 1.0, 30.0]), modulus=st.floats(0.0, 60.0),
-       angle=st.floats(0.0, 2 * math.pi))
+       angle=st.floats(0.0, 2 * math.pi), shape=st.sampled_from(PRIOR_SHAPES))
 def test_exponential_prior_bounds_the_computed_value(seed, d, p, density, coupling, modulus,
-                                                     angle):
+                                                     angle, shape):
     # ||e^{xi T}|| of the search's own stacked expm is at most e^{prior}, at every p:
     # exact norms at 1, 2 and inf, the ascent floor elsewhere
     from kreisslab import resolvent
 
-    T, _ = _unit_radius_operator(seed, d, density, coupling)
+    T, _ = _unit_radius_operator(seed, d, density, coupling, shape)
     m, t = np.array([modulus, 0.0]), np.array([angle, angle])
     bound = norms._prior_log_bounds(T, p, m, t, "exponential")
     with np.errstate(all="ignore"):
@@ -498,6 +510,63 @@ def test_exponential_prior_bounds_the_computed_value(seed, d, p, density, coupli
         value = _computed_value(E[k], p)
         assert value <= bound[k] or bound[k] == math.inf, (k, value, bound[k])
     assert bound[1] < math.inf  # e^{0 T} = I
+
+
+def _bidiagonal(rng, d, coupling, diagonal=None):
+    """An upper bidiagonal T: a given or random unit-disc diagonal, and complex
+    superdiagonal entries of modulus in [coupling / 2, coupling]."""
+    if diagonal is None:
+        diagonal = np.sqrt(rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+    sup = coupling * rng.uniform(0.5, 1.0, d - 1) * np.exp(2j * np.pi * rng.random(d - 1))
+    return np.diag(np.broadcast_to(diagonal, (d,))).astype(complex) + np.diag(sup, 1)
+
+
+def _log_one_inf(X):
+    """The logs of the 1- and inf-norms of |X|."""
+    a = np.abs(X)
+    return math.log(a.sum(axis=0).max()), math.log(a.sum(axis=1).max())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_resolvent_comparison_rung_is_exact_on_bidiagonal_operators(seed):
+    # on a bidiagonal T, M(z)^{-1} = |(z - T)^{-1}|, so at p = 2 the prior is at most
+    # half the sum of the logs of the 1- and inf-norms of |(z - T)^{-1}|, to
+    # rounding; near a diagonal entry, with a coupling about the gap, the diagonal
+    # dominance rung is looser, and the prior equals it
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    T = _bidiagonal(rng, d, 1.0)
+    k = rng.integers(d, size=8)
+    z = T[k, k] + rng.uniform(0.3, 1.0, 8) * np.exp(2j * np.pi * rng.random(8))
+    z = np.concatenate([z, 3.0 * np.exp(2j * np.pi * rng.random(8))])  # dominant, far out
+    bound = norms._prior_log_bounds(T, 2.0, np.abs(z), np.angle(z), "resolvent")
+    for i, zi in enumerate(z):
+        one, inf_ = _log_one_inf(np.linalg.inv(zi * np.eye(d) - T))
+        exact = 0.5 * (one + inf_)
+        assert bound[i] <= exact + 1e-8, (i, bound[i], exact)
+        if i < 8:
+            assert bound[i] == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exponential_comparison_rung_is_exact_on_constant_diagonal_bidiagonal_operators(seed):
+    # on T = c I + N, N upper bidiagonal, |e^{z T}| = e^{r Re(e^{it} c)} e^{r |N|}, so
+    # the prior at p = 1 and inf equals the log of the 1- and inf-norm of |e^{z T}|,
+    # to rounding and the expm error err allows: e^{err} - 1 is about 1e-12 relative
+    # to e^{r mu}, here at most e^4 times the norm
+    from kreisslab import resolvent
+
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    T = _bidiagonal(rng, d, 1.0, np.exp(2j * np.pi * rng.random()))
+    m = rng.uniform(0.5, 4.0, 8)
+    t = 2.0 * np.pi * rng.random(8)
+    E = resolvent._expm_stack((m * np.exp(1j * t))[:, None, None] * T)
+    for p, col in ((1.0, 0), (math.inf, 1)):
+        bound = norms._prior_log_bounds(T, p, m, t, "exponential")
+        for i in range(8):
+            exact = _log_one_inf(E[i])[col]
+            assert bound[i] == pytest.approx(exact, abs=1e-8), (p, i, bound[i], exact)
 
 
 def test_priors_are_infinite_where_they_cannot_certify_a_finite_matrix():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from kreisslab.reporting import write_csv
+from kreisslab.reporting import _fmt_column, write_csv
 
 
 def _fmt_cell(x) -> str:
@@ -39,3 +39,12 @@ def test_write_csv_matches_per_cell_writer(tmp_path):
     rows = zip(table["flag"], table["py_int"], table["np_int"], table["x"], table["py_float"])
     assert path.read_text(encoding="ascii") == _row_csv(list(table), rows)
 
+
+
+def test_float_columns_format_as_repr_of_each_element():
+    # nan, both infinities, both zeros, subnormals and the edges of the normal
+    # range, in an array, a list and an empty column
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.1, -2.5, 1e16, 123456789.125]
+    for col in (np.array(floats), floats, np.array([], dtype=float), np.float32([0.1, -0.0])):
+        assert _fmt_column(col) == [repr(float(x)) for x in col]

@@ -418,25 +418,44 @@ def _swept_points(monkeypatch):
     return evaluations
 
 
-def test_priors_prune_the_grid_before_its_matrices_are_built(monkeypatch):
-    # jordan d = 16, eigenvalue 0.9 on the 16 x 32 grid at p = 2: the diagonal
-    # dominance and logarithmic-norm priors leave few of the 544 grid points an
-    # SVD of l - T or an exponential (109 and 49 of them), with the same results
+def _pruned_counts(monkeypatch, rounds):
+    """kreiss and exp-criterion on jordan d = 16, eigenvalue 0.9, on the 16 x 32 grid
+    at p = 2 with rounds refinement rounds: the point count of each evaluation
+    (kreiss's grid and rounds, then exp-criterion's), and the SVDs of l - T and
+    the exponentials they take.  Valuing every point, as the searches did before
+    their priors, gives the same results and takes one matrix per point."""
     J = PRUNING_OPERATORS["jordan16_09"]
-    cfg = SearchConfig(radial_count=16, angular_count=32, refine_rounds=0)
+    cfg = SearchConfig(radial_count=16, angular_count=32, refine_rounds=rounds)
     svds = _counted(monkeypatch, resolvent, "_smallest_singular_values")
     expms = _counted(monkeypatch, resolvent, "_expm_stack")
     evaluations = _swept_points(monkeypatch)
     k, e = kreiss_constant(J, cfg), exponential_criterion(J, cfg)
-    assert [len(points) for points, _ in evaluations] == [544, 544]
+    grids = [len(points) for points, _ in evaluations]
     pruned = svds[0], expms[0]
-    assert pruned[0] <= 120 and pruned[1] <= 60
-    # valuing every point, as the search did before, gives the same results
     monkeypatch.setattr(resolvent, "_top_norms", lambda upper, groups, top, value, start:
                         value(slice(None), np.full((len(upper), 0), -np.inf)))
     assert _fields(k) == _fields(kreiss_constant(J, cfg))
     assert _fields(e) == _fields(exponential_criterion(J, cfg))
-    assert (svds[0] - pruned[0], expms[0] - pruned[1]) == (544, 544)
+    assert (svds[0] - pruned[0], expms[0] - pruned[1]) == (sum(grids[:1 + rounds]),
+                                                           sum(grids[1 + rounds:]))
+    return grids, *pruned
+
+
+def test_priors_prune_the_grid_before_its_matrices_are_built(monkeypatch):
+    # the priors, with their comparison-matrix rungs, leave few of the 544 grid
+    # points an SVD of l - T or an exponential (13 and 7 of them; 109 and 49 with
+    # the O(d) rungs alone), with the same results
+    grids, svds, expms = _pruned_counts(monkeypatch, 0)
+    assert grids == [544, 544] and svds <= 26 and expms <= 14
+
+
+def test_priors_prune_a_refinement_round_before_its_matrices_are_built(monkeypatch):
+    # a refinement round adds 405 SVD and 297 exponential points, which the O(d)
+    # rungs alone all keep: with the comparison rungs 318 SVDs and 38 exponentials
+    # are taken in all.  The SVDs stay where sigma_min(l - T) is below the rounding
+    # allowance delta
+    grids, svds, expms = _pruned_counts(monkeypatch, 1)
+    assert grids == [544, 405, 544, 297] and svds <= 360 and expms <= 80
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 7])
@@ -453,7 +472,7 @@ def test_priors_take_no_more_ascents_than_one_sweep(monkeypatch, seed):
     pruned, ascents[0] = ascents[0], 0
     monkeypatch.setattr(resolvent, "_prior_log_bounds", lambda T, p, r, *_: np.full(len(r), np.inf))
     assert _fields(k) == _fields(kreiss_constant(T, cfg))
-    assert pruned <= ascents[0]
+    assert pruned <= min(6, ascents[0])
 
 
 @settings(max_examples=25, deadline=None)
