@@ -281,17 +281,12 @@ def _log_step_cap(M: np.ndarray, p: float, log_scale: np.ndarray, hi: np.ndarray
                   norms: np.ndarray) -> np.ndarray:
     """Per-step bound on log ||R||_p for each R = e^{log_scale} M of a stack, given
     hi = _log_norm_bounds(M, p)[1] and the norms _batched_norm_lower took (NaN
-    where none): the norm itself where an SVD took it, else hi and at p = 2 the
-    Schur test sqrt(||M||_1 ||M||_inf), plus the rounding of a ledger step,
-    _step_slack."""
-    slack = _step_slack(M.shape[-1])
+    where none): the SVD norm where the first take computed one, else hi, plus
+    the rounding of a ledger step, _step_slack."""
     if p == 2:
-        a = np.abs(M)
         with np.errstate(divide="ignore"):
-            schur = 0.5 * (np.log(np.einsum("...ij->...j", a).max(axis=-1))
-                           + np.log(np.einsum("...ij->...i", a).max(axis=-1))) + _LOG_MARGIN
-            hi = np.where(np.isnan(norms), np.minimum(hi, schur), np.log(norms) + _LOG_MARGIN)
-    return log_scale + hi + slack
+            hi = np.where(np.isnan(norms), hi, np.log(norms) + _LOG_MARGIN)
+    return log_scale + hi + _step_slack(M.shape[-1])
 
 
 def _stack_bounds(M: np.ndarray, p: float, cfg: AscentConfig, log_scales):
@@ -630,14 +625,12 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
             cap = np.inf
             arith = slack * math.sqrt(d) * r * max(n1, ninf)
             err = arith + slack * 2.0 * (2.0 * np.maximum(1.0, r * n1) + 1.0)
-        # Riesz-Thorin: the (1, inf) pair at every p, with (1, 2) below 2 and (2, inf)
-        # above; a pair enters only with both weights positive, as 0 inf is NaN
-        if math.isinf(p) or p == 1:
-            inter = inf_ if math.isinf(p) else one
-        elif p == 2:
-            inter = np.minimum(two, 0.5 * (one + inf_))
-        else:
-            inter = np.minimum(_riesz_thorin(one, inf_, p),
+        # Riesz-Thorin: the (1, inf) pair at every p and, where the p = 2 form takes
+        # part, two itself at 2, the (1, 2) pair below 2 or the (2, inf) pair above; a
+        # pair enters only with both weights positive, as 0 inf is NaN
+        inter = _riesz_thorin(one, inf_, p)
+        if mid:
+            inter = np.minimum(inter, two if p == 2 else
                                one * (2.0 / p - 1.0) + two * (2.0 - 2.0 / p) if p < 2
                                else two * (2.0 / p) + inf_ * (1.0 - 2.0 / p))
         bound = np.minimum(cap, inter) + err + _LOG_MARGIN

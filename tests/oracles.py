@@ -236,12 +236,7 @@ def sweep_every_point(stack, score, p, acfg, groups=None, top=1, start=-math.inf
     best_n = np.where(vals > -np.inf, n, 0)
     low = scored(n, log_scale, lo)  # with best, each point's lower bound
     if powers:
-        d = M.shape[-1]
-        slack = (4.0 * d * (d + 2) + 8.0) * 2.0**-53
-        if p == 2:
-            with np.errstate(divide="ignore"):
-                hi = np.where(np.isnan(norms), hi, np.log(norms) + kreisslab.norms._LOG_MARGIN)
-        per_power = log_scale + hi + slack
+        per_power = kreisslab.norms._log_step_cap(M, p, log_scale, hi, norms)
     uppers = []
     for n, M, log_scale in steps:
         lo, hi = kreisslab.norms._log_norm_bounds(M, p)

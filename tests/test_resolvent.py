@@ -366,6 +366,9 @@ def test_pruned_sweep_takes_norms_at_the_floor():
 
 
 def test_pruned_sweeps_skip_most_norms(monkeypatch):
+    # each bound is 1.5 times the count the sweeps read with the priors: 613 of
+    # the 2,304 pairs of a strong-Kreiss grid sweep and 41 of the 1,024 of a
+    # Cesaro scan get an ascent at p = 3
     T = PRUNING_OPERATORS["jordan2_damped"]
     cfg = SearchConfig(radial_count=8, angular_count=16, p=3.0)
     ascents = _counted(monkeypatch, norms, "ascent_lower_bounds")
@@ -373,29 +376,60 @@ def test_pruned_sweeps_skip_most_norms(monkeypatch):
     X, Tt = np.meshgrid(xs, angles, indexing="ij")
     _strong_kreiss_sweep(T, X.ravel(), Tt.ravel(), 16, cfg.p, cfg.ascent(), np.arange(X.size), 1,
                          -math.inf)
-    assert ascents[0] < X.size * 16 / 2
+    assert ascents[0] <= 919
     ascents[0] = 0
     cesaro_partial_sum_bound(T, cfg, 64)
-    assert ascents[0] < cfg.angular_count * 64 / 2
-    # perfbench's resolvent_p2_matrix Cesaro task took 658 SVDs with a running-best prune
+    assert ascents[0] <= 61
+    # perfbench's resolvent_p2_matrix Cesaro task takes 33 SVDs (658 with a
+    # running-best prune)
     svds = _counted(monkeypatch, np.linalg, "svd")
     J = PRUNING_OPERATORS["jordan16_09"]
     cfg = SearchConfig(radial_count=16, angular_count=32, refine_rounds=1)
     cesaro_partial_sum_bound(J, cfg, 128)
-    assert svds[0] <= 658
-    # and its Ks search 2,639 with norms in increasing n and one floor per point
+    assert svds[0] <= 49
+    # and its Ks search 43 (2,639 with norms in increasing n and one floor per point)
     k = kreiss_constant(J, cfg)
     svds[0], evaluations = 0, _swept_points(monkeypatch)
     strong_kreiss_constant(J, cfg, 16, k_est=k)
-    assert svds[0] <= 1200
+    assert svds[0] <= 64
     # the grid and each round take their priors once and sweep no point twice
     assert len(evaluations) == 1 + cfg.refine_rounds
     for points, swept in evaluations:
         assert not Counter(swept) - Counter(points)
-    # and its exp-criterion search all 841 of its exponentials; it norms 11
+    # and its exp-criterion search, which builds 38 of its 841 exponentials, 11
     svds[0] = 0
     exponential_criterion(J, cfg)
-    assert svds[0] <= 50
+    assert svds[0] <= 16
+
+
+# Each bound of _pruned_sweep, pinned by the sweep norms (SVDs at p = 2, ascent
+# matrices at p = 3) of a strong-Kreiss search given its k_est, and by the ledger
+# matrix-steps where the bound saves those: the count it reads, then the count
+# without the bound.
+@pytest.mark.parametrize("name, cfg, most_norms, most_steps", [
+    # the last step's norms, taken before pass 2: 267 (352)
+    pytest.param("jordan2_damped", SearchConfig(radial_count=16, angular_count=16,
+                                                refine_rounds=1, p=3.0), 300, None,
+                 id="last-step-first"),
+    # the search's start floors: 43 (89)
+    pytest.param("jordan16_09", SearchConfig(radial_count=16, angular_count=32, refine_rounds=1),
+                 50, None, id="start-floors"),
+    # the lower-bound floors, low: 446 (666)
+    pytest.param("jordan2_damped", SearchConfig(), 500, None, id="lower-bound-floors"),
+    # the per-step cap n c: 8,214 (8,514)
+    pytest.param("identity3", SearchConfig(), 8300, None, id="per-step-cap"),
+    # leaving the ledger after the first step: 694 norms and 694 steps (11,104 steps)
+    pytest.param("shift4", SearchConfig(), 700, 1000, id="leave-the-ledger"),
+])
+def test_each_sweep_bound_prunes_its_share(monkeypatch, name, cfg, most_norms, most_steps):
+    T = PRUNING_OPERATORS[name]
+    k = kreiss_constant(T, cfg)
+    normed = _counted(monkeypatch, resolvent, "_batched_norm_lower")
+    steps = ledger_steps(monkeypatch)
+    strong_kreiss_constant(T, cfg, 16, k_est=k)
+    assert normed[0] <= most_norms
+    if most_steps is not None:
+        assert steps[0] <= most_steps
 
 
 def _swept_points(monkeypatch):
