@@ -26,9 +26,11 @@ bounds the resolvents and exponentials of T at search points from T's
 entries alone, before they are built: the least of an O(d) rung from T's
 row and column sums and a comparison-matrix rung, whose positive series,
 _positive_series, sees the transient of a non-normal T with a rounding
-bounded a priori.  _top_norms is the one pruning rule:
-it values only the points whose certified bound reaches the top best values
-of their group, for resolvent's searches and sweeps and decomp's corpus.
+bounded a priori.  The series runs only where the pattern of |off(T)| is
+nilpotent, and ends after d terms there; elsewhere it is +inf.  _top_norms
+is the one pruning rule: it values only the points whose certified bound
+reaches the top best values of their group, for resolvent's searches and
+sweeps and decomp's corpus.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ _POWER_CHUNK = 1 << 18  # matrix entries per block of powers
 # their powers, np.log, np.exp, LAPACK's largest singular value and the
 # ascent's p-norms each carry a relative error of a few d ulps (about 1e-13 at
 # d = 64), far inside it.  The comparison rungs of _prior_log_bounds budget
-# their own rounding before it: a positive series of K terms is taken
-# 2 eta = 4 (K + 2) (d + 4) u high (_positive_series), the resolvent rung's
+# their own rounding before it: a positive series of d terms is taken
+# 2 eta = 4 (d + 2) (d + 4) u high (_positive_series), the resolvent rung's
 # beta 4 u low and then delta low, and the exponential rung adds the expm error
 # err and the rounding of z T.
 _LOG_MARGIN = 1e-9
@@ -463,7 +465,6 @@ def _step_slack(d: int) -> float:
 
 # the log of the largest float; a bound past it cannot certify a finite matrix
 _LOG_MAX = math.log(np.finfo(float).max)
-_SERIES_TERMS = 16  # terms past the first d of a positive series that has not ended
 
 
 def _riesz_thorin(one, inf_, p: float):
@@ -480,53 +481,30 @@ def _positive_series(first: np.ndarray, left: np.ndarray, scale: np.ndarray,
 
     first is a (d, count) array, left a nonnegative (d, d) matrix and
     c_k = scale, or scale / (k + 1) with taylor, for a nonnegative scale of
-    shape (d, count) or (1, count).  A series whose terms reach zero, as they
-    do within d terms when left's pattern is nilpotent, is summed exactly.
-    Past d terms, theta, the largest ratio v_{k+1} / v_k of a column's
-    entries, bounds each later ratio, as left >= 0 and c_k does not grow: the
-    rest of the series is at most v_{k+1} theta / (1 - theta) if theta < 1.
-    A column stops once that rest moves its max by at most 2^-20 relative, or
-    once its sum is not finite (+inf), and leaves the working set; so does a
-    column with a constant c_k whose v_{k+1} >= v_k where v_k > 0, as then
-    the spectral radius of c left is at least 1 (Collatz-Wielandt) and no
-    theta < 1 can follow (+inf).  After d + _SERIES_TERMS terms a column
-    keeps its last bound, +inf without a theta < 1.  The arrays are laid out
-    (d, count) because numpy reduces a short last axis slowly.
+    shape (d, count) or (1, count).  Where left's pattern is nilpotent, every
+    term past the first d is zero and the series is their sum; where the
+    pattern has a cycle, every column is +inf.  The pattern, not a term that
+    rounds to zero, decides it: on a cycle a term can underflow while the
+    exact series diverges.  The arrays are laid out (d, count) because numpy
+    reduces a short last axis slowly.
 
     Rounding: every operation acts on nonnegative numbers, so each rounds
     componentwise and nothing cancels.  A term made in k sweeps lies within
     gamma_{k (d + 4)} of its exact value (the d products and sums of a sweep,
     its c_k, and one rounding each of the entries of first, scale and
-    left), and the sum of K + 1 terms adds gamma_K; eta = 2 (K + 2) (d + 4) u
-    bounds both.  theta is taken 4 eta high, and the sum 2 eta high.
+    left), and the sum of the d terms adds gamma_{d - 1}; eta =
+    2 (d + 2) (d + 4) u bounds both, and the sum is taken 2 eta high.
     """
     d = len(first)
-    sums = np.empty(first.shape[1])
-    live = np.arange(first.shape[1])  # the columns still summed
+    if np.linalg.matrix_power(left > 0.0, d).any():  # a cycle: no finite sum certified
+        return np.full(first.shape[1], np.inf)
     total, v = first.copy(), first
+    eta = 2.0 * (d + 2) * (d + 4) * 2.0**-53
     with np.errstate(all="ignore"):
-        for k in range(d + _SERIES_TERMS):
-            nxt = (scale / (k + 1.0) if taylor else scale) * (left @ v)
-            total += nxt
-            if k >= d - 1:  # past the d terms of a nilpotent left's pattern
-                eta = 2.0 * (k + 3) * (d + 4) * 2.0**-53
-                ratio = nxt / v
-                theta = np.where(nxt > 0.0, ratio, 0.0).max(axis=0) * (1.0 + 4.0 * eta)
-                ok = theta < 1.0
-                rest = np.where(ok, theta / (1.0 - theta), 0.0) * nxt
-                s = np.where(ok, (total + rest).max(axis=0) * (1.0 + 2.0 * eta), np.inf)
-                top = total.max(axis=0)
-                done = (ok & (s <= (1.0 + 2.0**-20) * top)) | ~(top < np.inf)
-                if not taylor:  # v_{k+1} >= v_k: rho(c left) >= 1, no later theta < 1
-                    done |= np.where(v > 0.0, ratio, np.inf).min(axis=0) >= 1.0
-                sums[live[done]] = s[done]
-                if done.all():
-                    break
-                keep = ~done
-                live, total, nxt, scale = live[keep], total[:, keep], nxt[:, keep], scale[:, keep]
-            v = nxt
-        else:
-            sums[live] = s[keep]
+        for k in range(d - 1):
+            v = (scale / (k + 1.0) if taylor else scale) * (left @ v)
+            total += v
+        sums = total.max(axis=0) * (1.0 + 2.0 * eta)
     return np.where(sums < np.inf, sums, np.inf)
 
 
@@ -550,10 +528,11 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
     nonsingular M-matrix, |(z - T)^{-1}| <= M^{-1} entrywise (A. Ostrowski,
     Comment. Math. Helv. 10, 1937; R. S. Varga, Matrix Iterative Analysis,
     2nd ed., 2000, ch. 3), whose inf- and 1-norms are max x and max y.  x and
-    y are Jacobi's series sum_k (D^{-1} N)^k D^{-1} 1, from _positive_series,
-    which ends after d terms when N is nilpotent and otherwise certifies
-    its tail, and so that M is an M-matrix; the series' rounding is in its
-    budget, and the square roots and quotient take beta 4 u low.  (Only p = 2
+    y are Jacobi's series sum_k (D^{-1} N)^k D^{-1} 1, from _positive_series.
+    It runs where N's pattern is nilpotent: wherever D > 0, D^{-1} N is then
+    nilpotent, so M is a nonsingular M-matrix and the series ends after d
+    terms.  Where the pattern has a cycle it is +inf.  The series' rounding
+    is in its budget, and the square roots and quotient take beta 4 u low.  (Only p = 2
     takes it: elsewhere _pruned_sweep bounds each built resolvent by
     Riesz-Thorin on the same |R| <= M^{-1}, and the rung would save only an
     inverse.)  Every beta loses delta = _step_slack(d) sqrt(d) (|z| +
@@ -577,9 +556,10 @@ def _prior_log_bounds(T: np.ndarray, p: float, r: np.ndarray, t: np.ndarray,
     max_i Re(e^{it} t_ii), so ||e^{z T}||_p <= e^{r a_t} G, G the
     Riesz-Thorin bound from max e^{r N} 1 and max 1^T e^{r N}: the positive
     Taylor series of _positive_series, one per distinct r, exact after d
-    terms when N is nilpotent.  Its exponent carries the rounding of z T and
-    of a_t, within the same _step_slack(d) sqrt(d) r max(||T||_1, ||T||_inf),
-    and the computed expm's error is the model err budgets, relative to
+    terms when N's pattern is nilpotent and +inf otherwise.  Its exponent
+    carries the rounding of z T and of a_t, within the same
+    _step_slack(d) sqrt(d) r max(||T||_1, ||T||_inf), and the computed
+    expm's error is the model err budgets, relative to
     e^{r mu}: the rung is log(e^{r a_t} G + (e^{err} - 1) e^{r mu}).  It is
     +inf wherever the O(d) bound is, so that a point whose expm may overflow
     is evaluated, and named.

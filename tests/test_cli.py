@@ -257,6 +257,28 @@ def test_cesaro_flags_small_reference(tmp_path):
     assert (out / "witness_cesaro.json").exists()
 
 
+def test_cesaro_with_no_partial_sums_reports_its_start(tmp_path):
+    # --n-max 0 gives the sweep no step at all: the bound is its start, 1 at
+    # l = 1 and n = 0
+    out = tmp_path / "o"
+    assert run(["cesaro", "--gallery", "jordan2_damped", "--ks-ref", "1.5", "--n-max", "0",
+                "--out", str(out)]) == 0
+    rep = read(out / "cesaro.json")
+    assert (rep["cesaro_lower"], rep["cesaro_n_at_max"]) == (1.0, 0)
+    assert rep["cesaro_argmax"] == {"re": 1.0, "im": 0.0}
+
+
+def test_weighted_shift_defaults_to_unit_weights(tmp_path):
+    reports = []
+    for extra in ([], ["--weights", "1,1"]):
+        out = tmp_path / str(len(reports))
+        assert run(["kreiss", "--op", "weighted_shift", "--dim", "3", "--radial", "8",
+                    "--angular", "8", *extra, "--out", str(out)]) == 0
+        rep = read(out / "kreiss.json")
+        reports.append((rep["k_lower"], rep["k_argmax"]))
+    assert reports[0] == reports[1]
+
+
 def test_growth_fit_and_plot(tmp_path):
     out = tmp_path / "g"
     code = run(["growth", "--op", "jordan", "--dim", "2", "--p", "inf",
@@ -451,6 +473,13 @@ def test_randomized_subcommand_requires_seed(tmp_path):
     # _load_config reads the file
     (["kreiss", "--gallery", "zero2", "--config", {"kreiss": {"warp_factor": 9}}],
      "unknown config keys for 'kreiss': warp_factor"),
+    (["kreiss", "--gallery", "zero2", "--config", [1, 2]],
+     "config file must hold a JSON object"),
+    (["kreiss", "--gallery", "zero2", "--config", {"kreiss": 3}],
+     "config section 'kreiss' must be an object"),
+    (["kreiss", "--gallery", "zero2", "--config", "{not json"],
+     "cannot read config file <cfg>: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
     # ||T^n|| = 1e300^n passes the float range at n = 2: nothing finite to fit
     (["growth", "--op", "nilpotent", "--dim", "9", "--coupling", "1e300", "--n-max", "16"],
      "the value at n = 2 is inf; a fit needs finite values"),
@@ -484,7 +513,8 @@ def test_randomized_subcommand_requires_seed(tmp_path):
     for sub, ps in (("kreiss", ("1", "2", "3", "inf")), ("strong-kreiss", ("1", "2", "3", "inf")),
                     ("bounds", ("2",)))
     for p in ps
-], ids=["type", "unrecognized", "domain", "seed", "handler", "config", "growth-not-finite",
+], ids=["type", "unrecognized", "domain", "seed", "handler", "config", "config-not-object",
+        "config-section-not-object", "config-not-json", "growth-not-finite",
         "positivity-scale-huge", "positivity-n-huge", "positivity-row-sum-inf",
         "riesz-norm-grid-huge", "type-count-basis", "config-type-count-basis",
         "kreiss-resolvent-overflow-p1", "kreiss-resolvent-overflow-p2",
@@ -493,15 +523,16 @@ def test_randomized_subcommand_requires_seed(tmp_path):
         "strong-kreiss-resolvent-overflow-p3", "strong-kreiss-resolvent-overflow-pinf",
         "bounds-resolvent-overflow-p2"])
 def test_usage_errors_print_the_subcommands_usage(argv, message, tmp_path, capsys):
-    if isinstance(argv[-1], dict):  # a dict stands for a config file holding it
-        (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
-        argv = [*argv[:-1], str(tmp_path / "cfg.json")]
+    cfg = tmp_path / "cfg.json"
+    if argv[-2] == "--config":  # the config file's JSON value, or a str for its text
+        cfg.write_text(argv[-1] if isinstance(argv[-1], str) else json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(cfg)]
     with pytest.raises(SystemExit) as err:
         run([*argv, "--out", str(tmp_path / "o")])
     assert err.value.code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith(f"usage: kreisslab {argv[0]} [-h] [--out OUT]")
-    assert lines[-1] == f"kreisslab {argv[0]}: error: {message}"
+    assert lines[-1] == f"kreisslab {argv[0]}: error: {message.replace('<cfg>', str(cfg))}"
     assert not any("Traceback" in line for line in lines)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -567,6 +568,40 @@ def test_exponential_comparison_rung_is_exact_on_constant_diagonal_bidiagonal_op
         for i in range(8):
             exact = _log_one_inf(E[i])[col]
             assert bound[i] == pytest.approx(exact, abs=1e-8), (p, i, bound[i], exact)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), taylor=st.booleans(),
+       density=st.floats(0.2, 1.0))
+def test_positive_series_sums_a_nilpotent_pattern_within_its_budget(seed, d, taylor, density):
+    # on a permuted strictly triangular left the series ends after d terms: the
+    # bound is at least the exact max of their sum, in rationals over the float
+    # inputs, and at most 1 + 4 eta above it, eta = 2 (d + 2) (d + 4) u
+    rng = np.random.default_rng(seed)
+    perm = np.eye(d)[rng.permutation(d)]
+    left = np.triu(10.0 ** rng.uniform(-3, 3, (d, d)) * (rng.random((d, d)) < density), 1)
+    left = perm @ left @ perm.T
+    first = 10.0 ** rng.uniform(-3, 3, (d, 10)) * (rng.random((d, 10)) < 0.9)
+    scale = 10.0 ** rng.uniform(-3, 3, (1 if taylor else d, 10))
+    got = norms._positive_series(first, left, scale, taylor)
+    eta = Fraction(2 * (d + 2) * (d + 4), 2**53)
+    F = np.vectorize(Fraction, otypes=[object])
+    exact_left = F(left)
+    for j in range(10):
+        v = total = F(first[:, j])
+        for k in range(d - 1):
+            v = F(scale[:, j]) / (k + 1 if taylor else 1) * (exact_left @ v)
+            total = total + v
+        exact = max(total)
+        assert exact <= Fraction(got[j]) <= exact * (1 + 4 * eta), (j, got[j], float(exact))
+
+
+@pytest.mark.parametrize("taylor", [False, True])
+def test_positive_series_is_infinite_on_a_pattern_with_a_cycle(taylor):
+    # [[0, .5], [.5, 0]] has a 2-cycle: no finite sum is certified, though its
+    # Jacobi series sums to 2 at unit scale
+    left = np.array([[0.0, 0.5], [0.5, 0.0]])
+    got = norms._positive_series(np.ones((2, 3)), left, np.ones((1, 3)), taylor)
+    assert got.tolist() == [math.inf] * 3
 
 
 def test_priors_are_infinite_where_they_cannot_certify_a_finite_matrix():

@@ -24,7 +24,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 DOCUMENTED = {
     "hoelder_growth_check": "criterion 10 check, a feature the README claims",
     "pairing_duality_check": "criterion 10 check, a feature the README claims",
-    "fourier_type_check": "criterion 10 check, a feature the README claims",
+    "fourier_type_check": "the Fourier-type estimates the README claims",
     "operator_p_norm": "the one-matrix norm bounds the README documents",
     "project_interval": "the frequency-interval projection D_I of the Fourier engine",
     "save_matrix": "writer of the matrix format in docs/formats.md",
